@@ -12,6 +12,7 @@ Subcommands map one-to-one onto the harness experiments:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import (
@@ -30,43 +31,57 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_flags(p: argparse.ArgumentParser, names: tuple[str, ...], **overrides) -> None:
+    """The flags every subcommand reads, then the named ones. `overrides`
+    maps a named flag without its dashes (`mitigation`) to settings that
+    replace its defaults."""
     p.add_argument("--seed", type=int, required=True,
                    help="base seed; all randomness derives from it")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True,
+                   help="output directory")
     p.add_argument("--calibration", default=str(default_calibration_path()),
                    help="device calibration JSON")
-    p.add_argument("--cost-model", default=str(default_cost_model_path()),
-                   help="wall-clock cost model JSON")
-    p.add_argument("--pairs", type=int, default=None, help="number of pairs to select")
-    p.add_argument("--select", choices=["greedy", "matching"], default="greedy")
-    p.add_argument("--cap", type=float, default=None,
-                   help="exclude edges below this CZ fidelity")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--mitigation", choices=["none", "ni", "tflo", "ni+tflo"],
-                   default="ni+tflo")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--crosstalk", type=float, default=0.0,
+    p.add_argument("--crosstalk", type=float, default=0.0, dest="crosstalk_p",
+                   metavar="CROSSTALK",
                    help="extra depolarizing probability for adjacent active pairs")
+    specs = {
+        "--cost-model": dict(default=str(default_cost_model_path()),
+                             help="wall-clock cost model JSON"),
+        "--pairs": dict(type=int, default=None, help="number of pairs to select"),
+        "--select": dict(choices=["greedy", "matching"], default="greedy"),
+        "--cap": dict(type=float, default=None,
+                      help="exclude edges below this CZ fidelity"),
+        "--shots": dict(type=int, default=1000),
+        "--iterations": dict(type=int, default=None),
+        "--mitigation": dict(choices=["none", "ni", "tflo", "ni+tflo"],
+                             default="ni+tflo"),
+        "--repeats": dict(type=int, default=1),
+    }
+    for name in names:
+        p.add_argument(name, **{**specs[name], **overrides.get(name[2:], {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per subcommand, holding only the flags it reads, so an
+    unread flag is an error rather than silently ignored. Abbreviations are
+    off: shots-sweep would otherwise read --shots as --shots-list."""
     parser = argparse.ArgumentParser(prog="parvqe",
                                      description="parallel two-qubit VQE testbed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("benchmark-pairs", help="benchmark every pair and the "
-                       "greedy parallel sweep")
-    _add_common(p)
+    p = sub.add_parser("benchmark-pairs", allow_abbrev=False,
+                       help="benchmark every pair and the greedy parallel sweep")
+    _add_flags(p, ("--shots",), shots=dict(default=10_000))
 
-    p = sub.add_parser("heatmap", help="energy landscape heatmaps")
-    _add_common(p)
+    p = sub.add_parser("heatmap", allow_abbrev=False, help="energy landscape heatmaps")
+    _add_flags(p, ("--cost-model", "--pairs", "--select", "--cap", "--shots",
+                   "--mitigation"), shots=dict(default=10_000))
     p.add_argument("--grid", type=int, default=20, help="points per axis")
 
-    p = sub.add_parser("vqe", help="full optimisation runs")
-    _add_common(p)
+    p = sub.add_parser("vqe", allow_abbrev=False, help="full optimisation runs")
+    _add_flags(p, ("--cost-model", "--pairs", "--select", "--cap", "--shots",
+                   "--iterations", "--mitigation", "--repeats"))
     p.add_argument("--optimizer", choices=["spsa", "mgd"], default="spsa")
     p.add_argument("--eta", type=float, default=2.0,
                    help="points-per-iteration metaparameter for single-pair mgd")
@@ -76,46 +91,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit modelled speedups over --pair-counts instead of running")
     p.add_argument("--pair-counts", type=_int_list, default=(2, 4, 8, 12, 16, 20, 25))
 
-    p = sub.add_parser("shots-sweep", help="SPSA at several shot counts")
-    _add_common(p)
+    p = sub.add_parser("shots-sweep", allow_abbrev=False,
+                       help="SPSA at several shot counts")
+    _add_flags(p, ("--pairs", "--cap", "--iterations", "--mitigation"),
+               mitigation=dict(choices=["none", "ni"], default="ni"))
     p.add_argument("--shots-list", type=_int_list, default=(100, 1000, 10_000))
 
-    p = sub.add_parser("optimizer-compare", help="SPSA vs surrogate descent "
-                       "across pair counts")
-    _add_common(p)
+    p = sub.add_parser("optimizer-compare", allow_abbrev=False,
+                       help="SPSA vs surrogate descent across pair counts")
+    _add_flags(p, ("--shots",))
     p.add_argument("--pair-counts", type=_int_list, default=(2, 4, 6, 9, 12, 25))
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    default_shots = {"benchmark-pairs": 10_000, "heatmap": 10_000}.get(args.command, 1000)
-    kwargs = dict(
-        seed=args.seed,
-        out_dir=args.out,
-        calibration=args.calibration,
-        cost_model=args.cost_model,
-        pairs=args.pairs,
-        select=args.select,
-        cap=args.cap,
-        shots=args.shots if args.shots is not None else default_shots,
-        iterations=args.iterations,
-        mitigation=args.mitigation,
-        workers=args.workers,
-        repeats=args.repeats,
-        crosstalk_p=args.crosstalk,
-    )
-    if hasattr(args, "grid"):
-        kwargs["grid"] = args.grid
-    if hasattr(args, "optimizer"):
-        kwargs["optimizer"] = args.optimizer
-        kwargs["eta"] = args.eta
-        kwargs["start"] = tuple(args.start)
-    if hasattr(args, "shots_list"):
-        kwargs["shots_list"] = args.shots_list
-    if hasattr(args, "pair_counts"):
-        kwargs["pair_counts"] = args.pair_counts
-    return ExperimentConfig(**kwargs)
+    """The config from the parsed flags; fields without a flag keep their
+    ExperimentConfig defaults."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "benchmark-pairs": cmd_benchmark_pairs,
         "heatmap": cmd_heatmap,
-        "vqe": lambda c: cmd_vqe(c, speedup_sweep=getattr(args, "speedup_sweep", False)),
+        "vqe": lambda c: cmd_vqe(c, speedup_sweep=args.speedup_sweep),
         "shots-sweep": cmd_shots_sweep,
         "optimizer-compare": cmd_optimizer_compare,
     }

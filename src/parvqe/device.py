@@ -21,8 +21,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import networkx as nx
-
 from .simulator import PairNoiseSpec
 
 Pair = tuple[int, int]
@@ -145,6 +143,8 @@ def max_weight_matching(topology: DeviceTopology) -> PairSelection:
     sorted order so the result is deterministic for a given file. Pairs
     are reported sorted by qubit id.
     """
+    import networkx as nx   # deferred: only matching needs it, and it is slow to import
+
     graph = nx.Graph()
     graph.add_nodes_from(sorted(topology.qubits))
     for (a, b), f in sorted(topology.edge_map().items()):

@@ -20,15 +20,12 @@ least squares.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .circuits import (
     HOPPING_SIGNS,
@@ -53,14 +50,13 @@ class BatchJob:
     """One parallel run: parameters per pair, shot count and seed.
 
     Both measurement settings are always executed for every assignment.
-    apply_ni records whether downstream estimation should use measured
-    confusion matrices; the executor itself returns raw histograms.
+    The executor returns raw histograms; readout inversion belongs to
+    estimation.
     """
 
     assignments: tuple[tuple[Pair, AnsatzParams], ...]
     shots: int
     seed: int
-    apply_ni: bool = False
 
     def __post_init__(self):
         if not self.assignments:
@@ -235,19 +231,6 @@ def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,
                            dists[MeasurementSetting.HOPPING], h, confusion)
 
 
-def batch_results_to_csv(results: list[PairRunResult]) -> str:
-    """Render batch histograms as CSV (one row per pair and setting)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pair_a", "pair_b", "setting", "b00", "b01", "b10", "b11", "shots"])
-    for res in results:
-        for setting in SETTINGS:
-            hist = res.histograms[setting]
-            writer.writerow([res.pair[0], res.pair[1], setting.value,
-                             *hist.counts, hist.shots])
-    return buf.getvalue()
-
-
 # --- wall-clock cost model ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -290,6 +273,8 @@ def calibrate_cost_model(observations) -> tuple[CostModel, np.ndarray]:
     and kappa are collinear). Returns the model and the per-observation
     residuals (predicted minus observed seconds).
     """
+    from scipy.optimize import nnls   # deferred: scipy is slow to import
+
     obs = list(observations)
     if len(obs) < 4:
         raise DegenerateCalibration("need at least 4 observations")

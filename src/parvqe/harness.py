@@ -19,7 +19,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import __version__
 from .device import (
@@ -32,14 +31,11 @@ from .device import (
     noise_spec_for_pair,
 )
 from .executor import (
-    BatchJob,
     CostModel,
     EnergyEstimate,
     aggregate_same_params,
-    estimate_for_result,
     load_cost_model,
     predict_wall_time,
-    run_batch,
 )
 from .hubbard import (
     AnsatzParams,
@@ -52,8 +48,10 @@ from .hubbard import (
 from .mitigation import ConfusionMatrix, measure_confusion, tflo_correct
 from .optimizers import (
     MgdConfig,
+    OptTrace,
     SpsaConfig,
     batch_pair_evaluator,
+    measure_batch,
     mgd_run,
     n_points_from_eta,
     spsa_parallel_evaluator,
@@ -73,6 +71,9 @@ _NS_FINAL = 5
 _NS_OPT = 6
 
 MITIGATION_LEVELS = ("raw", "ni", "tflo", "tflo_ni")
+# (ni, tflo) flags of --mitigation -> the level a command reports
+_LEVEL_OF_FLAGS = {(False, False): "raw", (True, False): "ni",
+                   (False, True): "tflo", (True, True): "tflo_ni"}
 
 
 def default_calibration_path() -> Path:
@@ -190,29 +191,52 @@ def measure_confusions(topology: DeviceTopology, pairs, shots: int,
     return out
 
 
-def _pair_energies(topology, pairs, params, h, shots, seed, ns, tag,
-                   confusions, workers, crosstalk_p=0.0):
-    """Run one same-parameters batch and return per-pair EnergyEstimates
-    (value = NI-corrected when confusions are supplied, raw otherwise)."""
-    job = BatchJob(assignments=tuple((p, params) for p in pairs), shots=shots,
-                   seed=derive_seed(seed, ns, tag), apply_ni=confusions is not None)
-    results = run_batch(job, topology, workers=workers, crosstalk_p=crosstalk_p)
-    return [estimate_for_result(r, h, None if confusions is None else confusions[r.pair])
-            for r in results]
+def _with_reference(topology, pairs, params, h, cfg, confusions, run_seed, ref_seed,
+                    crosstalk_p):
+    """Measure params and its phi=0 reference on every pair, one batch each.
+    Returns (per-pair estimates, per-pair reference estimates, exact
+    reference energy)."""
+    ref_params = AnsatzParams(0.0, params.theta)
+    ests = measure_batch(topology, ((p, params) for p in pairs), h, cfg.shots, run_seed,
+                         confusions, cfg.workers, crosstalk_p)
+    refs = measure_batch(topology, ((p, ref_params) for p in pairs), h, cfg.shots,
+                         ref_seed, confusions, cfg.workers, crosstalk_p)
+    return ests, refs, exact_energy(ref_params, h)
 
 
-def _mitigated(est: EnergyEstimate, ref: EnergyEstimate, ref_exact: float) -> dict:
-    """All four mitigation levels from a measurement and its reference."""
-    raw = est.value if est.raw_value is None else est.raw_value
-    ni = est.value
-    ref_raw = ref.value if ref.raw_value is None else ref.raw_value
-    ref_ni = ref.value
-    return {
-        "raw": raw,
-        "ni": ni,
-        "tflo": tflo_correct(raw, ref_exact, ref_raw),
-        "tflo_ni": tflo_correct(ni, ref_exact, ref_ni),
-    }
+def _mitigated(est: EnergyEstimate, ref: EnergyEstimate | None = None,
+               ref_exact: float | None = None) -> dict:
+    """Mitigation levels of a measurement: raw and ni, and with its phi=0
+    reference also tflo and tflo_ni. Without confusions ni equals raw."""
+    def raw_and_ni(e):
+        return {"raw": e.value if e.raw_value is None else e.raw_value, "ni": e.value}
+
+    levels = raw_and_ni(est)
+    if ref is not None:
+        ref_levels = raw_and_ni(ref)
+        for base, level in (("raw", "tflo"), ("ni", "tflo_ni")):
+            levels[level] = tflo_correct(levels[base], ref_exact, ref_levels[base])
+    return levels
+
+
+def _optimize(cfg, topology, pairs, h, confusions, optimizer, iterations, points,
+              shots, keys) -> OptTrace:
+    """One SPSA or surrogate-descent run from cfg.start on the evaluator that
+    matches its parallelism. Its evaluator seed and optimizer stream derive
+    from the key path `keys`."""
+    eval_seed = derive_seed(cfg.seed, _NS_EVAL, *keys)
+    opt_stream = derive_rng(cfg.seed, _NS_OPT, *keys)
+    start = AnsatzParams(*cfg.start)
+    exact_fn = lambda params: exact_energy(params, h)
+    if optimizer == "spsa":
+        evaluator = spsa_parallel_evaluator(topology, pairs, h, shots, eval_seed,
+                                            confusions, cfg.workers, cfg.crosstalk_p)
+        return spsa_run(SpsaConfig(iterations=iterations), evaluator, start,
+                        opt_stream, exact_fn)
+    evaluator = batch_pair_evaluator(topology, pairs, h, shots, eval_seed, confusions,
+                                     cfg.workers, cfg.crosstalk_p)
+    return mgd_run(MgdConfig(iterations=iterations), evaluator, start, points,
+                   opt_stream, exact_fn)
 
 
 # --- benchmark-pairs ----------------------------------------------------------
@@ -220,14 +244,14 @@ def _mitigated(est: EnergyEstimate, ref: EnergyEstimate, ref_exact: float) -> di
 def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     """Per-pair benchmark at the optimal parameters, individually and in
     increasingly parallel greedy batches, at all mitigation levels."""
+    from scipy.stats import spearmanr   # deferred: scipy.stats is slow to import
+
     t_start = time.perf_counter()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     topology = load_calibration(cfg.calibration)
     h = HubbardParams()
     opt = optimal_params(h)
     e0 = exact_ground_energy(h)
-    ref_params = AnsatzParams(0.0, opt.theta)
-    ref_exact = exact_energy(ref_params, h)
 
     all_pairs = sorted(topology.edge_map())
     confusions = measure_confusions(topology, all_pairs, cfg.confusion_shots, cfg.seed)
@@ -235,10 +259,9 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     # (a) every usable pair individually
     indiv_rows, indiv_levels = [], {}
     for idx, pair in enumerate(all_pairs):
-        est = _pair_energies(topology, [pair], opt, h, cfg.shots, cfg.seed,
-                             _NS_RUN, idx, confusions, cfg.workers)[0]
-        ref = _pair_energies(topology, [pair], ref_params, h, cfg.shots, cfg.seed,
-                             _NS_REF, idx, confusions, cfg.workers)[0]
+        (est,), (ref,), ref_exact = _with_reference(
+            topology, [pair], opt, h, cfg, confusions, derive_seed(cfg.seed, _NS_RUN, idx),
+            derive_seed(cfg.seed, _NS_REF, idx), 0.0)
         levels = _mitigated(est, ref, ref_exact)
         indiv_levels[pair] = levels
         indiv_rows.append([pair[0], pair[1], topology.fidelity(pair),
@@ -261,12 +284,10 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     matrix: dict[Pair, dict[int, float]] = {p: {} for p in selection.pairs}
     for p_count in range(1, len(selection.pairs) + 1):
         active = selection.pairs[:p_count]
-        ests = _pair_energies(topology, active, opt, h, cfg.shots, cfg.seed,
-                              _NS_RUN, 1000 + p_count, confusions, cfg.workers,
-                              cfg.crosstalk_p)
-        refs = _pair_energies(topology, active, ref_params, h, cfg.shots, cfg.seed,
-                              _NS_REF, 1000 + p_count, confusions, cfg.workers,
-                              cfg.crosstalk_p)
+        ests, refs, ref_exact = _with_reference(
+            topology, active, opt, h, cfg, confusions,
+            derive_seed(cfg.seed, _NS_RUN, 1000 + p_count),
+            derive_seed(cfg.seed, _NS_REF, 1000 + p_count), cfg.crosstalk_p)
         per_level = {level: [] for level in MITIGATION_LEVELS}
         for pair, est, ref in zip(active, ests, refs):
             levels = _mitigated(est, ref, ref_exact)
@@ -355,38 +376,26 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     confusions = (measure_confusions(topology, pairs, cfg.confusion_shots, cfg.seed)
                   if ni_on else None)
 
+    level = _LEVEL_OF_FLAGS[ni_on, tflo_on]
     sim_rows = []
     batches = 0
     for lo in range(0, len(points), len(pairs)):
         chunk = points[lo:lo + len(pairs)]
         active = pairs[:len(chunk)]
-        job = BatchJob(assignments=tuple(zip(active, chunk)), shots=cfg.shots,
-                       seed=derive_seed(cfg.seed, _NS_RUN, batches),
-                       apply_ni=ni_on)
-        results = run_batch(job, topology, workers=cfg.workers,
-                            crosstalk_p=cfg.crosstalk_p)
-        if tflo_on:
-            ref_chunk = [AnsatzParams(0.0, p.theta) for p in chunk]
-            ref_job = BatchJob(assignments=tuple(zip(active, ref_chunk)),
-                               shots=cfg.shots,
-                               seed=derive_seed(cfg.seed, _NS_REF, batches),
-                               apply_ni=ni_on)
-            ref_results = run_batch(ref_job, topology, workers=cfg.workers,
-                                    crosstalk_p=cfg.crosstalk_p)
-        else:
-            ref_results = [None] * len(results)
-        for res, ref_res in zip(results, ref_results):
-            conf = confusions[res.pair] if ni_on else None
-            est = estimate_for_result(res, h, conf)
-            value = est.value
-            if tflo_on:
-                ref_est = estimate_for_result(ref_res, h, conf)
-                ref_exact = exact_energy(AnsatzParams(0.0, res.params.theta), h)
-                value = tflo_correct(est.value, ref_exact, ref_est.value)
-            e_exact = exact_energy(res.params, h)
-            sim_rows.append([res.params.phi, res.params.theta,
-                             res.pair[0], res.pair[1], est.value, value,
-                             abs(value - e_exact)])
+        ref_chunk = [AnsatzParams(0.0, p.theta) for p in chunk]
+        ests = measure_batch(topology, zip(active, chunk), h, cfg.shots,
+                             derive_seed(cfg.seed, _NS_RUN, batches), confusions,
+                             cfg.workers, cfg.crosstalk_p)
+        refs = (measure_batch(topology, zip(active, ref_chunk), h, cfg.shots,
+                              derive_seed(cfg.seed, _NS_REF, batches), confusions,
+                              cfg.workers, cfg.crosstalk_p)
+                if tflo_on else [None] * len(chunk))
+        for pair, params, ref_params, est, ref in zip(active, chunk, ref_chunk, ests, refs):
+            value = _mitigated(est, ref, exact_energy(ref_params, h) if tflo_on
+                               else None)[level]
+            e_exact = exact_energy(params, h)
+            sim_rows.append([params.phi, params.theta, pair[0], pair[1], est.value,
+                             value, abs(value - e_exact)])
         batches += 1
 
     sim_path = cfg.out_dir / "heatmap_simulated.csv"
@@ -435,13 +444,10 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
 def _final_tflo_point(topology, pairs, final_params, h, cfg, confusions, rep):
     """Measure the final point and its phi=0 reference, returning all
     mitigation levels of the pooled estimate."""
-    ref_params = AnsatzParams(0.0, final_params.theta)
-    ests = _pair_energies(topology, pairs, final_params, h, cfg.shots, cfg.seed,
-                          _NS_FINAL, 2 * rep, confusions, cfg.workers, cfg.crosstalk_p)
-    refs = _pair_energies(topology, pairs, ref_params, h, cfg.shots, cfg.seed,
-                          _NS_FINAL, 2 * rep + 1, confusions, cfg.workers,
-                          cfg.crosstalk_p)
-    ref_exact = exact_energy(ref_params, h)
+    ests, refs, ref_exact = _with_reference(
+        topology, pairs, final_params, h, cfg, confusions,
+        derive_seed(cfg.seed, _NS_FINAL, 2 * rep),
+        derive_seed(cfg.seed, _NS_FINAL, 2 * rep + 1), cfg.crosstalk_p)
     return _mitigated(aggregate_same_params(ests), aggregate_same_params(refs),
                       ref_exact)
 
@@ -508,41 +514,25 @@ def cmd_vqe(cfg: ExperimentConfig, speedup_sweep: bool = False) -> RunRecord:
     confusions = (measure_confusions(topology, pairs, cfg.confusion_shots, cfg.seed)
                   if ni_on else None)
     iterations = cfg.iterations or (50 if cfg.optimizer == "spsa" else 40)
-    start = AnsatzParams(*cfg.start)
-    exact_fn = lambda params: exact_energy(params, h)
+    points = (len(pairs) if cfg.optimizer == "spsa" or len(pairs) > 1
+              else n_points_from_eta(cfg.eta))
+    level = _LEVEL_OF_FLAGS[ni_on, tflo_on]
 
     summary_rows = []
     artifacts = []
     for rep in range(cfg.repeats):
-        opt_stream = derive_rng(cfg.seed, _NS_OPT, rep)
-        eval_seed = derive_seed(cfg.seed, _NS_EVAL, rep)
-        if cfg.optimizer == "spsa":
-            evaluator = spsa_parallel_evaluator(topology, pairs, h, cfg.shots,
-                                                eval_seed, confusions, cfg.workers,
-                                                cfg.crosstalk_p)
-            trace = spsa_run(SpsaConfig(iterations=iterations, shots=cfg.shots),
-                             evaluator, start, opt_stream, exact_fn)
-            points = len(pairs)
-        else:
-            points = len(pairs) if len(pairs) > 1 else n_points_from_eta(cfg.eta)
-            evaluator = batch_pair_evaluator(topology, pairs, h, cfg.shots,
-                                             eval_seed, confusions, cfg.workers,
-                                             cfg.crosstalk_p)
-            trace = mgd_run(MgdConfig(iterations=iterations, shots=cfg.shots),
-                            evaluator, start, points, opt_stream, exact_fn)
+        trace = _optimize(cfg, topology, pairs, h, confusions, cfg.optimizer,
+                          iterations, points, cfg.shots, (rep,))
         final = trace.final_params
         levels = _final_tflo_point(topology, pairs, final, h, cfg, confusions, rep)
-        if tflo_on:
-            corrected = levels["tflo_ni"] if ni_on else levels["tflo"]
-        else:
-            corrected = levels["ni"] if ni_on else levels["raw"]
+        corrected = levels[level]
         trace_path = cfg.out_dir / f"trace_rep{rep}.csv"
         trace.write(trace_path, cfg.out_dir / f"trace_rep{rep}.json")
         artifacts.append(trace_path.name)
         summary_rows.append([rep, final.phi, final.theta,
                              levels["raw"], levels["ni"], levels["tflo"],
                              levels["tflo_ni"], corrected,
-                             abs(corrected - e0), exact_fn(final) - e0])
+                             abs(corrected - e0), exact_energy(final, h) - e0])
         if rep == 0:
             its = [r.iteration for r in trace.records]
             svgplot.line_plot(
@@ -603,18 +593,13 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     confusions = (measure_confusions(topology, pairs, cfg.confusion_shots, cfg.seed)
                   if ni_on else None)
     iterations = cfg.iterations or 50
-    start = AnsatzParams(*cfg.start)
-    exact_fn = lambda params: exact_energy(params, h)
 
     rows, artifacts, series = [], [], {}
     final_err = {}
     for si, shots in enumerate(cfg.shots_list):
-        evaluator = spsa_parallel_evaluator(
-            topology, pairs, h, shots, derive_seed(cfg.seed, _NS_EVAL, si),
-            confusions, cfg.workers, cfg.crosstalk_p)
-        trace = spsa_run(SpsaConfig(iterations=iterations, shots=shots), evaluator,
-                         start, derive_rng(cfg.seed, _NS_OPT, si), exact_fn)
-        err = exact_fn(trace.final_params) - e0
+        trace = _optimize(cfg, topology, pairs, h, confusions, "spsa", iterations,
+                          len(pairs), shots, (si,))
+        err = exact_energy(trace.final_params, h) - e0
         final_err[shots] = err
         trace_path = cfg.out_dir / f"trace_shots{shots}.csv"
         trace.write(trace_path)
@@ -658,8 +643,6 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     topology = load_calibration(cfg.calibration)
     h = HubbardParams()
     e0 = exact_ground_energy(h)
-    start = AnsatzParams(*cfg.start)
-    exact_fn = lambda params: exact_energy(params, h)
     plans = {"spsa": {"iterations": 20, "repeats": 4},
              "mgd": {"iterations": 10, "repeats": 5}}
 
@@ -673,25 +656,9 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
         for name, plan in plans.items():
             finals = []
             for rep in range(plan["repeats"]):
-                opt_stream = derive_rng(cfg.seed, _NS_OPT, p_count, rep,
-                                        0 if name == "spsa" else 1)
-                eval_seed = derive_seed(cfg.seed, _NS_EVAL, p_count, rep,
-                                        0 if name == "spsa" else 1)
-                if name == "spsa":
-                    evaluator = spsa_parallel_evaluator(topology, pairs, h, cfg.shots,
-                                                        eval_seed, confusions,
-                                                        cfg.workers, cfg.crosstalk_p)
-                    trace = spsa_run(SpsaConfig(iterations=plan["iterations"],
-                                                shots=cfg.shots),
-                                     evaluator, start, opt_stream, exact_fn)
-                else:
-                    evaluator = batch_pair_evaluator(topology, pairs, h, cfg.shots,
-                                                     eval_seed, confusions,
-                                                     cfg.workers, cfg.crosstalk_p)
-                    trace = mgd_run(MgdConfig(iterations=plan["iterations"],
-                                              shots=cfg.shots),
-                                    evaluator, start, len(pairs), opt_stream,
-                                    exact_fn)
+                trace = _optimize(cfg, topology, pairs, h, confusions, name,
+                                  plan["iterations"], len(pairs), cfg.shots,
+                                  (p_count, rep, 0 if name == "spsa" else 1))
                 levels = _final_tflo_point(topology, pairs, trace.final_params, h,
                                            cfg, confusions,
                                            1000 * p_count + 10 * rep

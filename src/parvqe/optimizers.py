@@ -28,7 +28,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class UnderDeterminedFit(ValueError):
 @dataclass(frozen=True)
 class SpsaConfig:
     iterations: int
-    shots: int = 1000
     a: float = 0.15
     c: float = 0.2
     alpha: float = 0.602
@@ -77,14 +76,12 @@ class SpsaConfig:
 @dataclass(frozen=True)
 class MgdConfig:
     iterations: int
-    shots: int = 1000
     delta: float = 0.6
     xi: float = 0.101
     l: float = 0.2
     gamma: float = 0.6
     alpha: float = 0.602
     big_a: float = 1.0
-    eta: float | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -252,6 +249,20 @@ def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams
 
 # --- executor-backed evaluators ----------------------------------------------
 
+def measure_batch(topology: DeviceTopology,
+                  assignments: Iterable[tuple[Pair, AnsatzParams]],
+                  h: HubbardParams, shots: int, seed: int,
+                  confusions: dict[Pair, ConfusionMatrix] | None = None,
+                  workers: int = 1, crosstalk_p: float = 0.0) -> list[EnergyEstimate]:
+    """Run one batch of (pair, params) assignments and estimate every pair's
+    energy, in assignment order. With confusions the value is NI-corrected
+    and raw_value keeps the uncorrected estimate."""
+    job = BatchJob(assignments=tuple(assignments), shots=shots, seed=seed)
+    results = run_batch(job, topology, workers=workers, crosstalk_p=crosstalk_p)
+    return [estimate_for_result(r, h, None if confusions is None else confusions[r.pair])
+            for r in results]
+
+
 def spsa_parallel_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
                             h: HubbardParams, shots: int, seed: int,
                             confusions: dict[Pair, ConfusionMatrix] | None = None,
@@ -263,14 +274,9 @@ def spsa_parallel_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
     counter = itertools.count()
 
     def evaluate(params: AnsatzParams) -> EnergyEstimate:
-        job = BatchJob(assignments=tuple((pair, params) for pair in pairs),
-                       shots=shots, seed=derive_seed(seed, next(counter)),
-                       apply_ni=confusions is not None)
-        results = run_batch(job, topology, workers=workers, crosstalk_p=crosstalk_p)
-        per_pair = [estimate_for_result(r, h, None if confusions is None
-                                        else confusions[r.pair])
-                    for r in results]
-        return aggregate_same_params(per_pair)
+        return aggregate_same_params(measure_batch(
+            topology, ((pair, params) for pair in pairs), h, shots,
+            derive_seed(seed, next(counter)), confusions, workers, crosstalk_p))
 
     return evaluate
 
@@ -289,13 +295,9 @@ def batch_pair_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
         out: list[EnergyEstimate] = []
         for lo in range(0, len(batch), len(pairs)):
             chunk = batch[lo:lo + len(pairs)]
-            job = BatchJob(assignments=tuple(zip(pairs, chunk)), shots=shots,
-                           seed=derive_seed(seed, next(counter)),
-                           apply_ni=confusions is not None)
-            results = run_batch(job, topology, workers=workers, crosstalk_p=crosstalk_p)
-            out.extend(estimate_for_result(r, h, None if confusions is None
-                                           else confusions[r.pair])
-                       for r in results)
+            out.extend(measure_batch(topology, zip(pairs, chunk), h, shots,
+                                     derive_seed(seed, next(counter)), confusions,
+                                     workers, crosstalk_p))
         return out
 
     return evaluate_batch

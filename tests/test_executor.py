@@ -11,7 +11,6 @@ from parvqe.executor import (
     CostModel,
     DegenerateCalibration,
     aggregate_same_params,
-    batch_results_to_csv,
     calibrate_cost_model,
     estimate_energy,
     estimate_for_result,
@@ -189,19 +188,6 @@ def test_pooled_std_err_shrinks_as_root_p():
     pooled = aggregate_same_params(per_pair)
     mean_se = float(np.mean([e.std_err for e in per_pair]))
     assert pooled.std_err == pytest.approx(mean_se / math.sqrt(25), rel=0.05)
-
-
-# --- CSV export ---
-
-
-def test_batch_results_csv():
-    topo = two_pair_topology()
-    job = BatchJob(assignments=(((0, 1), AnsatzParams(0.1, 0.2)),), shots=50, seed=7)
-    text = batch_results_to_csv(run_batch(job, topo))
-    lines = text.strip().splitlines()
-    assert lines[0] == "pair_a,pair_b,setting,b00,b01,b10,b11,shots"
-    assert len(lines) == 3
-    assert lines[1].startswith("0,1,onsite,")
 
 
 # --- cost model ---

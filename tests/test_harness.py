@@ -1,12 +1,18 @@
 """Experiment-harness tests: file outputs, schemas, reproducibility, CLI."""
 
 import csv
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from parvqe.cli import main as cli_main
+import parvqe
+from parvqe.cli import build_parser, config_from_args, main as cli_main
 from parvqe.executor import load_cost_model, predict_wall_time
 from parvqe.harness import (
     ExperimentConfig,
@@ -185,7 +191,6 @@ def test_cli_end_to_end(tmp_path):
 
 
 def test_cli_default_shots_per_command(tmp_path):
-    from parvqe.cli import build_parser, config_from_args
     args = build_parser().parse_args(
         ["benchmark-pairs", "--seed", "1", "--out", str(tmp_path)])
     assert config_from_args(args).shots == 10_000
@@ -201,3 +206,49 @@ def test_record_reproducibility_same_dir(tmp_path):
     cmd_heatmap(ExperimentConfig(**cfg))
     second = {p.name: p.read_bytes() for p in out.glob("*")}
     assert first == second
+
+
+# flags each subcommand would not read; they must be argparse errors
+UNREAD_FLAGS = {
+    "benchmark-pairs": ["--pairs 4", "--select matching", "--cap 0.9", "--iterations 5",
+                        "--mitigation ni", "--repeats 2", "--cost-model m.json"],
+    "heatmap": ["--iterations 5", "--repeats 2"],
+    "shots-sweep": ["--shots 100", "--select matching", "--repeats 2",
+                    "--cost-model m.json", "--mitigation tflo", "--mitigation ni+tflo"],
+    "optimizer-compare": ["--pairs 4", "--select matching", "--cap 0.9",
+                          "--iterations 5", "--mitigation ni", "--repeats 2",
+                          "--cost-model m.json"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in UNREAD_FLAGS.items()
+                                          for f in flags])
+def test_cli_rejects_unread_flags(command, flag, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--seed", "1", "--out", str(tmp_path),
+                                   *flag.split()])
+    assert exc.value.code == 2
+
+
+def test_cli_parses_benchmark_workloads(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        del sys.modules[spec.name]
+    for wl in bench.WORKLOADS.values():
+        for argv in filter(None, (wl.argv, wl.serial_argv)):
+            args = build_parser().parse_args([*argv, "--seed", "7", "--out", str(tmp_path)])
+            assert config_from_args(args).seed == 7
+
+
+def test_cli_import_leaves_scipy_and_networkx_unloaded():
+    code = ("import sys, parvqe.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))")
+    env = {**os.environ, "PYTHONPATH": str(Path(parvqe.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
