@@ -59,6 +59,9 @@ class AnsatzParams:
     theta: float
 
     def __post_init__(self):
+        # plain floats, so a numpy scalar never reaches a CSV as np.float64(x)
+        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "theta", float(self.theta))
         if not (math.isfinite(self.phi) and math.isfinite(self.theta)):
             raise ValueError("ansatz angles must be finite")
 

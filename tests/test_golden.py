@@ -104,37 +104,37 @@ GOLDEN = {
     },
     "optimizer-compare": {
         "compare_runs.csv":
-            "885056f452a894e8e7cc745a58e7ca40ef87d0fd83cf6f5e66260ebad7ccc055",
+            "98b41799a6298ae6da50c5c14407b2d2f59882cf81a5f36ec5ad89e6db694791",
         "compare_summary.csv":
             "635df53ac0f58ed56c584b66da762f3a8908d2cc297ff614b177561ac4280838",
     },
     "shots-sweep": {
         "shots_summary.csv":
-            "11bcaeef8368e04af70c5f0fb307f0c7134dca17b687b53c47a56ab009ad0482",
+            "0fe2d56012f07ed85427450ac41896d3205c00821129b5f6f7c4e815ceee0177",
         "trace_shots200.csv":
-            "34acea169ab7508df292b615e7e906d4182d80d88a6635ea8176e39921ba0ceb",
+            "43898d303f35ee084d66deab9310992ec61c531fc599c1e439f01f3cac777f9f",
         "trace_shots50.csv":
-            "9f2eb78a2baaa32f5100425ac1e3c05d3b8eea164431569e7e920d461a591c09",
+            "3878c612d9d583fa923bdeb165062443f9aec55c420a6077a3c0a6dc510a8621",
     },
     "shots-sweep-none": {
         "shots_summary.csv":
-            "a733df37fa33bddec6293ea33c0b8482bb2a88a1a8c99e9eb4a97c85a0cab99d",
+            "ec205c27fdab6b0b41a6a013c4ff3ae1bb05f9eca2e41874adb44a640c987e0f",
         "trace_shots100.csv":
-            "9c03e66651fbd044c425afa765316b27bce149f39dcd17ee882907cb4f489487",
+            "b8e7fac26547ff1f6cb6bfe238ffc223c453f5dba61c35c9faa3b15a0742ecf0",
     },
     "vqe-mgd-eta": {
         "summary.csv":
-            "941987e31ba485510ae315fec90fd706016a29ed19bcb75bd576145197d4f99c",
+            "74c933d8f384239c50dd56498ce5d31fe5c18f047b2e9885e8c8b0efad1695b4",
         "trace_rep0.csv":
-            "cf7eeb627187438becabc69d9a5871506b02b274a8dbb0d68244751ecc2fac9b",
+            "76758f3372d9b0777fb2281a2b0a9a5f5fa9c1aa66ce24ea6ecffe709640593b",
     },
     "vqe-mgd-tflo": {
         "summary.csv":
-            "a9eac279205a8c96fb5a5727fe35372d55b57d8d0edddcf921cbc3ba187222dc",
+            "b2663e072eae3685fe0ae2d3700828d12824f119d89de2d068c708b06ddab85e",
         "trace_rep0.csv":
-            "3f9b05669e9d5cb8e26ed58cb4c69e34c3024b06c46775b1f6f76f6fbee28bde",
+            "60db409305d074382cd3352f716e9f11fbcb2c8dc076cdc79b717c2ecef52e2c",
         "trace_rep1.csv":
-            "8b02b6054ac45a412a4d0c5b68c863f96c6560753f5a1aea03aaacd681bd564c",
+            "92f272c9d549c27a8091a699efa94724e459a1269c7e36b759f2cd99732172e1",
     },
     "vqe-speedup-sweep": {
         "speedup_sweep.csv":
@@ -142,17 +142,17 @@ GOLDEN = {
     },
     "vqe-spsa": {
         "summary.csv":
-            "4bdfcd8230e751e271318716a93bcc49e9fee77e1bf315a7b27ea14fe3345c61",
+            "e558a77c8ce88af45f64e930fd488393f03b8a8b67069f6837817396e934cfe7",
         "trace_rep0.csv":
-            "9b1170aa69cf2ae93b0f4422f809aa3f0798e7208fea1c0e878d7c69b0576c50",
+            "73b257e56eb2e31c7064711b2b8d37d98c3a18ccb8206dbe3cd5e70977e3b927",
         "trace_rep1.csv":
-            "011c102edb014660ffdacf52341322c635231cbb458cd2b2a74bcef267719762",
+            "78496e215b58002833fde5ce6358ae7acc340151f668d155af81ea3ad7910833",
     },
     "vqe-spsa-none": {
         "summary.csv":
-            "4ab6e215c794f0796ac59c1471594f5fd3c3ee74bd90db9920b2bcb7196a2764",
+            "d9c665d8c59a203ce0971c9490d50858487963a58b47e717f3351340a65db98d",
         "trace_rep0.csv":
-            "fa237415a9149dc05278ad94fb75b45bfcd65314dcf25c706f77f84788c8c0ae",
+            "09745ae7068ae1aa5c1feed4b37615bfdf8606c0fce78a285783a9bab06cec29",
     },
 }
 

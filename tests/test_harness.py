@@ -116,6 +116,15 @@ def test_vqe_repeats_and_modeled_times(tmp_path):
     assert record.metrics["points_per_iteration"] == 12
 
 
+def test_vqe_csvs_hold_plain_floats(tmp_path):
+    # optimizers build AnsatzParams from numpy array elements
+    cfg = ExperimentConfig(seed=4, out_dir=tmp_path / "vqe", pairs=2, shots=100,
+                           iterations=2, repeats=2)
+    cmd_vqe(cfg)
+    for path in cfg.out_dir.glob("*.csv"):
+        assert "np." not in path.read_text(), path.name
+
+
 def test_vqe_rejects_unknown_optimizer(tmp_path):
     cfg = ExperimentConfig(seed=1, out_dir=tmp_path / "x", optimizer="adam")
     with pytest.raises(ValueError):
