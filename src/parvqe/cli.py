@@ -31,10 +31,10 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-def _add_flags(p: argparse.ArgumentParser, names: tuple[str, ...], **overrides) -> None:
+def _add_flags(p: argparse.ArgumentParser, names: tuple[str, ...],
+               overrides: dict[str, dict] | None = None) -> None:
     """The flags every subcommand reads, then the named ones. `overrides`
-    maps a named flag without its dashes (`mitigation`) to settings that
-    replace its defaults."""
+    maps a named flag to settings that replace its defaults."""
     p.add_argument("--seed", type=int, required=True,
                    help="base seed; all randomness derives from it")
     p.add_argument("--out", dest="out_dir", metavar="OUT", required=True,
@@ -59,7 +59,7 @@ def _add_flags(p: argparse.ArgumentParser, names: tuple[str, ...], **overrides) 
         "--repeats": dict(type=int, default=1),
     }
     for name in names:
-        p.add_argument(name, **{**specs[name], **overrides.get(name[2:], {})})
+        p.add_argument(name, **{**specs[name], **(overrides or {}).get(name, {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark-pairs", allow_abbrev=False,
                        help="benchmark every pair and the greedy parallel sweep")
-    _add_flags(p, ("--shots",), shots=dict(default=10_000))
+    _add_flags(p, ("--shots",), {"--shots": dict(default=10_000)})
 
     p = sub.add_parser("heatmap", allow_abbrev=False, help="energy landscape heatmaps")
     _add_flags(p, ("--cost-model", "--pairs", "--select", "--cap", "--shots",
-                   "--mitigation"), shots=dict(default=10_000))
+                   "--mitigation"), {"--shots": dict(default=10_000)})
     p.add_argument("--grid", type=int, default=20, help="points per axis")
 
     p = sub.add_parser("vqe", allow_abbrev=False, help="full optimisation runs")
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shots-sweep", allow_abbrev=False,
                        help="SPSA at several shot counts")
     _add_flags(p, ("--pairs", "--cap", "--iterations", "--mitigation"),
-               mitigation=dict(choices=["none", "ni"], default="ni"))
+               {"--mitigation": dict(choices=["none", "ni"], default="ni")})
     p.add_argument("--shots-list", type=_int_list, default=(100, 1000, 10_000))
 
     p = sub.add_parser("optimizer-compare", allow_abbrev=False,
