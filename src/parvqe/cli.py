@@ -41,7 +41,9 @@ def _add_flags(p: argparse.ArgumentParser, names: tuple[str, ...],
                    help="output directory")
     p.add_argument("--calibration", default=str(default_calibration_path()),
                    help="device calibration JSON")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted but has no effect: each batch runs as one "
+                        "vectorized pass (values above 1 warn)")
     p.add_argument("--crosstalk", type=float, default=0.0, dest="crosstalk_p",
                    metavar="CROSSTALK",
                    help="extra depolarizing probability for adjacent active pairs")
@@ -112,8 +114,20 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
+# vqe flags that --speedup-sweep does not read: it models times, runs nothing
+_SWEEP_UNREAD = ("--mitigation", "--workers", "--pairs", "--select", "--cap",
+                 "--repeats", "--crosstalk", "--eta", "--start", "--calibration")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "vqe" and args.speedup_sweep:
+        given = [flag for flag in _SWEEP_UNREAD
+                 if any(tok == flag or tok.startswith(flag + "=") for tok in argv)]
+        if given:
+            parser.error(f"vqe --speedup-sweep does not read {', '.join(given)}")
     cfg = config_from_args(args)
     handlers = {
         "benchmark-pairs": cmd_benchmark_pairs,

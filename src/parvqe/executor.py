@@ -1,10 +1,10 @@
 """Batched execution of pair circuits, energy estimation and cost modelling.
 
 A batch assigns ansatz parameters to vertex-disjoint qubit pairs and runs
-both measurement settings on every pair. Execution is deterministic: the
-random stream of each (pair, setting) task is derived from the job seed
-and the task indices, so results are identical bytes no matter how many
-workers carry out the simulation.
+both measurement settings on every pair. The whole batch is simulated in
+one vectorized pass. Execution is deterministic: the random stream of
+each (pair, setting) task is derived from the job seed and the task
+indices.
 
 Wall-clock time of a batched run on a remote device is modelled, not
 measured, as
@@ -21,7 +21,6 @@ least squares.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,13 +33,18 @@ from .circuits import (
     Z1_OUTCOMES,
     ZZ_OUTCOMES,
     MeasurementSetting,
-    build_circuit,
 )
 from .device import DeviceTopology, Pair, noise_spec_for_pair
 from .hubbard import AnsatzParams, HubbardParams
 from .mitigation import ConfusionMatrix
 from .seeding import derive_rng
-from .simulator import PairNoiseSpec, ShotHistogram, run_circuit, exact_distribution, sample_shots
+from .simulator import (
+    PairNoiseSpec,
+    ShotHistogram,
+    batch_distributions,
+    confusion_maps,
+    sample_distribution,
+)
 
 SETTINGS = (MeasurementSetting.ONSITE, MeasurementSetting.HOPPING)
 
@@ -93,9 +97,10 @@ class EnergyEstimate:
             raise ValueError("std_err must be nonnegative")
 
 
-def run_batch(job: BatchJob, topology: DeviceTopology, workers: int = 1,
+def run_batch(job: BatchJob, topology: DeviceTopology,
               crosstalk_p: float = 0.0) -> list[PairRunResult]:
-    """Simulate every (pair, setting) task of the job and sample histograms.
+    """Simulate every pair of the job in one vectorized pass and sample
+    histograms, one random stream per (pair, setting) task.
 
     A pair is flagged for crosstalk when crosstalk_p > 0 and any endpoint
     of another active pair is connected to one of its endpoints.
@@ -104,33 +109,21 @@ def run_batch(job: BatchJob, topology: DeviceTopology, workers: int = 1,
     for pair in pairs:
         if not topology.has_edge(pair):
             raise ValueError(f"pair {pair} is not an edge of the topology")
-    flags = []
-    for i, p in enumerate(pairs):
+    noises = [noise_spec_for_pair(topology, pair, crosstalk_p=crosstalk_p) for pair in pairs]
+    p = []
+    for i, (pair, noise) in enumerate(zip(pairs, noises)):
         active = crosstalk_p > 0.0 and any(
-            topology.pairs_are_neighbors(p, q) for j, q in enumerate(pairs) if j != i)
-        flags.append(active)
-
-    def simulate(task):
-        i, k = task
-        pair, params = job.assignments[i]
-        noise = noise_spec_for_pair(topology, pair, crosstalk_p=crosstalk_p)
-        circuit = build_circuit(params, SETTINGS[k])
-        rho = run_circuit(circuit, noise, crosstalk_active=flags[i])
-        stream = derive_rng(job.seed, i, k)
-        return (i, k), sample_shots(rho, noise, job.shots, stream)
-
-    tasks = [(i, k) for i in range(len(job.assignments)) for k in range(len(SETTINGS))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(simulate, tasks))
-    else:
-        outcomes = dict(map(simulate, tasks))
-
-    results = []
-    for i, (pair, params) in enumerate(job.assignments):
-        hists = {SETTINGS[k]: outcomes[(i, k)] for k in range(len(SETTINGS))}
-        results.append(PairRunResult(pair=pair, params=params, histograms=hists))
-    return results
+            topology.pairs_are_neighbors(pair, q) for j, q in enumerate(pairs) if j != i)
+        p.append(noise.effective_p(active))
+    dists = batch_distributions(
+        np.array([params.phi for _, params in job.assignments]),
+        np.array([params.theta for _, params in job.assignments]),
+        np.array(p), confusion_maps(np.array([noise.readout for noise in noises])))
+    return [PairRunResult(pair=pair, params=params, histograms={
+                setting: sample_distribution(dists[i, k], job.shots,
+                                             derive_rng(job.seed, i, k))
+                for k, setting in enumerate(SETTINGS)})
+            for i, (pair, params) in enumerate(job.assignments)]
 
 
 def _as_distribution(measured) -> tuple[np.ndarray, int | None]:
@@ -221,14 +214,12 @@ def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,
                              noise: PairNoiseSpec,
                              confusion: ConfusionMatrix | None = None,
                              crosstalk_active: bool = False) -> EnergyEstimate:
-    """Full pipeline in exact-expectation mode (no sampling)."""
-    dists = {}
-    for setting in SETTINGS:
-        circuit = build_circuit(a, setting)
-        rho = run_circuit(circuit, noise, crosstalk_active=crosstalk_active)
-        dists[setting] = exact_distribution(rho, noise)
-    return estimate_energy(dists[MeasurementSetting.ONSITE],
-                           dists[MeasurementSetting.HOPPING], h, confusion)
+    """Full pipeline in exact-expectation mode: the batch kernel for one
+    pair, estimated without sampling."""
+    onsite, hopping = batch_distributions(
+        np.array([a.phi]), np.array([a.theta]),
+        np.array([noise.effective_p(crosstalk_active)]), noise.confusion_map()[None])[0]
+    return estimate_energy(onsite, hopping, h, confusion)
 
 
 # --- wall-clock cost model ---------------------------------------------------

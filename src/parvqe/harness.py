@@ -3,9 +3,8 @@
 Every experiment takes an ExperimentConfig (seed mandatory), writes its
 data files into the output directory and returns a RunRecord describing
 the resolved configuration, derived metrics and artifact list. Identical
-configurations produce byte-identical data files regardless of worker
-count; wall-clock cost is modelled (never measured) so records stay
-reproducible.
+configurations produce byte-identical data files; wall-clock cost is
+modelled (never measured) so records stay reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import csv
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, asdict
 from importlib import resources
 from pathlib import Path
@@ -99,7 +99,7 @@ class ExperimentConfig:
     iterations: int | None = None
     mitigation: str = "ni+tflo"         # none | ni | tflo | ni+tflo
     repeats: int = 1
-    workers: int = 1
+    workers: int = 1                    # accepted for --workers; has no effect
     eta: float = 2.0
     start: tuple[float, float] = (0.6, 0.8)
     grid: int = 20
@@ -117,6 +117,11 @@ class ExperimentConfig:
             raise FileNotFoundError(f"calibration file {self.calibration} not found")
         if not self.cost_model.exists():
             raise FileNotFoundError(f"cost model file {self.cost_model} not found")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers > 1:
+            warnings.warn(f"workers={self.workers} has no effect: each batch runs as a "
+                          "single vectorized pass", UserWarning, stacklevel=3)
 
     def mitigation_flags(self) -> tuple[bool, bool]:
         """(ni, tflo)"""
@@ -198,9 +203,9 @@ def _with_reference(topology, pairs, params, h, cfg, confusions, run_seed, ref_s
     reference energy)."""
     ref_params = AnsatzParams(0.0, params.theta)
     ests = measure_batch(topology, ((p, params) for p in pairs), h, cfg.shots, run_seed,
-                         confusions, cfg.workers, crosstalk_p)
+                         confusions, crosstalk_p)
     refs = measure_batch(topology, ((p, ref_params) for p in pairs), h, cfg.shots,
-                         ref_seed, confusions, cfg.workers, crosstalk_p)
+                         ref_seed, confusions, crosstalk_p)
     return ests, refs, exact_energy(ref_params, h)
 
 
@@ -230,11 +235,11 @@ def _optimize(cfg, topology, pairs, h, confusions, optimizer, iterations, points
     exact_fn = lambda params: exact_energy(params, h)
     if optimizer == "spsa":
         evaluator = spsa_parallel_evaluator(topology, pairs, h, shots, eval_seed,
-                                            confusions, cfg.workers, cfg.crosstalk_p)
+                                            confusions, cfg.crosstalk_p)
         return spsa_run(SpsaConfig(iterations=iterations), evaluator, start,
                         opt_stream, exact_fn)
     evaluator = batch_pair_evaluator(topology, pairs, h, shots, eval_seed, confusions,
-                                     cfg.workers, cfg.crosstalk_p)
+                                     cfg.crosstalk_p)
     return mgd_run(MgdConfig(iterations=iterations), evaluator, start, points,
                    opt_stream, exact_fn)
 
@@ -385,10 +390,10 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
         ref_chunk = [AnsatzParams(0.0, p.theta) for p in chunk]
         ests = measure_batch(topology, zip(active, chunk), h, cfg.shots,
                              derive_seed(cfg.seed, _NS_RUN, batches), confusions,
-                             cfg.workers, cfg.crosstalk_p)
+                             cfg.crosstalk_p)
         refs = (measure_batch(topology, zip(active, ref_chunk), h, cfg.shots,
                               derive_seed(cfg.seed, _NS_REF, batches), confusions,
-                              cfg.workers, cfg.crosstalk_p)
+                              cfg.crosstalk_p)
                 if tflo_on else [None] * len(chunk))
         for pair, params, ref_params, est, ref in zip(active, chunk, ref_chunk, ests, refs):
             value = _mitigated(est, ref, exact_energy(ref_params, h) if tflo_on

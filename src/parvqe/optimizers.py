@@ -253,12 +253,12 @@ def measure_batch(topology: DeviceTopology,
                   assignments: Iterable[tuple[Pair, AnsatzParams]],
                   h: HubbardParams, shots: int, seed: int,
                   confusions: dict[Pair, ConfusionMatrix] | None = None,
-                  workers: int = 1, crosstalk_p: float = 0.0) -> list[EnergyEstimate]:
+                  crosstalk_p: float = 0.0) -> list[EnergyEstimate]:
     """Run one batch of (pair, params) assignments and estimate every pair's
     energy, in assignment order. With confusions the value is NI-corrected
     and raw_value keeps the uncorrected estimate."""
     job = BatchJob(assignments=tuple(assignments), shots=shots, seed=seed)
-    results = run_batch(job, topology, workers=workers, crosstalk_p=crosstalk_p)
+    results = run_batch(job, topology, crosstalk_p=crosstalk_p)
     return [estimate_for_result(r, h, None if confusions is None else confusions[r.pair])
             for r in results]
 
@@ -266,7 +266,7 @@ def measure_batch(topology: DeviceTopology,
 def spsa_parallel_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
                             h: HubbardParams, shots: int, seed: int,
                             confusions: dict[Pair, ConfusionMatrix] | None = None,
-                            workers: int = 1, crosstalk_p: float = 0.0) -> Evaluator:
+                            crosstalk_p: float = 0.0) -> Evaluator:
     """Same-parameters parallelism: every energy query runs one batch with
     identical parameters on all pairs and pools the per-pair estimates."""
     if not pairs:
@@ -276,7 +276,7 @@ def spsa_parallel_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
     def evaluate(params: AnsatzParams) -> EnergyEstimate:
         return aggregate_same_params(measure_batch(
             topology, ((pair, params) for pair in pairs), h, shots,
-            derive_seed(seed, next(counter)), confusions, workers, crosstalk_p))
+            derive_seed(seed, next(counter)), confusions, crosstalk_p))
 
     return evaluate
 
@@ -284,7 +284,7 @@ def spsa_parallel_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
 def batch_pair_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
                          h: HubbardParams, shots: int, seed: int,
                          confusions: dict[Pair, ConfusionMatrix] | None = None,
-                         workers: int = 1, crosstalk_p: float = 0.0) -> BatchEvaluator:
+                         crosstalk_p: float = 0.0) -> BatchEvaluator:
     """Different-parameters parallelism: a list of points is spread over
     the pairs, ceil(n/len(pairs)) batches per call."""
     if not pairs:
@@ -297,7 +297,7 @@ def batch_pair_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
             chunk = batch[lo:lo + len(pairs)]
             out.extend(measure_batch(topology, zip(pairs, chunk), h, shots,
                                      derive_seed(seed, next(counter)), confusions,
-                                     workers, crosstalk_p))
+                                     crosstalk_p))
         return out
 
     return evaluate_batch

@@ -1,4 +1,4 @@
-"""Density-matrix simulation of one qubit pair with gate and readout noise.
+"""Simulation of qubit pairs with gate and readout noise.
 
 The noise model is deliberately small: a single two-qubit depolarizing
 event after the CZ gate (single-qubit gates are treated as ideal, since
@@ -6,10 +6,18 @@ the CZ fidelity dominates on the devices this models), followed by
 independent asymmetric readout bit flips on each qubit. An optional
 crosstalk knob adds extra depolarizing probability when a neighbouring
 pair is active in the same batch.
+
+Two simulators share that model. `batch_distributions` is the one the
+executor runs: a statevector pass over every pair of a batch at once.
+It relies on the depolarizing event commuting with the unitaries after
+it, so the outcome distribution is N_ro ((1-p) |U psi|^2 + p/4).
+`run_circuit` walks one compiled circuit gate by gate on a 4x4 density
+matrix; it is the reference the fast path is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +63,30 @@ class PairNoiseSpec:
     def depol_p(self) -> float:
         return fidelity_to_depolarizing(self.cz_fidelity)
 
+    def effective_p(self, crosstalk_active: bool = False) -> float:
+        """Depolarizing probability of the CZ, plus crosstalk_p (capped at
+        1) when a neighbouring pair is active in the same batch."""
+        if crosstalk_active:
+            return min(self.depol_p + self.crosstalk_p, 1.0)
+        return self.depol_p
+
     def confusion_map(self) -> np.ndarray:
         """Exact 4x4 readout confusion matrix (column-stochastic, q0 (x) q1)."""
-        cols = []
-        for (e01, e10) in self.readout:
-            cols.append(np.array([[1.0 - e01, e10], [e01, 1.0 - e10]]))
-        return np.kron(cols[0], cols[1])
+        return confusion_maps(np.array([self.readout]))[0]
+
+
+def confusion_maps(readout: np.ndarray) -> np.ndarray:
+    """Readout confusion matrices of n pairs, shape (n, 4, 4).
+
+    readout has shape (n, 2, 2): per pair, per qubit, (eps01, eps10).
+    Each map is the Kronecker product of the two qubits' column-stochastic
+    flip matrices, in q0 (x) q1 order.
+    """
+    e01, e10 = readout[..., 0], readout[..., 1]
+    flips = np.stack([np.stack([1.0 - e01, e10], axis=-1),
+                      np.stack([e01, 1.0 - e10], axis=-1)], axis=-2)   # (n, 2, 2, 2)
+    n = len(readout)
+    return np.einsum("nik,njl->nijkl", flips[:, 0], flips[:, 1]).reshape(n, 4, 4)
 
 
 NOISELESS = PairNoiseSpec()
@@ -113,9 +139,7 @@ def run_circuit(circuit: NativeCircuit, noise: PairNoiseSpec = NOISELESS,
     """
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    p_eff = noise.depol_p
-    if crosstalk_active:
-        p_eff = min(p_eff + noise.crosstalk_p, 1.0)
+    p_eff = noise.effective_p(crosstalk_active)
     for gate in circuit.gates:
         u = gate_matrix(gate)
         rho = u @ rho @ u.conj().T
@@ -142,6 +166,69 @@ def sample_shots(rho: np.ndarray, noise: PairNoiseSpec, shots: int,
     """Multinomial sample of the exact outcome distribution."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = exact_distribution(rho, noise)
+    return sample_distribution(exact_distribution(rho, noise), shots, stream)
+
+
+# --- batched statevector kernel ---------------------------------------------
+
+_S = math.sqrt(0.5)
+_RX_HALF_PI = np.array([[_S, -1j * _S], [-1j * _S, _S]])     # RX(pi/2)
+_RX_MINUS_HALF_PI = np.array([[_S, 1j * _S], [1j * _S, _S]])  # RX(-pi/2)
+_RX_PI = np.array([[0.0, -1j], [-1j, 0.0]])                   # RX(pi)
+
+
+def _rz(angle: np.ndarray) -> np.ndarray:
+    """RZ(angle) = diag(exp(-i a/2), exp(i a/2)) for each angle, (n, 2, 2)."""
+    g = np.zeros((len(angle), 2, 2), dtype=complex)
+    g[:, 0, 0] = np.exp(-0.5j * angle)
+    g[:, 1, 1] = np.exp(0.5j * angle)
+    return g
+
+
+def _on_q0(gate: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 gate (or a stack of them) to qubit 0 of states psi[n, q0, q1]."""
+    return gate @ psi
+
+
+def _on_q1(gate: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 gate (or a stack of them) to qubit 1 of states psi[n, q0, q1]."""
+    return psi @ np.swapaxes(gate, -1, -2)
+
+
+def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
+                        confusion: np.ndarray) -> np.ndarray:
+    """Outcome distributions of n pairs, shape (n, 2, 4): onsite, then hopping.
+
+    phi, theta and the effective depolarizing probability p (crosstalk
+    included) have shape (n,); confusion holds the (n, 4, 4) readout maps.
+    The gates are those of `circuits.build_circuit`, applied as 2x2
+    matrices to all n statevectors at once. Because the one depolarizing
+    event after the CZ commutes with the unitaries that follow it, each
+    distribution is confusion @ ((1-p) |psi|^2 + p/4).
+    """
+    n = len(phi)
+    psi = np.zeros((n, 2, 2), dtype=complex)
+    psi[:, 0, 0] = 1.0
+    psi = _on_q0(_RX_MINUS_HALF_PI, psi)
+    psi = _on_q1(_RX_MINUS_HALF_PI, psi)
+    psi = _on_q1(_rz(-math.pi + 2.0 * phi), psi)
+    psi = _on_q1(_RX_HALF_PI, psi)
+    psi[:, 1, 1] *= -1.0                                   # CZ
+    psi = _on_q0(_RX_MINUS_HALF_PI, psi)
+    onsite = _on_q0(_RX_MINUS_HALF_PI, _on_q0(_rz(math.pi + 2.0 * theta), psi))
+    onsite = _on_q1(_RX_HALF_PI, _on_q1(_rz(math.pi - 2.0 * theta), onsite))
+    hopping = _on_q1(_RX_PI, psi)
+    probs = np.abs(np.stack([onsite, hopping], axis=1).reshape(n, 2, 4)) ** 2
+    probs /= probs.sum(axis=-1, keepdims=True)   # round-off could push an entry past 1
+    p = p[:, None, None]
+    mixed = (1.0 - p) * probs + p / 4.0
+    return np.einsum("nij,nkj->nki", confusion, mixed)
+
+
+def sample_distribution(probs: np.ndarray, shots: int,
+                        stream: np.random.Generator) -> ShotHistogram:
+    """Multinomial sample of one outcome distribution."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     counts = stream.multinomial(shots, probs)
     return ShotHistogram(counts=tuple(int(c) for c in counts), shots=shots)

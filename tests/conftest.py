@@ -1,6 +1,12 @@
 import json
 
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run, with no time limit
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 from parvqe.device import load_calibration
 from parvqe.harness import default_calibration_path, default_cost_model_path

@@ -60,15 +60,15 @@ def test_run_batch_requires_topology_edges():
         run_batch(job, topo)
 
 
-def test_run_batch_deterministic_across_workers():
+def test_run_batch_deterministic_for_same_seed():
     topo = two_pair_topology(fidelity=0.93, readout=(0.02, 0.03))
     job = BatchJob(assignments=(((0, 1), AnsatzParams(0.3, 0.4)),
                                 ((2, 3), AnsatzParams(-0.2, 0.9))),
                    shots=2000, seed=99)
-    baseline = run_batch(job, topo, workers=1)
-    for workers in (1, 4, 8):
-        again = run_batch(job, topo, workers=workers)
-        assert again == baseline
+    baseline = run_batch(job, topo)
+    assert run_batch(job, topo) == baseline
+    assert run_batch(BatchJob(job.assignments, job.shots, job.seed), topo) == baseline
+    assert run_batch(BatchJob(job.assignments, job.shots, job.seed + 1), topo) != baseline
 
 
 def test_run_batch_energy_matches_oracle_within_error():

@@ -38,6 +38,15 @@ def test_config_validation(tmp_path):
         ExperimentConfig(seed=1, out_dir=tmp_path, calibration=tmp_path / "nope.json")
     cfg = ExperimentConfig(seed=1, out_dir=tmp_path, mitigation="tflo+ni")
     assert cfg.mitigation_flags() == (True, True)
+    for workers in (0, -2):
+        with pytest.raises(ValueError):
+            ExperimentConfig(seed=1, out_dir=tmp_path, workers=workers)
+    with pytest.warns(UserWarning, match="no effect") as caught:
+        ExperimentConfig(seed=1, out_dir=tmp_path, workers=2)
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ExperimentConfig(seed=1, out_dir=tmp_path, workers=1)
     with pytest.raises(ValueError):
         ExperimentConfig(seed=1, out_dir=tmp_path, mitigation="magic").mitigation_flags()
 
@@ -227,6 +236,11 @@ UNREAD_FLAGS = {
     "optimizer-compare": ["--pairs 4", "--select matching", "--cap 0.9",
                           "--iterations 5", "--mitigation ni", "--repeats 2",
                           "--cost-model m.json"],
+    # the modelled sweep runs nothing, so it reads none of the run flags
+    "vqe --speedup-sweep": ["--mitigation ni", "--workers 1", "--pairs 4",
+                            "--select greedy", "--cap 0.9", "--repeats 2",
+                            "--crosstalk 0.0", "--eta 2.0", "--start 0.6 0.8",
+                            "--calibration c.json", "--pairs=4"],
 }
 
 
@@ -234,9 +248,10 @@ UNREAD_FLAGS = {
                                           for f in flags])
 def test_cli_rejects_unread_flags(command, flag, tmp_path):
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args([command, "--seed", "1", "--out", str(tmp_path),
-                                   *flag.split()])
+        cli_main([*command.split(), "--seed", "1", "--out", str(tmp_path / "out"),
+                  *flag.split()])
     assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_parses_benchmark_workloads(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from parvqe.circuits import MeasurementSetting, build_circuit, circuit_unitary
 from parvqe.executor import exact_expectation_energy
@@ -12,6 +13,7 @@ from parvqe.simulator import (
     NOISELESS,
     PairNoiseSpec,
     ShotHistogram,
+    batch_distributions,
     check_density_matrix,
     exact_distribution,
     fidelity_to_depolarizing,
@@ -179,3 +181,31 @@ def test_crosstalk_adds_depolarizing_probability():
     assert np.max(np.abs(rho_flagged - rho_equiv)) < 1e-12
     rho_unflagged = run_circuit(build_circuit(a, MeasurementSetting.ONSITE), lo)
     assert np.max(np.abs(rho_flagged - rho_unflagged)) > 1e-3
+
+
+
+angles = st.floats(-2 * math.pi, 2 * math.pi)
+readout_rates = st.floats(0.0, 0.5, exclude_max=True)
+pair_cases = st.tuples(
+    angles, angles, st.floats(0.5, 1.0, exclude_min=True),
+    st.tuples(st.tuples(readout_rates, readout_rates),
+              st.tuples(readout_rates, readout_rates)),
+    st.floats(0.0, 1.0), st.booleans())
+
+
+@given(st.lists(pair_cases, min_size=1, max_size=4))
+def test_batch_kernel_matches_density_matrix_reference(cases):
+    """Every row of a batch equals the gate-by-gate density-matrix path for
+    random angles, CZ fidelities, readout rates and crosstalk."""
+    noises = [PairNoiseSpec(cz_fidelity=f, readout=ro, crosstalk_p=xt)
+              for _, _, f, ro, xt, _ in cases]
+    dists = batch_distributions(
+        np.array([c[0] for c in cases]), np.array([c[1] for c in cases]),
+        np.array([noise.effective_p(c[5]) for noise, c in zip(noises, cases)]),
+        np.array([noise.confusion_map() for noise in noises]))
+    assert dists.shape == (len(cases), 2, 4)
+    assert np.all((dists >= 0.0) & (dists <= 1.0))
+    for i, ((phi, theta, _, _, _, active), noise) in enumerate(zip(cases, noises)):
+        for k, setting in enumerate((MeasurementSetting.ONSITE, MeasurementSetting.HOPPING)):
+            rho = run_circuit(build_circuit(AnsatzParams(phi, theta), setting), noise, active)
+            assert np.max(np.abs(dists[i, k] - exact_distribution(rho, noise))) <= 1e-12
