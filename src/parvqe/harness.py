@@ -177,11 +177,15 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
                  cap: float | None) -> PairSelection:
+    """At most `pairs` pairs at CZ fidelity >= cap, best first. For matching,
+    the pairs of the maximum-weight matching are ranked by fidelity, ties
+    broken by pair id."""
     if select == "matching":
-        sel = max_weight_matching(topology)
-        if pairs is not None:
-            sel = PairSelection(pairs=sel.pairs[:pairs], selection_method="matching")
-        return sel
+        ranked = sorted((p for p in max_weight_matching(topology).pairs
+                         if cap is None or topology.fidelity(p) >= cap),
+                        key=lambda p: (-topology.fidelity(p), p))
+        return PairSelection(pairs=tuple(ranked[:pairs]), selection_method="matching",
+                             fidelity_cap=cap)
     return greedy_select(topology, max_pairs=pairs, fidelity_cap=cap)
 
 

@@ -82,7 +82,7 @@ GOLDEN = {
         "heatmap_exact.csv":
             "74fb30637c40f90bda7cb20c27ea72463a505df0c49d5ba388f523fcfb57ff34",
         "heatmap_simulated.csv":
-            "f85a043889def5dbef0c382a8640a72f433fe8b3b73498662a2ccb48dfc0cab0",
+            "86a7adab0b0ab1cabf33a7c0c40a1c8244a7a21f034eab906d24014055b7ab08",
     },
     "heatmap-ni": {
         "heatmap_exact.csv":
@@ -150,9 +150,9 @@ GOLDEN = {
     },
     "vqe-spsa-none": {
         "summary.csv":
-            "d9c665d8c59a203ce0971c9490d50858487963a58b47e717f3351340a65db98d",
+            "4fa653a720a4b61723a5da9aeacbe5ef9ea7e4c658e270fef9546022b1d057ed",
         "trace_rep0.csv":
-            "09745ae7068ae1aa5c1feed4b37615bfdf8606c0fce78a285783a9bab06cec29",
+            "91651d14a86f046cb2a0c0e6c2175b733326d36b4920e12427ea825b960102b4",
     },
 }
 

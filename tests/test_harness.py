@@ -13,6 +13,7 @@ import pytest
 
 import parvqe
 from parvqe.cli import build_parser, config_from_args, main as cli_main
+from parvqe.device import DeviceTopology, max_weight_matching
 from parvqe.executor import load_cost_model, predict_wall_time
 from parvqe.harness import (
     ExperimentConfig,
@@ -22,6 +23,7 @@ from parvqe.harness import (
     cmd_shots_sweep,
     cmd_vqe,
     modeled_vqe_wall_times,
+    select_pairs,
 )
 from parvqe import __version__
 
@@ -156,6 +158,29 @@ def test_speedup_sweep_matches_cost_model(tmp_path):
     assert all(b > a for a, b in zip(mgd_speedups, mgd_speedups[1:]))
     for p, s in zip(record.metrics["pair_counts"], mgd_speedups):
         assert s <= p  # parallelism can never beat the ideal factor
+
+
+def test_matching_selection_keeps_best_pairs_above_cap(shipped_topology):
+    topo = shipped_topology
+    matched = max_weight_matching(topo).pairs
+    best_first = sorted(matched, key=lambda p: (-topo.fidelity(p), p))
+    fids = lambda sel: [topo.fidelity(p) for p in sel.pairs]
+
+    sel = select_pairs(topo, "matching", 25, None)
+    assert sel.pairs == tuple(best_first[:25])
+    assert sum(fids(sel)) / 25 == pytest.approx(0.94712, abs=1e-5)   # first 25 by id: 0.906
+    assert fids(sel) == sorted(fids(sel), reverse=True)
+
+    capped = select_pairs(topo, "matching", 25, 0.95)
+    assert min(fids(capped)) >= 0.95
+    assert capped.pairs == tuple(p for p in best_first if topo.fidelity(p) >= 0.95)
+    assert capped.fidelity_cap == 0.95
+    assert select_pairs(topo, "matching", None, None).pairs == tuple(best_first)
+
+    # equal fidelities rank by pair id
+    tied = DeviceTopology(qubits=tuple(range(6)),
+                          edges=((4, 5, 0.9), (2, 3, 0.9), (0, 1, 0.9)), readout={})
+    assert select_pairs(tied, "matching", 2, None).pairs == ((0, 1), (2, 3))
 
 
 def test_shots_sweep_uses_capped_selection_and_reports_gap(tmp_path):
