@@ -164,8 +164,6 @@ def exact_distribution(rho: np.ndarray, noise: PairNoiseSpec = NOISELESS) -> np.
 def sample_shots(rho: np.ndarray, noise: PairNoiseSpec, shots: int,
                  stream: np.random.Generator) -> ShotHistogram:
     """Multinomial sample of the exact outcome distribution."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     return sample_distribution(exact_distribution(rho, noise), shots, stream)
 
 
