@@ -183,7 +183,6 @@ def test_crosstalk_adds_depolarizing_probability():
     assert np.max(np.abs(rho_flagged - rho_unflagged)) > 1e-3
 
 
-
 angles = st.floats(-2 * math.pi, 2 * math.pi)
 readout_rates = st.floats(0.0, 0.5, exclude_max=True)
 pair_cases = st.tuples(
