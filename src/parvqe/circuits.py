@@ -156,14 +156,3 @@ def x_expectations(probs: np.ndarray) -> tuple[float, float]:
         HOPPING_SIGNS[0] * float(np.dot(probs, Z0_OUTCOMES)),
         HOPPING_SIGNS[1] * float(np.dot(probs, Z1_OUTCOMES)),
     )
-
-
-def format_circuit(circuit: NativeCircuit) -> str:
-    """Debug dump, one gate per line: KIND angle targets."""
-    lines = [f"# setting: {circuit.setting.value}"]
-    for g in circuit.gates:
-        if g.kind == "CZ":
-            lines.append(f"CZ {g.targets[0]} {g.targets[1]}")
-        else:
-            lines.append(f"{g.kind} {g.angle!r} {g.targets[0]}")
-    return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ from .harness import (
     cmd_heatmap,
     cmd_optimizer_compare,
     cmd_shots_sweep,
+    cmd_speedup_sweep,
     cmd_vqe,
     default_calibration_path,
     default_cost_model_path,
@@ -123,16 +124,20 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "vqe" and args.speedup_sweep:
+    sweep = args.command == "vqe" and args.speedup_sweep
+    if sweep:
         given = [flag for flag in _SWEEP_UNREAD
                  if any(tok == flag or tok.startswith(flag + "=") for tok in argv)]
         if given:
             parser.error(f"vqe --speedup-sweep does not read {', '.join(given)}")
-    cfg = config_from_args(args)
+    try:
+        cfg = config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     handlers = {
         "benchmark-pairs": cmd_benchmark_pairs,
         "heatmap": cmd_heatmap,
-        "vqe": lambda c: cmd_vqe(c, speedup_sweep=args.speedup_sweep),
+        "vqe": cmd_speedup_sweep if sweep else cmd_vqe,
         "shots-sweep": cmd_shots_sweep,
         "optimizer-compare": cmd_optimizer_compare,
     }

@@ -83,8 +83,8 @@ class PairRunResult:
 class EnergyEstimate:
     """Energy value with its multinomial standard error.
 
-    raw_value holds the uncorrected estimate when readout inversion was
-    applied (and is None otherwise).
+    raw_value is the estimate before readout inversion; it equals value
+    when no inversion was applied (given as None, it is set to value).
     """
 
     value: float
@@ -95,6 +95,8 @@ class EnergyEstimate:
     def __post_init__(self):
         if self.std_err < 0:
             raise ValueError("std_err must be nonnegative")
+        if self.raw_value is None:
+            object.__setattr__(self, "raw_value", self.value)
 
 
 def run_batch(job: BatchJob, topology: DeviceTopology,
@@ -168,12 +170,11 @@ def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
 
     raw = combine(c_on, c_hop)
     if confusion is None:
-        value, raw_value = raw, None
-        eff_on, eff_hop = c_on, c_hop
+        value, eff_on, eff_hop = raw, c_on, c_hop
     else:
         eff_on = confusion.inverse.T @ c_on
         eff_hop = confusion.inverse.T @ c_hop
-        value, raw_value = combine(eff_on, eff_hop), raw
+        value = combine(eff_on, eff_hop)
 
     if shots_on is None:
         std_err = 0.0
@@ -182,7 +183,7 @@ def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
             + _plugin_variance(eff_hop, p_hop, shots_hop)
         std_err = float(np.sqrt(var))
     return EnergyEstimate(value=value, std_err=std_err,
-                          shots_per_setting=shots_on, raw_value=raw_value)
+                          shots_per_setting=shots_on, raw_value=raw)
 
 
 def estimate_for_result(result: PairRunResult, h: HubbardParams = HubbardParams(),
@@ -201,8 +202,7 @@ def aggregate_same_params(estimates: list[EnergyEstimate]) -> EnergyEstimate:
     weights = weights / weights.sum()
     value = float(np.dot(weights, [e.value for e in estimates]))
     std_err = float(np.sqrt(np.sum((weights * [e.std_err for e in estimates]) ** 2)))
-    raws = [e.raw_value for e in estimates]
-    raw_value = float(np.dot(weights, raws)) if all(r is not None for r in raws) else None
+    raw_value = float(np.dot(weights, [e.raw_value for e in estimates]))
     shots = estimates[0].shots_per_setting
     same_shots = all(e.shots_per_setting == shots for e in estimates)
     return EnergyEstimate(value=value, std_err=std_err,

@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -71,9 +72,8 @@ _NS_FINAL = 5
 _NS_OPT = 6
 
 MITIGATION_LEVELS = ("raw", "ni", "tflo", "tflo_ni")
-# (ni, tflo) flags of --mitigation -> the level a command reports
-_LEVEL_OF_FLAGS = {(False, False): "raw", (True, False): "ni",
-                   (False, True): "tflo", (True, True): "tflo_ni"}
+# --mitigation -> the level a command reports
+_LEVEL_OF_MITIGATION = {"none": "raw", "ni": "ni", "tflo": "tflo", "ni+tflo": "tflo_ni"}
 
 
 def default_calibration_path() -> Path:
@@ -113,25 +113,39 @@ class ExperimentConfig:
         self.cost_model = Path(self.cost_model)
         if self.select not in ("greedy", "matching"):
             raise ValueError(f"unknown selection method {self.select!r}")
+        if self.optimizer not in ("spsa", "mgd"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.mitigation not in _LEVEL_OF_MITIGATION:
+            raise ValueError(f"unknown mitigation {self.mitigation!r}")
+        for name in ("pairs", "shots", "confusion_shots", "iterations", "repeats", "grid",
+                     "workers"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("shots_list", "pair_counts"):
+            values = getattr(self, name)
+            if min(values, default=1) < 1:
+                raise ValueError(f"{name} entries must be >= 1, got {values}")
         if not self.calibration.exists():
             raise FileNotFoundError(f"calibration file {self.calibration} not found")
         if not self.cost_model.exists():
             raise FileNotFoundError(f"cost model file {self.cost_model} not found")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.workers > 1:
             warnings.warn(f"workers={self.workers} has no effect: each batch runs as a "
                           "single vectorized pass", UserWarning, stacklevel=3)
 
-    def mitigation_flags(self) -> tuple[bool, bool]:
-        """(ni, tflo)"""
-        token = self.mitigation.lower().replace(" ", "")
-        mapping = {"none": (False, False), "ni": (True, False),
-                   "tflo": (False, True), "ni+tflo": (True, True),
-                   "tflo+ni": (True, True)}
-        if token not in mapping:
-            raise ValueError(f"unknown mitigation {self.mitigation!r}")
-        return mapping[token]
+    @property
+    def level(self) -> str:
+        """The mitigation level the command reports."""
+        return _LEVEL_OF_MITIGATION[self.mitigation]
+
+    @property
+    def ni(self) -> bool:
+        return "ni" in self.mitigation.split("+")
+
+    @property
+    def tflo(self) -> bool:
+        return "tflo" in self.mitigation.split("+")
 
     def snapshot(self) -> dict:
         d = asdict(self)
@@ -200,50 +214,86 @@ def measure_confusions(topology: DeviceTopology, pairs, shots: int,
     return out
 
 
-def _with_reference(topology, pairs, params, h, cfg, confusions, run_seed, ref_seed,
-                    crosstalk_p):
-    """Measure params and its phi=0 reference on every pair, one batch each.
-    Returns (per-pair estimates, per-pair reference estimates, exact
-    reference energy)."""
-    ref_params = AnsatzParams(0.0, params.theta)
-    ests = measure_batch(topology, ((p, params) for p in pairs), h, cfg.shots, run_seed,
-                         confusions, crosstalk_p)
-    refs = measure_batch(topology, ((p, ref_params) for p in pairs), h, cfg.shots,
-                         ref_seed, confusions, crosstalk_p)
-    return ests, refs, exact_energy(ref_params, h)
+class _Run:
+    """What every experiment sets up first (clock, output directory, Hubbard
+    parameters and ground energy, calibration, confusions) and its
+    write-record-then-print ending."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.t_start = time.perf_counter()
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        self.h = HubbardParams()
+        self.e0 = exact_ground_energy(self.h)
+        self.confusions: dict[Pair, ConfusionMatrix] | None = None
+
+    @cached_property
+    def topology(self) -> DeviceTopology:
+        # loaded on first use: the modelled speedup sweep reads no calibration
+        return load_calibration(self.cfg.calibration)
+
+    def measure_confusions(self, pairs, ni: bool = True) -> None:
+        """The confusion matrices NI applies to every later measurement, or
+        none when NI is off."""
+        cfg = self.cfg
+        self.confusions = (measure_confusions(self.topology, pairs, cfg.confusion_shots,
+                                              cfg.seed) if ni else None)
+
+    def finish(self, command: str, metrics: dict, artifacts: list[str],
+               summary: str) -> RunRecord:
+        record = RunRecord(command=command, config=self.cfg.snapshot(), metrics=metrics,
+                           artifacts=artifacts)
+        record.write(self.cfg.out_dir / "record.json")
+        print(f"{summary}; sim time {time.perf_counter() - self.t_start:.1f}s")
+        return record
+
+
+def _measure(run: _Run, assignments, run_seed: int, ref_seed: int, tflo: bool):
+    """Measure one batch of (pair, params) assignments and, when tflo is
+    set, a second batch of their phi=0 reference points. Returns the
+    estimates, the reference estimates (None each without tflo) and each
+    assignment's exact reference energy."""
+    assignments = list(assignments)
+    references = [(pair, AnsatzParams(0.0, params.theta)) for pair, params in assignments]
+    # final points measure one params on every pair: one exact energy each
+    exact = {params: exact_energy(params, run.h) for params in {p for _, p in references}}
+
+    def batch(items, seed):
+        return measure_batch(run.topology, items, run.h, run.cfg.shots, seed,
+                             run.confusions, run.cfg.crosstalk_p)
+
+    return (batch(assignments, run_seed),
+            batch(references, ref_seed) if tflo else [None] * len(references),
+            [exact[params] for _, params in references])
 
 
 def _mitigated(est: EnergyEstimate, ref: EnergyEstimate | None = None,
                ref_exact: float | None = None) -> dict:
     """Mitigation levels of a measurement: raw and ni, and with its phi=0
     reference also tflo and tflo_ni. Without confusions ni equals raw."""
-    def raw_and_ni(e):
-        return {"raw": e.value if e.raw_value is None else e.raw_value, "ni": e.value}
-
-    levels = raw_and_ni(est)
+    levels = {"raw": est.raw_value, "ni": est.value}
     if ref is not None:
-        ref_levels = raw_and_ni(ref)
-        for base, level in (("raw", "tflo"), ("ni", "tflo_ni")):
-            levels[level] = tflo_correct(levels[base], ref_exact, ref_levels[base])
+        levels["tflo"] = tflo_correct(est.raw_value, ref_exact, ref.raw_value)
+        levels["tflo_ni"] = tflo_correct(est.value, ref_exact, ref.value)
     return levels
 
 
-def _optimize(cfg, topology, pairs, h, confusions, optimizer, iterations, points,
-              shots, keys) -> OptTrace:
+def _optimize(run: _Run, pairs, optimizer, iterations, points, shots, keys) -> OptTrace:
     """One SPSA or surrogate-descent run from cfg.start on the evaluator that
     matches its parallelism. Its evaluator seed and optimizer stream derive
     from the key path `keys`."""
+    cfg, h = run.cfg, run.h
     eval_seed = derive_seed(cfg.seed, _NS_EVAL, *keys)
     opt_stream = derive_rng(cfg.seed, _NS_OPT, *keys)
     start = AnsatzParams(*cfg.start)
     exact_fn = lambda params: exact_energy(params, h)
     if optimizer == "spsa":
-        evaluator = spsa_parallel_evaluator(topology, pairs, h, shots, eval_seed,
-                                            confusions, cfg.crosstalk_p)
+        evaluator = spsa_parallel_evaluator(run.topology, pairs, h, shots, eval_seed,
+                                            run.confusions, cfg.crosstalk_p)
         return spsa_run(SpsaConfig(iterations=iterations), evaluator, start,
                         opt_stream, exact_fn)
-    evaluator = batch_pair_evaluator(topology, pairs, h, shots, eval_seed, confusions,
-                                     cfg.crosstalk_p)
+    evaluator = batch_pair_evaluator(run.topology, pairs, h, shots, eval_seed,
+                                     run.confusions, cfg.crosstalk_p)
     return mgd_run(MgdConfig(iterations=iterations), evaluator, start, points,
                    opt_stream, exact_fn)
 
@@ -255,22 +305,18 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     increasingly parallel greedy batches, at all mitigation levels."""
     from scipy.stats import spearmanr   # deferred: scipy.stats is slow to import
 
-    t_start = time.perf_counter()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    topology = load_calibration(cfg.calibration)
-    h = HubbardParams()
-    opt = optimal_params(h)
-    e0 = exact_ground_energy(h)
-
+    run = _Run(cfg)
+    topology, e0 = run.topology, run.e0
+    opt = optimal_params(run.h)
     all_pairs = sorted(topology.edge_map())
-    confusions = measure_confusions(topology, all_pairs, cfg.confusion_shots, cfg.seed)
+    run.measure_confusions(all_pairs)
 
     # (a) every usable pair individually
     indiv_rows, indiv_levels = [], {}
     for idx, pair in enumerate(all_pairs):
-        (est,), (ref,), ref_exact = _with_reference(
-            topology, [pair], opt, h, cfg, confusions, derive_seed(cfg.seed, _NS_RUN, idx),
-            derive_seed(cfg.seed, _NS_REF, idx), 0.0)
+        (est,), (ref,), (ref_exact,) = _measure(
+            run, [(pair, opt)], derive_seed(cfg.seed, _NS_RUN, idx),
+            derive_seed(cfg.seed, _NS_REF, idx), tflo=True)
         levels = _mitigated(est, ref, ref_exact)
         indiv_levels[pair] = levels
         indiv_rows.append([pair[0], pair[1], topology.fidelity(pair),
@@ -293,12 +339,11 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     matrix: dict[Pair, dict[int, float]] = {p: {} for p in selection.pairs}
     for p_count in range(1, len(selection.pairs) + 1):
         active = selection.pairs[:p_count]
-        ests, refs, ref_exact = _with_reference(
-            topology, active, opt, h, cfg, confusions,
-            derive_seed(cfg.seed, _NS_RUN, 1000 + p_count),
-            derive_seed(cfg.seed, _NS_REF, 1000 + p_count), cfg.crosstalk_p)
+        measured = _measure(run, [(pair, opt) for pair in active],
+                            derive_seed(cfg.seed, _NS_RUN, 1000 + p_count),
+                            derive_seed(cfg.seed, _NS_REF, 1000 + p_count), tflo=True)
         per_level = {level: [] for level in MITIGATION_LEVELS}
-        for pair, est, ref in zip(active, ests, refs):
+        for pair, est, ref, ref_exact in zip(active, *measured):
             levels = _mitigated(est, ref, ref_exact)
             matrix[pair][p_count] = levels["tflo"] - e0
             for level in MITIGATION_LEVELS:
@@ -345,14 +390,10 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
         "spearman_mean_abs_err_raw_vs_p": rho,
         "fraction_p_tflo_below_raw": frac_below,
     }
-    record = RunRecord(command="benchmark-pairs", config=cfg.snapshot(), metrics=metrics,
-                       artifacts=[p.name for p in
-                                  (indiv_path, sweep_path, matrix_path)])
-    record.write(cfg.out_dir / "record.json")
-    print(f"benchmark-pairs: {len(all_pairs)} pairs individually, "
-          f"sweep to p={len(selection.pairs)}; sim time "
-          f"{time.perf_counter() - t_start:.1f}s (not recorded in artifacts)")
-    return record
+    return run.finish("benchmark-pairs", metrics,
+                      [p.name for p in (indiv_path, sweep_path, matrix_path)],
+                      f"benchmark-pairs: {len(all_pairs)} pairs individually, "
+                      f"sweep to p={len(selection.pairs)}")
 
 
 # --- heatmap ------------------------------------------------------------------
@@ -360,12 +401,8 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
 def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     """Energy-landscape heatmap: exact, simulated in parallel batches, and
     the absolute error between them; plus modelled wall times."""
-    t_start = time.perf_counter()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    topology = load_calibration(cfg.calibration)
-    h = HubbardParams()
-    e0 = exact_ground_energy(h)
-    ni_on, tflo_on = cfg.mitigation_flags()
+    run = _Run(cfg)
+    h = run.h
     n = cfg.grid
     axis = np.linspace(-math.pi, math.pi, n)
     points = [AnsatzParams(float(phi), float(theta)) for phi in axis for theta in axis]
@@ -378,34 +415,22 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     write_csv(exact_path, ["phi", "theta", "e_exact"], exact_rows)
 
     n_pairs = cfg.pairs if cfg.pairs is not None else 25
-    selection = select_pairs(topology, cfg.select, n_pairs, cfg.cap)
-    pairs = selection.pairs
+    pairs = select_pairs(run.topology, cfg.select, n_pairs, cfg.cap).pairs
     if not pairs:
         raise ValueError("selection produced no pairs")
-    confusions = (measure_confusions(topology, pairs, cfg.confusion_shots, cfg.seed)
-                  if ni_on else None)
+    run.measure_confusions(pairs, cfg.ni)
 
-    level = _LEVEL_OF_FLAGS[ni_on, tflo_on]
     sim_rows = []
-    batches = 0
-    for lo in range(0, len(points), len(pairs)):
+    batches = range(0, len(points), len(pairs))
+    for b, lo in enumerate(batches):
         chunk = points[lo:lo + len(pairs)]
-        active = pairs[:len(chunk)]
-        ref_chunk = [AnsatzParams(0.0, p.theta) for p in chunk]
-        ests = measure_batch(topology, zip(active, chunk), h, cfg.shots,
-                             derive_seed(cfg.seed, _NS_RUN, batches), confusions,
-                             cfg.crosstalk_p)
-        refs = (measure_batch(topology, zip(active, ref_chunk), h, cfg.shots,
-                              derive_seed(cfg.seed, _NS_REF, batches), confusions,
-                              cfg.crosstalk_p)
-                if tflo_on else [None] * len(chunk))
-        for pair, params, ref_params, est, ref in zip(active, chunk, ref_chunk, ests, refs):
-            value = _mitigated(est, ref, exact_energy(ref_params, h) if tflo_on
-                               else None)[level]
+        measured = _measure(run, zip(pairs, chunk), derive_seed(cfg.seed, _NS_RUN, b),
+                            derive_seed(cfg.seed, _NS_REF, b), cfg.tflo)
+        for pair, params, est, ref, ref_exact in zip(pairs, chunk, *measured):
+            value = _mitigated(est, ref, ref_exact)[cfg.level]
             e_exact = exact_energy(params, h)
             sim_rows.append([params.phi, params.theta, pair[0], pair[1], est.value,
                              value, abs(value - e_exact)])
-        batches += 1
 
     sim_path = cfg.out_dir / "heatmap_simulated.csv"
     write_csv(sim_path, ["phi", "theta", "pair_a", "pair_b",
@@ -425,41 +450,27 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
                     "absolute error", "phi", "theta", extent)
 
     cost = load_cost_model(cfg.cost_model)
-    seconds_parallel = predict_wall_time(cost, len(pairs), batches, cfg.shots)
+    seconds_parallel = predict_wall_time(cost, len(pairs), len(batches), cfg.shots)
     seconds_single = predict_wall_time(cost, 1, len(points), cfg.shots)
     metrics = {
         "grid": n,
         "points": len(points),
         "pairs": len(pairs),
-        "batches": batches,
+        "batches": len(batches),
         "modeled_seconds_parallel": seconds_parallel,
         "modeled_seconds_single_pair": seconds_single,
         "modeled_speedup": seconds_single / seconds_parallel,
         "max_abs_err": max(r[6] for r in sim_rows),
         "mean_abs_err": float(np.mean([r[6] for r in sim_rows])),
-        "exact_ground_energy": e0,
+        "exact_ground_energy": run.e0,
     }
-    record = RunRecord(command="heatmap", config=cfg.snapshot(), metrics=metrics,
-                       artifacts=[exact_path.name, sim_path.name])
-    record.write(cfg.out_dir / "record.json")
-    print(f"heatmap: {len(points)} points on {len(pairs)} pairs in {batches} batches, "
-          f"modeled speedup {metrics['modeled_speedup']:.1f}x; sim time "
-          f"{time.perf_counter() - t_start:.1f}s")
-    return record
+    return run.finish("heatmap", metrics, [exact_path.name, sim_path.name],
+                      f"heatmap: {len(points)} points on {len(pairs)} pairs in "
+                      f"{len(batches)} batches, modeled speedup "
+                      f"{metrics['modeled_speedup']:.1f}x")
 
 
 # --- vqe ------------------------------------------------------------------------
-
-def _final_tflo_point(topology, pairs, final_params, h, cfg, confusions, rep):
-    """Measure the final point and its phi=0 reference, returning all
-    mitigation levels of the pooled estimate."""
-    ests, refs, ref_exact = _with_reference(
-        topology, pairs, final_params, h, cfg, confusions,
-        derive_seed(cfg.seed, _NS_FINAL, 2 * rep),
-        derive_seed(cfg.seed, _NS_FINAL, 2 * rep + 1), cfg.crosstalk_p)
-    return _mitigated(aggregate_same_params(ests), aggregate_same_params(refs),
-                      ref_exact)
-
 
 def modeled_vqe_wall_times(cost: CostModel, optimizer: str, pairs: int,
                            points: int, iterations: int,
@@ -481,60 +492,30 @@ def modeled_vqe_wall_times(cost: CostModel, optimizer: str, pairs: int,
             predict_wall_time(cost, 1, batches_single, shots))
 
 
-def cmd_vqe(cfg: ExperimentConfig, speedup_sweep: bool = False) -> RunRecord:
-    """Full optimisation runs (with repeats) or a modelled speedup sweep."""
-    t_start = time.perf_counter()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    cost = load_cost_model(cfg.cost_model)
-    if cfg.optimizer not in ("spsa", "mgd"):
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
-
-    if speedup_sweep:
-        rows = []
-        iterations = cfg.iterations or (50 if cfg.optimizer == "spsa" else 10)
-        for p in cfg.pair_counts:
-            spsa_par, spsa_single = modeled_vqe_wall_times(
-                cost, "spsa", p, p, iterations, cfg.shots)
-            mgd_par, mgd_single = modeled_vqe_wall_times(
-                cost, "mgd", p, p, iterations, cfg.shots)
-            rows.append([p, spsa_single / spsa_par, mgd_single / mgd_par])
-        path = cfg.out_dir / "speedup_sweep.csv"
-        write_csv(path, ["p", "spsa_speedup", "mgd_speedup"], rows)
-        svgplot.line_plot(cfg.out_dir / "speedup_sweep.svg",
-                          {"spsa": ([r[0] for r in rows], [r[1] for r in rows]),
-                           "mgd": ([r[0] for r in rows], [r[2] for r in rows])},
-                          "modelled speedup vs pairs", "pairs in parallel", "speedup")
-        metrics = {"pair_counts": list(cfg.pair_counts),
-                   "spsa_speedups": [r[1] for r in rows],
-                   "mgd_speedups": [r[2] for r in rows]}
-        record = RunRecord(command="vqe-speedup-sweep", config=cfg.snapshot(),
-                           metrics=metrics, artifacts=[path.name])
-        record.write(cfg.out_dir / "record.json")
-        return record
-
-    topology = load_calibration(cfg.calibration)
-    h = HubbardParams()
-    e0 = exact_ground_energy(h)
-    ni_on, tflo_on = cfg.mitigation_flags()
-    selection = select_pairs(topology, cfg.select, cfg.pairs, cfg.cap)
-    pairs = selection.pairs
+def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
+    """Full optimisation runs, with repeats."""
+    run = _Run(cfg)
+    h, e0 = run.h, run.e0
+    pairs = select_pairs(run.topology, cfg.select, cfg.pairs, cfg.cap).pairs
     if cfg.pairs is not None and len(pairs) != cfg.pairs:
         raise ValueError(f"selection yields {len(pairs)} pairs, requested {cfg.pairs}")
-    confusions = (measure_confusions(topology, pairs, cfg.confusion_shots, cfg.seed)
-                  if ni_on else None)
-    iterations = cfg.iterations or (50 if cfg.optimizer == "spsa" else 40)
+    run.measure_confusions(pairs, cfg.ni)
+    default_iterations = 50 if cfg.optimizer == "spsa" else 40
+    iterations = cfg.iterations if cfg.iterations is not None else default_iterations
     points = (len(pairs) if cfg.optimizer == "spsa" or len(pairs) > 1
               else n_points_from_eta(cfg.eta))
-    level = _LEVEL_OF_FLAGS[ni_on, tflo_on]
 
     summary_rows = []
     artifacts = []
     for rep in range(cfg.repeats):
-        trace = _optimize(cfg, topology, pairs, h, confusions, cfg.optimizer,
-                          iterations, points, cfg.shots, (rep,))
+        trace = _optimize(run, pairs, cfg.optimizer, iterations, points, cfg.shots, (rep,))
         final = trace.final_params
-        levels = _final_tflo_point(topology, pairs, final, h, cfg, confusions, rep)
-        corrected = levels[level]
+        ests, refs, ref_exacts = _measure(
+            run, [(pair, final) for pair in pairs], derive_seed(cfg.seed, _NS_FINAL, 2 * rep),
+            derive_seed(cfg.seed, _NS_FINAL, 2 * rep + 1), tflo=True)
+        levels = _mitigated(aggregate_same_params(ests), aggregate_same_params(refs),
+                            ref_exacts[0])
+        corrected = levels[cfg.level]
         trace_path = cfg.out_dir / f"trace_rep{rep}.csv"
         trace.write(trace_path, cfg.out_dir / f"trace_rep{rep}.json")
         artifacts.append(trace_path.name)
@@ -561,7 +542,8 @@ def cmd_vqe(cfg: ExperimentConfig, speedup_sweep: bool = False) -> RunRecord:
     artifacts.append(summary_path.name)
 
     seconds_parallel, seconds_single = modeled_vqe_wall_times(
-        cost, cfg.optimizer, len(pairs), points, iterations, cfg.shots)
+        load_cost_model(cfg.cost_model), cfg.optimizer, len(pairs), points, iterations,
+        cfg.shots)
     errs = sorted(r[8] for r in summary_rows)
     metrics = {
         "optimizer": cfg.optimizer,
@@ -577,37 +559,53 @@ def cmd_vqe(cfg: ExperimentConfig, speedup_sweep: bool = False) -> RunRecord:
         "modeled_speedup": seconds_single / seconds_parallel,
         "exact_ground_energy": e0,
     }
-    record = RunRecord(command="vqe", config=cfg.snapshot(), metrics=metrics,
-                       artifacts=artifacts)
-    record.write(cfg.out_dir / "record.json")
-    print(f"vqe[{cfg.optimizer}]: {cfg.repeats} repeat(s) on {len(pairs)} pair(s), "
-          f"median |err| {metrics['median_final_abs_err']:.4f}; sim time "
-          f"{time.perf_counter() - t_start:.1f}s")
-    return record
+    return run.finish("vqe", metrics, artifacts,
+                      f"vqe[{cfg.optimizer}]: {cfg.repeats} repeat(s) on {len(pairs)} "
+                      f"pair(s), median |err| {metrics['median_final_abs_err']:.4f}")
+
+
+def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
+    """Modelled speedup of both optimizers over cfg.pair_counts (vqe
+    --speedup-sweep); nothing is simulated."""
+    run = _Run(cfg)
+    cost = load_cost_model(cfg.cost_model)
+    default_iterations = 50 if cfg.optimizer == "spsa" else 10
+    iterations = cfg.iterations if cfg.iterations is not None else default_iterations
+    rows = []
+    for p in cfg.pair_counts:
+        spsa_par, spsa_single = modeled_vqe_wall_times(
+            cost, "spsa", p, p, iterations, cfg.shots)
+        mgd_par, mgd_single = modeled_vqe_wall_times(
+            cost, "mgd", p, p, iterations, cfg.shots)
+        rows.append([p, spsa_single / spsa_par, mgd_single / mgd_par])
+    path = cfg.out_dir / "speedup_sweep.csv"
+    write_csv(path, ["p", "spsa_speedup", "mgd_speedup"], rows)
+    svgplot.line_plot(cfg.out_dir / "speedup_sweep.svg",
+                      {"spsa": ([r[0] for r in rows], [r[1] for r in rows]),
+                       "mgd": ([r[0] for r in rows], [r[2] for r in rows])},
+                      "modelled speedup vs pairs", "pairs in parallel", "speedup")
+    metrics = {"pair_counts": list(cfg.pair_counts),
+               "spsa_speedups": [r[1] for r in rows],
+               "mgd_speedups": [r[2] for r in rows]}
+    return run.finish("vqe-speedup-sweep", metrics, [path.name],
+                      f"speedup-sweep: {len(rows)} pair counts modelled")
 
 
 # --- shots-sweep ----------------------------------------------------------------
 
 def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     """SPSA at several shot counts on the capped greedy selection."""
-    t_start = time.perf_counter()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    topology = load_calibration(cfg.calibration)
-    h = HubbardParams()
-    e0 = exact_ground_energy(h)
+    run = _Run(cfg)
+    h, e0 = run.h, run.e0
     cap = cfg.cap if cfg.cap is not None else 0.90
-    selection = greedy_select(topology, max_pairs=cfg.pairs, fidelity_cap=cap)
-    pairs = selection.pairs
-    ni_on, _ = cfg.mitigation_flags()
-    confusions = (measure_confusions(topology, pairs, cfg.confusion_shots, cfg.seed)
-                  if ni_on else None)
-    iterations = cfg.iterations or 50
+    pairs = greedy_select(run.topology, max_pairs=cfg.pairs, fidelity_cap=cap).pairs
+    run.measure_confusions(pairs, cfg.ni)
+    iterations = cfg.iterations if cfg.iterations is not None else 50
 
     rows, artifacts, series = [], [], {}
     final_err = {}
     for si, shots in enumerate(cfg.shots_list):
-        trace = _optimize(cfg, topology, pairs, h, confusions, "spsa", iterations,
-                          len(pairs), shots, (si,))
+        trace = _optimize(run, pairs, "spsa", iterations, len(pairs), shots, (si,))
         err = exact_energy(trace.final_params, h) - e0
         final_err[shots] = err
         trace_path = cfg.out_dir / f"trace_shots{shots}.csv"
@@ -634,12 +632,9 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     if 1000 in final_err and 10_000 in final_err:
         metrics["err_gap_1k_vs_10k"] = abs(final_err[1000] - final_err[10_000])
         metrics["matches_within_0.05"] = metrics["err_gap_1k_vs_10k"] < 0.05
-    record = RunRecord(command="shots-sweep", config=cfg.snapshot(), metrics=metrics,
-                       artifacts=artifacts)
-    record.write(cfg.out_dir / "record.json")
-    print(f"shots-sweep: {len(cfg.shots_list)} shot counts on {len(pairs)} pairs; "
-          f"sim time {time.perf_counter() - t_start:.1f}s")
-    return record
+    return run.finish("shots-sweep", metrics, artifacts,
+                      f"shots-sweep: {len(cfg.shots_list)} shot counts on "
+                      f"{len(pairs)} pairs")
 
 
 # --- optimizer-compare ----------------------------------------------------------
@@ -647,32 +642,29 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
 def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     """Final accuracy of both optimizers across pair counts (medians over
     repeats of the fully corrected final energy)."""
-    t_start = time.perf_counter()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    topology = load_calibration(cfg.calibration)
-    h = HubbardParams()
-    e0 = exact_ground_energy(h)
+    run = _Run(cfg)
     plans = {"spsa": {"iterations": 20, "repeats": 4},
              "mgd": {"iterations": 10, "repeats": 5}}
 
     rows, summary = [], []
     for p_count in cfg.pair_counts:
-        selection = greedy_select(topology, max_pairs=p_count)
-        pairs = selection.pairs
+        pairs = greedy_select(run.topology, max_pairs=p_count).pairs
         if len(pairs) < p_count:
             raise ValueError(f"topology only provides {len(pairs)} pairs")
-        confusions = measure_confusions(topology, pairs, cfg.confusion_shots, cfg.seed)
-        for name, plan in plans.items():
+        run.measure_confusions(pairs)
+        for index, (name, plan) in enumerate(plans.items()):
             finals = []
             for rep in range(plan["repeats"]):
-                trace = _optimize(cfg, topology, pairs, h, confusions, name,
-                                  plan["iterations"], len(pairs), cfg.shots,
-                                  (p_count, rep, 0 if name == "spsa" else 1))
-                levels = _final_tflo_point(topology, pairs, trace.final_params, h,
-                                           cfg, confusions,
-                                           1000 * p_count + 10 * rep
-                                           + (0 if name == "spsa" else 1))
-                err = abs(levels["tflo_ni"] - e0)
+                trace = _optimize(run, pairs, name, plan["iterations"], len(pairs),
+                                  cfg.shots, (p_count, rep, index))
+                key = 1000 * p_count + 10 * rep + index
+                ests, refs, ref_exacts = _measure(
+                    run, [(pair, trace.final_params) for pair in pairs],
+                    derive_seed(cfg.seed, _NS_FINAL, 2 * key),
+                    derive_seed(cfg.seed, _NS_FINAL, 2 * key + 1), tflo=True)
+                levels = _mitigated(aggregate_same_params(ests), aggregate_same_params(refs),
+                                    ref_exacts[0])
+                err = abs(levels["tflo_ni"] - run.e0)
                 finals.append(err)
                 rows.append([name, p_count, rep, trace.final_params.phi,
                              trace.final_params.theta, levels["tflo_ni"], err])
@@ -694,9 +686,5 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     metrics = {"pair_counts": list(cfg.pair_counts),
                "summary": {f"{name}_p{p}": med
                            for name, p, med, _, _ in summary}}
-    record = RunRecord(command="optimizer-compare", config=cfg.snapshot(),
-                       metrics=metrics, artifacts=[runs_path.name, summary_path.name])
-    record.write(cfg.out_dir / "record.json")
-    print(f"optimizer-compare: p in {list(cfg.pair_counts)}; sim time "
-          f"{time.perf_counter() - t_start:.1f}s")
-    return record
+    return run.finish("optimizer-compare", metrics, [runs_path.name, summary_path.name],
+                      f"optimizer-compare: p in {list(cfg.pair_counts)}")

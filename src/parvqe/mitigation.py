@@ -17,9 +17,7 @@ which removes any parameter-independent additive energy bias exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -94,17 +92,3 @@ def invert_readout(measured: ShotHistogram | np.ndarray,
 def tflo_correct(e_measured: float, e_ref_exact: float, e_ref_measured: float) -> float:
     """Offset-correct an energy using one reference point."""
     return e_measured + e_ref_exact - e_ref_measured
-
-
-def save_confusion(confusion: ConfusionMatrix, path: str | Path) -> None:
-    payload = {"matrix": confusion.matrix.tolist(), "shots_used": confusion.shots_used}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_confusion(path: str | Path) -> ConfusionMatrix:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return ConfusionMatrix(matrix=np.asarray(payload["matrix"], dtype=float),
-                           shots_used=payload.get("shots_used"))

@@ -170,8 +170,7 @@ def spsa_run(cfg: SpsaConfig, evaluator: Evaluator, start: AnsatzParams,
         est = evaluator(center)
         records.append(IterationRecord(
             iteration=k, phi=center.phi, theta=center.theta,
-            e_raw=est.value if est.raw_value is None else est.raw_value,
-            e_ni=est.value,
+            e_raw=est.raw_value, e_ni=est.value,
             e_exact=None if exact_fn is None else exact_fn(center)))
         a_k, c_k = cfg.gains(k)
         delta = stream.choice([-1.0, 1.0], size=2)
@@ -230,13 +229,8 @@ def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams
             weights = 1.0 / np.maximum(variances, 1e-12 * mean_var)
             ridge = mean_var / cfg.l ** 2
         coeffs = _fit_surrogate(offsets, values, weights, ridge)
-        raws = [e.raw_value for e in estimates]
-        if any(r is not None for r in raws):
-            raw_vals = np.array([e.value if r is None else r
-                                 for e, r in zip(estimates, raws)])
-            e_raw = float(_fit_surrogate(offsets, raw_vals, weights, ridge)[0])
-        else:
-            e_raw = float(coeffs[0])
+        raws = np.array([e.raw_value for e in estimates])
+        e_raw = float(_fit_surrogate(offsets, raws, weights, ridge)[0])
         center = AnsatzParams(theta[0], theta[1])
         records.append(IterationRecord(
             iteration=k, phi=center.phi, theta=center.theta,

@@ -13,7 +13,6 @@ from parvqe.circuits import (
     NativeGate,
     build_circuit,
     circuit_unitary,
-    format_circuit,
     gate_matrix,
     x_expectations,
     zz_expectation,
@@ -139,12 +138,3 @@ def test_sign_map_frozen():
     target = float(np.real(psi.conj() @ ZZ_OP @ psi))
     assert abs(-raw_product - target) < 1e-10
     assert abs(raw_product - target) > 0.1  # the sign flip is load-bearing
-
-
-def test_format_circuit_dump():
-    text = format_circuit(build_circuit(AnsatzParams(0.0, 0.0),
-                                        MeasurementSetting.HOPPING))
-    lines = text.strip().splitlines()
-    assert lines[0] == "# setting: hopping"
-    assert len(lines) == 8
-    assert any(line.startswith("CZ 0 1") for line in lines)

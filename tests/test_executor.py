@@ -10,6 +10,7 @@ from parvqe.executor import (
     BatchJob,
     CostModel,
     DegenerateCalibration,
+    EnergyEstimate,
     aggregate_same_params,
     calibrate_cost_model,
     estimate_energy,
@@ -149,6 +150,16 @@ def test_estimate_energy_with_confusion_tracks_raw():
     # exact confusion inversion undoes pure readout noise entirely
     assert corrected.value == pytest.approx(exact_energy(a, h), abs=1e-10)
     assert abs(noisy.value - exact_energy(a, h)) > 1e-3
+
+
+def test_raw_value_equals_value_without_inversion():
+    est = estimate_energy(ShotHistogram((40, 30, 20, 10), 100),
+                          ShotHistogram((10, 20, 30, 40), 100))
+    assert est.raw_value == est.value
+    bare = EnergyEstimate(value=-1.25, std_err=0.1, shots_per_setting=100)
+    assert bare.raw_value == bare.value == -1.25
+    pooled = aggregate_same_params([est, bare])
+    assert pooled.raw_value == pooled.value
 
 
 def test_std_err_scales_with_shots():

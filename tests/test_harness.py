@@ -21,6 +21,7 @@ from parvqe.harness import (
     cmd_heatmap,
     cmd_optimizer_compare,
     cmd_shots_sweep,
+    cmd_speedup_sweep,
     cmd_vqe,
     modeled_vqe_wall_times,
     select_pairs,
@@ -38,19 +39,34 @@ def test_config_validation(tmp_path):
         ExperimentConfig(seed=1, out_dir=tmp_path, select="best")
     with pytest.raises(FileNotFoundError):
         ExperimentConfig(seed=1, out_dir=tmp_path, calibration=tmp_path / "nope.json")
-    cfg = ExperimentConfig(seed=1, out_dir=tmp_path, mitigation="tflo+ni")
-    assert cfg.mitigation_flags() == (True, True)
     for workers in (0, -2):
         with pytest.raises(ValueError):
             ExperimentConfig(seed=1, out_dir=tmp_path, workers=workers)
+    for name in ("iterations", "repeats", "grid", "shots", "confusion_shots", "pairs"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            ExperimentConfig(seed=1, out_dir=tmp_path, **{name: 0})
+    for name in ("shots_list", "pair_counts"):
+        with pytest.raises(ValueError, match=f"{name} entries must be >= 1"):
+            ExperimentConfig(seed=1, out_dir=tmp_path, **{name: (2, 0)})
+    with pytest.raises(ValueError, match="unknown optimizer"):
+        ExperimentConfig(seed=1, out_dir=tmp_path, optimizer="adam")
+    for mitigation in ("magic", "tflo+ni", "NI", "ni + tflo"):
+        with pytest.raises(ValueError, match="unknown mitigation"):
+            ExperimentConfig(seed=1, out_dir=tmp_path, mitigation=mitigation)
     with pytest.warns(UserWarning, match="no effect") as caught:
         ExperimentConfig(seed=1, out_dir=tmp_path, workers=2)
     assert len(caught) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ExperimentConfig(seed=1, out_dir=tmp_path, workers=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(seed=1, out_dir=tmp_path, mitigation="magic").mitigation_flags()
+
+
+def test_mitigation_picks_level_and_corrections(tmp_path):
+    want = {"none": ("raw", False, False), "ni": ("ni", True, False),
+            "tflo": ("tflo", False, True), "ni+tflo": ("tflo_ni", True, True)}
+    for mitigation, (level, ni, tflo) in want.items():
+        cfg = ExperimentConfig(seed=1, out_dir=tmp_path, mitigation=mitigation)
+        assert (cfg.level, cfg.ni, cfg.tflo) == (level, ni, tflo)
 
 
 def test_benchmark_outputs(tmp_path):
@@ -137,15 +153,16 @@ def test_vqe_csvs_hold_plain_floats(tmp_path):
 
 
 def test_vqe_rejects_unknown_optimizer(tmp_path):
-    cfg = ExperimentConfig(seed=1, out_dir=tmp_path / "x", optimizer="adam")
     with pytest.raises(ValueError):
+        cfg = ExperimentConfig(seed=1, out_dir=tmp_path / "x", optimizer="adam")
         cmd_vqe(cfg)
+    assert not (tmp_path / "x").exists()
 
 
 def test_speedup_sweep_matches_cost_model(tmp_path):
     cfg = ExperimentConfig(seed=1, out_dir=tmp_path / "sweep", shots=1000,
                            iterations=10, pair_counts=(2, 8, 25))
-    record = cmd_vqe(cfg, speedup_sweep=True)
+    record = cmd_speedup_sweep(cfg)
     rows = read_csv(tmp_path / "sweep" / "speedup_sweep.csv")
     cost = load_cost_model(cfg.cost_model)
     for row in rows:
@@ -279,15 +296,36 @@ def test_cli_rejects_unread_flags(command, flag, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_parses_benchmark_workloads(tmp_path):
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
-    spec = importlib.util.spec_from_file_location("bench_run", path)
-    bench = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = bench
+ZERO_COUNTS = ["vqe --iterations 0", "vqe --repeats 0", "heatmap --grid 0",
+               "shots-sweep --iterations 0", "vqe --optimizer mgd --pairs 0",
+               "shots-sweep --shots-list 100,0", "optimizer-compare --pair-counts 0",
+               "vqe --speedup-sweep --pair-counts 2,0"]
+
+
+@pytest.mark.parametrize("args", ZERO_COUNTS)
+def test_cli_rejects_zero_counts(args, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*args.split(), "--seed", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def load_benchmark_module(name):
+    """A module of benchmarks/, loaded read-only and not left in sys.modules."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     try:
-        spec.loader.exec_module(bench)
+        spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
+    return module
+
+
+def test_cli_parses_benchmark_workloads(tmp_path):
+    bench = load_benchmark_module("run")
     for wl in bench.WORKLOADS.values():
         for argv in filter(None, (wl.argv, wl.serial_argv)):
             args = build_parser().parse_args([*argv, "--seed", "7", "--out", str(tmp_path)])
@@ -301,3 +339,22 @@ def test_cli_import_leaves_scipy_and_networkx_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_counts_batch_circuits(tmp_path):
+    # the benchmark's end-to-end circuits_per_s is read from the results of
+    # parvqe.optimizers.run_batch; losing that binding loses every metric
+    tracer_module = load_benchmark_module("tracer")
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        code = tracer.call(tracer_module.ROOT, cli_main,
+                           (["vqe", "--pairs", "2", "--iterations", "2", "--shots", "50",
+                             "--seed", "7", "--out", str(tmp_path / "vqe")],))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    summary = tracer.summary()
+    assert summary["counters"].get("executor.circuits") == 32
+    assert summary["counters"].get("executor.active_pairs") == 16
+    assert summary["orphans"] == 0

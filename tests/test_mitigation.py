@@ -8,9 +8,7 @@ from parvqe.mitigation import (
     ConfusionMatrix,
     IllConditionedConfusion,
     invert_readout,
-    load_confusion,
     measure_confusion,
-    save_confusion,
     tflo_correct,
 )
 from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram, sample_shots
@@ -81,16 +79,6 @@ def test_confusion_validation():
     not_stochastic = np.eye(4) * 0.9
     with pytest.raises(ValueError):
         ConfusionMatrix(matrix=not_stochastic)
-
-
-def test_confusion_json_roundtrip(tmp_path):
-    noise = PairNoiseSpec(readout=((0.03, 0.01), (0.02, 0.05)))
-    n = measure_confusion(noise, shots=2000, stream=np.random.default_rng(9))
-    path = tmp_path / "confusion.json"
-    save_confusion(n, path)
-    loaded = load_confusion(path)
-    assert np.array_equal(loaded.matrix, n.matrix)
-    assert loaded.shots_used == 2000
 
 
 def test_tflo_formula():
