@@ -86,40 +86,45 @@ class NativeCircuit:
             raise ValueError(f"circuit has {len(self.gates)} gates, expected <= 10")
 
 
-def _rx(q: int, angle: float) -> NativeGate:
-    return NativeGate("RX", angle, (q,))
-
-
-def _rz(q: int, angle: float) -> NativeGate:
-    return NativeGate("RZ", angle, (q,))
+# The one gate template. A gate is (kind, qubit, angle): RX angles are
+# constants, each RZ angle is a function of (phi, theta) that also takes
+# arrays, and CZ acts on both qubits (qubit and angle None). Every circuit
+# is PREFIX (state preparation, onsite evolution, the single CZ and the
+# post-CZ RX on qubit 0) followed by its setting's tail.
+PREFIX = (
+    ("RX", 0, -_HALF_PI),
+    ("RX", 1, -_HALF_PI),
+    ("RZ", 1, lambda phi, theta: -math.pi + 2.0 * phi),
+    ("RX", 1, _HALF_PI),
+    ("CZ", None, None),
+    ("RX", 0, -_HALF_PI),
+)
+TAILS = {
+    MeasurementSetting.ONSITE: (
+        ("RZ", 0, lambda phi, theta: math.pi + 2.0 * theta),
+        ("RX", 0, -_HALF_PI),
+        ("RZ", 1, lambda phi, theta: math.pi - 2.0 * theta),
+        ("RX", 1, _HALF_PI),
+    ),
+    MeasurementSetting.HOPPING: (
+        ("RX", 1, math.pi),
+    ),
+}
+# order of the settings in every per-pair array of distributions or histograms
+SETTINGS = (MeasurementSetting.ONSITE, MeasurementSetting.HOPPING)
 
 
 def build_circuit(a: AnsatzParams, setting: MeasurementSetting) -> NativeCircuit:
-    """Compiled circuit preparing |psi(phi, theta)> for one measurement setting.
-
-    Common prefix (state preparation, onsite evolution, the single CZ and
-    the post-CZ RX on qubit 0), then the setting-specific tail: the
-    hopping setting appends RX(pi) on qubit 1; the onsite setting appends
-    the RZ(pi +- 2 theta) / RX(-+ pi/2) columns on both qubits.
-    """
-    prefix = [
-        _rx(0, -_HALF_PI),
-        _rx(1, -_HALF_PI),
-        _rz(1, -math.pi + 2.0 * a.phi),
-        _rx(1, _HALF_PI),
-        NativeGate("CZ", None, (0, 1)),
-        _rx(0, -_HALF_PI),
-    ]
-    if setting is MeasurementSetting.HOPPING:
-        tail = [_rx(1, math.pi)]
-    else:
-        tail = [
-            _rz(0, math.pi + 2.0 * a.theta),
-            _rx(0, -_HALF_PI),
-            _rz(1, math.pi - 2.0 * a.theta),
-            _rx(1, _HALF_PI),
-        ]
-    return NativeCircuit(gates=tuple(prefix + tail), setting=setting)
+    """Compiled circuit preparing |psi(phi, theta)> for one measurement
+    setting: the template's prefix and that setting's tail."""
+    gates = []
+    for kind, qubit, angle in PREFIX + TAILS[setting]:
+        if kind == "CZ":
+            gates.append(NativeGate("CZ", None, (0, 1)))
+        else:
+            value = angle(a.phi, a.theta) if kind == "RZ" else angle
+            gates.append(NativeGate(kind, value, (qubit,)))
+    return NativeCircuit(gates=tuple(gates), setting=setting)
 
 
 def gate_matrix(gate: NativeGate) -> np.ndarray:

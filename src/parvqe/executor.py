@@ -29,6 +29,7 @@ import numpy as np
 from .circuits import (
     HOPPING_SIGNS,
     ONSITE_ZZ_SIGN,
+    SETTINGS,
     Z0_OUTCOMES,
     Z1_OUTCOMES,
     ZZ_OUTCOMES,
@@ -45,9 +46,6 @@ from .simulator import (
     confusion_maps,
     sample_distribution,
 )
-
-SETTINGS = (MeasurementSetting.ONSITE, MeasurementSetting.HOPPING)
-
 
 @dataclass(frozen=True)
 class BatchJob:

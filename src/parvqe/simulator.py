@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import NativeCircuit, gate_matrix
+from .circuits import PREFIX, SETTINGS, TAILS, NativeCircuit, gate_matrix
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -170,9 +170,13 @@ def sample_shots(rho: np.ndarray, noise: PairNoiseSpec, shots: int,
 # --- batched statevector kernel ---------------------------------------------
 
 _S = math.sqrt(0.5)
-_RX_HALF_PI = np.array([[_S, -1j * _S], [-1j * _S, _S]])     # RX(pi/2)
-_RX_MINUS_HALF_PI = np.array([[_S, 1j * _S], [1j * _S, _S]])  # RX(-pi/2)
-_RX_PI = np.array([[0.0, -1j], [-1j, 0.0]])                   # RX(pi)
+# the template's RX matrices from exact constants, keyed by angle
+_RX = {
+    math.pi / 2: np.array([[_S, -1j * _S], [-1j * _S, _S]]),
+    -math.pi / 2: np.array([[_S, 1j * _S], [1j * _S, _S]]),
+    math.pi: np.array([[0.0, -1j], [-1j, 0.0]]),
+}
+_CZ_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def _rz(angle: np.ndarray) -> np.ndarray:
@@ -183,40 +187,35 @@ def _rz(angle: np.ndarray) -> np.ndarray:
     return g
 
 
-def _on_q0(gate: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 gate (or a stack of them) to qubit 0 of states psi[n, q0, q1]."""
-    return gate @ psi
-
-
-def _on_q1(gate: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 gate (or a stack of them) to qubit 1 of states psi[n, q0, q1]."""
-    return psi @ np.swapaxes(gate, -1, -2)
+def _apply(gates, psi: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Apply template gates to the statevectors psi[n, q0, q1], as 2x2
+    matrices (a stack of them for RZ) on the gate's qubit."""
+    for kind, qubit, angle in gates:
+        if kind == "CZ":
+            psi = psi * _CZ_SIGNS
+            continue
+        g = _rz(angle(phi, theta)) if kind == "RZ" else _RX[angle]
+        psi = g @ psi if qubit == 0 else psi @ np.swapaxes(g, -1, -2)
+    return psi
 
 
 def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
                         confusion: np.ndarray) -> np.ndarray:
-    """Outcome distributions of n pairs, shape (n, 2, 4): onsite, then hopping.
+    """Outcome distributions of n pairs, shape (n, 2, 4), in SETTINGS order.
 
     phi, theta and the effective depolarizing probability p (crosstalk
     included) have shape (n,); confusion holds the (n, 4, 4) readout maps.
-    The gates are those of `circuits.build_circuit`, applied as 2x2
-    matrices to all n statevectors at once. Because the one depolarizing
-    event after the CZ commutes with the unitaries that follow it, each
-    distribution is confusion @ ((1-p) |psi|^2 + p/4).
+    The gate template of `circuits` runs on all n statevectors at once,
+    its prefix once and then each setting's tail. Because the one
+    depolarizing event after the CZ commutes with the unitaries that
+    follow it, each distribution is confusion @ ((1-p) |psi|^2 + p/4).
     """
     n = len(phi)
     psi = np.zeros((n, 2, 2), dtype=complex)
     psi[:, 0, 0] = 1.0
-    psi = _on_q0(_RX_MINUS_HALF_PI, psi)
-    psi = _on_q1(_RX_MINUS_HALF_PI, psi)
-    psi = _on_q1(_rz(-math.pi + 2.0 * phi), psi)
-    psi = _on_q1(_RX_HALF_PI, psi)
-    psi[:, 1, 1] *= -1.0                                   # CZ
-    psi = _on_q0(_RX_MINUS_HALF_PI, psi)
-    onsite = _on_q0(_RX_MINUS_HALF_PI, _on_q0(_rz(math.pi + 2.0 * theta), psi))
-    onsite = _on_q1(_RX_HALF_PI, _on_q1(_rz(math.pi - 2.0 * theta), onsite))
-    hopping = _on_q1(_RX_PI, psi)
-    probs = np.abs(np.stack([onsite, hopping], axis=1).reshape(n, 2, 4)) ** 2
+    psi = _apply(PREFIX, psi, phi, theta)
+    final = np.stack([_apply(TAILS[s], psi, phi, theta) for s in SETTINGS], axis=1)
+    probs = np.abs(final.reshape(n, 2, 4)) ** 2
     probs /= probs.sum(axis=-1, keepdims=True)   # round-off could push an entry past 1
     p = p[:, None, None]
     mixed = (1.0 - p) * probs + p / 4.0
