@@ -17,6 +17,7 @@ import sys
 
 from .harness import (
     ExperimentConfig,
+    InputError,
     cmd_benchmark_pairs,
     cmd_heatmap,
     cmd_optimizer_compare,
@@ -132,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"vqe --speedup-sweep does not read {', '.join(given)}")
     try:
         cfg = config_from_args(args)
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         parser.error(str(exc))
     handlers = {
         "benchmark-pairs": cmd_benchmark_pairs,
@@ -141,7 +142,10 @@ def main(argv: list[str] | None = None) -> int:
         "shots-sweep": cmd_shots_sweep,
         "optimizer-compare": cmd_optimizer_compare,
     }
-    record = handlers[args.command](cfg)
+    try:
+        record = handlers[args.command](cfg)
+    except InputError as exc:
+        parser.error(str(exc))
     print(f"wrote {cfg.out_dir}/record.json ({len(record.artifacts)} artifacts)")
     return 0
 

@@ -103,7 +103,6 @@ def load_calibration(path: str | Path) -> DeviceTopology:
 @dataclass(frozen=True)
 class PairSelection:
     pairs: tuple[Pair, ...]
-    selection_method: str               # 'greedy' or 'matching'
     fidelity_cap: float | None = None
 
     def __post_init__(self):
@@ -132,8 +131,7 @@ def greedy_select(topology: DeviceTopology, max_pairs: int | None = None,
             continue
         chosen.append((a, b))
         used.update((a, b))
-    return PairSelection(pairs=tuple(chosen), selection_method="greedy",
-                         fidelity_cap=fidelity_cap)
+    return PairSelection(pairs=tuple(chosen), fidelity_cap=fidelity_cap)
 
 
 def max_weight_matching(topology: DeviceTopology) -> PairSelection:
@@ -151,7 +149,7 @@ def max_weight_matching(topology: DeviceTopology) -> PairSelection:
         graph.add_edge(a, b, weight=f)
     mate = nx.max_weight_matching(graph, maxcardinality=False)
     pairs = tuple(sorted(_norm_pair(a, b) for a, b in mate))
-    return PairSelection(pairs=pairs, selection_method="matching")
+    return PairSelection(pairs=pairs)
 
 
 def selection_weight(topology: DeviceTopology, selection: PairSelection) -> float:

@@ -189,29 +189,26 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
+class InputError(ValueError):
+    """Inputs the calibration cannot satisfy, rejected before any output
+    directory exists."""
+
+
 def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
                  cap: float | None) -> PairSelection:
     """At most `pairs` pairs at CZ fidelity >= cap, best first. For matching,
     the pairs of the maximum-weight matching are ranked by fidelity, ties
-    broken by pair id."""
+    broken by pair id. An empty selection is an InputError."""
     if select == "matching":
         ranked = sorted((p for p in max_weight_matching(topology).pairs
                          if cap is None or topology.fidelity(p) >= cap),
                         key=lambda p: (-topology.fidelity(p), p))
-        return PairSelection(pairs=tuple(ranked[:pairs]), selection_method="matching",
-                             fidelity_cap=cap)
-    return greedy_select(topology, max_pairs=pairs, fidelity_cap=cap)
-
-
-def measure_confusions(topology: DeviceTopology, pairs, shots: int,
-                       seed: int) -> dict[Pair, ConfusionMatrix]:
-    """One confusion matrix per pair, measured once per run and reused."""
-    out = {}
-    for pair in pairs:
-        noise = noise_spec_for_pair(topology, pair)
-        stream = derive_rng(seed, _NS_CONFUSION, pair[0], pair[1])
-        out[pair] = measure_confusion(noise, shots, stream)
-    return out
+        selection = PairSelection(pairs=tuple(ranked[:pairs]), fidelity_cap=cap)
+    else:
+        selection = greedy_select(topology, max_pairs=pairs, fidelity_cap=cap)
+    if not selection.pairs:
+        raise InputError("selection produced no pairs")
+    return selection
 
 
 class _Run:
@@ -222,10 +219,15 @@ class _Run:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.t_start = time.perf_counter()
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         self.h = HubbardParams()
         self.e0 = exact_ground_energy(self.h)
         self.confusions: dict[Pair, ConfusionMatrix] | None = None
+
+    @cached_property
+    def out_dir(self) -> Path:
+        # made on first use, so inputs rejected before then leave no directory
+        self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.cfg.out_dir
 
     @cached_property
     def topology(self) -> DeviceTopology:
@@ -233,17 +235,22 @@ class _Run:
         return load_calibration(self.cfg.calibration)
 
     def measure_confusions(self, pairs, ni: bool = True) -> None:
-        """The confusion matrices NI applies to every later measurement, or
-        none when NI is off."""
+        """The confusion matrices NI applies to every later measurement, one
+        per pair, or none when NI is off."""
         cfg = self.cfg
-        self.confusions = (measure_confusions(self.topology, pairs, cfg.confusion_shots,
-                                              cfg.seed) if ni else None)
+        self.confusions = None
+        if ni:
+            self.confusions = {
+                pair: measure_confusion(noise_spec_for_pair(self.topology, pair),
+                                        cfg.confusion_shots,
+                                        derive_rng(cfg.seed, _NS_CONFUSION, *pair))
+                for pair in pairs}
 
     def finish(self, command: str, metrics: dict, artifacts: list[str],
                summary: str) -> RunRecord:
         record = RunRecord(command=command, config=self.cfg.snapshot(), metrics=metrics,
                            artifacts=artifacts)
-        record.write(self.cfg.out_dir / "record.json")
+        record.write(self.out_dir / "record.json")
         print(f"{summary}; sim time {time.perf_counter() - self.t_start:.1f}s")
         return record
 
@@ -265,6 +272,15 @@ def _measure(run: _Run, assignments, run_seed: int, ref_seed: int, tflo: bool):
     return (batch(assignments, run_seed),
             batch(references, ref_seed) if tflo else [None] * len(references),
             [exact[params] for _, params in references])
+
+
+def _final_point(run: _Run, pairs, params: AnsatzParams, key: int) -> dict:
+    """Mitigation levels of one final params measured on every pair and
+    pooled, with its phi=0 reference; the seeds derive from `key`."""
+    ests, refs, ref_exacts = _measure(
+        run, [(pair, params) for pair in pairs], derive_seed(run.cfg.seed, _NS_FINAL, 2 * key),
+        derive_seed(run.cfg.seed, _NS_FINAL, 2 * key + 1), tflo=True)
+    return _mitigated(aggregate_same_params(ests), aggregate_same_params(refs), ref_exacts[0])
 
 
 def _mitigated(est: EnergyEstimate, ref: EnergyEstimate | None = None,
@@ -300,11 +316,18 @@ def _optimize(run: _Run, pairs, optimizer, iterations, points, shots, keys) -> O
 
 # --- benchmark-pairs ----------------------------------------------------------
 
+def rank_correlation(x, y) -> float:
+    """Spearman's rho: the Pearson correlation of the ranks, where tied
+    values share the mean of the ranks they span."""
+    def ranks(values):
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return float(np.corrcoef(ranks(x), ranks(y))[0, 1])
+
+
 def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     """Per-pair benchmark at the optimal parameters, individually and in
     increasingly parallel greedy batches, at all mitigation levels."""
-    from scipy.stats import spearmanr   # deferred: scipy.stats is slow to import
-
     run = _Run(cfg)
     topology, e0 = run.topology, run.e0
     opt = optimal_params(run.h)
@@ -322,11 +345,11 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
         indiv_rows.append([pair[0], pair[1], topology.fidelity(pair),
                            levels["raw"], levels["ni"], levels["tflo"],
                            levels["tflo_ni"]])
-    indiv_path = cfg.out_dir / "individual_pairs.csv"
+    indiv_path = run.out_dir / "individual_pairs.csv"
     write_csv(indiv_path, ["pair_a", "pair_b", "fidelity",
                            "e_raw", "e_ni", "e_tflo", "e_tflo_ni"], indiv_rows)
     svgplot.scatter_plot(
-        cfg.out_dir / "individual_pairs.svg",
+        run.out_dir / "individual_pairs.svg",
         {level: ([r[2] for r in indiv_rows],
                  [r[3 + i] for r in indiv_rows])
          for i, level in enumerate(MITIGATION_LEVELS)},
@@ -354,12 +377,12 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
         for level in MITIGATION_LEVELS:
             row.append(abs(float(np.mean(per_level[level])) - e0))
         sweep_rows.append(row)
-    sweep_path = cfg.out_dir / "parallel_sweep.csv"
+    sweep_path = run.out_dir / "parallel_sweep.csv"
     write_csv(sweep_path,
               ["p"] + [f"mean_abs_err_{m}" for m in MITIGATION_LEVELS]
               + [f"pooled_abs_err_{m}" for m in MITIGATION_LEVELS], sweep_rows)
     svgplot.line_plot(
-        cfg.out_dir / "parallel_sweep.svg",
+        run.out_dir / "parallel_sweep.svg",
         {level: ([r[0] for r in sweep_rows], [r[1 + i] for r in sweep_rows])
          for i, level in enumerate(MITIGATION_LEVELS)},
         "mean |error| vs pairs in parallel", "pairs in parallel", "mean |error|")
@@ -371,7 +394,7 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
         for p_count in range(1, len(selection.pairs) + 1):
             row.append(matrix[pair].get(p_count))
         matrix_rows.append(row)
-    matrix_path = cfg.out_dir / "pair_by_p_matrix.csv"
+    matrix_path = run.out_dir / "pair_by_p_matrix.csv"
     write_csv(matrix_path,
               ["pair_a", "pair_b", "fidelity", "individual_err"]
               + [f"err_p{p}" for p in range(1, len(selection.pairs) + 1)],
@@ -379,7 +402,7 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
 
     raw_errs = [r[1] for r in sweep_rows]
     tflo_errs = [r[3] for r in sweep_rows]
-    rho = float(spearmanr(range(1, len(sweep_rows) + 1), raw_errs)[0])
+    rho = rank_correlation(range(1, len(sweep_rows) + 1), raw_errs)
     frac_below = float(np.mean([t < r for t, r in zip(tflo_errs, raw_errs)]))
     metrics = {
         "pairs_benchmarked": len(all_pairs),
@@ -406,18 +429,16 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     n = cfg.grid
     axis = np.linspace(-math.pi, math.pi, n)
     points = [AnsatzParams(float(phi), float(theta)) for phi in axis for theta in axis]
+    n_pairs = cfg.pairs if cfg.pairs is not None else 25
+    pairs = select_pairs(run.topology, cfg.select, n_pairs, cfg.cap).pairs
 
     exact_grid = [[float(closed_form_energy(phi, theta, h)) for theta in axis]
                   for phi in axis]
     exact_rows = [[float(p.phi), float(p.theta),
                    exact_grid[i // n][i % n]] for i, p in enumerate(points)]
-    exact_path = cfg.out_dir / "heatmap_exact.csv"
+    exact_path = run.out_dir / "heatmap_exact.csv"
     write_csv(exact_path, ["phi", "theta", "e_exact"], exact_rows)
 
-    n_pairs = cfg.pairs if cfg.pairs is not None else 25
-    pairs = select_pairs(run.topology, cfg.select, n_pairs, cfg.cap).pairs
-    if not pairs:
-        raise ValueError("selection produced no pairs")
     run.measure_confusions(pairs, cfg.ni)
 
     sim_rows = []
@@ -432,7 +453,7 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
             sim_rows.append([params.phi, params.theta, pair[0], pair[1], est.value,
                              value, abs(value - e_exact)])
 
-    sim_path = cfg.out_dir / "heatmap_simulated.csv"
+    sim_path = run.out_dir / "heatmap_simulated.csv"
     write_csv(sim_path, ["phi", "theta", "pair_a", "pair_b",
                          "e_estimate", "e_corrected", "abs_err"], sim_rows)
 
@@ -442,11 +463,11 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
         sim_grid[i // n][i % n] = row[5]
         err_grid[i // n][i % n] = row[6]
     extent = (-math.pi, math.pi, -math.pi, math.pi)
-    svgplot.heatmap(cfg.out_dir / "heatmap_exact.svg", exact_grid,
+    svgplot.heatmap(run.out_dir / "heatmap_exact.svg", exact_grid,
                     "exact energy landscape", "phi", "theta", extent)
-    svgplot.heatmap(cfg.out_dir / "heatmap_simulated.svg", sim_grid,
+    svgplot.heatmap(run.out_dir / "heatmap_simulated.svg", sim_grid,
                     "simulated energy landscape", "phi", "theta", extent)
-    svgplot.heatmap(cfg.out_dir / "heatmap_error.svg", err_grid,
+    svgplot.heatmap(run.out_dir / "heatmap_error.svg", err_grid,
                     "absolute error", "phi", "theta", extent)
 
     cost = load_cost_model(cfg.cost_model)
@@ -498,7 +519,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     h, e0 = run.h, run.e0
     pairs = select_pairs(run.topology, cfg.select, cfg.pairs, cfg.cap).pairs
     if cfg.pairs is not None and len(pairs) != cfg.pairs:
-        raise ValueError(f"selection yields {len(pairs)} pairs, requested {cfg.pairs}")
+        raise InputError(f"selection yields {len(pairs)} pairs, requested {cfg.pairs}")
     run.measure_confusions(pairs, cfg.ni)
     default_iterations = 50 if cfg.optimizer == "spsa" else 40
     iterations = cfg.iterations if cfg.iterations is not None else default_iterations
@@ -510,14 +531,10 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     for rep in range(cfg.repeats):
         trace = _optimize(run, pairs, cfg.optimizer, iterations, points, cfg.shots, (rep,))
         final = trace.final_params
-        ests, refs, ref_exacts = _measure(
-            run, [(pair, final) for pair in pairs], derive_seed(cfg.seed, _NS_FINAL, 2 * rep),
-            derive_seed(cfg.seed, _NS_FINAL, 2 * rep + 1), tflo=True)
-        levels = _mitigated(aggregate_same_params(ests), aggregate_same_params(refs),
-                            ref_exacts[0])
+        levels = _final_point(run, pairs, final, rep)
         corrected = levels[cfg.level]
-        trace_path = cfg.out_dir / f"trace_rep{rep}.csv"
-        trace.write(trace_path, cfg.out_dir / f"trace_rep{rep}.json")
+        trace_path = run.out_dir / f"trace_rep{rep}.csv"
+        trace.write(trace_path, run.out_dir / f"trace_rep{rep}.json")
         artifacts.append(trace_path.name)
         summary_rows.append([rep, final.phi, final.theta,
                              levels["raw"], levels["ni"], levels["tflo"],
@@ -526,14 +543,14 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
         if rep == 0:
             its = [r.iteration for r in trace.records]
             svgplot.line_plot(
-                cfg.out_dir / "trace_rep0.svg",
+                run.out_dir / "trace_rep0.svg",
                 {"estimate": (its, [r.e_ni for r in trace.records]),
                  "raw": (its, [r.e_raw for r in trace.records]),
                  "exact at params": (its, [r.e_exact for r in trace.records])},
                 f"{cfg.optimizer} on {len(pairs)} pair(s)", "iteration", "energy",
                 hlines={"exact ground": e0})
 
-    summary_path = cfg.out_dir / "summary.csv"
+    summary_path = run.out_dir / "summary.csv"
     write_csv(summary_path,
               ["repeat", "final_phi", "final_theta", "final_raw", "final_ni",
                "final_tflo", "final_tflo_ni", "final_corrected",
@@ -578,9 +595,9 @@ def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
         mgd_par, mgd_single = modeled_vqe_wall_times(
             cost, "mgd", p, p, iterations, cfg.shots)
         rows.append([p, spsa_single / spsa_par, mgd_single / mgd_par])
-    path = cfg.out_dir / "speedup_sweep.csv"
+    path = run.out_dir / "speedup_sweep.csv"
     write_csv(path, ["p", "spsa_speedup", "mgd_speedup"], rows)
-    svgplot.line_plot(cfg.out_dir / "speedup_sweep.svg",
+    svgplot.line_plot(run.out_dir / "speedup_sweep.svg",
                       {"spsa": ([r[0] for r in rows], [r[1] for r in rows]),
                        "mgd": ([r[0] for r in rows], [r[2] for r in rows])},
                       "modelled speedup vs pairs", "pairs in parallel", "speedup")
@@ -598,7 +615,7 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     run = _Run(cfg)
     h, e0 = run.h, run.e0
     cap = cfg.cap if cfg.cap is not None else 0.90
-    pairs = greedy_select(run.topology, max_pairs=cfg.pairs, fidelity_cap=cap).pairs
+    pairs = select_pairs(run.topology, "greedy", cfg.pairs, cap).pairs
     run.measure_confusions(pairs, cfg.ni)
     iterations = cfg.iterations if cfg.iterations is not None else 50
 
@@ -608,18 +625,18 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
         trace = _optimize(run, pairs, "spsa", iterations, len(pairs), shots, (si,))
         err = exact_energy(trace.final_params, h) - e0
         final_err[shots] = err
-        trace_path = cfg.out_dir / f"trace_shots{shots}.csv"
+        trace_path = run.out_dir / f"trace_shots{shots}.csv"
         trace.write(trace_path)
         artifacts.append(trace_path.name)
         rows.append([shots, trace.final_params.phi, trace.final_params.theta, err,
                      min(r.e_exact - e0 for r in trace.records)])
         series[f"{shots} shots"] = ([r.iteration for r in trace.records],
                                     [r.e_exact for r in trace.records])
-    summary_path = cfg.out_dir / "shots_summary.csv"
+    summary_path = run.out_dir / "shots_summary.csv"
     write_csv(summary_path, ["shots", "final_phi", "final_theta",
                              "final_exact_err", "best_exact_err"], rows)
     artifacts.append(summary_path.name)
-    svgplot.line_plot(cfg.out_dir / "shots_sweep.svg", series,
+    svgplot.line_plot(run.out_dir / "shots_sweep.svg", series,
                       f"SPSA on {len(pairs)} pairs: exact energy at iterates",
                       "iteration", "exact energy", hlines={"exact ground": e0})
 
@@ -646,24 +663,22 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     plans = {"spsa": {"iterations": 20, "repeats": 4},
              "mgd": {"iterations": 10, "repeats": 5}}
 
+    available = len(greedy_select(run.topology).pairs)
+    if max(cfg.pair_counts) > available:
+        raise InputError(f"pair count {max(cfg.pair_counts)} exceeds the {available} pairs "
+                         "greedy selection provides")
+
     rows, summary = [], []
     for p_count in cfg.pair_counts:
         pairs = greedy_select(run.topology, max_pairs=p_count).pairs
-        if len(pairs) < p_count:
-            raise ValueError(f"topology only provides {len(pairs)} pairs")
         run.measure_confusions(pairs)
         for index, (name, plan) in enumerate(plans.items()):
             finals = []
             for rep in range(plan["repeats"]):
                 trace = _optimize(run, pairs, name, plan["iterations"], len(pairs),
                                   cfg.shots, (p_count, rep, index))
-                key = 1000 * p_count + 10 * rep + index
-                ests, refs, ref_exacts = _measure(
-                    run, [(pair, trace.final_params) for pair in pairs],
-                    derive_seed(cfg.seed, _NS_FINAL, 2 * key),
-                    derive_seed(cfg.seed, _NS_FINAL, 2 * key + 1), tflo=True)
-                levels = _mitigated(aggregate_same_params(ests), aggregate_same_params(refs),
-                                    ref_exacts[0])
+                levels = _final_point(run, pairs, trace.final_params,
+                                      1000 * p_count + 10 * rep + index)
                 err = abs(levels["tflo_ni"] - run.e0)
                 finals.append(err)
                 rows.append([name, p_count, rep, trace.final_params.phi,
@@ -671,14 +686,14 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
             summary.append([name, p_count, float(np.median(finals)),
                             min(finals), max(finals)])
 
-    runs_path = cfg.out_dir / "compare_runs.csv"
+    runs_path = run.out_dir / "compare_runs.csv"
     write_csv(runs_path, ["optimizer", "p", "repeat", "final_phi", "final_theta",
                           "final_tflo_ni", "final_abs_err"], rows)
-    summary_path = cfg.out_dir / "compare_summary.csv"
+    summary_path = run.out_dir / "compare_summary.csv"
     write_csv(summary_path, ["optimizer", "p", "median_abs_err",
                              "min_abs_err", "max_abs_err"], summary)
     svgplot.line_plot(
-        cfg.out_dir / "compare_summary.svg",
+        run.out_dir / "compare_summary.svg",
         {name: ([r[1] for r in summary if r[0] == name],
                 [r[2] for r in summary if r[0] == name]) for name in plans},
         "median final |error| vs pairs", "pairs in parallel", "median |error|")

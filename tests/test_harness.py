@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import parvqe
@@ -24,6 +25,7 @@ from parvqe.harness import (
     cmd_speedup_sweep,
     cmd_vqe,
     modeled_vqe_wall_times,
+    rank_correlation,
     select_pairs,
 )
 from parvqe import __version__
@@ -308,6 +310,42 @@ def test_cli_rejects_zero_counts(args, tmp_path, capsys):
         cli_main([*args.split(), "--seed", "1", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rank_correlation_matches_spearman_with_ties():
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(3, 30))
+        x = rng.integers(0, 5, n)            # few distinct values: many ties
+        x[:2] = (0, 1)                       # never constant
+        y = np.round(rng.normal(size=n), 1)
+        y[rng.integers(n)] = y[0]            # at least one tie in y too
+        assert rank_correlation(x, y) == pytest.approx(spearmanr(x, y)[0], abs=1e-12)
+
+
+# inputs the shipped calibration (33 greedy pairs) or the file system cannot satisfy
+IMPOSSIBLE = {
+    "compare-pair-counts": ("optimizer-compare --pair-counts 2,40 --shots 20",
+                            "exceeds the 33 pairs"),
+    "vqe-pairs": ("vqe --pairs 40", "selection yields 33 pairs"),
+    "empty-selection": ("shots-sweep --cap 0.999 --iterations 2",
+                        "selection produced no pairs"),
+    "calibration": ("vqe --calibration {missing}", "not found"),
+    "cost-model": ("heatmap --cost-model {missing}", "not found"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPOSSIBLE))
+def test_cli_rejects_impossible_inputs_before_output(case, tmp_path, capsys):
+    args, message = IMPOSSIBLE[case]
+    argv = args.format(missing=tmp_path / "missing.json").split()
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, "--seed", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
