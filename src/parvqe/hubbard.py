@@ -156,26 +156,13 @@ def grid_minimum(n: int = 200, h: HubbardParams = HubbardParams()):
 
 
 def optimal_params(h: HubbardParams = HubbardParams()) -> AnsatzParams:
-    """Ansatz angles minimising the exact energy (grid scan + local polish).
-
-    The energy is periodic (period pi in phi, pi/2 in theta) and invariant
-    under the joint sign flip, so the result is reduced to the canonical
-    representative with phi >= 0.
+    """Closed-form minimiser of the energy: theta* = pi/(8t) makes
+    sin(4 t theta) = 1, and phi* = atan2(u/2, 2t)/u then minimises
+    (u/2)(1 - sin(u phi)) - 2t cos(u phi) at u/2 - sqrt(u^2/4 + 4t^2), the
+    ground energy. It is the representative with phi, theta > 0; the
+    energy has periods 2 pi/u in phi and pi/(2t) in theta and is invariant
+    under the joint sign flip. With t = 0 or u = 0 the minimum is not unique.
     """
-    from scipy.optimize import minimize
-
-    phi0, theta0, _ = grid_minimum(200, h)
-    res = minimize(
-        lambda v: exact_energy(AnsatzParams(v[0], v[1]), h),
-        [phi0, theta0],
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12},
-    )
-
-    def wrap(x: float, period: float) -> float:
-        return x - period * round(x / period)
-
-    phi, theta = wrap(float(res.x[0]), math.pi), wrap(float(res.x[1]), math.pi / 2)
-    if phi < 0:
-        phi, theta = -phi, -theta
-    return AnsatzParams(phi, theta)
+    if h.t == 0 or h.u == 0:
+        raise ValueError(f"no unique optimum at t={h.t}, u={h.u}")
+    return AnsatzParams(math.atan2(h.u / 2.0, 2.0 * h.t) / h.u, math.pi / (8.0 * h.t))

@@ -64,19 +64,19 @@ CASES = {
 GOLDEN = {
     "benchmark-pairs": {
         "individual_pairs.csv":
-            "8f6e579fa59c7116570e92f07c4eac6ce7accb244ea35a285c5f919447e742c7",
+            "cf346506a9785a59d8d3afc82c25d0f36d00a17802d879b18da4f5133982482a",
         "pair_by_p_matrix.csv":
-            "4a29c91e315d3b613714d3ef4c64a23c715367915e19e3d9154f6e589b60cdca",
+            "6a5e12962abbd990c46679b3a49aedbb0475e54760f35546f834465db9246dcc",
         "parallel_sweep.csv":
-            "12000a6f3070856964c921b23641e904aebef32bd38ccbb1ccea05eb3ce10bc7",
+            "9f00b0e2e26fdcaa92d0e801e713471090c17e00edad2f425e8a625eead5f8a6",
     },
     "benchmark-pairs-ring": {
         "individual_pairs.csv":
-            "124760caf418bb63b1ef5bba4e7c4f1869d01f11bc17df43d7a662a9e276ee03",
+            "962e15443f23bfe5b783393221c39f46089315d9005dbbe772c23299c01ece48",
         "pair_by_p_matrix.csv":
-            "357be5a303dea503d64a7c83fd15ec98da6b205ed90478cb4d6b15693fd87bfe",
+            "1d9388021dea23559bbf92aeee098e65ae2f697eec9269abceb50833a89d118d",
         "parallel_sweep.csv":
-            "73040c19b685aa85957cdce936caadb41efd06eaa9ba6bb3edfb3eed750c5e2f",
+            "bb8636e4e25e1b64f37e5bb623870b9d4ac212744d93ed51f11f49f4beceb615",
     },
     "heatmap-matching": {
         "heatmap_exact.csv":

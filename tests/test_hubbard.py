@@ -181,3 +181,51 @@ def test_optimal_params_location_modulo_symmetry():
     assert abs(exact_energy(opt) - E_GROUND) < 1e-9
     assert abs(abs(opt.phi) - PHI_STAR) < 1e-5
     assert abs(abs(opt.theta) - math.pi / 8) < 1e-5
+
+
+def numerical_optimum(h):
+    """Reference search: the 200x200 grid minimum polished by Nelder-Mead on
+    the energy, then on the energy variance |(H - E) psi|^2. Near the
+    minimum the energy moves only quadratically, so the energy search alone
+    places the angles to about sqrt(machine epsilon) (1.6e-8 at t=1.3,
+    u=0.7); the variance, zero at the ground state, places them to about
+    machine epsilon."""
+    from scipy.optimize import minimize
+
+    matrix = hamiltonian(h).matrix
+
+    def variance(v):
+        psi = ideal_state(AnsatzParams(v[0], v[1]), h)
+        h_psi = matrix @ psi
+        residual = h_psi - np.real(psi.conj() @ h_psi) * psi
+        return float(np.real(np.vdot(residual, residual)))
+
+    phi0, theta0, _ = grid_minimum(200, h)
+    res = minimize(lambda v: exact_energy(AnsatzParams(v[0], v[1]), h), [phi0, theta0],
+                   method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
+    res = minimize(variance, res.x, method="Nelder-Mead",
+                   options={"xatol": 1e-14, "fatol": 1e-30})
+    return float(res.x[0]), float(res.x[1])
+
+
+def wrapped(x, period):
+    return x - period * round(x / period)
+
+
+@pytest.mark.parametrize("t,u", [(1.0, 2.0), (0.5, 3.0), (1.3, 0.7)])
+def test_optimal_params_matches_numerical_search(t, u):
+    h = HubbardParams(t=t, u=u)
+    opt = optimal_params(h)
+    phi, theta = numerical_optimum(h)
+    # equal modulo the periods, up to the joint sign flip
+    dev = min(max(abs(wrapped(phi - s * opt.phi, 2 * math.pi / u)),
+                  abs(wrapped(theta - s * opt.theta, math.pi / (2 * t))))
+              for s in (1, -1))
+    assert dev < 1e-8
+    assert abs(exact_energy(opt, h) - exact_ground_energy(h)) < 1e-12
+
+
+@pytest.mark.parametrize("t,u", [(0.0, 2.0), (1.0, 0.0)])
+def test_optimal_params_rejects_degenerate_models(t, u):
+    with pytest.raises(ValueError):
+        optimal_params(HubbardParams(t=t, u=u))
