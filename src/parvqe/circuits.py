@@ -106,9 +106,7 @@ TAILS = {
         ("RZ", 1, lambda phi, theta: math.pi - 2.0 * theta),
         ("RX", 1, _HALF_PI),
     ),
-    MeasurementSetting.HOPPING: (
-        ("RX", 1, math.pi),
-    ),
+    MeasurementSetting.HOPPING: (("RX", 1, math.pi),),
 }
 # order of the settings in every per-pair array of distributions or histograms
 SETTINGS = (MeasurementSetting.ONSITE, MeasurementSetting.HOPPING)

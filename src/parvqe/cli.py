@@ -131,10 +131,6 @@ def main(argv: list[str] | None = None) -> int:
                  if any(tok == flag or tok.startswith(flag + "=") for tok in argv)]
         if given:
             parser.error(f"vqe --speedup-sweep does not read {', '.join(given)}")
-    try:
-        cfg = config_from_args(args)
-    except (ValueError, FileNotFoundError) as exc:
-        parser.error(str(exc))
     handlers = {
         "benchmark-pairs": cmd_benchmark_pairs,
         "heatmap": cmd_heatmap,
@@ -143,8 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         "optimizer-compare": cmd_optimizer_compare,
     }
     try:
+        cfg = config_from_args(args)
         record = handlers[args.command](cfg)
-    except InputError as exc:
+    except (InputError, FileNotFoundError) as exc:
         parser.error(str(exc))
     print(f"wrote {cfg.out_dir}/record.json ({len(record.artifacts)} artifacts)")
     return 0

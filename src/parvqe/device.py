@@ -74,12 +74,9 @@ class DeviceTopology:
         except KeyError:
             raise CalibrationError(f"pair {pair} is not an edge of the topology")
 
-    def adjacent(self, a: int, b: int) -> bool:
-        return _norm_pair(a, b) in self.edge_map()
-
     def pairs_are_neighbors(self, p: Pair, q: Pair) -> bool:
         """True when some endpoint of p is connected to some endpoint of q."""
-        return any(self.adjacent(x, y) for x in p for y in q)
+        return any(self.has_edge((x, y)) for x in p for y in q)
 
 
 def load_calibration(path: str | Path) -> DeviceTopology:

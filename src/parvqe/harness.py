@@ -84,6 +84,11 @@ def default_cost_model_path() -> Path:
     return Path(resources.files("parvqe").joinpath("data/default_cost_model.json"))
 
 
+class InputError(ValueError):
+    """An input the run cannot satisfy, rejected before any output
+    directory exists."""
+
+
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -112,20 +117,20 @@ class ExperimentConfig:
         self.calibration = Path(self.calibration)
         self.cost_model = Path(self.cost_model)
         if self.select not in ("greedy", "matching"):
-            raise ValueError(f"unknown selection method {self.select!r}")
+            raise InputError(f"unknown selection method {self.select!r}")
         if self.optimizer not in ("spsa", "mgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise InputError(f"unknown optimizer {self.optimizer!r}")
         if self.mitigation not in _LEVEL_OF_MITIGATION:
-            raise ValueError(f"unknown mitigation {self.mitigation!r}")
+            raise InputError(f"unknown mitigation {self.mitigation!r}")
         for name in ("pairs", "shots", "confusion_shots", "iterations", "repeats", "grid",
                      "workers"):
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+                raise InputError(f"{name} must be >= 1, got {value}")
         for name in ("shots_list", "pair_counts"):
             values = getattr(self, name)
             if min(values, default=1) < 1:
-                raise ValueError(f"{name} entries must be >= 1, got {values}")
+                raise InputError(f"{name} entries must be >= 1, got {values}")
         if not self.calibration.exists():
             raise FileNotFoundError(f"calibration file {self.calibration} not found")
         if not self.cost_model.exists():
@@ -187,11 +192,6 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-
-
-class InputError(ValueError):
-    """Inputs the calibration cannot satisfy, rejected before any output
-    directory exists."""
 
 
 def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
@@ -663,14 +663,14 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     plans = {"spsa": {"iterations": 20, "repeats": 4},
              "mgd": {"iterations": 10, "repeats": 5}}
 
-    available = len(greedy_select(run.topology).pairs)
-    if max(cfg.pair_counts) > available:
-        raise InputError(f"pair count {max(cfg.pair_counts)} exceeds the {available} pairs "
-                         "greedy selection provides")
+    greedy = greedy_select(run.topology).pairs
+    if max(cfg.pair_counts) > len(greedy):
+        raise InputError(f"pair count {max(cfg.pair_counts)} exceeds the {len(greedy)} "
+                         "pairs greedy selection provides")
 
     rows, summary = [], []
     for p_count in cfg.pair_counts:
-        pairs = greedy_select(run.topology, max_pairs=p_count).pairs
+        pairs = greedy[:p_count]
         run.measure_confusions(pairs)
         for index, (name, plan) in enumerate(plans.items()):
             finals = []
