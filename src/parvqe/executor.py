@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +124,96 @@ def run_batch(job: BatchJob, topology: DeviceTopology,
             for i, (pair, params) in enumerate(job.assignments)]
 
 
+class Estimates(NamedTuple):
+    """Energy estimates of a batch's rows: value (noise-inverted when the
+    table has confusions), its multinomial standard error, and raw, the
+    estimate before readout inversion (value itself without NI)."""
+
+    value: np.ndarray
+    std_err: np.ndarray
+    raw: np.ndarray
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """A selection of pairs compiled once for every batch run on it.
+
+    Row i holds pair i's depolarizing probability without (p) and with
+    (p_crosstalk) crosstalk, its (4, 4) readout map and its (2, 4)
+    estimation coefficients: per setting, inverse.T @ c with a confusion
+    matrix, the raw outcome coefficients c without. neighbours[i, j] says
+    rows i and j are joined by an edge; it is None when crosstalk_p is 0.
+    A batch runs any subset of rows, so the table itself need not be
+    vertex-disjoint.
+    """
+
+    pairs: tuple[Pair, ...]
+    qubits: np.ndarray                # (n, 2)
+    p: np.ndarray                     # (n,)
+    p_crosstalk: np.ndarray           # (n,)
+    neighbours: np.ndarray | None     # (n, n) bool
+    confusion: np.ndarray             # (n, 4, 4)
+    coeffs: np.ndarray                # (n, 2, 4)
+    raw_coeffs: np.ndarray            # (2, 4)
+    offset: float                     # u/2, the constant energy term
+    ni: bool
+
+
+def setting_coefficients(h: HubbardParams) -> np.ndarray:
+    """Outcome coefficients c of the two settings, shape (2, 4) in SETTINGS
+    order: E = u/2 + c[0] @ p_onsite + c[1] @ p_hopping."""
+    return np.array([(h.u / 2.0) * ONSITE_ZZ_SIGN * ZZ_OUTCOMES,
+                     -h.t * (HOPPING_SIGNS[0] * Z0_OUTCOMES + HOPPING_SIGNS[1] * Z1_OUTCOMES)])
+
+
+def compile_pairs(topology: DeviceTopology, pairs, h: HubbardParams = HubbardParams(),
+                  confusions: dict[Pair, ConfusionMatrix] | None = None,
+                  crosstalk_p: float = 0.0) -> PairTable:
+    """Compile pairs (each an edge of the topology) into a PairTable; with
+    confusions, estimates of its rows are noise-inverted."""
+    pairs = tuple(pairs)
+    n = len(pairs)
+    noises = [noise_spec_for_pair(topology, pair, crosstalk_p=crosstalk_p) for pair in pairs]
+    neighbours = None
+    if crosstalk_p > 0.0:
+        neighbours = np.array([[i != j and topology.pairs_are_neighbors(a, b)
+                                for j, b in enumerate(pairs)]
+                               for i, a in enumerate(pairs)], dtype=bool).reshape(n, n)
+    c = setting_coefficients(h)
+    if confusions is None:
+        coeffs = np.broadcast_to(c, (n, 2, 4))
+    else:
+        inverse = np.array([confusions[pair].inverse for pair in pairs]).reshape(n, 4, 4)
+        coeffs = np.einsum("nji,kj->nki", inverse, c)
+    return PairTable(
+        pairs=pairs, qubits=np.array(pairs, dtype=int).reshape(n, 2),
+        p=np.array([noise.effective_p(False) for noise in noises]),
+        p_crosstalk=np.array([noise.effective_p(True) for noise in noises]),
+        neighbours=neighbours,
+        confusion=confusion_maps(np.array([noise.readout for noise in noises]).reshape(n, 2, 2)),
+        coeffs=coeffs, raw_coeffs=c, offset=h.u / 2.0, ni=confusions is not None)
+
+
+def estimate_counts(table: PairTable, rows, counts: np.ndarray, shots: int) -> Estimates:
+    """Estimate the energy of every row from its (2, 4) outcome counts.
+
+    counts has shape (len(rows), 2, 4), each setting summing to shots.
+    Per row, value = u/2 + sum_k coeffs_k @ f_k over the frequencies f,
+    and the variance sums (coeffs_k**2 @ f_k - (coeffs_k @ f_k)**2) / shots
+    over the settings, each term clipped at 0: the plug-in multinomial
+    variance that `estimate_energy` computes one pair at a time.
+    """
+    freqs = counts / shots
+    coeffs = table.coeffs[rows]
+    mean = np.einsum("nkj,nkj->nk", coeffs, freqs)
+    second = np.einsum("nkj,nkj->nk", coeffs * coeffs, freqs)
+    value = table.offset + mean.sum(axis=1)
+    std_err = np.sqrt(np.maximum(second - mean ** 2, 0.0).sum(axis=1) / shots)
+    raw = (table.offset + np.einsum("kj,nkj->n", table.raw_coeffs, freqs)
+           if table.ni else value)
+    return Estimates(value=value, std_err=std_err, raw=raw)
+
+
 def _as_distribution(measured) -> tuple[np.ndarray, int | None]:
     if measured is None:
         raise ValueError("both measurement settings are required")
@@ -157,8 +248,7 @@ def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
     if shots_on is not None and shots_on != shots_hop:
         raise ValueError(f"shot mismatch between settings: {shots_on} vs {shots_hop}")
 
-    c_on = (h.u / 2.0) * ONSITE_ZZ_SIGN * ZZ_OUTCOMES
-    c_hop = -h.t * (HOPPING_SIGNS[0] * Z0_OUTCOMES + HOPPING_SIGNS[1] * Z1_OUTCOMES)
+    c_on, c_hop = setting_coefficients(h)
 
     def combine(con, chop):
         return h.u / 2.0 + float(con @ p_on) + float(chop @ p_hop)

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from parvqe.device import DeviceTopology
+from parvqe.device import DeviceTopology, noise_spec_for_pair
 from parvqe.executor import (
     BatchJob,
     CostModel,
@@ -13,6 +14,8 @@ from parvqe.executor import (
     EnergyEstimate,
     aggregate_same_params,
     calibrate_cost_model,
+    compile_pairs,
+    estimate_counts,
     estimate_energy,
     estimate_for_result,
     exact_expectation_energy,
@@ -150,6 +153,50 @@ def test_estimate_energy_with_confusion_tracks_raw():
     # exact confusion inversion undoes pure readout noise entirely
     assert corrected.value == pytest.approx(exact_energy(a, h), abs=1e-10)
     assert abs(noisy.value - exact_energy(a, h)) > 1e-3
+
+
+rates = st.floats(0.0, 0.15)
+
+
+@st.composite
+def columnar_cases(draw):
+    """A table of 1-3 disjoint pairs with random readout rates and Hubbard
+    constants, NI on or off (sampled or exact confusions), a row order and
+    random counts of each row's two settings."""
+    n = draw(st.integers(1, 3))
+    readout = {q: (draw(rates), draw(rates)) for q in range(2 * n)}
+    topo = DeviceTopology(qubits=tuple(range(2 * n)),
+                          edges=tuple((2 * i, 2 * i + 1, 0.95) for i in range(n)),
+                          readout=readout)
+    pairs = [(2 * i, 2 * i + 1) for i in range(n)]
+    h = HubbardParams(t=draw(st.floats(0.0, 3.0)), u=draw(st.floats(0.0, 3.0)))
+    confusions = None
+    if draw(st.booleans()):
+        confusion_shots = draw(st.none() | st.integers(1000, 10 ** 5))
+        stream = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+        confusions = {pair: measure_confusion(noise_spec_for_pair(topo, pair),
+                                              confusion_shots, stream)
+                      for pair in pairs}
+    rows = np.array(draw(st.permutations(range(n))))
+    shots = draw(st.integers(1, 10 ** 5))
+    cuts = st.lists(st.integers(0, shots), min_size=3, max_size=3)
+    counts = np.array([[np.diff([0, *sorted(draw(cuts)), shots]) for _ in range(2)]
+                       for _ in rows])
+    return compile_pairs(topo, pairs, h, confusions), confusions, h, rows, counts, shots
+
+
+@given(columnar_cases())
+def test_columnar_estimator_matches_estimate_energy(case):
+    table, confusions, h, rows, counts, shots = case
+    est = estimate_counts(table, rows, counts, shots)
+    for i, row in enumerate(rows):
+        onsite, hopping = (ShotHistogram(tuple(int(c) for c in counts[i, k]), shots)
+                           for k in range(2))
+        ref = estimate_energy(onsite, hopping, h,
+                              None if confusions is None else confusions[table.pairs[row]])
+        assert abs(est.value[i] - ref.value) <= 1e-12
+        assert abs(est.std_err[i] - ref.std_err) <= 1e-12
+        assert abs(est.raw[i] - ref.raw_value) <= 1e-12
 
 
 def test_raw_value_equals_value_without_inversion():
