@@ -23,11 +23,14 @@ from .device import DeviceTopology, PairSelection, greedy_select, load_calibrati
 from .device import max_weight_matching, noise_spec_for_pair
 from .mitigation import ConfusionMatrix, invert_readout, measure_confusion, tflo_correct
 from .executor import (
-    BatchJob,
     CostModel,
     EnergyEstimate,
+    Estimates,
+    PairTable,
     aggregate_same_params,
     calibrate_cost_model,
+    compile_pairs,
+    estimate_counts,
     estimate_energy,
     predict_wall_time,
     run_batch,
@@ -42,8 +45,9 @@ __all__ = [
     "DeviceTopology", "PairSelection", "greedy_select", "load_calibration",
     "max_weight_matching", "noise_spec_for_pair",
     "ConfusionMatrix", "invert_readout", "measure_confusion", "tflo_correct",
-    "BatchJob", "CostModel", "EnergyEstimate", "aggregate_same_params",
-    "calibrate_cost_model", "estimate_energy", "predict_wall_time", "run_batch",
+    "CostModel", "EnergyEstimate", "Estimates", "PairTable", "aggregate_same_params",
+    "calibrate_cost_model", "compile_pairs", "estimate_counts", "estimate_energy",
+    "predict_wall_time", "run_batch",
     "MgdConfig", "OptTrace", "SpsaConfig", "mgd_run", "n_points_from_eta", "spsa_run",
     "__version__",
 ]

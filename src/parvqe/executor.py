@@ -1,10 +1,13 @@
 """Batched execution of pair circuits, energy estimation and cost modelling.
 
-A batch assigns ansatz parameters to vertex-disjoint qubit pairs and runs
-both measurement settings on every pair. The whole batch is simulated in
-one vectorized pass. Execution is deterministic: the random stream of
-each (pair, setting) task is derived from the job seed and the task
-indices.
+A run compiles its selected pairs once into a PairTable: per pair the
+depolarizing probabilities, the readout map and the estimation
+coefficients (noise-inverted when NI is on). A batch assigns ansatz
+parameters to vertex-disjoint rows of the table and runs both
+measurement settings on every row. The whole batch is simulated in one
+vectorized pass, its histograms come from one multinomial draw on one
+stream seeded by the batch seed, and its energies are estimated as
+arrays, so execution is deterministic and holds no per-pair objects.
 
 Wall-clock time of a batched run on a remote device is modelled, not
 measured, as
@@ -27,55 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import (
-    HOPPING_SIGNS,
-    ONSITE_ZZ_SIGN,
-    SETTINGS,
-    Z0_OUTCOMES,
-    Z1_OUTCOMES,
-    ZZ_OUTCOMES,
-    MeasurementSetting,
-)
+from .circuits import HOPPING_SIGNS, ONSITE_ZZ_SIGN, Z0_OUTCOMES, Z1_OUTCOMES, ZZ_OUTCOMES
 from .device import DeviceTopology, Pair, noise_spec_for_pair
 from .hubbard import AnsatzParams, HubbardParams
 from .mitigation import ConfusionMatrix
-from .seeding import derive_rng
-from .simulator import (
-    PairNoiseSpec,
-    ShotHistogram,
-    batch_distributions,
-    confusion_maps,
-    sample_distribution,
-)
-
-@dataclass(frozen=True)
-class BatchJob:
-    """One parallel run: parameters per pair, shot count and seed.
-
-    Both measurement settings are always executed for every assignment.
-    The executor returns raw histograms; readout inversion belongs to
-    estimation.
-    """
-
-    assignments: tuple[tuple[Pair, AnsatzParams], ...]
-    shots: int
-    seed: int
-
-    def __post_init__(self):
-        if not self.assignments:
-            raise ValueError("batch needs at least one assignment")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        used = [q for pair, _ in self.assignments for q in pair]
-        if len(set(used)) != len(used):
-            raise ValueError("assigned pairs must be vertex-disjoint")
-
-
-@dataclass(frozen=True)
-class PairRunResult:
-    pair: Pair
-    params: AnsatzParams
-    histograms: dict[MeasurementSetting, ShotHistogram]
+from .simulator import PairNoiseSpec, ShotHistogram, batch_distributions, confusion_maps
 
 
 @dataclass(frozen=True)
@@ -96,32 +55,6 @@ class EnergyEstimate:
             raise ValueError("std_err must be nonnegative")
         if self.raw_value is None:
             object.__setattr__(self, "raw_value", self.value)
-
-
-def run_batch(job: BatchJob, topology: DeviceTopology,
-              crosstalk_p: float = 0.0) -> list[PairRunResult]:
-    """Simulate every pair of the job in one vectorized pass and sample
-    histograms, one random stream per (pair, setting) task.
-
-    A pair is flagged for crosstalk when crosstalk_p > 0 and any endpoint
-    of another active pair is connected to one of its endpoints.
-    """
-    pairs = [pair for pair, _ in job.assignments]
-    noises = [noise_spec_for_pair(topology, pair, crosstalk_p=crosstalk_p) for pair in pairs]
-    p = []
-    for i, (pair, noise) in enumerate(zip(pairs, noises)):
-        active = crosstalk_p > 0.0 and any(
-            topology.pairs_are_neighbors(pair, q) for j, q in enumerate(pairs) if j != i)
-        p.append(noise.effective_p(active))
-    dists = batch_distributions(
-        np.array([params.phi for _, params in job.assignments]),
-        np.array([params.theta for _, params in job.assignments]),
-        np.array(p), confusion_maps(np.array([noise.readout for noise in noises])))
-    return [PairRunResult(pair=pair, params=params, histograms={
-                setting: sample_distribution(dists[i, k], job.shots,
-                                             derive_rng(job.seed, i, k))
-                for k, setting in enumerate(SETTINGS)})
-            for i, (pair, params) in enumerate(job.assignments)]
 
 
 class Estimates(NamedTuple):
@@ -214,6 +147,40 @@ def estimate_counts(table: PairTable, rows, counts: np.ndarray, shots: int) -> E
     return Estimates(value=value, std_err=std_err, raw=raw)
 
 
+class PairCounts(NamedTuple):
+    """One row of a batch: its pair and its (2, 4) outcome counts, one
+    histogram per setting in SETTINGS order."""
+
+    pair: Pair
+    histograms: np.ndarray
+
+
+def run_batch(table: PairTable, rows, phi: np.ndarray, theta: np.ndarray, shots: int,
+              seed: int) -> list[PairCounts]:
+    """Simulate table rows at angles (phi, theta) in one vectorized pass and
+    sample every histogram of the batch in one multinomial draw from one
+    stream, default_rng(seed). Row i's counts depend on the rows before it
+    in the batch, never on those after it.
+
+    The rows' pairs must be vertex-disjoint. A row is flagged for
+    crosstalk when another row of the batch is its neighbour.
+    """
+    rows = np.asarray(rows, dtype=int)
+    if len(rows) == 0:
+        raise ValueError("batch needs at least one row")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    qubits = table.qubits[rows].ravel().tolist()
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("batch pairs must be vertex-disjoint")
+    p = table.p[rows]
+    if table.neighbours is not None:
+        p = np.where(table.neighbours[rows][:, rows].any(axis=1), table.p_crosstalk[rows], p)
+    dists = batch_distributions(phi, theta, p, table.confusion[rows])
+    counts = np.random.default_rng(seed).multinomial(shots, dists)
+    return [PairCounts(table.pairs[row], hist) for row, hist in zip(rows.tolist(), counts)]
+
+
 def _as_distribution(measured) -> tuple[np.ndarray, int | None]:
     if measured is None:
         raise ValueError("both measurement settings are required")
@@ -271,28 +238,15 @@ def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
                           shots_per_setting=shots_on, raw_value=raw)
 
 
-def estimate_for_result(result: PairRunResult, h: HubbardParams = HubbardParams(),
-                        confusion: ConfusionMatrix | None = None) -> EnergyEstimate:
-    return estimate_energy(result.histograms[MeasurementSetting.ONSITE],
-                           result.histograms[MeasurementSetting.HOPPING],
-                           h, confusion)
-
-
-def aggregate_same_params(estimates: list[EnergyEstimate]) -> EnergyEstimate:
-    """Pool same-parameter estimates: shot-weighted mean, errors in quadrature."""
-    if not estimates:
+def aggregate_same_params(est: Estimates, shots: int) -> EnergyEstimate:
+    """Pool the same-parameter estimates of one batch's rows, all measured
+    with `shots` per setting: the mean, with errors in quadrature."""
+    n = len(est.value)
+    if n == 0:
         raise ValueError("nothing to aggregate")
-    weights = np.array([e.shots_per_setting if e.shots_per_setting else 1.0
-                        for e in estimates], dtype=float)
-    weights = weights / weights.sum()
-    value = float(np.dot(weights, [e.value for e in estimates]))
-    std_err = float(np.sqrt(np.sum((weights * [e.std_err for e in estimates]) ** 2)))
-    raw_value = float(np.dot(weights, [e.raw_value for e in estimates]))
-    shots = estimates[0].shots_per_setting
-    same_shots = all(e.shots_per_setting == shots for e in estimates)
-    return EnergyEstimate(value=value, std_err=std_err,
-                          shots_per_setting=shots if same_shots else None,
-                          raw_value=raw_value)
+    return EnergyEstimate(value=float(np.mean(est.value)),
+                          std_err=float(np.sqrt(np.sum(est.std_err ** 2))) / n,
+                          shots_per_setting=shots, raw_value=float(np.mean(est.raw)))
 
 
 def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,

@@ -33,8 +33,9 @@ from .device import (
 )
 from .executor import (
     CostModel,
-    EnergyEstimate,
-    aggregate_same_params,
+    Estimates,
+    PairTable,
+    compile_pairs,
     load_cost_model,
     predict_wall_time,
 )
@@ -46,7 +47,7 @@ from .hubbard import (
     exact_ground_energy,
     optimal_params,
 )
-from .mitigation import ConfusionMatrix, measure_confusion, tflo_correct
+from .mitigation import measure_confusion, tflo_correct
 from .optimizers import (
     MgdConfig,
     OptTrace,
@@ -213,15 +214,14 @@ def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
 
 class _Run:
     """What every experiment sets up first (clock, output directory, Hubbard
-    parameters and ground energy, calibration, confusions) and its
-    write-record-then-print ending."""
+    parameters and ground energy, calibration, the compiled pair table)
+    and its write-record-then-print ending."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.t_start = time.perf_counter()
         self.h = HubbardParams()
         self.e0 = exact_ground_energy(self.h)
-        self.confusions: dict[Pair, ConfusionMatrix] | None = None
 
     @cached_property
     def out_dir(self) -> Path:
@@ -234,17 +234,19 @@ class _Run:
         # loaded on first use: the modelled speedup sweep reads no calibration
         return load_calibration(self.cfg.calibration)
 
-    def measure_confusions(self, pairs, ni: bool = True) -> None:
-        """The confusion matrices NI applies to every later measurement, one
-        per pair, or none when NI is off."""
+    def pair_table(self, pairs, ni: bool = True) -> PairTable:
+        """The pairs compiled for every later batch on them; with ni, each
+        pair's confusion matrix is measured first and its estimates are
+        noise-inverted."""
         cfg = self.cfg
-        self.confusions = None
+        confusions = None
         if ni:
-            self.confusions = {
+            confusions = {
                 pair: measure_confusion(noise_spec_for_pair(self.topology, pair),
                                         cfg.confusion_shots,
                                         derive_rng(cfg.seed, _NS_CONFUSION, *pair))
                 for pair in pairs}
+        return compile_pairs(self.topology, pairs, self.h, confusions, cfg.crosstalk_p)
 
     def finish(self, command: str, metrics: dict, artifacts: list[str],
                summary: str) -> RunRecord:
@@ -255,46 +257,42 @@ class _Run:
         return record
 
 
-def _measure(run: _Run, assignments, run_seed: int, ref_seed: int, tflo: bool):
-    """Measure one batch of (pair, params) assignments and, when tflo is
-    set, a second batch of their phi=0 reference points. Returns the
-    estimates, the reference estimates (None each without tflo) and each
-    assignment's exact reference energy."""
-    assignments = list(assignments)
-    references = [(pair, AnsatzParams(0.0, params.theta)) for pair, params in assignments]
-    # final points measure one params on every pair: one exact energy each
-    exact = {params: exact_energy(params, run.h) for params in {p for _, p in references}}
-
-    def batch(items, seed):
-        return measure_batch(run.topology, items, run.h, run.cfg.shots, seed,
-                             run.confusions, run.cfg.crosstalk_p)
-
-    return (batch(assignments, run_seed),
-            batch(references, ref_seed) if tflo else [None] * len(references),
-            [exact[params] for _, params in references])
+def _measure(run: _Run, table: PairTable, rows, phi, theta, run_seed: int,
+             ref_seed: int, tflo: bool):
+    """Measure table rows at angles (phi, theta) in one batch and, when tflo
+    is set, their phi=0 reference points in a second batch. Returns the
+    estimates, the reference estimates (None without tflo) and the exact
+    reference energies."""
+    zeros = np.zeros_like(theta)
+    shots = run.cfg.shots
+    return (measure_batch(table, rows, phi, theta, shots, run_seed),
+            measure_batch(table, rows, zeros, theta, shots, ref_seed) if tflo else None,
+            closed_form_energy(zeros, theta, run.h))
 
 
-def _final_point(run: _Run, pairs, params: AnsatzParams, key: int) -> dict:
-    """Mitigation levels of one final params measured on every pair and
-    pooled, with its phi=0 reference; the seeds derive from `key`."""
-    ests, refs, ref_exacts = _measure(
-        run, [(pair, params) for pair in pairs], derive_seed(run.cfg.seed, _NS_FINAL, 2 * key),
-        derive_seed(run.cfg.seed, _NS_FINAL, 2 * key + 1), tflo=True)
-    return _mitigated(aggregate_same_params(ests), aggregate_same_params(refs), ref_exacts[0])
+def _final_point(run: _Run, table: PairTable, params: AnsatzParams, key: int) -> dict:
+    """Mitigation levels of one final params measured on every row of the
+    table, with its phi=0 reference, pooled over the rows; the seeds
+    derive from `key`."""
+    n = len(table.pairs)
+    measured = _measure(run, table, np.arange(n), np.full(n, params.phi),
+                        np.full(n, params.theta), derive_seed(run.cfg.seed, _NS_FINAL, 2 * key),
+                        derive_seed(run.cfg.seed, _NS_FINAL, 2 * key + 1), tflo=True)
+    return {level: float(np.mean(values)) for level, values in _mitigated(*measured).items()}
 
 
-def _mitigated(est: EnergyEstimate, ref: EnergyEstimate | None = None,
-               ref_exact: float | None = None) -> dict:
-    """Mitigation levels of a measurement: raw and ni, and with its phi=0
-    reference also tflo and tflo_ni. Without confusions ni equals raw."""
-    levels = {"raw": est.raw_value, "ni": est.value}
+def _mitigated(est: Estimates, ref: Estimates | None = None, ref_exact=None) -> dict:
+    """Mitigation levels of a batch's rows, as arrays: raw and ni, and with
+    their phi=0 reference also tflo and tflo_ni. Without NI, ni equals raw."""
+    levels = {"raw": est.raw, "ni": est.value}
     if ref is not None:
-        levels["tflo"] = tflo_correct(est.raw_value, ref_exact, ref.raw_value)
+        levels["tflo"] = tflo_correct(est.raw, ref_exact, ref.raw)
         levels["tflo_ni"] = tflo_correct(est.value, ref_exact, ref.value)
     return levels
 
 
-def _optimize(run: _Run, pairs, optimizer, iterations, points, shots, keys) -> OptTrace:
+def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
+              keys) -> OptTrace:
     """One SPSA or surrogate-descent run from cfg.start on the evaluator that
     matches its parallelism. Its evaluator seed and optimizer stream derive
     from the key path `keys`."""
@@ -304,13 +302,11 @@ def _optimize(run: _Run, pairs, optimizer, iterations, points, shots, keys) -> O
     start = AnsatzParams(*cfg.start)
     exact_fn = lambda params: exact_energy(params, h)
     if optimizer == "spsa":
-        evaluator = spsa_parallel_evaluator(run.topology, pairs, h, shots, eval_seed,
-                                            run.confusions, cfg.crosstalk_p)
-        return spsa_run(SpsaConfig(iterations=iterations), evaluator, start,
+        return spsa_run(SpsaConfig(iterations=iterations),
+                        spsa_parallel_evaluator(table, shots, eval_seed), start,
                         opt_stream, exact_fn)
-    evaluator = batch_pair_evaluator(run.topology, pairs, h, shots, eval_seed,
-                                     run.confusions, cfg.crosstalk_p)
-    return mgd_run(MgdConfig(iterations=iterations), evaluator, start, points,
+    return mgd_run(MgdConfig(iterations=iterations),
+                   batch_pair_evaluator(table, shots, eval_seed), start, points,
                    opt_stream, exact_fn)
 
 
@@ -332,15 +328,22 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     topology, e0 = run.topology, run.e0
     opt = optimal_params(run.h)
     all_pairs = sorted(topology.edge_map())
-    run.measure_confusions(all_pairs)
+    # every edge, so the rows overlap: each batch picks disjoint ones
+    table = run.pair_table(all_pairs)
+    row_of = {pair: row for row, pair in enumerate(all_pairs)}
+
+    def measure(rows, key):
+        """Mitigation levels of the rows at the optimum, one list per level."""
+        n = len(rows)
+        measured = _measure(run, table, rows, np.full(n, opt.phi), np.full(n, opt.theta),
+                            derive_seed(cfg.seed, _NS_RUN, key),
+                            derive_seed(cfg.seed, _NS_REF, key), tflo=True)
+        return {level: values.tolist() for level, values in _mitigated(*measured).items()}
 
     # (a) every usable pair individually
     indiv_rows, indiv_levels = [], {}
     for idx, pair in enumerate(all_pairs):
-        (est,), (ref,), (ref_exact,) = _measure(
-            run, [(pair, opt)], derive_seed(cfg.seed, _NS_RUN, idx),
-            derive_seed(cfg.seed, _NS_REF, idx), tflo=True)
-        levels = _mitigated(est, ref, ref_exact)
+        levels = {level: value for level, (value,) in measure([idx], idx).items()}
         indiv_levels[pair] = levels
         indiv_rows.append([pair[0], pair[1], topology.fidelity(pair),
                            levels["raw"], levels["ni"], levels["tflo"],
@@ -362,15 +365,9 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     matrix: dict[Pair, dict[int, float]] = {p: {} for p in selection.pairs}
     for p_count in range(1, len(selection.pairs) + 1):
         active = selection.pairs[:p_count]
-        measured = _measure(run, [(pair, opt) for pair in active],
-                            derive_seed(cfg.seed, _NS_RUN, 1000 + p_count),
-                            derive_seed(cfg.seed, _NS_REF, 1000 + p_count), tflo=True)
-        per_level = {level: [] for level in MITIGATION_LEVELS}
-        for pair, est, ref, ref_exact in zip(active, *measured):
-            levels = _mitigated(est, ref, ref_exact)
-            matrix[pair][p_count] = levels["tflo"] - e0
-            for level in MITIGATION_LEVELS:
-                per_level[level].append(levels[level])
+        per_level = measure([row_of[pair] for pair in active], 1000 + p_count)
+        for pair, tflo in zip(active, per_level["tflo"]):
+            matrix[pair][p_count] = tflo - e0
         row = [p_count]
         for level in MITIGATION_LEVELS:
             row.append(float(np.mean(np.abs(np.array(per_level[level]) - e0))))
@@ -428,30 +425,31 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     h = run.h
     n = cfg.grid
     axis = np.linspace(-math.pi, math.pi, n)
-    points = [AnsatzParams(float(phi), float(theta)) for phi in axis for theta in axis]
+    # the grid in row-major (phi, theta) order
+    phi, theta = np.repeat(axis, n), np.tile(axis, n)
     n_pairs = cfg.pairs if cfg.pairs is not None else 25
     pairs = select_pairs(run.topology, cfg.select, n_pairs, cfg.cap).pairs
 
-    exact_grid = [[float(closed_form_energy(phi, theta, h)) for theta in axis]
-                  for phi in axis]
-    exact_rows = [[float(p.phi), float(p.theta),
-                   exact_grid[i // n][i % n]] for i, p in enumerate(points)]
+    exact = closed_form_energy(phi, theta, h)
+    exact_grid = exact.reshape(n, n).tolist()
     exact_path = run.out_dir / "heatmap_exact.csv"
-    write_csv(exact_path, ["phi", "theta", "e_exact"], exact_rows)
+    write_csv(exact_path, ["phi", "theta", "e_exact"],
+              zip(phi.tolist(), theta.tolist(), exact.tolist()))
 
-    run.measure_confusions(pairs, cfg.ni)
+    table = run.pair_table(pairs, cfg.ni)
 
     sim_rows = []
-    batches = range(0, len(points), len(pairs))
+    batches = range(0, n * n, len(pairs))
     for b, lo in enumerate(batches):
-        chunk = points[lo:lo + len(pairs)]
-        measured = _measure(run, zip(pairs, chunk), derive_seed(cfg.seed, _NS_RUN, b),
-                            derive_seed(cfg.seed, _NS_REF, b), cfg.tflo)
-        for pair, params, est, ref, ref_exact in zip(pairs, chunk, *measured):
-            value = _mitigated(est, ref, ref_exact)[cfg.level]
-            e_exact = exact_energy(params, h)
-            sim_rows.append([params.phi, params.theta, pair[0], pair[1], est.value,
-                             value, abs(value - e_exact)])
+        batch = slice(lo, lo + len(pairs))
+        rows = np.arange(len(phi[batch]))
+        est, ref, ref_exact = _measure(run, table, rows, phi[batch], theta[batch],
+                                       derive_seed(cfg.seed, _NS_RUN, b),
+                                       derive_seed(cfg.seed, _NS_REF, b), cfg.tflo)
+        value = _mitigated(est, ref, ref_exact)[cfg.level]
+        sim_rows.extend(zip(
+            phi[batch].tolist(), theta[batch].tolist(), *zip(*pairs[:len(rows)]),
+            est.value.tolist(), value.tolist(), np.abs(value - exact[batch]).tolist()))
 
     sim_path = run.out_dir / "heatmap_simulated.csv"
     write_csv(sim_path, ["phi", "theta", "pair_a", "pair_b",
@@ -472,10 +470,10 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
 
     cost = load_cost_model(cfg.cost_model)
     seconds_parallel = predict_wall_time(cost, len(pairs), len(batches), cfg.shots)
-    seconds_single = predict_wall_time(cost, 1, len(points), cfg.shots)
+    seconds_single = predict_wall_time(cost, 1, n * n, cfg.shots)
     metrics = {
         "grid": n,
-        "points": len(points),
+        "points": n * n,
         "pairs": len(pairs),
         "batches": len(batches),
         "modeled_seconds_parallel": seconds_parallel,
@@ -486,7 +484,7 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
         "exact_ground_energy": run.e0,
     }
     return run.finish("heatmap", metrics, [exact_path.name, sim_path.name],
-                      f"heatmap: {len(points)} points on {len(pairs)} pairs in "
+                      f"heatmap: {n * n} points on {len(pairs)} pairs in "
                       f"{len(batches)} batches, modeled speedup "
                       f"{metrics['modeled_speedup']:.1f}x")
 
@@ -520,7 +518,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     pairs = select_pairs(run.topology, cfg.select, cfg.pairs, cfg.cap).pairs
     if cfg.pairs is not None and len(pairs) != cfg.pairs:
         raise InputError(f"selection yields {len(pairs)} pairs, requested {cfg.pairs}")
-    run.measure_confusions(pairs, cfg.ni)
+    table = run.pair_table(pairs, cfg.ni)
     default_iterations = 50 if cfg.optimizer == "spsa" else 40
     iterations = cfg.iterations if cfg.iterations is not None else default_iterations
     points = (len(pairs) if cfg.optimizer == "spsa" or len(pairs) > 1
@@ -529,9 +527,9 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     summary_rows = []
     artifacts = []
     for rep in range(cfg.repeats):
-        trace = _optimize(run, pairs, cfg.optimizer, iterations, points, cfg.shots, (rep,))
+        trace = _optimize(run, table, cfg.optimizer, iterations, points, cfg.shots, (rep,))
         final = trace.final_params
-        levels = _final_point(run, pairs, final, rep)
+        levels = _final_point(run, table, final, rep)
         corrected = levels[cfg.level]
         trace_path = run.out_dir / f"trace_rep{rep}.csv"
         trace.write(trace_path, run.out_dir / f"trace_rep{rep}.json")
@@ -616,13 +614,13 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     h, e0 = run.h, run.e0
     cap = cfg.cap if cfg.cap is not None else 0.90
     pairs = select_pairs(run.topology, "greedy", cfg.pairs, cap).pairs
-    run.measure_confusions(pairs, cfg.ni)
+    table = run.pair_table(pairs, cfg.ni)
     iterations = cfg.iterations if cfg.iterations is not None else 50
 
     rows, artifacts, series = [], [], {}
     final_err = {}
     for si, shots in enumerate(cfg.shots_list):
-        trace = _optimize(run, pairs, "spsa", iterations, len(pairs), shots, (si,))
+        trace = _optimize(run, table, "spsa", iterations, len(pairs), shots, (si,))
         err = exact_energy(trace.final_params, h) - e0
         final_err[shots] = err
         trace_path = run.out_dir / f"trace_shots{shots}.csv"
@@ -671,13 +669,13 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     rows, summary = [], []
     for p_count in cfg.pair_counts:
         pairs = greedy[:p_count]
-        run.measure_confusions(pairs)
+        table = run.pair_table(pairs)
         for index, (name, plan) in enumerate(plans.items()):
             finals = []
             for rep in range(plan["repeats"]):
-                trace = _optimize(run, pairs, name, plan["iterations"], len(pairs),
+                trace = _optimize(run, table, name, plan["iterations"], len(pairs),
                                   cfg.shots, (p_count, rep, index))
-                levels = _final_point(run, pairs, trace.final_params,
+                levels = _final_point(run, table, trace.final_params,
                                       1000 * p_count + 10 * rep + index)
                 err = abs(levels["tflo_ni"] - run.e0)
                 finals.append(err)

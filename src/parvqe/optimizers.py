@@ -28,20 +28,19 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .device import DeviceTopology, Pair
 from .executor import (
-    BatchJob,
     EnergyEstimate,
+    Estimates,
+    PairTable,
     aggregate_same_params,
-    estimate_for_result,
+    estimate_counts,
     run_batch,
 )
 from .hubbard import AnsatzParams, HubbardParams, exact_energy
-from .mitigation import ConfusionMatrix
 from .seeding import derive_seed
 
 N_SURROGATE_FEATURES = 6    # constant, 2 linear, 3 quadratic terms in 2 dims
@@ -155,7 +154,8 @@ class OptTrace:
 
 
 Evaluator = Callable[[AnsatzParams], EnergyEstimate]
-BatchEvaluator = Callable[[Sequence[AnsatzParams]], list[EnergyEstimate]]
+# (m, 2) array of (phi, theta) points -> their m estimates
+BatchEvaluator = Callable[[np.ndarray], Estimates]
 ExactFn = Callable[[AnsatzParams], float]
 
 
@@ -217,10 +217,9 @@ def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams
     for k in range(1, cfg.iterations + 1):
         delta_k, gamma_k = cfg.gains(k)
         offsets = stream.uniform(-delta_k, delta_k, size=(points, 2))
-        batch = [AnsatzParams(*(theta + off)) for off in offsets]
-        estimates = batch_evaluator(batch)
-        values = np.array([e.value for e in estimates])
-        variances = np.array([e.std_err ** 2 for e in estimates])
+        batch = theta + offsets
+        est = batch_evaluator(batch)
+        variances = est.std_err ** 2
         mean_var = float(variances.mean())
         if mean_var == 0.0:
             weights = np.ones(points)
@@ -228,71 +227,59 @@ def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams
         else:
             weights = 1.0 / np.maximum(variances, 1e-12 * mean_var)
             ridge = mean_var / cfg.l ** 2
-        coeffs = _fit_surrogate(offsets, values, weights, ridge)
-        raws = np.array([e.raw_value for e in estimates])
-        e_raw = float(_fit_surrogate(offsets, raws, weights, ridge)[0])
+        coeffs = _fit_surrogate(offsets, est.value, weights, ridge)
+        e_raw = float(_fit_surrogate(offsets, est.raw, weights, ridge)[0])
         center = AnsatzParams(theta[0], theta[1])
         records.append(IterationRecord(
             iteration=k, phi=center.phi, theta=center.theta,
             e_raw=e_raw, e_ni=float(coeffs[0]),
             e_exact=None if exact_fn is None else exact_fn(center),
-            points=tuple((p.phi, p.theta) for p in batch)))
+            points=tuple(map(tuple, batch.tolist()))))
         theta = theta - gamma_k * coeffs[1:3]
     return OptTrace(records=records, final_params=AnsatzParams(theta[0], theta[1]))
 
 
 # --- executor-backed evaluators ----------------------------------------------
 
-def measure_batch(topology: DeviceTopology,
-                  assignments: Iterable[tuple[Pair, AnsatzParams]],
-                  h: HubbardParams, shots: int, seed: int,
-                  confusions: dict[Pair, ConfusionMatrix] | None = None,
-                  crosstalk_p: float = 0.0) -> list[EnergyEstimate]:
-    """Run one batch of (pair, params) assignments and estimate every pair's
-    energy, in assignment order. With confusions the value is NI-corrected
-    and raw_value keeps the uncorrected estimate."""
-    job = BatchJob(assignments=tuple(assignments), shots=shots, seed=seed)
-    results = run_batch(job, topology, crosstalk_p=crosstalk_p)
-    return [estimate_for_result(r, h, None if confusions is None else confusions[r.pair])
-            for r in results]
+def measure_batch(table: PairTable, rows, phi: np.ndarray, theta: np.ndarray,
+                  shots: int, seed: int) -> Estimates:
+    """Run one batch of table rows at angles (phi, theta) and estimate every
+    row's energy, in row order; NI-corrected when the table has confusions."""
+    results = run_batch(table, rows, phi, theta, shots, seed)
+    return estimate_counts(table, rows, np.array([r.histograms for r in results]), shots)
 
 
-def spsa_parallel_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
-                            h: HubbardParams, shots: int, seed: int,
-                            confusions: dict[Pair, ConfusionMatrix] | None = None,
-                            crosstalk_p: float = 0.0) -> Evaluator:
+def spsa_parallel_evaluator(table: PairTable, shots: int, seed: int) -> Evaluator:
     """Same-parameters parallelism: every energy query runs one batch with
-    identical parameters on all pairs and pools the per-pair estimates."""
-    if not pairs:
+    identical parameters on all rows of the table and pools the estimates."""
+    if not table.pairs:
         raise ValueError("need at least one pair")
+    rows = np.arange(len(table.pairs))
     counter = itertools.count()
 
     def evaluate(params: AnsatzParams) -> EnergyEstimate:
         return aggregate_same_params(measure_batch(
-            topology, ((pair, params) for pair in pairs), h, shots,
-            derive_seed(seed, next(counter)), confusions, crosstalk_p))
+            table, rows, np.full(len(rows), params.phi), np.full(len(rows), params.theta),
+            shots, derive_seed(seed, next(counter))), shots)
 
     return evaluate
 
 
-def batch_pair_evaluator(topology: DeviceTopology, pairs: Sequence[Pair],
-                         h: HubbardParams, shots: int, seed: int,
-                         confusions: dict[Pair, ConfusionMatrix] | None = None,
-                         crosstalk_p: float = 0.0) -> BatchEvaluator:
-    """Different-parameters parallelism: a list of points is spread over
-    the pairs, ceil(n/len(pairs)) batches per call."""
-    if not pairs:
+def batch_pair_evaluator(table: PairTable, shots: int, seed: int) -> BatchEvaluator:
+    """Different-parameters parallelism: the points are spread over the
+    table's rows, ceil(m/len(rows)) batches per call."""
+    if not table.pairs:
         raise ValueError("need at least one pair")
+    rows = np.arange(len(table.pairs))
     counter = itertools.count()
 
-    def evaluate_batch(batch: Sequence[AnsatzParams]) -> list[EnergyEstimate]:
-        out: list[EnergyEstimate] = []
-        for lo in range(0, len(batch), len(pairs)):
-            chunk = batch[lo:lo + len(pairs)]
-            out.extend(measure_batch(topology, zip(pairs, chunk), h, shots,
-                                     derive_seed(seed, next(counter)), confusions,
-                                     crosstalk_p))
-        return out
+    def evaluate_batch(points: np.ndarray) -> Estimates:
+        parts = []
+        for lo in range(0, len(points), len(rows)):
+            chunk = points[lo:lo + len(rows)]
+            parts.append(measure_batch(table, rows[:len(chunk)], chunk[:, 0], chunk[:, 1],
+                                       shots, derive_seed(seed, next(counter))))
+        return Estimates(*map(np.concatenate, zip(*parts)))
 
     return evaluate_batch
 
@@ -308,9 +295,9 @@ def oracle_evaluator(h: HubbardParams = HubbardParams()) -> Evaluator:
 
 
 def oracle_batch_evaluator(h: HubbardParams = HubbardParams()) -> BatchEvaluator:
-    ev = oracle_evaluator(h)
 
-    def evaluate_batch(batch: Sequence[AnsatzParams]) -> list[EnergyEstimate]:
-        return [ev(p) for p in batch]
+    def evaluate_batch(points: np.ndarray) -> Estimates:
+        value = np.array([exact_energy(AnsatzParams(*p), h) for p in points.tolist()])
+        return Estimates(value=value, std_err=np.zeros(len(value)), raw=value)
 
     return evaluate_batch

@@ -8,16 +8,15 @@ from hypothesis import given, strategies as st
 
 from parvqe.device import DeviceTopology, noise_spec_for_pair
 from parvqe.executor import (
-    BatchJob,
     CostModel,
     DegenerateCalibration,
     EnergyEstimate,
+    Estimates,
     aggregate_same_params,
     calibrate_cost_model,
     compile_pairs,
     estimate_counts,
     estimate_energy,
-    estimate_for_result,
     exact_expectation_energy,
     load_cost_model,
     predict_wall_time,
@@ -44,44 +43,56 @@ def two_pair_topology(fidelity=1.0, readout=(0.0, 0.0)):
         readout={q: readout for q in range(4)})
 
 
+def run_estimates(topo, assignments, shots, seed, crosstalk_p=0.0, rows=None):
+    """Compile the assigned pairs, run rows (all by default) at their
+    params in one batch and estimate them without NI."""
+    table = compile_pairs(topo, [pair for pair, _ in assignments], crosstalk_p=crosstalk_p)
+    rows = np.arange(len(assignments)) if rows is None else np.asarray(rows)
+    params = [assignments[r][1] for r in rows]
+    counts = run_batch(table, rows, np.array([a.phi for a in params]),
+                       np.array([a.theta for a in params]), shots, seed)
+    return estimate_counts(table, rows, np.array([c.histograms for c in counts]), shots)
+
+
 # --- run_batch ---
 
 
-def test_batch_job_validation():
-    a = AnsatzParams(0.1, 0.2)
+def test_run_batch_validation():
+    topo = DeviceTopology(qubits=(0, 1, 2), edges=((0, 1, 1.0), (1, 2, 1.0)), readout={})
+    table = compile_pairs(topo, [(0, 1), (1, 2)])
+    one = np.array([0.1])
     with pytest.raises(ValueError):
-        BatchJob(assignments=(), shots=100, seed=1)
+        run_batch(table, [], one[:0], one[:0], 100, 1)
     with pytest.raises(ValueError):
-        BatchJob(assignments=(((0, 1), a), ((1, 2), a)), shots=100, seed=1)
+        run_batch(table, [0, 1], np.repeat(one, 2), np.repeat(one, 2), 100, 1)
     with pytest.raises(ValueError):
-        BatchJob(assignments=(((0, 1), a),), shots=0, seed=1)
+        run_batch(table, [0], one, one, 0, 1)
 
 
 def test_run_batch_requires_topology_edges():
     topo = two_pair_topology()
-    job = BatchJob(assignments=(((0, 2), AnsatzParams(0.1, 0.2)),), shots=10, seed=1)
     with pytest.raises(ValueError):
-        run_batch(job, topo)
+        compile_pairs(topo, [(0, 2)])
 
 
 def test_run_batch_deterministic_for_same_seed():
     topo = two_pair_topology(fidelity=0.93, readout=(0.02, 0.03))
-    job = BatchJob(assignments=(((0, 1), AnsatzParams(0.3, 0.4)),
-                                ((2, 3), AnsatzParams(-0.2, 0.9))),
-                   shots=2000, seed=99)
-    baseline = run_batch(job, topo)
-    assert run_batch(job, topo) == baseline
-    assert run_batch(BatchJob(job.assignments, job.shots, job.seed), topo) == baseline
-    assert run_batch(BatchJob(job.assignments, job.shots, job.seed + 1), topo) != baseline
+    table = compile_pairs(topo, [(0, 1), (2, 3)])
+    rows, phi, theta = [0, 1], np.array([0.3, -0.2]), np.array([0.4, 0.9])
+
+    def counts(table, seed):
+        return np.array([r.histograms for r in run_batch(table, rows, phi, theta, 2000, seed)])
+
+    baseline = counts(table, 99)
+    assert np.array_equal(counts(table, 99), baseline)
+    assert np.array_equal(counts(compile_pairs(topo, [(0, 1), (2, 3)]), 99), baseline)
+    assert not np.array_equal(counts(table, 100), baseline)
 
 
 def test_run_batch_energy_matches_oracle_within_error():
     topo = two_pair_topology()
-    opt = optimal_params()
-    job = BatchJob(assignments=(((0, 1), opt),), shots=10 ** 6, seed=5)
-    res = run_batch(job, topo)[0]
-    est = estimate_for_result(res)
-    assert abs(est.value - E_GROUND) < 3 * est.std_err + 1e-9
+    est = run_estimates(topo, [((0, 1), optimal_params())], 10 ** 6, 5)
+    assert abs(est.value[0] - E_GROUND) < 3 * est.std_err[0] + 1e-9
 
 
 def test_identical_assignments_share_distribution():
@@ -99,17 +110,33 @@ def test_crosstalk_flagging_needs_adjacent_pairs():
                           edges=((0, 1, 0.95), (2, 3, 0.95), (1, 2, 0.9)),
                           readout={})
     a = AnsatzParams(0.3, 0.4)
-    job_pair = BatchJob(assignments=(((0, 1), a), ((2, 3), a)), shots=5000, seed=3)
-    job_solo = BatchJob(assignments=(((0, 1), a),), shots=5000, seed=3)
-    with_xt = run_batch(job_pair, topo, crosstalk_p=0.5)[0]
-    solo = run_batch(job_solo, topo, crosstalk_p=0.5)[0]
-    no_xt = run_batch(job_pair, topo, crosstalk_p=0.0)[0]
-    est_with = estimate_for_result(with_xt).value
-    est_solo = estimate_for_result(solo).value
-    est_without = estimate_for_result(no_xt).value
+    both = [((0, 1), a), ((2, 3), a)]
+    with_xt = run_estimates(topo, both, 5000, 3, crosstalk_p=0.5).value[0]
+    solo = run_estimates(topo, both[:1], 5000, 3, crosstalk_p=0.5).value[0]
+    no_xt = run_estimates(topo, both, 5000, 3).value[0]
     # same streams, so differences are purely the extra channel
-    assert est_with != est_without
-    assert est_solo == est_without
+    assert with_xt != no_xt
+    assert solo == no_xt
+
+
+def test_crosstalk_flags_only_active_rows_of_a_partial_batch():
+    # a chain of three pairs, each joined to the next: (0,1)-(2,3)-(4,5)
+    topo = DeviceTopology(qubits=tuple(range(6)),
+                          edges=((0, 1, 0.95), (2, 3, 0.95), (4, 5, 0.95),
+                                 (1, 2, 0.9), (3, 4, 0.9)),
+                          readout={})
+    a = AnsatzParams(0.3, 0.4)
+    chain = [((0, 1), a), ((2, 3), a), ((4, 5), a)]
+    # rows 0 and 2 are not neighbours: with row 1 idle neither is flagged
+    apart = run_estimates(topo, chain, 5000, 3, crosstalk_p=0.5, rows=[0, 2])
+    assert np.array_equal(apart.value, run_estimates(topo, chain, 5000, 3, rows=[0, 2]).value)
+    # rows 1 and 2 are neighbours: both are flagged, and only they are
+    near = run_estimates(topo, chain, 5000, 3, crosstalk_p=0.5, rows=[1, 2])
+    quiet = run_estimates(topo, chain, 5000, 3, rows=[1, 2])
+    assert np.all(near.value != quiet.value)
+    table = compile_pairs(topo, [pair for pair, _ in chain], crosstalk_p=0.5)
+    assert table.neighbours.tolist() == [[False, True, False], [True, False, True],
+                                         [False, True, False]]
 
 
 # --- estimate_energy ---
@@ -205,18 +232,20 @@ def test_raw_value_equals_value_without_inversion():
     assert est.raw_value == est.value
     bare = EnergyEstimate(value=-1.25, std_err=0.1, shots_per_setting=100)
     assert bare.raw_value == bare.value == -1.25
-    pooled = aggregate_same_params([est, bare])
+    table = compile_pairs(two_pair_topology(readout=(0.02, 0.03)), [(0, 1), (2, 3)])
+    rows = estimate_counts(table, [0, 1], np.array([[(40, 30, 20, 10), (10, 20, 30, 40)],
+                                                    [(70, 10, 10, 10), (25, 25, 25, 25)]]), 100)
+    assert np.array_equal(rows.raw, rows.value)
+    pooled = aggregate_same_params(rows, 100)
     assert pooled.raw_value == pooled.value
 
 
 def test_std_err_scales_with_shots():
     topo = two_pair_topology(fidelity=0.95, readout=(0.02, 0.02))
     a = AnsatzParams(0.2, 0.3)
-    ests = {}
-    for shots in (1000, 100_000):
-        job = BatchJob(assignments=(((0, 1), a),), shots=shots, seed=17)
-        ests[shots] = estimate_for_result(run_batch(job, topo)[0])
-    ratio = ests[1000].std_err / ests[100_000].std_err
+    ests = {shots: run_estimates(topo, [((0, 1), a)], shots, 17)
+            for shots in (1000, 100_000)}
+    ratio = ests[1000].std_err[0] / ests[100_000].std_err[0]
     assert ratio == pytest.approx(10.0, rel=0.15)
 
 
@@ -226,13 +255,19 @@ def test_std_err_scales_with_shots():
 def test_aggregate_single_and_pair():
     e1 = estimate_energy(ShotHistogram((50, 50, 0, 0), 100),
                          ShotHistogram((25, 25, 25, 25), 100))
-    assert aggregate_same_params([e1]) == e1
     e2 = estimate_energy(ShotHistogram((100, 0, 0, 0), 100),
                          ShotHistogram((0, 0, 0, 100), 100))
-    pooled = aggregate_same_params([e1, e2])
+
+    def rows(*ests):
+        return Estimates(*(np.array([getattr(e, name) for e in ests])
+                           for name in ("value", "std_err", "raw_value")))
+
+    assert aggregate_same_params(rows(e1), 100) == e1
+    pooled = aggregate_same_params(rows(e1, e2), 100)
     assert pooled.value == pytest.approx((e1.value + e2.value) / 2)
+    assert pooled.std_err == pytest.approx(math.hypot(e1.std_err, e2.std_err) / 2)
     with pytest.raises(ValueError):
-        aggregate_same_params([])
+        aggregate_same_params(rows(), 100)
 
 
 def test_pooled_std_err_shrinks_as_root_p():
@@ -240,11 +275,9 @@ def test_pooled_std_err_shrinks_as_root_p():
     topo = DeviceTopology(qubits=tuple(range(50)), edges=topo_edges,
                           readout={q: (0.01, 0.01) for q in range(50)})
     a = AnsatzParams(0.4, 0.3)
-    job = BatchJob(assignments=tuple((p, a) for p in [e[:2] for e in topo_edges]),
-                   shots=1000, seed=23)
-    per_pair = [estimate_for_result(r) for r in run_batch(job, topo)]
-    pooled = aggregate_same_params(per_pair)
-    mean_se = float(np.mean([e.std_err for e in per_pair]))
+    per_pair = run_estimates(topo, [(e[:2], a) for e in topo_edges], 1000, 23)
+    pooled = aggregate_same_params(per_pair, 1000)
+    mean_se = float(np.mean(per_pair.std_err))
     assert pooled.std_err == pytest.approx(mean_se / math.sqrt(25), rel=0.05)
 
 

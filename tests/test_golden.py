@@ -64,77 +64,77 @@ CASES = {
 GOLDEN = {
     "benchmark-pairs": {
         "individual_pairs.csv":
-            "cf346506a9785a59d8d3afc82c25d0f36d00a17802d879b18da4f5133982482a",
+            "8a5f2c1d4c0254c3f06356f8242a75fc0e86ddc4c110a7fd20c9aa4158d059b3",
         "pair_by_p_matrix.csv":
-            "6a5e12962abbd990c46679b3a49aedbb0475e54760f35546f834465db9246dcc",
+            "29a416b4ab1d4fad25b45d7240904a3fe0c7e335e9b2f45de8159070310d08c2",
         "parallel_sweep.csv":
-            "9f00b0e2e26fdcaa92d0e801e713471090c17e00edad2f425e8a625eead5f8a6",
+            "fab0389415b704a3ce8013b07504b065e009897668f5881861382c4a4913c3c6",
     },
     "benchmark-pairs-ring": {
         "individual_pairs.csv":
-            "962e15443f23bfe5b783393221c39f46089315d9005dbbe772c23299c01ece48",
+            "a84d8a534147c1c0dae3b2f31947f05fab5ace2cba8b0db3b7a6fc857de78cde",
         "pair_by_p_matrix.csv":
-            "1d9388021dea23559bbf92aeee098e65ae2f697eec9269abceb50833a89d118d",
+            "8322ed1582951d74109f47ba6d5addb8d0de36561eee4f601ee8d23bcda391e2",
         "parallel_sweep.csv":
-            "bb8636e4e25e1b64f37e5bb623870b9d4ac212744d93ed51f11f49f4beceb615",
+            "185eed76be5ed9a748c1a60af217cd1deab868d5ed85dd3d8c06ae254408ab8d",
     },
     "heatmap-matching": {
         "heatmap_exact.csv":
             "74fb30637c40f90bda7cb20c27ea72463a505df0c49d5ba388f523fcfb57ff34",
         "heatmap_simulated.csv":
-            "86a7adab0b0ab1cabf33a7c0c40a1c8244a7a21f034eab906d24014055b7ab08",
+            "4683eb0be7607dcd8fb5ccd9e7b35ac6fea4010add00e3b1beb95c1c35a0544d",
     },
     "heatmap-ni": {
         "heatmap_exact.csv":
             "ae523cc575e508bb6a3fe01fa07aa50f3bf54d690d224c02d2eacc1f0e6d1205",
         "heatmap_simulated.csv":
-            "cfe88fcf45a181c862f8c8ed9232ecff19c7f8ceb0626be8c2514e9a6c77ac64",
+            "c1673a86398dee1ebf90df0a677a396a1a458f0ca3eaddd82b18a4da1094a309",
     },
     "heatmap-none": {
         "heatmap_exact.csv":
             "ae523cc575e508bb6a3fe01fa07aa50f3bf54d690d224c02d2eacc1f0e6d1205",
         "heatmap_simulated.csv":
-            "4a080c31ed85960ddc68d5d0c51b58b0c7ac73ab570d5abb64600a21a5f26570",
+            "57f135837522b018a04d4ba569f6aad612cc34cf9f7ff17b15a4fd69496d1506",
     },
     "heatmap-tflo": {
         "heatmap_exact.csv":
             "ae523cc575e508bb6a3fe01fa07aa50f3bf54d690d224c02d2eacc1f0e6d1205",
         "heatmap_simulated.csv":
-            "2365cbd295b5cf111d6b09a9a831bb3830dbf0faa73a55eb0030b47666e4e5c2",
+            "c2b4403c6b36003bf04797a3642310cf6205a007c07e619d3f7d5884fff07c0f",
     },
     "optimizer-compare": {
         "compare_runs.csv":
-            "98b41799a6298ae6da50c5c14407b2d2f59882cf81a5f36ec5ad89e6db694791",
+            "01632baefa16485305874e41da6caa3ef63f44ff1c045f7d01506b1dcc81c402",
         "compare_summary.csv":
-            "635df53ac0f58ed56c584b66da762f3a8908d2cc297ff614b177561ac4280838",
+            "9b881d792d0acc701ba9599854960bafa1d9d26a82bb1b4254dde65abbb8bcf5",
     },
     "shots-sweep": {
         "shots_summary.csv":
-            "0fe2d56012f07ed85427450ac41896d3205c00821129b5f6f7c4e815ceee0177",
+            "c3a0714e6f16103fa26195a05c4691f11a2df24e413ba17f2a5f67113a972676",
         "trace_shots200.csv":
-            "43898d303f35ee084d66deab9310992ec61c531fc599c1e439f01f3cac777f9f",
+            "862bb904bb182259193960cd360b75b749f20983bd17479f8c8f5fca95af919f",
         "trace_shots50.csv":
-            "3878c612d9d583fa923bdeb165062443f9aec55c420a6077a3c0a6dc510a8621",
+            "0e08670347505e9198eb0d909d4ba8fc86b41adfcb525ba3a46cdfc7ced10451",
     },
     "shots-sweep-none": {
         "shots_summary.csv":
-            "ec205c27fdab6b0b41a6a013c4ff3ae1bb05f9eca2e41874adb44a640c987e0f",
+            "bf140f93b68215de74691eebabc215dd6514fd553191264cb13d5b872faffff4",
         "trace_shots100.csv":
-            "b8e7fac26547ff1f6cb6bfe238ffc223c453f5dba61c35c9faa3b15a0742ecf0",
+            "bdf610119d3e8eba2f13e8c91c173d025821e66d41f83295ffd32b987b45e434",
     },
     "vqe-mgd-eta": {
         "summary.csv":
-            "74c933d8f384239c50dd56498ce5d31fe5c18f047b2e9885e8c8b0efad1695b4",
+            "109302ba098ef2658dd4d9c0cea3991bb8bdaddf6efe955f95b493dacebdfa60",
         "trace_rep0.csv":
-            "76758f3372d9b0777fb2281a2b0a9a5f5fa9c1aa66ce24ea6ecffe709640593b",
+            "bb14ab71e745dec95dfedd15382df7475d106c24df38ef419352b89815695538",
     },
     "vqe-mgd-tflo": {
         "summary.csv":
-            "b2663e072eae3685fe0ae2d3700828d12824f119d89de2d068c708b06ddab85e",
+            "eceeb39897395496c4559e77d9dd7f4c38d826d28ecc0c9d4ac89ec05cc75918",
         "trace_rep0.csv":
-            "60db409305d074382cd3352f716e9f11fbcb2c8dc076cdc79b717c2ecef52e2c",
+            "b10ed1d793ad5b115d1909406281785f82c411897bfcb5f713561b23de773c77",
         "trace_rep1.csv":
-            "92f272c9d549c27a8091a699efa94724e459a1269c7e36b759f2cd99732172e1",
+            "7d222442112faedd0ddb90be6d6ed1e1bf2379bf3bf0e886ff4b67d96f1304f7",
     },
     "vqe-speedup-sweep": {
         "speedup_sweep.csv":
@@ -142,17 +142,17 @@ GOLDEN = {
     },
     "vqe-spsa": {
         "summary.csv":
-            "e558a77c8ce88af45f64e930fd488393f03b8a8b67069f6837817396e934cfe7",
+            "beb30c7e9919a9230385c2aacfbc5dc04c78fdd95a432fbc30e3112efb75ec61",
         "trace_rep0.csv":
-            "73b257e56eb2e31c7064711b2b8d37d98c3a18ccb8206dbe3cd5e70977e3b927",
+            "e28274794ebef06864613b6d1b9affc4c51aea925f32540d234937ccd08c3a66",
         "trace_rep1.csv":
-            "78496e215b58002833fde5ce6358ae7acc340151f668d155af81ea3ad7910833",
+            "858baa5f0a0c7e398e3c1bcb71a7aee02caebf46a636b83b1727583e4c08e16b",
     },
     "vqe-spsa-none": {
         "summary.csv":
-            "4fa653a720a4b61723a5da9aeacbe5ef9ea7e4c658e270fef9546022b1d057ed",
+            "ee0fd73f0fbc736a0eeafdbfea913169492b345d543b4df094f3158ded1d3871",
         "trace_rep0.csv":
-            "91651d14a86f046cb2a0c0e6c2175b733326d36b4920e12427ea825b960102b4",
+            "348f00dcf4e13ea1475cdb774b99a80d2c206835262f798b2f80fbd884c778a0",
     },
 }
 

@@ -214,11 +214,18 @@ def test_shots_sweep_uses_capped_selection_and_reports_gap(tmp_path):
 
 
 def test_shots_sweep_tiny_shot_budget_degrades(tmp_path):
-    cfg = ExperimentConfig(seed=11, out_dir=tmp_path / "shots10",
-                           shots_list=(10, 1000), confusion_shots=1000)
-    record = cmd_shots_sweep(cfg)
-    errs = record.metrics["final_exact_err_by_shots"]
-    assert errs["10"] > errs["1000"]
+    # on one pair, 10 shots leave SPSA's final point several times further
+    # from the ground state than 1000 shots; pooled over the 26 capped pairs
+    # the gap mostly vanishes, so it is measured on one pair, as a median
+    # over seeds
+    errs = {"10": [], "1000": []}
+    for seed in range(11, 16):
+        cfg = ExperimentConfig(seed=seed, out_dir=tmp_path / f"shots{seed}", pairs=1,
+                               shots_list=(10, 1000), confusion_shots=1000)
+        by_shots = cmd_shots_sweep(cfg).metrics["final_exact_err_by_shots"]
+        for shots in errs:
+            errs[shots].append(by_shots[shots])
+    assert np.median(errs["10"]) > 2 * np.median(errs["1000"])
 
 
 def test_optimizer_compare_plans_and_spread(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from parvqe.device import DeviceTopology
-from parvqe.executor import EnergyEstimate
+from parvqe.executor import EnergyEstimate, compile_pairs
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, exact_ground_energy
 from parvqe.optimizers import (
     MgdConfig,
@@ -230,9 +230,9 @@ def test_spsa_parallel_evaluator_pools_std_err():
     a = AnsatzParams(0.4, 0.3)
     topo1 = uniform_topology(1)
     topo25 = uniform_topology(25)
-    ev1 = spsa_parallel_evaluator(topo1, [(0, 1)], h, 1000, seed=5)
-    ev25 = spsa_parallel_evaluator(topo25, [e[:2] for e in topo25.edges], h, 1000,
-                                   seed=5)
+    ev1 = spsa_parallel_evaluator(compile_pairs(topo1, [(0, 1)], h), 1000, seed=5)
+    ev25 = spsa_parallel_evaluator(compile_pairs(topo25, [e[:2] for e in topo25.edges], h),
+                                   1000, seed=5)
     e1, e25 = ev1(a), ev25(a)
     assert e25.std_err == pytest.approx(e1.std_err / 5.0, rel=0.25)
 
@@ -243,7 +243,7 @@ def test_parallel_evaluator_determinism():
     h = HubbardParams()
     vals = []
     for _ in range(2):
-        ev = spsa_parallel_evaluator(topo, pairs, h, 500, seed=11)
+        ev = spsa_parallel_evaluator(compile_pairs(topo, pairs, h), 500, seed=11)
         vals.append([ev(AnsatzParams(0.1, 0.2)).value,
                      ev(AnsatzParams(0.1, 0.2)).value])
     assert vals[0] == vals[1]
@@ -261,9 +261,10 @@ def test_pooled_estimate_tracks_mixture_of_fidelities():
         qubits=qubits,
         edges=((0, 1, 0.99), (2, 3, 0.99), (4, 5, 0.85), (6, 7, 0.85)),
         readout={q: (0.0, 0.0) for q in qubits})
-    ev_good = spsa_parallel_evaluator(good, [(0, 1), (2, 3)], h, 20_000, seed=2)
+    ev_good = spsa_parallel_evaluator(compile_pairs(good, [(0, 1), (2, 3)], h), 20_000,
+                                      seed=2)
     ev_mixed = spsa_parallel_evaluator(
-        mixed, [(0, 1), (2, 3), (4, 5), (6, 7)], h, 20_000, seed=2)
+        compile_pairs(mixed, [(0, 1), (2, 3), (4, 5), (6, 7)], h), 20_000, seed=2)
     # adding worse pairs drags the pooled estimate upward
     assert ev_mixed(a).value > ev_good(a).value + 0.05
 
@@ -272,19 +273,19 @@ def test_batch_pair_evaluator_round_robin():
     topo = uniform_topology(3)
     pairs = [e[:2] for e in topo.edges]
     h = HubbardParams()
-    ev = batch_pair_evaluator(topo, pairs, h, 50_000, seed=1)
-    points = [AnsatzParams(0.0, t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    ev = batch_pair_evaluator(compile_pairs(topo, pairs, h), 50_000, seed=1)
+    points = np.array([(0.0, t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)])
     out = ev(points)
-    assert len(out) == 5
+    assert len(out.value) == len(out.std_err) == len(out.raw) == 5
     # E(0, theta) = -1 for every theta
-    for est in out:
-        assert est.value == pytest.approx(-1.0, abs=5 * est.std_err + 1e-9)
+    for value, std_err in zip(out.value, out.std_err):
+        assert value == pytest.approx(-1.0, abs=5 * std_err + 1e-9)
 
 
 def test_mgd_with_noisy_evaluator_and_few_points_warns_but_runs():
     topo = uniform_topology(4, fidelity=0.97, readout=(0.01, 0.01))
     pairs = [e[:2] for e in topo.edges]
-    ev = batch_pair_evaluator(topo, pairs, HubbardParams(), 400, seed=9)
+    ev = batch_pair_evaluator(compile_pairs(topo, pairs), 400, seed=9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trace = mgd_run(MgdConfig(iterations=3), ev, START, 4,
