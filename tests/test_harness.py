@@ -394,17 +394,26 @@ def test_cli_import_leaves_scipy_and_networkx_unloaded(tmp_path, make_uniform_ca
 def test_benchmark_tracer_counts_batch_circuits(tmp_path):
     # the benchmark's end-to-end circuits_per_s is read from the results of
     # parvqe.optimizers.run_batch; losing that binding loses every metric
+    runs = {
+        # SPSA on 2 pairs: 3 batches per iteration, then the final point
+        # and its reference: 8 batches, 16 active pairs, 2 settings each
+        "vqe": (["vqe", "--pairs", "2", "--iterations", "2", "--shots", "50"], 32, 16),
+        # the landscape workload's path: 16 grid points in batches of 3
+        # pairs, each batch with its phi=0 reference batch
+        "heatmap": (["heatmap", "--grid", "4", "--pairs", "3", "--shots", "50",
+                     "--mitigation", "ni+tflo", "--select", "matching"], 64, 32),
+    }
     tracer_module = load_benchmark_module("tracer")
-    tracer = tracer_module.Tracer()
-    try:
-        tracer.install()
-        code = tracer.call(tracer_module.ROOT, cli_main,
-                           (["vqe", "--pairs", "2", "--iterations", "2", "--shots", "50",
-                             "--seed", "7", "--out", str(tmp_path / "vqe")],))
-    finally:
-        tracer.uninstall()
-    assert code == 0
-    summary = tracer.summary()
-    assert summary["counters"].get("executor.circuits") == 32
-    assert summary["counters"].get("executor.active_pairs") == 16
-    assert summary["orphans"] == 0
+    for name, (argv, circuits, active_pairs) in runs.items():
+        tracer = tracer_module.Tracer()
+        try:
+            tracer.install()
+            code = tracer.call(tracer_module.ROOT, cli_main,
+                               ([*argv, "--seed", "7", "--out", str(tmp_path / name)],))
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        summary = tracer.summary()
+        assert summary["counters"].get("executor.circuits") == circuits, name
+        assert summary["counters"].get("executor.active_pairs") == active_pairs, name
+        assert summary["orphans"] == 0
