@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .device import (
+    CalibrationError,
     DeviceTopology,
     Pair,
     PairSelection,
@@ -232,7 +233,21 @@ class _Run:
     @cached_property
     def topology(self) -> DeviceTopology:
         # loaded on first use: the modelled speedup sweep reads no calibration
-        return load_calibration(self.cfg.calibration)
+        try:
+            return load_calibration(self.cfg.calibration)
+        except CalibrationError as exc:
+            raise InputError(str(exc)) from exc
+
+    def select(self, select: str, cap: float | None,
+               default: int | None = None) -> tuple[Pair, ...]:
+        """The selected pairs: exactly cfg.pairs when it is set (a shorter
+        selection is an InputError), else at most `default`."""
+        want = self.cfg.pairs
+        pairs = select_pairs(self.topology, select, default if want is None else want,
+                             cap).pairs
+        if want is not None and len(pairs) != want:
+            raise InputError(f"selection yields {len(pairs)} pairs, requested {want}")
+        return pairs
 
     def pair_table(self, pairs, ni: bool = True) -> PairTable:
         """The pairs compiled for every later batch on them; with ni, each
@@ -427,8 +442,7 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     axis = np.linspace(-math.pi, math.pi, n)
     # the grid in row-major (phi, theta) order
     phi, theta = np.repeat(axis, n), np.tile(axis, n)
-    n_pairs = cfg.pairs if cfg.pairs is not None else 25
-    pairs = select_pairs(run.topology, cfg.select, n_pairs, cfg.cap).pairs
+    pairs = run.select(cfg.select, cfg.cap, default=25)
 
     exact = closed_form_energy(phi, theta, h)
     exact_grid = exact.reshape(n, n).tolist()
@@ -515,9 +529,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     """Full optimisation runs, with repeats."""
     run = _Run(cfg)
     h, e0 = run.h, run.e0
-    pairs = select_pairs(run.topology, cfg.select, cfg.pairs, cfg.cap).pairs
-    if cfg.pairs is not None and len(pairs) != cfg.pairs:
-        raise InputError(f"selection yields {len(pairs)} pairs, requested {cfg.pairs}")
+    pairs = run.select(cfg.select, cfg.cap)
     table = run.pair_table(pairs, cfg.ni)
     default_iterations = 50 if cfg.optimizer == "spsa" else 40
     iterations = cfg.iterations if cfg.iterations is not None else default_iterations
@@ -613,7 +625,7 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     run = _Run(cfg)
     h, e0 = run.h, run.e0
     cap = cfg.cap if cfg.cap is not None else 0.90
-    pairs = select_pairs(run.topology, "greedy", cfg.pairs, cap).pairs
+    pairs = run.select("greedy", cap)
     table = run.pair_table(pairs, cfg.ni)
     iterations = cfg.iterations if cfg.iterations is not None else 50
 

@@ -342,13 +342,19 @@ IMPOSSIBLE = {
                         "selection produced no pairs"),
     "calibration": ("vqe --calibration {missing}", "not found"),
     "cost-model": ("heatmap --cost-model {missing}", "not found"),
+    "malformed-calibration": ("vqe --calibration {malformed}", "fidelity 1.5 out of"),
+    "heatmap-pairs": ("heatmap --pairs 40", "selection yields 33 pairs, requested 40"),
+    "shots-sweep-pairs": ("shots-sweep --pairs 40", "selection yields 26 pairs, requested 40"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(IMPOSSIBLE))
 def test_cli_rejects_impossible_inputs_before_output(case, tmp_path, capsys):
     args, message = IMPOSSIBLE[case]
-    argv = args.format(missing=tmp_path / "missing.json").split()
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"name": "malformed", "qubits": [0, 1],
+                                     "edges": [[0, 1, 1.5]], "readout": {}}))
+    argv = args.format(missing=tmp_path / "missing.json", malformed=malformed).split()
     with pytest.raises(SystemExit) as exc:
         cli_main([*argv, "--seed", "1", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
