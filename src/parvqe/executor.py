@@ -47,7 +47,6 @@ class EnergyEstimate:
 
     value: float
     std_err: float
-    shots_per_setting: int | None
     raw_value: float | None = None
 
     def __post_init__(self):
@@ -123,7 +122,8 @@ def compile_pairs(topology: DeviceTopology, pairs, h: HubbardParams = HubbardPar
         p=np.array([noise.effective_p(False) for noise in noises]),
         p_crosstalk=np.array([noise.effective_p(True) for noise in noises]),
         neighbours=neighbours,
-        confusion=confusion_maps(np.array([noise.readout for noise in noises]).reshape(n, 2, 2)),
+        confusion=confusion_maps(
+            np.array([noise.readout for noise in noises]).reshape(n, 2, 2)),
         coeffs=coeffs, raw_coeffs=c, offset=h.u / 2.0, ni=confusions is not None)
 
 
@@ -234,19 +234,18 @@ def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
         var = _plugin_variance(eff_on, p_on, shots_on) \
             + _plugin_variance(eff_hop, p_hop, shots_hop)
         std_err = float(np.sqrt(var))
-    return EnergyEstimate(value=value, std_err=std_err,
-                          shots_per_setting=shots_on, raw_value=raw)
+    return EnergyEstimate(value=value, std_err=std_err, raw_value=raw)
 
 
-def aggregate_same_params(est: Estimates, shots: int) -> EnergyEstimate:
-    """Pool the same-parameter estimates of one batch's rows, all measured
-    with `shots` per setting: the mean, with errors in quadrature."""
+def aggregate_same_params(est: Estimates) -> EnergyEstimate:
+    """Pool the same-parameter estimates of one batch's rows (equal shots
+    each): the mean, with errors in quadrature."""
     n = len(est.value)
     if n == 0:
         raise ValueError("nothing to aggregate")
     return EnergyEstimate(value=float(np.mean(est.value)),
                           std_err=float(np.sqrt(np.sum(est.std_err ** 2))) / n,
-                          shots_per_setting=shots, raw_value=float(np.mean(est.raw)))
+                          raw_value=float(np.mean(est.raw)))
 
 
 def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,

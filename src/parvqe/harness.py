@@ -289,14 +289,14 @@ def _final_point(run: _Run, table: PairTable, params: AnsatzParams, key: int) ->
     """Mitigation levels of one final params measured on every row of the
     table, with its phi=0 reference, pooled over the rows; the seeds
     derive from `key`."""
-    n = len(table.pairs)
+    n, seed = len(table.pairs), run.cfg.seed
     measured = _measure(run, table, np.arange(n), np.full(n, params.phi),
-                        np.full(n, params.theta), derive_seed(run.cfg.seed, _NS_FINAL, 2 * key),
-                        derive_seed(run.cfg.seed, _NS_FINAL, 2 * key + 1), tflo=True)
-    return {level: float(np.mean(values)) for level, values in _mitigated(*measured).items()}
+                        np.full(n, params.theta), derive_seed(seed, _NS_FINAL, 2 * key),
+                        derive_seed(seed, _NS_FINAL, 2 * key + 1), tflo=True)
+    return {level: float(np.mean(v)) for level, v in _mitigated(*measured).items()}
 
 
-def _mitigated(est: Estimates, ref: Estimates | None = None, ref_exact=None) -> dict:
+def _mitigated(est: Estimates, ref: Estimates | None, ref_exact) -> dict:
     """Mitigation levels of a batch's rows, as arrays: raw and ni, and with
     their phi=0 reference also tflo and tflo_ni. Without NI, ni equals raw."""
     levels = {"raw": est.raw, "ni": est.value}

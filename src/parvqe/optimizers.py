@@ -260,7 +260,7 @@ def spsa_parallel_evaluator(table: PairTable, shots: int, seed: int) -> Evaluato
     def evaluate(params: AnsatzParams) -> EnergyEstimate:
         return aggregate_same_params(measure_batch(
             table, rows, np.full(len(rows), params.phi), np.full(len(rows), params.theta),
-            shots, derive_seed(seed, next(counter))), shots)
+            shots, derive_seed(seed, next(counter))))
 
     return evaluate
 
@@ -288,13 +288,13 @@ def oracle_evaluator(h: HubbardParams = HubbardParams()) -> Evaluator:
     """Noiseless evaluator backed by the exact model (std_err = 0)."""
 
     def evaluate(params: AnsatzParams) -> EnergyEstimate:
-        return EnergyEstimate(value=exact_energy(params, h), std_err=0.0,
-                              shots_per_setting=None)
+        return EnergyEstimate(value=exact_energy(params, h), std_err=0.0)
 
     return evaluate
 
 
 def oracle_batch_evaluator(h: HubbardParams = HubbardParams()) -> BatchEvaluator:
+    """Noiseless batch evaluator backed by the exact model (std_err = 0)."""
 
     def evaluate_batch(points: np.ndarray) -> Estimates:
         value = np.array([exact_energy(AnsatzParams(*p), h) for p in points.tolist()])

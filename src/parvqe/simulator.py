@@ -164,7 +164,8 @@ def exact_distribution(rho: np.ndarray, noise: PairNoiseSpec = NOISELESS) -> np.
 def sample_shots(rho: np.ndarray, noise: PairNoiseSpec, shots: int,
                  stream: np.random.Generator) -> ShotHistogram:
     """Multinomial sample of the exact outcome distribution."""
-    return sample_distribution(exact_distribution(rho, noise), shots, stream)
+    counts = stream.multinomial(shots, exact_distribution(rho, noise))
+    return ShotHistogram(counts=tuple(int(c) for c in counts), shots=shots)
 
 
 # --- batched statevector kernel ---------------------------------------------
@@ -221,11 +222,3 @@ def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
     mixed = (1.0 - p) * probs + p / 4.0
     return np.einsum("nij,nkj->nki", confusion, mixed)
 
-
-def sample_distribution(probs: np.ndarray, shots: int,
-                        stream: np.random.Generator) -> ShotHistogram:
-    """Multinomial sample of one outcome distribution."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    counts = stream.multinomial(shots, probs)
-    return ShotHistogram(counts=tuple(int(c) for c in counts), shots=shots)

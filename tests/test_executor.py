@@ -230,13 +230,13 @@ def test_raw_value_equals_value_without_inversion():
     est = estimate_energy(ShotHistogram((40, 30, 20, 10), 100),
                           ShotHistogram((10, 20, 30, 40), 100))
     assert est.raw_value == est.value
-    bare = EnergyEstimate(value=-1.25, std_err=0.1, shots_per_setting=100)
+    bare = EnergyEstimate(value=-1.25, std_err=0.1)
     assert bare.raw_value == bare.value == -1.25
     table = compile_pairs(two_pair_topology(readout=(0.02, 0.03)), [(0, 1), (2, 3)])
     rows = estimate_counts(table, [0, 1], np.array([[(40, 30, 20, 10), (10, 20, 30, 40)],
                                                     [(70, 10, 10, 10), (25, 25, 25, 25)]]), 100)
     assert np.array_equal(rows.raw, rows.value)
-    pooled = aggregate_same_params(rows, 100)
+    pooled = aggregate_same_params(rows)
     assert pooled.raw_value == pooled.value
 
 
@@ -262,12 +262,12 @@ def test_aggregate_single_and_pair():
         return Estimates(*(np.array([getattr(e, name) for e in ests])
                            for name in ("value", "std_err", "raw_value")))
 
-    assert aggregate_same_params(rows(e1), 100) == e1
-    pooled = aggregate_same_params(rows(e1, e2), 100)
+    assert aggregate_same_params(rows(e1)) == e1
+    pooled = aggregate_same_params(rows(e1, e2))
     assert pooled.value == pytest.approx((e1.value + e2.value) / 2)
     assert pooled.std_err == pytest.approx(math.hypot(e1.std_err, e2.std_err) / 2)
     with pytest.raises(ValueError):
-        aggregate_same_params(rows(), 100)
+        aggregate_same_params(rows())
 
 
 def test_pooled_std_err_shrinks_as_root_p():
@@ -276,7 +276,7 @@ def test_pooled_std_err_shrinks_as_root_p():
                           readout={q: (0.01, 0.01) for q in range(50)})
     a = AnsatzParams(0.4, 0.3)
     per_pair = run_estimates(topo, [(e[:2], a) for e in topo_edges], 1000, 23)
-    pooled = aggregate_same_params(per_pair, 1000)
+    pooled = aggregate_same_params(per_pair)
     mean_se = float(np.mean(per_pair.std_err))
     assert pooled.std_err == pytest.approx(mean_se / math.sqrt(25), rel=0.05)
 

@@ -104,7 +104,7 @@ def test_spsa_noiseless_convergence():
 
 def test_spsa_constant_evaluator_never_moves():
     def const(params):
-        return EnergyEstimate(value=3.0, std_err=0.0, shots_per_setting=None)
+        return EnergyEstimate(value=3.0, std_err=0.0)
 
     trace = spsa_run(SpsaConfig(iterations=20), const, START,
                      np.random.default_rng(0))
@@ -115,8 +115,7 @@ def test_spsa_constant_evaluator_never_moves():
 def test_spsa_invariant_under_constant_shift():
     def shifted(offset):
         base = oracle_evaluator()
-        return lambda p: EnergyEstimate(value=base(p).value + offset, std_err=0.0,
-                                        shots_per_setting=None)
+        return lambda p: EnergyEstimate(value=base(p).value + offset, std_err=0.0)
 
     t1 = spsa_run(SpsaConfig(iterations=30), shifted(0.0), START,
                   np.random.default_rng(12))
