@@ -1,9 +1,11 @@
 """Deterministic RNG stream derivation.
 
-All randomness in this package flows through generators created here. A
-stream is identified by an integer path (base seed plus context indices),
-so results never depend on global RNG state, call order across tasks, or
-the number of worker threads.
+All randomness in this package flows through seeds and generators
+derived here. A stream is identified by an integer path (base seed plus
+context indices), so results never depend on global RNG state or on the
+order in which independent runs happen. A batch's seed is such a path
+folded into one integer; the executor draws all of the batch's
+histograms from the one generator that seed starts.
 """
 
 from __future__ import annotations
