@@ -130,7 +130,7 @@ def test_crosstalk_flags_only_active_rows_of_a_partial_batch():
     # rows 0 and 2 are not neighbours: with row 1 idle neither is flagged
     apart = run_estimates(topo, chain, 5000, 3, crosstalk_p=0.5, rows=[0, 2])
     assert np.array_equal(apart.value, run_estimates(topo, chain, 5000, 3, rows=[0, 2]).value)
-    # rows 1 and 2 are neighbours: both are flagged, and only they are
+    # rows 1 and 2 are neighbours: active together, both are flagged
     near = run_estimates(topo, chain, 5000, 3, crosstalk_p=0.5, rows=[1, 2])
     quiet = run_estimates(topo, chain, 5000, 3, rows=[1, 2])
     assert np.all(near.value != quiet.value)
