@@ -238,12 +238,12 @@ class _Run:
         except CalibrationError as exc:
             raise InputError(str(exc)) from exc
 
-    def select(self, select: str, cap: float | None,
+    def select(self, method: str, cap: float | None,
                default: int | None = None) -> tuple[Pair, ...]:
-        """The selected pairs: exactly cfg.pairs when it is set (a shorter
-        selection is an InputError), else at most `default`."""
+        """The pairs `method` selects: exactly cfg.pairs when it is set (a
+        shorter selection is an InputError), else at most `default`."""
         want = self.cfg.pairs
-        pairs = select_pairs(self.topology, select, default if want is None else want,
+        pairs = select_pairs(self.topology, method, default if want is None else want,
                              cap).pairs
         if want is not None and len(pairs) != want:
             raise InputError(f"selection yields {len(pairs)} pairs, requested {want}")
