@@ -155,29 +155,54 @@ class PairCounts(NamedTuple):
     histograms: np.ndarray
 
 
-def run_batch(table: PairTable, rows, phi: np.ndarray, theta: np.ndarray, shots: int,
-              seed: int) -> list[PairCounts]:
-    """Simulate table rows at angles (phi, theta) in one vectorized pass and
-    sample every histogram of the batch in one multinomial draw from one
-    stream, default_rng(seed). Row i's counts depend on the rows before it
-    in the batch, never on those after it.
+def as_batches(rows, seed) -> tuple[list[np.ndarray], list[int]]:
+    """The (row arrays, seeds) of a run_batch call: an int seed names one
+    batch of rows, a sequence of B seeds goes with B row arrays."""
+    if isinstance(seed, (int, np.integer)):
+        return [np.asarray(rows, dtype=int)], [seed]
+    batches, seeds = [np.asarray(r, dtype=int) for r in rows], list(seed)
+    if len(batches) != len(seeds):
+        raise ValueError(f"{len(batches)} batches but {len(seeds)} seeds")
+    return batches, seeds
 
-    The rows' pairs must be vertex-disjoint. A row is flagged for
-    crosstalk when another row of the batch is its neighbour.
+
+def run_batch(table: PairTable, rows, phi: np.ndarray, theta: np.ndarray, shots: int,
+              seed) -> list[PairCounts]:
+    """Simulate one or more batches of table rows in one vectorized pass.
+
+    With an int seed, rows is one batch; with a sequence of B seeds, rows
+    holds B row arrays, which may differ in size. phi and theta hold the
+    angles of every row of every batch, in order. Each batch samples its
+    histograms in one multinomial draw from its own stream,
+    default_rng(seed), so its counts do not depend on the other batches of
+    the call. Within a batch, row i's counts depend on the rows before it,
+    never on those after it. Returns one PairCounts per row of every batch.
+
+    Each batch's pairs must be vertex-disjoint. A row is flagged for
+    crosstalk when another row of its own batch is its neighbour.
     """
-    rows = np.asarray(rows, dtype=int)
-    if len(rows) == 0:
-        raise ValueError("batch needs at least one row")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    qubits = table.qubits[rows].ravel().tolist()
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("batch pairs must be vertex-disjoint")
-    p = table.p[rows]
-    if table.neighbours is not None:
-        p = np.where(table.neighbours[rows][:, rows].any(axis=1), table.p_crosstalk[rows], p)
-    dists = batch_distributions(phi, theta, p, table.confusion[rows])
-    counts = np.random.default_rng(seed).multinomial(shots, dists)
+    batches, seeds = as_batches(rows, seed)
+    p = []
+    for batch in batches:
+        if len(batch) == 0:
+            raise ValueError("batch needs at least one row")
+        qubits = table.qubits[batch].ravel().tolist()
+        if len(set(qubits)) != len(qubits):
+            raise ValueError("batch pairs must be vertex-disjoint")
+        p_batch = table.p[batch]
+        if table.neighbours is not None:
+            p_batch = np.where(table.neighbours[batch][:, batch].any(axis=1),
+                               table.p_crosstalk[batch], p_batch)
+        p.append(p_batch)
+    rows = np.concatenate(batches)
+    dists = batch_distributions(phi, theta, np.concatenate(p), table.confusion[rows])
+    counts, lo = [], 0
+    for batch, batch_seed in zip(batches, seeds):
+        counts.extend(np.random.default_rng(batch_seed).multinomial(
+            shots, dists[lo:lo + len(batch)]))
+        lo += len(batch)
     return [PairCounts(table.pairs[row], hist) for row, hist in zip(rows.tolist(), counts)]
 
 
@@ -237,15 +262,16 @@ def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
     return EnergyEstimate(value=value, std_err=std_err, raw_value=raw)
 
 
-def aggregate_same_params(est: Estimates) -> EnergyEstimate:
-    """Pool the same-parameter estimates of one batch's rows (equal shots
-    each): the mean, with errors in quadrature."""
-    n = len(est.value)
+def aggregate_same_params(est: Estimates) -> Estimates:
+    """Pool same-parameter estimates (equal shots each) over the last axis,
+    the rows of one batch: the mean, with errors in quadrature. Leading
+    axes index independent batches."""
+    n = est.value.shape[-1]
     if n == 0:
         raise ValueError("nothing to aggregate")
-    return EnergyEstimate(value=float(np.mean(est.value)),
-                          std_err=float(np.sqrt(np.sum(est.std_err ** 2))) / n,
-                          raw_value=float(np.mean(est.raw)))
+    return Estimates(value=est.value.mean(axis=-1),
+                     std_err=np.sqrt(np.sum(est.std_err ** 2, axis=-1)) / n,
+                     raw=est.raw.mean(axis=-1))
 
 
 def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,

@@ -55,10 +55,10 @@ from .optimizers import (
     SpsaConfig,
     batch_pair_evaluator,
     measure_batch,
-    mgd_run,
+    mgd_lockstep,
     n_points_from_eta,
+    spsa_lockstep,
     spsa_parallel_evaluator,
-    spsa_run,
 )
 from .seeding import derive_rng, derive_seed
 from . import svgplot
@@ -307,22 +307,23 @@ def _mitigated(est: Estimates, ref: Estimates | None, ref_exact) -> dict:
 
 
 def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
-              keys) -> OptTrace:
-    """One SPSA or surrogate-descent run from cfg.start on the evaluator that
-    matches its parallelism. Its evaluator seed and optimizer stream derive
-    from the key path `keys`."""
+              key_paths) -> list[OptTrace]:
+    """SPSA or surrogate-descent runs from cfg.start, one per key path, in
+    lockstep on the evaluator that matches the optimizer's parallelism.
+    Each run's evaluator seed and optimizer stream derive from its own key
+    path, so its trace does not depend on the runs beside it."""
     cfg, h = run.cfg, run.h
-    eval_seed = derive_seed(cfg.seed, _NS_EVAL, *keys)
-    opt_stream = derive_rng(cfg.seed, _NS_OPT, *keys)
-    start = AnsatzParams(*cfg.start)
-    exact_fn = lambda params: exact_energy(params, h)
+    eval_seeds = [derive_seed(cfg.seed, _NS_EVAL, *keys) for keys in key_paths]
+    streams = [derive_rng(cfg.seed, _NS_OPT, *keys) for keys in key_paths]
+    starts = [AnsatzParams(*cfg.start)] * len(key_paths)
+    exact = lambda centres: [exact_energy(AnsatzParams(*c), h) for c in centres.tolist()]
     if optimizer == "spsa":
-        return spsa_run(SpsaConfig(iterations=iterations),
-                        spsa_parallel_evaluator(table, shots, eval_seed), start,
-                        opt_stream, exact_fn)
-    return mgd_run(MgdConfig(iterations=iterations),
-                   batch_pair_evaluator(table, shots, eval_seed), start, points,
-                   opt_stream, exact_fn)
+        return spsa_lockstep(SpsaConfig(iterations=iterations),
+                             spsa_parallel_evaluator(table, shots, eval_seeds), starts,
+                             streams, exact)
+    return mgd_lockstep(MgdConfig(iterations=iterations),
+                        batch_pair_evaluator(table, shots, eval_seeds), starts, points,
+                        streams, exact)
 
 
 # --- benchmark-pairs ----------------------------------------------------------
@@ -538,8 +539,9 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
 
     summary_rows = []
     artifacts = []
-    for rep in range(cfg.repeats):
-        trace = _optimize(run, table, cfg.optimizer, iterations, points, cfg.shots, (rep,))
+    traces = _optimize(run, table, cfg.optimizer, iterations, points, cfg.shots,
+                       [(rep,) for rep in range(cfg.repeats)])
+    for rep, trace in enumerate(traces):
         final = trace.final_params
         levels = _final_point(run, table, final, rep)
         corrected = levels[cfg.level]
@@ -632,7 +634,7 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     rows, artifacts, series = [], [], {}
     final_err = {}
     for si, shots in enumerate(cfg.shots_list):
-        trace = _optimize(run, table, "spsa", iterations, len(pairs), shots, (si,))
+        trace, = _optimize(run, table, "spsa", iterations, len(pairs), shots, [(si,)])
         err = exact_energy(trace.final_params, h) - e0
         final_err[shots] = err
         trace_path = run.out_dir / f"trace_shots{shots}.csv"
@@ -684,9 +686,9 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
         table = run.pair_table(pairs)
         for index, (name, plan) in enumerate(plans.items()):
             finals = []
-            for rep in range(plan["repeats"]):
-                trace = _optimize(run, table, name, plan["iterations"], len(pairs),
-                                  cfg.shots, (p_count, rep, index))
+            traces = _optimize(run, table, name, plan["iterations"], len(pairs), cfg.shots,
+                               [(p_count, rep, index) for rep in range(plan["repeats"])])
+            for rep, trace in enumerate(traces):
                 levels = _final_point(run, table, trace.final_params,
                                       1000 * p_count + 10 * rep + index)
                 err = abs(levels["tflo_ni"] - run.e0)

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .executor import (
     Estimates,
     PairTable,
     aggregate_same_params,
+    as_batches,
     estimate_counts,
     run_batch,
 )
@@ -109,7 +109,7 @@ def n_points_from_eta(eta: float) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     iteration: int
     phi: float
@@ -157,28 +157,76 @@ Evaluator = Callable[[AnsatzParams], EnergyEstimate]
 # (m, 2) array of (phi, theta) points -> their m estimates
 BatchEvaluator = Callable[[np.ndarray], Estimates]
 ExactFn = Callable[[AnsatzParams], float]
+# (R, m, 2) array, m points for each of R repeats -> one Estimates of m per repeat
+LockstepEvaluator = Callable[[np.ndarray], list[Estimates]]
+# (R, 2) array of the repeats' centres -> their R exact energies
+ExactCentres = Callable[[np.ndarray], Sequence[float]]
+
+
+def _centres(starts) -> np.ndarray:
+    return np.array([[s.phi, s.theta] for s in starts], dtype=float).reshape(-1, 2)
+
+
+def _record(k: int, centre: np.ndarray, e_raw, e_ni, e_exact, points=None) -> IterationRecord:
+    params = AnsatzParams(*centre)
+    return IterationRecord(iteration=k, phi=params.phi, theta=params.theta,
+                           e_raw=float(e_raw), e_ni=float(e_ni),
+                           e_exact=None if e_exact is None else float(e_exact),
+                           points=points)
+
+
+def _traces(records, theta: np.ndarray) -> list[OptTrace]:
+    return [OptTrace(records=recs, final_params=AnsatzParams(*final))
+            for recs, final in zip(records, theta)]
+
+
+def _exact_of(exact_fn: ExactFn | None) -> ExactCentres | None:
+    """The one-centre oracle as a per-step oracle over the repeats' centres."""
+    if exact_fn is None:
+        return None
+    return lambda centres: [exact_fn(AnsatzParams(*c)) for c in centres.tolist()]
+
+
+def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
+                  streams: Sequence[np.random.Generator],
+                  exact: ExactCentres | None = None) -> list[OptTrace]:
+    """One-stage SPSA on R independent repeats in lockstep, one trace each.
+
+    Repeat r starts at starts[r] and draws its Rademacher directions from
+    streams[r] only. Each iteration asks `evaluate` once for all repeats'
+    three points: the centre (recorded in the trace) and the two perturbed
+    points for the gradient, which depend only on the centre. A repeat's
+    trace therefore does not depend on R as long as the evaluator's does
+    not.
+    """
+    theta = _centres(starts)
+    records = [[] for _ in theta]
+    for k in range(1, cfg.iterations + 1):
+        a_k, c_k = cfg.gains(k)
+        delta = np.array([stream.choice([-1.0, 1.0], size=2) for stream in streams])
+        ests = evaluate(np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1))
+        e_exact = [None] * len(theta) if exact is None else exact(theta)
+        for r, est in enumerate(ests):
+            records[r].append(_record(k, theta[r], est.raw[0], est.value[0], e_exact[r]))
+        e_diff = np.array([est.value[1] - est.value[2] for est in ests])
+        grad = (e_diff / (2.0 * c_k))[:, None] * delta   # 1/delta_i == delta_i
+        theta = theta - a_k * grad
+    return _traces(records, theta)
 
 
 def spsa_run(cfg: SpsaConfig, evaluator: Evaluator, start: AnsatzParams,
              stream: np.random.Generator, exact_fn: ExactFn | None = None) -> OptTrace:
-    """One-stage SPSA. Three evaluations per iteration: the centre point
-    (recorded in the trace) and the two perturbed points for the gradient."""
-    theta = np.array([start.phi, start.theta], dtype=float)
-    records = []
-    for k in range(1, cfg.iterations + 1):
-        center = AnsatzParams(theta[0], theta[1])
-        est = evaluator(center)
-        records.append(IterationRecord(
-            iteration=k, phi=center.phi, theta=center.theta,
-            e_raw=est.raw_value, e_ni=est.value,
-            e_exact=None if exact_fn is None else exact_fn(center)))
-        a_k, c_k = cfg.gains(k)
-        delta = stream.choice([-1.0, 1.0], size=2)
-        e_plus = evaluator(AnsatzParams(*(theta + c_k * delta))).value
-        e_minus = evaluator(AnsatzParams(*(theta - c_k * delta))).value
-        grad = (e_plus - e_minus) / (2.0 * c_k) * delta   # 1/delta_i == delta_i
-        theta = theta - a_k * grad
-    return OptTrace(records=records, final_params=AnsatzParams(theta[0], theta[1]))
+    """One-stage SPSA on one repeat (spsa_lockstep with R = 1). Three
+    evaluations per iteration, in order: the centre, recorded in the
+    trace, then the two perturbed points for the gradient."""
+
+    def evaluate(points: np.ndarray) -> list[Estimates]:
+        ests = [evaluator(AnsatzParams(*point)) for point in points[0].tolist()]
+        return [Estimates(value=np.array([e.value for e in ests]),
+                          std_err=np.array([e.std_err for e in ests]),
+                          raw=np.array([e.raw_value for e in ests]))]
+
+    return spsa_lockstep(cfg, evaluate, [start], [stream], _exact_of(exact_fn))[0]
 
 
 def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
@@ -196,92 +244,143 @@ def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
     return np.linalg.solve(normal, wx.T @ values)
 
 
-def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams,
-            points: int, stream: np.random.Generator,
-            exact_fn: ExactFn | None = None) -> OptTrace:
-    """Batch-parallel surrogate gradient descent.
+def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: int,
+                 streams: Sequence[np.random.Generator],
+                 exact: ExactCentres | None = None) -> list[OptTrace]:
+    """Batch-parallel surrogate gradient descent on R independent repeats
+    in lockstep, one trace each.
 
-    Each iteration samples `points` offsets uniformly from the trust box
-    [-delta_k, delta_k]^2, evaluates them in a single batch, fits the
-    quadratic surrogate with observation weights 1/std_err^2 and ridge
-    strength (mean observation variance)/l^2, and steps along the fitted
-    linear coefficients.
+    Each iteration, repeat r samples `points` offsets uniformly from the
+    trust box [-delta_k, delta_k]^2 with streams[r], and `evaluate` runs
+    every repeat's points at once. Per repeat, the quadratic surrogate is
+    fitted with observation weights 1/std_err^2 and ridge strength (mean
+    observation variance)/l^2, and the repeat steps along the fitted
+    linear coefficients. When an estimate's raw values are its values
+    (no readout inversion), the one fit serves both.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
     if points < N_SURROGATE_FEATURES:
         warnings.warn(f"{points} points under-determine the quadratic surrogate",
-                      stacklevel=2)
-    theta = np.array([start.phi, start.theta], dtype=float)
-    records = []
+                      stacklevel=3)
+    theta = _centres(starts)
+    records = [[] for _ in theta]
     for k in range(1, cfg.iterations + 1):
         delta_k, gamma_k = cfg.gains(k)
-        offsets = stream.uniform(-delta_k, delta_k, size=(points, 2))
-        batch = theta + offsets
-        est = batch_evaluator(batch)
-        variances = est.std_err ** 2
-        mean_var = float(variances.mean())
-        if mean_var == 0.0:
-            weights = np.ones(points)
-            ridge = 0.0
-        else:
-            weights = 1.0 / np.maximum(variances, 1e-12 * mean_var)
-            ridge = mean_var / cfg.l ** 2
-        coeffs = _fit_surrogate(offsets, est.value, weights, ridge)
-        e_raw = float(_fit_surrogate(offsets, est.raw, weights, ridge)[0])
-        center = AnsatzParams(theta[0], theta[1])
-        records.append(IterationRecord(
-            iteration=k, phi=center.phi, theta=center.theta,
-            e_raw=e_raw, e_ni=float(coeffs[0]),
-            e_exact=None if exact_fn is None else exact_fn(center),
-            points=tuple(map(tuple, batch.tolist()))))
-        theta = theta - gamma_k * coeffs[1:3]
-    return OptTrace(records=records, final_params=AnsatzParams(theta[0], theta[1]))
+        offsets = np.array([stream.uniform(-delta_k, delta_k, size=(points, 2))
+                            for stream in streams]).reshape(len(theta), points, 2)
+        batch = theta[:, None, :] + offsets
+        ests = evaluate(batch)
+        e_exact = [None] * len(theta) if exact is None else exact(theta)
+        steps = np.empty_like(theta)
+        for r, est in enumerate(ests):
+            variances = est.std_err ** 2
+            mean_var = float(variances.mean())
+            if mean_var == 0.0:
+                weights = np.ones(points)
+                ridge = 0.0
+            else:
+                weights = 1.0 / np.maximum(variances, 1e-12 * mean_var)
+                ridge = mean_var / cfg.l ** 2
+            coeffs = _fit_surrogate(offsets[r], est.value, weights, ridge)
+            e_raw = (coeffs[0] if est.raw is est.value
+                     else _fit_surrogate(offsets[r], est.raw, weights, ridge)[0])
+            records[r].append(_record(k, theta[r], e_raw, coeffs[0], e_exact[r],
+                                      points=tuple(map(tuple, batch[r].tolist()))))
+            steps[r] = gamma_k * coeffs[1:3]
+        theta = theta - steps
+    return _traces(records, theta)
+
+
+def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams,
+            points: int, stream: np.random.Generator,
+            exact_fn: ExactFn | None = None) -> OptTrace:
+    """Batch-parallel surrogate gradient descent on one repeat
+    (mgd_lockstep with R = 1): each iteration evaluates its `points`
+    points in one call of batch_evaluator."""
+    return mgd_lockstep(cfg, lambda batch: [batch_evaluator(batch[0])], [start], points,
+                        [stream], _exact_of(exact_fn))[0]
 
 
 # --- executor-backed evaluators ----------------------------------------------
 
 def measure_batch(table: PairTable, rows, phi: np.ndarray, theta: np.ndarray,
-                  shots: int, seed: int) -> Estimates:
-    """Run one batch of table rows at angles (phi, theta) and estimate every
+                  shots: int, seed) -> Estimates:
+    """Run one batch of table rows (an int seed) or several (a sequence of
+    seeds, one per row array) at angles (phi, theta) and estimate every
     row's energy, in row order; NI-corrected when the table has confusions."""
     results = run_batch(table, rows, phi, theta, shots, seed)
-    return estimate_counts(table, rows, np.array([r.histograms for r in results]), shots)
+    return estimate_counts(table, np.concatenate(as_batches(rows, seed)[0]),
+                           np.array([r.histograms for r in results]), shots)
 
 
-def spsa_parallel_evaluator(table: PairTable, shots: int, seed: int) -> Evaluator:
-    """Same-parameters parallelism: every energy query runs one batch with
-    identical parameters on all rows of the table and pools the estimates."""
+def _per_repeat(table: PairTable, est: Estimates, repeats: int) -> list[Estimates]:
+    """Split estimates laid out repeat by repeat into one Estimates per
+    repeat; without NI each repeat's raw is its value."""
+    value, std_err, raw = (a.reshape(repeats, -1) for a in est)
+    return [Estimates(value[r], std_err[r], raw[r] if table.ni else value[r])
+            for r in range(repeats)]
+
+
+class _Counters:
+    """Per-repeat evaluator streams: the n-th batch of repeat r is seeded
+    derive_seed(seeds[r], n), whichever repeats share its step."""
+
+    def __init__(self, seeds: Sequence[int]):
+        self.seeds = list(seeds)
+        self.next = [0] * len(self.seeds)
+
+    def take(self, r: int, count: int) -> list[int]:
+        n = self.next[r]
+        self.next[r] += count
+        return [derive_seed(self.seeds[r], i) for i in range(n, n + count)]
+
+
+def spsa_parallel_evaluator(table: PairTable, shots: int,
+                            seeds: Sequence[int]) -> LockstepEvaluator:
+    """Same-parameters parallelism for R repeats with evaluator seeds
+    seeds[r]: every point of every repeat runs as one batch with identical
+    parameters on all rows of the table, and its row estimates are pooled
+    (their mean, with errors in quadrature). All batches of a call share
+    one kernel pass."""
     if not table.pairs:
         raise ValueError("need at least one pair")
-    rows = np.arange(len(table.pairs))
-    counter = itertools.count()
+    n = len(table.pairs)
+    counters = _Counters(seeds)
 
-    def evaluate(params: AnsatzParams) -> EnergyEstimate:
-        return aggregate_same_params(measure_batch(
-            table, rows, np.full(len(rows), params.phi), np.full(len(rows), params.theta),
-            shots, derive_seed(seed, next(counter))))
+    def evaluate(points: np.ndarray) -> list[Estimates]:
+        repeats, m = points.shape[:2]
+        batch_seeds = [seed for r in range(repeats) for seed in counters.take(r, m)]
+        flat = points.reshape(-1, 2)
+        est = measure_batch(table, [np.arange(n)] * len(flat), np.repeat(flat[:, 0], n),
+                            np.repeat(flat[:, 1], n), shots, batch_seeds)
+        pooled = aggregate_same_params(Estimates(*(a.reshape(repeats, m, n) for a in est)))
+        return _per_repeat(table, pooled, repeats)
 
     return evaluate
 
 
-def batch_pair_evaluator(table: PairTable, shots: int, seed: int) -> BatchEvaluator:
-    """Different-parameters parallelism: the points are spread over the
-    table's rows, ceil(m/len(rows)) batches per call."""
+def batch_pair_evaluator(table: PairTable, shots: int,
+                         seeds: Sequence[int]) -> LockstepEvaluator:
+    """Different-parameters parallelism for R repeats with evaluator seeds
+    seeds[r]: each repeat's m points are spread over the table's rows,
+    ceil(m/len(rows)) batches per repeat and call. All batches of a call
+    share one kernel pass."""
     if not table.pairs:
         raise ValueError("need at least one pair")
-    rows = np.arange(len(table.pairs))
-    counter = itertools.count()
+    n = len(table.pairs)
+    counters = _Counters(seeds)
 
-    def evaluate_batch(points: np.ndarray) -> Estimates:
-        parts = []
-        for lo in range(0, len(points), len(rows)):
-            chunk = points[lo:lo + len(rows)]
-            parts.append(measure_batch(table, rows[:len(chunk)], chunk[:, 0], chunk[:, 1],
-                                       shots, derive_seed(seed, next(counter))))
-        return Estimates(*map(np.concatenate, zip(*parts)))
+    def evaluate(points: np.ndarray) -> list[Estimates]:
+        repeats, m = points.shape[:2]
+        chunks = [np.arange(lo, min(lo + n, m)) - lo for lo in range(0, m, n)]
+        batch_seeds = [seed for r in range(repeats) for seed in counters.take(r, len(chunks))]
+        flat = points.reshape(-1, 2)
+        est = measure_batch(table, chunks * repeats, flat[:, 0], flat[:, 1], shots,
+                            batch_seeds)
+        return _per_repeat(table, est, repeats)
 
-    return evaluate_batch
+    return evaluate
 
 
 def oracle_evaluator(h: HubbardParams = HubbardParams()) -> Evaluator:

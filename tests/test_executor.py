@@ -237,7 +237,7 @@ def test_raw_value_equals_value_without_inversion():
                                                     [(70, 10, 10, 10), (25, 25, 25, 25)]]), 100)
     assert np.array_equal(rows.raw, rows.value)
     pooled = aggregate_same_params(rows)
-    assert pooled.raw_value == pooled.value
+    assert pooled.raw == pooled.value
 
 
 def test_std_err_scales_with_shots():
@@ -262,7 +262,8 @@ def test_aggregate_single_and_pair():
         return Estimates(*(np.array([getattr(e, name) for e in ests])
                            for name in ("value", "std_err", "raw_value")))
 
-    assert aggregate_same_params(rows(e1)) == e1
+    single = aggregate_same_params(rows(e1))
+    assert (single.value, single.std_err, single.raw) == (e1.value, e1.std_err, e1.raw_value)
     pooled = aggregate_same_params(rows(e1, e2))
     assert pooled.value == pytest.approx((e1.value + e2.value) / 2)
     assert pooled.std_err == pytest.approx(math.hypot(e1.std_err, e2.std_err) / 2)

@@ -14,6 +14,7 @@ from parvqe.optimizers import (
     SpsaConfig,
     UnderDeterminedFit,
     batch_pair_evaluator,
+    mgd_lockstep,
     mgd_run,
     n_points_from_eta,
     oracle_batch_evaluator,
@@ -224,15 +225,21 @@ def test_mgd_trace_diagnostics_do_not_affect_updates():
 # --- executor-backed evaluators ---
 
 
+def evaluate_one(ev, params):
+    """One point's estimate from a lockstep evaluator running one repeat."""
+    est = ev(np.array([[[params.phi, params.theta]]]))[0]
+    return EnergyEstimate(float(est.value[0]), float(est.std_err[0]), float(est.raw[0]))
+
+
 def test_spsa_parallel_evaluator_pools_std_err():
     h = HubbardParams()
     a = AnsatzParams(0.4, 0.3)
     topo1 = uniform_topology(1)
     topo25 = uniform_topology(25)
-    ev1 = spsa_parallel_evaluator(compile_pairs(topo1, [(0, 1)], h), 1000, seed=5)
+    ev1 = spsa_parallel_evaluator(compile_pairs(topo1, [(0, 1)], h), 1000, seeds=[5])
     ev25 = spsa_parallel_evaluator(compile_pairs(topo25, [e[:2] for e in topo25.edges], h),
-                                   1000, seed=5)
-    e1, e25 = ev1(a), ev25(a)
+                                   1000, seeds=[5])
+    e1, e25 = evaluate_one(ev1, a), evaluate_one(ev25, a)
     assert e25.std_err == pytest.approx(e1.std_err / 5.0, rel=0.25)
 
 
@@ -242,9 +249,9 @@ def test_parallel_evaluator_determinism():
     h = HubbardParams()
     vals = []
     for _ in range(2):
-        ev = spsa_parallel_evaluator(compile_pairs(topo, pairs, h), 500, seed=11)
-        vals.append([ev(AnsatzParams(0.1, 0.2)).value,
-                     ev(AnsatzParams(0.1, 0.2)).value])
+        ev = spsa_parallel_evaluator(compile_pairs(topo, pairs, h), 500, seeds=[11])
+        vals.append([evaluate_one(ev, AnsatzParams(0.1, 0.2)).value,
+                     evaluate_one(ev, AnsatzParams(0.1, 0.2)).value])
     assert vals[0] == vals[1]
     # successive calls at the same point draw fresh shots
     assert vals[0][0] != vals[0][1]
@@ -261,20 +268,20 @@ def test_pooled_estimate_tracks_mixture_of_fidelities():
         edges=((0, 1, 0.99), (2, 3, 0.99), (4, 5, 0.85), (6, 7, 0.85)),
         readout={q: (0.0, 0.0) for q in qubits})
     ev_good = spsa_parallel_evaluator(compile_pairs(good, [(0, 1), (2, 3)], h), 20_000,
-                                      seed=2)
+                                      seeds=[2])
     ev_mixed = spsa_parallel_evaluator(
-        compile_pairs(mixed, [(0, 1), (2, 3), (4, 5), (6, 7)], h), 20_000, seed=2)
+        compile_pairs(mixed, [(0, 1), (2, 3), (4, 5), (6, 7)], h), 20_000, seeds=[2])
     # adding worse pairs drags the pooled estimate upward
-    assert ev_mixed(a).value > ev_good(a).value + 0.05
+    assert evaluate_one(ev_mixed, a).value > evaluate_one(ev_good, a).value + 0.05
 
 
 def test_batch_pair_evaluator_round_robin():
     topo = uniform_topology(3)
     pairs = [e[:2] for e in topo.edges]
     h = HubbardParams()
-    ev = batch_pair_evaluator(compile_pairs(topo, pairs, h), 50_000, seed=1)
+    ev = batch_pair_evaluator(compile_pairs(topo, pairs, h), 50_000, seeds=[1])
     points = np.array([(0.0, t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)])
-    out = ev(points)
+    out, = ev(points[None])
     assert len(out.value) == len(out.std_err) == len(out.raw) == 5
     # E(0, theta) = -1 for every theta
     for value, std_err in zip(out.value, out.std_err):
@@ -284,10 +291,10 @@ def test_batch_pair_evaluator_round_robin():
 def test_mgd_with_noisy_evaluator_and_few_points_warns_but_runs():
     topo = uniform_topology(4, fidelity=0.97, readout=(0.01, 0.01))
     pairs = [e[:2] for e in topo.edges]
-    ev = batch_pair_evaluator(compile_pairs(topo, pairs), 400, seed=9)
+    ev = batch_pair_evaluator(compile_pairs(topo, pairs), 400, seeds=[9])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        trace = mgd_run(MgdConfig(iterations=3), ev, START, 4,
-                        np.random.default_rng(4))
+        trace, = mgd_lockstep(MgdConfig(iterations=3), ev, [START], 4,
+                              [np.random.default_rng(4)])
     assert any("under-determine" in str(w.message) for w in caught)
     assert len(trace.records) == 3
