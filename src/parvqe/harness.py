@@ -316,7 +316,7 @@ def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
     eval_seeds = [derive_seed(cfg.seed, _NS_EVAL, *keys) for keys in key_paths]
     streams = [derive_rng(cfg.seed, _NS_OPT, *keys) for keys in key_paths]
     starts = [AnsatzParams(*cfg.start)] * len(key_paths)
-    exact = lambda centres: [exact_energy(AnsatzParams(*c), h) for c in centres.tolist()]
+    exact = lambda centres: closed_form_energy(centres[:, 0], centres[:, 1], h)
     if optimizer == "spsa":
         return spsa_lockstep(SpsaConfig(iterations=iterations),
                              spsa_parallel_evaluator(table, shots, eval_seeds), starts,

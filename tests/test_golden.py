@@ -110,31 +110,31 @@ GOLDEN = {
     },
     "shots-sweep": {
         "shots_summary.csv":
-            "c3a0714e6f16103fa26195a05c4691f11a2df24e413ba17f2a5f67113a972676",
+            "2db580497f335151e580e59dc4e2d760b695f2ef7ee918d511fda884f6ed179e",
         "trace_shots200.csv":
-            "862bb904bb182259193960cd360b75b749f20983bd17479f8c8f5fca95af919f",
+            "d884d0e384d922bfc5b012c7ed94793a700e3eb86e90d2a2f6d2d3fef74b47f8",
         "trace_shots50.csv":
-            "0e08670347505e9198eb0d909d4ba8fc86b41adfcb525ba3a46cdfc7ced10451",
+            "d6383bb86f7594c3b1c72b64194575d24a51e77cc5771ee92a11223853aba893",
     },
     "shots-sweep-none": {
         "shots_summary.csv":
-            "bf140f93b68215de74691eebabc215dd6514fd553191264cb13d5b872faffff4",
+            "6cb5579f4c5a6132e8637c549a2a3c73b45b5e2f71994f6ad49b69f493430fb6",
         "trace_shots100.csv":
-            "bdf610119d3e8eba2f13e8c91c173d025821e66d41f83295ffd32b987b45e434",
+            "e67c9acaf4c20e0cedc71633478170179dd3d7c460adc5c05b302f7487ae3459",
     },
     "vqe-mgd-eta": {
         "summary.csv":
             "109302ba098ef2658dd4d9c0cea3991bb8bdaddf6efe955f95b493dacebdfa60",
         "trace_rep0.csv":
-            "bb14ab71e745dec95dfedd15382df7475d106c24df38ef419352b89815695538",
+            "bdc0bf0e644df6c7df1b06f68a557b8ea90b9539ed71ebd73ed4bb255ce2ec0e",
     },
     "vqe-mgd-tflo": {
         "summary.csv":
             "eceeb39897395496c4559e77d9dd7f4c38d826d28ecc0c9d4ac89ec05cc75918",
         "trace_rep0.csv":
-            "b10ed1d793ad5b115d1909406281785f82c411897bfcb5f713561b23de773c77",
+            "aa11ec36ce1715087b3a2dc1ae8658463f9803022bf302e6717abc614cb34e42",
         "trace_rep1.csv":
-            "7d222442112faedd0ddb90be6d6ed1e1bf2379bf3bf0e886ff4b67d96f1304f7",
+            "fc9c6b08458ea9b66417cd4c8cb4b843d5b8dfa94e372dc897dfa23591e73ace",
     },
     "vqe-speedup-sweep": {
         "speedup_sweep.csv":
@@ -144,15 +144,15 @@ GOLDEN = {
         "summary.csv":
             "beb30c7e9919a9230385c2aacfbc5dc04c78fdd95a432fbc30e3112efb75ec61",
         "trace_rep0.csv":
-            "e28274794ebef06864613b6d1b9affc4c51aea925f32540d234937ccd08c3a66",
+            "0562078dd9e2f511b57c29df8461be0b8ba1de7881510bce00c8ace8c7bc9456",
         "trace_rep1.csv":
-            "858baa5f0a0c7e398e3c1bcb71a7aee02caebf46a636b83b1727583e4c08e16b",
+            "35010c91cc3a2a2027cf493bb4871341201e29c95b61e404f945a32452f83067",
     },
     "vqe-spsa-none": {
         "summary.csv":
             "ee0fd73f0fbc736a0eeafdbfea913169492b345d543b4df094f3158ded1d3871",
         "trace_rep0.csv":
-            "348f00dcf4e13ea1475cdb774b99a80d2c206835262f798b2f80fbd884c778a0",
+            "6af8ac93c308f644e5dc29dcc3dfab233229b43965cc2c56d376219f01ae067c",
     },
 }
 
