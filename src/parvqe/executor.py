@@ -8,6 +8,8 @@ measurement settings on every row. The whole batch is simulated in one
 vectorized pass, its histograms come from one multinomial draw on one
 stream seeded by the batch seed, and its energies are estimated as
 arrays, so execution is deterministic and holds no per-pair objects.
+Several independent batches (the repeats of an optimizer step) can share
+one pass: each keeps its own checks, crosstalk flags and stream.
 
 Wall-clock time of a batched run on a remote device is modelled, not
 measured, as

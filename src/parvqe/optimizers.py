@@ -14,9 +14,17 @@ Two optimizers are provided, each matched to a form of parallelism:
   from scratch each iteration (no carryover of earlier points), with the
   ridge prior scale set by the config's `l`.
 
-Optimizer randomness comes only from the injected stream; evaluators
-manage their own derived streams. Exact-energy diagnostics recorded in
-the trace never feed back into the updates.
+Each optimizer has one lockstep core (`spsa_lockstep`, `mgd_lockstep`)
+that advances R independent repeats together: every step asks the
+evaluator once for the points of all repeats, so the executor-backed
+evaluators run them in one kernel call. `spsa_run` and `mgd_run` are the
+one-repeat adapters over plain evaluators.
+
+Optimizer randomness comes only from the injected streams, one per
+repeat; the executor-backed evaluators keep one seed and one batch
+counter per repeat, so a repeat's trace does not depend on R or on the
+repeats beside it. Exact-energy diagnostics recorded in the trace never
+feed back into the updates.
 """
 
 from __future__ import annotations

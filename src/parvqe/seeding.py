@@ -5,7 +5,11 @@ derived here. A stream is identified by an integer path (base seed plus
 context indices), so results never depend on global RNG state or on the
 order in which independent runs happen. A batch's seed is such a path
 folded into one integer; the executor draws all of the batch's
-histograms from the one generator that seed starts.
+histograms from the one generator that seed starts, also when several
+batches share one kernel call. An optimizer repeat's n-th evaluator
+batch is seeded derive_seed(eval_seed, n), with eval_seed and the n
+counter its own, so repeats run in lockstep draw the same streams as
+repeats run one by one.
 """
 
 from __future__ import annotations

@@ -226,6 +226,91 @@ def test_columnar_estimator_matches_estimate_energy(case):
         assert abs(est.raw[i] - ref.raw_value) <= 1e-12
 
 
+def chain_table(n_pairs=4, crosstalk_p=0.3):
+    """Pairs (0,1), (2,3), ... on a chain, each joined to the next, with
+    readout errors and measured confusions (NI on)."""
+    qubits = tuple(range(2 * n_pairs))
+    pairs = [(2 * i, 2 * i + 1) for i in range(n_pairs)]
+    links = tuple((2 * i + 1, 2 * i + 2, 0.9) for i in range(n_pairs - 1))
+    topo = DeviceTopology(qubits=qubits, edges=tuple((*pair, 0.93) for pair in pairs) + links,
+                          readout={q: (0.01 + 0.01 * q, 0.03) for q in qubits})
+    stream = np.random.default_rng(0)
+    confusions = {pair: measure_confusion(noise_spec_for_pair(topo, pair), 2000, stream)
+                  for pair in pairs}
+    return compile_pairs(topo, pairs, confusions=confusions, crosstalk_p=crosstalk_p)
+
+
+def batch_counts(results):
+    return np.array([r.histograms for r in results])
+
+
+@st.composite
+def multi_batch_cases(draw):
+    """1-4 batches of 1-4 distinct rows of a 4-pair chain, in any order,
+    with their angles and seeds."""
+    batches = draw(st.lists(st.permutations(range(4)).flatmap(
+        lambda order: st.integers(1, 4).map(lambda k: order[:k])), min_size=1, max_size=4))
+    size = sum(map(len, batches))
+    angles = st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size)
+    seeds = draw(st.lists(st.integers(0, 2 ** 63), min_size=len(batches),
+                          max_size=len(batches)))
+    return batches, np.array(draw(angles)), np.array(draw(angles)), seeds
+
+
+@given(multi_batch_cases())
+def test_multi_batch_run_matches_each_batch_alone(case):
+    """Batches run in one call give each batch's counts run alone: crosstalk
+    comes from a row's own batch only, and each batch keeps its stream."""
+    batches, phi, theta, seeds = case
+    table = chain_table()
+    together = batch_counts(run_batch(table, batches, phi, theta, 300, seeds))
+    lo = 0
+    for batch, seed in zip(batches, seeds):
+        part = slice(lo, lo + len(batch))
+        alone = batch_counts(run_batch(table, batch, phi[part], theta[part], 300, seed))
+        assert np.array_equal(together[part], alone)
+        lo += len(batch)
+
+
+def test_neighbour_in_another_batch_does_not_flag():
+    table = chain_table(n_pairs=2, crosstalk_p=0.5)
+    phi, theta = np.array([0.3, 0.3]), np.array([0.4, 0.4])
+    split = batch_counts(run_batch(table, [[0], [1]], phi, theta, 5000, [7, 8]))
+    solo = [batch_counts(run_batch(table, [row], phi[:1], theta[:1], 5000, seed))[0]
+            for row, seed in ((0, 7), (1, 8))]
+    assert np.array_equal(split, np.array(solo))
+    # the same two rows in one batch are neighbours and flagged
+    joint = batch_counts(run_batch(table, [0, 1], phi, theta, 5000, 7))
+    assert not np.array_equal(joint[0], split[0])
+
+
+def test_multi_batch_validation_is_per_batch():
+    table = chain_table(n_pairs=2)
+    one = np.array([0.1])
+    # the same row in two batches is fine; twice in one batch is not
+    assert len(run_batch(table, [[0], [0]], np.repeat(one, 2), np.repeat(one, 2),
+                         100, [1, 2])) == 2
+    with pytest.raises(ValueError):
+        run_batch(table, [[0], [1, 1]], np.repeat(one, 3), np.repeat(one, 3), 100, [1, 2])
+    with pytest.raises(ValueError):
+        run_batch(table, [[0], []], one, one, 100, [1, 2])
+    with pytest.raises(ValueError):
+        run_batch(table, [[0], [1]], np.repeat(one, 2), np.repeat(one, 2), 100, [1])
+
+
+@given(columnar_cases(), st.data())
+def test_estimate_rows_do_not_depend_on_their_batch(case, data):
+    """Each row's estimate is bitwise the same alone or among any other rows."""
+    table, _, _, rows, counts, shots = case
+    est = estimate_counts(table, rows, counts, shots)
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
+    for i in range(len(rows)):
+        alone = estimate_counts(table, rows[i:i + 1], counts[i:i + 1], shots)
+        assert all(a[0] == b[i] for a, b in zip(alone, est))
+    other = estimate_counts(table, rows[picks], counts[picks], shots)
+    assert all(np.array_equal(a, b[picks]) for a, b in zip(other, est))
+
+
 def test_raw_value_equals_value_without_inversion():
     est = estimate_energy(ShotHistogram((40, 30, 20, 10), 100),
                           ShotHistogram((10, 20, 30, 40), 100))

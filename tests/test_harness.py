@@ -18,6 +18,8 @@ from parvqe.device import DeviceTopology, max_weight_matching
 from parvqe.executor import load_cost_model, predict_wall_time
 from parvqe.harness import (
     ExperimentConfig,
+    _Run,
+    _optimize,
     cmd_benchmark_pairs,
     cmd_heatmap,
     cmd_optimizer_compare,
@@ -250,6 +252,38 @@ def test_optimizer_compare_plans_and_spread(tmp_path):
     assert wins >= 2
 
 
+# four pairs on a chain, each joined to the next by a poor edge: the
+# matching keeps the four pairs, and neighbouring pairs share batches
+CHAIN_CALIBRATION = {
+    "name": "chain8",
+    "qubits": list(range(8)),
+    "edges": [[0, 1, 0.97], [2, 3, 0.96], [4, 5, 0.95], [6, 7, 0.94],
+              [1, 2, 0.5], [3, 4, 0.5], [5, 6, 0.5]],
+    "readout": {str(q): [0.01 + 0.005 * q, 0.03] for q in range(8)},
+}
+
+
+@pytest.mark.parametrize("optimizer, points", [("spsa", 4), ("mgd", 7)])
+def test_repeat_trace_does_not_depend_on_its_group(optimizer, points, tmp_path):
+    """A repeat run in lockstep with others writes the same trace bytes as
+    its key path run alone or in another group order, with NI and
+    crosstalk on (mgd's 7 points fill one full and one partial batch)."""
+    cal = tmp_path / "chain8.json"
+    cal.write_text(json.dumps(CHAIN_CALIBRATION))
+    run = _Run(ExperimentConfig(seed=13, out_dir=tmp_path / "out", calibration=cal,
+                                crosstalk_p=0.1, confusion_shots=2000))
+    table = run.pair_table(run.select("matching", 0.9))
+    assert table.ni and table.neighbours.any()
+    keys = [(0,), (1,), (2,)]
+    group = _optimize(run, table, optimizer, 3, points, 200, keys)
+    assert len({trace.to_csv() for trace in group}) == 3
+    reversed_group = _optimize(run, table, optimizer, 3, points, 200, keys[::-1])[::-1]
+    for key, trace, other in zip(keys, group, reversed_group):
+        alone, = _optimize(run, table, optimizer, 3, points, 200, [key])
+        assert trace.to_csv() == alone.to_csv() == other.to_csv()
+        assert trace.to_json() == alone.to_json() == other.to_json()
+
+
 def test_cli_end_to_end(tmp_path):
     out = tmp_path / "cli_heat"
     rc = cli_main(["heatmap", "--seed", "4", "--out", str(out), "--grid", "6",
@@ -402,15 +436,27 @@ def test_benchmark_tracer_counts_batch_circuits(tmp_path):
     # parvqe.optimizers.run_batch; losing that binding loses every metric
     runs = {
         # SPSA on 2 pairs: 3 batches per iteration, then the final point
-        # and its reference: 8 batches, 16 active pairs, 2 settings each
-        "vqe": (["vqe", "--pairs", "2", "--iterations", "2", "--shots", "50"], 32, 16),
+        # and its reference: 8 batches, 16 active pairs, 2 settings each;
+        # one run_batch call per iteration and two per final point
+        "vqe": (["vqe", "--pairs", "2", "--iterations", "2", "--shots", "50"], 32, 16, 4),
+        # three SPSA repeats in lockstep still count each repeat's batches:
+        # 24 batches, 48 active pairs, in one call per iteration for all
+        # repeats and two calls per repeat's final point
+        "vqe-repeats": (["vqe", "--pairs", "2", "--iterations", "2", "--repeats", "3",
+                         "--shots", "50"], 96, 48, 8),
+        # three MGD repeats on 1 pair with 9 points per iteration: 9
+        # one-pair batches per repeat and iteration plus the final point
+        # and its reference, 60 batches of one pair in 2 + 6 calls
+        "vqe-mgd-repeats": (["vqe", "--optimizer", "mgd", "--pairs", "1", "--eta", "1.5",
+                             "--iterations", "2", "--repeats", "3", "--shots", "50"],
+                            120, 60, 8),
         # the landscape workload's path: 16 grid points in batches of 3
         # pairs, each batch with its phi=0 reference batch
         "heatmap": (["heatmap", "--grid", "4", "--pairs", "3", "--shots", "50",
-                     "--mitigation", "ni+tflo", "--select", "matching"], 64, 32),
+                     "--mitigation", "ni+tflo", "--select", "matching"], 64, 32, 12),
     }
     tracer_module = load_benchmark_module("tracer")
-    for name, (argv, circuits, active_pairs) in runs.items():
+    for name, (argv, circuits, active_pairs, calls) in runs.items():
         tracer = tracer_module.Tracer()
         try:
             tracer.install()
@@ -422,4 +468,5 @@ def test_benchmark_tracer_counts_batch_circuits(tmp_path):
         summary = tracer.summary()
         assert summary["counters"].get("executor.circuits") == circuits, name
         assert summary["counters"].get("executor.active_pairs") == active_pairs, name
+        assert summary["names"]["executor.run_batch"]["calls"] == calls, name
         assert summary["orphans"] == 0

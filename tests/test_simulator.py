@@ -208,3 +208,23 @@ def test_batch_kernel_matches_density_matrix_reference(cases):
         for k, setting in enumerate((MeasurementSetting.ONSITE, MeasurementSetting.HOPPING)):
             rho = run_circuit(build_circuit(AnsatzParams(phi, theta), setting), noise, active)
             assert np.max(np.abs(dists[i, k] - exact_distribution(rho, noise))) <= 1e-12
+
+
+@given(st.lists(pair_cases, min_size=1, max_size=6),
+       st.lists(st.integers(0, 5), min_size=1, max_size=8))
+def test_batch_kernel_rows_do_not_depend_on_their_batch(cases, picks):
+    """Each row's distributions are bitwise the same computed alone or in
+    any other batch, so batches may share one kernel call."""
+    noises = [PairNoiseSpec(cz_fidelity=f, readout=ro, crosstalk_p=xt)
+              for _, _, f, ro, xt, _ in cases]
+    phi, theta = np.array([c[0] for c in cases]), np.array([c[1] for c in cases])
+    p = np.array([noise.effective_p(c[5]) for noise, c in zip(noises, cases)])
+    confusion = np.array([noise.confusion_map() for noise in noises])
+    dists = batch_distributions(phi, theta, p, confusion)
+    for i in range(len(cases)):
+        alone = batch_distributions(phi[i:i + 1], theta[i:i + 1], p[i:i + 1],
+                                    confusion[i:i + 1])
+        assert np.array_equal(alone[0], dists[i])
+    picks = [i % len(cases) for i in picks]
+    other = batch_distributions(phi[picks], theta[picks], p[picks], confusion[picks])
+    assert np.array_equal(other, dists[picks])
