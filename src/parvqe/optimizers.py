@@ -21,9 +21,9 @@ evaluators run them in one kernel call. `spsa_run` and `mgd_run` are the
 one-repeat adapters over plain evaluators.
 
 Optimizer randomness comes only from the injected streams, one per
-repeat; the executor-backed evaluators keep one seed and one batch
-counter per repeat, so a repeat's trace does not depend on R or on the
-repeats beside it. Exact-energy diagnostics recorded in the trace never
+repeat; the executor-backed evaluators seed the n-th batch of repeat r
+from repeat r's own evaluator seed and n, so a repeat's trace does not
+depend on R or on the repeats beside it. Exact-energy diagnostics recorded in the trace never
 feed back into the updates.
 """
 
@@ -171,10 +171,6 @@ LockstepEvaluator = Callable[[np.ndarray], list[Estimates]]
 ExactCentres = Callable[[np.ndarray], Sequence[float]]
 
 
-def _centres(starts) -> np.ndarray:
-    return np.array([[s.phi, s.theta] for s in starts], dtype=float).reshape(-1, 2)
-
-
 def _record(k: int, centre: np.ndarray, e_raw, e_ni, e_exact, points=None) -> IterationRecord:
     params = AnsatzParams(*centre)
     return IterationRecord(iteration=k, phi=params.phi, theta=params.theta,
@@ -207,7 +203,7 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     trace therefore does not depend on R as long as the evaluator's does
     not.
     """
-    theta = _centres(starts)
+    theta = np.array([[s.phi, s.theta] for s in starts], dtype=float)
     records = [[] for _ in theta]
     for k in range(1, cfg.iterations + 1):
         a_k, c_k = cfg.gains(k)
@@ -271,7 +267,7 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
     if points < N_SURROGATE_FEATURES:
         warnings.warn(f"{points} points under-determine the quadratic surrogate",
                       stacklevel=3)
-    theta = _centres(starts)
+    theta = np.array([[s.phi, s.theta] for s in starts], dtype=float)
     records = [[] for _ in theta]
     for k in range(1, cfg.iterations + 1):
         delta_k, gamma_k = cfg.gains(k)
@@ -330,35 +326,24 @@ def _per_repeat(table: PairTable, est: Estimates, repeats: int) -> list[Estimate
             for r in range(repeats)]
 
 
-class _Counters:
-    """Per-repeat evaluator streams: the n-th batch of repeat r is seeded
-    derive_seed(seeds[r], n), whichever repeats share its step."""
-
-    def __init__(self, seeds: Sequence[int]):
-        self.seeds = list(seeds)
-        self.next = [0] * len(self.seeds)
-
-    def take(self, r: int, count: int) -> list[int]:
-        n = self.next[r]
-        self.next[r] += count
-        return [derive_seed(self.seeds[r], i) for i in range(n, n + count)]
-
-
 def spsa_parallel_evaluator(table: PairTable, shots: int,
                             seeds: Sequence[int]) -> LockstepEvaluator:
     """Same-parameters parallelism for R repeats with evaluator seeds
     seeds[r]: every point of every repeat runs as one batch with identical
     parameters on all rows of the table, and its row estimates are pooled
     (their mean, with errors in quadrature). All batches of a call share
-    one kernel pass."""
+    one kernel pass; the n-th batch of repeat r is seeded
+    derive_seed(seeds[r], n), whichever repeats share the call."""
     if not table.pairs:
         raise ValueError("need at least one pair")
     n = len(table.pairs)
-    counters = _Counters(seeds)
+    done = 0    # batches each repeat has run
 
     def evaluate(points: np.ndarray) -> list[Estimates]:
+        nonlocal done
         repeats, m = points.shape[:2]
-        batch_seeds = [seed for r in range(repeats) for seed in counters.take(r, m)]
+        batch_seeds = [derive_seed(seed, done + i) for seed in seeds for i in range(m)]
+        done += m
         flat = points.reshape(-1, 2)
         est = measure_batch(table, [np.arange(n)] * len(flat), np.repeat(flat[:, 0], n),
                             np.repeat(flat[:, 1], n), shots, batch_seeds)
@@ -373,16 +358,20 @@ def batch_pair_evaluator(table: PairTable, shots: int,
     """Different-parameters parallelism for R repeats with evaluator seeds
     seeds[r]: each repeat's m points are spread over the table's rows,
     ceil(m/len(rows)) batches per repeat and call. All batches of a call
-    share one kernel pass."""
+    share one kernel pass; the n-th batch of repeat r is seeded
+    derive_seed(seeds[r], n), whichever repeats share the call."""
     if not table.pairs:
         raise ValueError("need at least one pair")
     n = len(table.pairs)
-    counters = _Counters(seeds)
+    done = 0    # batches each repeat has run
 
     def evaluate(points: np.ndarray) -> list[Estimates]:
+        nonlocal done
         repeats, m = points.shape[:2]
         chunks = [np.arange(lo, min(lo + n, m)) - lo for lo in range(0, m, n)]
-        batch_seeds = [seed for r in range(repeats) for seed in counters.take(r, len(chunks))]
+        batch_seeds = [derive_seed(seed, done + i) for seed in seeds
+                       for i in range(len(chunks))]
+        done += len(chunks)
         flat = points.reshape(-1, 2)
         est = measure_batch(table, chunks * repeats, flat[:, 0], flat[:, 1], shots,
                             batch_seeds)
