@@ -199,6 +199,8 @@ def run_batch(table: PairTable, rows, phi: np.ndarray, theta: np.ndarray, shots:
                                table.p_crosstalk[batch], p_batch)
         p.append(p_batch)
     rows = np.concatenate(batches)
+    if len(phi) != len(rows) or len(theta) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(phi)} phi and {len(theta)} theta")
     dists = batch_distributions(phi, theta, np.concatenate(p), table.confusion[rows])
     counts, lo = [], 0
     for batch, batch_seed in zip(batches, seeds):

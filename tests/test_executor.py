@@ -296,6 +296,11 @@ def test_multi_batch_validation_is_per_batch():
         run_batch(table, [[0], []], one, one, 100, [1, 2])
     with pytest.raises(ValueError):
         run_batch(table, [[0], [1]], np.repeat(one, 2), np.repeat(one, 2), 100, [1])
+    # one angle per row of every batch, never broadcast
+    with pytest.raises(ValueError):
+        run_batch(table, [[0], [1]], one, np.repeat(one, 2), 100, [1, 2])
+    with pytest.raises(ValueError):
+        run_batch(table, [0, 1], one, one, 100, 1)
 
 
 @given(columnar_cases(), st.data())
