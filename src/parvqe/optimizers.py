@@ -259,8 +259,7 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
     every repeat's points at once. Per repeat, the quadratic surrogate is
     fitted with observation weights 1/std_err^2 and ridge strength (mean
     observation variance)/l^2, and the repeat steps along the fitted
-    linear coefficients. When an estimate's raw values are its values
-    (no readout inversion), the one fit serves both.
+    linear coefficients.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
@@ -287,8 +286,7 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
                 weights = 1.0 / np.maximum(variances, 1e-12 * mean_var)
                 ridge = mean_var / cfg.l ** 2
             coeffs = _fit_surrogate(offsets[r], est.value, weights, ridge)
-            e_raw = (coeffs[0] if est.raw is est.value
-                     else _fit_surrogate(offsets[r], est.raw, weights, ridge)[0])
+            e_raw = _fit_surrogate(offsets[r], est.raw, weights, ridge)[0]
             records[r].append(_record(k, theta[r], e_raw, coeffs[0], e_exact[r],
                                       points=tuple(map(tuple, batch[r].tolist()))))
             steps[r] = gamma_k * coeffs[1:3]
@@ -313,17 +311,16 @@ def measure_batch(table: PairTable, rows, phi: np.ndarray, theta: np.ndarray,
     """Run one batch of table rows (an int seed) or several (a sequence of
     seeds, one per row array) at angles (phi, theta) and estimate every
     row's energy, in row order; NI-corrected when the table has confusions."""
-    results = run_batch(table, rows, phi, theta, shots, seed)
-    return estimate_counts(table, np.concatenate(as_batches(rows, seed)[0]),
+    batches, seeds = as_batches(rows, seed)
+    results = run_batch(table, batches, phi, theta, shots, seeds)
+    return estimate_counts(table, np.concatenate(batches),
                            np.array([r.histograms for r in results]), shots)
 
 
-def _per_repeat(table: PairTable, est: Estimates, repeats: int) -> list[Estimates]:
+def _per_repeat(est: Estimates, repeats: int) -> list[Estimates]:
     """Split estimates laid out repeat by repeat into one Estimates per
-    repeat; without NI each repeat's raw is its value."""
-    value, std_err, raw = (a.reshape(repeats, -1) for a in est)
-    return [Estimates(value[r], std_err[r], raw[r] if table.ni else value[r])
-            for r in range(repeats)]
+    repeat."""
+    return [Estimates(*row) for row in zip(*(a.reshape(repeats, -1) for a in est))]
 
 
 def spsa_parallel_evaluator(table: PairTable, shots: int,
@@ -348,7 +345,7 @@ def spsa_parallel_evaluator(table: PairTable, shots: int,
         est = measure_batch(table, [np.arange(n)] * len(flat), np.repeat(flat[:, 0], n),
                             np.repeat(flat[:, 1], n), shots, batch_seeds)
         pooled = aggregate_same_params(Estimates(*(a.reshape(repeats, m, n) for a in est)))
-        return _per_repeat(table, pooled, repeats)
+        return _per_repeat(pooled, repeats)
 
     return evaluate
 
@@ -375,7 +372,7 @@ def batch_pair_evaluator(table: PairTable, shots: int,
         flat = points.reshape(-1, 2)
         est = measure_batch(table, chunks * repeats, flat[:, 0], flat[:, 1], shots,
                             batch_seeds)
-        return _per_repeat(table, est, repeats)
+        return _per_repeat(est, repeats)
 
     return evaluate
 
