@@ -118,7 +118,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 # vqe flags that --speedup-sweep does not read: it models times, runs nothing
 _SWEEP_UNREAD = ("--mitigation", "--workers", "--pairs", "--select", "--cap",
-                 "--repeats", "--crosstalk", "--eta", "--start", "--calibration")
+                 "--repeats", "--crosstalk", "--eta", "--start", "--calibration",
+                 "--optimizer", "--iterations")
 
 
 def main(argv: list[str] | None = None) -> int:

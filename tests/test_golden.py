@@ -51,7 +51,7 @@ CASES = {
                       "--iterations", "3", "--mitigation", "none", "--select",
                       "matching", "--crosstalk", "0.05", "--small"],
     "vqe-speedup-sweep": ["vqe", "--seed", "1", "--speedup-sweep",
-                          "--pair-counts", "2,5", "--iterations", "7"],
+                          "--pair-counts", "2,5"],
     "shots-sweep": ["shots-sweep", "--seed", "5", "--pairs", "3", "--iterations", "4",
                     "--shots-list", "50,200"],
     "shots-sweep-none": ["shots-sweep", "--seed", "5", "--pairs", "2",
@@ -138,7 +138,7 @@ GOLDEN = {
     },
     "vqe-speedup-sweep": {
         "speedup_sweep.csv":
-            "ea54951542ee4dc1da0cf612d9c67d2074421383795e8ce6929d60bb172290cc",
+            "0914f20fb0e80a0de0dc2d195b41eb73df1e4c5b01fbe267a1f7bcd5ea6dda45",
     },
     "vqe-spsa": {
         "summary.csv":

@@ -165,7 +165,7 @@ def test_vqe_rejects_unknown_optimizer(tmp_path):
 
 def test_speedup_sweep_matches_cost_model(tmp_path):
     cfg = ExperimentConfig(seed=1, out_dir=tmp_path / "sweep", shots=1000,
-                           iterations=10, pair_counts=(2, 8, 25))
+                           pair_counts=(2, 8, 25))
     record = cmd_speedup_sweep(cfg)
     rows = read_csv(tmp_path / "sweep" / "speedup_sweep.csv")
     cost = load_cost_model(cfg.cost_model)
@@ -325,7 +325,8 @@ UNREAD_FLAGS = {
     "vqe --speedup-sweep": ["--mitigation ni", "--workers 1", "--pairs 4",
                             "--select greedy", "--cap 0.9", "--repeats 2",
                             "--crosstalk 0.0", "--eta 2.0", "--start 0.6 0.8",
-                            "--calibration c.json", "--pairs=4"],
+                            "--calibration c.json", "--pairs=4", "--optimizer mgd",
+                            "--iterations 7"],
 }
 
 
