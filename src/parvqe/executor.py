@@ -8,8 +8,10 @@ measurement settings on every row. The whole batch is simulated in one
 vectorized pass, its histograms come from one multinomial draw on one
 stream seeded by the batch seed, and its energies are estimated as
 arrays, so execution is deterministic and holds no per-pair objects.
-Several independent batches (the repeats of an optimizer step) can share
-one pass: each keeps its own checks, crosstalk flags and stream.
+Every run is a list of such batches with one seed each, run in one pass
+(the repeats of an optimizer step, a whole heatmap grid, all final
+points of a run): each batch keeps its own checks, crosstalk flags and
+stream, so its counts are those it gets when run alone.
 
 Wall-clock time of a batched run on a remote device is modelled, not
 measured, as
@@ -157,39 +159,30 @@ class PairCounts(NamedTuple):
     histograms: np.ndarray
 
 
-def as_batches(rows, seed) -> tuple[list[np.ndarray], list[int]]:
-    """The (row arrays, seeds) of a run_batch call: an int seed names one
-    batch of rows, a sequence of B seeds goes with B row arrays."""
-    if isinstance(seed, (int, np.integer)):
-        return [np.asarray(rows, dtype=int)], [seed]
-    batches, seeds = [np.asarray(r, dtype=int) for r in rows], list(seed)
-    if len(batches) != len(seeds):
-        raise ValueError(f"{len(batches)} batches but {len(seeds)} seeds")
-    return batches, seeds
+def run_batch(table: PairTable, batches, phi: np.ndarray, theta: np.ndarray, shots: int,
+              seeds) -> list[PairCounts]:
+    """Simulate batches of table rows in one vectorized pass.
 
-
-def run_batch(table: PairTable, rows, phi: np.ndarray, theta: np.ndarray, shots: int,
-              seed) -> list[PairCounts]:
-    """Simulate one or more batches of table rows in one vectorized pass.
-
-    With an int seed, rows is one batch; with a sequence of B seeds, rows
-    holds B row arrays, which may differ in size. phi and theta hold the
-    angles of every row of every batch, in order. Each batch samples its
-    histograms in one multinomial draw from its own stream,
-    default_rng(seed), so its counts do not depend on the other batches of
-    the call. Within a batch, row i's counts depend on the rows before it,
-    never on those after it. Returns one PairCounts per row of every batch.
+    batches holds B row arrays, which may differ in size, and seeds their B
+    seeds. phi and theta hold the angles of every row of every batch, in
+    order. Each batch samples its histograms in one multinomial draw from
+    its own stream, default_rng(seed), so its counts do not depend on the
+    other batches of the call. Within a batch, row i's counts depend on
+    the rows before it, never on those after it. Returns one PairCounts
+    per row of every batch.
 
     Each batch's pairs must be vertex-disjoint. A row is flagged for
     crosstalk when another row of its own batch is its neighbour.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    batches, seeds = as_batches(rows, seed)
+    batches = [np.asarray(batch, dtype=int) for batch in batches]
+    if len(batches) != len(seeds):
+        raise ValueError(f"{len(batches)} batches but {len(seeds)} seeds")
     p = []
     for batch in batches:
-        if len(batch) == 0:
-            raise ValueError("batch needs at least one row")
+        if batch.ndim != 1 or len(batch) == 0:
+            raise ValueError("each batch needs a non-empty array of rows")
         qubits = table.qubits[batch].ravel().tolist()
         if len(set(qubits)) != len(qubits):
             raise ValueError("batch pairs must be vertex-disjoint")

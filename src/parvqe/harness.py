@@ -34,7 +34,6 @@ from .device import (
 )
 from .executor import (
     CostModel,
-    Estimates,
     PairTable,
     compile_pairs,
     load_cost_model,
@@ -272,38 +271,44 @@ class _Run:
         return record
 
 
-def _measure(run: _Run, table: PairTable, rows, phi, theta, run_seed: int,
-             ref_seed: int, tflo: bool):
-    """Measure table rows at angles (phi, theta) in one batch and, when tflo
-    is set, their phi=0 reference points in a second batch. Returns the
-    estimates, the reference estimates (None without tflo) and the exact
-    reference energies."""
-    zeros = np.zeros_like(theta)
+def _seeds(run: _Run, namespace: int, keys) -> list[int]:
+    """One batch seed per key, in the run's stream namespace."""
+    return [derive_seed(run.cfg.seed, namespace, key) for key in keys]
+
+
+def _measure(run: _Run, table: PairTable, batches, phi, theta, run_seeds, ref_seeds,
+             tflo: bool) -> dict:
+    """Mitigation levels of batches of table rows at angles (phi, theta), as
+    arrays over every row in order. One measure_batch call over the batches
+    gives raw and ni (ni equals raw without NI); with tflo, a second call
+    over their phi=0 reference points, one reference batch per batch, adds
+    tflo and tflo_ni."""
     shots = run.cfg.shots
-    return (measure_batch(table, rows, phi, theta, shots, run_seed),
-            measure_batch(table, rows, zeros, theta, shots, ref_seed) if tflo else None,
-            closed_form_energy(zeros, theta, run.h))
-
-
-def _final_point(run: _Run, table: PairTable, params: AnsatzParams, key: int) -> dict:
-    """Mitigation levels of one final params measured on every row of the
-    table, with its phi=0 reference, pooled over the rows; the seeds
-    derive from `key`."""
-    n, seed = len(table.pairs), run.cfg.seed
-    measured = _measure(run, table, np.arange(n), np.full(n, params.phi),
-                        np.full(n, params.theta), derive_seed(seed, _NS_FINAL, 2 * key),
-                        derive_seed(seed, _NS_FINAL, 2 * key + 1), tflo=True)
-    return {level: float(np.mean(v)) for level, v in _mitigated(*measured).items()}
-
-
-def _mitigated(est: Estimates, ref: Estimates | None, ref_exact) -> dict:
-    """Mitigation levels of a batch's rows, as arrays: raw and ni, and with
-    their phi=0 reference also tflo and tflo_ni. Without NI, ni equals raw."""
+    est = measure_batch(table, batches, phi, theta, shots, run_seeds)
     levels = {"raw": est.raw, "ni": est.value}
-    if ref is not None:
+    if tflo:
+        zeros = np.zeros_like(theta)
+        ref = measure_batch(table, batches, zeros, theta, shots, ref_seeds)
+        ref_exact = closed_form_energy(zeros, theta, run.h)
         levels["tflo"] = tflo_correct(est.raw, ref_exact, ref.raw)
         levels["tflo_ni"] = tflo_correct(est.value, ref_exact, ref.value)
     return levels
+
+
+def _final_points(run: _Run, table: PairTable, finals: list[AnsatzParams],
+                  keys) -> list[dict]:
+    """Mitigation levels of each final params measured on every row of the
+    table, with its phi=0 reference, pooled over the rows; all finals share
+    one _measure call, and the seeds of finals[i] derive from keys[i]."""
+    n = len(table.pairs)
+    levels = _measure(run, table, [np.arange(n)] * len(finals),
+                      np.repeat([f.phi for f in finals], n),
+                      np.repeat([f.theta for f in finals], n),
+                      _seeds(run, _NS_FINAL, [2 * key for key in keys]),
+                      _seeds(run, _NS_FINAL, [2 * key + 1 for key in keys]), tflo=True)
+    pooled = {level: v.reshape(len(finals), n).mean(axis=1).tolist()
+              for level, v in levels.items()}
+    return [dict(zip(pooled, values)) for values in zip(*pooled.values())]
 
 
 def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
@@ -348,22 +353,15 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     table = run.pair_table(all_pairs)
     row_of = {pair: row for row, pair in enumerate(all_pairs)}
 
-    def measure(rows, key):
-        """Mitigation levels of the rows at the optimum, one list per level."""
-        n = len(rows)
-        measured = _measure(run, table, rows, np.full(n, opt.phi), np.full(n, opt.theta),
-                            derive_seed(cfg.seed, _NS_RUN, key),
-                            derive_seed(cfg.seed, _NS_REF, key), tflo=True)
-        return {level: values.tolist() for level, values in _mitigated(*measured).items()}
-
-    # (a) every usable pair individually
-    indiv_rows, indiv_levels = [], {}
-    for idx, pair in enumerate(all_pairs):
-        levels = {level: value for level, (value,) in measure([idx], idx).items()}
-        indiv_levels[pair] = levels
-        indiv_rows.append([pair[0], pair[1], topology.fidelity(pair),
-                           levels["raw"], levels["ni"], levels["tflo"],
-                           levels["tflo_ni"]])
+    # (a) every usable pair individually: one-row batches keyed by row
+    keys = range(len(all_pairs))
+    indiv = _measure(run, table, [[idx] for idx in keys], np.full(len(keys), opt.phi),
+                     np.full(len(keys), opt.theta), _seeds(run, _NS_RUN, keys),
+                     _seeds(run, _NS_REF, keys), tflo=True)
+    indiv = {level: values.tolist() for level, values in indiv.items()}
+    indiv_rows = [[pair[0], pair[1], topology.fidelity(pair),
+                   *(indiv[level][idx] for level in MITIGATION_LEVELS)]
+                  for idx, pair in enumerate(all_pairs)]
     indiv_path = run.out_dir / "individual_pairs.csv"
     write_csv(indiv_path, ["pair_a", "pair_b", "fidelity",
                            "e_raw", "e_ni", "e_tflo", "e_tflo_ni"], indiv_rows)
@@ -375,21 +373,17 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
         "energy vs CZ fidelity (individual pairs)", "CZ fidelity", "energy",
         hlines={"exact ground": e0})
 
-    # (b) greedy-parallel sweep
+    # (b) greedy-parallel sweep: the first p greedy pairs for every p
     selection = greedy_select(topology)
-    sweep_rows = []
-    matrix: dict[Pair, dict[int, float]] = {p: {} for p in selection.pairs}
-    for p_count in range(1, len(selection.pairs) + 1):
-        active = selection.pairs[:p_count]
-        per_level = measure([row_of[pair] for pair in active], 1000 + p_count)
-        for pair, tflo in zip(active, per_level["tflo"]):
-            matrix[pair][p_count] = tflo - e0
-        row = [p_count]
-        for level in MITIGATION_LEVELS:
-            row.append(float(np.mean(np.abs(np.array(per_level[level]) - e0))))
-        for level in MITIGATION_LEVELS:
-            row.append(abs(float(np.mean(per_level[level])) - e0))
-        sweep_rows.append(row)
+    sizes = range(1, len(selection.pairs) + 1)
+    keys, total = [1000 + p for p in sizes], sum(sizes)
+    swept = _measure(run, table, [[row_of[pair] for pair in selection.pairs[:p]] for p in sizes],
+                     np.full(total, opt.phi), np.full(total, opt.theta),
+                     _seeds(run, _NS_RUN, keys), _seeds(run, _NS_REF, keys), tflo=True)
+    per_p = {level: np.split(values, np.cumsum(sizes)[:-1]) for level, values in swept.items()}
+    sweep_rows = [[p_count] + [float(np.mean(np.abs(v - e0))) for v in levels]
+                  + [abs(float(np.mean(v)) - e0) for v in levels]
+                  for p_count, *levels in zip(sizes, *(per_p[m] for m in MITIGATION_LEVELS))]
     sweep_path = run.out_dir / "parallel_sweep.csv"
     write_csv(sweep_path,
               ["p"] + [f"mean_abs_err_{m}" for m in MITIGATION_LEVELS]
@@ -400,17 +394,15 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
          for i, level in enumerate(MITIGATION_LEVELS)},
         "mean |error| vs pairs in parallel", "pairs in parallel", "mean |error|")
 
-    matrix_rows = []
-    for pair in selection.pairs:
-        row = [pair[0], pair[1], topology.fidelity(pair),
-               indiv_levels[pair]["tflo"] - e0]
-        for p_count in range(1, len(selection.pairs) + 1):
-            row.append(matrix[pair].get(p_count))
-        matrix_rows.append(row)
+    # pair i of the greedy order is active from p = i + 1 on
+    matrix_rows = [[pair[0], pair[1], topology.fidelity(pair),
+                    indiv["tflo"][row_of[pair]] - e0]
+                   + [None] * i + [float(tflo[i]) - e0 for tflo in per_p["tflo"][i:]]
+                   for i, pair in enumerate(selection.pairs)]
     matrix_path = run.out_dir / "pair_by_p_matrix.csv"
     write_csv(matrix_path,
               ["pair_a", "pair_b", "fidelity", "individual_err"]
-              + [f"err_p{p}" for p in range(1, len(selection.pairs) + 1)],
+              + [f"err_p{p}" for p in sizes],
               matrix_rows)
 
     raw_errs = [r[1] for r in sweep_rows]
@@ -452,29 +444,22 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
               zip(phi.tolist(), theta.tolist(), exact.tolist()))
 
     table = run.pair_table(pairs, cfg.ni)
-
-    sim_rows = []
-    batches = range(0, n * n, len(pairs))
-    for b, lo in enumerate(batches):
-        batch = slice(lo, lo + len(pairs))
-        rows = np.arange(len(phi[batch]))
-        est, ref, ref_exact = _measure(run, table, rows, phi[batch], theta[batch],
-                                       derive_seed(cfg.seed, _NS_RUN, b),
-                                       derive_seed(cfg.seed, _NS_REF, b), cfg.tflo)
-        value = _mitigated(est, ref, ref_exact)[cfg.level]
-        sim_rows.extend(zip(
-            phi[batch].tolist(), theta[batch].tolist(), *zip(*pairs[:len(rows)]),
-            est.value.tolist(), value.tolist(), np.abs(value - exact[batch]).tolist()))
-
+    # the grid in batches of len(pairs) points, all measured in one call
+    batches = [np.arange(min(len(pairs), n * n - lo)) for lo in range(0, n * n, len(pairs))]
+    keys = range(len(batches))
+    levels = _measure(run, table, batches, phi, theta, _seeds(run, _NS_RUN, keys),
+                      _seeds(run, _NS_REF, keys), cfg.tflo)
+    value = levels[cfg.level]
+    err = np.abs(value - exact)
+    pair_a, pair_b = table.qubits[np.concatenate(batches)].T.tolist()
     sim_path = run.out_dir / "heatmap_simulated.csv"
     write_csv(sim_path, ["phi", "theta", "pair_a", "pair_b",
-                         "e_estimate", "e_corrected", "abs_err"], sim_rows)
+                         "e_estimate", "e_corrected", "abs_err"],
+              zip(phi.tolist(), theta.tolist(), pair_a, pair_b, levels["ni"].tolist(),
+                  value.tolist(), err.tolist()))
 
-    sim_grid = [[0.0] * n for _ in range(n)]
-    err_grid = [[0.0] * n for _ in range(n)]
-    for i, row in enumerate(sim_rows):
-        sim_grid[i // n][i % n] = row[5]
-        err_grid[i // n][i % n] = row[6]
+    sim_grid = value.reshape(n, n).tolist()
+    err_grid = err.reshape(n, n).tolist()
     extent = (-math.pi, math.pi, -math.pi, math.pi)
     svgplot.heatmap(run.out_dir / "heatmap_exact.svg", exact_grid,
                     "exact energy landscape", "phi", "theta", extent)
@@ -494,8 +479,8 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
         "modeled_seconds_parallel": seconds_parallel,
         "modeled_seconds_single_pair": seconds_single,
         "modeled_speedup": seconds_single / seconds_parallel,
-        "max_abs_err": max(r[6] for r in sim_rows),
-        "mean_abs_err": float(np.mean([r[6] for r in sim_rows])),
+        "max_abs_err": float(err.max()),
+        "mean_abs_err": float(err.mean()),
         "exact_ground_energy": run.e0,
     }
     return run.finish("heatmap", metrics, [exact_path.name, sim_path.name],
@@ -541,9 +526,10 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     artifacts = []
     traces = _optimize(run, table, cfg.optimizer, iterations, points, cfg.shots,
                        [(rep,) for rep in range(cfg.repeats)])
-    for rep, trace in enumerate(traces):
+    finals = _final_points(run, table, [trace.final_params for trace in traces],
+                           range(cfg.repeats))
+    for rep, (trace, levels) in enumerate(zip(traces, finals)):
         final = trace.final_params
-        levels = _final_point(run, table, final, rep)
         corrected = levels[cfg.level]
         trace_path = run.out_dir / f"trace_rep{rep}.csv"
         trace.write(trace_path, run.out_dir / f"trace_rep{rep}.json")
@@ -682,18 +668,18 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
         pairs = greedy[:p_count]
         table = run.pair_table(pairs)
         for index, (name, plan) in enumerate(plans.items()):
-            finals = []
             traces = _optimize(run, table, name, plan["iterations"], len(pairs), cfg.shots,
                                [(p_count, rep, index) for rep in range(plan["repeats"])])
-            for rep, trace in enumerate(traces):
-                levels = _final_point(run, table, trace.final_params,
-                                      1000 * p_count + 10 * rep + index)
+            finals = _final_points(run, table, [trace.final_params for trace in traces],
+                                   [1000 * p_count + 10 * rep + index
+                                    for rep in range(plan["repeats"])])
+            errs = []
+            for rep, (trace, levels) in enumerate(zip(traces, finals)):
                 err = abs(levels["tflo_ni"] - run.e0)
-                finals.append(err)
+                errs.append(err)
                 rows.append([name, p_count, rep, trace.final_params.phi,
                              trace.final_params.theta, levels["tflo_ni"], err])
-            summary.append([name, p_count, float(np.median(finals)),
-                            min(finals), max(finals)])
+            summary.append([name, p_count, float(np.median(errs)), min(errs), max(errs)])
 
     runs_path = run.out_dir / "compare_runs.csv"
     write_csv(runs_path, ["optimizer", "p", "repeat", "final_phi", "final_theta",

@@ -44,7 +44,6 @@ from .executor import (
     Estimates,
     PairTable,
     aggregate_same_params,
-    as_batches,
     estimate_counts,
     run_batch,
 )
@@ -107,14 +106,11 @@ class MgdConfig:
 
 def n_points_from_eta(eta: float) -> int:
     """Points per iteration implied by the point-count metaparameter:
-    round(eta * 6), 6 being the number of surrogate features in 2 dims."""
+    round(eta * 6), 6 being the number of surrogate features in 2 dims.
+    Fewer than 6 points under-determine the surrogate; mgd_lockstep warns."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    n = int(np.floor(eta * N_SURROGATE_FEATURES + 0.5))
-    if n < N_SURROGATE_FEATURES:
-        warnings.warn(f"{n} points under-determine the quadratic surrogate "
-                      f"({N_SURROGATE_FEATURES} features)", stacklevel=2)
-    return n
+    return int(np.floor(eta * N_SURROGATE_FEATURES + 0.5))
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,12 +302,11 @@ def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams
 
 # --- executor-backed evaluators ----------------------------------------------
 
-def measure_batch(table: PairTable, rows, phi: np.ndarray, theta: np.ndarray,
-                  shots: int, seed) -> Estimates:
-    """Run one batch of table rows (an int seed) or several (a sequence of
-    seeds, one per row array) at angles (phi, theta) and estimate every
+def measure_batch(table: PairTable, batches, phi: np.ndarray, theta: np.ndarray,
+                  shots: int, seeds) -> Estimates:
+    """Run batches of table rows (a sequence of row arrays, with one seed
+    each) at angles (phi, theta) in one run_batch call and estimate every
     row's energy, in row order; NI-corrected when the table has confusions."""
-    batches, seeds = as_batches(rows, seed)
     results = run_batch(table, batches, phi, theta, shots, seeds)
     return estimate_counts(table, np.concatenate(batches),
                            np.array([r.histograms for r in results]), shots)

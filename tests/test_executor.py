@@ -49,8 +49,8 @@ def run_estimates(topo, assignments, shots, seed, crosstalk_p=0.0, rows=None):
     table = compile_pairs(topo, [pair for pair, _ in assignments], crosstalk_p=crosstalk_p)
     rows = np.arange(len(assignments)) if rows is None else np.asarray(rows)
     params = [assignments[r][1] for r in rows]
-    counts = run_batch(table, rows, np.array([a.phi for a in params]),
-                       np.array([a.theta for a in params]), shots, seed)
+    counts = run_batch(table, [rows], np.array([a.phi for a in params]),
+                       np.array([a.theta for a in params]), shots, [seed])
     return estimate_counts(table, rows, np.array([c.histograms for c in counts]), shots)
 
 
@@ -62,11 +62,11 @@ def test_run_batch_validation():
     table = compile_pairs(topo, [(0, 1), (1, 2)])
     one = np.array([0.1])
     with pytest.raises(ValueError):
-        run_batch(table, [], one[:0], one[:0], 100, 1)
+        run_batch(table, [[]], one[:0], one[:0], 100, [1])
     with pytest.raises(ValueError):
-        run_batch(table, [0, 1], np.repeat(one, 2), np.repeat(one, 2), 100, 1)
+        run_batch(table, [[0, 1]], np.repeat(one, 2), np.repeat(one, 2), 100, [1])
     with pytest.raises(ValueError):
-        run_batch(table, [0], one, one, 0, 1)
+        run_batch(table, [[0]], one, one, 0, [1])
 
 
 def test_run_batch_requires_topology_edges():
@@ -81,7 +81,8 @@ def test_run_batch_deterministic_for_same_seed():
     rows, phi, theta = [0, 1], np.array([0.3, -0.2]), np.array([0.4, 0.9])
 
     def counts(table, seed):
-        return np.array([r.histograms for r in run_batch(table, rows, phi, theta, 2000, seed)])
+        return np.array([r.histograms
+                         for r in run_batch(table, [rows], phi, theta, 2000, [seed])])
 
     baseline = counts(table, 99)
     assert np.array_equal(counts(table, 99), baseline)
@@ -267,7 +268,7 @@ def test_multi_batch_run_matches_each_batch_alone(case):
     lo = 0
     for batch, seed in zip(batches, seeds):
         part = slice(lo, lo + len(batch))
-        alone = batch_counts(run_batch(table, batch, phi[part], theta[part], 300, seed))
+        alone = batch_counts(run_batch(table, [batch], phi[part], theta[part], 300, [seed]))
         assert np.array_equal(together[part], alone)
         lo += len(batch)
 
@@ -276,11 +277,11 @@ def test_neighbour_in_another_batch_does_not_flag():
     table = chain_table(n_pairs=2, crosstalk_p=0.5)
     phi, theta = np.array([0.3, 0.3]), np.array([0.4, 0.4])
     split = batch_counts(run_batch(table, [[0], [1]], phi, theta, 5000, [7, 8]))
-    solo = [batch_counts(run_batch(table, [row], phi[:1], theta[:1], 5000, seed))[0]
+    solo = [batch_counts(run_batch(table, [[row]], phi[:1], theta[:1], 5000, [seed]))[0]
             for row, seed in ((0, 7), (1, 8))]
     assert np.array_equal(split, np.array(solo))
     # the same two rows in one batch are neighbours and flagged
-    joint = batch_counts(run_batch(table, [0, 1], phi, theta, 5000, 7))
+    joint = batch_counts(run_batch(table, [[0, 1]], phi, theta, 5000, [7]))
     assert not np.array_equal(joint[0], split[0])
 
 
@@ -300,7 +301,12 @@ def test_multi_batch_validation_is_per_batch():
     with pytest.raises(ValueError):
         run_batch(table, [[0], [1]], one, np.repeat(one, 2), 100, [1, 2])
     with pytest.raises(ValueError):
-        run_batch(table, [0, 1], one, one, 100, 1)
+        run_batch(table, [[0, 1]], one, one, 100, [1])
+    # only a list of batches with a list of seeds: no bare int seed, no flat row list
+    with pytest.raises(TypeError):
+        run_batch(table, [[0]], one, one, 100, 1)
+    with pytest.raises(ValueError):
+        run_batch(table, [0, 1], np.repeat(one, 2), np.repeat(one, 2), 100, [1, 2])
 
 
 @given(columnar_cases(), st.data())

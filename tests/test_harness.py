@@ -181,6 +181,17 @@ def test_speedup_sweep_matches_cost_model(tmp_path):
         assert s <= p  # parallelism can never beat the ideal factor
 
 
+def test_under_determined_mgd_run_warns_once(tmp_path):
+    # --eta 0.5 gives 3 points for the 6-term surrogate: one condition, one warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["vqe", "--optimizer", "mgd", "--pairs", "1", "--eta", "0.5",
+                         "--iterations", "2", "--shots", "50", "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in caught] == [
+        "3 points under-determine the quadratic surrogate"]
+
+
 def test_matching_selection_keeps_best_pairs_above_cap(shipped_topology):
     topo = shipped_topology
     matched = max_weight_matching(topo).pairs
@@ -442,19 +453,25 @@ def test_benchmark_tracer_counts_batch_circuits(tmp_path):
         "vqe": (["vqe", "--pairs", "2", "--iterations", "2", "--shots", "50"], 32, 16, 4),
         # three SPSA repeats in lockstep still count each repeat's batches:
         # 24 batches, 48 active pairs, in one call per iteration for all
-        # repeats and two calls per repeat's final point
+        # repeats and two calls for all repeats' final points
         "vqe-repeats": (["vqe", "--pairs", "2", "--iterations", "2", "--repeats", "3",
-                         "--shots", "50"], 96, 48, 8),
+                         "--shots", "50"], 96, 48, 4),
         # three MGD repeats on 1 pair with 9 points per iteration: 9
-        # one-pair batches per repeat and iteration plus the final point
-        # and its reference, 60 batches of one pair in 2 + 6 calls
+        # one-pair batches per repeat and iteration plus the final points
+        # and their references, 60 batches of one pair in 2 + 2 calls
         "vqe-mgd-repeats": (["vqe", "--optimizer", "mgd", "--pairs", "1", "--eta", "1.5",
                              "--iterations", "2", "--repeats", "3", "--shots", "50"],
-                            120, 60, 8),
+                            120, 60, 4),
         # the landscape workload's path: 16 grid points in batches of 3
-        # pairs, each batch with its phi=0 reference batch
+        # pairs, each batch with its phi=0 reference batch, the whole grid
+        # in one call and its references in another
         "heatmap": (["heatmap", "--grid", "4", "--pairs", "3", "--shots", "50",
-                     "--mitigation", "ni+tflo", "--select", "matching"], 64, 32, 12),
+                     "--mitigation", "ni+tflo", "--select", "matching"], 64, 32, 2),
+        # the shipped calibration's 97 edges one at a time and its 33-step
+        # greedy sweep (1 + ... + 33 = 561 active pairs), each batch with
+        # its reference: 2 * (97 + 561) active pairs, in one call for the
+        # individual pairs, one for the sweep and one for each's references
+        "benchmark-pairs": (["benchmark-pairs", "--shots", "50"], 2632, 1316, 4),
     }
     tracer_module = load_benchmark_module("tracer")
     for name, (argv, circuits, active_pairs, calls) in runs.items():

@@ -83,8 +83,7 @@ def test_n_points_from_eta():
     assert n_points_from_eta(2.0) == 12
     assert n_points_from_eta(1.5) == 9
     assert n_points_from_eta(1.0) == 6
-    with pytest.warns(UserWarning):
-        assert n_points_from_eta(0.5) == 3
+    assert n_points_from_eta(0.5) == 3
     with pytest.raises(ValueError):
         n_points_from_eta(0.0)
 
