@@ -16,14 +16,18 @@ Two optimizers are provided, each matched to a form of parallelism:
 
 Each optimizer has one lockstep core (`spsa_lockstep`, `mgd_lockstep`)
 that advances R independent repeats together: every step asks the
-evaluator once for the points of all repeats, so the executor-backed
-evaluators run them in one kernel call. `spsa_run` and `mgd_run` are the
-one-repeat adapters over plain evaluators.
+evaluator once for the (R, m) points of all repeats and reads back one
+Estimates with (R, m) fields, so the executor-backed evaluators run them
+in one kernel call. `spsa_run` and `mgd_run` are the one-repeat adapters
+over plain evaluators.
 
+Both executor-backed evaluators batch through `batch_pair_evaluator`,
+which spreads points over the table's rows; SPSA's same-parameters
+evaluator is its pooled view over points repeated once per row.
 Optimizer randomness comes only from the injected streams, one per
-repeat; the executor-backed evaluators seed the n-th batch of repeat r
-from repeat r's own evaluator seed and n, so a repeat's trace does not
-depend on R or on the repeats beside it. Exact-energy diagnostics recorded in the trace never
+repeat; the n-th batch of repeat r is seeded from repeat r's own
+evaluator seed and n, so a repeat's trace does not depend on R or on the
+repeats beside it. Exact-energy diagnostics recorded in the trace never
 feed back into the updates.
 """
 
@@ -161,8 +165,8 @@ Evaluator = Callable[[AnsatzParams], EnergyEstimate]
 # (m, 2) array of (phi, theta) points -> their m estimates
 BatchEvaluator = Callable[[np.ndarray], Estimates]
 ExactFn = Callable[[AnsatzParams], float]
-# (R, m, 2) array, m points for each of R repeats -> one Estimates of m per repeat
-LockstepEvaluator = Callable[[np.ndarray], list[Estimates]]
+# (R, m, 2) array, m points for each of R repeats -> Estimates with (R, m) fields
+LockstepEvaluator = Callable[[np.ndarray], Estimates]
 # (R, 2) array of the repeats' centres -> their R exact energies
 ExactCentres = Callable[[np.ndarray], Sequence[float]]
 
@@ -204,11 +208,11 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     for k in range(1, cfg.iterations + 1):
         a_k, c_k = cfg.gains(k)
         delta = np.array([stream.choice([-1.0, 1.0], size=2) for stream in streams])
-        ests = evaluate(np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1))
+        est = evaluate(np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1))
         e_exact = [None] * len(theta) if exact is None else exact(theta)
-        for r, est in enumerate(ests):
-            records[r].append(_record(k, theta[r], est.raw[0], est.value[0], e_exact[r]))
-        e_diff = np.array([est.value[1] - est.value[2] for est in ests])
+        for r, recs in enumerate(records):
+            recs.append(_record(k, theta[r], est.raw[r, 0], est.value[r, 0], e_exact[r]))
+        e_diff = est.value[:, 1] - est.value[:, 2]
         grad = (e_diff / (2.0 * c_k))[:, None] * delta   # 1/delta_i == delta_i
         theta = theta - a_k * grad
     return _traces(records, theta)
@@ -220,11 +224,11 @@ def spsa_run(cfg: SpsaConfig, evaluator: Evaluator, start: AnsatzParams,
     evaluations per iteration, in order: the centre, recorded in the
     trace, then the two perturbed points for the gradient."""
 
-    def evaluate(points: np.ndarray) -> list[Estimates]:
+    def evaluate(points: np.ndarray) -> Estimates:
         ests = [evaluator(AnsatzParams(*point)) for point in points[0].tolist()]
-        return [Estimates(value=np.array([e.value for e in ests]),
-                          std_err=np.array([e.std_err for e in ests]),
-                          raw=np.array([e.raw_value for e in ests]))]
+        return Estimates(value=np.array([[e.value for e in ests]]),
+                         std_err=np.array([[e.std_err for e in ests]]),
+                         raw=np.array([[e.raw_value for e in ests]]))
 
     return spsa_lockstep(cfg, evaluate, [start], [stream], _exact_of(exact_fn))[0]
 
@@ -269,11 +273,11 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
         offsets = np.array([stream.uniform(-delta_k, delta_k, size=(points, 2))
                             for stream in streams]).reshape(len(theta), points, 2)
         batch = theta[:, None, :] + offsets
-        ests = evaluate(batch)
+        est = evaluate(batch)
         e_exact = [None] * len(theta) if exact is None else exact(theta)
         steps = np.empty_like(theta)
-        for r, est in enumerate(ests):
-            variances = est.std_err ** 2
+        for r in range(len(theta)):
+            variances = est.std_err[r] ** 2
             mean_var = float(variances.mean())
             if mean_var == 0.0:
                 weights = np.ones(points)
@@ -281,8 +285,8 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
             else:
                 weights = 1.0 / np.maximum(variances, 1e-12 * mean_var)
                 ridge = mean_var / cfg.l ** 2
-            coeffs = _fit_surrogate(offsets[r], est.value, weights, ridge)
-            e_raw = _fit_surrogate(offsets[r], est.raw, weights, ridge)[0]
+            coeffs = _fit_surrogate(offsets[r], est.value[r], weights, ridge)
+            e_raw = _fit_surrogate(offsets[r], est.raw[r], weights, ridge)[0]
             records[r].append(_record(k, theta[r], e_raw, coeffs[0], e_exact[r],
                                       points=tuple(map(tuple, batch[r].tolist()))))
             steps[r] = gamma_k * coeffs[1:3]
@@ -296,8 +300,10 @@ def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams
     """Batch-parallel surrogate gradient descent on one repeat
     (mgd_lockstep with R = 1): each iteration evaluates its `points`
     points in one call of batch_evaluator."""
-    return mgd_lockstep(cfg, lambda batch: [batch_evaluator(batch[0])], [start], points,
-                        [stream], _exact_of(exact_fn))[0]
+    def evaluate(batch: np.ndarray) -> Estimates:
+        return Estimates(*(a[None] for a in batch_evaluator(batch[0])))
+
+    return mgd_lockstep(cfg, evaluate, [start], points, [stream], _exact_of(exact_fn))[0]
 
 
 # --- executor-backed evaluators ----------------------------------------------
@@ -312,52 +318,20 @@ def measure_batch(table: PairTable, batches, phi: np.ndarray, theta: np.ndarray,
                            np.array([r.histograms for r in results]), shots)
 
 
-def _per_repeat(est: Estimates, repeats: int) -> list[Estimates]:
-    """Split estimates laid out repeat by repeat into one Estimates per
-    repeat."""
-    return [Estimates(*row) for row in zip(*(a.reshape(repeats, -1) for a in est))]
-
-
-def spsa_parallel_evaluator(table: PairTable, shots: int,
-                            seeds: Sequence[int]) -> LockstepEvaluator:
-    """Same-parameters parallelism for R repeats with evaluator seeds
-    seeds[r]: every point of every repeat runs as one batch with identical
-    parameters on all rows of the table, and its row estimates are pooled
-    (their mean, with errors in quadrature). All batches of a call share
-    one kernel pass; the n-th batch of repeat r is seeded
-    derive_seed(seeds[r], n), whichever repeats share the call."""
-    if not table.pairs:
-        raise ValueError("need at least one pair")
-    n = len(table.pairs)
-    done = 0    # batches each repeat has run
-
-    def evaluate(points: np.ndarray) -> list[Estimates]:
-        nonlocal done
-        repeats, m = points.shape[:2]
-        batch_seeds = [derive_seed(seed, done + i) for seed in seeds for i in range(m)]
-        done += m
-        flat = points.reshape(-1, 2)
-        est = measure_batch(table, [np.arange(n)] * len(flat), np.repeat(flat[:, 0], n),
-                            np.repeat(flat[:, 1], n), shots, batch_seeds)
-        pooled = aggregate_same_params(Estimates(*(a.reshape(repeats, m, n) for a in est)))
-        return _per_repeat(pooled, repeats)
-
-    return evaluate
-
-
 def batch_pair_evaluator(table: PairTable, shots: int,
                          seeds: Sequence[int]) -> LockstepEvaluator:
     """Different-parameters parallelism for R repeats with evaluator seeds
     seeds[r]: each repeat's m points are spread over the table's rows,
-    ceil(m/len(rows)) batches per repeat and call. All batches of a call
-    share one kernel pass; the n-th batch of repeat r is seeded
-    derive_seed(seeds[r], n), whichever repeats share the call."""
+    ceil(m/len(rows)) batches per repeat and call, and the estimates come
+    back with shape (R, m). All batches of a call share one kernel pass;
+    the n-th batch of repeat r is seeded derive_seed(seeds[r], n),
+    whichever repeats share the call."""
     if not table.pairs:
         raise ValueError("need at least one pair")
     n = len(table.pairs)
     done = 0    # batches each repeat has run
 
-    def evaluate(points: np.ndarray) -> list[Estimates]:
+    def evaluate(points: np.ndarray) -> Estimates:
         nonlocal done
         repeats, m = points.shape[:2]
         chunks = [np.arange(lo, min(lo + n, m)) - lo for lo in range(0, m, n)]
@@ -367,7 +341,26 @@ def batch_pair_evaluator(table: PairTable, shots: int,
         flat = points.reshape(-1, 2)
         est = measure_batch(table, chunks * repeats, flat[:, 0], flat[:, 1], shots,
                             batch_seeds)
-        return _per_repeat(est, repeats)
+        return Estimates(*(a.reshape(repeats, m) for a in est))
+
+    return evaluate
+
+
+def spsa_parallel_evaluator(table: PairTable, shots: int,
+                            seeds: Sequence[int]) -> LockstepEvaluator:
+    """Same-parameters parallelism for R repeats with evaluator seeds
+    seeds[r]: the pooled view of batch_pair_evaluator. Each point is
+    repeated once per table row, so its copies fill exactly one batch of
+    every row at that point's angles, seeded as batch_pair_evaluator seeds
+    it, and that batch's row estimates are pooled (their mean, with errors
+    in quadrature)."""
+    spread = batch_pair_evaluator(table, shots, seeds)
+    n = len(table.pairs)
+
+    def evaluate(points: np.ndarray) -> Estimates:
+        repeats, m = points.shape[:2]
+        est = spread(np.repeat(points, n, axis=1))
+        return aggregate_same_params(Estimates(*(a.reshape(repeats, m, n) for a in est)))
 
     return evaluate
 

@@ -6,15 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from parvqe.device import DeviceTopology
-from parvqe.executor import EnergyEstimate, compile_pairs
+from parvqe.device import DeviceTopology, noise_spec_for_pair
+from parvqe.executor import EnergyEstimate, Estimates, aggregate_same_params, compile_pairs
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, exact_ground_energy
+from parvqe.mitigation import measure_confusion
 from parvqe.optimizers import (
     MgdConfig,
     SpsaConfig,
     UnderDeterminedFit,
     batch_pair_evaluator,
     mgd_lockstep,
+    measure_batch,
     mgd_run,
     n_points_from_eta,
     oracle_batch_evaluator,
@@ -23,6 +25,7 @@ from parvqe.optimizers import (
     spsa_run,
     _fit_surrogate,
 )
+from parvqe.seeding import derive_seed
 
 E_GROUND = exact_ground_energy()
 START = AnsatzParams(0.6, 0.8)
@@ -226,8 +229,9 @@ def test_mgd_trace_diagnostics_do_not_affect_updates():
 
 def evaluate_one(ev, params):
     """One point's estimate from a lockstep evaluator running one repeat."""
-    est = ev(np.array([[[params.phi, params.theta]]]))[0]
-    return EnergyEstimate(float(est.value[0]), float(est.std_err[0]), float(est.raw[0]))
+    est = ev(np.array([[[params.phi, params.theta]]]))
+    return EnergyEstimate(float(est.value[0, 0]), float(est.std_err[0, 0]),
+                          float(est.raw[0, 0]))
 
 
 def test_spsa_parallel_evaluator_pools_std_err():
@@ -274,13 +278,48 @@ def test_pooled_estimate_tracks_mixture_of_fidelities():
     assert evaluate_one(ev_mixed, a).value > evaluate_one(ev_good, a).value + 0.05
 
 
+def test_spsa_evaluator_is_pooled_spread_evaluator():
+    # a chain of three pairs, each joined to the next, so crosstalk flags rows
+    topo = DeviceTopology(qubits=tuple(range(6)),
+                          edges=((0, 1, 0.95), (2, 3, 0.93), (4, 5, 0.97),
+                                 (1, 2, 0.9), (3, 4, 0.9)),
+                          readout={q: (0.01 + 0.01 * q, 0.03) for q in range(6)})
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    confusions = {pair: measure_confusion(noise_spec_for_pair(topo, pair), 2000,
+                                          np.random.default_rng(i))
+                  for i, pair in enumerate(pairs)}
+    table = compile_pairs(topo, pairs, HubbardParams(), confusions, crosstalk_p=0.05)
+    seeds = [21, 4]
+    spsa = spsa_parallel_evaluator(table, 300, seeds)
+    spread = batch_pair_evaluator(table, 300, seeds)
+    rng = np.random.default_rng(0)
+    done = 0
+    for m in (3, 2):      # two successive calls: batch numbering carries over
+        points = rng.uniform(-1, 1, size=(2, m, 2))
+        got = spsa(points)
+        spread_est = spread(np.repeat(points, 3, axis=1))
+        pooled = aggregate_same_params(Estimates(*(a.reshape(2, m, 3) for a in spread_est)))
+        # the n-th point of repeat r is one batch of all rows, seeded (seeds[r], n)
+        flat = np.repeat(points.reshape(-1, 2), 3, axis=0)
+        direct = measure_batch(table, [np.arange(3)] * (2 * m), flat[:, 0], flat[:, 1], 300,
+                               [derive_seed(seed, done + i) for seed in seeds
+                                for i in range(m)])
+        direct = aggregate_same_params(Estimates(*(a.reshape(2, m, 3) for a in direct)))
+        done += m
+        for a, b, c in zip(got, pooled, direct):
+            assert a.shape == (2, m)
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
 def test_batch_pair_evaluator_round_robin():
     topo = uniform_topology(3)
     pairs = [e[:2] for e in topo.edges]
     h = HubbardParams()
     ev = batch_pair_evaluator(compile_pairs(topo, pairs, h), 50_000, seeds=[1])
     points = np.array([(0.0, t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)])
-    out, = ev(points[None])
+    est = ev(points[None])
+    assert est.value.shape == (1, 5)
+    out = Estimates(*(a[0] for a in est))
     assert len(out.value) == len(out.std_err) == len(out.raw) == 5
     # E(0, theta) = -1 for every theta
     for value, std_err in zip(out.value, out.std_err):
