@@ -5,6 +5,7 @@ Subcommands map one-to-one onto the harness experiments:
     parvqe benchmark-pairs --seed 7 --out results/bench
     parvqe heatmap         --seed 7 --pairs 25 --shots 10000 --out results/heat
     parvqe vqe             --seed 7 --optimizer mgd --pairs 12 --out results/vqe
+    parvqe speedup-sweep   --seed 7 --pair-counts 2,4,8,12,16,20,25 --out results/speedup
     parvqe shots-sweep     --seed 7 --out results/shots
     parvqe optimizer-compare --seed 7 --out results/compare
 """
@@ -33,23 +34,29 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
+# the flags of every command that runs circuits
+_RUN_FLAGS = ("--calibration", "--workers", "--crosstalk")
+
+
 def _add_flags(p: argparse.ArgumentParser, names: tuple[str, ...],
                overrides: dict[str, dict] | None = None) -> None:
-    """The flags every subcommand reads, then the named ones. `overrides`
-    maps a named flag to settings that replace its defaults."""
+    """The flags every subcommand reads (--seed, --out), then the named
+    ones. `overrides` maps a named flag to settings that replace its
+    defaults."""
     p.add_argument("--seed", type=int, required=True,
                    help="base seed; all randomness derives from it")
     p.add_argument("--out", dest="out_dir", metavar="OUT", required=True,
                    help="output directory")
-    p.add_argument("--calibration", default=str(default_calibration_path()),
-                   help="device calibration JSON")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted but has no effect: each batch runs as one "
-                        "vectorized pass (values above 1 warn)")
-    p.add_argument("--crosstalk", type=float, default=0.0, dest="crosstalk_p",
-                   metavar="CROSSTALK",
-                   help="extra depolarizing probability for adjacent active pairs")
     specs = {
+        "--calibration": dict(default=str(default_calibration_path()),
+                              help="device calibration JSON"),
+        "--workers": dict(type=int, default=1,
+                          help="accepted but has no effect: each batch runs as one "
+                               "vectorized pass (values above 1 warn)"),
+        "--crosstalk": dict(type=float, default=0.0, dest="crosstalk_p",
+                            metavar="CROSSTALK",
+                            help="extra depolarizing probability for adjacent active "
+                                 "pairs"),
         "--cost-model": dict(default=str(default_cost_model_path()),
                              help="wall-clock cost model JSON"),
         "--pairs": dict(type=int, default=None, help="number of pairs to select"),
@@ -76,34 +83,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark-pairs", allow_abbrev=False,
                        help="benchmark every pair and the greedy parallel sweep")
-    _add_flags(p, ("--shots",), {"--shots": dict(default=10_000)})
+    _add_flags(p, _RUN_FLAGS + ("--shots",), {"--shots": dict(default=10_000)})
 
     p = sub.add_parser("heatmap", allow_abbrev=False, help="energy landscape heatmaps")
-    _add_flags(p, ("--cost-model", "--pairs", "--select", "--cap", "--shots",
-                   "--mitigation"), {"--shots": dict(default=10_000)})
+    _add_flags(p, _RUN_FLAGS + ("--cost-model", "--pairs", "--select", "--cap", "--shots",
+                                "--mitigation"), {"--shots": dict(default=10_000)})
     p.add_argument("--grid", type=int, default=20, help="points per axis")
 
     p = sub.add_parser("vqe", allow_abbrev=False, help="full optimisation runs")
-    _add_flags(p, ("--cost-model", "--pairs", "--select", "--cap", "--shots",
-                   "--iterations", "--mitigation", "--repeats"))
+    _add_flags(p, _RUN_FLAGS + ("--cost-model", "--pairs", "--select", "--cap", "--shots",
+                                "--iterations", "--mitigation", "--repeats"))
     p.add_argument("--optimizer", choices=["spsa", "mgd"], default="spsa")
     p.add_argument("--eta", type=float, default=2.0,
                    help="points-per-iteration metaparameter for single-pair mgd")
     p.add_argument("--start", type=float, nargs=2, default=(0.6, 0.8),
                    metavar=("PHI", "THETA"))
-    p.add_argument("--speedup-sweep", action="store_true",
-                   help="emit modelled speedups over --pair-counts instead of running")
+
+    p = sub.add_parser("speedup-sweep", allow_abbrev=False,
+                       help="modelled speedup of both optimizers; runs nothing")
+    _add_flags(p, ("--cost-model", "--shots"))
     p.add_argument("--pair-counts", type=_int_list, default=(2, 4, 8, 12, 16, 20, 25))
 
     p = sub.add_parser("shots-sweep", allow_abbrev=False,
                        help="SPSA at several shot counts")
-    _add_flags(p, ("--pairs", "--cap", "--iterations", "--mitigation"),
+    _add_flags(p, _RUN_FLAGS + ("--pairs", "--cap", "--iterations", "--mitigation"),
                {"--mitigation": dict(choices=["none", "ni"], default="ni")})
     p.add_argument("--shots-list", type=_int_list, default=(100, 1000, 10_000))
 
     p = sub.add_parser("optimizer-compare", allow_abbrev=False,
                        help="SPSA vs surrogate descent across pair counts")
-    _add_flags(p, ("--shots",))
+    _add_flags(p, _RUN_FLAGS + ("--shots",))
     p.add_argument("--pair-counts", type=_int_list, default=(2, 4, 6, 9, 12, 25))
 
     return parser
@@ -116,26 +125,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
-# vqe flags that --speedup-sweep does not read: it models times, runs nothing
-_SWEEP_UNREAD = ("--mitigation", "--workers", "--pairs", "--select", "--cap",
-                 "--repeats", "--crosstalk", "--eta", "--start", "--calibration",
-                 "--optimizer", "--iterations")
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    sweep = args.command == "vqe" and args.speedup_sweep
-    if sweep:
-        given = [flag for flag in _SWEEP_UNREAD
-                 if any(tok == flag or tok.startswith(flag + "=") for tok in argv)]
-        if given:
-            parser.error(f"vqe --speedup-sweep does not read {', '.join(given)}")
     handlers = {
         "benchmark-pairs": cmd_benchmark_pairs,
         "heatmap": cmd_heatmap,
-        "vqe": cmd_speedup_sweep if sweep else cmd_vqe,
+        "vqe": cmd_vqe,
+        "speedup-sweep": cmd_speedup_sweep,
         "shots-sweep": cmd_shots_sweep,
         "optimizer-compare": cmd_optimizer_compare,
     }

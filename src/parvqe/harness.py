@@ -132,6 +132,14 @@ class ExperimentConfig:
             values = getattr(self, name)
             if min(values, default=1) < 1:
                 raise InputError(f"{name} entries must be >= 1, got {values}")
+            if len(set(values)) < len(values):
+                raise InputError(f"{name} entries must be distinct, got {values}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise InputError(f"eta must be positive, got {self.eta}")
+        if not 0.0 <= self.crosstalk_p <= 1.0:
+            raise InputError(f"crosstalk_p must be in [0, 1], got {self.crosstalk_p}")
+        if not all(map(math.isfinite, self.start)):
+            raise InputError(f"start angles must be finite, got {self.start}")
         if not self.calibration.exists():
             raise FileNotFoundError(f"calibration file {self.calibration} not found")
         if not self.cost_model.exists():
@@ -580,8 +588,8 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
-    """Modelled speedup of both optimizers over cfg.pair_counts (vqe
-    --speedup-sweep); nothing is simulated."""
+    """Modelled speedup of both optimizers over cfg.pair_counts; nothing is
+    simulated."""
     run = _Run(cfg)
     cost = load_cost_model(cfg.cost_model)
     rows = []
@@ -599,7 +607,7 @@ def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
     metrics = {"pair_counts": list(cfg.pair_counts),
                "spsa_speedups": [r[1] for r in rows],
                "mgd_speedups": [r[2] for r in rows]}
-    return run.finish("vqe-speedup-sweep", metrics, [path.name],
+    return run.finish("speedup-sweep", metrics, [path.name],
                       f"speedup-sweep: {len(rows)} pair counts modelled")
 
 

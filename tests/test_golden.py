@@ -50,8 +50,7 @@ CASES = {
     "vqe-spsa-none": ["vqe", "--seed", "9", "--optimizer", "spsa", "--pairs", "2",
                       "--iterations", "3", "--mitigation", "none", "--select",
                       "matching", "--crosstalk", "0.05", "--small"],
-    "vqe-speedup-sweep": ["vqe", "--seed", "1", "--speedup-sweep",
-                          "--pair-counts", "2,5"],
+    "vqe-speedup-sweep": ["speedup-sweep", "--seed", "1", "--pair-counts", "2,5"],
     "shots-sweep": ["shots-sweep", "--seed", "5", "--pairs", "3", "--iterations", "4",
                     "--shots-list", "50,200"],
     "shots-sweep-none": ["shots-sweep", "--seed", "5", "--pairs", "2",

@@ -332,12 +332,14 @@ UNREAD_FLAGS = {
     "optimizer-compare": ["--pairs 4", "--select matching", "--cap 0.9",
                           "--iterations 5", "--mitigation ni", "--repeats 2",
                           "--cost-model m.json"],
+    # the sweep is a subcommand of its own; vqe reads no sweep flag
+    "vqe": ["--pair-counts 3", "--speedup-sweep"],
     # the modelled sweep runs nothing, so it reads none of the run flags
-    "vqe --speedup-sweep": ["--mitigation ni", "--workers 1", "--pairs 4",
-                            "--select greedy", "--cap 0.9", "--repeats 2",
-                            "--crosstalk 0.0", "--eta 2.0", "--start 0.6 0.8",
-                            "--calibration c.json", "--pairs=4", "--optimizer mgd",
-                            "--iterations 7"],
+    "speedup-sweep": ["--mitigation ni", "--workers 1", "--pairs 4",
+                      "--select greedy", "--cap 0.9", "--repeats 2",
+                      "--crosstalk 0.0", "--eta 2.0", "--start 0.6 0.8",
+                      "--calibration c.json", "--pairs=4", "--optimizer mgd",
+                      "--iterations 7"],
 }
 
 
@@ -354,7 +356,7 @@ def test_cli_rejects_unread_flags(command, flag, tmp_path):
 ZERO_COUNTS = ["vqe --iterations 0", "vqe --repeats 0", "heatmap --grid 0",
                "shots-sweep --iterations 0", "vqe --optimizer mgd --pairs 0",
                "shots-sweep --shots-list 100,0", "optimizer-compare --pair-counts 0",
-               "vqe --speedup-sweep --pair-counts 2,0"]
+               "speedup-sweep --pair-counts 2,0"]
 
 
 @pytest.mark.parametrize("args", ZERO_COUNTS)
@@ -391,6 +393,14 @@ IMPOSSIBLE = {
     "malformed-calibration": ("vqe --calibration {malformed}", "fidelity 1.5 out of"),
     "heatmap-pairs": ("heatmap --pairs 40", "selection yields 33 pairs, requested 40"),
     "shots-sweep-pairs": ("shots-sweep --pairs 40", "selection yields 26 pairs, requested 40"),
+    # bad values are argparse errors, not tracebacks
+    "eta": ("vqe --optimizer mgd --pairs 1 --eta 0", "eta must be positive"),
+    "crosstalk-above-1": ("vqe --crosstalk 1.5", "crosstalk_p must be in [0, 1]"),
+    "crosstalk-negative": ("vqe --crosstalk -0.1", "crosstalk_p must be in [0, 1]"),
+    "start-nan": ("vqe --start nan 0.1", "start angles must be finite"),
+    # a repeated entry would write the same artifact twice
+    "repeated-shots": ("shots-sweep --shots-list 100,100", "entries must be distinct"),
+    "repeated-pair-counts": ("speedup-sweep --pair-counts 2,2", "entries must be distinct"),
 }
 
 
