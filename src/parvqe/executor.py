@@ -4,14 +4,15 @@ A run compiles its selected pairs once into a PairTable: per pair the
 depolarizing probabilities, the readout map and the estimation
 coefficients (noise-inverted when NI is on). A batch assigns ansatz
 parameters to vertex-disjoint rows of the table and runs both
-measurement settings on every row. The whole batch is simulated in one
-vectorized pass, its histograms come from one multinomial draw on one
-stream seeded by the batch seed, and its energies are estimated as
-arrays, so execution is deterministic and holds no per-pair objects.
-Every run is a list of such batches with one seed each, run in one pass
-(the repeats of an optimizer step, a whole heatmap grid, all final
-points of a run): each batch keeps its own checks, crosstalk flags and
-stream, so its counts are those it gets when run alone.
+measurement settings on every row. Every run is a list of groups of such
+batches, one group per key path (an optimizer repeat, a command's
+measurement stage), each with the one generator that key path keeps for
+its whole run. All batches of a call are simulated in one vectorized
+pass, each group's histograms come from one multinomial draw on its
+generator, in batch order, and energies are estimated as arrays, so
+execution is deterministic and holds no per-pair objects. Each batch
+keeps its own checks and crosstalk flags, so a key path's counts depend
+only on its own batches, in order, never on the groups beside it.
 
 Wall-clock time of a batched run on a remote device is modelled, not
 measured, as
@@ -159,47 +160,53 @@ class PairCounts(NamedTuple):
     histograms: np.ndarray
 
 
-def run_batch(table: PairTable, batches, phi: np.ndarray, theta: np.ndarray, shots: int,
-              seeds) -> list[PairCounts]:
-    """Simulate batches of table rows in one vectorized pass.
+def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shots: int,
+              streams) -> list[PairCounts]:
+    """Simulate groups of batches of table rows in one vectorized pass.
 
-    batches holds B row arrays, which may differ in size, and seeds their B
-    seeds. phi and theta hold the angles of every row of every batch, in
-    order. Each batch samples its histograms in one multinomial draw from
-    its own stream, default_rng(seed), so its counts do not depend on the
-    other batches of the call. Within a batch, row i's counts depend on
-    the rows before it, never on those after it. Returns one PairCounts
-    per row of every batch.
+    groups holds K groups, each a non-empty list of row arrays (batches)
+    that may differ in size, and streams their K generators. phi and theta
+    hold the angles of every row of every batch of every group, in order.
+    Group k's histograms come from one multinomial draw on streams[k] over
+    its rows in batch order, which continues that generator's stream: a
+    group's counts depend only on its own batches, in order, and on its
+    generator's state, never on the other groups of the call. Returns one
+    PairCounts per row, in order.
 
     Each batch's pairs must be vertex-disjoint. A row is flagged for
-    crosstalk when another row of its own batch is its neighbour.
+    crosstalk when another row of its own batch is its neighbour. Every
+    batch is checked before any generator is drawn from, so a rejected
+    call leaves every stream untouched.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    batches = [np.asarray(batch, dtype=int) for batch in batches]
-    if len(batches) != len(seeds):
-        raise ValueError(f"{len(batches)} batches but {len(seeds)} seeds")
-    p = []
-    for batch in batches:
-        if batch.ndim != 1 or len(batch) == 0:
-            raise ValueError("each batch needs a non-empty array of rows")
-        qubits = table.qubits[batch].ravel().tolist()
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("batch pairs must be vertex-disjoint")
-        p_batch = table.p[batch]
-        if table.neighbours is not None:
-            p_batch = np.where(table.neighbours[batch][:, batch].any(axis=1),
-                               table.p_crosstalk[batch], p_batch)
-        p.append(p_batch)
-    rows = np.concatenate(batches)
+    if len(groups) != len(streams):
+        raise ValueError(f"{len(groups)} groups but {len(streams)} streams")
+    if not all(isinstance(stream, np.random.Generator) for stream in streams):
+        raise TypeError("each group needs a numpy Generator as its stream")
+    groups = [[np.asarray(batch, dtype=int) for batch in group] for group in groups]
+    p, sizes = [], []
+    for group in groups:
+        if not group:
+            raise ValueError("each group needs at least one batch")
+        for batch in group:
+            if batch.ndim != 1 or len(batch) == 0:
+                raise ValueError("each batch needs a non-empty array of rows")
+            qubits = table.qubits[batch].ravel().tolist()
+            if len(set(qubits)) != len(qubits):
+                raise ValueError("batch pairs must be vertex-disjoint")
+            p_batch = table.p[batch]
+            if table.neighbours is not None:
+                p_batch = np.where(table.neighbours[batch][:, batch].any(axis=1),
+                                   table.p_crosstalk[batch], p_batch)
+            p.append(p_batch)
+        sizes.append(sum(map(len, group)))
+    rows = np.concatenate([batch for group in groups for batch in group])
     if len(phi) != len(rows) or len(theta) != len(rows):
         raise ValueError(f"{len(rows)} rows but {len(phi)} phi and {len(theta)} theta")
     dists = batch_distributions(phi, theta, np.concatenate(p), table.confusion[rows])
-    counts, lo = [], 0
-    for batch, batch_seed in zip(batches, seeds):
-        counts.extend(np.random.default_rng(batch_seed).multinomial(
-            shots, dists[lo:lo + len(batch)]))
-        lo += len(batch)
+    counts = np.concatenate([stream.multinomial(shots, part) for stream, part
+                             in zip(streams, np.split(dists, np.cumsum(sizes)[:-1]))])
     return [PairCounts(table.pairs[row], hist) for row, hist in zip(rows.tolist(), counts)]
 
 

@@ -64,7 +64,8 @@ from . import svgplot
 
 SCHEMA_VERSION = 1
 
-# stream namespaces (first derivation key after the base seed)
+# stream namespaces (first derivation key after the base seed); _NS_FINAL
+# leads the key paths of final points inside _NS_RUN and _NS_REF
 _NS_CONFUSION = 1
 _NS_RUN = 2
 _NS_REF = 3
@@ -90,8 +91,18 @@ class InputError(ValueError):
     directory exists."""
 
 
+# the most surrogate points one mgd iteration may ask for through eta
+MAX_POINTS_PER_ITERATION = 1000
+
+
 @dataclass
 class ExperimentConfig:
+    """Every setting of an experiment run. Impossible values raise
+    InputError, and so does an eta whose n_points_from_eta(eta) exceeds
+    MAX_POINTS_PER_ITERATION (1000 points, so eta must be below 166.75):
+    uncapped, an eta of 1e9 would ask mgd_lockstep for 6e9 points per
+    iteration."""
+
     seed: int
     out_dir: Path
     calibration: Path = field(default_factory=default_calibration_path)
@@ -136,6 +147,9 @@ class ExperimentConfig:
                 raise InputError(f"{name} entries must be distinct, got {values}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise InputError(f"eta must be positive, got {self.eta}")
+        if n_points_from_eta(self.eta) > MAX_POINTS_PER_ITERATION:
+            raise InputError(f"eta {self.eta} asks for more than {MAX_POINTS_PER_ITERATION} "
+                             "surrogate points per iteration")
         if not 0.0 <= self.crosstalk_p <= 1.0:
             raise InputError(f"crosstalk_p must be in [0, 1], got {self.crosstalk_p}")
         if not all(map(math.isfinite, self.start)):
@@ -279,24 +293,23 @@ class _Run:
         return record
 
 
-def _seeds(run: _Run, namespace: int, keys) -> list[int]:
-    """One batch seed per key, in the run's stream namespace."""
-    return [derive_seed(run.cfg.seed, namespace, key) for key in keys]
-
-
-def _measure(run: _Run, table: PairTable, batches, phi, theta, run_seeds, ref_seeds,
+def _measure(run: _Run, table: PairTable, groups, phi, theta, key_paths,
              tflo: bool) -> dict:
-    """Mitigation levels of batches of table rows at angles (phi, theta), as
-    arrays over every row in order. One measure_batch call over the batches
-    gives raw and ni (ni equals raw without NI); with tflo, a second call
-    over their phi=0 reference points, one reference batch per batch, adds
-    tflo and tflo_ni."""
-    shots = run.cfg.shots
-    est = measure_batch(table, batches, phi, theta, shots, run_seeds)
+    """Mitigation levels of groups of batches of table rows at angles
+    (phi, theta), as arrays over every row in order. Group k is one key
+    path's batches, drawn from the stream of key_paths[k] in the run
+    namespace. One measure_batch call over the groups gives raw and ni (ni
+    equals raw without NI); with tflo, a second call over their phi=0
+    reference points, in the same layout and drawn from the reference
+    namespace, adds tflo and tflo_ni."""
+    seed, shots = run.cfg.seed, run.cfg.shots
+    est = measure_batch(table, groups, phi, theta, shots,
+                        [derive_rng(seed, _NS_RUN, *path) for path in key_paths])
     levels = {"raw": est.raw, "ni": est.value}
     if tflo:
         zeros = np.zeros_like(theta)
-        ref = measure_batch(table, batches, zeros, theta, shots, ref_seeds)
+        ref = measure_batch(table, groups, zeros, theta, shots,
+                            [derive_rng(seed, _NS_REF, *path) for path in key_paths])
         ref_exact = closed_form_energy(zeros, theta, run.h)
         levels["tflo"] = tflo_correct(est.raw, ref_exact, ref.raw)
         levels["tflo_ni"] = tflo_correct(est.value, ref_exact, ref.value)
@@ -307,13 +320,13 @@ def _final_points(run: _Run, table: PairTable, finals: list[AnsatzParams],
                   keys) -> list[dict]:
     """Mitigation levels of each final params measured on every row of the
     table, with its phi=0 reference, pooled over the rows; all finals share
-    one _measure call, and the seeds of finals[i] derive from keys[i]."""
+    one _measure call, and finals[i] draws from its own stream, keyed by
+    keys[i]."""
     n = len(table.pairs)
-    levels = _measure(run, table, [np.arange(n)] * len(finals),
+    levels = _measure(run, table, [[np.arange(n)]] * len(finals),
                       np.repeat([f.phi for f in finals], n),
                       np.repeat([f.theta for f in finals], n),
-                      _seeds(run, _NS_FINAL, [2 * key for key in keys]),
-                      _seeds(run, _NS_FINAL, [2 * key + 1 for key in keys]), tflo=True)
+                      [(_NS_FINAL, key) for key in keys], tflo=True)
     pooled = {level: v.reshape(len(finals), n).mean(axis=1).tolist()
               for level, v in levels.items()}
     return [dict(zip(pooled, values)) for values in zip(*pooled.values())]
@@ -361,11 +374,10 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     table = run.pair_table(all_pairs)
     row_of = {pair: row for row, pair in enumerate(all_pairs)}
 
-    # (a) every usable pair individually: one-row batches keyed by row
-    keys = range(len(all_pairs))
-    indiv = _measure(run, table, [[idx] for idx in keys], np.full(len(keys), opt.phi),
-                     np.full(len(keys), opt.theta), _seeds(run, _NS_RUN, keys),
-                     _seeds(run, _NS_REF, keys), tflo=True)
+    # (a) every usable pair individually: one-row batches, one stream
+    n = len(all_pairs)
+    indiv = _measure(run, table, [[[idx] for idx in range(n)]], np.full(n, opt.phi),
+                     np.full(n, opt.theta), [(0,)], tflo=True)
     indiv = {level: values.tolist() for level, values in indiv.items()}
     indiv_rows = [[pair[0], pair[1], topology.fidelity(pair),
                    *(indiv[level][idx] for level in MITIGATION_LEVELS)]
@@ -384,10 +396,10 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     # (b) greedy-parallel sweep: the first p greedy pairs for every p
     selection = greedy_select(topology)
     sizes = range(1, len(selection.pairs) + 1)
-    keys, total = [1000 + p for p in sizes], sum(sizes)
-    swept = _measure(run, table, [[row_of[pair] for pair in selection.pairs[:p]] for p in sizes],
-                     np.full(total, opt.phi), np.full(total, opt.theta),
-                     _seeds(run, _NS_RUN, keys), _seeds(run, _NS_REF, keys), tflo=True)
+    total = sum(sizes)
+    swept = _measure(run, table, [[[row_of[pair] for pair in selection.pairs[:p]]
+                                   for p in sizes]],
+                     np.full(total, opt.phi), np.full(total, opt.theta), [(1,)], tflo=True)
     per_p = {level: np.split(values, np.cumsum(sizes)[:-1]) for level, values in swept.items()}
     sweep_rows = [[p_count] + [float(np.mean(np.abs(v - e0))) for v in levels]
                   + [abs(float(np.mean(v)) - e0) for v in levels]
@@ -454,9 +466,7 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     table = run.pair_table(pairs, cfg.ni)
     # the grid in batches of len(pairs) points, all measured in one call
     batches = [np.arange(min(len(pairs), n * n - lo)) for lo in range(0, n * n, len(pairs))]
-    keys = range(len(batches))
-    levels = _measure(run, table, batches, phi, theta, _seeds(run, _NS_RUN, keys),
-                      _seeds(run, _NS_REF, keys), cfg.tflo)
+    levels = _measure(run, table, [batches], phi, theta, [()], cfg.tflo)
     value = levels[cfg.level]
     err = np.abs(value - exact)
     pair_a, pair_b = table.qubits[np.concatenate(batches)].T.tolist()

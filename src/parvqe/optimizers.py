@@ -25,10 +25,11 @@ Both executor-backed evaluators batch through `batch_pair_evaluator`,
 which spreads points over the table's rows; SPSA's same-parameters
 evaluator is its pooled view over points repeated once per row.
 Optimizer randomness comes only from the injected streams, one per
-repeat; the n-th batch of repeat r is seeded from repeat r's own
-evaluator seed and n, so a repeat's trace does not depend on R or on the
-repeats beside it. Exact-energy diagnostics recorded in the trace never
-feed back into the updates.
+repeat, and each evaluator keeps one shot stream per repeat for its whole
+run, from which every call draws that repeat's batches in order; so a
+repeat's trace does not depend on R or on the repeats beside it.
+Exact-energy diagnostics recorded in the trace never feed back into the
+updates.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .executor import (
     run_batch,
 )
 from .hubbard import AnsatzParams, HubbardParams, exact_energy
-from .seeding import derive_seed
 
 N_SURROGATE_FEATURES = 6    # constant, 2 linear, 3 quadratic terms in 2 dims
 
@@ -308,14 +308,15 @@ def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams
 
 # --- executor-backed evaluators ----------------------------------------------
 
-def measure_batch(table: PairTable, batches, phi: np.ndarray, theta: np.ndarray,
-                  shots: int, seeds) -> Estimates:
-    """Run batches of table rows (a sequence of row arrays, with one seed
-    each) at angles (phi, theta) in one run_batch call and estimate every
-    row's energy, in row order; NI-corrected when the table has confusions."""
-    results = run_batch(table, batches, phi, theta, shots, seeds)
-    return estimate_counts(table, np.concatenate(batches),
-                           np.array([r.histograms for r in results]), shots)
+def measure_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray,
+                  shots: int, streams) -> Estimates:
+    """Run groups of batches of table rows (each group a sequence of row
+    arrays, drawn from its own generator in streams) at angles (phi, theta)
+    in one run_batch call and estimate every row's energy, in row order;
+    NI-corrected when the table has confusions."""
+    results = run_batch(table, groups, phi, theta, shots, streams)
+    rows = np.concatenate([batch for group in groups for batch in group])
+    return estimate_counts(table, rows, np.array([r.histograms for r in results]), shots)
 
 
 def batch_pair_evaluator(table: PairTable, shots: int,
@@ -323,24 +324,21 @@ def batch_pair_evaluator(table: PairTable, shots: int,
     """Different-parameters parallelism for R repeats with evaluator seeds
     seeds[r]: each repeat's m points are spread over the table's rows,
     ceil(m/len(rows)) batches per repeat and call, and the estimates come
-    back with shape (R, m). All batches of a call share one kernel pass;
-    the n-th batch of repeat r is seeded derive_seed(seeds[r], n),
-    whichever repeats share the call."""
+    back with shape (R, m). All batches of a call share one kernel pass.
+    Repeat r keeps one generator, default_rng(seeds[r]), for every call,
+    and each call draws its batches from it in order, so its counts do not
+    depend on the repeats beside it."""
     if not table.pairs:
         raise ValueError("need at least one pair")
     n = len(table.pairs)
-    done = 0    # batches each repeat has run
+    streams = [np.random.default_rng(seed) for seed in seeds]
 
     def evaluate(points: np.ndarray) -> Estimates:
-        nonlocal done
         repeats, m = points.shape[:2]
         chunks = [np.arange(lo, min(lo + n, m)) - lo for lo in range(0, m, n)]
-        batch_seeds = [derive_seed(seed, done + i) for seed in seeds
-                       for i in range(len(chunks))]
-        done += len(chunks)
         flat = points.reshape(-1, 2)
-        est = measure_batch(table, chunks * repeats, flat[:, 0], flat[:, 1], shots,
-                            batch_seeds)
+        est = measure_batch(table, [chunks] * repeats, flat[:, 0], flat[:, 1], shots,
+                            streams)
         return Estimates(*(a.reshape(repeats, m) for a in est))
 
     return evaluate
@@ -351,9 +349,9 @@ def spsa_parallel_evaluator(table: PairTable, shots: int,
     """Same-parameters parallelism for R repeats with evaluator seeds
     seeds[r]: the pooled view of batch_pair_evaluator. Each point is
     repeated once per table row, so its copies fill exactly one batch of
-    every row at that point's angles, seeded as batch_pair_evaluator seeds
-    it, and that batch's row estimates are pooled (their mean, with errors
-    in quadrature)."""
+    every row at that point's angles, drawn from its repeat's generator as
+    batch_pair_evaluator draws it, and that batch's row estimates are
+    pooled (their mean, with errors in quadrature)."""
     spread = batch_pair_evaluator(table, shots, seeds)
     n = len(table.pairs)
 

@@ -3,14 +3,12 @@
 All randomness in this package flows through seeds and generators
 derived here. A stream is identified by an integer path (base seed plus
 context indices), so results never depend on global RNG state or on the
-order in which independent runs happen. A batch's seed is such a path
-folded into one integer. The executor always runs a list of batches with
-one seed each and draws each batch's histograms from the one generator
-its seed starts, so a batch's counts do not depend on the batches that
-share its call. An optimizer repeat's n-th evaluator
-batch is seeded derive_seed(eval_seed, n), with eval_seed and the n
-counter its own, so repeats run in lockstep draw the same streams as
-repeats run one by one.
+order in which independent runs happen. Each key path (an optimizer
+repeat, a command's measurement stage, a final point) derives its
+generators once and keeps them for its whole run: the executor draws a
+key path's batches of a call in one multinomial, in batch order, so its
+counts depend only on its own batches, in order. Repeats run in lockstep
+therefore draw the same streams as repeats run one by one.
 """
 
 from __future__ import annotations

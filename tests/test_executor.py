@@ -49,8 +49,9 @@ def run_estimates(topo, assignments, shots, seed, crosstalk_p=0.0, rows=None):
     table = compile_pairs(topo, [pair for pair, _ in assignments], crosstalk_p=crosstalk_p)
     rows = np.arange(len(assignments)) if rows is None else np.asarray(rows)
     params = [assignments[r][1] for r in rows]
-    counts = run_batch(table, [rows], np.array([a.phi for a in params]),
-                       np.array([a.theta for a in params]), shots, [seed])
+    counts = run_batch(table, [[rows]], np.array([a.phi for a in params]),
+                       np.array([a.theta for a in params]), shots,
+                       [np.random.default_rng(seed)])
     return estimate_counts(table, rows, np.array([c.histograms for c in counts]), shots)
 
 
@@ -61,12 +62,13 @@ def test_run_batch_validation():
     topo = DeviceTopology(qubits=(0, 1, 2), edges=((0, 1, 1.0), (1, 2, 1.0)), readout={})
     table = compile_pairs(topo, [(0, 1), (1, 2)])
     one = np.array([0.1])
+    stream = [np.random.default_rng(1)]
     with pytest.raises(ValueError):
-        run_batch(table, [[]], one[:0], one[:0], 100, [1])
+        run_batch(table, [[[]]], one[:0], one[:0], 100, stream)
     with pytest.raises(ValueError):
-        run_batch(table, [[0, 1]], np.repeat(one, 2), np.repeat(one, 2), 100, [1])
+        run_batch(table, [[[0, 1]]], np.repeat(one, 2), np.repeat(one, 2), 100, stream)
     with pytest.raises(ValueError):
-        run_batch(table, [[0]], one, one, 0, [1])
+        run_batch(table, [[[0]]], one, one, 0, stream)
 
 
 def test_run_batch_requires_topology_edges():
@@ -76,18 +78,28 @@ def test_run_batch_requires_topology_edges():
 
 
 def test_run_batch_deterministic_for_same_seed():
+    """A key path's counts are a function of its generator's seed and its
+    batches in order: successive calls on one generator continue its
+    stream, drawing what one call over all their batches draws."""
     topo = two_pair_topology(fidelity=0.93, readout=(0.02, 0.03))
     table = compile_pairs(topo, [(0, 1), (2, 3)])
     rows, phi, theta = [0, 1], np.array([0.3, -0.2]), np.array([0.4, 0.9])
 
-    def counts(table, seed):
-        return np.array([r.histograms
-                         for r in run_batch(table, [rows], phi, theta, 2000, [seed])])
+    def counts(table, stream, batches=1):
+        return batch_counts(run_batch(table, [[rows] * batches], np.tile(phi, batches),
+                                      np.tile(theta, batches), 2000, [stream]))
 
-    baseline = counts(table, 99)
-    assert np.array_equal(counts(table, 99), baseline)
-    assert np.array_equal(counts(compile_pairs(topo, [(0, 1), (2, 3)]), 99), baseline)
-    assert not np.array_equal(counts(table, 100), baseline)
+    baseline = counts(table, np.random.default_rng(99))
+    assert np.array_equal(counts(table, np.random.default_rng(99)), baseline)
+    assert np.array_equal(counts(compile_pairs(topo, [(0, 1), (2, 3)]),
+                                 np.random.default_rng(99)), baseline)
+    assert not np.array_equal(counts(table, np.random.default_rng(100)), baseline)
+    stream = np.random.default_rng(99)
+    first, second = counts(table, stream), counts(table, stream)
+    assert np.array_equal(first, baseline)
+    assert not np.array_equal(second, baseline)
+    assert np.array_equal(np.concatenate([first, second]),
+                          counts(table, np.random.default_rng(99), batches=2))
 
 
 def test_run_batch_energy_matches_oracle_within_error():
@@ -246,67 +258,134 @@ def batch_counts(results):
 
 
 @st.composite
-def multi_batch_cases(draw):
-    """1-4 batches of 1-4 distinct rows of a 4-pair chain, in any order,
-    with their angles and seeds."""
-    batches = draw(st.lists(st.permutations(range(4)).flatmap(
-        lambda order: st.integers(1, 4).map(lambda k: order[:k])), min_size=1, max_size=4))
-    size = sum(map(len, batches))
+def group_cases(draw, min_groups=1):
+    """1-4 groups (key paths) of 1-3 batches of 1-4 distinct rows of a
+    4-pair chain, in any order, with their angles and one seed per group."""
+    batch = st.permutations(range(4)).flatmap(
+        lambda order: st.integers(1, 4).map(lambda k: order[:k]))
+    groups = draw(st.lists(st.lists(batch, min_size=1, max_size=3),
+                           min_size=min_groups, max_size=4))
+    size = sum(len(b) for group in groups for b in group)
     angles = st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size)
-    seeds = draw(st.lists(st.integers(0, 2 ** 63), min_size=len(batches),
-                          max_size=len(batches)))
-    return batches, np.array(draw(angles)), np.array(draw(angles)), seeds
+    seeds = draw(st.lists(st.integers(0, 2 ** 63), min_size=len(groups),
+                          max_size=len(groups)))
+    return groups, np.array(draw(angles)), np.array(draw(angles)), seeds
 
 
-@given(multi_batch_cases())
+def group_slices(groups):
+    """The slice of each group's rows in a call over all groups."""
+    ends = np.cumsum([sum(map(len, group)) for group in groups]).tolist()
+    return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+
+def streams_of(seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
+@given(group_cases())
 def test_multi_batch_run_matches_each_batch_alone(case):
-    """Batches run in one call give each batch's counts run alone: crosstalk
-    comes from a row's own batch only, and each batch keeps its stream."""
-    batches, phi, theta, seeds = case
+    """A key path's batches run in one call give the counts they get run
+    one by one, in order, on its generator: crosstalk comes from a row's
+    own batch only, and the batches of a key path share its stream in
+    batch order."""
+    groups, phi, theta, seeds = case
     table = chain_table()
-    together = batch_counts(run_batch(table, batches, phi, theta, 300, seeds))
-    lo = 0
-    for batch, seed in zip(batches, seeds):
-        part = slice(lo, lo + len(batch))
-        alone = batch_counts(run_batch(table, [batch], phi[part], theta[part], 300, [seed]))
-        assert np.array_equal(together[part], alone)
-        lo += len(batch)
+    together = batch_counts(run_batch(table, groups, phi, theta, 300, streams_of(seeds)))
+    for group, seed, part in zip(groups, seeds, group_slices(groups)):
+        stream, lo = np.random.default_rng(seed), part.start
+        for batch in group:
+            rows = slice(lo, lo + len(batch))
+            alone = batch_counts(run_batch(table, [[batch]], phi[rows], theta[rows], 300,
+                                           [stream]))
+            assert np.array_equal(together[rows], alone)
+            lo += len(batch)
+
+
+@given(group_cases(min_groups=2), st.data())
+def test_key_path_counts_do_not_depend_on_other_key_paths(case, data):
+    """With crosstalk on, one key path's counts are the same alone, among
+    any subset of the other key paths of a call and in any order."""
+    groups, phi, theta, seeds = case
+    table = chain_table()
+    parts = group_slices(groups)
+    target = data.draw(st.integers(0, len(groups) - 1))
+    alone = batch_counts(run_batch(table, [groups[target]], phi[parts[target]],
+                                   theta[parts[target]], 300, streams_of([seeds[target]])))
+    others = [k for k in range(len(groups)) if k != target]
+    for layout in (others + [target], [target] + others[::-1],
+                   data.draw(st.permutations(range(len(groups)))),
+                   [target] + data.draw(st.lists(st.sampled_from(others), unique=True))):
+        rows = np.concatenate([np.arange(len(phi))[parts[k]] for k in layout])
+        counts = batch_counts(run_batch(table, [groups[k] for k in layout], phi[rows],
+                                        theta[rows], 300, streams_of(seeds[k] for k in layout)))
+        part = group_slices([groups[k] for k in layout])[layout.index(target)]
+        assert np.array_equal(counts[part], alone)
 
 
 def test_neighbour_in_another_batch_does_not_flag():
     table = chain_table(n_pairs=2, crosstalk_p=0.5)
     phi, theta = np.array([0.3, 0.3]), np.array([0.4, 0.4])
-    split = batch_counts(run_batch(table, [[0], [1]], phi, theta, 5000, [7, 8]))
-    solo = [batch_counts(run_batch(table, [[row]], phi[:1], theta[:1], 5000, [seed]))[0]
-            for row, seed in ((0, 7), (1, 8))]
+    split = batch_counts(run_batch(table, [[[0], [1]]], phi, theta, 5000, streams_of([7])))
+    # the same batches one by one on the key path's stream
+    stream = np.random.default_rng(7)
+    solo = [batch_counts(run_batch(table, [[[row]]], phi[:1], theta[:1], 5000, [stream]))[0]
+            for row in (0, 1)]
     assert np.array_equal(split, np.array(solo))
+    # in two key paths, each row's counts are those of its key path alone
+    paths = batch_counts(run_batch(table, [[[0]], [[1]]], phi, theta, 5000,
+                                   streams_of([7, 8])))
+    assert np.array_equal(paths[0], split[0])
+    assert np.array_equal(paths[1], batch_counts(run_batch(
+        table, [[[1]]], phi[:1], theta[:1], 5000, streams_of([8])))[0])
     # the same two rows in one batch are neighbours and flagged
-    joint = batch_counts(run_batch(table, [[0, 1]], phi, theta, 5000, [7]))
+    joint = batch_counts(run_batch(table, [[[0, 1]]], phi, theta, 5000, streams_of([7])))
     assert not np.array_equal(joint[0], split[0])
+
+
+def test_rejected_call_leaves_every_stream_untouched():
+    """Every batch of every group is checked before any generator is drawn
+    from: a call whose last batch reuses a qubit draws nothing."""
+    table = chain_table()
+    streams = streams_of([1, 2, 3])
+    before = [stream.bit_generator.state for stream in streams]
+    groups = [[[0, 1]], [[2], [3]], [[1], [2, 2]]]
+    angles = np.full(7, 0.4)
+    with pytest.raises(ValueError, match="vertex-disjoint"):
+        run_batch(table, groups, angles, angles, 100, streams)
+    assert [stream.bit_generator.state for stream in streams] == before
 
 
 def test_multi_batch_validation_is_per_batch():
     table = chain_table(n_pairs=2)
     one = np.array([0.1])
+    two = lambda: streams_of([1, 2])
     # the same row in two batches is fine; twice in one batch is not
-    assert len(run_batch(table, [[0], [0]], np.repeat(one, 2), np.repeat(one, 2),
-                         100, [1, 2])) == 2
+    assert len(run_batch(table, [[[0], [0]]], np.repeat(one, 2), np.repeat(one, 2),
+                         100, streams_of([1]))) == 2
+    assert len(run_batch(table, [[[0]], [[0]]], np.repeat(one, 2), np.repeat(one, 2),
+                         100, two())) == 2
     with pytest.raises(ValueError):
-        run_batch(table, [[0], [1, 1]], np.repeat(one, 3), np.repeat(one, 3), 100, [1, 2])
+        run_batch(table, [[[0]], [[1, 1]]], np.repeat(one, 3), np.repeat(one, 3), 100, two())
     with pytest.raises(ValueError):
-        run_batch(table, [[0], []], one, one, 100, [1, 2])
+        run_batch(table, [[[0]], [[]]], one, one, 100, two())
     with pytest.raises(ValueError):
-        run_batch(table, [[0], [1]], np.repeat(one, 2), np.repeat(one, 2), 100, [1])
+        run_batch(table, [[[0]], []], one, one, 100, two())
+    with pytest.raises(ValueError):
+        run_batch(table, [[[0]], [[1]]], np.repeat(one, 2), np.repeat(one, 2), 100,
+                  streams_of([1]))
     # one angle per row of every batch, never broadcast
     with pytest.raises(ValueError):
-        run_batch(table, [[0], [1]], one, np.repeat(one, 2), 100, [1, 2])
+        run_batch(table, [[[0]], [[1]]], one, np.repeat(one, 2), 100, two())
     with pytest.raises(ValueError):
-        run_batch(table, [[0, 1]], one, one, 100, [1])
-    # only a list of batches with a list of seeds: no bare int seed, no flat row list
+        run_batch(table, [[[0, 1]]], one, one, 100, streams_of([1]))
+    # only groups of batches with one Generator each: no int seeds, no flat row list
     with pytest.raises(TypeError):
-        run_batch(table, [[0]], one, one, 100, 1)
+        run_batch(table, [[[0]]], one, one, 100, 1)
+    with pytest.raises(TypeError):
+        run_batch(table, [[[0]]], one, one, 100, [1])
     with pytest.raises(ValueError):
-        run_batch(table, [0, 1], np.repeat(one, 2), np.repeat(one, 2), 100, [1, 2])
+        run_batch(table, [[0, 1]], np.repeat(one, 2), np.repeat(one, 2), 100,
+                  streams_of([1]))
 
 
 @given(columnar_cases(), st.data())

@@ -63,77 +63,77 @@ CASES = {
 GOLDEN = {
     "benchmark-pairs": {
         "individual_pairs.csv":
-            "8a5f2c1d4c0254c3f06356f8242a75fc0e86ddc4c110a7fd20c9aa4158d059b3",
+            "ce9672392d3180dac00e9d931ba20f6cc762f127c1d5ef1febbbab850758a823",
         "pair_by_p_matrix.csv":
-            "29a416b4ab1d4fad25b45d7240904a3fe0c7e335e9b2f45de8159070310d08c2",
+            "6336d030c272b77197f62fefc58757c9cb3bd114253ce7d512f2bda10204f986",
         "parallel_sweep.csv":
-            "fab0389415b704a3ce8013b07504b065e009897668f5881861382c4a4913c3c6",
+            "69ee413beee196971f60a0730289435c817935260c0b56c9d193b151ac846952",
     },
     "benchmark-pairs-ring": {
         "individual_pairs.csv":
-            "a84d8a534147c1c0dae3b2f31947f05fab5ace2cba8b0db3b7a6fc857de78cde",
+            "5eb329de00539d6d1f677a4b6d84dcc2c5a4c128eefe907cd8404f85ae45d8df",
         "pair_by_p_matrix.csv":
-            "8322ed1582951d74109f47ba6d5addb8d0de36561eee4f601ee8d23bcda391e2",
+            "6c4804e8a128ba72f2dce52fb1f33e95e03efa505489ea2a9c856686d74ecb53",
         "parallel_sweep.csv":
-            "185eed76be5ed9a748c1a60af217cd1deab868d5ed85dd3d8c06ae254408ab8d",
+            "4a59211ac9f3d5cc14386afbb443db28423ef010942df4d58784e985e25d41a6",
     },
     "heatmap-matching": {
         "heatmap_exact.csv":
             "74fb30637c40f90bda7cb20c27ea72463a505df0c49d5ba388f523fcfb57ff34",
         "heatmap_simulated.csv":
-            "4683eb0be7607dcd8fb5ccd9e7b35ac6fea4010add00e3b1beb95c1c35a0544d",
+            "733d23425b30dff72f22cf9e76a9a56c782185ac050bc99f689a00156aba23ec",
     },
     "heatmap-ni": {
         "heatmap_exact.csv":
             "ae523cc575e508bb6a3fe01fa07aa50f3bf54d690d224c02d2eacc1f0e6d1205",
         "heatmap_simulated.csv":
-            "c1673a86398dee1ebf90df0a677a396a1a458f0ca3eaddd82b18a4da1094a309",
+            "0880971bfefe4084197bfc83f59aa18c0d747ed2cefeb6ef01af0918b6a22742",
     },
     "heatmap-none": {
         "heatmap_exact.csv":
             "ae523cc575e508bb6a3fe01fa07aa50f3bf54d690d224c02d2eacc1f0e6d1205",
         "heatmap_simulated.csv":
-            "57f135837522b018a04d4ba569f6aad612cc34cf9f7ff17b15a4fd69496d1506",
+            "ad5de7d2e611558f2dd68ab4894a37c8d3a967e2520df201ac9a96adef6bfecf",
     },
     "heatmap-tflo": {
         "heatmap_exact.csv":
             "ae523cc575e508bb6a3fe01fa07aa50f3bf54d690d224c02d2eacc1f0e6d1205",
         "heatmap_simulated.csv":
-            "c2b4403c6b36003bf04797a3642310cf6205a007c07e619d3f7d5884fff07c0f",
+            "795bcc5243b90f87533ee0adf6b8f73dc46a54acfa0875c6e096f61a5a6ba9f9",
     },
     "optimizer-compare": {
         "compare_runs.csv":
-            "01632baefa16485305874e41da6caa3ef63f44ff1c045f7d01506b1dcc81c402",
+            "8ccb7b001e50773796acd98e17680c65c7c9b76208f17ff9120e617da03c35a0",
         "compare_summary.csv":
-            "9b881d792d0acc701ba9599854960bafa1d9d26a82bb1b4254dde65abbb8bcf5",
+            "a94bfde62a503c51ac8d3d5dfebe2ab31441079b52fd918ecd47b843fec78b95",
     },
     "shots-sweep": {
         "shots_summary.csv":
-            "2db580497f335151e580e59dc4e2d760b695f2ef7ee918d511fda884f6ed179e",
+            "50836443dc39c2a1c569567304721e7000d9e73c16772229d1dce081deb4f739",
         "trace_shots200.csv":
-            "d884d0e384d922bfc5b012c7ed94793a700e3eb86e90d2a2f6d2d3fef74b47f8",
+            "366ad0e30c2e0784cae358dcdc8f780e07084c297d6e97cba7c3afe7daffe609",
         "trace_shots50.csv":
-            "d6383bb86f7594c3b1c72b64194575d24a51e77cc5771ee92a11223853aba893",
+            "64abb5b595d229d1838d8cb09807a75fa2311ad0dcbf504738f80e6a34b4eba3",
     },
     "shots-sweep-none": {
         "shots_summary.csv":
-            "6cb5579f4c5a6132e8637c549a2a3c73b45b5e2f71994f6ad49b69f493430fb6",
+            "748951e4524ea3bd5b7c469e5d71cd109463bced5a8d0542e0914c682a962b81",
         "trace_shots100.csv":
-            "e67c9acaf4c20e0cedc71633478170179dd3d7c460adc5c05b302f7487ae3459",
+            "81926f13f0ea51ad547e9b7a47cdb0ae8e9e11de6608981f7c663a6e234b0c25",
     },
     "vqe-mgd-eta": {
         "summary.csv":
-            "109302ba098ef2658dd4d9c0cea3991bb8bdaddf6efe955f95b493dacebdfa60",
+            "27fde05dad93ce252b20d055a65fb3e8b1c972e3233cbda8b72438d92a6c9c8c",
         "trace_rep0.csv":
-            "bdc0bf0e644df6c7df1b06f68a557b8ea90b9539ed71ebd73ed4bb255ce2ec0e",
+            "60c6f58e2ff566c416bb65da42000b419a9e2d95760310ab1ff6deadfb3e346c",
     },
     "vqe-mgd-tflo": {
         "summary.csv":
-            "eceeb39897395496c4559e77d9dd7f4c38d826d28ecc0c9d4ac89ec05cc75918",
+            "0ba2fa131876efe2e30ddaf39d7668d549b48fba51f957df35e758cd245a04f5",
         "trace_rep0.csv":
-            "aa11ec36ce1715087b3a2dc1ae8658463f9803022bf302e6717abc614cb34e42",
+            "1b3f97cc932e4234f43b7e009d72e0e81e42a147562165b0a70ca46603eb25ce",
         "trace_rep1.csv":
-            "fc9c6b08458ea9b66417cd4c8cb4b843d5b8dfa94e372dc897dfa23591e73ace",
+            "fb56334f6aaba4a6e2be3ff99fd8c15cd104227c7a9638c5a3437f8c0dbf351c",
     },
     "vqe-speedup-sweep": {
         "speedup_sweep.csv":
@@ -141,17 +141,17 @@ GOLDEN = {
     },
     "vqe-spsa": {
         "summary.csv":
-            "beb30c7e9919a9230385c2aacfbc5dc04c78fdd95a432fbc30e3112efb75ec61",
+            "2031a533f4e0d2b8fc61796c3d4b3c19aca6dd172037b8ad48c7230404632138",
         "trace_rep0.csv":
-            "0562078dd9e2f511b57c29df8461be0b8ba1de7881510bce00c8ace8c7bc9456",
+            "8f061595eb7a9d6c877f55423f09ac08bd77ca6998bbce91047c2aab307d8620",
         "trace_rep1.csv":
-            "35010c91cc3a2a2027cf493bb4871341201e29c95b61e404f945a32452f83067",
+            "4c3dbcb4d1fd19d16dd7ef6e2a49e4498009806d9c3b68ded5cf806e86982851",
     },
     "vqe-spsa-none": {
         "summary.csv":
-            "ee0fd73f0fbc736a0eeafdbfea913169492b345d543b4df094f3158ded1d3871",
+            "cd449b854096b7ce2fa4bf8598f133ecfe1867de1a44f9574f18ad072258ac98",
         "trace_rep0.csv":
-            "6af8ac93c308f644e5dc29dcc3dfab233229b43965cc2c56d376219f01ae067c",
+            "2440f2ad2b3f1b3618689a6205e63b43223584feddf825475a8de5a35ef28bb9",
     },
 }
 

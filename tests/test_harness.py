@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 import parvqe
+from parvqe import harness, optimizers
 from parvqe.cli import build_parser, config_from_args, main as cli_main
 from parvqe.device import DeviceTopology, max_weight_matching
 from parvqe.executor import load_cost_model, predict_wall_time
 from parvqe.harness import (
+    MAX_POINTS_PER_ITERATION,
     ExperimentConfig,
+    InputError,
     _Run,
     _optimize,
     cmd_benchmark_pairs,
@@ -63,6 +66,17 @@ def test_config_validation(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ExperimentConfig(seed=1, out_dir=tmp_path, workers=1)
+
+
+def test_eta_is_bounded(tmp_path):
+    # eta = 1e9 would ask for 6e9 surrogate points per iteration
+    out = tmp_path / "out"
+    with pytest.raises(InputError, match=f"more than {MAX_POINTS_PER_ITERATION} surrogate"):
+        ExperimentConfig(seed=1, out_dir=out, eta=1e9)
+    with pytest.raises(InputError):
+        ExperimentConfig(seed=1, out_dir=out, eta=167.0)       # 1002 points
+    assert ExperimentConfig(seed=1, out_dir=out, eta=166.0).eta == 166.0   # 996 points
+    assert not out.exists()
 
 
 def test_mitigation_picks_level_and_corrections(tmp_path):
@@ -190,6 +204,25 @@ def test_under_determined_mgd_run_warns_once(tmp_path):
                          "--out", str(tmp_path / "out")]) == 0
     assert [str(w.message) for w in caught] == [
         "3 points under-determine the quadratic surrogate"]
+
+
+def test_seeding_calls_do_not_grow_with_iterations(tmp_path, monkeypatch):
+    # every key path derives its streams once; no batch derives a seed
+    calls = []
+    for module in (harness, optimizers):
+        for name in ("derive_seed", "derive_rng"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *keys, fn=original: calls.append(keys) or fn(*keys))
+    counts = []
+    for iterations in (2, 20):
+        calls.clear()
+        assert cli_main(["vqe", "--optimizer", "spsa", "--repeats", "3", "--iterations",
+                         str(iterations), "--shots", "50", "--seed", "1",
+                         "--out", str(tmp_path / str(iterations))]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_matching_selection_keeps_best_pairs_above_cap(shipped_topology):
@@ -395,6 +428,8 @@ IMPOSSIBLE = {
     "shots-sweep-pairs": ("shots-sweep --pairs 40", "selection yields 26 pairs, requested 40"),
     # bad values are argparse errors, not tracebacks
     "eta": ("vqe --optimizer mgd --pairs 1 --eta 0", "eta must be positive"),
+    "eta-above-cap": ("vqe --optimizer mgd --pairs 1 --eta 200 --iterations 1",
+                      "more than 1000 surrogate points"),
     "crosstalk-above-1": ("vqe --crosstalk 1.5", "crosstalk_p must be in [0, 1]"),
     "crosstalk-negative": ("vqe --crosstalk -0.1", "crosstalk_p must be in [0, 1]"),
     "start-nan": ("vqe --start nan 0.1", "start angles must be finite"),

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from parvqe.device import DeviceTopology, noise_spec_for_pair
-from parvqe.executor import EnergyEstimate, Estimates, aggregate_same_params, compile_pairs
+from parvqe.executor import (
+    EnergyEstimate,
+    Estimates,
+    aggregate_same_params,
+    compile_pairs,
+    exact_expectation_energy,
+)
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, exact_ground_energy
 from parvqe.mitigation import measure_confusion
 from parvqe.optimizers import (
@@ -25,7 +31,6 @@ from parvqe.optimizers import (
     spsa_run,
     _fit_surrogate,
 )
-from parvqe.seeding import derive_seed
 
 E_GROUND = exact_ground_energy()
 START = AnsatzParams(0.6, 0.8)
@@ -293,22 +298,41 @@ def test_spsa_evaluator_is_pooled_spread_evaluator():
     spsa = spsa_parallel_evaluator(table, 300, seeds)
     spread = batch_pair_evaluator(table, 300, seeds)
     rng = np.random.default_rng(0)
-    done = 0
-    for m in (3, 2):      # two successive calls: batch numbering carries over
+    # repeat r keeps one generator, default_rng(seeds[r]), across calls
+    streams = [np.random.default_rng(seed) for seed in seeds]
+    for m in (3, 2):      # two successive calls: each repeat's stream carries over
         points = rng.uniform(-1, 1, size=(2, m, 2))
         got = spsa(points)
         spread_est = spread(np.repeat(points, 3, axis=1))
         pooled = aggregate_same_params(Estimates(*(a.reshape(2, m, 3) for a in spread_est)))
-        # the n-th point of repeat r is one batch of all rows, seeded (seeds[r], n)
+        # each point of repeat r is one batch of all rows on repeat r's stream
         flat = np.repeat(points.reshape(-1, 2), 3, axis=0)
-        direct = measure_batch(table, [np.arange(3)] * (2 * m), flat[:, 0], flat[:, 1], 300,
-                               [derive_seed(seed, done + i) for seed in seeds
-                                for i in range(m)])
+        direct = measure_batch(table, [[np.arange(3)] * m] * 2, flat[:, 0], flat[:, 1], 300,
+                               streams)
         direct = aggregate_same_params(Estimates(*(a.reshape(2, m, 3) for a in direct)))
-        done += m
         for a, b, c in zip(got, pooled, direct):
             assert a.shape == (2, m)
             assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_std_err_matches_spread_of_successive_estimates():
+    """One repeat's pooled estimates at a fixed point over successive calls
+    scatter around the exact expectation as their standard errors say, and
+    successive calls draw fresh, uncorrelated shots from the repeat's
+    stream."""
+    h, a = HubbardParams(), AnsatzParams(0.4, 0.3)
+    topo = DeviceTopology(qubits=tuple(range(6)),
+                          edges=((0, 1, 0.95), (2, 3, 0.92), (4, 5, 0.97)),
+                          readout={q: (0.01 + 0.01 * q, 0.03) for q in range(6)})
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    evaluate = spsa_parallel_evaluator(compile_pairs(topo, pairs, h), 1000, seeds=[17])
+    expected = np.mean([exact_expectation_energy(a, h, noise_spec_for_pair(topo, pair)).value
+                        for pair in pairs])
+    point = np.array([[[a.phi, a.theta]]])
+    z = np.array([(est.value[0, 0] - expected) / est.std_err[0, 0]
+                  for est in (evaluate(point) for _ in range(400))])
+    assert 0.9 <= z.std() <= 1.1
+    assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < 0.15
 
 
 def test_batch_pair_evaluator_round_robin():
