@@ -10,16 +10,26 @@ Calibration file format (JSON):
       "readout": {"0": [eps01, eps10], ...}
     }
 
+Every endpoint of a coupler needs a readout entry; a qubit with no
+coupler may omit its own. A DeviceTopology built in code treats a missing
+entry as perfect readout, (0, 0).
+
 Pair selection is either greedy (repeatedly take the best remaining CZ
 fidelity and retire both endpoints) or an exact maximum-weight matching
-over the whole connectivity graph.
+over the whole connectivity graph. The matching is solved here, as an
+assignment problem, whenever the coupler graph is bipartite (octagon,
+heavy-hex and square-grid chips all are); only a graph with an odd cycle
+imports networkx for its blossom solver.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .simulator import PairNoiseSpec
 
@@ -93,8 +103,13 @@ def load_calibration(path: str | Path) -> DeviceTopology:
                    for q, e in raw.get("readout", {}).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise CalibrationError(f"malformed calibration {path}: {exc}") from exc
-    return DeviceTopology(qubits=qubits, edges=edges, readout=readout,
-                          name=str(raw.get("name", "")))
+    topology = DeviceTopology(qubits=qubits, edges=edges, readout=readout,
+                              name=str(raw.get("name", "")))
+    missing = sorted({q for a, b, _ in edges for q in (a, b)} - readout.keys())
+    if missing:
+        raise CalibrationError(f"calibration {path}: coupler qubits {missing} "
+                               "have no readout entry")
+    return topology
 
 
 @dataclass(frozen=True)
@@ -134,19 +149,111 @@ def greedy_select(topology: DeviceTopology, max_pairs: int | None = None,
 def max_weight_matching(topology: DeviceTopology) -> PairSelection:
     """Exact maximum-weight matching over the connectivity graph.
 
-    Uses the blossom-based solver from networkx; edges are inserted in
-    sorted order so the result is deterministic for a given file. Pairs
-    are reported sorted by qubit id.
+    A bipartite coupler graph is solved in-package as a minimum-cost
+    assignment (see _bipartite_matching). A graph with an odd cycle falls
+    back to the blossom solver of networkx, imported only then, with edges
+    inserted in sorted order. Either way the result is deterministic for a
+    given file, and pairs are reported sorted by qubit id.
     """
-    import networkx as nx   # deferred: only matching needs it, and it is slow to import
+    colour = _two_colouring(topology)
+    if colour is None:
+        pairs = _blossom_matching(topology)
+    else:
+        pairs = _bipartite_matching(topology, colour)
+    return PairSelection(pairs=tuple(sorted(pairs)))
+
+
+def _two_colouring(topology: DeviceTopology) -> dict[int, int] | None:
+    """Colour 0 or 1 for every qubit, with every coupler joining the two
+    colours (breadth first from each component's smallest qubit), or None
+    when the coupler graph has an odd cycle."""
+    neighbours: dict[int, list[int]] = {q: [] for q in topology.qubits}
+    for a, b in topology.edge_map():
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    colour: dict[int, int] = {}
+    for start in sorted(topology.qubits):
+        if start in colour:
+            continue
+        colour[start] = 0
+        queue = deque([start])
+        while queue:
+            q = queue.popleft()
+            for r in neighbours[q]:
+                if r not in colour:
+                    colour[r] = 1 - colour[q]
+                    queue.append(r)
+                elif colour[r] == colour[q]:
+                    return None
+    return colour
+
+
+def _bipartite_matching(topology: DeviceTopology, colour: dict[int, int]) -> list[Pair]:
+    """Maximum-weight matching of a bipartite coupler graph as an assignment:
+    rows are the colour-0 qubits, columns the colour-1 qubits plus one
+    zero-cost "unmatched" column per row, a coupler costs minus its fidelity
+    and every other cell is forbidden."""
+    rows = sorted(q for q, c in colour.items() if c == 0)
+    cols = sorted(q for q, c in colour.items() if c == 1)
+    row_of = {q: i for i, q in enumerate(rows)}
+    col_of = {q: j for j, q in enumerate(cols)}
+    m, n = len(rows), len(cols)
+    cost = np.full((m, n + m), np.inf)
+    cost[np.arange(m), n + np.arange(m)] = 0.0
+    for (a, b), f in topology.edge_map().items():
+        if colour[a]:
+            a, b = b, a
+        cost[row_of[a], col_of[b]] = -f
+    assigned = _min_cost_assignment(cost)
+    return [_norm_pair(rows[i], cols[j]) for i, j in enumerate(assigned) if j < n]
+
+
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of an (m, n) matrix,
+    m <= n, where np.inf marks a forbidden cell and every row has a finite
+    one. The Hungarian method in its shortest-augmenting-path form: each row
+    in turn is added by a Dijkstra search over reduced costs, keeping row
+    and column potentials; the inner loop runs over all columns at once."""
+    m, n = cost.shape
+    u = np.zeros(m)
+    v = np.zeros(n + 1)
+    owner = np.full(n + 1, -1)     # row holding each column; column n is the search root
+    for i in range(m):
+        owner[n] = i
+        j0 = n
+        dist = np.full(n, np.inf)
+        via = np.full(n, n)
+        done = np.zeros(n + 1, dtype=bool)
+        while owner[j0] != -1:
+            done[j0] = True
+            i0 = owner[j0]
+            reduced = cost[i0] - u[i0] - v[:n]
+            closer = ~done[:n] & (reduced < dist)
+            dist[closer] = reduced[closer]
+            via[closer] = j0
+            frontier = np.where(done[:n], np.inf, dist)
+            j0 = int(np.argmin(frontier))
+            delta = frontier[j0]
+            u[owner[done]] += delta
+            v[done] -= delta
+            dist[~done[:n]] -= delta
+        while j0 != n:             # flip the augmenting path back to the root
+            owner[j0] = owner[via[j0]]
+            j0 = via[j0]
+    assigned = np.empty(m, dtype=int)
+    held = np.flatnonzero(owner[:n] >= 0)
+    assigned[owner[held]] = held
+    return assigned
+
+
+def _blossom_matching(topology: DeviceTopology) -> list[Pair]:
+    import networkx as nx   # deferred: only odd-cycle graphs need it, and it is slow to import
 
     graph = nx.Graph()
     graph.add_nodes_from(sorted(topology.qubits))
     for (a, b), f in sorted(topology.edge_map().items()):
         graph.add_edge(a, b, weight=f)
-    mate = nx.max_weight_matching(graph, maxcardinality=False)
-    pairs = tuple(sorted(_norm_pair(a, b) for a, b in mate))
-    return PairSelection(pairs=pairs)
+    return [_norm_pair(a, b) for a, b in nx.max_weight_matching(graph, maxcardinality=False)]
 
 
 def selection_weight(topology: DeviceTopology, selection: PairSelection) -> float:
@@ -156,7 +263,9 @@ def selection_weight(topology: DeviceTopology, selection: PairSelection) -> floa
 def noise_spec_for_pair(topology: DeviceTopology, pair: Pair,
                         crosstalk_p: float = 0.0) -> PairNoiseSpec:
     """Noise channel parameters for one edge: CZ fidelity plus the two
-    endpoints' readout rates (qubit order follows the pair order)."""
+    endpoints' readout rates (qubit order follows the pair order). A qubit
+    missing from `readout`, which only a topology built in code can have,
+    reads out perfectly."""
     f = topology.fidelity(pair)
     r0 = topology.readout.get(pair[0], (0.0, 0.0))
     r1 = topology.readout.get(pair[1], (0.0, 0.0))

@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from parvqe.device import (
 )
 
 from conftest import write_calibration
+from test_golden import SMALL_CALIBRATION
 
 
 def brute_force_matching_weight(edges):
@@ -41,6 +43,27 @@ def random_topology(rng, n_vertices, p_edge=0.5):
                           readout={})
 
 
+def random_bipartite_topology(rng, weights=None):
+    """Random edges between qubits 0..na-1 and na..na+nb-1, with fidelities
+    drawn from `weights` (tied values) or uniformly."""
+    na, nb = (int(k) for k in rng.integers(1, 9, size=2))
+    p_edge = rng.uniform(0.1, 0.9)
+    edges = []
+    for a, b in itertools.product(range(na), range(na, na + nb)):
+        if rng.uniform() < p_edge:
+            f = rng.choice(weights) if weights else np.round(rng.uniform(0.5, 1.0), 6)
+            edges.append((a, b, float(f)))
+    return DeviceTopology(qubits=tuple(range(na + nb)), edges=tuple(edges), readout={})
+
+
+def networkx_matching(topo):
+    """Reference: networkx's blossom solver on the same graph."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topo.qubits)
+    graph.add_weighted_edges_from(topo.edges)
+    return tuple(sorted((min(e), max(e)) for e in nx.max_weight_matching(graph)))
+
+
 def path_topology(fids):
     edges = tuple((i, i + 1, f) for i, f in enumerate(fids))
     return DeviceTopology(qubits=tuple(range(len(fids) + 1)), edges=edges, readout={})
@@ -55,7 +78,8 @@ def test_shipped_calibration_counts(shipped_topology):
 
 
 def test_minimal_calibration(tmp_path):
-    path = write_calibration(tmp_path / "min.json", [0, 1], [(0, 1, 0.9)],
+    # qubit 2 has no coupler, so it may omit its readout entry
+    path = write_calibration(tmp_path / "min.json", [0, 1, 2], [(0, 1, 0.9)],
                              {0: (0.01, 0.02), 1: (0.0, 0.0)})
     topo = load_calibration(path)
     assert topo.fidelity((0, 1)) == 0.9
@@ -68,6 +92,7 @@ def test_minimal_calibration(tmp_path):
     ([(0, 2, 0.9)], {}),                      # unknown qubit in edge
     ([(0, 1, 0.9)], {5: (0.0, 0.0)}),         # unknown qubit in readout
     ([(0, 0, 0.9)], {}),                      # self loop
+    ([(0, 1, 0.9)], {0: (0.0, 0.0)}),         # coupler qubit without readout
 ])
 def test_calibration_validation_errors(tmp_path, edges, readout):
     path = write_calibration(tmp_path / "bad.json", [0, 1], edges, readout)
@@ -147,6 +172,27 @@ def test_matching_equals_brute_force_on_random_graphs():
         got = selection_weight(topo, max_weight_matching(topo))
         want = brute_force_matching_weight(topo.edges)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_bipartite_matching_equals_networkx_on_random_graphs():
+    rng = np.random.default_rng(202)
+    for trial in range(300):
+        topo = random_bipartite_topology(rng, weights=[0.8, 0.9, 1.0] if trial % 2 else None)
+        sel = max_weight_matching(topo)
+        want = networkx_matching(topo)
+        assert selection_weight(topo, sel) == pytest.approx(
+            sum(topo.fidelity(p) for p in want), abs=1e-9)
+        assert all(topo.has_edge(p) for p in sel.pairs)
+        used = [q for p in sel.pairs for q in p]
+        assert len(set(used)) == len(used)
+
+
+def test_bipartite_matching_equals_networkx_on_calibrations(tmp_path, shipped_topology):
+    small = load_calibration(write_calibration(
+        tmp_path / "small.json", SMALL_CALIBRATION["qubits"], SMALL_CALIBRATION["edges"],
+        {int(q): r for q, r in SMALL_CALIBRATION["readout"].items()}))
+    for topo in (shipped_topology, small):
+        assert max_weight_matching(topo).pairs == networkx_matching(topo)
 
 
 def test_matching_weight_dominates_greedy():

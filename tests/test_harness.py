@@ -475,14 +475,18 @@ def test_cli_parses_benchmark_workloads(tmp_path):
 
 
 def test_cli_import_leaves_scipy_and_networkx_unloaded(tmp_path, make_uniform_calibration):
-    # importing the CLI, and a whole benchmark-pairs run, load neither
+    # importing the CLI, a whole benchmark-pairs run, and a matching heatmap
+    # on the shipped (bipartite) calibration load neither
     cal = make_uniform_calibration(4, fidelity=0.95, readout=(0.02, 0.03))
     run = (f"parvqe.cli.main(['benchmark-pairs', '--seed', '3', '--shots', '100', "
            f"'--calibration', {str(cal)!r}, '--out', {str(tmp_path / 'out')!r}]); ")
+    matching = ("parvqe.cli.main(['heatmap', '--select', 'matching', '--grid', '2', "
+                f"'--shots', '10', '--seed', '3', '--out', {str(tmp_path / 'hm')!r}]); ")
     report = "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))"
     env = {**os.environ, "PYTHONPATH": str(Path(parvqe.__file__).resolve().parents[1])}
     for code in ("import sys, parvqe.cli; " + report,
-                 "import sys, parvqe.cli; " + run + report):
+                 "import sys, parvqe.cli; " + run + report,
+                 "import sys, parvqe.cli; " + matching + report):
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=60)
         assert out.stdout.strip().splitlines()[-1] == "[]"
