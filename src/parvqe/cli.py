@@ -8,6 +8,10 @@ Subcommands map one-to-one onto the harness experiments:
     parvqe speedup-sweep   --seed 7 --pair-counts 2,4,8,12,16,20,25 --out results/speedup
     parvqe shots-sweep     --seed 7 --out results/shots
     parvqe optimizer-compare --seed 7 --out results/compare
+
+`harness.COMMANDS` defines each subcommand: its handler, the settings it
+reads and its default overrides. This module only spells a setting as a
+flag (FLAGS); every other default is ExperimentConfig's.
 """
 
 from __future__ import annotations
@@ -16,105 +20,62 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import (
-    ExperimentConfig,
-    InputError,
-    cmd_benchmark_pairs,
-    cmd_heatmap,
-    cmd_optimizer_compare,
-    cmd_shots_sweep,
-    cmd_speedup_sweep,
-    cmd_vqe,
-    default_calibration_path,
-    default_cost_model_path,
-)
+from .harness import CHOICES, COMMANDS, ExperimentConfig, InputError
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-# the flags of every command that runs circuits
-_RUN_FLAGS = ("--calibration", "--workers", "--crosstalk")
-
-
-def _add_flags(p: argparse.ArgumentParser, names: tuple[str, ...],
-               overrides: dict[str, dict] | None = None) -> None:
-    """The flags every subcommand reads (--seed, --out), then the named
-    ones. `overrides` maps a named flag to settings that replace its
-    defaults."""
-    p.add_argument("--seed", type=int, required=True,
-                   help="base seed; all randomness derives from it")
-    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True,
-                   help="output directory")
-    specs = {
-        "--calibration": dict(default=str(default_calibration_path()),
-                              help="device calibration JSON"),
-        "--workers": dict(type=int, default=1,
-                          help="accepted but has no effect: each batch runs as one "
-                               "vectorized pass (values above 1 warn)"),
-        "--crosstalk": dict(type=float, default=0.0, dest="crosstalk_p",
-                            metavar="CROSSTALK",
-                            help="extra depolarizing probability for adjacent active "
-                                 "pairs"),
-        "--cost-model": dict(default=str(default_cost_model_path()),
-                             help="wall-clock cost model JSON"),
-        "--pairs": dict(type=int, default=None, help="number of pairs to select"),
-        "--select": dict(choices=["greedy", "matching"], default="greedy"),
-        "--cap": dict(type=float, default=None,
-                      help="exclude edges below this CZ fidelity"),
-        "--shots": dict(type=int, default=1000),
-        "--iterations": dict(type=int, default=None),
-        "--mitigation": dict(choices=["none", "ni", "tflo", "ni+tflo"],
-                             default="ni+tflo"),
-        "--repeats": dict(type=int, default=1),
-    }
-    for name in names:
-        p.add_argument(name, **{**specs[name], **(overrides or {}).get(name, {})})
+# ExperimentConfig field -> its flag and argparse settings (no defaults);
+# confusion_shots has no flag
+FLAGS = {
+    "seed": ("--seed", dict(type=int, required=True,
+                            help="base seed; all randomness derives from it")),
+    "out_dir": ("--out", dict(metavar="OUT", required=True, help="output directory")),
+    "calibration": ("--calibration", dict(help="device calibration JSON")),
+    "workers": ("--workers", dict(type=int, help="accepted but has no effect: each batch "
+                                  "runs as one vectorized pass (values above 1 warn)")),
+    "crosstalk_p": ("--crosstalk", dict(type=float, metavar="CROSSTALK",
+                                        help="extra depolarizing probability for adjacent "
+                                             "active pairs")),
+    "cost_model": ("--cost-model", dict(help="wall-clock cost model JSON")),
+    "pairs": ("--pairs", dict(type=int, help="number of pairs to select")),
+    "select": ("--select", {}),
+    "cap": ("--cap", dict(type=float, help="exclude edges below this CZ fidelity")),
+    "shots": ("--shots", dict(type=int)),
+    "iterations": ("--iterations", dict(type=int)),
+    "mitigation": ("--mitigation", {}),
+    "repeats": ("--repeats", dict(type=int)),
+    "optimizer": ("--optimizer", {}),
+    "eta": ("--eta", dict(type=float,
+                          help="points-per-iteration metaparameter for single-pair mgd")),
+    "start": ("--start", dict(type=float, nargs=2, metavar=("PHI", "THETA"))),
+    "grid": ("--grid", dict(type=int, help="points per axis")),
+    "shots_list": ("--shots-list", dict(type=_int_list)),
+    "pair_counts": ("--pair-counts", dict(type=_int_list)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """One parser per subcommand, holding only the flags it reads, so an
-    unread flag is an error rather than silently ignored. Abbreviations are
-    off: shots-sweep would otherwise read --shots as --shots-list."""
+    unread flag is an error rather than silently ignored. Unset flags are
+    absent from the namespace. Abbreviations are off: shots-sweep would
+    otherwise read --shots as --shots-list."""
     parser = argparse.ArgumentParser(prog="parvqe",
                                      description="parallel two-qubit VQE testbed")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("benchmark-pairs", allow_abbrev=False,
-                       help="benchmark every pair and the greedy parallel sweep")
-    _add_flags(p, _RUN_FLAGS + ("--shots",), {"--shots": dict(default=10_000)})
-
-    p = sub.add_parser("heatmap", allow_abbrev=False, help="energy landscape heatmaps")
-    _add_flags(p, _RUN_FLAGS + ("--cost-model", "--pairs", "--select", "--cap", "--shots",
-                                "--mitigation"), {"--shots": dict(default=10_000)})
-    p.add_argument("--grid", type=int, default=20, help="points per axis")
-
-    p = sub.add_parser("vqe", allow_abbrev=False, help="full optimisation runs")
-    _add_flags(p, _RUN_FLAGS + ("--cost-model", "--pairs", "--select", "--cap", "--shots",
-                                "--iterations", "--mitigation", "--repeats"))
-    p.add_argument("--optimizer", choices=["spsa", "mgd"], default="spsa")
-    p.add_argument("--eta", type=float, default=2.0,
-                   help="points-per-iteration metaparameter for single-pair mgd")
-    p.add_argument("--start", type=float, nargs=2, default=(0.6, 0.8),
-                   metavar=("PHI", "THETA"))
-
-    p = sub.add_parser("speedup-sweep", allow_abbrev=False,
-                       help="modelled speedup of both optimizers; runs nothing")
-    _add_flags(p, ("--cost-model", "--shots"))
-    p.add_argument("--pair-counts", type=_int_list, default=(2, 4, 8, 12, 16, 20, 25))
-
-    p = sub.add_parser("shots-sweep", allow_abbrev=False,
-                       help="SPSA at several shot counts")
-    _add_flags(p, _RUN_FLAGS + ("--pairs", "--cap", "--iterations", "--mitigation"),
-               {"--mitigation": dict(choices=["none", "ni"], default="ni")})
-    p.add_argument("--shots-list", type=_int_list, default=(100, 1000, 10_000))
-
-    p = sub.add_parser("optimizer-compare", allow_abbrev=False,
-                       help="SPSA vs surrogate descent across pair counts")
-    _add_flags(p, _RUN_FLAGS + ("--shots",))
-    p.add_argument("--pair-counts", type=_int_list, default=(2, 4, 6, 9, 12, 25))
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        for setting in ("seed", "out_dir", *command.reads):
+            if setting not in FLAGS:
+                continue
+            flag, spec = FLAGS[setting]
+            choices = command.choices.get(setting, CHOICES.get(setting))
+            p.add_argument(flag, dest=setting, **spec,
+                           **({"choices": choices} if choices else {}))
+        p.set_defaults(**command.defaults)
     return parser
 
 
@@ -128,17 +89,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "benchmark-pairs": cmd_benchmark_pairs,
-        "heatmap": cmd_heatmap,
-        "vqe": cmd_vqe,
-        "speedup-sweep": cmd_speedup_sweep,
-        "shots-sweep": cmd_shots_sweep,
-        "optimizer-compare": cmd_optimizer_compare,
-    }
     try:
         cfg = config_from_args(args)
-        record = handlers[args.command](cfg)
+        record = COMMANDS[args.command].handler(cfg)
     except (InputError, FileNotFoundError) as exc:
         parser.error(str(exc))
     print(f"wrote {cfg.out_dir}/record.json ({len(record.artifacts)} artifacts)")

@@ -1,8 +1,8 @@
 """Experiment harness: reproducible runs emitting CSV, JSON and SVG files.
 
 Every experiment takes an ExperimentConfig (seed mandatory), writes its
-data files into the output directory and returns a RunRecord describing
-the resolved configuration, derived metrics and artifact list. Identical
+data files into the output directory and returns a RunRecord holding the
+settings it reads (COMMANDS), derived metrics and artifact list. Identical
 configurations produce byte-identical data files; wall-clock cost is
 modelled (never measured) so records stay reproducible.
 """
@@ -14,10 +14,11 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -76,6 +77,9 @@ _NS_OPT = 6
 MITIGATION_LEVELS = ("raw", "ni", "tflo", "tflo_ni")
 # --mitigation -> the level a command reports
 _LEVEL_OF_MITIGATION = {"none": "raw", "ni": "ni", "tflo": "tflo", "ni+tflo": "tflo_ni"}
+# the values ExperimentConfig accepts for its named-choice fields
+CHOICES = {"select": ("greedy", "matching"), "optimizer": ("spsa", "mgd"),
+           "mitigation": tuple(_LEVEL_OF_MITIGATION)}
 
 
 def default_calibration_path() -> Path:
@@ -108,13 +112,13 @@ class ExperimentConfig:
     calibration: Path = field(default_factory=default_calibration_path)
     cost_model: Path = field(default_factory=default_cost_model_path)
     pairs: int | None = None
-    select: str = "greedy"              # greedy | matching
+    select: str = "greedy"
     cap: float | None = None
     shots: int = 1000
     confusion_shots: int = 10_000
-    optimizer: str = "spsa"             # spsa | mgd
+    optimizer: str = "spsa"
     iterations: int | None = None
-    mitigation: str = "ni+tflo"         # none | ni | tflo | ni+tflo
+    mitigation: str = "ni+tflo"
     repeats: int = 1
     workers: int = 1                    # accepted for --workers; has no effect
     eta: float = 2.0
@@ -128,12 +132,9 @@ class ExperimentConfig:
         self.out_dir = Path(self.out_dir)
         self.calibration = Path(self.calibration)
         self.cost_model = Path(self.cost_model)
-        if self.select not in ("greedy", "matching"):
-            raise InputError(f"unknown selection method {self.select!r}")
-        if self.optimizer not in ("spsa", "mgd"):
-            raise InputError(f"unknown optimizer {self.optimizer!r}")
-        if self.mitigation not in _LEVEL_OF_MITIGATION:
-            raise InputError(f"unknown mitigation {self.mitigation!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise InputError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("pairs", "shots", "confusion_shots", "iterations", "repeats", "grid",
                      "workers"):
             value = getattr(self, name)
@@ -175,12 +176,10 @@ class ExperimentConfig:
     def tflo(self) -> bool:
         return "tflo" in self.mitigation.split("+")
 
-    def snapshot(self) -> dict:
-        d = asdict(self)
-        d["out_dir"] = str(self.out_dir)
-        d["calibration"] = str(self.calibration)
-        d["cost_model"] = str(self.cost_model)
-        return d
+    def snapshot(self, fields) -> dict:
+        """seed, out_dir and the named fields, paths as strings."""
+        values = {name: getattr(self, name) for name in ("seed", "out_dir", *fields)}
+        return {k: str(v) if isinstance(v, Path) else v for k, v in values.items()}
 
 
 @dataclass
@@ -286,8 +285,8 @@ class _Run:
 
     def finish(self, command: str, metrics: dict, artifacts: list[str],
                summary: str) -> RunRecord:
-        record = RunRecord(command=command, config=self.cfg.snapshot(), metrics=metrics,
-                           artifacts=artifacts)
+        record = RunRecord(command=command, config=self.cfg.snapshot(COMMANDS[command].reads),
+                           metrics=metrics, artifacts=artifacts)
         record.write(self.out_dir / "record.json")
         print(f"{summary}; sim time {time.perf_counter() - self.t_start:.1f}s")
         return record
@@ -333,15 +332,15 @@ def _final_points(run: _Run, table: PairTable, finals: list[AnsatzParams],
 
 
 def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
-              key_paths) -> list[OptTrace]:
-    """SPSA or surrogate-descent runs from cfg.start, one per key path, in
-    lockstep on the evaluator that matches the optimizer's parallelism.
-    Each run's evaluator seed and optimizer stream derive from its own key
-    path, so its trace does not depend on the runs beside it."""
+              key_paths, start=ExperimentConfig.start) -> list[OptTrace]:
+    """SPSA or surrogate-descent runs from `start` (only vqe sets it), one
+    per key path, in lockstep on the evaluator that matches the optimizer's
+    parallelism. Each run's evaluator seed and optimizer stream derive from
+    its own key path, so its trace does not depend on the runs beside it."""
     cfg, h = run.cfg, run.h
     eval_seeds = [derive_seed(cfg.seed, _NS_EVAL, *keys) for keys in key_paths]
     streams = [derive_rng(cfg.seed, _NS_OPT, *keys) for keys in key_paths]
-    starts = [AnsatzParams(*cfg.start)] * len(key_paths)
+    starts = [AnsatzParams(*start)] * len(key_paths)
     exact = lambda centres: closed_form_energy(centres[:, 0], centres[:, 1], h)
     if optimizer == "spsa":
         return spsa_lockstep(SpsaConfig(iterations=iterations),
@@ -543,7 +542,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     summary_rows = []
     artifacts = []
     traces = _optimize(run, table, cfg.optimizer, iterations, points, cfg.shots,
-                       [(rep,) for rep in range(cfg.repeats)])
+                       [(rep,) for rep in range(cfg.repeats)], cfg.start)
     finals = _final_points(run, table, [trace.final_params for trace in traces],
                            range(cfg.repeats))
     for rep, (trace, levels) in enumerate(zip(traces, finals)):
@@ -624,7 +623,12 @@ def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
 # --- shots-sweep ----------------------------------------------------------------
 
 def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
-    """SPSA at several shot counts on the capped greedy selection."""
+    """SPSA at several shot counts on the capped greedy selection. It runs
+    no reference point, so a mitigation with tflo is an InputError."""
+    allowed = COMMANDS["shots-sweep"].choices["mitigation"]
+    if cfg.mitigation not in allowed:
+        raise InputError(f"shots-sweep mitigation must be one of {allowed}, "
+                         f"got {cfg.mitigation!r}")
     run = _Run(cfg)
     h, e0 = run.h, run.e0
     cap = cfg.cap if cfg.cap is not None else 0.90
@@ -716,3 +720,44 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
                            for name, p, med, _, _ in summary}}
     return run.finish("optimizer-compare", metrics, [runs_path.name, summary_path.name],
                       f"optimizer-compare: p in {list(cfg.pair_counts)}")
+
+
+# --- the command table ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler, and the ExperimentConfig fields it reads
+    besides seed and out_dir. Those fields are what its record.json lists
+    and, where they have a flag, the flags the CLI accepts. `defaults` and
+    `choices` narrow ExperimentConfig's defaults and CHOICES for it."""
+
+    handler: Callable[[ExperimentConfig], RunRecord]
+    help: str
+    reads: tuple[str, ...]
+    defaults: dict = field(default_factory=dict)
+    choices: dict = field(default_factory=dict)
+
+
+# what every command that runs circuits reads, and what heatmap and vqe add
+_RUNS = ("calibration", "workers", "crosstalk_p", "confusion_shots")
+_SELECTS = ("cost_model", "pairs", "select", "cap", "shots", "mitigation")
+
+COMMANDS = {
+    "benchmark-pairs": Command(cmd_benchmark_pairs,
+                               "benchmark every pair and the greedy parallel sweep",
+                               _RUNS + ("shots",), {"shots": 10_000}),
+    "heatmap": Command(cmd_heatmap, "energy landscape heatmaps", _RUNS + _SELECTS + ("grid",),
+                       {"shots": 10_000}),
+    "vqe": Command(cmd_vqe, "full optimisation runs",
+                   _RUNS + _SELECTS + ("iterations", "repeats", "optimizer", "eta", "start")),
+    "speedup-sweep": Command(cmd_speedup_sweep,
+                             "modelled speedup of both optimizers; runs nothing",
+                             ("cost_model", "shots", "pair_counts"),
+                             {"pair_counts": (2, 4, 8, 12, 16, 20, 25)}),
+    "shots-sweep": Command(cmd_shots_sweep, "SPSA at several shot counts",
+                           _RUNS + ("pairs", "cap", "iterations", "mitigation", "shots_list"),
+                           {"mitigation": "ni"}, {"mitigation": ("none", "ni")}),
+    "optimizer-compare": Command(cmd_optimizer_compare,
+                                 "SPSA vs surrogate descent across pair counts",
+                                 _RUNS + ("shots", "pair_counts")),
+}

@@ -251,7 +251,7 @@ def test_matching_selection_keeps_best_pairs_above_cap(shipped_topology):
 def test_shots_sweep_uses_capped_selection_and_reports_gap(tmp_path):
     cfg = ExperimentConfig(seed=2022, out_dir=tmp_path / "shots",
                            shots_list=(1000, 10_000), iterations=25,
-                           confusion_shots=1000)
+                           confusion_shots=1000, mitigation="ni")
     record = cmd_shots_sweep(cfg)
     assert record.metrics["pairs"] == 26
     assert record.metrics["fidelity_cap"] == 0.90
@@ -267,11 +267,21 @@ def test_shots_sweep_tiny_shot_budget_degrades(tmp_path):
     errs = {"10": [], "1000": []}
     for seed in range(11, 16):
         cfg = ExperimentConfig(seed=seed, out_dir=tmp_path / f"shots{seed}", pairs=1,
-                               shots_list=(10, 1000), confusion_shots=1000)
+                               shots_list=(10, 1000), confusion_shots=1000,
+                               mitigation="ni")
         by_shots = cmd_shots_sweep(cfg).metrics["final_exact_err_by_shots"]
         for shots in errs:
             errs[shots].append(by_shots[shots])
     assert np.median(errs["10"]) > 2 * np.median(errs["1000"])
+
+
+@pytest.mark.parametrize("mitigation", ["tflo", "ni+tflo"])
+def test_shots_sweep_rejects_tflo_before_output(mitigation, tmp_path):
+    # shots-sweep runs no reference point, so it cannot apply tflo
+    cfg = ExperimentConfig(seed=1, out_dir=tmp_path / "out", mitigation=mitigation)
+    with pytest.raises(InputError, match="mitigation must be one of"):
+        cmd_shots_sweep(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_optimizer_compare_plans_and_spread(tmp_path):
@@ -338,11 +348,54 @@ def test_cli_end_to_end(tmp_path):
 
 
 def test_cli_default_shots_per_command(tmp_path):
-    args = build_parser().parse_args(
-        ["benchmark-pairs", "--seed", "1", "--out", str(tmp_path)])
-    assert config_from_args(args).shots == 10_000
-    args = build_parser().parse_args(["vqe", "--seed", "1", "--out", str(tmp_path)])
-    assert config_from_args(args).shots == 1000
+    want = [("benchmark-pairs", "shots", 10_000), ("heatmap", "shots", 10_000),
+            ("vqe", "shots", 1000),
+            ("speedup-sweep", "pair_counts", (2, 4, 8, 12, 16, 20, 25)),
+            ("optimizer-compare", "pair_counts", (2, 4, 6, 9, 12, 25)),
+            ("shots-sweep", "mitigation", "ni"), ("vqe", "mitigation", "ni+tflo"),
+            ("heatmap", "grid", 20)]
+    for command, name, value in want:
+        args = build_parser().parse_args([command, "--seed", "1", "--out", str(tmp_path)])
+        assert getattr(config_from_args(args), name) == value, (command, name)
+
+
+# every setting a command reads, besides seed and out_dir, as record.json
+# lists it; written out by hand so that the command table is checked
+RUN_SETTINGS = {"calibration", "workers", "crosstalk_p", "confusion_shots"}
+SELECT_SETTINGS = {"cost_model", "pairs", "select", "cap", "shots", "mitigation"}
+RECORDED = {
+    "benchmark-pairs": RUN_SETTINGS | {"shots"},
+    "heatmap": RUN_SETTINGS | SELECT_SETTINGS | {"grid"},
+    "vqe": RUN_SETTINGS | SELECT_SETTINGS | {"iterations", "repeats", "optimizer", "eta",
+                                             "start"},
+    "speedup-sweep": {"cost_model", "shots", "pair_counts"},
+    "shots-sweep": RUN_SETTINGS | {"pairs", "cap", "iterations", "mitigation", "shots_list"},
+    "optimizer-compare": RUN_SETTINGS | {"shots", "pair_counts"},
+}
+TINY_RUNS = {
+    "benchmark-pairs": "--shots 20",
+    "heatmap": "--grid 2 --pairs 1 --shots 10",
+    "vqe": "--pairs 1 --iterations 1 --shots 10",
+    "speedup-sweep": "--pair-counts 2",
+    "shots-sweep": "--pairs 1 --iterations 1 --shots-list 10",
+    "optimizer-compare": "--shots 10 --pair-counts 1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_record_config_lists_the_settings_the_command_reads(command, tmp_path,
+                                                            make_uniform_calibration):
+    cal = make_uniform_calibration(2, fidelity=0.95, readout=(0.02, 0.03))
+    argv = [command, "--seed", "3", "--out", str(tmp_path / "out"),
+            *TINY_RUNS[command].split()]
+    if "calibration" in RECORDED[command]:
+        argv += ["--calibration", str(cal)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # one-pair surrogate fits are under-determined
+        assert cli_main(argv) == 0
+    config = json.loads((tmp_path / "out" / "record.json").read_text())["config"]
+    assert set(config) == {"seed", "out_dir"} | RECORDED[command]
+    assert config["seed"] == 3
 
 
 def test_record_reproducibility_same_dir(tmp_path):
@@ -472,6 +525,17 @@ def test_cli_parses_benchmark_workloads(tmp_path):
         for argv in filter(None, (wl.argv, wl.serial_argv)):
             args = build_parser().parse_args([*argv, "--seed", "7", "--out", str(tmp_path)])
             assert config_from_args(args).seed == 7
+
+
+def test_readme_usage_lines_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    usage = readme.read_text().split("## Command-line usage", 1)[1].split("```")[1]
+    lines = [line for line in usage.replace("\\\n", " ").splitlines()
+             if line.startswith("parvqe ")]
+    assert len(lines) == 6
+    for line in lines:
+        args = build_parser().parse_args(line.split()[1:])
+        assert config_from_args(args).seed == 7, line
 
 
 def test_cli_import_leaves_scipy_and_networkx_unloaded(tmp_path, make_uniform_calibration):
