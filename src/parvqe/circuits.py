@@ -87,10 +87,11 @@ class NativeCircuit:
 
 
 # The one gate template. A gate is (kind, qubit, angle): RX angles are
-# constants, each RZ angle is a function of (phi, theta) that also takes
-# arrays, and CZ acts on both qubits (qubit and angle None). Every circuit
-# is PREFIX (state preparation, onsite evolution, the single CZ and the
-# post-CZ RX on qubit 0) followed by its setting's tail.
+# constants, each RZ angle is a function of (phi, theta), and CZ acts on
+# both qubits (qubit and angle None). Every circuit is PREFIX (state
+# preparation, onsite evolution, the single CZ and the post-CZ RX on
+# qubit 0) followed by its setting's tail. simulator.batch_distributions
+# is this template's closed form, tied to it by the density-matrix tests.
 PREFIX = (
     ("RX", 0, -_HALF_PI),
     ("RX", 1, -_HALF_PI),

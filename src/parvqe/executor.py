@@ -185,28 +185,33 @@ def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shot
     if not all(isinstance(stream, np.random.Generator) for stream in streams):
         raise TypeError("each group needs a numpy Generator as its stream")
     groups = [[np.asarray(batch, dtype=int) for batch in group] for group in groups]
-    p, sizes = [], []
     for group in groups:
         if not group:
             raise ValueError("each group needs at least one batch")
         for batch in group:
             if batch.ndim != 1 or len(batch) == 0:
                 raise ValueError("each batch needs a non-empty array of rows")
-            qubits = table.qubits[batch].ravel().tolist()
-            if len(set(qubits)) != len(qubits):
-                raise ValueError("batch pairs must be vertex-disjoint")
-            p_batch = table.p[batch]
-            if table.neighbours is not None:
-                p_batch = np.where(table.neighbours[batch][:, batch].any(axis=1),
-                                   table.p_crosstalk[batch], p_batch)
-            p.append(p_batch)
-        sizes.append(sum(map(len, group)))
-    rows = np.concatenate([batch for group in groups for batch in group])
+    batches = [batch for group in groups for batch in group]
+    rows = np.concatenate(batches)
+    starts = np.cumsum([0] + [len(batch) for batch in batches]).tolist()
+    # one sort of the (batch index, qubit) keys finds a qubit used twice in a batch
+    qubits = table.qubits[rows]
+    low = qubits.min()
+    batch_of = np.repeat(np.arange(len(batches)), np.diff(starts))
+    keys = np.sort((batch_of[:, None] * (qubits.max() - low + 1) + qubits - low).ravel())
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("batch pairs must be vertex-disjoint")
     if len(phi) != len(rows) or len(theta) != len(rows):
         raise ValueError(f"{len(rows)} rows but {len(phi)} phi and {len(theta)} theta")
-    dists = batch_distributions(phi, theta, np.concatenate(p), table.confusion[rows])
-    counts = np.concatenate([stream.multinomial(shots, part) for stream, part
-                             in zip(streams, np.split(dists, np.cumsum(sizes)[:-1]))])
+    p = table.p[rows]
+    if table.neighbours is not None:
+        for batch, start in zip(batches, starts):
+            flagged = table.neighbours[batch][:, batch].any(axis=1)
+            p[start:start + len(batch)][flagged] = table.p_crosstalk[batch][flagged]
+    dists = batch_distributions(phi, theta, p, table.confusion[rows])
+    bounds = np.cumsum([0] + [sum(map(len, group)) for group in groups]).tolist()
+    counts = np.concatenate([stream.multinomial(shots, dists[lo:hi]) for stream, lo, hi
+                             in zip(streams, bounds, bounds[1:])])
     return [PairCounts(table.pairs[row], hist) for row, hist in zip(rows.tolist(), counts)]
 
 

@@ -55,6 +55,9 @@ from .executor import (
 from .hubbard import AnsatzParams, HubbardParams, exact_energy
 
 N_SURROGATE_FEATURES = 6    # constant, 2 linear, 3 quadratic terms in 2 dims
+# Rademacher values indexed by integers(0, 2): the same draws and stream
+# state as stream.choice([-1.0, 1.0]), at half the cost
+_SIGNS = np.array([-1.0, 1.0])
 
 
 class UnderDeterminedFit(ValueError):
@@ -153,7 +156,7 @@ class OptTrace:
                 for r in self.records
             ],
         }
-        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        return json.dumps(payload, sort_keys=True) + "\n"
 
     def write(self, csv_path: str | Path, json_path: str | Path | None = None) -> None:
         Path(csv_path).write_text(self.to_csv())
@@ -207,7 +210,7 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     records = [[] for _ in theta]
     for k in range(1, cfg.iterations + 1):
         a_k, c_k = cfg.gains(k)
-        delta = np.array([stream.choice([-1.0, 1.0], size=2) for stream in streams])
+        delta = np.array([_SIGNS[stream.integers(0, 2, size=2)] for stream in streams])
         est = evaluate(np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1))
         e_exact = [None] * len(theta) if exact is None else exact(theta)
         for r, recs in enumerate(records):

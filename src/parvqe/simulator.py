@@ -8,21 +8,22 @@ crosstalk knob adds extra depolarizing probability when a neighbouring
 pair is active in the same batch.
 
 Two simulators share that model. `batch_distributions` is the one the
-executor runs: a statevector pass over every pair of a batch at once.
+executor runs: the closed form of the gate template's outcome
+probabilities, a few array operations for every pair of a call at once.
 It relies on the depolarizing event commuting with the unitaries after
 it, so the outcome distribution is N_ro ((1-p) |U psi|^2 + p/4).
-`run_circuit` walks one compiled circuit gate by gate on a 4x4 density
-matrix; it is the reference the fast path is tested against.
+`run_circuit` walks one compiled circuit of the template gate by gate on
+a 4x4 density matrix; it is the reference the closed form is tested
+against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import PREFIX, SETTINGS, TAILS, NativeCircuit, gate_matrix
+from .circuits import NativeCircuit, gate_matrix
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -168,37 +169,7 @@ def sample_shots(rho: np.ndarray, noise: PairNoiseSpec, shots: int,
     return ShotHistogram(counts=tuple(int(c) for c in counts), shots=shots)
 
 
-# --- batched statevector kernel ---------------------------------------------
-
-_S = math.sqrt(0.5)
-# the template's RX matrices from exact constants, keyed by angle
-_RX = {
-    math.pi / 2: np.array([[_S, -1j * _S], [-1j * _S, _S]]),
-    -math.pi / 2: np.array([[_S, 1j * _S], [1j * _S, _S]]),
-    math.pi: np.array([[0.0, -1j], [-1j, 0.0]]),
-}
-_CZ_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def _rz(angle: np.ndarray) -> np.ndarray:
-    """RZ(angle) = diag(exp(-i a/2), exp(i a/2)) for each angle, (n, 2, 2)."""
-    g = np.zeros((len(angle), 2, 2), dtype=complex)
-    g[:, 0, 0] = np.exp(-0.5j * angle)
-    g[:, 1, 1] = np.exp(0.5j * angle)
-    return g
-
-
-def _apply(gates, psi: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Apply template gates to the statevectors psi[n, q0, q1], as 2x2
-    matrices (a stack of them for RZ) on the gate's qubit."""
-    for kind, qubit, angle in gates:
-        if kind == "CZ":
-            psi = psi * _CZ_SIGNS
-            continue
-        g = _rz(angle(phi, theta)) if kind == "RZ" else _RX[angle]
-        psi = g @ psi if qubit == 0 else psi @ np.swapaxes(g, -1, -2)
-    return psi
-
+# --- closed-form batch kernel ----------------------------------------------
 
 def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
                         confusion: np.ndarray) -> np.ndarray:
@@ -206,19 +177,18 @@ def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
 
     phi, theta and the effective depolarizing probability p (crosstalk
     included) have shape (n,); confusion holds the (n, 4, 4) readout maps.
-    The gate template of `circuits` runs on all n statevectors at once,
-    its prefix once and then each setting's tail. Because the one
-    depolarizing event after the CZ commutes with the unitaries that
-    follow it, each distribution is confusion @ ((1-p) |psi|^2 + p/4).
+    The ideal distributions are the gate template's closed form: onsite
+    [a, 1/2 - a, 1/2 - a, a] with a = (1 + sin 4theta sin 2phi) / 4, and
+    hopping [cos^2 phi, 0, 0, sin^2 phi]. Because the one depolarizing
+    event after the CZ commutes with the unitaries that follow it, each
+    distribution is confusion @ ((1-p) ideal + p/4).
     """
-    n = len(phi)
-    psi = np.zeros((n, 2, 2), dtype=complex)
-    psi[:, 0, 0] = 1.0
-    psi = _apply(PREFIX, psi, phi, theta)
-    final = np.stack([_apply(TAILS[s], psi, phi, theta) for s in SETTINGS], axis=1)
-    probs = np.abs(final.reshape(n, 2, 4)) ** 2
-    probs /= probs.sum(axis=-1, keepdims=True)   # round-off could push an entry past 1
+    a = 0.25 * (1.0 + np.sin(4.0 * theta) * np.sin(2.0 * phi))
+    ideal = np.zeros((len(phi), 2, 4))
+    ideal[:, 0, 0] = ideal[:, 0, 3] = a
+    ideal[:, 0, 1] = ideal[:, 0, 2] = 0.5 - a
+    ideal[:, 1, 0] = np.cos(phi) ** 2
+    ideal[:, 1, 3] = np.sin(phi) ** 2
     p = p[:, None, None]
-    mixed = (1.0 - p) * probs + p / 4.0
+    mixed = (1.0 - p) * ideal + p / 4.0
     return np.einsum("nij,nkj->nki", confusion, mixed)
-

@@ -25,6 +25,7 @@ from parvqe.executor import (
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, optimal_params
 from parvqe.mitigation import measure_confusion
 from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram
+from test_golden import SMALL_CALIBRATION
 
 E_GROUND = 1.0 - math.sqrt(5.0)
 
@@ -353,6 +354,41 @@ def test_rejected_call_leaves_every_stream_untouched():
     with pytest.raises(ValueError, match="vertex-disjoint"):
         run_batch(table, groups, angles, angles, 100, streams)
     assert [stream.bit_generator.state for stream in streams] == before
+
+
+def ring8_table():
+    """Every edge of the 8-qubit ring with a chord: its pairs share qubits,
+    and crosstalk is on, so each batch is also flagged."""
+    topo = DeviceTopology(
+        qubits=tuple(SMALL_CALIBRATION["qubits"]),
+        edges=tuple((a, b, f) for a, b, f in SMALL_CALIBRATION["edges"]),
+        readout={int(q): tuple(r) for q, r in SMALL_CALIBRATION["readout"].items()})
+    return compile_pairs(topo, [(a, b) for a, b, _ in topo.edges], crosstalk_p=0.1)
+
+
+@given(st.lists(st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=4),
+                         min_size=1, max_size=3), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32))
+def test_vertex_disjointness_is_checked_per_batch(groups, seed):
+    """run_batch rejects a call exactly when one of its batches reuses a
+    qubit, by the per-batch set check below: the same row in two batches
+    and qubits shared across batches or groups pass. A rejected call
+    leaves every stream untouched."""
+    table = ring8_table()
+
+    def reuses_a_qubit(batch):
+        qubits = [q for row in batch for q in table.pairs[row]]
+        return len(set(qubits)) != len(qubits)
+
+    angles = np.full(sum(len(batch) for group in groups for batch in group), 0.3)
+    streams = streams_of(range(seed, seed + len(groups)))
+    before = [stream.bit_generator.state for stream in streams]
+    if any(reuses_a_qubit(batch) for group in groups for batch in group):
+        with pytest.raises(ValueError, match="vertex-disjoint"):
+            run_batch(table, groups, angles, angles, 100, streams)
+        assert [stream.bit_generator.state for stream in streams] == before
+    else:
+        assert len(run_batch(table, groups, angles, angles, 100, streams)) == len(angles)
 
 
 def test_multi_batch_validation_is_per_batch():

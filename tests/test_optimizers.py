@@ -1,5 +1,6 @@
 """Optimizer tests: gain schedules, convergence, surrogate fitting, evaluators."""
 
+import json
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from parvqe.executor import (
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, exact_ground_energy
 from parvqe.mitigation import measure_confusion
 from parvqe.optimizers import (
+    IterationRecord,
     MgdConfig,
     SpsaConfig,
     UnderDeterminedFit,
@@ -144,6 +146,46 @@ def test_spsa_trace_diagnostics_do_not_affect_updates():
     assert t1.final_params == t2.final_params
     assert all(r2.e_exact is None for r2 in t2.records)
     assert len(t1.records) == 25
+
+
+def test_spsa_directions_are_the_choice_draws():
+    """Each Rademacher direction, and the stream state after it, is that of
+    stream.choice([-1.0, 1.0], size=2), the reference draw."""
+    cfg = SpsaConfig(iterations=5)
+    for seed in range(500):
+        points = []
+
+        def record(params):
+            points.append((params.phi, params.theta))
+            return EnergyEstimate(value=exact_energy(params), std_err=0.0)
+
+        stream, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        spsa_run(cfg, record, START, stream)
+        centres, plus = np.array(points[0::3]), np.array(points[1::3])
+        expected = [reference.choice([-1.0, 1.0], size=2) for _ in range(cfg.iterations)]
+        assert np.array_equal(np.sign(plus - centres), expected)
+        assert stream.bit_generator.state == reference.bit_generator.state
+
+
+def test_trace_json_round_trips():
+    """A trace's JSON, one line from the C encoder, loads back to its
+    final parameters and records: SPSA with exact energies, MGD with the
+    sampled points."""
+    spsa = spsa_run(SpsaConfig(iterations=4), oracle_evaluator(), START,
+                    np.random.default_rng(1), exact_fn=EXACT)
+    mgd = mgd_run(MgdConfig(iterations=3), oracle_batch_evaluator(), START, 8,
+                  np.random.default_rng(2))
+    for trace in (spsa, mgd):
+        text = trace.to_json()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        payload = json.loads(text)
+        assert payload["final_params"] == {"phi": trace.final_params.phi,
+                                           "theta": trace.final_params.theta}
+        records = [IterationRecord(**{**r, "points": None if r["points"] is None
+                                      else tuple(map(tuple, r["points"]))})
+                   for r in payload["records"]]
+        assert records == trace.records
+    assert spsa.records[0].points is None and mgd.records[0].e_exact is None
 
 
 # --- surrogate fitting ---

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from parvqe.circuits import MeasurementSetting, build_circuit, circuit_unitary
 from parvqe.executor import exact_expectation_energy
@@ -193,9 +193,13 @@ pair_cases = st.tuples(
 
 
 @given(st.lists(pair_cases, min_size=1, max_size=4))
+# the noiseless corner: a perfect pair, then p = 0 with readout error
+@example([(0.3, 0.7, 1.0, ((0.0, 0.0), (0.0, 0.0)), 0.0, False)])
+@example([(1.1, -0.4, 1.0, ((0.02, 0.05), (0.03, 0.01)), 0.0, True)])
 def test_batch_kernel_matches_density_matrix_reference(cases):
     """Every row of a batch equals the gate-by-gate density-matrix path for
-    random angles, CZ fidelities, readout rates and crosstalk."""
+    random angles, CZ fidelities, readout rates and crosstalk: the closed
+    form is tied to the gate template that run_circuit walks."""
     noises = [PairNoiseSpec(cz_fidelity=f, readout=ro, crosstalk_p=xt)
               for _, _, f, ro, xt, _ in cases]
     dists = batch_distributions(
