@@ -10,8 +10,8 @@ Subcommands map one-to-one onto the harness experiments:
     parvqe optimizer-compare --seed 7 --out results/compare
 
 `harness.COMMANDS` defines each subcommand: its handler, the settings it
-reads and its default overrides. This module only spells a setting as a
-flag (FLAGS); every other default is ExperimentConfig's.
+reads and its default overrides, which `harness.config_for` applies. This
+module only spells a setting as a flag (FLAGS).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import CHOICES, COMMANDS, ExperimentConfig, InputError
+from .harness import CHOICES, COMMANDS, ExperimentConfig, InputError, config_for
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -75,15 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
             choices = command.choices.get(setting, CHOICES.get(setting))
             p.add_argument(flag, dest=setting, **spec,
                            **({"choices": choices} if choices else {}))
-        p.set_defaults(**command.defaults)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The config from the parsed flags; fields without a flag keep their
-    ExperimentConfig defaults."""
+    """The config of the parsed command and flags; settings without a flag
+    keep the command's defaults (harness.config_for)."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    return config_for(args.command, **{k: v for k, v in vars(args).items() if k in fields})
 
 
 def main(argv: list[str] | None = None) -> int:

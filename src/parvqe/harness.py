@@ -9,7 +9,6 @@ modelled (never measured) so records stay reproducible.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -23,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
+from .csvio import write_csv
 from .device import (
     CalibrationError,
     DeviceTopology,
@@ -200,22 +200,6 @@ class RunRecord:
             fh.write("\n")
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
 def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
                  cap: float | None) -> PairSelection:
     """At most `pairs` pairs at CZ fidelity >= cap, best first. For matching,
@@ -377,57 +361,51 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     n = len(all_pairs)
     indiv = _measure(run, table, [[[idx] for idx in range(n)]], np.full(n, opt.phi),
                      np.full(n, opt.theta), [(0,)], tflo=True)
-    indiv = {level: values.tolist() for level, values in indiv.items()}
-    indiv_rows = [[pair[0], pair[1], topology.fidelity(pair),
-                   *(indiv[level][idx] for level in MITIGATION_LEVELS)]
-                  for idx, pair in enumerate(all_pairs)]
+    fidelity = [topology.fidelity(pair) for pair in all_pairs]
     indiv_path = run.out_dir / "individual_pairs.csv"
     write_csv(indiv_path, ["pair_a", "pair_b", "fidelity",
-                           "e_raw", "e_ni", "e_tflo", "e_tflo_ni"], indiv_rows)
+                           "e_raw", "e_ni", "e_tflo", "e_tflo_ni"],
+              [*np.array(all_pairs).T, fidelity, *(indiv[m] for m in MITIGATION_LEVELS)])
     svgplot.scatter_plot(
         run.out_dir / "individual_pairs.svg",
-        {level: ([r[2] for r in indiv_rows],
-                 [r[3 + i] for r in indiv_rows])
-         for i, level in enumerate(MITIGATION_LEVELS)},
+        {level: (fidelity, indiv[level].tolist()) for level in MITIGATION_LEVELS},
         "energy vs CZ fidelity (individual pairs)", "CZ fidelity", "energy",
         hlines={"exact ground": e0})
 
     # (b) greedy-parallel sweep: the first p greedy pairs for every p
     selection = greedy_select(topology)
-    sizes = range(1, len(selection.pairs) + 1)
+    greedy_rows = [row_of[pair] for pair in selection.pairs]
+    sizes = list(range(1, len(greedy_rows) + 1))
     total = sum(sizes)
-    swept = _measure(run, table, [[[row_of[pair] for pair in selection.pairs[:p]]
-                                   for p in sizes]],
+    swept = _measure(run, table, [[greedy_rows[:p] for p in sizes]],
                      np.full(total, opt.phi), np.full(total, opt.theta), [(1,)], tflo=True)
     per_p = {level: np.split(values, np.cumsum(sizes)[:-1]) for level, values in swept.items()}
-    sweep_rows = [[p_count] + [float(np.mean(np.abs(v - e0))) for v in levels]
-                  + [abs(float(np.mean(v)) - e0) for v in levels]
-                  for p_count, *levels in zip(sizes, *(per_p[m] for m in MITIGATION_LEVELS))]
+    mean_err = {m: [float(np.mean(np.abs(v - e0))) for v in per_p[m]]
+                for m in MITIGATION_LEVELS}
+    pooled_err = {m: [abs(float(np.mean(v)) - e0) for v in per_p[m]]
+                  for m in MITIGATION_LEVELS}
     sweep_path = run.out_dir / "parallel_sweep.csv"
     write_csv(sweep_path,
               ["p"] + [f"mean_abs_err_{m}" for m in MITIGATION_LEVELS]
-              + [f"pooled_abs_err_{m}" for m in MITIGATION_LEVELS], sweep_rows)
+              + [f"pooled_abs_err_{m}" for m in MITIGATION_LEVELS],
+              [sizes, *mean_err.values(), *pooled_err.values()])
     svgplot.line_plot(
         run.out_dir / "parallel_sweep.svg",
-        {level: ([r[0] for r in sweep_rows], [r[1 + i] for r in sweep_rows])
-         for i, level in enumerate(MITIGATION_LEVELS)},
+        {level: (sizes, mean_err[level]) for level in MITIGATION_LEVELS},
         "mean |error| vs pairs in parallel", "pairs in parallel", "mean |error|")
 
     # pair i of the greedy order is active from p = i + 1 on
-    matrix_rows = [[pair[0], pair[1], topology.fidelity(pair),
-                    indiv["tflo"][row_of[pair]] - e0]
-                   + [None] * i + [float(tflo[i]) - e0 for tflo in per_p["tflo"][i:]]
-                   for i, pair in enumerate(selection.pairs)]
     matrix_path = run.out_dir / "pair_by_p_matrix.csv"
     write_csv(matrix_path,
               ["pair_a", "pair_b", "fidelity", "individual_err"]
               + [f"err_p{p}" for p in sizes],
-              matrix_rows)
+              [*np.array(selection.pairs).T, [fidelity[row] for row in greedy_rows],
+               indiv["tflo"][greedy_rows] - e0,
+               *((tflo - e0).tolist() + [None] * (len(sizes) - p)
+                 for p, tflo in zip(sizes, per_p["tflo"]))])
 
-    raw_errs = [r[1] for r in sweep_rows]
-    tflo_errs = [r[3] for r in sweep_rows]
-    rho = rank_correlation(range(1, len(sweep_rows) + 1), raw_errs)
-    frac_below = float(np.mean([t < r for t, r in zip(tflo_errs, raw_errs)]))
+    rho = rank_correlation(sizes, mean_err["raw"])
+    frac_below = float(np.mean(np.less(mean_err["tflo"], mean_err["raw"])))
     metrics = {
         "pairs_benchmarked": len(all_pairs),
         "greedy_pairs": len(selection.pairs),
@@ -457,10 +435,8 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     pairs = run.select(cfg.select, cfg.cap, default=25)
 
     exact = closed_form_energy(phi, theta, h)
-    exact_grid = exact.reshape(n, n).tolist()
     exact_path = run.out_dir / "heatmap_exact.csv"
-    write_csv(exact_path, ["phi", "theta", "e_exact"],
-              zip(phi.tolist(), theta.tolist(), exact.tolist()))
+    write_csv(exact_path, ["phi", "theta", "e_exact"], [phi, theta, exact])
 
     table = run.pair_table(pairs, cfg.ni)
     # the grid in batches of len(pairs) points, all measured in one call
@@ -468,21 +444,17 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     levels = _measure(run, table, [batches], phi, theta, [()], cfg.tflo)
     value = levels[cfg.level]
     err = np.abs(value - exact)
-    pair_a, pair_b = table.qubits[np.concatenate(batches)].T.tolist()
     sim_path = run.out_dir / "heatmap_simulated.csv"
     write_csv(sim_path, ["phi", "theta", "pair_a", "pair_b",
                          "e_estimate", "e_corrected", "abs_err"],
-              zip(phi.tolist(), theta.tolist(), pair_a, pair_b, levels["ni"].tolist(),
-                  value.tolist(), err.tolist()))
+              [phi, theta, *table.qubits[np.concatenate(batches)].T, levels["ni"], value, err])
 
-    sim_grid = value.reshape(n, n).tolist()
-    err_grid = err.reshape(n, n).tolist()
     extent = (-math.pi, math.pi, -math.pi, math.pi)
-    svgplot.heatmap(run.out_dir / "heatmap_exact.svg", exact_grid,
+    svgplot.heatmap(run.out_dir / "heatmap_exact.svg", exact.reshape(n, n),
                     "exact energy landscape", "phi", "theta", extent)
-    svgplot.heatmap(run.out_dir / "heatmap_simulated.svg", sim_grid,
+    svgplot.heatmap(run.out_dir / "heatmap_simulated.svg", value.reshape(n, n),
                     "simulated energy landscape", "phi", "theta", extent)
-    svgplot.heatmap(run.out_dir / "heatmap_error.svg", err_grid,
+    svgplot.heatmap(run.out_dir / "heatmap_error.svg", err.reshape(n, n),
                     "absolute error", "phi", "theta", extent)
 
     cost = load_cost_model(cfg.cost_model)
@@ -539,51 +511,49 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     points = (len(pairs) if cfg.optimizer == "spsa" or len(pairs) > 1
               else n_points_from_eta(cfg.eta))
 
-    summary_rows = []
-    artifacts = []
     traces = _optimize(run, table, cfg.optimizer, iterations, points, cfg.shots,
                        [(rep,) for rep in range(cfg.repeats)], cfg.start)
-    finals = _final_points(run, table, [trace.final_params for trace in traces],
-                           range(cfg.repeats))
-    for rep, (trace, levels) in enumerate(zip(traces, finals)):
-        final = trace.final_params
-        corrected = levels[cfg.level]
+    final_params = [trace.final_params for trace in traces]
+    finals = _final_points(run, table, final_params, range(cfg.repeats))
+    artifacts = []
+    for rep, trace in enumerate(traces):
         trace_path = run.out_dir / f"trace_rep{rep}.csv"
         trace.write(trace_path, run.out_dir / f"trace_rep{rep}.json")
         artifacts.append(trace_path.name)
-        summary_rows.append([rep, final.phi, final.theta,
-                             levels["raw"], levels["ni"], levels["tflo"],
-                             levels["tflo_ni"], corrected,
-                             abs(corrected - e0), exact_energy(final, h) - e0])
-        if rep == 0:
-            its = [r.iteration for r in trace.records]
-            svgplot.line_plot(
-                run.out_dir / "trace_rep0.svg",
-                {"estimate": (its, [r.e_ni for r in trace.records]),
-                 "raw": (its, [r.e_raw for r in trace.records]),
-                 "exact at params": (its, [r.e_exact for r in trace.records])},
-                f"{cfg.optimizer} on {len(pairs)} pair(s)", "iteration", "energy",
-                hlines={"exact ground": e0})
+    records = traces[0].records
+    its = [r.iteration for r in records]
+    svgplot.line_plot(
+        run.out_dir / "trace_rep0.svg",
+        {"estimate": (its, [r.e_ni for r in records]),
+         "raw": (its, [r.e_raw for r in records]),
+         "exact at params": (its, [r.e_exact for r in records])},
+        f"{cfg.optimizer} on {len(pairs)} pair(s)", "iteration", "energy",
+        hlines={"exact ground": e0})
 
+    corrected = [levels[cfg.level] for levels in finals]
+    abs_err = [abs(value - e0) for value in corrected]
     summary_path = run.out_dir / "summary.csv"
     write_csv(summary_path,
               ["repeat", "final_phi", "final_theta", "final_raw", "final_ni",
                "final_tflo", "final_tflo_ni", "final_corrected",
                "final_abs_err", "exact_err_at_final"],
-              summary_rows)
+              [list(range(cfg.repeats)), [f.phi for f in final_params],
+               [f.theta for f in final_params],
+               *([levels[m] for levels in finals] for m in MITIGATION_LEVELS),
+               corrected, abs_err, [exact_energy(f, h) - e0 for f in final_params]])
     artifacts.append(summary_path.name)
 
     seconds_parallel, seconds_single = modeled_vqe_wall_times(
         load_cost_model(cfg.cost_model), cfg.optimizer, len(pairs), points, iterations,
         cfg.shots)
-    errs = sorted(r[8] for r in summary_rows)
+    errs = sorted(abs_err)
     metrics = {
         "optimizer": cfg.optimizer,
         "pairs": len(pairs),
         "points_per_iteration": points if cfg.optimizer == "mgd" else None,
         "iterations": iterations,
         "repeats": cfg.repeats,
-        "median_final_abs_err": float(np.median([r[8] for r in summary_rows])),
+        "median_final_abs_err": float(np.median(abs_err)),
         "min_final_abs_err": errs[0],
         "max_final_abs_err": errs[-1],
         "modeled_seconds_parallel": seconds_parallel,
@@ -601,23 +571,22 @@ def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
     simulated."""
     run = _Run(cfg)
     cost = load_cost_model(cfg.cost_model)
-    rows = []
-    for p in cfg.pair_counts:
+    counts = list(cfg.pair_counts)
+    speedups = {}
+    for optimizer in ("spsa", "mgd"):
         # both times scale with the iteration count, so one iteration models the ratio
-        spsa_par, spsa_single = modeled_vqe_wall_times(cost, "spsa", p, p, 1, cfg.shots)
-        mgd_par, mgd_single = modeled_vqe_wall_times(cost, "mgd", p, p, 1, cfg.shots)
-        rows.append([p, spsa_single / spsa_par, mgd_single / mgd_par])
+        times = [modeled_vqe_wall_times(cost, optimizer, p, p, 1, cfg.shots) for p in counts]
+        speedups[optimizer] = [single / parallel for parallel, single in times]
     path = run.out_dir / "speedup_sweep.csv"
-    write_csv(path, ["p", "spsa_speedup", "mgd_speedup"], rows)
+    write_csv(path, ["p", "spsa_speedup", "mgd_speedup"], [counts, *speedups.values()])
     svgplot.line_plot(run.out_dir / "speedup_sweep.svg",
-                      {"spsa": ([r[0] for r in rows], [r[1] for r in rows]),
-                       "mgd": ([r[0] for r in rows], [r[2] for r in rows])},
+                      {name: (counts, values) for name, values in speedups.items()},
                       "modelled speedup vs pairs", "pairs in parallel", "speedup")
-    metrics = {"pair_counts": list(cfg.pair_counts),
-               "spsa_speedups": [r[1] for r in rows],
-               "mgd_speedups": [r[2] for r in rows]}
+    metrics = {"pair_counts": counts,
+               "spsa_speedups": speedups["spsa"],
+               "mgd_speedups": speedups["mgd"]}
     return run.finish("speedup-sweep", metrics, [path.name],
-                      f"speedup-sweep: {len(rows)} pair counts modelled")
+                      f"speedup-sweep: {len(counts)} pair counts modelled")
 
 
 # --- shots-sweep ----------------------------------------------------------------
@@ -636,23 +605,25 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     table = run.pair_table(pairs, cfg.ni)
     iterations = cfg.iterations if cfg.iterations is not None else 50
 
-    rows, artifacts, series = [], [], {}
-    final_err = {}
+    artifacts, traces = [], {}
     for si, shots in enumerate(cfg.shots_list):
         trace, = _optimize(run, table, "spsa", iterations, len(pairs), shots, [(si,)])
-        err = exact_energy(trace.final_params, h) - e0
-        final_err[shots] = err
         trace_path = run.out_dir / f"trace_shots{shots}.csv"
         trace.write(trace_path)
         artifacts.append(trace_path.name)
-        rows.append([shots, trace.final_params.phi, trace.final_params.theta, err,
-                     min(r.e_exact - e0 for r in trace.records)])
-        series[f"{shots} shots"] = ([r.iteration for r in trace.records],
-                                    [r.e_exact for r in trace.records])
+        traces[shots] = trace
+    final_params = [trace.final_params for trace in traces.values()]
+    final_err = {shots: exact_energy(f, h) - e0 for shots, f in zip(traces, final_params)}
     summary_path = run.out_dir / "shots_summary.csv"
     write_csv(summary_path, ["shots", "final_phi", "final_theta",
-                             "final_exact_err", "best_exact_err"], rows)
+                             "final_exact_err", "best_exact_err"],
+              [list(traces), [f.phi for f in final_params], [f.theta for f in final_params],
+               list(final_err.values()),
+               [min(r.e_exact - e0 for r in trace.records) for trace in traces.values()]])
     artifacts.append(summary_path.name)
+    series = {f"{shots} shots": ([r.iteration for r in trace.records],
+                                 [r.e_exact for r in trace.records])
+              for shots, trace in traces.items()}
     svgplot.line_plot(run.out_dir / "shots_sweep.svg", series,
                       f"SPSA on {len(pairs)} pairs: exact energy at iterates",
                       "iteration", "exact energy", hlines={"exact ground": e0})
@@ -695,20 +666,19 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
             finals = _final_points(run, table, [trace.final_params for trace in traces],
                                    [1000 * p_count + 10 * rep + index
                                     for rep in range(plan["repeats"])])
-            errs = []
-            for rep, (trace, levels) in enumerate(zip(traces, finals)):
-                err = abs(levels["tflo_ni"] - run.e0)
-                errs.append(err)
-                rows.append([name, p_count, rep, trace.final_params.phi,
-                             trace.final_params.theta, levels["tflo_ni"], err])
-            summary.append([name, p_count, float(np.median(errs)), min(errs), max(errs)])
+            errs = [abs(levels["tflo_ni"] - run.e0) for levels in finals]
+            rows += [(name, p_count, rep, trace.final_params.phi, trace.final_params.theta,
+                      levels["tflo_ni"], err)
+                     for rep, (trace, levels, err) in enumerate(zip(traces, finals, errs))]
+            summary.append((name, p_count, float(np.median(errs)), min(errs), max(errs)))
 
+    # both tables are built a row per run; write_csv takes their columns
     runs_path = run.out_dir / "compare_runs.csv"
     write_csv(runs_path, ["optimizer", "p", "repeat", "final_phi", "final_theta",
-                          "final_tflo_ni", "final_abs_err"], rows)
+                          "final_tflo_ni", "final_abs_err"], list(zip(*rows)))
     summary_path = run.out_dir / "compare_summary.csv"
     write_csv(summary_path, ["optimizer", "p", "median_abs_err",
-                             "min_abs_err", "max_abs_err"], summary)
+                             "min_abs_err", "max_abs_err"], list(zip(*summary)))
     svgplot.line_plot(
         run.out_dir / "compare_summary.svg",
         {name: ([r[1] for r in summary if r[0] == name],
@@ -761,3 +731,10 @@ COMMANDS = {
                                  "SPSA vs surrogate descent across pair counts",
                                  _RUNS + ("shots", "pair_counts")),
 }
+
+
+def config_for(command: str, **settings) -> ExperimentConfig:
+    """The config `command` runs with: ExperimentConfig's defaults, then the
+    command's default overrides, then settings. The CLI builds its config
+    here too, so a direct call and the same flags run alike."""
+    return ExperimentConfig(**{**COMMANDS[command].defaults, **settings})

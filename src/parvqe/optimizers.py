@@ -34,8 +34,6 @@ updates.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -44,6 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .csvio import csv_chunks, write_csv
 from .executor import (
     EnergyEstimate,
     Estimates,
@@ -136,15 +135,12 @@ class OptTrace:
     records: list[IterationRecord]
     final_params: AnsatzParams
 
+    def _csv_table(self) -> tuple[tuple[str, ...], list[list]]:
+        header = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
+        return header, [[getattr(r, name) for r in self.records] for name in header]
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["iteration", "phi", "theta", "e_raw", "e_ni", "e_exact"])
-        for r in self.records:
-            writer.writerow([r.iteration, repr(r.phi), repr(r.theta),
-                             repr(r.e_raw), repr(r.e_ni),
-                             "" if r.e_exact is None else repr(r.e_exact)])
-        return buf.getvalue()
+        return "".join(csv_chunks(*self._csv_table()))
 
     def to_json(self) -> str:
         payload = {
@@ -159,7 +155,7 @@ class OptTrace:
         return json.dumps(payload, sort_keys=True) + "\n"
 
     def write(self, csv_path: str | Path, json_path: str | Path | None = None) -> None:
-        Path(csv_path).write_text(self.to_csv())
+        write_csv(csv_path, *self._csv_table())
         if json_path is not None:
             Path(json_path).write_text(self.to_json())
 

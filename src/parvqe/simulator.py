@@ -7,14 +7,13 @@ independent asymmetric readout bit flips on each qubit. An optional
 crosstalk knob adds extra depolarizing probability when a neighbouring
 pair is active in the same batch.
 
-Two simulators share that model. `batch_distributions` is the one the
-executor runs: the closed form of the gate template's outcome
-probabilities, a few array operations for every pair of a call at once.
-It relies on the depolarizing event commuting with the unitaries after
-it, so the outcome distribution is N_ro ((1-p) |U psi|^2 + p/4).
-`run_circuit` walks one compiled circuit of the template gate by gate on
-a 4x4 density matrix; it is the reference the closed form is tested
-against.
+`batch_distributions` is the simulator the executor runs: the closed form
+of the gate template's outcome probabilities, a few array operations for
+every pair of a call at once. It relies on the depolarizing event
+commuting with the unitaries after it, so the outcome distribution is
+N_ro ((1-p) |U psi|^2 + p/4). The tests hold the reference it is checked
+against, a gate-by-gate walk of one compiled circuit on a 4x4 density
+matrix.
 """
 
 from __future__ import annotations
@@ -22,12 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .circuits import NativeCircuit, gate_matrix
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = -1e-10
 
 
 def fidelity_to_depolarizing(f: float) -> float:
@@ -110,43 +103,6 @@ class ShotHistogram:
 
     def frequencies(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=float) / self.shots
-
-
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise if rho is not Hermitian, unit-trace and positive (within tolerance)."""
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
-    if np.min(np.linalg.eigvalsh(rho)) < EIGENVALUE_TOL:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
-def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
-    """Two-qubit depolarizing channel rho -> (1-p) rho + p I/4."""
-    return (1.0 - p) * rho + p * np.eye(4) / 4.0
-
-
-def run_circuit(circuit: NativeCircuit, noise: PairNoiseSpec = NOISELESS,
-                crosstalk_active: bool = False) -> np.ndarray:
-    """Simulate the circuit on |00><00| and return the final density matrix.
-
-    Gates are applied as exact conjugations; the depolarizing event fires
-    immediately after the CZ with probability depol_p (plus crosstalk_p if
-    the caller flags a simultaneously active neighbouring pair). Readout
-    error is not applied here; it belongs to the measurement step.
-    """
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    p_eff = noise.effective_p(crosstalk_active)
-    for gate in circuit.gates:
-        u = gate_matrix(gate)
-        rho = u @ rho @ u.conj().T
-        if gate.kind == "CZ" and p_eff > 0.0:
-            rho = depolarize(rho, p_eff)
-    return rho
 
 
 def exact_distribution(rho: np.ndarray, noise: PairNoiseSpec = NOISELESS) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 48
 
@@ -173,37 +175,49 @@ def scatter_plot(path: str | Path, series: dict[str, tuple[list[float], list[flo
     Path(path).write_text(canvas.render())
 
 
-def gradient_color(frac: float) -> str:
-    """Interpolated colour from the fixed 8-stop gradient, frac in [0, 1]."""
-    frac = min(max(frac, 0.0), 1.0)
-    pos = frac * (len(_GRADIENT) - 1)
-    i = min(int(pos), len(_GRADIENT) - 2)
-    w = pos - i
-    rgb = [round((1 - w) * a + w * b) for a, b in zip(_GRADIENT[i], _GRADIENT[i + 1])]
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+def gradient_colors(frac: np.ndarray) -> np.ndarray:
+    """'#rrggbb' colours interpolated from the fixed 8-stop gradient at each
+    fraction, clipped to [0, 1]; channels round half to even, as round()
+    does, and each distinct colour is formatted once."""
+    stops = np.array(_GRADIENT)
+    pos = np.clip(frac, 0.0, 1.0) * (len(_GRADIENT) - 1)
+    i = np.minimum(pos.astype(np.int64), len(_GRADIENT) - 2)
+    w = (pos - i)[..., None]
+    rgb = np.round((1 - w) * stops[i] + w * stops[i + 1]).astype(np.int64)
+    packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    distinct, inverse = np.unique(packed.ravel(), return_inverse=True)
+    text = np.array([f"#{c:06x}" for c in distinct.tolist()], dtype=object)
+    return text[inverse.ravel()].reshape(packed.shape)
 
 
 def heatmap(path: str | Path, grid, title: str, xlabel: str, ylabel: str,
             extent: tuple[float, float, float, float]) -> None:
-    """Colour-mapped cells for grid[i][j]; i indexes x, j indexes y."""
-    nx = len(grid)
-    ny = len(grid[0])
-    flat = [v for row in grid for v in row]
-    lo, hi = min(flat), max(flat)
-    span = (hi - lo) or 1.0
+    """Colour-mapped cells of the 2-D array grid; grid[i, j] is the cell at
+    the i-th x and the j-th y. The cells go to the file a column at a
+    time. A NaN cell, or an infinite one, is a ValueError."""
+    grid = np.asarray(grid, dtype=float)
+    nx, ny = grid.shape
+    flat = grid.ravel()
+    # the first extreme in row-major order, as min() and max() pick it
+    lo, hi = flat[flat.argmin()].item(), flat[flat.argmax()].item()
+    with np.errstate(invalid="ignore"):
+        frac = (grid - lo) / ((hi - lo) or 1.0)
+    if np.isnan(frac).any():
+        raise ValueError("heatmap cells must be finite")
+    colours = gradient_colors(frac)
     canvas = _Canvas(title, xlabel, ylabel, (extent[0], extent[1]), (extent[2], extent[3]))
     cell_w = (WIDTH - MARGIN_L - MARGIN_R) / nx
     cell_h = (HEIGHT - MARGIN_T - MARGIN_B) / ny
-    for i in range(nx):
-        for j in range(ny):
-            color = gradient_color((grid[i][j] - lo) / span)
-            x = MARGIN_L + i * cell_w
-            y = HEIGHT - MARGIN_B - (j + 1) * cell_h
-            canvas.parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" '
-                                f'width="{cell_w+0.5:.2f}" height="{cell_h+0.5:.2f}" '
-                                f'fill="{color}"/>')
-    canvas.axes()
-    canvas.parts.append(f'<text x="{WIDTH-MARGIN_R}" y="{MARGIN_T-6}" text-anchor="end" '
-                        f'font-family="sans-serif" font-size="10">'
-                        f'range [{_fmt(lo)}, {_fmt(hi)}]</text>')
-    Path(path).write_text(canvas.render())
+    size = f'width="{cell_w+0.5:.2f}" height="{cell_h+0.5:.2f}" fill="'
+    ys = [f'" y="{HEIGHT - MARGIN_B - (j + 1) * cell_h:.2f}" {size}' for j in range(ny)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(canvas.parts))
+        for i in range(nx):
+            x = f'\n<rect x="{MARGIN_L + i * cell_w:.2f}'
+            fh.write("".join(f'{x}{y}{colour}"/>' for y, colour in zip(ys, colours[i])))
+        canvas.parts = []       # the head is out; the axes go over the cells
+        canvas.axes()
+        canvas.parts.append(f'<text x="{WIDTH-MARGIN_R}" y="{MARGIN_T-6}" text-anchor="end" '
+                            f'font-family="sans-serif" font-size="10">'
+                            f'range [{_fmt(lo)}, {_fmt(hi)}]</text>')
+        fh.write("\n" + canvas.render())

@@ -18,6 +18,7 @@ from parvqe.cli import build_parser, config_from_args, main as cli_main
 from parvqe.device import DeviceTopology, max_weight_matching
 from parvqe.executor import load_cost_model, predict_wall_time
 from parvqe.harness import (
+    COMMANDS,
     MAX_POINTS_PER_ITERATION,
     ExperimentConfig,
     InputError,
@@ -29,6 +30,7 @@ from parvqe.harness import (
     cmd_shots_sweep,
     cmd_speedup_sweep,
     cmd_vqe,
+    config_for,
     modeled_vqe_wall_times,
     rank_correlation,
     select_pairs,
@@ -249,9 +251,8 @@ def test_matching_selection_keeps_best_pairs_above_cap(shipped_topology):
 
 
 def test_shots_sweep_uses_capped_selection_and_reports_gap(tmp_path):
-    cfg = ExperimentConfig(seed=2022, out_dir=tmp_path / "shots",
-                           shots_list=(1000, 10_000), iterations=25,
-                           confusion_shots=1000, mitigation="ni")
+    cfg = config_for("shots-sweep", seed=2022, out_dir=tmp_path / "shots",
+                     shots_list=(1000, 10_000), iterations=25, confusion_shots=1000)
     record = cmd_shots_sweep(cfg)
     assert record.metrics["pairs"] == 26
     assert record.metrics["fidelity_cap"] == 0.90
@@ -266,9 +267,8 @@ def test_shots_sweep_tiny_shot_budget_degrades(tmp_path):
     # over seeds
     errs = {"10": [], "1000": []}
     for seed in range(11, 16):
-        cfg = ExperimentConfig(seed=seed, out_dir=tmp_path / f"shots{seed}", pairs=1,
-                               shots_list=(10, 1000), confusion_shots=1000,
-                               mitigation="ni")
+        cfg = config_for("shots-sweep", seed=seed, out_dir=tmp_path / f"shots{seed}",
+                         pairs=1, shots_list=(10, 1000), confusion_shots=1000)
         by_shots = cmd_shots_sweep(cfg).metrics["final_exact_err_by_shots"]
         for shots in errs:
             errs[shots].append(by_shots[shots])
@@ -357,6 +357,32 @@ def test_cli_default_shots_per_command(tmp_path):
     for command, name, value in want:
         args = build_parser().parse_args([command, "--seed", "1", "--out", str(tmp_path)])
         assert getattr(config_from_args(args), name) == value, (command, name)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_for_matches_the_cli(command, tmp_path):
+    """A config built in code for a command equals the one its flags give,
+    with and without flags, so a direct call runs what the CLI runs."""
+    parse = build_parser().parse_args
+    base = ["--seed", "1", "--out", str(tmp_path)]
+    assert config_for(command, seed=1, out_dir=tmp_path) == config_from_args(
+        parse([command, *base]))
+    settings = {"heatmap": ({"shots": 300, "grid": 5}, ["--shots", "300", "--grid", "5"]),
+                "shots-sweep": ({"mitigation": "none", "shots_list": (50,)},
+                                ["--mitigation", "none", "--shots-list", "50"])}
+    given, flags = settings.get(command, ({}, []))
+    assert config_for(command, seed=1, out_dir=tmp_path, **given) == config_from_args(
+        parse([command, *base, *flags]))
+
+
+def test_config_for_applies_command_defaults(tmp_path):
+    # a bare ExperimentConfig runs 1,000 shots and ni+tflo; the commands
+    # that override those defaults get theirs through config_for
+    assert config_for("benchmark-pairs", seed=1, out_dir=tmp_path).shots == 10_000
+    assert config_for("benchmark-pairs", seed=1, out_dir=tmp_path, shots=20).shots == 20
+    assert config_for("shots-sweep", seed=1, out_dir=tmp_path).mitigation == "ni"
+    assert config_for("vqe", seed=1, out_dir=tmp_path) == ExperimentConfig(
+        seed=1, out_dir=tmp_path)
 
 
 # every setting a command reads, besides seed and out_dir, as record.json

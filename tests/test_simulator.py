@@ -1,4 +1,5 @@
-"""Noise-channel and sampling tests for the density-matrix simulator."""
+"""Noise-channel and sampling tests for the simulator and its density-matrix
+reference."""
 
 import math
 
@@ -14,12 +15,11 @@ from parvqe.simulator import (
     PairNoiseSpec,
     ShotHistogram,
     batch_distributions,
-    check_density_matrix,
     exact_distribution,
     fidelity_to_depolarizing,
-    run_circuit,
     sample_shots,
 )
+from reference import check_density_matrix, run_circuit
 
 KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
