@@ -31,7 +31,6 @@ from .executor import (
     calibrate_cost_model,
     compile_pairs,
     estimate_counts,
-    estimate_energy,
     predict_wall_time,
     run_batch,
 )
@@ -46,7 +45,7 @@ __all__ = [
     "max_weight_matching", "noise_spec_for_pair",
     "ConfusionMatrix", "invert_readout", "measure_confusion", "tflo_correct",
     "CostModel", "EnergyEstimate", "Estimates", "PairTable", "aggregate_same_params",
-    "calibrate_cost_model", "compile_pairs", "estimate_counts", "estimate_energy",
+    "calibrate_cost_model", "compile_pairs", "estimate_counts",
     "predict_wall_time", "run_batch",
     "MgdConfig", "OptTrace", "SpsaConfig", "mgd_run", "n_points_from_eta", "spsa_run",
     "__version__",

@@ -19,7 +19,8 @@ fidelity and retire both endpoints) or an exact maximum-weight matching
 over the whole connectivity graph. The matching is solved here, as an
 assignment problem, whenever the coupler graph is bipartite (octagon,
 heavy-hex and square-grid chips all are); only a graph with an odd cycle
-imports networkx for its blossom solver.
+imports networkx, an optional dependency in the test extra, for its
+blossom solver.
 """
 
 from __future__ import annotations
@@ -247,7 +248,11 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def _blossom_matching(topology: DeviceTopology) -> list[Pair]:
-    import networkx as nx   # deferred: only odd-cycle graphs need it, and it is slow to import
+    try:    # deferred: only odd-cycle graphs need it, and it is slow to import
+        import networkx as nx
+    except ImportError as exc:
+        raise ImportError("matching a coupler graph with an odd cycle needs networkx, "
+                          "from the test extra: pip install 'parvqe[test]'") from exc
 
     graph = nx.Graph()
     graph.add_nodes_from(sorted(topology.qubits))

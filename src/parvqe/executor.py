@@ -39,7 +39,7 @@ from .circuits import HOPPING_SIGNS, ONSITE_ZZ_SIGN, Z0_OUTCOMES, Z1_OUTCOMES, Z
 from .device import DeviceTopology, Pair, noise_spec_for_pair
 from .hubbard import AnsatzParams, HubbardParams
 from .mitigation import ConfusionMatrix
-from .simulator import PairNoiseSpec, ShotHistogram, batch_distributions, confusion_maps
+from .simulator import PairNoiseSpec, batch_distributions, confusion_maps
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def estimate_counts(table: PairTable, rows, counts: np.ndarray, shots: int) -> E
     Per row, value = u/2 + sum_k coeffs_k @ f_k over the frequencies f,
     and the variance sums (coeffs_k**2 @ f_k - (coeffs_k @ f_k)**2) / shots
     over the settings, each term clipped at 0: the plug-in multinomial
-    variance that `estimate_energy` computes one pair at a time.
+    variance.
     """
     freqs = counts / shots
     coeffs = table.coeffs[rows]
@@ -215,62 +215,6 @@ def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shot
     return [PairCounts(table.pairs[row], hist) for row, hist in zip(rows.tolist(), counts)]
 
 
-def _as_distribution(measured) -> tuple[np.ndarray, int | None]:
-    if measured is None:
-        raise ValueError("both measurement settings are required")
-    if isinstance(measured, ShotHistogram):
-        return measured.frequencies(), measured.shots
-    arr = np.asarray(measured, dtype=float)
-    if arr.shape != (4,):
-        raise ValueError(f"expected a length-4 distribution, got shape {arr.shape}")
-    return arr, None
-
-
-def _plugin_variance(coeffs: np.ndarray, freqs: np.ndarray, shots: int) -> float:
-    mean = float(coeffs @ freqs)
-    second = float((coeffs ** 2) @ freqs)
-    return max(second - mean ** 2, 0.0) / shots
-
-
-def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
-                    confusion: ConfusionMatrix | None = None) -> EnergyEstimate:
-    """Combine the two settings' distributions into an energy estimate.
-
-    value = (u/2) (1 + <ZZ>) - t (<X(x)I> + <I(x)X>) under the frozen
-    sign map. Inputs are ShotHistograms or plain probability vectors
-    (exact-expectation mode, std_err = 0). With a confusion matrix the
-    distributions are noise-inverted first and the standard error is
-    propagated through the inversion.
-    """
-    p_on, shots_on = _as_distribution(onsite)
-    p_hop, shots_hop = _as_distribution(hopping)
-    if (shots_on is None) != (shots_hop is None):
-        raise ValueError("cannot mix exact distributions with histograms")
-    if shots_on is not None and shots_on != shots_hop:
-        raise ValueError(f"shot mismatch between settings: {shots_on} vs {shots_hop}")
-
-    c_on, c_hop = setting_coefficients(h)
-
-    def combine(con, chop):
-        return h.u / 2.0 + float(con @ p_on) + float(chop @ p_hop)
-
-    raw = combine(c_on, c_hop)
-    if confusion is None:
-        value, eff_on, eff_hop = raw, c_on, c_hop
-    else:
-        eff_on = confusion.inverse.T @ c_on
-        eff_hop = confusion.inverse.T @ c_hop
-        value = combine(eff_on, eff_hop)
-
-    if shots_on is None:
-        std_err = 0.0
-    else:
-        var = _plugin_variance(eff_on, p_on, shots_on) \
-            + _plugin_variance(eff_hop, p_hop, shots_hop)
-        std_err = float(np.sqrt(var))
-    return EnergyEstimate(value=value, std_err=std_err, raw_value=raw)
-
-
 def aggregate_same_params(est: Estimates) -> Estimates:
     """Pool same-parameter estimates (equal shots each) over the last axis,
     the rows of one batch: the mean, with errors in quadrature. Leading
@@ -287,12 +231,20 @@ def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,
                              noise: PairNoiseSpec,
                              confusion: ConfusionMatrix | None = None,
                              crosstalk_active: bool = False) -> EnergyEstimate:
-    """Full pipeline in exact-expectation mode: the batch kernel for one
-    pair, estimated without sampling."""
+    """Full pipeline in exact-expectation mode: the batch kernel's outcome
+    distributions for one pair, combined without sampling (std_err = 0);
+    noise-inverted with a confusion matrix, raw_value staying uninverted."""
     onsite, hopping = batch_distributions(
         np.array([a.phi]), np.array([a.theta]),
         np.array([noise.effective_p(crosstalk_active)]), noise.confusion_map()[None])[0]
-    return estimate_energy(onsite, hopping, h, confusion)
+
+    def combine(c_on, c_hop):
+        return h.u / 2.0 + float(c_on @ onsite) + float(c_hop @ hopping)
+
+    coeffs = setting_coefficients(h)
+    raw = combine(*coeffs)
+    value = raw if confusion is None else combine(*(confusion.inverse.T @ c for c in coeffs))
+    return EnergyEstimate(value=value, std_err=0.0, raw_value=raw)
 
 
 # --- wall-clock cost model ---------------------------------------------------

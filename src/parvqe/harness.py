@@ -206,8 +206,11 @@ def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
     the pairs of the maximum-weight matching are ranked by fidelity, ties
     broken by pair id. An empty selection is an InputError."""
     if select == "matching":
-        ranked = sorted((p for p in max_weight_matching(topology).pairs
-                         if cap is None or topology.fidelity(p) >= cap),
+        try:
+            matched = max_weight_matching(topology).pairs
+        except ImportError as exc:
+            raise InputError(str(exc)) from exc
+        ranked = sorted((p for p in matched if cap is None or topology.fidelity(p) >= cap),
                         key=lambda p: (-topology.fidelity(p), p))
         selection = PairSelection(pairs=tuple(ranked[:pairs]), fidelity_cap=cap)
     else:
@@ -520,13 +523,12 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
         trace_path = run.out_dir / f"trace_rep{rep}.csv"
         trace.write(trace_path, run.out_dir / f"trace_rep{rep}.json")
         artifacts.append(trace_path.name)
-    records = traces[0].records
-    its = [r.iteration for r in records]
+    trace = traces[0]
+    its = trace.iteration.tolist()
     svgplot.line_plot(
         run.out_dir / "trace_rep0.svg",
-        {"estimate": (its, [r.e_ni for r in records]),
-         "raw": (its, [r.e_raw for r in records]),
-         "exact at params": (its, [r.e_exact for r in records])},
+        {"estimate": (its, trace.e_ni.tolist()), "raw": (its, trace.e_raw.tolist()),
+         "exact at params": (its, trace.e_exact.tolist())},
         f"{cfg.optimizer} on {len(pairs)} pair(s)", "iteration", "energy",
         hlines={"exact ground": e0})
 
@@ -619,10 +621,9 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
                              "final_exact_err", "best_exact_err"],
               [list(traces), [f.phi for f in final_params], [f.theta for f in final_params],
                list(final_err.values()),
-               [min(r.e_exact - e0 for r in trace.records) for trace in traces.values()]])
+               [min((trace.e_exact - e0).tolist()) for trace in traces.values()]])
     artifacts.append(summary_path.name)
-    series = {f"{shots} shots": ([r.iteration for r in trace.records],
-                                 [r.e_exact for r in trace.records])
+    series = {f"{shots} shots": (trace.iteration.tolist(), trace.e_exact.tolist())
               for shots, trace in traces.items()}
     svgplot.line_plot(run.out_dir / "shots_sweep.svg", series,
                       f"SPSA on {len(pairs)} pairs: exact energy at iterates",

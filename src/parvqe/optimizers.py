@@ -18,8 +18,12 @@ Each optimizer has one lockstep core (`spsa_lockstep`, `mgd_lockstep`)
 that advances R independent repeats together: every step asks the
 evaluator once for the (R, m) points of all repeats and reads back one
 Estimates with (R, m) fields, so the executor-backed evaluators run them
-in one kernel call. `spsa_run` and `mgd_run` are the one-repeat adapters
-over plain evaluators.
+in one kernel call. Neither core loops over repeats, apart from each
+repeat's draws from its own stream: MGD fits every repeat's surrogate in
+one batched solve per value column, and each step appends one (R,)
+column per trace field, so an OptTrace holds (K,) columns over its K
+iterations. `spsa_run` and `mgd_run` are the one-repeat adapters over
+plain evaluators.
 
 Both executor-backed evaluators batch through `batch_pair_evaluator`,
 which spreads points over the table's rows; SPSA's same-parameters
@@ -38,7 +42,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,8 +123,9 @@ def n_points_from_eta(eta: float) -> int:
     return int(np.floor(eta * N_SURROGATE_FEATURES + 0.5))
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
+    """One row of an OptTrace, read from its columns."""
+
     iteration: int
     phi: float
     theta: float
@@ -130,14 +135,42 @@ class IterationRecord:
     points: tuple[tuple[float, float], ...] | None = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OptTrace:
-    records: list[IterationRecord]
+    """One repeat's run as (K,) columns over its K iterations: the centre
+    (phi, theta), the raw and noise-inverted estimates there, the exact
+    energy (None without an oracle) and, for MGD, the (K, m, 2) points
+    sampled around each centre (None for SPSA)."""
+
+    phi: np.ndarray
+    theta: np.ndarray
+    e_raw: np.ndarray
+    e_ni: np.ndarray
+    e_exact: np.ndarray | None
+    points: np.ndarray | None
     final_params: AnsatzParams
 
-    def _csv_table(self) -> tuple[tuple[str, ...], list[list]]:
+    @property
+    def iteration(self) -> np.ndarray:
+        return np.arange(1, len(self.phi) + 1)
+
+    @property
+    def records(self) -> tuple[IterationRecord, ...]:
+        """The trace row by row, a read-only view of its columns."""
+        k = len(self.phi)
+        e_exact = [None] * k if self.e_exact is None else self.e_exact.tolist()
+        points = ([None] * k if self.points is None
+                  else [tuple(map(tuple, p)) for p in self.points.tolist()])
+        return tuple(map(IterationRecord, self.iteration.tolist(), self.phi.tolist(),
+                         self.theta.tolist(), self.e_raw.tolist(), self.e_ni.tolist(),
+                         e_exact, points))
+
+    def _csv_table(self) -> tuple[tuple[str, ...], list]:
         header = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
-        return header, [[getattr(r, name) for r in self.records] for name in header]
+        # as lists: a trace's values are nearly all distinct, so csvio's
+        # np.unique path for arrays would only cost time
+        columns = [self.iteration, self.phi, self.theta, self.e_raw, self.e_ni, self.e_exact]
+        return header, [[None] * len(self.phi) if c is None else c.tolist() for c in columns]
 
     def to_csv(self) -> str:
         return "".join(csv_chunks(*self._csv_table()))
@@ -145,12 +178,7 @@ class OptTrace:
     def to_json(self) -> str:
         payload = {
             "final_params": {"phi": self.final_params.phi, "theta": self.final_params.theta},
-            "records": [
-                {"iteration": r.iteration, "phi": r.phi, "theta": r.theta,
-                 "e_raw": r.e_raw, "e_ni": r.e_ni, "e_exact": r.e_exact,
-                 "points": None if r.points is None else [list(p) for p in r.points]}
-                for r in self.records
-            ],
+            "records": [r._asdict() for r in self.records],
         }
         return json.dumps(payload, sort_keys=True) + "\n"
 
@@ -170,17 +198,22 @@ LockstepEvaluator = Callable[[np.ndarray], Estimates]
 ExactCentres = Callable[[np.ndarray], Sequence[float]]
 
 
-def _record(k: int, centre: np.ndarray, e_raw, e_ni, e_exact, points=None) -> IterationRecord:
-    params = AnsatzParams(*centre)
-    return IterationRecord(iteration=k, phi=params.phi, theta=params.theta,
-                           e_raw=float(e_raw), e_ni=float(e_ni),
-                           e_exact=None if e_exact is None else float(e_exact),
-                           points=points)
+def _traces(steps, final: np.ndarray) -> list[OptTrace]:
+    """One trace per repeat from the steps' columns over all R repeats:
+    per step the (R, 2) centres, the (R,) e_raw, e_ni and e_exact (None
+    without an oracle) and the (R, m, 2) points (None for SPSA), each
+    stacked along a new iteration axis."""
+    centres, e_raw, e_ni, e_exact, points = (
+        None if col[0] is None else np.stack(col, axis=1) for col in zip(*steps))
+    return [OptTrace(phi=centres[r, :, 0], theta=centres[r, :, 1], e_raw=e_raw[r],
+                     e_ni=e_ni[r], e_exact=None if e_exact is None else e_exact[r],
+                     points=None if points is None else points[r],
+                     final_params=AnsatzParams(*final[r]))
+            for r in range(len(final))]
 
 
-def _traces(records, theta: np.ndarray) -> list[OptTrace]:
-    return [OptTrace(records=recs, final_params=AnsatzParams(*final))
-            for recs, final in zip(records, theta)]
+def _exact_at(exact: ExactCentres | None, centres: np.ndarray) -> np.ndarray | None:
+    return None if exact is None else np.asarray(exact(centres), dtype=float)
 
 
 def _exact_of(exact_fn: ExactFn | None) -> ExactCentres | None:
@@ -203,18 +236,16 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     not.
     """
     theta = np.array([[s.phi, s.theta] for s in starts], dtype=float)
-    records = [[] for _ in theta]
+    steps = []
     for k in range(1, cfg.iterations + 1):
         a_k, c_k = cfg.gains(k)
         delta = np.array([_SIGNS[stream.integers(0, 2, size=2)] for stream in streams])
         est = evaluate(np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1))
-        e_exact = [None] * len(theta) if exact is None else exact(theta)
-        for r, recs in enumerate(records):
-            recs.append(_record(k, theta[r], est.raw[r, 0], est.value[r, 0], e_exact[r]))
+        steps.append((theta, est.raw[:, 0], est.value[:, 0], _exact_at(exact, theta), None))
         e_diff = est.value[:, 1] - est.value[:, 2]
         grad = (e_diff / (2.0 * c_k))[:, None] * delta   # 1/delta_i == delta_i
         theta = theta - a_k * grad
-    return _traces(records, theta)
+    return _traces(steps, theta)
 
 
 def spsa_run(cfg: SpsaConfig, evaluator: Evaluator, start: AnsatzParams,
@@ -233,18 +264,24 @@ def spsa_run(cfg: SpsaConfig, evaluator: Evaluator, start: AnsatzParams,
 
 
 def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
-                   ridge: float) -> np.ndarray:
-    design = np.column_stack([
-        np.ones(len(offsets)), offsets[:, 0], offsets[:, 1],
-        offsets[:, 0] ** 2, offsets[:, 0] * offsets[:, 1], offsets[:, 1] ** 2,
-    ])
-    wx = design * weights[:, None]
-    normal = wx.T @ design + ridge * np.eye(N_SURROGATE_FEATURES)
-    if ridge == 0.0 and np.linalg.matrix_rank(normal) < N_SURROGATE_FEATURES:
+                   ridge: np.ndarray) -> np.ndarray:
+    """(R, 6) coefficients of R quadratic surrogates, each fitted to its m
+    (offset, value) points by weighted least squares with its own ridge:
+    offsets (R, m, 2), values and weights (R, m), ridge (R,). A zero-ridge
+    repeat whose normal matrix is singular raises UnderDeterminedFit."""
+    x, y = offsets[..., 0], offsets[..., 1]
+    design = np.stack([np.ones_like(x), x, y, x ** 2, x * y, y ** 2], axis=-1)
+    wx_t = (design * weights[..., None]).transpose(0, 2, 1)
+    normal = wx_t @ design + ridge[:, None, None] * np.eye(N_SURROGATE_FEATURES)
+    unregularised = ridge == 0.0
+    if unregularised.any() and np.any(
+            np.linalg.matrix_rank(normal[unregularised]) < N_SURROGATE_FEATURES):
         raise UnderDeterminedFit(
-            f"{len(offsets)} points cannot determine {N_SURROGATE_FEATURES} "
+            f"{offsets.shape[1]} points cannot determine {N_SURROGATE_FEATURES} "
             "surrogate coefficients without regularisation")
-    return np.linalg.solve(normal, wx.T @ values)
+    # one contiguous (R, m, 1) right-hand side per call keeps each repeat's
+    # matrix-vector product and solve bit-identical to a one-repeat fit
+    return np.linalg.solve(normal, wx_t @ values[..., None])[..., 0]
 
 
 def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: int,
@@ -255,9 +292,10 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
 
     Each iteration, repeat r samples `points` offsets uniformly from the
     trust box [-delta_k, delta_k]^2 with streams[r], and `evaluate` runs
-    every repeat's points at once. Per repeat, the quadratic surrogate is
-    fitted with observation weights 1/std_err^2 and ridge strength (mean
-    observation variance)/l^2, and the repeat steps along the fitted
+    every repeat's points at once. Every repeat's quadratic surrogate is
+    fitted in one batched solve, with observation weights 1/std_err^2 and
+    ridge strength (mean observation variance)/l^2 (unit weights and no
+    ridge for a noiseless repeat), and each repeat steps along its fitted
     linear coefficients.
     """
     if points < 1:
@@ -266,31 +304,24 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
         warnings.warn(f"{points} points under-determine the quadratic surrogate",
                       stacklevel=3)
     theta = np.array([[s.phi, s.theta] for s in starts], dtype=float)
-    records = [[] for _ in theta]
+    steps = []
     for k in range(1, cfg.iterations + 1):
         delta_k, gamma_k = cfg.gains(k)
         offsets = np.array([stream.uniform(-delta_k, delta_k, size=(points, 2))
                             for stream in streams]).reshape(len(theta), points, 2)
         batch = theta[:, None, :] + offsets
         est = evaluate(batch)
-        e_exact = [None] * len(theta) if exact is None else exact(theta)
-        steps = np.empty_like(theta)
-        for r in range(len(theta)):
-            variances = est.std_err[r] ** 2
-            mean_var = float(variances.mean())
-            if mean_var == 0.0:
-                weights = np.ones(points)
-                ridge = 0.0
-            else:
-                weights = 1.0 / np.maximum(variances, 1e-12 * mean_var)
-                ridge = mean_var / cfg.l ** 2
-            coeffs = _fit_surrogate(offsets[r], est.value[r], weights, ridge)
-            e_raw = _fit_surrogate(offsets[r], est.raw[r], weights, ridge)[0]
-            records[r].append(_record(k, theta[r], e_raw, coeffs[0], e_exact[r],
-                                      points=tuple(map(tuple, batch[r].tolist()))))
-            steps[r] = gamma_k * coeffs[1:3]
-        theta = theta - steps
-    return _traces(records, theta)
+        variances = est.std_err ** 2
+        mean_var = variances.mean(axis=1)
+        noiseless = mean_var == 0.0
+        weights = 1.0 / np.where(noiseless[:, None], 1.0,
+                                 np.maximum(variances, 1e-12 * mean_var[:, None]))
+        ridge = np.where(noiseless, 0.0, mean_var / cfg.l ** 2)
+        coeffs = _fit_surrogate(offsets, est.value, weights, ridge)
+        e_raw = _fit_surrogate(offsets, est.raw, weights, ridge)[:, 0]
+        steps.append((theta, e_raw, coeffs[:, 0], _exact_at(exact, theta), batch))
+        theta = theta - gamma_k * coeffs[:, 1:3]
+    return _traces(steps, theta)
 
 
 def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams,

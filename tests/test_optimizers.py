@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from parvqe.csvio import write_csv
 from parvqe.device import DeviceTopology, noise_spec_for_pair
 from parvqe.executor import (
     EnergyEstimate,
@@ -33,6 +35,7 @@ from parvqe.optimizers import (
     spsa_run,
     _fit_surrogate,
 )
+from reference import fit_surrogate
 
 E_GROUND = exact_ground_energy()
 START = AnsatzParams(0.6, 0.8)
@@ -167,15 +170,16 @@ def test_spsa_directions_are_the_choice_draws():
         assert stream.bit_generator.state == reference.bit_generator.state
 
 
-def test_trace_json_round_trips():
+def test_trace_json_round_trips(tmp_path):
     """A trace's JSON, one line from the C encoder, loads back to its
-    final parameters and records: SPSA with exact energies, MGD with the
-    sampled points."""
+    final parameters and records, and its records and CSV are its columns
+    read row by row: SPSA with exact energies, MGD with the sampled
+    points."""
     spsa = spsa_run(SpsaConfig(iterations=4), oracle_evaluator(), START,
                     np.random.default_rng(1), exact_fn=EXACT)
     mgd = mgd_run(MgdConfig(iterations=3), oracle_batch_evaluator(), START, 8,
                   np.random.default_rng(2))
-    for trace in (spsa, mgd):
+    for name, trace in (("spsa", spsa), ("mgd", mgd)):
         text = trace.to_json()
         assert text.count("\n") == 1 and text.endswith("\n")
         payload = json.loads(text)
@@ -184,8 +188,21 @@ def test_trace_json_round_trips():
         records = [IterationRecord(**{**r, "points": None if r["points"] is None
                                       else tuple(map(tuple, r["points"]))})
                    for r in payload["records"]]
-        assert records == trace.records
-    assert spsa.records[0].points is None and mgd.records[0].e_exact is None
+        assert tuple(records) == trace.records
+        for field in IterationRecord._fields:
+            column = getattr(trace, field)
+            want = [None] * len(trace.phi) if column is None else column.tolist()
+            if field == "points" and column is not None:
+                want = [tuple(map(tuple, p)) for p in want]
+            assert [getattr(r, field) for r in trace.records] == want, field
+        path = tmp_path / f"{name}.csv"
+        write_csv(path, ["iteration", "phi", "theta", "e_raw", "e_ni", "e_exact"],
+                  [trace.iteration, trace.phi, trace.theta, trace.e_raw, trace.e_ni,
+                   [None] * len(trace.phi) if trace.e_exact is None else trace.e_exact])
+        assert trace.to_csv() == path.read_text()
+    assert spsa.points is None and spsa.records[0].points is None
+    assert mgd.e_exact is None and mgd.records[0].e_exact is None
+    assert mgd.points.shape == (3, 8, 2)
 
 
 # --- surrogate fitting ---
@@ -197,11 +214,16 @@ def quadratic(v):
     return 2.0 + 0.5 * x - 1.5 * y + 3.0 * x * x + 0.25 * x * y - 2.0 * y * y
 
 
+def fit_one(offsets, values, weights, ridge):
+    """The batched fit of one repeat (R = 1)."""
+    return _fit_surrogate(offsets[None], values[None], weights[None], np.array([ridge]))[0]
+
+
 def test_surrogate_recovers_exact_quadratic():
     rng = np.random.default_rng(8)
     offsets = rng.uniform(-0.5, 0.5, size=(6, 2))
     values = np.array([quadratic(o) for o in offsets])
-    coeffs = _fit_surrogate(offsets, values, np.ones(6), ridge=0.0)
+    coeffs = fit_one(offsets, values, np.ones(6), ridge=0.0)
     assert np.allclose(coeffs, [2.0, 0.5, -1.5, 3.0, 0.25, -2.0], atol=1e-8)
 
 
@@ -219,7 +241,7 @@ def test_surrogate_gradient_error_shrinks_with_radius():
         offsets = rng.uniform(-delta, delta, size=(200, 2))
         values = np.array([exact_energy(AnsatzParams(*(center + o)))
                            for o in offsets])
-        coeffs = _fit_surrogate(offsets, values, np.ones(200), ridge=0.0)
+        coeffs = fit_one(offsets, values, np.ones(200), ridge=0.0)
         errs.append(np.linalg.norm(coeffs[1:3] - fd_grad))
     assert errs[-1] < errs[0]
     assert errs[-1] < 0.05
@@ -230,10 +252,33 @@ def test_under_determined_fit_raises_without_ridge():
     offsets = rng.uniform(-0.3, 0.3, size=(5, 2))
     values = np.array([quadratic(o) for o in offsets])
     with pytest.raises(UnderDeterminedFit):
-        _fit_surrogate(offsets, values, np.ones(5), ridge=0.0)
+        fit_one(offsets, values, np.ones(5), ridge=0.0)
     # a nonzero ridge keeps the system solvable
-    coeffs = _fit_surrogate(offsets, values, np.ones(5), ridge=1e-6)
+    coeffs = fit_one(offsets, values, np.ones(5), ridge=1e-6)
     assert np.all(np.isfinite(coeffs))
+
+
+@st.composite
+def fit_cases(draw):
+    """R repeats of m random points each, with random values and weights,
+    and per repeat either no ridge (only with m >= 6) or a positive one."""
+    repeats, m = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    no_ridge = st.just(0.0) if m >= 6 else st.nothing()
+    ridge = [draw(no_ridge | st.floats(1e-8, 1e3)) for _ in range(repeats)]
+    return (rng.uniform(-1.0, 1.0, size=(repeats, m, 2)),
+            rng.normal(size=(repeats, m)), rng.uniform(0.01, 100.0, size=(repeats, m)),
+            np.array(ridge))
+
+
+@given(fit_cases())
+def test_batched_fit_is_bitwise_the_one_repeat_fit(case):
+    offsets, values, weights, ridge = case
+    coeffs = _fit_surrogate(offsets, values, weights, ridge)
+    assert coeffs.shape == (len(ridge), 6)
+    for r in range(len(ridge)):
+        assert np.array_equal(coeffs[r], fit_surrogate(offsets[r], values[r], weights[r],
+                                                       ridge[r]))
 
 
 # --- MGD ---
@@ -261,6 +306,16 @@ def test_mgd_under_determined_noiseless_aborts():
         with pytest.raises(UnderDeterminedFit):
             mgd_run(MgdConfig(iterations=2), oracle_batch_evaluator(), START, 5,
                     np.random.default_rng(0))
+
+
+def test_mgd_noiseless_weights_divide_by_nothing():
+    """An oracle evaluator's zero errors give unit weights and no ridge,
+    without a division by zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = mgd_run(MgdConfig(iterations=5), oracle_batch_evaluator(), START, 9,
+                        np.random.default_rng(3), exact_fn=EXACT)
+    assert np.all(np.isfinite(trace.e_ni)) and len(trace.records) == 5
 
 
 def test_mgd_trace_diagnostics_do_not_affect_updates():
