@@ -24,7 +24,6 @@ from .device import max_weight_matching, noise_spec_for_pair
 from .mitigation import ConfusionMatrix, invert_readout, measure_confusion, tflo_correct
 from .executor import (
     CostModel,
-    EnergyEstimate,
     Estimates,
     PairTable,
     aggregate_same_params,
@@ -44,7 +43,7 @@ __all__ = [
     "DeviceTopology", "PairSelection", "greedy_select", "load_calibration",
     "max_weight_matching", "noise_spec_for_pair",
     "ConfusionMatrix", "invert_readout", "measure_confusion", "tflo_correct",
-    "CostModel", "EnergyEstimate", "Estimates", "PairTable", "aggregate_same_params",
+    "CostModel", "Estimates", "PairTable", "aggregate_same_params",
     "calibrate_cost_model", "compile_pairs", "estimate_counts",
     "predict_wall_time", "run_batch",
     "MgdConfig", "OptTrace", "SpsaConfig", "mgd_run", "n_points_from_eta", "spsa_run",

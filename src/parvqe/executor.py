@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,29 +43,11 @@ from .mitigation import ConfusionMatrix
 from .simulator import PairNoiseSpec, batch_distributions, confusion_maps
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
-    """Energy value with its multinomial standard error.
-
-    raw_value is the estimate before readout inversion; it equals value
-    when no inversion was applied (given as None, it is set to value).
-    """
-
-    value: float
-    std_err: float
-    raw_value: float | None = None
-
-    def __post_init__(self):
-        if self.std_err < 0:
-            raise ValueError("std_err must be nonnegative")
-        if self.raw_value is None:
-            object.__setattr__(self, "raw_value", self.value)
-
-
 class Estimates(NamedTuple):
     """Energy estimates of a batch's rows: value (noise-inverted when the
     table has confusions), its multinomial standard error, and raw, the
-    estimate before readout inversion (value itself without NI)."""
+    estimate before readout inversion (value itself without NI). Fields
+    are arrays of any one shape, or floats for a single estimate."""
 
     value: np.ndarray
     std_err: np.ndarray
@@ -132,21 +115,25 @@ def compile_pairs(topology: DeviceTopology, pairs, h: HubbardParams = HubbardPar
         coeffs=coeffs, raw_coeffs=c, offset=h.u / 2.0, ni=confusions is not None)
 
 
-def estimate_counts(table: PairTable, rows, counts: np.ndarray, shots: int) -> Estimates:
+def estimate_counts(table: PairTable, rows, counts: np.ndarray) -> Estimates:
     """Estimate the energy of every row from its (2, 4) outcome counts.
 
-    counts has shape (len(rows), 2, 4), each setting summing to shots.
-    Per row, value = u/2 + sum_k coeffs_k @ f_k over the frequencies f,
-    and the variance sums (coeffs_k**2 @ f_k - (coeffs_k @ f_k)**2) / shots
-    over the settings, each term clipped at 0: the plug-in multinomial
-    variance.
+    counts has shape (len(rows), 2, 4); both settings of a row sum to that
+    row's shots, which may differ from row to row. Per row, value = u/2 +
+    sum_k coeffs_k @ f_k over the frequencies f, and the variance sums
+    (coeffs_k**2 @ f_k - (coeffs_k @ f_k)**2) / shots over the settings:
+    the plug-in multinomial variance. A term within rounding of zero (at
+    most 1e-14 of coeffs_k**2 @ f_k, which is what the cancellation leaves
+    when a setting's counts all fall on outcomes of one coefficient) is 0.
     """
-    freqs = counts / shots
+    shots = counts[:, 0].sum(axis=1)
+    freqs = counts / shots[:, None, None]
     coeffs = table.coeffs[rows]
     mean = np.einsum("nkj,nkj->nk", coeffs, freqs)
     second = np.einsum("nkj,nkj->nk", coeffs * coeffs, freqs)
     value = table.offset + mean.sum(axis=1)
-    std_err = np.sqrt(np.maximum(second - mean ** 2, 0.0).sum(axis=1) / shots)
+    var = second - mean ** 2
+    std_err = np.sqrt(np.where(var > 1e-14 * second, var, 0.0).sum(axis=1) / shots)
     raw = (table.offset + np.einsum("kj,nkj->n", table.raw_coeffs, freqs)
            if table.ni else value)
     return Estimates(value=value, std_err=std_err, raw=raw)
@@ -160,28 +147,32 @@ class PairCounts(NamedTuple):
     histograms: np.ndarray
 
 
-def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shots: int,
+def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shots,
               streams) -> list[PairCounts]:
     """Simulate groups of batches of table rows in one vectorized pass.
 
     groups holds K groups, each a non-empty list of row arrays (batches)
-    that may differ in size, and streams their K generators. phi and theta
-    hold the angles of every row of every batch of every group, in order.
-    Group k's histograms come from one multinomial draw on streams[k] over
-    its rows in batch order, which continues that generator's stream: a
-    group's counts depend only on its own batches, in order, and on its
-    generator's state, never on the other groups of the call. Returns one
-    PairCounts per row, in order.
+    that may differ in size, streams their K generators and shots their K
+    shot counts (one int applies to every group). phi and theta hold the
+    angles of every row of every batch of every group, in order. Group k's
+    histograms come from one multinomial draw of shots[k] shots per setting
+    on streams[k] over its rows in batch order, which continues that
+    generator's stream: a group's counts depend only on its own batches,
+    in order, its shot count and its generator's state, never on the other
+    groups of the call. Returns one PairCounts per row, in order.
 
     Each batch's pairs must be vertex-disjoint. A row is flagged for
     crosstalk when another row of its own batch is its neighbour. Every
-    batch is checked before any generator is drawn from, so a rejected
-    call leaves every stream untouched.
+    batch and every shot count is checked before any generator is drawn
+    from, so a rejected call leaves every stream untouched.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     if len(groups) != len(streams):
         raise ValueError(f"{len(groups)} groups but {len(streams)} streams")
+    shots = [shots] * len(groups) if isinstance(shots, (int, np.integer)) else list(shots)
+    if len(shots) != len(groups):
+        raise ValueError(f"{len(groups)} groups but {len(shots)} shot counts")
+    if min(shots) < 1:
+        raise ValueError("shots must be >= 1")
     if not all(isinstance(stream, np.random.Generator) for stream in streams):
         raise TypeError("each group needs a numpy Generator as its stream")
     groups = [[np.asarray(batch, dtype=int) for batch in group] for group in groups]
@@ -193,11 +184,12 @@ def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shot
                 raise ValueError("each batch needs a non-empty array of rows")
     batches = [batch for group in groups for batch in group]
     rows = np.concatenate(batches)
-    starts = np.cumsum([0] + [len(batch) for batch in batches]).tolist()
+    sizes = [len(batch) for batch in batches]
+    starts = list(accumulate(sizes, initial=0))
     # one sort of the (batch index, qubit) keys finds a qubit used twice in a batch
     qubits = table.qubits[rows]
     low = qubits.min()
-    batch_of = np.repeat(np.arange(len(batches)), np.diff(starts))
+    batch_of = np.repeat(np.arange(len(batches)), sizes)
     keys = np.sort((batch_of[:, None] * (qubits.max() - low + 1) + qubits - low).ravel())
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("batch pairs must be vertex-disjoint")
@@ -209,9 +201,9 @@ def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shot
             flagged = table.neighbours[batch][:, batch].any(axis=1)
             p[start:start + len(batch)][flagged] = table.p_crosstalk[batch][flagged]
     dists = batch_distributions(phi, theta, p, table.confusion[rows])
-    bounds = np.cumsum([0] + [sum(map(len, group)) for group in groups]).tolist()
-    counts = np.concatenate([stream.multinomial(shots, dists[lo:hi]) for stream, lo, hi
-                             in zip(streams, bounds, bounds[1:])])
+    bounds = list(accumulate((sum(map(len, group)) for group in groups), initial=0))
+    counts = np.concatenate([stream.multinomial(n, dists[lo:hi]) for stream, n, lo, hi
+                             in zip(streams, shots, bounds, bounds[1:])])
     return [PairCounts(table.pairs[row], hist) for row, hist in zip(rows.tolist(), counts)]
 
 
@@ -230,10 +222,11 @@ def aggregate_same_params(est: Estimates) -> Estimates:
 def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,
                              noise: PairNoiseSpec,
                              confusion: ConfusionMatrix | None = None,
-                             crosstalk_active: bool = False) -> EnergyEstimate:
+                             crosstalk_active: bool = False) -> Estimates:
     """Full pipeline in exact-expectation mode: the batch kernel's outcome
-    distributions for one pair, combined without sampling (std_err = 0);
-    noise-inverted with a confusion matrix, raw_value staying uninverted."""
+    distributions for one pair, combined without sampling, as an Estimates
+    of floats (std_err = 0.0); noise-inverted with a confusion matrix, raw
+    staying uninverted."""
     onsite, hopping = batch_distributions(
         np.array([a.phi]), np.array([a.theta]),
         np.array([noise.effective_p(crosstalk_active)]), noise.confusion_map()[None])[0]
@@ -244,7 +237,7 @@ def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,
     coeffs = setting_coefficients(h)
     raw = combine(*coeffs)
     value = raw if confusion is None else combine(*(confusion.inverse.T @ c for c in coeffs))
-    return EnergyEstimate(value=value, std_err=0.0, raw_value=raw)
+    return Estimates(value=value, std_err=0.0, raw=raw)
 
 
 # --- wall-clock cost model ---------------------------------------------------

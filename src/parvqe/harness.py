@@ -48,7 +48,7 @@ from .hubbard import (
     exact_ground_energy,
     optimal_params,
 )
-from .mitigation import measure_confusion, tflo_correct
+from .mitigation import ConfusionMatrix, measure_confusion, tflo_correct
 from .optimizers import (
     MgdConfig,
     OptTrace,
@@ -222,14 +222,16 @@ def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
 
 class _Run:
     """What every experiment sets up first (clock, output directory, Hubbard
-    parameters and ground energy, calibration, the compiled pair table)
-    and its write-record-then-print ending."""
+    parameters and ground energy, calibration, the compiled pair tables and
+    the confusion matrices measured for them) and its
+    write-record-then-print ending."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.t_start = time.perf_counter()
         self.h = HubbardParams()
         self.e0 = exact_ground_energy(self.h)
+        self.confusions: dict[Pair, ConfusionMatrix] = {}
 
     @cached_property
     def out_dir(self) -> Path:
@@ -257,18 +259,18 @@ class _Run:
         return pairs
 
     def pair_table(self, pairs, ni: bool = True) -> PairTable:
-        """The pairs compiled for every later batch on them; with ni, each
-        pair's confusion matrix is measured first and its estimates are
-        noise-inverted."""
+        """The pairs compiled for every later batch on them; with ni, their
+        estimates are noise-inverted by each pair's confusion matrix,
+        measured on the pair's own stream the first time a table of the run
+        holds it."""
         cfg = self.cfg
-        confusions = None
-        if ni:
-            confusions = {
-                pair: measure_confusion(noise_spec_for_pair(self.topology, pair),
-                                        cfg.confusion_shots,
-                                        derive_rng(cfg.seed, _NS_CONFUSION, *pair))
-                for pair in pairs}
-        return compile_pairs(self.topology, pairs, self.h, confusions, cfg.crosstalk_p)
+        for pair in pairs if ni else ():
+            if pair not in self.confusions:
+                self.confusions[pair] = measure_confusion(
+                    noise_spec_for_pair(self.topology, pair), cfg.confusion_shots,
+                    derive_rng(cfg.seed, _NS_CONFUSION, *pair))
+        return compile_pairs(self.topology, pairs, self.h, self.confusions if ni else None,
+                             cfg.crosstalk_p)
 
     def finish(self, command: str, metrics: dict, artifacts: list[str],
                summary: str) -> RunRecord:
@@ -303,27 +305,26 @@ def _measure(run: _Run, table: PairTable, groups, phi, theta, key_paths,
 
 
 def _final_points(run: _Run, table: PairTable, finals: list[AnsatzParams],
-                  keys) -> list[dict]:
+                  keys) -> dict[str, np.ndarray]:
     """Mitigation levels of each final params measured on every row of the
-    table, with its phi=0 reference, pooled over the rows; all finals share
-    one _measure call, and finals[i] draws from its own stream, keyed by
-    keys[i]."""
+    table, with its phi=0 reference, pooled over the rows: one
+    (len(finals),) column per level. All finals share one _measure call,
+    and finals[i] draws from its own stream, keyed by keys[i]."""
     n = len(table.pairs)
     levels = _measure(run, table, [[np.arange(n)]] * len(finals),
                       np.repeat([f.phi for f in finals], n),
                       np.repeat([f.theta for f in finals], n),
                       [(_NS_FINAL, key) for key in keys], tflo=True)
-    pooled = {level: v.reshape(len(finals), n).mean(axis=1).tolist()
-              for level, v in levels.items()}
-    return [dict(zip(pooled, values)) for values in zip(*pooled.values())]
+    return {level: v.reshape(len(finals), n).mean(axis=1) for level, v in levels.items()}
 
 
 def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
               key_paths, start=ExperimentConfig.start) -> list[OptTrace]:
     """SPSA or surrogate-descent runs from `start` (only vqe sets it), one
     per key path, in lockstep on the evaluator that matches the optimizer's
-    parallelism. Each run's evaluator seed and optimizer stream derive from
-    its own key path, so its trace does not depend on the runs beside it."""
+    parallelism, at `shots` shots each (or shots[i] for key path i). Each
+    run's evaluator seed and optimizer stream derive from its own key path,
+    so its trace does not depend on the runs beside it."""
     cfg, h = run.cfg, run.h
     eval_seeds = [derive_seed(cfg.seed, _NS_EVAL, *keys) for keys in key_paths]
     streams = [derive_rng(cfg.seed, _NS_OPT, *keys) for keys in key_paths]
@@ -532,23 +533,22 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
         f"{cfg.optimizer} on {len(pairs)} pair(s)", "iteration", "energy",
         hlines={"exact ground": e0})
 
-    corrected = [levels[cfg.level] for levels in finals]
-    abs_err = [abs(value - e0) for value in corrected]
+    abs_err = np.abs(finals[cfg.level] - e0)
     summary_path = run.out_dir / "summary.csv"
+    # lists, as in OptTrace: distinct values gain nothing from csvio's np.unique path
     write_csv(summary_path,
               ["repeat", "final_phi", "final_theta", "final_raw", "final_ni",
                "final_tflo", "final_tflo_ni", "final_corrected",
                "final_abs_err", "exact_err_at_final"],
               [list(range(cfg.repeats)), [f.phi for f in final_params],
                [f.theta for f in final_params],
-               *([levels[m] for levels in finals] for m in MITIGATION_LEVELS),
-               corrected, abs_err, [exact_energy(f, h) - e0 for f in final_params]])
+               *(finals[m].tolist() for m in (*MITIGATION_LEVELS, cfg.level)),
+               abs_err.tolist(), [exact_energy(f, h) - e0 for f in final_params]])
     artifacts.append(summary_path.name)
 
     seconds_parallel, seconds_single = modeled_vqe_wall_times(
         load_cost_model(cfg.cost_model), cfg.optimizer, len(pairs), points, iterations,
         cfg.shots)
-    errs = sorted(abs_err)
     metrics = {
         "optimizer": cfg.optimizer,
         "pairs": len(pairs),
@@ -556,8 +556,8 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
         "iterations": iterations,
         "repeats": cfg.repeats,
         "median_final_abs_err": float(np.median(abs_err)),
-        "min_final_abs_err": errs[0],
-        "max_final_abs_err": errs[-1],
+        "min_final_abs_err": float(abs_err.min()),
+        "max_final_abs_err": float(abs_err.max()),
         "modeled_seconds_parallel": seconds_parallel,
         "modeled_seconds_single_pair_equivalent": seconds_single,
         "modeled_speedup": seconds_single / seconds_parallel,
@@ -607,13 +607,15 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     table = run.pair_table(pairs, cfg.ni)
     iterations = cfg.iterations if cfg.iterations is not None else 50
 
-    artifacts, traces = [], {}
-    for si, shots in enumerate(cfg.shots_list):
-        trace, = _optimize(run, table, "spsa", iterations, len(pairs), shots, [(si,)])
+    # every shot count is one lockstep repeat, keyed by its index
+    traces = dict(zip(cfg.shots_list, _optimize(
+        run, table, "spsa", iterations, len(pairs), cfg.shots_list,
+        [(si,) for si in range(len(cfg.shots_list))])))
+    artifacts = []
+    for shots, trace in traces.items():
         trace_path = run.out_dir / f"trace_shots{shots}.csv"
         trace.write(trace_path)
         artifacts.append(trace_path.name)
-        traces[shots] = trace
     final_params = [trace.final_params for trace in traces.values()]
     final_err = {shots: exact_energy(f, h) - e0 for shots, f in zip(traces, final_params)}
     summary_path = run.out_dir / "shots_summary.csv"
@@ -657,26 +659,30 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
         raise InputError(f"pair count {max(cfg.pair_counts)} exceeds the {len(greedy)} "
                          "pairs greedy selection provides")
 
-    rows, summary = [], []
+    runs, summary = [], []   # per (optimizer, p): its compare_runs.csv columns, summary row
     for p_count in cfg.pair_counts:
         pairs = greedy[:p_count]
         table = run.pair_table(pairs)
         for index, (name, plan) in enumerate(plans.items()):
+            repeats = range(plan["repeats"])
             traces = _optimize(run, table, name, plan["iterations"], len(pairs), cfg.shots,
-                               [(p_count, rep, index) for rep in range(plan["repeats"])])
-            finals = _final_points(run, table, [trace.final_params for trace in traces],
-                                   [1000 * p_count + 10 * rep + index
-                                    for rep in range(plan["repeats"])])
-            errs = [abs(levels["tflo_ni"] - run.e0) for levels in finals]
-            rows += [(name, p_count, rep, trace.final_params.phi, trace.final_params.theta,
-                      levels["tflo_ni"], err)
-                     for rep, (trace, levels, err) in enumerate(zip(traces, finals, errs))]
-            summary.append((name, p_count, float(np.median(errs)), min(errs), max(errs)))
+                               [(p_count, rep, index) for rep in repeats])
+            finals = [trace.final_params for trace in traces]
+            tflo_ni = _final_points(run, table, finals,
+                                    [1000 * p_count + 10 * rep + index
+                                     for rep in repeats])["tflo_ni"]
+            errs = np.abs(tflo_ni - run.e0)
+            runs.append(([name] * len(finals), [p_count] * len(finals), repeats,
+                         [f.phi for f in finals], [f.theta for f in finals],
+                         tflo_ni.tolist(), errs.tolist()))
+            summary.append((name, p_count, float(np.median(errs)), float(errs.min()),
+                            float(errs.max())))
 
-    # both tables are built a row per run; write_csv takes their columns
     runs_path = run.out_dir / "compare_runs.csv"
     write_csv(runs_path, ["optimizer", "p", "repeat", "final_phi", "final_theta",
-                          "final_tflo_ni", "final_abs_err"], list(zip(*rows)))
+                          "final_tflo_ni", "final_abs_err"],
+              [[v for block in column for v in block] for column in zip(*runs)])
+    # the summary is built a row per (optimizer, p); write_csv takes its columns
     summary_path = run.out_dir / "compare_summary.csv"
     write_csv(summary_path, ["optimizer", "p", "median_abs_err",
                              "min_abs_err", "max_abs_err"], list(zip(*summary)))

@@ -22,16 +22,19 @@ in one kernel call. Neither core loops over repeats, apart from each
 repeat's draws from its own stream: MGD fits every repeat's surrogate in
 one batched solve per value column, and each step appends one (R,)
 column per trace field, so an OptTrace holds (K,) columns over its K
-iterations. `spsa_run` and `mgd_run` are the one-repeat adapters over
-plain evaluators.
+iterations. `spsa_run` and `mgd_run` run one repeat on a batch
+evaluator, (m, 2) points -> one Estimates with (m,) fields, through one
+shared adapter; every evaluator in the package speaks that contract, in
+its one-repeat or its lockstep form.
 
 Both executor-backed evaluators batch through `batch_pair_evaluator`,
 which spreads points over the table's rows; SPSA's same-parameters
 evaluator is its pooled view over points repeated once per row.
 Optimizer randomness comes only from the injected streams, one per
-repeat, and each evaluator keeps one shot stream per repeat for its whole
-run, from which every call draws that repeat's batches in order; so a
-repeat's trace does not depend on R or on the repeats beside it.
+repeat, and each evaluator keeps one shot stream and one shot count per
+repeat for its whole run, from which every call draws that repeat's
+batches in order; so a repeat's trace does not depend on R or on the
+repeats beside it, nor on their shot counts.
 Exact-energy diagnostics recorded in the trace never feed back into the
 updates.
 """
@@ -48,7 +51,6 @@ import numpy as np
 
 from .csvio import csv_chunks, write_csv
 from .executor import (
-    EnergyEstimate,
     Estimates,
     PairTable,
     aggregate_same_params,
@@ -188,7 +190,6 @@ class OptTrace:
             Path(json_path).write_text(self.to_json())
 
 
-Evaluator = Callable[[AnsatzParams], EnergyEstimate]
 # (m, 2) array of (phi, theta) points -> their m estimates
 BatchEvaluator = Callable[[np.ndarray], Estimates]
 ExactFn = Callable[[AnsatzParams], float]
@@ -248,19 +249,22 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     return _traces(steps, theta)
 
 
-def spsa_run(cfg: SpsaConfig, evaluator: Evaluator, start: AnsatzParams,
-             stream: np.random.Generator, exact_fn: ExactFn | None = None) -> OptTrace:
-    """One-stage SPSA on one repeat (spsa_lockstep with R = 1). Three
-    evaluations per iteration, in order: the centre, recorded in the
-    trace, then the two perturbed points for the gradient."""
-
+def _one_repeat(evaluator: BatchEvaluator) -> LockstepEvaluator:
+    """A batch evaluator as the lockstep evaluator of one repeat."""
     def evaluate(points: np.ndarray) -> Estimates:
-        ests = [evaluator(AnsatzParams(*point)) for point in points[0].tolist()]
-        return Estimates(value=np.array([[e.value for e in ests]]),
-                         std_err=np.array([[e.std_err for e in ests]]),
-                         raw=np.array([[e.raw_value for e in ests]]))
+        return Estimates(*(a[None] for a in evaluator(points[0])))
 
-    return spsa_lockstep(cfg, evaluate, [start], [stream], _exact_of(exact_fn))[0]
+    return evaluate
+
+
+def spsa_run(cfg: SpsaConfig, evaluator: BatchEvaluator, start: AnsatzParams,
+             stream: np.random.Generator, exact_fn: ExactFn | None = None) -> OptTrace:
+    """One-stage SPSA on one repeat (spsa_lockstep with R = 1). Each
+    iteration evaluates its three points in one call of evaluator, in
+    order: the centre, recorded in the trace, then the two perturbed
+    points for the gradient."""
+    return spsa_lockstep(cfg, _one_repeat(evaluator), [start], [stream],
+                         _exact_of(exact_fn))[0]
 
 
 def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
@@ -324,37 +328,37 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
     return _traces(steps, theta)
 
 
-def mgd_run(cfg: MgdConfig, batch_evaluator: BatchEvaluator, start: AnsatzParams,
+def mgd_run(cfg: MgdConfig, evaluator: BatchEvaluator, start: AnsatzParams,
             points: int, stream: np.random.Generator,
             exact_fn: ExactFn | None = None) -> OptTrace:
     """Batch-parallel surrogate gradient descent on one repeat
     (mgd_lockstep with R = 1): each iteration evaluates its `points`
-    points in one call of batch_evaluator."""
-    def evaluate(batch: np.ndarray) -> Estimates:
-        return Estimates(*(a[None] for a in batch_evaluator(batch[0])))
-
-    return mgd_lockstep(cfg, evaluate, [start], points, [stream], _exact_of(exact_fn))[0]
+    points in one call of evaluator."""
+    return mgd_lockstep(cfg, _one_repeat(evaluator), [start], points, [stream],
+                        _exact_of(exact_fn))[0]
 
 
 # --- executor-backed evaluators ----------------------------------------------
 
 def measure_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray,
-                  shots: int, streams) -> Estimates:
+                  shots, streams) -> Estimates:
     """Run groups of batches of table rows (each group a sequence of row
-    arrays, drawn from its own generator in streams) at angles (phi, theta)
-    in one run_batch call and estimate every row's energy, in row order;
-    NI-corrected when the table has confusions."""
+    arrays, drawn from its own generator in streams at its own shot count
+    in shots, or all at one int) at angles (phi, theta) in one run_batch
+    call and estimate every row's energy, in row order; NI-corrected when
+    the table has confusions."""
     results = run_batch(table, groups, phi, theta, shots, streams)
     rows = np.concatenate([batch for group in groups for batch in group])
-    return estimate_counts(table, rows, np.array([r.histograms for r in results]), shots)
+    return estimate_counts(table, rows, np.array([r.histograms for r in results]))
 
 
-def batch_pair_evaluator(table: PairTable, shots: int,
+def batch_pair_evaluator(table: PairTable, shots,
                          seeds: Sequence[int]) -> LockstepEvaluator:
     """Different-parameters parallelism for R repeats with evaluator seeds
-    seeds[r]: each repeat's m points are spread over the table's rows,
-    ceil(m/len(rows)) batches per repeat and call, and the estimates come
-    back with shape (R, m). All batches of a call share one kernel pass.
+    seeds[r], at shots[r] shots each (one int for all): each repeat's m
+    points are spread over the table's rows, ceil(m/len(rows)) batches per
+    repeat and call, and the estimates come back with shape (R, m). All
+    batches of a call share one kernel pass.
     Repeat r keeps one generator, default_rng(seeds[r]), for every call,
     and each call draws its batches from it in order, so its counts do not
     depend on the repeats beside it."""
@@ -374,14 +378,15 @@ def batch_pair_evaluator(table: PairTable, shots: int,
     return evaluate
 
 
-def spsa_parallel_evaluator(table: PairTable, shots: int,
+def spsa_parallel_evaluator(table: PairTable, shots,
                             seeds: Sequence[int]) -> LockstepEvaluator:
     """Same-parameters parallelism for R repeats with evaluator seeds
-    seeds[r]: the pooled view of batch_pair_evaluator. Each point is
-    repeated once per table row, so its copies fill exactly one batch of
-    every row at that point's angles, drawn from its repeat's generator as
-    batch_pair_evaluator draws it, and that batch's row estimates are
-    pooled (their mean, with errors in quadrature)."""
+    seeds[r], at shots[r] shots each (one int for all): the pooled view of
+    batch_pair_evaluator. Each point is repeated once per table row, so its
+    copies fill exactly one batch of every row at that point's angles,
+    drawn from its repeat's generator as batch_pair_evaluator draws it,
+    and that batch's row estimates are pooled (their mean, with errors in
+    quadrature)."""
     spread = batch_pair_evaluator(table, shots, seeds)
     n = len(table.pairs)
 
@@ -393,20 +398,14 @@ def spsa_parallel_evaluator(table: PairTable, shots: int,
     return evaluate
 
 
-def oracle_evaluator(h: HubbardParams = HubbardParams()) -> Evaluator:
-    """Noiseless evaluator backed by the exact model (std_err = 0)."""
+def oracle_evaluator(h: HubbardParams = HubbardParams()) -> BatchEvaluator:
+    """Noiseless batch evaluator backed by the exact model (std_err = 0)."""
 
-    def evaluate(params: AnsatzParams) -> EnergyEstimate:
-        return EnergyEstimate(value=exact_energy(params, h), std_err=0.0)
+    def evaluate(points: np.ndarray) -> Estimates:
+        value = np.array([exact_energy(AnsatzParams(*p), h) for p in points.tolist()])
+        return Estimates(value=value, std_err=np.zeros(len(value)), raw=value)
 
     return evaluate
 
 
-def oracle_batch_evaluator(h: HubbardParams = HubbardParams()) -> BatchEvaluator:
-    """Noiseless batch evaluator backed by the exact model (std_err = 0)."""
-
-    def evaluate_batch(points: np.ndarray) -> Estimates:
-        value = np.array([exact_energy(AnsatzParams(*p), h) for p in points.tolist()])
-        return Estimates(value=value, std_err=np.zeros(len(value)), raw=value)
-
-    return evaluate_batch
+oracle_batch_evaluator = oracle_evaluator   # the same oracle, under its earlier name

@@ -12,7 +12,7 @@ import numpy as np
 
 from parvqe import svgplot
 from parvqe.circuits import NativeCircuit, gate_matrix
-from parvqe.executor import EnergyEstimate, setting_coefficients
+from parvqe.executor import Estimates, setting_coefficients
 from parvqe.hubbard import HubbardParams
 from parvqe.mitigation import ConfusionMatrix
 from parvqe.optimizers import N_SURROGATE_FEATURES, UnderDeterminedFit
@@ -72,14 +72,18 @@ def _as_distribution(measured) -> tuple[np.ndarray, int | None]:
 
 
 def _plugin_variance(coeffs: np.ndarray, freqs: np.ndarray, shots: int) -> float:
+    """The plug-in variance of one setting, 0 within rounding of zero (at
+    most 1e-14 of the second moment)."""
     mean = float(coeffs @ freqs)
     second = float((coeffs ** 2) @ freqs)
-    return max(second - mean ** 2, 0.0) / shots
+    var = second - mean ** 2
+    return var / shots if var > 1e-14 * second else 0.0
 
 
 def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
-                    confusion: ConfusionMatrix | None = None) -> EnergyEstimate:
-    """Combine the two settings' distributions into an energy estimate.
+                    confusion: ConfusionMatrix | None = None) -> Estimates:
+    """Combine the two settings' distributions into an energy estimate, an
+    Estimates of floats (raw is the estimate before readout inversion).
 
     value = (u/2) (1 + <ZZ>) - t (<X(x)I> + <I(x)X>) under the frozen
     sign map. Inputs are ShotHistograms or plain probability vectors
@@ -113,7 +117,7 @@ def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
         var = _plugin_variance(eff_on, p_on, shots_on) \
             + _plugin_variance(eff_hop, p_hop, shots_hop)
         std_err = float(np.sqrt(var))
-    return EnergyEstimate(value=value, std_err=std_err, raw_value=raw)
+    return Estimates(value=value, std_err=std_err, raw=raw)
 
 
 def fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,

@@ -10,7 +10,6 @@ from parvqe.device import DeviceTopology, noise_spec_for_pair
 from parvqe.executor import (
     CostModel,
     DegenerateCalibration,
-    EnergyEstimate,
     Estimates,
     aggregate_same_params,
     calibrate_cost_model,
@@ -53,7 +52,7 @@ def run_estimates(topo, assignments, shots, seed, crosstalk_p=0.0, rows=None):
     counts = run_batch(table, [[rows]], np.array([a.phi for a in params]),
                        np.array([a.theta for a in params]), shots,
                        [np.random.default_rng(seed)])
-    return estimate_counts(table, rows, np.array([c.histograms for c in counts]), shots)
+    return estimate_counts(table, rows, np.array([c.histograms for c in counts]))
 
 
 # --- run_batch ---
@@ -190,7 +189,7 @@ def test_estimate_energy_with_confusion_tracks_raw():
     h = HubbardParams()
     noisy = exact_expectation_energy(a, h, noise)
     corrected = exact_expectation_energy(a, h, noise, confusion)
-    assert corrected.raw_value == pytest.approx(noisy.value, abs=1e-12)
+    assert corrected.raw == pytest.approx(noisy.value, abs=1e-12)
     # exact confusion inversion undoes pure readout noise entirely
     assert corrected.value == pytest.approx(exact_energy(a, h), abs=1e-10)
     assert abs(noisy.value - exact_energy(a, h)) > 1e-3
@@ -202,8 +201,9 @@ rates = st.floats(0.0, 0.15)
 @st.composite
 def columnar_cases(draw):
     """A table of 1-3 disjoint pairs with random readout rates and Hubbard
-    constants, NI on or off (sampled or exact confusions), a row order and
-    random counts of each row's two settings."""
+    constants, NI on or off (sampled or exact confusions), a row order, the
+    rows' shots (one count for all rows, or one per row) and random counts
+    of each row's two settings."""
     n = draw(st.integers(1, 3))
     readout = {q: (draw(rates), draw(rates)) for q in range(2 * n)}
     topo = DeviceTopology(qubits=tuple(range(2 * n)),
@@ -219,25 +219,37 @@ def columnar_cases(draw):
                                               confusion_shots, stream)
                       for pair in pairs}
     rows = np.array(draw(st.permutations(range(n))))
-    shots = draw(st.integers(1, 10 ** 5))
-    cuts = st.lists(st.integers(0, shots), min_size=3, max_size=3)
-    counts = np.array([[np.diff([0, *sorted(draw(cuts)), shots]) for _ in range(2)]
-                       for _ in rows])
+    one = st.integers(1, 10 ** 5)
+    shots = draw(one.map(lambda s: [s] * n) | st.lists(one, min_size=n, max_size=n))
+    cuts = lambda s: st.lists(st.integers(0, s), min_size=3, max_size=3)
+    counts = np.array([[np.diff([0, *sorted(draw(cuts(s))), s]) for _ in range(2)]
+                       for s in shots])
     return compile_pairs(topo, pairs, h, confusions), confusions, h, rows, counts, shots
 
 
 @given(columnar_cases())
 def test_columnar_estimator_matches_estimate_energy(case):
+    """Row by row, the columnar estimator equals the one-pair reference,
+    also when the rows of one call carry different shot counts."""
     table, confusions, h, rows, counts, shots = case
-    est = estimate_counts(table, rows, counts, shots)
+    est = estimate_counts(table, rows, counts)
     for i, row in enumerate(rows):
-        onsite, hopping = (ShotHistogram(tuple(int(c) for c in counts[i, k]), shots)
+        onsite, hopping = (ShotHistogram(tuple(int(c) for c in counts[i, k]), shots[i])
                            for k in range(2))
         ref = estimate_energy(onsite, hopping, h,
                               None if confusions is None else confusions[table.pairs[row]])
         assert abs(est.value[i] - ref.value) <= 1e-12
         assert abs(est.std_err[i] - ref.std_err) <= 1e-12
-        assert abs(est.raw[i] - ref.raw_value) <= 1e-12
+        assert abs(est.raw[i] - ref.raw) <= 1e-12
+
+
+def test_one_valued_setting_has_zero_std_err():
+    """A setting whose counts all fall on outcomes of one coefficient has
+    plug-in variance 0, which the cancellation in E[c^2] - E[c]^2 must not
+    leave as a rounding residue (up to 1.3e-9 here without the guard)."""
+    table = compile_pairs(two_pair_topology(), [(0, 1)], HubbardParams(u=1.3))
+    counts = np.array([[[0, a, 100 - a, 0], [100, 0, 0, 0]] for a in range(1, 100)])
+    assert np.all(estimate_counts(table, np.zeros(99, dtype=int), counts).std_err == 0.0)
 
 
 def chain_table(n_pairs=4, crosstalk_p=0.3):
@@ -305,20 +317,27 @@ def test_multi_batch_run_matches_each_batch_alone(case):
 @given(group_cases(min_groups=2), st.data())
 def test_key_path_counts_do_not_depend_on_other_key_paths(case, data):
     """With crosstalk on, one key path's counts are the same alone, among
-    any subset of the other key paths of a call and in any order."""
+    any subset of the other key paths of a call and in any order, also
+    when every key path draws its own shot count."""
     groups, phi, theta, seeds = case
+    shots = data.draw(st.just([300] * len(groups))
+                      | st.lists(st.integers(1, 2000), min_size=len(groups),
+                                 max_size=len(groups)))
     table = chain_table()
     parts = group_slices(groups)
     target = data.draw(st.integers(0, len(groups) - 1))
     alone = batch_counts(run_batch(table, [groups[target]], phi[parts[target]],
-                                   theta[parts[target]], 300, streams_of([seeds[target]])))
+                                   theta[parts[target]], shots[target],
+                                   streams_of([seeds[target]])))
+    assert np.all(alone.sum(axis=2) == shots[target])
     others = [k for k in range(len(groups)) if k != target]
     for layout in (others + [target], [target] + others[::-1],
                    data.draw(st.permutations(range(len(groups)))),
                    [target] + data.draw(st.lists(st.sampled_from(others), unique=True))):
         rows = np.concatenate([np.arange(len(phi))[parts[k]] for k in layout])
         counts = batch_counts(run_batch(table, [groups[k] for k in layout], phi[rows],
-                                        theta[rows], 300, streams_of(seeds[k] for k in layout)))
+                                        theta[rows], [shots[k] for k in layout],
+                                        streams_of(seeds[k] for k in layout)))
         part = group_slices([groups[k] for k in layout])[layout.index(target)]
         assert np.array_equal(counts[part], alone)
 
@@ -344,8 +363,10 @@ def test_neighbour_in_another_batch_does_not_flag():
 
 
 def test_rejected_call_leaves_every_stream_untouched():
-    """Every batch of every group is checked before any generator is drawn
-    from: a call whose last batch reuses a qubit draws nothing."""
+    """Every batch of every group, and every group's shot count, is checked
+    before any generator is drawn from: a call whose last batch reuses a
+    qubit, or one of whose groups asks for fewer than one shot, draws
+    nothing."""
     table = chain_table()
     streams = streams_of([1, 2, 3])
     before = [stream.bit_generator.state for stream in streams]
@@ -353,6 +374,14 @@ def test_rejected_call_leaves_every_stream_untouched():
     angles = np.full(7, 0.4)
     with pytest.raises(ValueError, match="vertex-disjoint"):
         run_batch(table, groups, angles, angles, 100, streams)
+    assert [stream.bit_generator.state for stream in streams] == before
+    groups[-1][-1] = [2]
+    for shots in ([100, 50, 0], [100, -5, 200]):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            run_batch(table, groups, angles, angles, shots, streams)
+        assert [stream.bit_generator.state for stream in streams] == before
+    with pytest.raises(ValueError, match="3 groups but 2 shot counts"):
+        run_batch(table, groups, angles, angles, [100, 50], streams)
     assert [stream.bit_generator.state for stream in streams] == before
 
 
@@ -427,25 +456,26 @@ def test_multi_batch_validation_is_per_batch():
 @given(columnar_cases(), st.data())
 def test_estimate_rows_do_not_depend_on_their_batch(case, data):
     """Each row's estimate is bitwise the same alone or among any other rows."""
-    table, _, _, rows, counts, shots = case
-    est = estimate_counts(table, rows, counts, shots)
+    table, _, _, rows, counts, _ = case
+    est = estimate_counts(table, rows, counts)
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
     for i in range(len(rows)):
-        alone = estimate_counts(table, rows[i:i + 1], counts[i:i + 1], shots)
+        alone = estimate_counts(table, rows[i:i + 1], counts[i:i + 1])
         assert all(a[0] == b[i] for a, b in zip(alone, est))
-    other = estimate_counts(table, rows[picks], counts[picks], shots)
+    other = estimate_counts(table, rows[picks], counts[picks])
     assert all(np.array_equal(a, b[picks]) for a, b in zip(other, est))
 
 
 def test_raw_value_equals_value_without_inversion():
     est = estimate_energy(ShotHistogram((40, 30, 20, 10), 100),
                           ShotHistogram((10, 20, 30, 40), 100))
-    assert est.raw_value == est.value
-    bare = EnergyEstimate(value=-1.25, std_err=0.1)
-    assert bare.raw_value == bare.value == -1.25
+    assert est.raw == est.value
+    noise = PairNoiseSpec(readout=((0.05, 0.02), (0.03, 0.04)))
+    bare = exact_expectation_energy(AnsatzParams(0.4, 0.6), HubbardParams(), noise)
+    assert bare.raw == bare.value and bare.std_err == 0.0
     table = compile_pairs(two_pair_topology(readout=(0.02, 0.03)), [(0, 1), (2, 3)])
     rows = estimate_counts(table, [0, 1], np.array([[(40, 30, 20, 10), (10, 20, 30, 40)],
-                                                    [(70, 10, 10, 10), (25, 25, 25, 25)]]), 100)
+                                                    [(70, 10, 10, 10), (25, 25, 25, 25)]]))
     assert np.array_equal(rows.raw, rows.value)
     pooled = aggregate_same_params(rows)
     assert pooled.raw == pooled.value
@@ -471,10 +501,10 @@ def test_aggregate_single_and_pair():
 
     def rows(*ests):
         return Estimates(*(np.array([getattr(e, name) for e in ests])
-                           for name in ("value", "std_err", "raw_value")))
+                           for name in Estimates._fields))
 
     single = aggregate_same_params(rows(e1))
-    assert (single.value, single.std_err, single.raw) == (e1.value, e1.std_err, e1.raw_value)
+    assert tuple(single) == tuple(e1)
     pooled = aggregate_same_params(rows(e1, e2))
     assert pooled.value == pytest.approx((e1.value + e2.value) / 2)
     assert pooled.std_err == pytest.approx(math.hypot(e1.std_err, e2.std_err) / 2)

@@ -16,7 +16,7 @@ import parvqe
 from parvqe import harness, optimizers
 from parvqe.cli import build_parser, config_from_args, main as cli_main
 from parvqe.device import DeviceTopology, max_weight_matching
-from parvqe.executor import load_cost_model, predict_wall_time
+from parvqe.executor import compile_pairs, load_cost_model, predict_wall_time
 from parvqe.harness import (
     COMMANDS,
     MAX_POINTS_PER_ITERATION,
@@ -228,6 +228,34 @@ def test_seeding_calls_do_not_grow_with_iterations(tmp_path, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def count_calls(monkeypatch, module, name, calls):
+    """Wrap module.name so that each call appends its name to calls."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kw: calls.append(name) or original(*args, **kw))
+
+
+def test_readme_scale_runs_measure_once(tmp_path, monkeypatch):
+    # shots-sweep runs its 3 shot counts as lockstep repeats of one
+    # optimizer run, one run_batch call per iteration for all of them, and
+    # optimizer-compare measures each of the 25 greedy pairs' confusion
+    # once, however many of its pair counts hold the pair
+    calls = []
+    for module, name in ((optimizers, "run_batch"), (harness, "measure_confusion"),
+                         (harness, "_optimize")):
+        count_calls(monkeypatch, module, name, calls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for command in ("shots-sweep", "optimizer-compare"):
+            calls.clear()
+            assert cli_main([command, "--seed", "7", "--out", str(tmp_path / command)]) == 0
+            counts = {name: calls.count(name) for name in set(calls)}
+            if command == "shots-sweep":
+                assert counts == {"run_batch": 50, "measure_confusion": 26, "_optimize": 1}
+            else:
+                assert counts["measure_confusion"] == 25
+
+
 def test_matching_selection_keeps_best_pairs_above_cap(shipped_topology):
     topo = shipped_topology
     matched = max_weight_matching(topo).pairs
@@ -337,7 +365,8 @@ CHAIN_CALIBRATION = {
 def test_repeat_trace_does_not_depend_on_its_group(optimizer, points, tmp_path):
     """A repeat run in lockstep with others writes the same trace bytes as
     its key path run alone or in another group order, with NI and
-    crosstalk on (mgd's 7 points fill one full and one partial batch)."""
+    crosstalk on (mgd's 7 points fill one full and one partial batch),
+    also when each repeat runs at its own shot count."""
     cal = tmp_path / "chain8.json"
     cal.write_text(json.dumps(CHAIN_CALIBRATION))
     run = _Run(ExperimentConfig(seed=13, out_dir=tmp_path / "out", calibration=cal,
@@ -352,6 +381,13 @@ def test_repeat_trace_does_not_depend_on_its_group(optimizer, points, tmp_path):
         alone, = _optimize(run, table, optimizer, 3, points, 200, [key])
         assert trace.to_csv() == alone.to_csv() == other.to_csv()
         assert trace.to_json() == alone.to_json() == other.to_json()
+    shots = [200, 50, 800]
+    mixed = _optimize(run, table, optimizer, 3, points, shots, keys)
+    assert mixed[0].to_csv() == group[0].to_csv()
+    for key, n, trace in zip(keys, shots, mixed):
+        alone, = _optimize(run, table, optimizer, 3, points, n, [key])
+        assert trace.to_csv() == alone.to_csv()
+        assert trace.to_json() == alone.to_json()
 
 
 def test_cli_end_to_end(tmp_path):
@@ -596,6 +632,33 @@ def test_cli_import_leaves_scipy_and_networkx_unloaded(tmp_path, make_uniform_ca
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=60)
         assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_measure_batch_reads_counts_from_optimizers_run_batch(monkeypatch):
+    """The benchmark counts circuits from what parvqe.optimizers.run_batch
+    returns (benchmarks/tracer.py::_count_batch): one object per row of a
+    measure_batch call, each with (2, 4) histograms."""
+    results = []
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    original = optimizers.run_batch
+    monkeypatch.setattr(optimizers, "run_batch", recording)
+    topo = DeviceTopology(qubits=tuple(range(6)),
+                          edges=tuple((2 * i, 2 * i + 1, 0.95) for i in range(3)),
+                          readout={q: (0.01, 0.02) for q in range(6)})
+    table = compile_pairs(topo, [(0, 1), (2, 3), (4, 5)])
+    groups = [[np.arange(3), np.arange(2)], [np.arange(1)]]
+    angles = np.full(6, 0.3)
+    est = optimizers.measure_batch(table, groups, angles, angles, [100, 40],
+                                   [np.random.default_rng(seed) for seed in (1, 2)])
+    batch, = results
+    assert len(batch) == len(est.value) == 6
+    assert all(row.histograms.shape == (2, 4) for row in batch)
+    assert load_benchmark_module("tracer")._count_batch(batch) == {
+        "executor.active_pairs": 6, "executor.circuits": 12}
 
 
 def test_benchmark_tracer_counts_batch_circuits(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from parvqe.csvio import write_csv
 from parvqe.device import DeviceTopology, noise_spec_for_pair
 from parvqe.executor import (
-    EnergyEstimate,
     Estimates,
     aggregate_same_params,
     compile_pairs,
@@ -116,8 +115,9 @@ def test_spsa_noiseless_convergence():
 
 
 def test_spsa_constant_evaluator_never_moves():
-    def const(params):
-        return EnergyEstimate(value=3.0, std_err=0.0)
+    def const(points):
+        return Estimates(value=np.full(len(points), 3.0), std_err=np.zeros(len(points)),
+                         raw=np.full(len(points), 3.0))
 
     trace = spsa_run(SpsaConfig(iterations=20), const, START,
                      np.random.default_rng(0))
@@ -127,8 +127,10 @@ def test_spsa_constant_evaluator_never_moves():
 
 def test_spsa_invariant_under_constant_shift():
     def shifted(offset):
-        base = oracle_evaluator()
-        return lambda p: EnergyEstimate(value=base(p).value + offset, std_err=0.0)
+        def evaluate(points):
+            est = oracle_evaluator()(points)
+            return Estimates(est.value + offset, est.std_err, est.raw + offset)
+        return evaluate
 
     t1 = spsa_run(SpsaConfig(iterations=30), shifted(0.0), START,
                   np.random.default_rng(12))
@@ -158,9 +160,10 @@ def test_spsa_directions_are_the_choice_draws():
     for seed in range(500):
         points = []
 
-        def record(params):
-            points.append((params.phi, params.theta))
-            return EnergyEstimate(value=exact_energy(params), std_err=0.0)
+        def record(batch):
+            assert batch.shape == (3, 2)    # one call per iteration
+            points.extend(batch.tolist())
+            return oracle_evaluator()(batch)
 
         stream, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         spsa_run(cfg, record, START, stream)
@@ -332,8 +335,7 @@ def test_mgd_trace_diagnostics_do_not_affect_updates():
 def evaluate_one(ev, params):
     """One point's estimate from a lockstep evaluator running one repeat."""
     est = ev(np.array([[[params.phi, params.theta]]]))
-    return EnergyEstimate(float(est.value[0, 0]), float(est.std_err[0, 0]),
-                          float(est.raw[0, 0]))
+    return Estimates(*(float(a[0, 0]) for a in est))
 
 
 def test_spsa_parallel_evaluator_pools_std_err():
