@@ -21,7 +21,8 @@ from .circuits import MeasurementSetting, NativeCircuit, NativeGate, build_circu
 from .simulator import PairNoiseSpec, ShotHistogram, fidelity_to_depolarizing
 from .device import DeviceTopology, PairSelection, greedy_select, load_calibration
 from .device import max_weight_matching, noise_spec_for_pair
-from .mitigation import ConfusionMatrix, invert_readout, measure_confusion, tflo_correct
+from .mitigation import (ConfusionMatrix, invert_readout, measure_confusion, measure_confusions,
+                         tflo_correct)
 from .executor import (
     CostModel,
     Estimates,
@@ -42,7 +43,8 @@ __all__ = [
     "PairNoiseSpec", "ShotHistogram", "fidelity_to_depolarizing",
     "DeviceTopology", "PairSelection", "greedy_select", "load_calibration",
     "max_weight_matching", "noise_spec_for_pair",
-    "ConfusionMatrix", "invert_readout", "measure_confusion", "tflo_correct",
+    "ConfusionMatrix", "invert_readout", "measure_confusion", "measure_confusions",
+    "tflo_correct",
     "CostModel", "Estimates", "PairTable", "aggregate_same_params",
     "calibrate_cost_model", "compile_pairs", "estimate_counts",
     "predict_wall_time", "run_batch",

@@ -10,7 +10,8 @@ measurement stage), each with the one generator that key path keeps for
 its whole run. All batches of a call are simulated in one vectorized
 pass, each group's histograms come from one multinomial draw on its
 generator, in batch order, and energies are estimated as arrays, so
-execution is deterministic and holds no per-pair objects. Each batch
+execution is deterministic and holds no per-pair objects: a call's
+counts come back as one record array over its rows. Each batch
 keeps its own checks and crosstalk flags, so a key path's counts depend
 only on its own batches, in order, never on the groups beside it.
 
@@ -139,16 +140,13 @@ def estimate_counts(table: PairTable, rows, counts: np.ndarray) -> Estimates:
     return Estimates(value=value, std_err=std_err, raw=raw)
 
 
-class PairCounts(NamedTuple):
-    """One row of a batch: its pair and its (2, 4) outcome counts, one
-    histogram per setting in SETTINGS order."""
-
-    pair: Pair
-    histograms: np.ndarray
+# a run_batch row: its (2, 4) outcome counts, one histogram per setting in
+# SETTINGS order
+COUNTS_DTYPE = np.dtype((np.record, [("histograms", np.int64, (2, 4))]))
 
 
 def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shots,
-              streams) -> list[PairCounts]:
+              streams) -> np.recarray:
     """Simulate groups of batches of table rows in one vectorized pass.
 
     groups holds K groups, each a non-empty list of row arrays (batches)
@@ -159,7 +157,9 @@ def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shot
     on streams[k] over its rows in batch order, which continues that
     generator's stream: a group's counts depend only on its own batches,
     in order, its shot count and its generator's state, never on the other
-    groups of the call. Returns one PairCounts per row, in order.
+    groups of the call. Returns the counts as a record array with one
+    record per row, in order: its histograms field is the (rows, 2, 4)
+    int64 count array itself, not a copy.
 
     Each batch's pairs must be vertex-disjoint. A row is flagged for
     crosstalk when another row of its own batch is its neighbour. Every
@@ -204,7 +204,7 @@ def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shot
     bounds = list(accumulate((sum(map(len, group)) for group in groups), initial=0))
     counts = np.concatenate([stream.multinomial(n, dists[lo:hi]) for stream, n, lo, hi
                              in zip(streams, shots, bounds, bounds[1:])])
-    return [PairCounts(table.pairs[row], hist) for row, hist in zip(rows.tolist(), counts)]
+    return np.recarray(len(rows), dtype=COUNTS_DTYPE, buf=counts)
 
 
 def aggregate_same_params(est: Estimates) -> Estimates:

@@ -48,7 +48,7 @@ from .hubbard import (
     exact_ground_energy,
     optimal_params,
 )
-from .mitigation import ConfusionMatrix, measure_confusion, tflo_correct
+from .mitigation import ConfusionMatrix, measure_confusions, tflo_correct
 from .optimizers import (
     MgdConfig,
     OptTrace,
@@ -262,13 +262,16 @@ class _Run:
         """The pairs compiled for every later batch on them; with ni, their
         estimates are noise-inverted by each pair's confusion matrix,
         measured on the pair's own stream the first time a table of the run
-        holds it."""
+        holds it: a table's new pairs are measured as one stack, and a
+        rejected stack adds none of them."""
         cfg = self.cfg
-        for pair in pairs if ni else ():
-            if pair not in self.confusions:
-                self.confusions[pair] = measure_confusion(
-                    noise_spec_for_pair(self.topology, pair), cfg.confusion_shots,
-                    derive_rng(cfg.seed, _NS_CONFUSION, *pair))
+        new = [pair for pair in pairs if pair not in self.confusions] if ni else []
+        if new:
+            readouts = np.array([noise_spec_for_pair(self.topology, pair).readout
+                                 for pair in new])
+            self.confusions.update(zip(new, measure_confusions(
+                readouts, cfg.confusion_shots,
+                [derive_rng(cfg.seed, _NS_CONFUSION, *pair) for pair in new])))
         return compile_pairs(self.topology, pairs, self.h, self.confusions if ni else None,
                              cfg.crosstalk_p)
 

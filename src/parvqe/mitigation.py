@@ -21,13 +21,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import PairNoiseSpec, ShotHistogram
+from .simulator import PairNoiseSpec, ShotHistogram, confusion_maps
 
 CONDITION_LIMIT = 100.0
 
 
 class IllConditionedConfusion(ValueError):
     """Confusion matrix too close to singular to invert safely."""
+
+
+def check_confusions(matrices: np.ndarray) -> np.ndarray:
+    """Check an (n, 4, 4) stack of readout confusion matrices and return
+    their inverses: every entry in [0, 1] (so none is nan), every column
+    summing to 1 and every condition number at most CONDITION_LIMIT, else a
+    ValueError (IllConditionedConfusion for the condition number)."""
+    if matrices.ndim != 3 or matrices.shape[1:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got shape {matrices.shape}")
+    if not np.all((matrices >= -1e-12) & (matrices <= 1.0 + 1e-12)):   # also catches nan
+        raise ValueError("confusion entries must lie in [0, 1]")
+    if np.any(np.abs(matrices.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("confusion columns must sum to 1")
+    cond = np.linalg.cond(matrices)
+    bad = cond > CONDITION_LIMIT   # a singular matrix has cond inf
+    if np.any(bad):
+        raise IllConditionedConfusion(f"confusion matrix condition number "
+                                      f"{cond[bad][0]:.3g} exceeds {CONDITION_LIMIT}")
+    return np.linalg.inv(matrices)
 
 
 @dataclass(frozen=True)
@@ -40,41 +59,57 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
-            raise ValueError("confusion entries must lie in [0, 1]")
-        if np.max(np.abs(m.sum(axis=0) - 1.0)) > 1e-9:
-            raise ValueError("confusion columns must sum to 1")
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise IllConditionedConfusion(
-                f"confusion matrix condition number {cond:.3g} exceeds {CONDITION_LIMIT}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_inverse", np.linalg.inv(m))
+        object.__setattr__(self, "_inverse", check_confusions(m[None])[0])
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray, inverse: np.ndarray,
+                 shots_used: int | None) -> ConfusionMatrix:
+        """One matrix of a stack that check_confusions passed, with its inverse."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "shots_used", shots_used)
+        object.__setattr__(self, "_inverse", inverse)
+        return self
 
     @property
     def inverse(self) -> np.ndarray:
         return self._inverse
 
 
+def measure_confusions(readouts: np.ndarray, shots: int | None,
+                       streams) -> list[ConfusionMatrix]:
+    """Estimate the confusion matrices of n pairs by basis-state preparation.
+
+    readouts has shape (n, 2, 2): per pair, per qubit, (eps01, eps10).
+    State preparation is treated as ideal, so column j of pair i's matrix
+    is a multinomial sample of its readout map applied to basis state j,
+    drawn on streams[i] in column order. With shots=None the exact maps are
+    returned (no sampling; streams unused). The stack is checked and
+    inverted at once; a rejected stack returns nothing.
+    """
+    exact = confusion_maps(readouts)
+    if shots is None:
+        matrices = exact
+    else:
+        if shots < 1:
+            raise ValueError("shots must be >= 1 per basis state")
+        if len(streams) != len(exact) or any(stream is None for stream in streams):
+            raise ValueError("a random stream per pair is required when sampling")
+        # one draw per pair: row j of m.T is the readout map of basis state j
+        draws = [stream.multinomial(shots, m.T).T for stream, m in zip(streams, exact)]
+        matrices = np.array(draws).reshape(exact.shape) / shots
+    inverses = check_confusions(matrices)
+    return [ConfusionMatrix._checked(m, inv, shots) for m, inv in zip(matrices, inverses)]
+
+
 def measure_confusion(noise: PairNoiseSpec, shots: int | None = 10_000,
                       stream: np.random.Generator | None = None) -> ConfusionMatrix:
-    """Estimate the confusion matrix of a pair by basis-state preparation.
-
-    State preparation is treated as ideal, so column j is a multinomial
-    sample of the readout map applied to basis state j. With shots=None
-    the exact map is returned (no sampling; stream unused).
-    """
-    exact = noise.confusion_map()
-    if shots is None:
-        return ConfusionMatrix(matrix=exact, shots_used=None)
-    if shots < 1:
-        raise ValueError("shots must be >= 1 per basis state")
-    if stream is None:
-        raise ValueError("a random stream is required when sampling")
-    cols = [stream.multinomial(shots, exact[:, j]) / shots for j in range(4)]
-    return ConfusionMatrix(matrix=np.column_stack(cols), shots_used=shots)
+    """Estimate the confusion matrix of one pair (measure_confusions for
+    the pair alone): column j is a multinomial sample of the readout map
+    applied to basis state j, or with shots=None the exact map (no
+    sampling; stream unused)."""
+    return measure_confusions(np.array([noise.readout]), shots, [stream])[0]
 
 
 def invert_readout(measured: ShotHistogram | np.ndarray,

@@ -347,9 +347,9 @@ def measure_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray,
     in shots, or all at one int) at angles (phi, theta) in one run_batch
     call and estimate every row's energy, in row order; NI-corrected when
     the table has confusions."""
-    results = run_batch(table, groups, phi, theta, shots, streams)
+    counts = run_batch(table, groups, phi, theta, shots, streams).histograms
     rows = np.concatenate([batch for group in groups for batch in group])
-    return estimate_counts(table, rows, np.array([r.histograms for r in results]))
+    return estimate_counts(table, rows, counts)
 
 
 def batch_pair_evaluator(table: PairTable, shots,

@@ -1,12 +1,16 @@
 import json
+import os
 
 import pytest
 from hypothesis import settings
 
-# property tests draw the same examples on every run, with no time limit
+# property tests draw the same examples on every run, with no time limit;
+# HYPOTHESIS_PROFILE=randomized draws new ones on each run, ten times as many
 settings.register_profile("deterministic", derandomize=True, deadline=None,
                           database=None)
-settings.load_profile("deterministic")
+settings.register_profile("randomized", derandomize=False, max_examples=1000,
+                          deadline=None, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 from parvqe.device import load_calibration
 from parvqe.harness import default_calibration_path, default_cost_model_path

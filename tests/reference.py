@@ -1,8 +1,9 @@
 """Slow reference implementations that the package's fast paths are tested
 against: a gate-by-gate density-matrix simulator for the closed-form batch
-kernel, a one-pair energy estimator for the columnar one, a one-repeat
-surrogate fit for the batched one, and cell-by-cell CSV and heatmap
-writers for the columnar ones.
+kernel, a one-pair energy estimator for the columnar one, a one-pair
+confusion measurement for the stacked one, a one-repeat surrogate fit for
+the batched one, and cell-by-cell CSV and heatmap writers for the
+columnar ones.
 """
 
 import csv
@@ -14,7 +15,7 @@ from parvqe import svgplot
 from parvqe.circuits import NativeCircuit, gate_matrix
 from parvqe.executor import Estimates, setting_coefficients
 from parvqe.hubbard import HubbardParams
-from parvqe.mitigation import ConfusionMatrix
+from parvqe.mitigation import CONDITION_LIMIT, ConfusionMatrix, IllConditionedConfusion
 from parvqe.optimizers import N_SURROGATE_FEATURES, UnderDeterminedFit
 from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram
 
@@ -118,6 +119,26 @@ def estimate_energy(onsite, hopping, h: HubbardParams = HubbardParams(),
             + _plugin_variance(eff_hop, p_hop, shots_hop)
         std_err = float(np.sqrt(var))
     return Estimates(value=value, std_err=std_err, raw=raw)
+
+
+def measure_confusion(noise: PairNoiseSpec, shots: int | None,
+                      stream: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """One pair's confusion matrix and its inverse, measured and checked on
+    its own: one multinomial per basis-state column on stream (the exact
+    map with shots=None), then the matrix's own checks, condition number
+    and inverse. Raises ValueError or IllConditionedConfusion on a matrix
+    that fails a check."""
+    exact = noise.confusion_map()
+    matrix = exact if shots is None else np.column_stack(
+        [stream.multinomial(shots, exact[:, j]) / shots for j in range(4)])
+    if np.any(matrix < -1e-12) or np.any(matrix > 1.0 + 1e-12):
+        raise ValueError("confusion entries must lie in [0, 1]")
+    if np.max(np.abs(matrix.sum(axis=0) - 1.0)) > 1e-9:
+        raise ValueError("confusion columns must sum to 1")
+    cond = np.linalg.cond(matrix)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise IllConditionedConfusion(f"condition number {cond:.3g}")
+    return matrix, np.linalg.inv(matrix)
 
 
 def fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,

@@ -52,7 +52,7 @@ def run_estimates(topo, assignments, shots, seed, crosstalk_p=0.0, rows=None):
     counts = run_batch(table, [[rows]], np.array([a.phi for a in params]),
                        np.array([a.theta for a in params]), shots,
                        [np.random.default_rng(seed)])
-    return estimate_counts(table, rows, np.array([c.histograms for c in counts]))
+    return estimate_counts(table, rows, counts.histograms)
 
 
 # --- run_batch ---
@@ -267,7 +267,7 @@ def chain_table(n_pairs=4, crosstalk_p=0.3):
 
 
 def batch_counts(results):
-    return np.array([r.histograms for r in results])
+    return results.histograms
 
 
 @st.composite
@@ -293,6 +293,24 @@ def group_slices(groups):
 
 def streams_of(seeds):
     return [np.random.default_rng(seed) for seed in seeds]
+
+
+@given(group_cases(), st.data())
+def test_run_batch_returns_one_record_array(case, data):
+    """run_batch returns one record per row; its histograms field is the
+    (rows, 2, 4) int64 count array, a view of the records that equals the
+    rows' own histograms stacked."""
+    groups, phi, theta, seeds = case
+    shots = data.draw(st.lists(st.integers(1, 2000), min_size=len(groups),
+                               max_size=len(groups)))
+    records = run_batch(chain_table(), groups, phi, theta, shots, streams_of(seeds))
+    counts = records.histograms
+    assert isinstance(records, np.recarray) and len(records) == len(phi)
+    assert counts.dtype == np.int64 and counts.shape == (len(phi), 2, 4)
+    assert np.shares_memory(counts, records)
+    assert np.array_equal(counts, np.stack([record.histograms for record in records]))
+    row_shots = np.repeat(shots, [sum(map(len, group)) for group in groups])
+    assert np.array_equal(counts.sum(axis=2), np.column_stack([row_shots, row_shots]))
 
 
 @given(group_cases())

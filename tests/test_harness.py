@@ -17,6 +17,7 @@ from parvqe import harness, optimizers
 from parvqe.cli import build_parser, config_from_args, main as cli_main
 from parvqe.device import DeviceTopology, max_weight_matching
 from parvqe.executor import compile_pairs, load_cost_model, predict_wall_time
+from parvqe.mitigation import IllConditionedConfusion
 from parvqe.harness import (
     COMMANDS,
     MAX_POINTS_PER_ITERATION,
@@ -228,22 +229,30 @@ def test_seeding_calls_do_not_grow_with_iterations(tmp_path, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def count_calls(monkeypatch, module, name, calls):
-    """Wrap module.name so that each call appends its name to calls."""
+def count_calls(monkeypatch, module, name, calls, weight=lambda *args: 1):
+    """Wrap module.name so that each call appends its name to calls,
+    weight(*args) times."""
     original = getattr(module, name)
-    monkeypatch.setattr(module, name,
-                        lambda *args, **kw: calls.append(name) or original(*args, **kw))
+
+    def counting(*args, **kw):
+        calls.extend([name] * weight(*args))
+        return original(*args, **kw)
+
+    monkeypatch.setattr(module, name, counting)
 
 
 def test_readme_scale_runs_measure_once(tmp_path, monkeypatch):
     # shots-sweep runs its 3 shot counts as lockstep repeats of one
     # optimizer run, one run_batch call per iteration for all of them, and
     # optimizer-compare measures each of the 25 greedy pairs' confusion
-    # once, however many of its pair counts hold the pair
+    # once, however many of its pair counts hold the pair; confusions are
+    # counted as the matrices measured, one per readout handed to
+    # measure_confusions
     calls = []
-    for module, name in ((optimizers, "run_batch"), (harness, "measure_confusion"),
-                         (harness, "_optimize")):
+    for module, name in ((optimizers, "run_batch"), (harness, "_optimize")):
         count_calls(monkeypatch, module, name, calls)
+    count_calls(monkeypatch, harness, "measure_confusions", calls,
+                weight=lambda readouts, *args: len(readouts))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for command in ("shots-sweep", "optimizer-compare"):
@@ -251,9 +260,31 @@ def test_readme_scale_runs_measure_once(tmp_path, monkeypatch):
             assert cli_main([command, "--seed", "7", "--out", str(tmp_path / command)]) == 0
             counts = {name: calls.count(name) for name in set(calls)}
             if command == "shots-sweep":
-                assert counts == {"run_batch": 50, "measure_confusion": 26, "_optimize": 1}
+                assert counts == {"run_batch": 50, "measure_confusions": 26, "_optimize": 1}
             else:
-                assert counts["measure_confusion"] == 25
+                assert counts["measure_confusions"] == 25
+
+
+def test_rejected_confusion_stack_leaves_run_confusions_unchanged(tmp_path):
+    """A table whose new pairs hold one ill-conditioned confusion measures
+    none of them: the run keeps the confusions it had, and a later table
+    measures each good pair as it would have alone."""
+    readout = {q: (0.02, 0.03) for q in range(4)} | {4: (0.47, 0.47), 5: (0.47, 0.47)}
+    cal = write_calibration(tmp_path / "cal.json", range(6),
+                            [(0, 1, 0.95), (2, 3, 0.95), (4, 5, 0.95)], readout)
+    cfg = ExperimentConfig(seed=5, out_dir=tmp_path / "out", calibration=cal,
+                           confusion_shots=2000)
+    run = _Run(cfg)
+    run.pair_table([(0, 1)])
+    before = dict(run.confusions)
+    with pytest.raises(IllConditionedConfusion):
+        run.pair_table([(0, 1), (2, 3), (4, 5)])
+    assert run.confusions.keys() == before.keys()
+    assert all(run.confusions[pair] is before[pair] for pair in before)
+    run.pair_table([(2, 3)])
+    alone = _Run(cfg)
+    alone.pair_table([(2, 3)])
+    assert np.array_equal(run.confusions[2, 3].matrix, alone.confusions[2, 3].matrix)
 
 
 def test_matching_selection_keeps_best_pairs_above_cap(shipped_topology):
@@ -636,8 +667,9 @@ def test_cli_import_leaves_scipy_and_networkx_unloaded(tmp_path, make_uniform_ca
 
 def test_measure_batch_reads_counts_from_optimizers_run_batch(monkeypatch):
     """The benchmark counts circuits from what parvqe.optimizers.run_batch
-    returns (benchmarks/tracer.py::_count_batch): one object per row of a
-    measure_batch call, each with (2, 4) histograms."""
+    returns (benchmarks/tracer.py::_count_batch): one record array over the
+    rows of a measure_batch call, whose records each give a (2, 4)
+    histograms view."""
     results = []
 
     def recording(*args):

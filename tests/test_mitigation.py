@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import reference
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy
 from parvqe.mitigation import (
     ConfusionMatrix,
     IllConditionedConfusion,
+    check_confusions,
     invert_readout,
     measure_confusion,
+    measure_confusions,
     tflo_correct,
 )
 from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram, sample_shots
@@ -124,3 +128,97 @@ def test_per_pair_inversion_equals_global_on_products():
                            np.linalg.inv(n_b) @ (n_b @ d_b))
         assert np.max(np.abs(global_inverted - per_pair)) < 1e-12
         assert np.max(np.abs(global_inverted - np.kron(d_a, d_b))) < 1e-12
+
+
+# --- stacked confusion measurement ---
+
+
+@st.composite
+def confusion_cases(draw):
+    """1-6 pairs' readout rates (up to 0.49, so some matrices are
+    ill-conditioned), a shot count or None (exact maps) and a seed per pair."""
+    n = draw(st.integers(1, 6))
+    readouts = np.array(draw(st.lists(st.floats(0.0, 0.49), min_size=4 * n,
+                                      max_size=4 * n))).reshape(n, 2, 2)
+    shots = draw(st.none() | st.integers(1, 5000))
+    seeds = draw(st.lists(st.integers(0, 2 ** 63), min_size=n, max_size=n))
+    return readouts, shots, seeds
+
+
+def result_or_error(measure):
+    try:
+        return measure()
+    except ValueError as exc:
+        return type(exc)
+
+
+@given(confusion_cases())
+def test_measure_confusions_match_one_pair_at_a_time(case):
+    """The stacked measurement, and measure_confusion on each pair, give
+    every pair the matrix, inverse and stream state of the reference that
+    draws one column at a time and checks one matrix; when a pair's matrix
+    fails its checks, both raise that pair's error type."""
+    readouts, shots, seeds = case
+    expected, errors = [], set()
+    for readout, seed in zip(readouts, seeds):
+        noise = PairNoiseSpec(readout=tuple(map(tuple, readout)))
+        ref_stream, own_stream = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = result_or_error(lambda: reference.measure_confusion(noise, shots, ref_stream))
+        own = result_or_error(lambda: measure_confusion(noise, shots, own_stream))
+        if isinstance(ref, type):
+            assert own is ref
+            errors.add(ref)
+            continue
+        next_draw = ref_stream.random()
+        assert np.array_equal(own.matrix, ref[0]) and np.array_equal(own.inverse, ref[1])
+        assert own.shots_used == shots and own_stream.random() == next_draw
+        expected.append((*ref, next_draw))
+    streams = [np.random.default_rng(seed) for seed in seeds]
+    stacked = result_or_error(lambda: measure_confusions(readouts, shots, streams))
+    if errors:
+        assert stacked in errors
+        return
+    assert len(stacked) == len(readouts)
+    for confusion, stream, (matrix, inverse, next_draw) in zip(stacked, streams, expected):
+        assert np.array_equal(confusion.matrix, matrix)
+        assert np.array_equal(confusion.inverse, inverse)
+        assert confusion.shots_used == shots
+        assert stream.random() == next_draw
+
+
+GOOD = PairNoiseSpec(readout=((0.02, 0.05), (0.04, 0.01))).confusion_map()
+NEGATIVE = np.eye(4)
+NEGATIVE[:2, 0] = (1.2, -0.2)
+BAD_MEMBERS = {
+    "singular": np.full((4, 4), 0.25),
+    "ill-conditioned": PairNoiseSpec(readout=((0.47, 0.47), (0.47, 0.47))).confusion_map(),
+    "nan": np.full((4, 4), np.nan),
+    "columns sum to 0.9": np.eye(4) * 0.9,
+    "negative entry": NEGATIVE,
+}
+
+
+@given(st.sampled_from(sorted(BAD_MEMBERS)), st.integers(1, 5), st.data())
+def test_stack_with_one_bad_member_raises_like_one_matrix(name, n, data):
+    """check_confusions rejects a stack of good matrices with one bad member
+    at any position, with the error type ConfusionMatrix raises for the
+    member alone."""
+    bad = BAD_MEMBERS[name]
+    with pytest.raises(ValueError) as alone:
+        ConfusionMatrix(matrix=bad)
+    stack = np.insert(np.repeat(GOOD[None], n, axis=0), data.draw(st.integers(0, n)), bad,
+                      axis=0)
+    with pytest.raises(ValueError) as stacked:
+        check_confusions(stack)
+    assert type(stacked.value) is type(alone.value)
+    assert (type(alone.value) is IllConditionedConfusion) == (
+        name in ("singular", "ill-conditioned"))
+
+
+def test_check_confusions_inverts_each_matrix_of_a_stack():
+    stack = np.stack([GOOD, np.eye(4), GOOD[:, [1, 0, 3, 2]]])
+    inverses = check_confusions(stack)
+    for matrix, inverse in zip(stack, inverses):
+        assert np.array_equal(inverse, np.linalg.inv(matrix))
+    with pytest.raises(ValueError, match="4x4"):
+        check_confusions(GOOD)
