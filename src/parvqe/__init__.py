@@ -24,6 +24,7 @@ from .device import max_weight_matching, noise_spec_for_pair
 from .mitigation import (ConfusionMatrix, invert_readout, measure_confusion, measure_confusions,
                          tflo_correct)
 from .executor import (
+    BatchPlan,
     CostModel,
     Estimates,
     PairTable,
@@ -31,6 +32,7 @@ from .executor import (
     calibrate_cost_model,
     compile_pairs,
     estimate_counts,
+    plan_batches,
     predict_wall_time,
     run_batch,
 )
@@ -45,8 +47,8 @@ __all__ = [
     "max_weight_matching", "noise_spec_for_pair",
     "ConfusionMatrix", "invert_readout", "measure_confusion", "measure_confusions",
     "tflo_correct",
-    "CostModel", "Estimates", "PairTable", "aggregate_same_params",
-    "calibrate_cost_model", "compile_pairs", "estimate_counts",
+    "BatchPlan", "CostModel", "Estimates", "PairTable", "aggregate_same_params",
+    "calibrate_cost_model", "compile_pairs", "estimate_counts", "plan_batches",
     "predict_wall_time", "run_batch",
     "MgdConfig", "OptTrace", "SpsaConfig", "mgd_run", "n_points_from_eta", "spsa_run",
     "__version__",

@@ -7,13 +7,18 @@ parameters to vertex-disjoint rows of the table and runs both
 measurement settings on every row. Every run is a list of groups of such
 batches, one group per key path (an optimizer repeat, a command's
 measurement stage), each with the one generator that key path keeps for
-its whole run. All batches of a call are simulated in one vectorized
-pass, each group's histograms come from one multinomial draw on its
-generator, in batch order, and energies are estimated as arrays, so
-execution is deterministic and holds no per-pair objects: a call's
-counts come back as one record array over its rows. Each batch
-keeps its own checks and crosstalk flags, so a key path's counts depend
-only on its own batches, in order, never on the groups beside it.
+its whole run. A layout of groups is checked and gathered once into a
+BatchPlan (plan_batches): its shot counts, each batch's
+vertex-disjointness and crosstalk flags, and each row's depolarizing
+probability, readout map and estimation coefficients. Every run_batch
+call on the plan then only checks its angles and streams: all its
+batches are simulated in one vectorized pass, each group's histograms
+come from one multinomial draw on its generator, in batch order, and the
+plan estimates energies as arrays, so execution is deterministic and
+holds no per-pair objects: a call's counts come back as one record array
+over its rows. Each batch keeps its own checks and crosstalk flags, so a
+key path's counts depend only on its own batches, in order, never on the
+groups beside it.
 
 Wall-clock time of a batched run on a remote device is modelled, not
 measured, as
@@ -127,9 +132,13 @@ def estimate_counts(table: PairTable, rows, counts: np.ndarray) -> Estimates:
     most 1e-14 of coeffs_k**2 @ f_k, which is what the cancellation leaves
     when a setting's counts all fall on outcomes of one coefficient) is 0.
     """
+    return _estimate(table, table.coeffs[rows], counts)
+
+
+def _estimate(table: PairTable, coeffs: np.ndarray, counts: np.ndarray) -> Estimates:
+    """estimate_counts on rows whose (n, 2, 4) coefficients are gathered."""
     shots = counts[:, 0].sum(axis=1)
     freqs = counts / shots[:, None, None]
-    coeffs = table.coeffs[rows]
     mean = np.einsum("nkj,nkj->nk", coeffs, freqs)
     second = np.einsum("nkj,nkj->nk", coeffs * coeffs, freqs)
     value = table.offset + mean.sum(axis=1)
@@ -145,36 +154,48 @@ def estimate_counts(table: PairTable, rows, counts: np.ndarray) -> Estimates:
 COUNTS_DTYPE = np.dtype((np.record, [("histograms", np.int64, (2, 4))]))
 
 
-def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shots,
-              streams) -> np.recarray:
-    """Simulate groups of batches of table rows in one vectorized pass.
+@dataclass(frozen=True, eq=False)
+class BatchPlan:
+    """A checked layout of groups of batches of table rows, made once by
+    plan_batches and run by every run_batch call on it.
+
+    rows holds the rows of every batch of every group, in order; group k
+    is rows[bounds[k]:bounds[k + 1]] and draws shots[k] shots per setting.
+    p is each row's depolarizing probability with its batch's crosstalk
+    flags applied; confusion and coeffs are its readout map and estimation
+    coefficients, gathered from the table.
+    """
+
+    table: PairTable
+    rows: np.ndarray                  # (n,)
+    bounds: tuple[int, ...]           # (K + 1,)
+    shots: tuple[int, ...]            # (K,)
+    p: np.ndarray                     # (n,)
+    confusion: np.ndarray             # (n, 4, 4)
+    coeffs: np.ndarray                # (n, 2, 4)
+
+    def estimate(self, counts: np.ndarray) -> Estimates:
+        """estimate_counts of the plan's rows from their (n, 2, 4) counts."""
+        return _estimate(self.table, self.coeffs, counts)
+
+
+def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
+    """Check and gather a layout of K groups of batches of table rows once.
 
     groups holds K groups, each a non-empty list of row arrays (batches)
-    that may differ in size, streams their K generators and shots their K
-    shot counts (one int applies to every group). phi and theta hold the
-    angles of every row of every batch of every group, in order. Group k's
-    histograms come from one multinomial draw of shots[k] shots per setting
-    on streams[k] over its rows in batch order, which continues that
-    generator's stream: a group's counts depend only on its own batches,
-    in order, its shot count and its generator's state, never on the other
-    groups of the call. Returns the counts as a record array with one
-    record per row, in order: its histograms field is the (rows, 2, 4)
-    int64 count array itself, not a copy.
-
-    Each batch's pairs must be vertex-disjoint. A row is flagged for
-    crosstalk when another row of its own batch is its neighbour. Every
-    batch and every shot count is checked before any generator is drawn
-    from, so a rejected call leaves every stream untouched.
+    that may differ in size, and shots their K shot counts (one int applies
+    to every group). Each batch's pairs must be vertex-disjoint. A row is
+    flagged for crosstalk when another row of its own batch is its
+    neighbour. Every batch and every shot count is checked here, so a
+    plan's run_batch calls only check their angles and streams.
     """
-    if len(groups) != len(streams):
-        raise ValueError(f"{len(groups)} groups but {len(streams)} streams")
+    if not groups:
+        raise ValueError("need at least one group")
     shots = [shots] * len(groups) if isinstance(shots, (int, np.integer)) else list(shots)
     if len(shots) != len(groups):
         raise ValueError(f"{len(groups)} groups but {len(shots)} shot counts")
     if min(shots) < 1:
         raise ValueError("shots must be >= 1")
-    if not all(isinstance(stream, np.random.Generator) for stream in streams):
-        raise TypeError("each group needs a numpy Generator as its stream")
     groups = [[np.asarray(batch, dtype=int) for batch in group] for group in groups]
     for group in groups:
         if not group:
@@ -185,7 +206,6 @@ def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shot
     batches = [batch for group in groups for batch in group]
     rows = np.concatenate(batches)
     sizes = [len(batch) for batch in batches]
-    starts = list(accumulate(sizes, initial=0))
     # one sort of the (batch index, qubit) keys finds a qubit used twice in a batch
     qubits = table.qubits[rows]
     low = qubits.min()
@@ -193,18 +213,46 @@ def run_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray, shot
     keys = np.sort((batch_of[:, None] * (qubits.max() - low + 1) + qubits - low).ravel())
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("batch pairs must be vertex-disjoint")
-    if len(phi) != len(rows) or len(theta) != len(rows):
-        raise ValueError(f"{len(rows)} rows but {len(phi)} phi and {len(theta)} theta")
     p = table.p[rows]
     if table.neighbours is not None:
-        for batch, start in zip(batches, starts):
+        for batch, start in zip(batches, accumulate(sizes, initial=0)):
             flagged = table.neighbours[batch][:, batch].any(axis=1)
             p[start:start + len(batch)][flagged] = table.p_crosstalk[batch][flagged]
-    dists = batch_distributions(phi, theta, p, table.confusion[rows])
-    bounds = list(accumulate((sum(map(len, group)) for group in groups), initial=0))
-    counts = np.concatenate([stream.multinomial(n, dists[lo:hi]) for stream, n, lo, hi
-                             in zip(streams, shots, bounds, bounds[1:])])
-    return np.recarray(len(rows), dtype=COUNTS_DTYPE, buf=counts)
+    return BatchPlan(
+        table=table, rows=rows,
+        bounds=tuple(accumulate((sum(map(len, group)) for group in groups), initial=0)),
+        shots=tuple(shots), p=p, confusion=table.confusion[rows],
+        coeffs=table.coeffs[rows])
+
+
+def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> np.recarray:
+    """Simulate a plan's groups of batches in one vectorized pass.
+
+    streams holds the plan's K generators, one per group; phi and theta
+    hold the angles of every row of the plan, in order. Group k's
+    histograms come from one multinomial draw of shots[k] shots per setting
+    on streams[k] over its rows in batch order, which continues that
+    generator's stream: a group's counts depend only on its own batches,
+    in order, its shot count and its generator's state, never on the other
+    groups of the call. Returns the counts as a record array with one
+    record per row, in order: its histograms field is the (rows, 2, 4)
+    int64 count array itself, not a copy.
+
+    The angles and streams are checked before any generator is drawn from,
+    so a rejected call leaves every stream untouched.
+    """
+    if len(streams) != len(plan.shots):
+        raise ValueError(f"{len(plan.shots)} groups but {len(streams)} streams")
+    if not all(isinstance(stream, np.random.Generator) for stream in streams):
+        raise TypeError("each group needs a numpy Generator as its stream")
+    n = len(plan.rows)
+    if len(phi) != n or len(theta) != n:
+        raise ValueError(f"{n} rows but {len(phi)} phi and {len(theta)} theta")
+    dists = batch_distributions(phi, theta, plan.p, plan.confusion)
+    bounds = plan.bounds
+    counts = np.concatenate([stream.multinomial(shots, dists[lo:hi]) for stream, shots, lo, hi
+                             in zip(streams, plan.shots, bounds, bounds[1:])])
+    return np.recarray(n, dtype=COUNTS_DTYPE, buf=counts)
 
 
 def aggregate_same_params(est: Estimates) -> Estimates:

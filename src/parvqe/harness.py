@@ -38,6 +38,7 @@ from .executor import (
     PairTable,
     compile_pairs,
     load_cost_model,
+    plan_batches,
     predict_wall_time,
 )
 from .hubbard import (
@@ -289,17 +290,18 @@ def _measure(run: _Run, table: PairTable, groups, phi, theta, key_paths,
     """Mitigation levels of groups of batches of table rows at angles
     (phi, theta), as arrays over every row in order. Group k is one key
     path's batches, drawn from the stream of key_paths[k] in the run
-    namespace. One measure_batch call over the groups gives raw and ni (ni
-    equals raw without NI); with tflo, a second call over their phi=0
-    reference points, in the same layout and drawn from the reference
-    namespace, adds tflo and tflo_ni."""
-    seed, shots = run.cfg.seed, run.cfg.shots
-    est = measure_batch(table, groups, phi, theta, shots,
+    namespace. The layout is planned once; one measure_batch call over the
+    groups gives raw and ni (ni equals raw without NI); with tflo, a second
+    call over their phi=0 reference points, on the same plan and drawn
+    from the reference namespace, adds tflo and tflo_ni."""
+    seed = run.cfg.seed
+    plan = plan_batches(table, groups, run.cfg.shots)
+    est = measure_batch(plan, phi, theta,
                         [derive_rng(seed, _NS_RUN, *path) for path in key_paths])
     levels = {"raw": est.raw, "ni": est.value}
     if tflo:
         zeros = np.zeros_like(theta)
-        ref = measure_batch(table, groups, zeros, theta, shots,
+        ref = measure_batch(plan, zeros, theta,
                             [derive_rng(seed, _NS_REF, *path) for path in key_paths])
         ref_exact = closed_form_energy(zeros, theta, run.h)
         levels["tflo"] = tflo_correct(est.raw, ref_exact, ref.raw)

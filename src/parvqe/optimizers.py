@@ -18,25 +18,30 @@ Each optimizer has one lockstep core (`spsa_lockstep`, `mgd_lockstep`)
 that advances R independent repeats together: every step asks the
 evaluator once for the (R, m) points of all repeats and reads back one
 Estimates with (R, m) fields, so the executor-backed evaluators run them
-in one kernel call. Neither core loops over repeats, apart from each
-repeat's draws from its own stream: MGD fits every repeat's surrogate in
-one batched solve per value column, and each step appends one (R,)
-column per trace field, so an OptTrace holds (K,) columns over its K
-iterations. `spsa_run` and `mgd_run` run one repeat on a batch
-evaluator, (m, 2) points -> one Estimates with (m,) fields, through one
-shared adapter; every evaluator in the package speaks that contract, in
-its one-repeat or its lockstep form.
+in one kernel call. Neither core loops over repeats within a step: each
+repeat draws all K steps' directions (SPSA) or unit offsets (MGD) from
+its own stream in one call before the first step, MGD fits every
+repeat's surrogate in one batched solve per value column, and each step
+appends one (R,) column per trace field, so an OptTrace holds (K,)
+columns over its K iterations. `spsa_run` and `mgd_run` run one repeat
+on a batch evaluator, (m, 2) points -> one Estimates with (m,) fields,
+through one shared adapter; every evaluator in the package speaks that
+contract, in its one-repeat or its lockstep form.
 
 Both executor-backed evaluators batch through `batch_pair_evaluator`,
 which spreads points over the table's rows; SPSA's same-parameters
-evaluator is its pooled view over points repeated once per row.
+evaluator is its pooled view over points repeated once per row. The
+evaluator plans its batch layout (`plan_batches`) on its first call, so
+every later step only simulates, draws and estimates in one `run_batch`
+call.
 Optimizer randomness comes only from the injected streams, one per
 repeat, and each evaluator keeps one shot stream and one shot count per
 repeat for its whole run, from which every call draws that repeat's
 batches in order; so a repeat's trace does not depend on R or on the
 repeats beside it, nor on their shot counts.
 Exact-energy diagnostics recorded in the trace never feed back into the
-updates.
+updates: they are computed once per run, over every repeat's centres,
+after the last step.
 """
 
 from __future__ import annotations
@@ -51,10 +56,11 @@ import numpy as np
 
 from .csvio import csv_chunks, write_csv
 from .executor import (
+    BatchPlan,
     Estimates,
     PairTable,
     aggregate_same_params,
-    estimate_counts,
+    plan_batches,
     run_batch,
 )
 from .hubbard import AnsatzParams, HubbardParams, exact_energy
@@ -195,17 +201,20 @@ BatchEvaluator = Callable[[np.ndarray], Estimates]
 ExactFn = Callable[[AnsatzParams], float]
 # (R, m, 2) array, m points for each of R repeats -> Estimates with (R, m) fields
 LockstepEvaluator = Callable[[np.ndarray], Estimates]
-# (R, 2) array of the repeats' centres -> their R exact energies
+# (N, 2) array of centres -> their N exact energies
 ExactCentres = Callable[[np.ndarray], Sequence[float]]
 
 
-def _traces(steps, final: np.ndarray) -> list[OptTrace]:
+def _traces(steps, final: np.ndarray, exact: ExactCentres | None) -> list[OptTrace]:
     """One trace per repeat from the steps' columns over all R repeats:
-    per step the (R, 2) centres, the (R,) e_raw, e_ni and e_exact (None
-    without an oracle) and the (R, m, 2) points (None for SPSA), each
-    stacked along a new iteration axis."""
-    centres, e_raw, e_ni, e_exact, points = (
+    per step the (R, 2) centres, the (R,) e_raw and e_ni and the (R, m, 2)
+    points (None for SPSA), each stacked along a new iteration axis. The
+    exact energies (None without an oracle) come from one call of exact
+    over every repeat's (K, 2) centres."""
+    centres, e_raw, e_ni, points = (
         None if col[0] is None else np.stack(col, axis=1) for col in zip(*steps))
+    e_exact = (None if exact is None else
+               np.asarray(exact(centres.reshape(-1, 2)), dtype=float).reshape(e_raw.shape))
     return [OptTrace(phi=centres[r, :, 0], theta=centres[r, :, 1], e_raw=e_raw[r],
                      e_ni=e_ni[r], e_exact=None if e_exact is None else e_exact[r],
                      points=None if points is None else points[r],
@@ -213,12 +222,8 @@ def _traces(steps, final: np.ndarray) -> list[OptTrace]:
             for r in range(len(final))]
 
 
-def _exact_at(exact: ExactCentres | None, centres: np.ndarray) -> np.ndarray | None:
-    return None if exact is None else np.asarray(exact(centres), dtype=float)
-
-
 def _exact_of(exact_fn: ExactFn | None) -> ExactCentres | None:
-    """The one-centre oracle as a per-step oracle over the repeats' centres."""
+    """The one-centre oracle as an oracle over an array of centres."""
     if exact_fn is None:
         return None
     return lambda centres: [exact_fn(AnsatzParams(*c)) for c in centres.tolist()]
@@ -229,24 +234,28 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
                   exact: ExactCentres | None = None) -> list[OptTrace]:
     """One-stage SPSA on R independent repeats in lockstep, one trace each.
 
-    Repeat r starts at starts[r] and draws its Rademacher directions from
-    streams[r] only. Each iteration asks `evaluate` once for all repeats'
-    three points: the centre (recorded in the trace) and the two perturbed
-    points for the gradient, which depend only on the centre. A repeat's
-    trace therefore does not depend on R as long as the evaluator's does
-    not.
+    Repeat r starts at starts[r] and draws its K Rademacher directions from
+    streams[r] only, in one call before the first step (the same values
+    and stream state as one size-2 draw per step). Each iteration asks
+    `evaluate` once for all repeats' three points: the centre (recorded in
+    the trace) and the two perturbed points for the gradient, which depend
+    only on the centre. A repeat's trace therefore does not depend on R as
+    long as the evaluator's does not.
     """
     theta = np.array([[s.phi, s.theta] for s in starts], dtype=float)
+    directions = _SIGNS[np.array([stream.integers(0, 2, size=(cfg.iterations, 2))
+                                  for stream in streams], dtype=int)
+                        .reshape(len(theta), cfg.iterations, 2)]
     steps = []
     for k in range(1, cfg.iterations + 1):
         a_k, c_k = cfg.gains(k)
-        delta = np.array([_SIGNS[stream.integers(0, 2, size=2)] for stream in streams])
+        delta = directions[:, k - 1]
         est = evaluate(np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1))
-        steps.append((theta, est.raw[:, 0], est.value[:, 0], _exact_at(exact, theta), None))
+        steps.append((theta, est.raw[:, 0], est.value[:, 0], None))
         e_diff = est.value[:, 1] - est.value[:, 2]
         grad = (e_diff / (2.0 * c_k))[:, None] * delta   # 1/delta_i == delta_i
         theta = theta - a_k * grad
-    return _traces(steps, theta)
+    return _traces(steps, theta, exact)
 
 
 def _one_repeat(evaluator: BatchEvaluator) -> LockstepEvaluator:
@@ -296,7 +305,10 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
 
     Each iteration, repeat r samples `points` offsets uniformly from the
     trust box [-delta_k, delta_k]^2 with streams[r], and `evaluate` runs
-    every repeat's points at once. Every repeat's quadratic surrogate is
+    every repeat's points at once. Each repeat draws all its K iterations'
+    unit offsets in one call before the first step and scales them per
+    step as numpy's uniform does, so its values and stream state are those
+    of one uniform draw per step. Every repeat's quadratic surrogate is
     fitted in one batched solve, with observation weights 1/std_err^2 and
     ridge strength (mean observation variance)/l^2 (unit weights and no
     ridge for a noiseless repeat), and each repeat steps along its fitted
@@ -308,11 +320,13 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
         warnings.warn(f"{points} points under-determine the quadratic surrogate",
                       stacklevel=3)
     theta = np.array([[s.phi, s.theta] for s in starts], dtype=float)
+    unit = np.array([stream.random((cfg.iterations, points, 2)) for stream in streams]
+                    ).reshape(len(theta), cfg.iterations, points, 2)
     steps = []
     for k in range(1, cfg.iterations + 1):
         delta_k, gamma_k = cfg.gains(k)
-        offsets = np.array([stream.uniform(-delta_k, delta_k, size=(points, 2))
-                            for stream in streams]).reshape(len(theta), points, 2)
+        # uniform(low, high) is low + (high - low) * random()
+        offsets = -delta_k + (delta_k - (-delta_k)) * unit[:, k - 1]
         batch = theta[:, None, :] + offsets
         est = evaluate(batch)
         variances = est.std_err ** 2
@@ -323,9 +337,9 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
         ridge = np.where(noiseless, 0.0, mean_var / cfg.l ** 2)
         coeffs = _fit_surrogate(offsets, est.value, weights, ridge)
         e_raw = _fit_surrogate(offsets, est.raw, weights, ridge)[:, 0]
-        steps.append((theta, e_raw, coeffs[:, 0], _exact_at(exact, theta), batch))
+        steps.append((theta, e_raw, coeffs[:, 0], batch))
         theta = theta - gamma_k * coeffs[:, 1:3]
-    return _traces(steps, theta)
+    return _traces(steps, theta, exact)
 
 
 def mgd_run(cfg: MgdConfig, evaluator: BatchEvaluator, start: AnsatzParams,
@@ -340,16 +354,13 @@ def mgd_run(cfg: MgdConfig, evaluator: BatchEvaluator, start: AnsatzParams,
 
 # --- executor-backed evaluators ----------------------------------------------
 
-def measure_batch(table: PairTable, groups, phi: np.ndarray, theta: np.ndarray,
-                  shots, streams) -> Estimates:
-    """Run groups of batches of table rows (each group a sequence of row
-    arrays, drawn from its own generator in streams at its own shot count
-    in shots, or all at one int) at angles (phi, theta) in one run_batch
-    call and estimate every row's energy, in row order; NI-corrected when
-    the table has confusions."""
-    counts = run_batch(table, groups, phi, theta, shots, streams).histograms
-    rows = np.concatenate([batch for group in groups for batch in group])
-    return estimate_counts(table, rows, counts)
+def measure_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray,
+                  streams) -> Estimates:
+    """Run a plan's groups of batches (each group drawn from its own
+    generator in streams) at angles (phi, theta) in one run_batch call and
+    estimate every row's energy, in row order; NI-corrected when the
+    plan's table has confusions."""
+    return plan.estimate(run_batch(plan, phi, theta, streams).histograms)
 
 
 def batch_pair_evaluator(table: PairTable, shots,
@@ -358,7 +369,8 @@ def batch_pair_evaluator(table: PairTable, shots,
     seeds[r], at shots[r] shots each (one int for all): each repeat's m
     points are spread over the table's rows, ceil(m/len(rows)) batches per
     repeat and call, and the estimates come back with shape (R, m). All
-    batches of a call share one kernel pass.
+    batches of a call share one kernel pass, and the layout of (R, m)
+    points is planned on its first call and reused by every later one.
     Repeat r keeps one generator, default_rng(seeds[r]), for every call,
     and each call draws its batches from it in order, so its counts do not
     depend on the repeats beside it."""
@@ -366,13 +378,16 @@ def batch_pair_evaluator(table: PairTable, shots,
         raise ValueError("need at least one pair")
     n = len(table.pairs)
     streams = [np.random.default_rng(seed) for seed in seeds]
+    plans: dict[tuple[int, int], BatchPlan] = {}
 
     def evaluate(points: np.ndarray) -> Estimates:
         repeats, m = points.shape[:2]
-        chunks = [np.arange(lo, min(lo + n, m)) - lo for lo in range(0, m, n)]
+        plan = plans.get((repeats, m))
+        if plan is None:
+            chunks = [np.arange(lo, min(lo + n, m)) - lo for lo in range(0, m, n)]
+            plan = plans[repeats, m] = plan_batches(table, [chunks] * repeats, shots)
         flat = points.reshape(-1, 2)
-        est = measure_batch(table, [chunks] * repeats, flat[:, 0], flat[:, 1], shots,
-                            streams)
+        est = measure_batch(plan, flat[:, 0], flat[:, 1], streams)
         return Estimates(*(a.reshape(repeats, m) for a in est))
 
     return evaluate

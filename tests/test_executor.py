@@ -17,6 +17,7 @@ from parvqe.executor import (
     estimate_counts,
     exact_expectation_energy,
     load_cost_model,
+    plan_batches,
     predict_wall_time,
     run_batch,
 )
@@ -49,9 +50,9 @@ def run_estimates(topo, assignments, shots, seed, crosstalk_p=0.0, rows=None):
     table = compile_pairs(topo, [pair for pair, _ in assignments], crosstalk_p=crosstalk_p)
     rows = np.arange(len(assignments)) if rows is None else np.asarray(rows)
     params = [assignments[r][1] for r in rows]
-    counts = run_batch(table, [[rows]], np.array([a.phi for a in params]),
-                       np.array([a.theta for a in params]), shots,
-                       [np.random.default_rng(seed)])
+    counts = run_batch(plan_batches(table, [[rows]], shots),
+                       np.array([a.phi for a in params]),
+                       np.array([a.theta for a in params]), [np.random.default_rng(seed)])
     return estimate_counts(table, rows, counts.histograms)
 
 
@@ -64,11 +65,12 @@ def test_run_batch_validation():
     one = np.array([0.1])
     stream = [np.random.default_rng(1)]
     with pytest.raises(ValueError):
-        run_batch(table, [[[]]], one[:0], one[:0], 100, stream)
+        run_batch(plan_batches(table, [[[]]], 100), one[:0], one[:0], stream)
     with pytest.raises(ValueError):
-        run_batch(table, [[[0, 1]]], np.repeat(one, 2), np.repeat(one, 2), 100, stream)
+        run_batch(plan_batches(table, [[[0, 1]]], 100), np.repeat(one, 2), np.repeat(one, 2),
+                  stream)
     with pytest.raises(ValueError):
-        run_batch(table, [[[0]]], one, one, 0, stream)
+        run_batch(plan_batches(table, [[[0]]], 0), one, one, stream)
 
 
 def test_run_batch_requires_topology_edges():
@@ -86,8 +88,9 @@ def test_run_batch_deterministic_for_same_seed():
     rows, phi, theta = [0, 1], np.array([0.3, -0.2]), np.array([0.4, 0.9])
 
     def counts(table, stream, batches=1):
-        return batch_counts(run_batch(table, [[rows] * batches], np.tile(phi, batches),
-                                      np.tile(theta, batches), 2000, [stream]))
+        return batch_counts(run_batch(plan_batches(table, [[rows] * batches], 2000),
+                                      np.tile(phi, batches), np.tile(theta, batches),
+                                      [stream]))
 
     baseline = counts(table, np.random.default_rng(99))
     assert np.array_equal(counts(table, np.random.default_rng(99)), baseline)
@@ -303,7 +306,8 @@ def test_run_batch_returns_one_record_array(case, data):
     groups, phi, theta, seeds = case
     shots = data.draw(st.lists(st.integers(1, 2000), min_size=len(groups),
                                max_size=len(groups)))
-    records = run_batch(chain_table(), groups, phi, theta, shots, streams_of(seeds))
+    records = run_batch(plan_batches(chain_table(), groups, shots), phi, theta,
+                        streams_of(seeds))
     counts = records.histograms
     assert isinstance(records, np.recarray) and len(records) == len(phi)
     assert counts.dtype == np.int64 and counts.shape == (len(phi), 2, 4)
@@ -321,13 +325,14 @@ def test_multi_batch_run_matches_each_batch_alone(case):
     batch order."""
     groups, phi, theta, seeds = case
     table = chain_table()
-    together = batch_counts(run_batch(table, groups, phi, theta, 300, streams_of(seeds)))
+    together = batch_counts(run_batch(plan_batches(table, groups, 300), phi, theta,
+                                      streams_of(seeds)))
     for group, seed, part in zip(groups, seeds, group_slices(groups)):
         stream, lo = np.random.default_rng(seed), part.start
         for batch in group:
             rows = slice(lo, lo + len(batch))
-            alone = batch_counts(run_batch(table, [[batch]], phi[rows], theta[rows], 300,
-                                           [stream]))
+            alone = batch_counts(run_batch(plan_batches(table, [[batch]], 300), phi[rows],
+                                           theta[rows], [stream]))
             assert np.array_equal(together[rows], alone)
             lo += len(batch)
 
@@ -344,8 +349,8 @@ def test_key_path_counts_do_not_depend_on_other_key_paths(case, data):
     table = chain_table()
     parts = group_slices(groups)
     target = data.draw(st.integers(0, len(groups) - 1))
-    alone = batch_counts(run_batch(table, [groups[target]], phi[parts[target]],
-                                   theta[parts[target]], shots[target],
+    alone = batch_counts(run_batch(plan_batches(table, [groups[target]], shots[target]),
+                                   phi[parts[target]], theta[parts[target]],
                                    streams_of([seeds[target]])))
     assert np.all(alone.sum(axis=2) == shots[target])
     others = [k for k in range(len(groups)) if k != target]
@@ -353,8 +358,9 @@ def test_key_path_counts_do_not_depend_on_other_key_paths(case, data):
                    data.draw(st.permutations(range(len(groups)))),
                    [target] + data.draw(st.lists(st.sampled_from(others), unique=True))):
         rows = np.concatenate([np.arange(len(phi))[parts[k]] for k in layout])
-        counts = batch_counts(run_batch(table, [groups[k] for k in layout], phi[rows],
-                                        theta[rows], [shots[k] for k in layout],
+        counts = batch_counts(run_batch(plan_batches(table, [groups[k] for k in layout],
+                                                     [shots[k] for k in layout]),
+                                        phi[rows], theta[rows],
                                         streams_of(seeds[k] for k in layout)))
         part = group_slices([groups[k] for k in layout])[layout.index(target)]
         assert np.array_equal(counts[part], alone)
@@ -363,43 +369,46 @@ def test_key_path_counts_do_not_depend_on_other_key_paths(case, data):
 def test_neighbour_in_another_batch_does_not_flag():
     table = chain_table(n_pairs=2, crosstalk_p=0.5)
     phi, theta = np.array([0.3, 0.3]), np.array([0.4, 0.4])
-    split = batch_counts(run_batch(table, [[[0], [1]]], phi, theta, 5000, streams_of([7])))
+    split = batch_counts(run_batch(plan_batches(table, [[[0], [1]]], 5000), phi, theta,
+                                   streams_of([7])))
     # the same batches one by one on the key path's stream
     stream = np.random.default_rng(7)
-    solo = [batch_counts(run_batch(table, [[[row]]], phi[:1], theta[:1], 5000, [stream]))[0]
+    solo = [batch_counts(run_batch(plan_batches(table, [[[row]]], 5000), phi[:1], theta[:1],
+                                   [stream]))[0]
             for row in (0, 1)]
     assert np.array_equal(split, np.array(solo))
     # in two key paths, each row's counts are those of its key path alone
-    paths = batch_counts(run_batch(table, [[[0]], [[1]]], phi, theta, 5000,
+    paths = batch_counts(run_batch(plan_batches(table, [[[0]], [[1]]], 5000), phi, theta,
                                    streams_of([7, 8])))
     assert np.array_equal(paths[0], split[0])
     assert np.array_equal(paths[1], batch_counts(run_batch(
-        table, [[[1]]], phi[:1], theta[:1], 5000, streams_of([8])))[0])
+        plan_batches(table, [[[1]]], 5000), phi[:1], theta[:1], streams_of([8])))[0])
     # the same two rows in one batch are neighbours and flagged
-    joint = batch_counts(run_batch(table, [[[0, 1]]], phi, theta, 5000, streams_of([7])))
+    joint = batch_counts(run_batch(plan_batches(table, [[[0, 1]]], 5000), phi, theta,
+                                   streams_of([7])))
     assert not np.array_equal(joint[0], split[0])
 
 
 def test_rejected_call_leaves_every_stream_untouched():
     """Every batch of every group, and every group's shot count, is checked
-    before any generator is drawn from: a call whose last batch reuses a
-    qubit, or one of whose groups asks for fewer than one shot, draws
-    nothing."""
+    when the layout is planned, before any generator is drawn from: a
+    layout whose last batch reuses a qubit, or one of whose groups asks for
+    fewer than one shot, is rejected by plan_batches and draws nothing."""
     table = chain_table()
     streams = streams_of([1, 2, 3])
     before = [stream.bit_generator.state for stream in streams]
     groups = [[[0, 1]], [[2], [3]], [[1], [2, 2]]]
     angles = np.full(7, 0.4)
     with pytest.raises(ValueError, match="vertex-disjoint"):
-        run_batch(table, groups, angles, angles, 100, streams)
+        run_batch(plan_batches(table, groups, 100), angles, angles, streams)
     assert [stream.bit_generator.state for stream in streams] == before
     groups[-1][-1] = [2]
     for shots in ([100, 50, 0], [100, -5, 200]):
         with pytest.raises(ValueError, match="shots must be >= 1"):
-            run_batch(table, groups, angles, angles, shots, streams)
+            run_batch(plan_batches(table, groups, shots), angles, angles, streams)
         assert [stream.bit_generator.state for stream in streams] == before
     with pytest.raises(ValueError, match="3 groups but 2 shot counts"):
-        run_batch(table, groups, angles, angles, [100, 50], streams)
+        run_batch(plan_batches(table, groups, [100, 50]), angles, angles, streams)
     assert [stream.bit_generator.state for stream in streams] == before
 
 
@@ -417,10 +426,10 @@ def ring8_table():
                          min_size=1, max_size=3), min_size=1, max_size=4),
        st.integers(0, 2 ** 32))
 def test_vertex_disjointness_is_checked_per_batch(groups, seed):
-    """run_batch rejects a call exactly when one of its batches reuses a
-    qubit, by the per-batch set check below: the same row in two batches
-    and qubits shared across batches or groups pass. A rejected call
-    leaves every stream untouched."""
+    """plan_batches rejects a layout exactly when one of its batches
+    reuses a qubit, by the per-batch set check below: the same row in two
+    batches and qubits shared across batches or groups pass. A rejected
+    layout leaves every stream untouched."""
     table = ring8_table()
 
     def reuses_a_qubit(batch):
@@ -432,10 +441,11 @@ def test_vertex_disjointness_is_checked_per_batch(groups, seed):
     before = [stream.bit_generator.state for stream in streams]
     if any(reuses_a_qubit(batch) for group in groups for batch in group):
         with pytest.raises(ValueError, match="vertex-disjoint"):
-            run_batch(table, groups, angles, angles, 100, streams)
+            run_batch(plan_batches(table, groups, 100), angles, angles, streams)
         assert [stream.bit_generator.state for stream in streams] == before
     else:
-        assert len(run_batch(table, groups, angles, angles, 100, streams)) == len(angles)
+        assert len(run_batch(plan_batches(table, groups, 100), angles, angles,
+                             streams)) == len(angles)
 
 
 def test_multi_batch_validation_is_per_batch():
@@ -443,32 +453,106 @@ def test_multi_batch_validation_is_per_batch():
     one = np.array([0.1])
     two = lambda: streams_of([1, 2])
     # the same row in two batches is fine; twice in one batch is not
-    assert len(run_batch(table, [[[0], [0]]], np.repeat(one, 2), np.repeat(one, 2),
-                         100, streams_of([1]))) == 2
-    assert len(run_batch(table, [[[0]], [[0]]], np.repeat(one, 2), np.repeat(one, 2),
-                         100, two())) == 2
+    assert len(run_batch(plan_batches(table, [[[0], [0]]], 100), np.repeat(one, 2),
+                         np.repeat(one, 2), streams_of([1]))) == 2
+    assert len(run_batch(plan_batches(table, [[[0]], [[0]]], 100), np.repeat(one, 2),
+                         np.repeat(one, 2), two())) == 2
     with pytest.raises(ValueError):
-        run_batch(table, [[[0]], [[1, 1]]], np.repeat(one, 3), np.repeat(one, 3), 100, two())
+        run_batch(plan_batches(table, [[[0]], [[1, 1]]], 100), np.repeat(one, 3),
+                  np.repeat(one, 3), two())
     with pytest.raises(ValueError):
-        run_batch(table, [[[0]], [[]]], one, one, 100, two())
+        run_batch(plan_batches(table, [[[0]], [[]]], 100), one, one, two())
     with pytest.raises(ValueError):
-        run_batch(table, [[[0]], []], one, one, 100, two())
+        run_batch(plan_batches(table, [[[0]], []], 100), one, one, two())
     with pytest.raises(ValueError):
-        run_batch(table, [[[0]], [[1]]], np.repeat(one, 2), np.repeat(one, 2), 100,
-                  streams_of([1]))
+        run_batch(plan_batches(table, [[[0]], [[1]]], 100), np.repeat(one, 2),
+                  np.repeat(one, 2), streams_of([1]))
     # one angle per row of every batch, never broadcast
     with pytest.raises(ValueError):
-        run_batch(table, [[[0]], [[1]]], one, np.repeat(one, 2), 100, two())
+        run_batch(plan_batches(table, [[[0]], [[1]]], 100), one, np.repeat(one, 2), two())
     with pytest.raises(ValueError):
-        run_batch(table, [[[0, 1]]], one, one, 100, streams_of([1]))
+        run_batch(plan_batches(table, [[[0, 1]]], 100), one, one, streams_of([1]))
     # only groups of batches with one Generator each: no int seeds, no flat row list
     with pytest.raises(TypeError):
-        run_batch(table, [[[0]]], one, one, 100, 1)
+        run_batch(plan_batches(table, [[[0]]], 100), one, one, 1)
     with pytest.raises(TypeError):
-        run_batch(table, [[[0]]], one, one, 100, [1])
+        run_batch(plan_batches(table, [[[0]]], 100), one, one, [1])
     with pytest.raises(ValueError):
-        run_batch(table, [[0, 1]], np.repeat(one, 2), np.repeat(one, 2), 100,
+        run_batch(plan_batches(table, [[0, 1]], 100), np.repeat(one, 2), np.repeat(one, 2),
                   streams_of([1]))
+
+
+RING8 = ring8_table()
+
+
+@st.composite
+def ring8_plans(draw):
+    """1-4 groups of 1-3 vertex-disjoint batches of the ring8 table's rows
+    (crosstalk on), with one shot count and one seed per group. A drawn
+    batch keeps each row that shares no qubit with a row before it."""
+    def disjoint(rows):
+        kept, used = [], set()
+        for row in rows:
+            if used.isdisjoint(RING8.pairs[row]):
+                kept.append(row)
+                used.update(RING8.pairs[row])
+        return kept
+
+    rows = st.integers(0, len(RING8.pairs) - 1)
+    batch = st.lists(rows, min_size=1, max_size=4).map(disjoint)
+    groups = draw(st.lists(st.lists(batch, min_size=1, max_size=3), min_size=1, max_size=4))
+    shots = draw(st.lists(st.integers(1, 2000), min_size=len(groups), max_size=len(groups)))
+    seeds = draw(st.lists(st.integers(0, 2 ** 63), min_size=len(groups),
+                          max_size=len(groups)))
+    return groups, shots, seeds
+
+
+def states(streams):
+    return [stream.bit_generator.state for stream in streams]
+
+
+@given(ring8_plans(), st.integers(1, 4), st.integers(0, 2 ** 32))
+def test_plan_reused_runs_like_fresh_plans(case, calls, angle_seed):
+    """N successive run_batch calls on one plan give the counts and final
+    stream states of N calls on freshly made plans of the same groups."""
+    groups, shots, seeds = case
+    plan = plan_batches(RING8, groups, shots)
+    angles = np.random.default_rng(angle_seed).uniform(-4.0, 4.0, (calls, 2, len(plan.rows)))
+    reused, fresh = streams_of(seeds), streams_of(seeds)
+    for phi, theta in angles:
+        counts = run_batch(plan, phi, theta, reused).histograms
+        assert np.array_equal(counts, run_batch(plan_batches(RING8, groups, shots), phi,
+                                                theta, fresh).histograms)
+    assert states(reused) == states(fresh)
+
+
+@given(ring8_plans(), st.data())
+def test_rejected_run_leaves_every_stream_untouched(case, data):
+    """A run_batch call with wrong-length angles, or with the wrong number
+    or type of streams, raises before any generator is drawn from."""
+    groups, shots, seeds = case
+    plan = plan_batches(RING8, groups, shots)
+    n = len(plan.rows)
+    streams = streams_of(seeds)
+    before = states(streams)
+    good = np.full(n, 0.3)
+    bad = np.full(data.draw(st.integers(0, n + 3).filter(lambda m: m != n)), 0.3)
+    for phi, theta in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="rows but"):
+            run_batch(plan, phi, theta, streams)
+        assert states(streams) == before
+    for wrong in (streams[:-1], streams + streams_of([1]), streams[::-1] + streams):
+        with pytest.raises(ValueError, match="groups but"):
+            run_batch(plan, good, good, wrong)
+        assert states(streams) == before
+    position = data.draw(st.integers(0, len(streams) - 1))
+    mixed = list(streams)
+    mixed[position] = data.draw(st.sampled_from(
+        [seeds[position], np.random.PCG64(seeds[position]),
+         np.random.RandomState(seeds[position] % 2 ** 32)]))
+    with pytest.raises(TypeError):
+        run_batch(plan, good, good, mixed)
+    assert states(streams) == before
 
 
 @given(columnar_cases(), st.data())

@@ -229,6 +229,23 @@ def test_seeding_calls_do_not_grow_with_iterations(tmp_path, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_planning_calls_do_not_grow_with_iterations(tmp_path, monkeypatch):
+    # the evaluator plans its (repeats, 3) layout on its first step and
+    # reuses it, and the final points plan once for their main and
+    # reference calls: two plans however many iterations run
+    calls = []
+    for module in (harness, optimizers):
+        count_calls(monkeypatch, module, "plan_batches", calls)
+    counts = []
+    for iterations in (2, 20):
+        calls.clear()
+        assert cli_main(["vqe", "--optimizer", "spsa", "--repeats", "3", "--iterations",
+                         str(iterations), "--shots", "50", "--seed", "1",
+                         "--out", str(tmp_path / str(iterations))]) == 0
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
 def count_calls(monkeypatch, module, name, calls, weight=lambda *args: 1):
     """Wrap module.name so that each call appends its name to calls,
     weight(*args) times."""
@@ -684,7 +701,8 @@ def test_measure_batch_reads_counts_from_optimizers_run_batch(monkeypatch):
     table = compile_pairs(topo, [(0, 1), (2, 3), (4, 5)])
     groups = [[np.arange(3), np.arange(2)], [np.arange(1)]]
     angles = np.full(6, 0.3)
-    est = optimizers.measure_batch(table, groups, angles, angles, [100, 40],
+    est = optimizers.measure_batch(optimizers.plan_batches(table, groups, [100, 40]),
+                                   angles, angles,
                                    [np.random.default_rng(seed) for seed in (1, 2)])
     batch, = results
     assert len(batch) == len(est.value) == 6
@@ -722,6 +740,12 @@ def test_benchmark_tracer_counts_batch_circuits(tmp_path):
         # its reference: 2 * (97 + 561) active pairs, in one call for the
         # individual pairs, one for the sweep and one for each's references
         "benchmark-pairs": (["benchmark-pairs", "--shots", "50"], 2632, 1316, 4),
+        # the spsa-serial workload's path: two SPSA repeats on 1 pair, 3
+        # one-pair batches per repeat and iteration (18 active pairs) in one
+        # call per iteration, then each repeat's final point and its
+        # reference (4 more) in two calls
+        "vqe-spsa-serial": (["vqe", "--optimizer", "spsa", "--pairs", "1", "--iterations",
+                             "3", "--repeats", "2", "--shots", "50"], 44, 22, 5),
     }
     tracer_module = load_benchmark_module("tracer")
     for name, (argv, circuits, active_pairs, calls) in runs.items():

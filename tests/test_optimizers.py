@@ -15,8 +15,15 @@ from parvqe.executor import (
     aggregate_same_params,
     compile_pairs,
     exact_expectation_energy,
+    plan_batches,
 )
-from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, exact_ground_energy
+from parvqe.hubbard import (
+    AnsatzParams,
+    HubbardParams,
+    closed_form_energy,
+    exact_energy,
+    exact_ground_energy,
+)
 from parvqe.mitigation import measure_confusion
 from parvqe.optimizers import (
     IterationRecord,
@@ -171,6 +178,31 @@ def test_spsa_directions_are_the_choice_draws():
         expected = [reference.choice([-1.0, 1.0], size=2) for _ in range(cfg.iterations)]
         assert np.array_equal(np.sign(plus - centres), expected)
         assert stream.bit_generator.state == reference.bit_generator.state
+
+
+def test_mgd_offsets_are_the_uniform_draws():
+    """Each repeat's trust-box offsets at every iteration, and its stream
+    state after the run, are those of one stream.uniform(-delta_k, delta_k,
+    (points, 2)) draw per iteration on its own stream, the reference
+    draws."""
+    cfg, m = MgdConfig(iterations=5), 7
+
+    def evaluate(batch):
+        value = closed_form_energy(batch[..., 0], batch[..., 1])
+        return Estimates(value=value, std_err=np.full(value.shape, 0.01), raw=value)
+
+    for seed in range(300):
+        seeds = [seed, seed + 1000]
+        streams = [np.random.default_rng(s) for s in seeds]
+        traces = mgd_lockstep(cfg, evaluate, [START] * 2, m, streams)
+        for trace, stream, s in zip(traces, streams, seeds):
+            reference = np.random.default_rng(s)
+            for k in range(cfg.iterations):
+                delta_k = cfg.gains(k + 1)[0]
+                centre = np.array([trace.phi[k], trace.theta[k]])
+                expected = centre + reference.uniform(-delta_k, delta_k, size=(m, 2))
+                assert np.array_equal(trace.points[k], expected)
+            assert stream.bit_generator.state == reference.bit_generator.state
 
 
 def test_trace_json_round_trips(tmp_path):
@@ -406,8 +438,8 @@ def test_spsa_evaluator_is_pooled_spread_evaluator():
         pooled = aggregate_same_params(Estimates(*(a.reshape(2, m, 3) for a in spread_est)))
         # each point of repeat r is one batch of all rows on repeat r's stream
         flat = np.repeat(points.reshape(-1, 2), 3, axis=0)
-        direct = measure_batch(table, [[np.arange(3)] * m] * 2, flat[:, 0], flat[:, 1], 300,
-                               streams)
+        direct = measure_batch(plan_batches(table, [[np.arange(3)] * m] * 2, 300),
+                               flat[:, 0], flat[:, 1], streams)
         direct = aggregate_same_params(Estimates(*(a.reshape(2, m, 3) for a in direct)))
         for a, b, c in zip(got, pooled, direct):
             assert a.shape == (2, m)
