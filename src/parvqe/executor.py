@@ -15,10 +15,10 @@ call on the plan then only checks its angles and streams: all its
 batches are simulated in one vectorized pass, each group's histograms
 come from one multinomial draw on its generator, in batch order, and the
 plan estimates energies as arrays, so execution is deterministic and
-holds no per-pair objects: a call's counts come back as one record array
-over its rows. Each batch keeps its own checks and crosstalk flags, so a
-key path's counts depend only on its own batches, in order, never on the
-groups beside it.
+holds no per-pair objects: a call's counts come back as one array of
+records over its rows, a view of the count array. Each batch keeps its
+own checks and crosstalk flags, so a key path's counts depend only on
+its own batches, in order, never on the groups beside it.
 
 Wall-clock time of a batched run on a remote device is modelled, not
 measured, as
@@ -225,7 +225,7 @@ def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
         coeffs=table.coeffs[rows])
 
 
-def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> np.recarray:
+def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> np.ndarray:
     """Simulate a plan's groups of batches in one vectorized pass.
 
     streams holds the plan's K generators, one per group; phi and theta
@@ -234,9 +234,10 @@ def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> n
     on streams[k] over its rows in batch order, which continues that
     generator's stream: a group's counts depend only on its own batches,
     in order, its shot count and its generator's state, never on the other
-    groups of the call. Returns the counts as a record array with one
-    record per row, in order: its histograms field is the (rows, 2, 4)
-    int64 count array itself, not a copy.
+    groups of the call. Returns the counts as a plain array of COUNTS_DTYPE
+    records, one per row, in order: each record's histograms attribute is
+    its (2, 4) counts, and the array's ["histograms"] field is the
+    (rows, 2, 4) int64 count array itself, not a copy.
 
     The angles and streams are checked before any generator is drawn from,
     so a rejected call leaves every stream untouched.
@@ -252,7 +253,7 @@ def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> n
     bounds = plan.bounds
     counts = np.concatenate([stream.multinomial(shots, dists[lo:hi]) for stream, shots, lo, hi
                              in zip(streams, plan.shots, bounds, bounds[1:])])
-    return np.recarray(n, dtype=COUNTS_DTYPE, buf=counts)
+    return counts.reshape(n, 8).view(COUNTS_DTYPE)[:, 0]
 
 
 def aggregate_same_params(est: Estimates) -> Estimates:

@@ -344,6 +344,17 @@ def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
                         streams, exact)
 
 
+def _median(values: np.ndarray) -> float:
+    """numpy's median of a non-empty 1-D float array, bit for bit (NaN if
+    any value is NaN), without the numpy.ma import that numpy's median
+    makes on its first call in a process."""
+    ordered = np.sort(values)
+    if np.isnan(ordered[-1]):    # sort puts NaN last
+        return float("nan")
+    half = len(ordered) // 2
+    return float(np.mean(ordered[half - 1 + len(ordered) % 2:half + 1]))
+
+
 # --- benchmark-pairs ----------------------------------------------------------
 
 def rank_correlation(x, y) -> float:
@@ -560,7 +571,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
         "points_per_iteration": points if cfg.optimizer == "mgd" else None,
         "iterations": iterations,
         "repeats": cfg.repeats,
-        "median_final_abs_err": float(np.median(abs_err)),
+        "median_final_abs_err": _median(abs_err),
         "min_final_abs_err": float(abs_err.min()),
         "max_final_abs_err": float(abs_err.max()),
         "modeled_seconds_parallel": seconds_parallel,
@@ -680,7 +691,7 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
             runs.append(([name] * len(finals), [p_count] * len(finals), repeats,
                          [f.phi for f in finals], [f.theta for f in finals],
                          tflo_ni.tolist(), errs.tolist()))
-            summary.append((name, p_count, float(np.median(errs)), float(errs.min()),
+            summary.append((name, p_count, _median(errs), float(errs.min()),
                             float(errs.max())))
 
     runs_path = run.out_dir / "compare_runs.csv"

@@ -21,12 +21,13 @@ Estimates with (R, m) fields, so the executor-backed evaluators run them
 in one kernel call. Neither core loops over repeats within a step: each
 repeat draws all K steps' directions (SPSA) or unit offsets (MGD) from
 its own stream in one call before the first step, MGD fits every
-repeat's surrogate in one batched solve per value column, and each step
-appends one (R,) column per trace field, so an OptTrace holds (K,)
-columns over its K iterations. `spsa_run` and `mgd_run` run one repeat
-on a batch evaluator, (m, 2) points -> one Estimates with (m,) fields,
-through one shared adapter; every evaluator in the package speaks that
-contract, in its one-repeat or its lockstep form.
+repeat's surrogate to both value columns (noise-inverted and raw) in one
+batched solve, and each step appends one (R,) column per trace field, so
+an OptTrace holds (K,) columns over its K iterations. `spsa_run` and
+`mgd_run` run one repeat on a batch evaluator, (m, 2) points -> one
+Estimates with (m,) fields, through one shared adapter; every evaluator
+in the package speaks that contract, in its one-repeat or its lockstep
+form.
 
 Both executor-backed evaluators batch through `batch_pair_evaluator`,
 which spreads points over the table's rows; SPSA's same-parameters
@@ -280,8 +281,10 @@ def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
                    ridge: np.ndarray) -> np.ndarray:
     """(R, 6) coefficients of R quadratic surrogates, each fitted to its m
     (offset, value) points by weighted least squares with its own ridge:
-    offsets (R, m, 2), values and weights (R, m), ridge (R,). A zero-ridge
-    repeat whose normal matrix is singular raises UnderDeterminedFit."""
+    offsets (R, m, 2), values and weights (R, m), ridge (R,). Values of
+    shape (C, R, m) fit C value columns on the same points and weights in
+    one solve, giving (C, R, 6). A zero-ridge repeat whose normal matrix
+    is singular raises UnderDeterminedFit."""
     x, y = offsets[..., 0], offsets[..., 1]
     design = np.stack([np.ones_like(x), x, y, x ** 2, x * y, y ** 2], axis=-1)
     wx_t = (design * weights[..., None]).transpose(0, 2, 1)
@@ -292,8 +295,10 @@ def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
         raise UnderDeterminedFit(
             f"{offsets.shape[1]} points cannot determine {N_SURROGATE_FEATURES} "
             "surrogate coefficients without regularisation")
-    # one contiguous (R, m, 1) right-hand side per call keeps each repeat's
-    # matrix-vector product and solve bit-identical to a one-repeat fit
+    # one contiguous (R, m, 1) right-hand side per value column (not one
+    # (R, m, C) stack) keeps each repeat's matrix-vector product and solve
+    # bit-identical to a one-repeat fit; the columns broadcast over the
+    # same normal matrices, so one solve fits them all
     return np.linalg.solve(normal, wx_t @ values[..., None])[..., 0]
 
 
@@ -309,10 +314,10 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
     unit offsets in one call before the first step and scales them per
     step as numpy's uniform does, so its values and stream state are those
     of one uniform draw per step. Every repeat's quadratic surrogate is
-    fitted in one batched solve, with observation weights 1/std_err^2 and
-    ridge strength (mean observation variance)/l^2 (unit weights and no
-    ridge for a noiseless repeat), and each repeat steps along its fitted
-    linear coefficients.
+    fitted to its value and raw estimates in one batched solve, with
+    observation weights 1/std_err^2 and ridge strength (mean observation
+    variance)/l^2 (unit weights and no ridge for a noiseless repeat), and
+    each repeat steps along its fitted linear coefficients.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
@@ -335,9 +340,9 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
         weights = 1.0 / np.where(noiseless[:, None], 1.0,
                                  np.maximum(variances, 1e-12 * mean_var[:, None]))
         ridge = np.where(noiseless, 0.0, mean_var / cfg.l ** 2)
-        coeffs = _fit_surrogate(offsets, est.value, weights, ridge)
-        e_raw = _fit_surrogate(offsets, est.raw, weights, ridge)[:, 0]
-        steps.append((theta, e_raw, coeffs[:, 0], batch))
+        coeffs, raw_coeffs = _fit_surrogate(offsets, np.stack([est.value, est.raw]),
+                                            weights, ridge)
+        steps.append((theta, raw_coeffs[:, 0], coeffs[:, 0], batch))
         theta = theta - gamma_k * coeffs[:, 1:3]
     return _traces(steps, theta, exact)
 
@@ -360,7 +365,7 @@ def measure_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray,
     generator in streams) at angles (phi, theta) in one run_batch call and
     estimate every row's energy, in row order; NI-corrected when the
     plan's table has confusions."""
-    return plan.estimate(run_batch(plan, phi, theta, streams).histograms)
+    return plan.estimate(run_batch(plan, phi, theta, streams)["histograms"])
 
 
 def batch_pair_evaluator(table: PairTable, shots,
@@ -401,9 +406,13 @@ def spsa_parallel_evaluator(table: PairTable, shots,
     copies fill exactly one batch of every row at that point's angles,
     drawn from its repeat's generator as batch_pair_evaluator draws it,
     and that batch's row estimates are pooled (their mean, with errors in
-    quadrature)."""
+    quadrature). A one-row table has nothing to pool: its evaluator is
+    batch_pair_evaluator itself, whose value and raw are bit for bit the
+    pooled ones and whose std_err is the row's own."""
     spread = batch_pair_evaluator(table, shots, seeds)
     n = len(table.pairs)
+    if n == 1:
+        return spread
 
     def evaluate(points: np.ndarray) -> Estimates:
         repeats, m = points.shape[:2]

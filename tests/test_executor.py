@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from parvqe.device import DeviceTopology, noise_spec_for_pair
 from parvqe.executor import (
+    COUNTS_DTYPE,
     CostModel,
     DegenerateCalibration,
     Estimates,
@@ -53,7 +54,7 @@ def run_estimates(topo, assignments, shots, seed, crosstalk_p=0.0, rows=None):
     counts = run_batch(plan_batches(table, [[rows]], shots),
                        np.array([a.phi for a in params]),
                        np.array([a.theta for a in params]), [np.random.default_rng(seed)])
-    return estimate_counts(table, rows, counts.histograms)
+    return estimate_counts(table, rows, counts["histograms"])
 
 
 # --- run_batch ---
@@ -270,7 +271,7 @@ def chain_table(n_pairs=4, crosstalk_p=0.3):
 
 
 def batch_counts(results):
-    return results.histograms
+    return results["histograms"]
 
 
 @st.composite
@@ -300,16 +301,17 @@ def streams_of(seeds):
 
 @given(group_cases(), st.data())
 def test_run_batch_returns_one_record_array(case, data):
-    """run_batch returns one record per row; its histograms field is the
-    (rows, 2, 4) int64 count array, a view of the records that equals the
-    rows' own histograms stacked."""
+    """run_batch returns a plain array of one record per row; its
+    histograms field is the (rows, 2, 4) int64 count array, a view of the
+    records that equals the rows' own histograms stacked."""
     groups, phi, theta, seeds = case
     shots = data.draw(st.lists(st.integers(1, 2000), min_size=len(groups),
                                max_size=len(groups)))
     records = run_batch(plan_batches(chain_table(), groups, shots), phi, theta,
                         streams_of(seeds))
-    counts = records.histograms
-    assert isinstance(records, np.recarray) and len(records) == len(phi)
+    counts = records["histograms"]
+    assert type(records) is np.ndarray and records.dtype == COUNTS_DTYPE
+    assert len(records) == len(phi)
     assert counts.dtype == np.int64 and counts.shape == (len(phi), 2, 4)
     assert np.shares_memory(counts, records)
     assert np.array_equal(counts, np.stack([record.histograms for record in records]))
@@ -520,9 +522,9 @@ def test_plan_reused_runs_like_fresh_plans(case, calls, angle_seed):
     angles = np.random.default_rng(angle_seed).uniform(-4.0, 4.0, (calls, 2, len(plan.rows)))
     reused, fresh = streams_of(seeds), streams_of(seeds)
     for phi, theta in angles:
-        counts = run_batch(plan, phi, theta, reused).histograms
+        counts = run_batch(plan, phi, theta, reused)["histograms"]
         assert np.array_equal(counts, run_batch(plan_batches(RING8, groups, shots), phi,
-                                                theta, fresh).histograms)
+                                                theta, fresh)["histograms"])
     assert states(reused) == states(fresh)
 
 

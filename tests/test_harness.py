@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import parvqe
 from parvqe import harness, optimizers
@@ -593,6 +595,29 @@ def test_rank_correlation_matches_spearman_with_ties():
         assert rank_correlation(x, y) == pytest.approx(spearmanr(x, y)[0], abs=1e-12)
 
 
+# the values that tie, change sign, overflow or poison a median
+MEDIAN_EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan])
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | MEDIAN_EDGES,
+                min_size=1, max_size=40))
+@example([-0.0])
+@example([0.0, -0.0])
+@example([-0.0, 0.0, -0.0])
+@example([1.0, 1.0, 2.0, 2.0])
+@example([math.inf, -math.inf])
+@example([-math.inf, 1.0, math.inf])
+@example([1.0, math.nan])
+def test_median_is_bitwise_np_median(values):
+    values = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf in a mean
+        got, want = harness._median(values), float(np.median(values))
+    assert type(got) is float
+    assert np.array_equal(np.float64(got).view(np.int64), np.float64(want).view(np.int64)) or (
+        math.isnan(got) and math.isnan(want))
+
+
 # inputs the shipped calibration (33 greedy pairs) or the file system cannot satisfy
 IMPOSSIBLE = {
     "compare-pair-counts": ("optimizer-compare --pair-counts 2,40 --shots 20",
@@ -680,6 +705,24 @@ def test_cli_import_leaves_scipy_and_networkx_unloaded(tmp_path, make_uniform_ca
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=60)
         assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_vqe_and_optimizer_compare_leave_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma on its first call in a process, about 15 ms
+    # of every CLI run; the harness takes its medians without it
+    env = {**os.environ, "PYTHONPATH": str(Path(parvqe.__file__).resolve().parents[1])}
+    runs = {"spsa": ["vqe", "--optimizer", "spsa", "--pairs", "2", "--iterations", "3",
+                     "--repeats", "3", "--shots", "100"],
+            "mgd": ["vqe", "--optimizer", "mgd", "--pairs", "6", "--iterations", "3",
+                    "--repeats", "2", "--shots", "100"],
+            "compare": ["optimizer-compare", "--shots", "50", "--pair-counts", "6"]}
+    for name, argv in runs.items():
+        argv = [*argv, "--seed", "3", "--out", str(tmp_path / name)]
+        code = (f"import sys, parvqe.cli; parvqe.cli.main({argv!r}); "
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=60)
+        assert out.stdout.strip().splitlines()[-1] == "False", name
 
 
 def test_measure_batch_reads_counts_from_optimizers_run_batch(monkeypatch):

@@ -316,6 +316,29 @@ def test_batched_fit_is_bitwise_the_one_repeat_fit(case):
                                                        ridge[r]))
 
 
+@given(fit_cases(), st.integers(0, 2 ** 32))
+def test_stacked_fit_is_bitwise_one_fit_per_column(case, seed):
+    # mgd_lockstep fits its value and raw columns in one call
+    offsets, values, weights, ridge = case
+    second = np.random.default_rng(seed).normal(size=values.shape)
+    coeffs = _fit_surrogate(offsets, np.stack([values, second]), weights, ridge)
+    assert coeffs.shape == (2, len(ridge), 6)
+    assert np.array_equal(coeffs[0], _fit_surrogate(offsets, values, weights, ridge))
+    assert np.array_equal(coeffs[1], _fit_surrogate(offsets, second, weights, ridge))
+
+
+def test_stacked_fit_raises_on_a_singular_zero_ridge_repeat():
+    rng = np.random.default_rng(3)
+    offsets = rng.uniform(-0.3, 0.3, size=(2, 8, 2))
+    offsets[1, :, 1] = 0.0         # repeat 1 sees no y variation: singular
+    values = rng.normal(size=(2, 2, 8))
+    with pytest.raises(UnderDeterminedFit):
+        _fit_surrogate(offsets, values, np.ones((2, 8)), np.array([0.0, 0.0]))
+    # a ridge on the singular repeat regularises it
+    coeffs = _fit_surrogate(offsets, values, np.ones((2, 8)), np.array([0.0, 1e-6]))
+    assert np.all(np.isfinite(coeffs))
+
+
 # --- MGD ---
 
 
@@ -444,6 +467,27 @@ def test_spsa_evaluator_is_pooled_spread_evaluator():
         for a, b, c in zip(got, pooled, direct):
             assert a.shape == (2, m)
             assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 32), st.booleans())
+def test_one_row_spsa_evaluator_skips_pooling_bitwise(repeats, m, seed, ni):
+    """On a one-row table the SPSA evaluator returns the spread estimates
+    unpooled: value and raw have the bits of the pooled path."""
+    topo = uniform_topology(1, fidelity=0.93, readout=(0.02, 0.04))
+    confusions = ({(0, 1): measure_confusion(noise_spec_for_pair(topo, (0, 1)), 2000,
+                                             np.random.default_rng(seed))} if ni else None)
+    table = compile_pairs(topo, [(0, 1)], HubbardParams(), confusions)
+    seeds = [seed + r for r in range(repeats)]
+    spsa = spsa_parallel_evaluator(table, 200, seeds)
+    spread = batch_pair_evaluator(table, 200, seeds)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        points = rng.uniform(-1, 1, size=(repeats, m, 2))
+        got = spsa(points)
+        pooled = aggregate_same_params(Estimates(*(a[..., None] for a in spread(points))))
+        for a, b in ((got.value, pooled.value), (got.raw, pooled.raw)):
+            assert a.shape == (repeats, m)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_std_err_matches_spread_of_successive_estimates():
