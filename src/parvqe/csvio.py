@@ -4,7 +4,7 @@ The bytes are what csv.writer (line terminator "\\n") writes for the rows,
 with floats as repr, ints as str and None as an empty cell. A numeric
 array column formats each distinct value once, found with np.unique (on
 the int64 view of a float column, so -0.0 stays apart from 0.0), and the
-rows are formatted and written a chunk at a time.
+rows are formatted (format_column) and written a chunk at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def _quote(text: str) -> str:
     return text
 
 
-def _fields(column) -> list[str]:
+def format_column(column) -> list[str]:
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         floats = column.dtype.kind == "f"
         keys = np.asarray(column, np.float64).view(np.int64) if floats else column
@@ -36,18 +36,20 @@ def _fields(column) -> list[str]:
             for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
 
 
-def csv_chunks(header: Sequence[str], columns: Sequence) -> Iterator[str]:
+def csv_chunks(header: Sequence[str], columns: Sequence,
+               formatted: bool = False) -> Iterator[str]:
     """The CSV text of header and equal-length columns (arrays or lists):
     the header line, then CHUNK_LINES rows at a time, each chunk formatted
-    from its slice of the columns. No columns, or unequal lengths, raise
-    ValueError."""
+    from its slice of the columns, unless they are already formatted. No
+    columns, or unequal lengths, raise ValueError."""
     if len(columns) == 0:
         raise ValueError("a CSV table needs at least one column")
     # csv.writer quotes a line's only field when it is empty
     join = ",".join if len(columns) > 1 else lambda row: row[0] or '""'
     yield join([_quote(name) for name, _ in zip(header, columns, strict=True)]) + "\n"
+    fields = (lambda column: column) if formatted else format_column
     for lo in range(0, max(map(len, columns)), CHUNK_LINES):
-        rows = zip(*(_fields(column[lo:lo + CHUNK_LINES]) for column in columns), strict=True)
+        rows = zip(*(fields(column[lo:lo + CHUNK_LINES]) for column in columns), strict=True)
         yield "".join([join(row) + "\n" for row in rows])
 
 

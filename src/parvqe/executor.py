@@ -8,11 +8,11 @@ measurement settings on every row. Every run is a list of groups of such
 batches, one group per key path (an optimizer repeat, a command's
 measurement stage), each with the one generator that key path keeps for
 its whole run. A layout of groups is checked and gathered once into a
-BatchPlan (plan_batches): its shot counts, each batch's
-vertex-disjointness and crosstalk flags, and each row's depolarizing
-probability, readout map and estimation coefficients. Every run_batch
-call on the plan then only checks its angles and streams: all its
-batches are simulated in one vectorized pass, each group's histograms
+BatchPlan (plan_batches): its shot counts, each batch's checks, and each
+row's angle-free kernel terms (crosstalk flags applied) and estimation
+inputs. Every run_batch call on the plan then only checks its angles
+and streams: all its batches are simulated in one vectorized pass (only
+a and sin^2 phi are computed per call), each group's histograms
 come from one multinomial draw on its generator, in batch order, and the
 plan estimates energies as arrays, so execution is deterministic and
 holds no per-pair objects: a call's counts come back as one array of
@@ -46,7 +46,8 @@ from .circuits import HOPPING_SIGNS, ONSITE_ZZ_SIGN, Z0_OUTCOMES, Z1_OUTCOMES, Z
 from .device import DeviceTopology, Pair, noise_spec_for_pair
 from .hubbard import AnsatzParams, HubbardParams
 from .mitigation import ConfusionMatrix
-from .simulator import PairNoiseSpec, batch_distributions, confusion_maps
+from .simulator import (PairNoiseSpec, apply_terms, batch_distributions, confusion_maps,
+                        kernel_terms)
 
 
 class Estimates(NamedTuple):
@@ -132,15 +133,16 @@ def estimate_counts(table: PairTable, rows, counts: np.ndarray) -> Estimates:
     most 1e-14 of coeffs_k**2 @ f_k, which is what the cancellation leaves
     when a setting's counts all fall on outcomes of one coefficient) is 0.
     """
-    return _estimate(table, table.coeffs[rows], counts)
+    coeffs = table.coeffs[rows]
+    return _estimate(table, coeffs, coeffs * coeffs, counts[:, 0].sum(axis=1), counts)
 
 
-def _estimate(table: PairTable, coeffs: np.ndarray, counts: np.ndarray) -> Estimates:
-    """estimate_counts on rows whose (n, 2, 4) coefficients are gathered."""
-    shots = counts[:, 0].sum(axis=1)
+def _estimate(table: PairTable, coeffs: np.ndarray, coeffs_sq: np.ndarray,
+              shots: np.ndarray, counts: np.ndarray) -> Estimates:
+    """estimate_counts on gathered coefficients, their squares and shots."""
     freqs = counts / shots[:, None, None]
     mean = np.einsum("nkj,nkj->nk", coeffs, freqs)
-    second = np.einsum("nkj,nkj->nk", coeffs * coeffs, freqs)
+    second = np.einsum("nkj,nkj->nk", coeffs_sq, freqs)
     value = table.offset + mean.sum(axis=1)
     var = second - mean ** 2
     std_err = np.sqrt(np.where(var > 1e-14 * second, var, 0.0).sum(axis=1) / shots)
@@ -161,22 +163,24 @@ class BatchPlan:
 
     rows holds the rows of every batch of every group, in order; group k
     is rows[bounds[k]:bounds[k + 1]] and draws shots[k] shots per setting.
-    p is each row's depolarizing probability with its batch's crosstalk
-    flags applied; confusion and coeffs are its readout map and estimation
-    coefficients, gathered from the table.
+    base and slope are each row's kernel_terms, from its depolarizing
+    probability with its batch's crosstalk flags applied and its readout
+    map; coeffs, coeffs_sq and row_shots feed its estimate.
     """
 
     table: PairTable
     rows: np.ndarray                  # (n,)
     bounds: tuple[int, ...]           # (K + 1,)
     shots: tuple[int, ...]            # (K,)
-    p: np.ndarray                     # (n,)
-    confusion: np.ndarray             # (n, 4, 4)
+    base: np.ndarray                  # (n, 2, 4)
+    slope: np.ndarray                 # (n, 2, 4)
     coeffs: np.ndarray                # (n, 2, 4)
+    coeffs_sq: np.ndarray             # (n, 2, 4)
+    row_shots: np.ndarray             # (n,)
 
     def estimate(self, counts: np.ndarray) -> Estimates:
         """estimate_counts of the plan's rows from their (n, 2, 4) counts."""
-        return _estimate(self.table, self.coeffs, counts)
+        return _estimate(self.table, self.coeffs, self.coeffs_sq, self.row_shots, counts)
 
 
 def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
@@ -191,7 +195,7 @@ def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
     """
     if not groups:
         raise ValueError("need at least one group")
-    shots = [shots] * len(groups) if isinstance(shots, (int, np.integer)) else list(shots)
+    shots = (shots,) * len(groups) if isinstance(shots, (int, np.integer)) else tuple(shots)
     if len(shots) != len(groups):
         raise ValueError(f"{len(groups)} groups but {len(shots)} shot counts")
     if min(shots) < 1:
@@ -218,11 +222,10 @@ def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
         for batch, start in zip(batches, accumulate(sizes, initial=0)):
             flagged = table.neighbours[batch][:, batch].any(axis=1)
             p[start:start + len(batch)][flagged] = table.p_crosstalk[batch][flagged]
-    return BatchPlan(
-        table=table, rows=rows,
-        bounds=tuple(accumulate((sum(map(len, group)) for group in groups), initial=0)),
-        shots=tuple(shots), p=p, confusion=table.confusion[rows],
-        coeffs=table.coeffs[rows])
+    bounds = tuple(accumulate((sum(map(len, group)) for group in groups), initial=0))
+    coeffs = table.coeffs[rows]
+    return BatchPlan(table, rows, bounds, shots, *kernel_terms(p, table.confusion[rows]),
+                     coeffs, coeffs * coeffs, np.repeat(shots, np.diff(bounds)))
 
 
 def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> np.ndarray:
@@ -249,7 +252,7 @@ def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> n
     n = len(plan.rows)
     if len(phi) != n or len(theta) != n:
         raise ValueError(f"{n} rows but {len(phi)} phi and {len(theta)} theta")
-    dists = batch_distributions(phi, theta, plan.p, plan.confusion)
+    dists = apply_terms(plan.base, plan.slope, phi, theta)
     bounds = plan.bounds
     counts = np.concatenate([stream.multinomial(shots, dists[lo:hi]) for stream, shots, lo, hi
                              in zip(streams, plan.shots, bounds, bounds[1:])])

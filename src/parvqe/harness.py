@@ -760,4 +760,7 @@ def config_for(command: str, **settings) -> ExperimentConfig:
     """The config `command` runs with: ExperimentConfig's defaults, then the
     command's default overrides, then settings. The CLI builds its config
     here too, so a direct call and the same flags run alike."""
-    return ExperimentConfig(**{**COMMANDS[command].defaults, **settings})
+    cfg = ExperimentConfig(**{**COMMANDS[command].defaults, **settings})
+    if "eta" in settings and "eta" in COMMANDS[command].reads and cfg.optimizer == "spsa":
+        raise InputError("eta sets mgd's points per iteration; spsa reads no eta")
+    return cfg

@@ -47,7 +47,6 @@ after the last step.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import csv_chunks, write_csv
+from .csvio import csv_chunks, format_column
 from .executor import (
     BatchPlan,
     Estimates,
@@ -149,7 +148,8 @@ class OptTrace:
     """One repeat's run as (K,) columns over its K iterations: the centre
     (phi, theta), the raw and noise-inverted estimates there, the exact
     energy (None without an oracle) and, for MGD, the (K, m, 2) points
-    sampled around each centre (None for SPSA)."""
+    sampled around each centre (None for SPSA). Each value is formatted
+    once, for the CSV and the JSON alike (write)."""
 
     phi: np.ndarray
     theta: np.ndarray
@@ -174,27 +174,42 @@ class OptTrace:
                          self.theta.tolist(), self.e_raw.tolist(), self.e_ni.tolist(),
                          e_exact, points))
 
-    def _csv_table(self) -> tuple[tuple[str, ...], list]:
-        header = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
-        # as lists: a trace's values are nearly all distinct, so csvio's
-        # np.unique path for arrays would only cost time
+    def _fields(self) -> list[list[str]]:
+        """Every column's CSV fields, from lists: np.unique gains nothing here."""
         columns = [self.iteration, self.phi, self.theta, self.e_raw, self.e_ni, self.e_exact]
-        return header, [[None] * len(self.phi) if c is None else c.tolist() for c in columns]
+        return [format_column([None] * len(self.phi) if c is None else c.tolist())
+                for c in columns]
 
-    def to_csv(self) -> str:
-        return "".join(csv_chunks(*self._csv_table()))
+    def to_csv(self, fields: list[list[str]] | None = None) -> str:
+        return "".join(csv_chunks(_CSV_HEADER, fields or self._fields(), formatted=True))
 
-    def to_json(self) -> str:
-        payload = {
-            "final_params": {"phi": self.final_params.phi, "theta": self.final_params.theta},
-            "records": [r._asdict() for r in self.records],
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
+    def to_json(self, fields: list[list[str]] | None = None) -> str:
+        """json.dumps(payload, sort_keys=True) of the final parameters and
+        the records, put together from the CSV fields."""
+        iteration, phi, theta, e_raw, e_ni, e_exact = fields or self._fields()
+        k = len(phi)
+        e_exact, points = ["null"] * k if self.e_exact is None else e_exact, ["null"] * k
+        if self.points is not None:
+            xy = iter(format_column(self.points.ravel().tolist()))
+            pairs, m = list(map("[%s, %s]".__mod__, zip(xy, xy))), self.points.shape[1]
+            points = ["[" + ", ".join(pairs[i * m:i * m + m]) + "]" for i in range(k)]
+        text = '{"final_params": {"phi": %s, "theta": %s}, "records": [%s]}\n' % (
+            *format_column([self.final_params.phi, self.final_params.theta]),
+            ", ".join(map(_RECORD.__mod__, zip(e_exact, e_ni, e_raw, iteration, phi,
+                                               points, theta))))
+        # json's spelling of repr's nan, inf and -inf; no key holds "nan" or "inf"
+        return text.replace("nan", "NaN").replace("inf", "Infinity")
 
     def write(self, csv_path: str | Path, json_path: str | Path | None = None) -> None:
-        write_csv(csv_path, *self._csv_table())
+        fields = self._fields()
+        Path(csv_path).write_text(self.to_csv(fields), newline="")
         if json_path is not None:
-            Path(json_path).write_text(self.to_json())
+            Path(json_path).write_text(self.to_json(fields))
+
+
+_CSV_HEADER = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
+_RECORD = ('{"e_exact": %s, "e_ni": %s, "e_raw": %s, "iteration": %s, "phi": %s, '
+           '"points": %s, "theta": %s}')    # keys in sort_keys order
 
 
 # (m, 2) array of (phi, theta) points -> their m estimates

@@ -127,6 +127,28 @@ def sample_shots(rho: np.ndarray, noise: PairNoiseSpec, shots: int,
 
 # --- closed-form batch kernel ----------------------------------------------
 
+# the ideal distributions at phi = 0, and their slopes in x = (a - 1/4, sin^2 phi)
+_IDEAL = np.array([[[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]],
+                   [[1.0, -1.0, -1.0, 1.0], [-1.0, 0.0, 0.0, 1.0]]])
+
+
+def kernel_terms(p: np.ndarray, confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The angle-free (n, 2, 4) terms (base, slope) of batch_distributions."""
+    p = p[:, None, None]
+    return (np.einsum("nij,nkj->nki", confusion, (1.0 - p) * _IDEAL[0] + p / 4.0),
+            np.einsum("nij,nkj->nki", confusion, (1.0 - p) * _IDEAL[1]))
+
+
+def apply_terms(base: np.ndarray, slope: np.ndarray, phi: np.ndarray,
+                theta: np.ndarray) -> np.ndarray:
+    """batch_distributions from kernel_terms, clipped at 0 for the draws."""
+    x = np.empty((len(phi), 2, 1))
+    x[:, 0, 0] = 0.25 * np.sin(4.0 * theta) * np.sin(2.0 * phi)
+    x[:, 1, 0] = np.sin(phi) ** 2
+    dists = base + x * slope
+    return np.maximum(dists, 0.0, out=dists)
+
+
 def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
                         confusion: np.ndarray) -> np.ndarray:
     """Outcome distributions of n pairs, shape (n, 2, 4), in SETTINGS order.
@@ -137,14 +159,9 @@ def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
     [a, 1/2 - a, 1/2 - a, a] with a = (1 + sin 4theta sin 2phi) / 4, and
     hopping [cos^2 phi, 0, 0, sin^2 phi]. Because the one depolarizing
     event after the CZ commutes with the unitaries that follow it, each
-    distribution is confusion @ ((1-p) ideal + p/4).
+    distribution is confusion @ ((1-p) ideal + p/4): base + x * slope, for
+    x = (a - 1/4, sin^2 phi) and the kernel_terms a BatchPlan keeps per row.
+    At phi = 0 (TFLO's references) x = 0, so the short-decimal probabilities
+    on which numpy's binomial tips at the last bit are the unsplit form's.
     """
-    a = 0.25 * (1.0 + np.sin(4.0 * theta) * np.sin(2.0 * phi))
-    ideal = np.zeros((len(phi), 2, 4))
-    ideal[:, 0, 0] = ideal[:, 0, 3] = a
-    ideal[:, 0, 1] = ideal[:, 0, 2] = 0.5 - a
-    ideal[:, 1, 0] = np.cos(phi) ** 2
-    ideal[:, 1, 3] = np.sin(phi) ** 2
-    p = p[:, None, None]
-    mixed = (1.0 - p) * ideal + p / 4.0
-    return np.einsum("nij,nkj->nki", confusion, mixed)
+    return apply_terms(*kernel_terms(p, confusion), phi, theta)

@@ -1,13 +1,15 @@
 """Slow reference implementations that the package's fast paths are tested
-against: a gate-by-gate density-matrix simulator for the closed-form batch
-kernel, a one-pair energy estimator for the columnar one, a one-pair
-confusion measurement for the stacked one, a one-repeat surrogate fit for
-the batched one, and cell-by-cell CSV and heatmap writers for the
-columnar ones.
+against: a gate-by-gate density-matrix simulator and the unsplit closed
+form for the batch kernel, a one-pair energy estimator for the columnar
+one, a one-pair confusion measurement for the stacked one, a one-repeat
+surrogate fit for the batched one, cell-by-cell CSV and heatmap writers
+for the columnar ones, and json.dumps and csv.writer serializers for an
+optimizer trace's files.
 """
 
 import csv
 import io
+import json
 
 import numpy as np
 
@@ -59,6 +61,22 @@ def run_circuit(circuit: NativeCircuit, noise: PairNoiseSpec = NOISELESS,
         if gate.kind == "CZ" and p_eff > 0.0:
             rho = depolarize(rho, p_eff)
     return rho
+
+
+def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
+                        confusion: np.ndarray) -> np.ndarray:
+    """The closed-form kernel in one piece: confusion @ ((1-p) ideal + p/4),
+    the ideal distributions filled in entry by entry (onsite [a, 1/2 - a,
+    1/2 - a, a], hopping [cos^2 phi, 0, 0, sin^2 phi])."""
+    a = 0.25 * (1.0 + np.sin(4.0 * theta) * np.sin(2.0 * phi))
+    ideal = np.zeros((len(phi), 2, 4))
+    ideal[:, 0, 0] = ideal[:, 0, 3] = a
+    ideal[:, 0, 1] = ideal[:, 0, 2] = 0.5 - a
+    ideal[:, 1, 0] = np.cos(phi) ** 2
+    ideal[:, 1, 3] = np.sin(phi) ** 2
+    p = p[:, None, None]
+    mixed = (1.0 - p) * ideal + p / 4.0
+    return np.einsum("nij,nkj->nki", confusion, mixed)
 
 
 def _as_distribution(measured) -> tuple[np.ndarray, int | None]:
@@ -168,6 +186,23 @@ def csv_text(header, rows) -> str:
         writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else str(v)
                          for v in row])
     return buf.getvalue()
+
+
+TRACE_HEADER = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
+
+
+def trace_csv(trace) -> str:
+    """An OptTrace's CSV, row by row from its records through csv.writer."""
+    return csv_text(TRACE_HEADER, [record[:len(TRACE_HEADER)] for record in trace.records])
+
+
+def trace_json(trace) -> str:
+    """An OptTrace's JSON: its final parameters and records through
+    json.dumps, keys sorted, on one line."""
+    payload = {"final_params": {"phi": trace.final_params.phi,
+                                "theta": trace.final_params.theta},
+               "records": [record._asdict() for record in trace.records]}
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def gradient_color(frac: float) -> str:

@@ -24,7 +24,7 @@ from parvqe.executor import (
 )
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, optimal_params
 from parvqe.mitigation import measure_confusion
-from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram
+from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram, batch_distributions
 from reference import estimate_energy
 from test_golden import SMALL_CALIBRATION
 
@@ -317,6 +317,34 @@ def test_run_batch_returns_one_record_array(case, data):
     assert np.array_equal(counts, np.stack([record.histograms for record in records]))
     row_shots = np.repeat(shots, [sum(map(len, group)) for group in groups])
     assert np.array_equal(counts.sum(axis=2), np.column_stack([row_shots, row_shots]))
+
+
+@given(group_cases(), st.data())
+def test_plan_keeps_each_rows_kernel_terms_and_estimator_inputs(case, data):
+    """A plan holds per row what a call would otherwise recompute: its
+    kernel terms give the kernel's distributions of the row's readout map
+    and depolarizing probability, crosstalk flagged by a neighbour in its
+    own batch, bit for bit, and its estimate of counts drawn at its
+    groups' shots is estimate_counts' of the rows, bit for bit."""
+    groups, phi, theta, seeds = case
+    shots = data.draw(st.lists(st.integers(1, 2000), min_size=len(groups),
+                               max_size=len(groups)))
+    table = chain_table()
+    plan = plan_batches(table, groups, shots)
+    p = np.concatenate([np.where(table.neighbours[batch][:, batch].any(axis=1),
+                                 table.p_crosstalk[batch], table.p[batch])
+                        for group in groups for batch in map(list, group)])
+    assert np.array_equal(plan.base, batch_distributions(np.zeros_like(phi), theta, p,
+                                                         table.confusion[plan.rows]))
+    assert np.array_equal(
+        run_batch(plan, phi, theta, streams_of(seeds))["histograms"],
+        np.concatenate([stream.multinomial(n, dists) for stream, n, dists in zip(
+            streams_of(seeds), shots, np.split(batch_distributions(
+                phi, theta, p, table.confusion[plan.rows]), plan.bounds[1:-1]))]))
+    counts = batch_counts(run_batch(plan, phi, theta, streams_of(seeds)))
+    for got, want in zip(plan.estimate(counts), estimate_counts(table, plan.rows, counts)):
+        assert np.array_equal(got, want)
+    assert not hasattr(plan, "p") and not hasattr(plan, "confusion")
 
 
 @given(group_cases())

@@ -477,6 +477,18 @@ def test_config_for_matches_the_cli(command, tmp_path):
         parse([command, *base, *flags]))
 
 
+def test_config_for_rejects_an_eta_given_to_spsa(tmp_path):
+    """An eta is rejected when it is given and the optimizer is spsa, and
+    only then: the default eta of an spsa run, and any eta of an mgd run,
+    pass, so a run without --eta keeps its config."""
+    with pytest.raises(InputError, match="spsa reads no eta"):
+        config_for("vqe", seed=1, out_dir=tmp_path, eta=2.0)
+    with pytest.raises(InputError, match="spsa reads no eta"):
+        config_for("vqe", seed=1, out_dir=tmp_path, optimizer="spsa", eta=0.5)
+    assert config_for("vqe", seed=1, out_dir=tmp_path).eta == 2.0
+    assert config_for("vqe", seed=1, out_dir=tmp_path, optimizer="mgd", eta=0.5).eta == 0.5
+
+
 def test_config_for_applies_command_defaults(tmp_path):
     # a bare ExperimentConfig runs 1,000 shots and ni+tflo; the commands
     # that override those defaults get theirs through config_for
@@ -634,6 +646,9 @@ IMPOSSIBLE = {
     "eta": ("vqe --optimizer mgd --pairs 1 --eta 0", "eta must be positive"),
     "eta-above-cap": ("vqe --optimizer mgd --pairs 1 --eta 200 --iterations 1",
                       "more than 1000 surrogate points"),
+    # spsa evaluates one point per pair, so an eta would be silently ignored
+    "eta-spsa": ("vqe --optimizer spsa --pairs 1 --eta 3", "spsa reads no eta"),
+    "eta-default-optimizer": ("vqe --eta 2.0", "spsa reads no eta"),
     "crosstalk-above-1": ("vqe --crosstalk 1.5", "crosstalk_p must be in [0, 1]"),
     "crosstalk-negative": ("vqe --crosstalk -0.1", "crosstalk_p must be in [0, 1]"),
     "start-nan": ("vqe --start nan 0.1", "start angles must be finite"),

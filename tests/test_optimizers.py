@@ -2,11 +2,13 @@
 
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from parvqe.csvio import write_csv
 from parvqe.device import DeviceTopology, noise_spec_for_pair
@@ -28,6 +30,7 @@ from parvqe.mitigation import measure_confusion
 from parvqe.optimizers import (
     IterationRecord,
     MgdConfig,
+    OptTrace,
     SpsaConfig,
     UnderDeterminedFit,
     batch_pair_evaluator,
@@ -41,7 +44,7 @@ from parvqe.optimizers import (
     spsa_run,
     _fit_surrogate,
 )
-from reference import fit_surrogate
+from reference import fit_surrogate, trace_csv, trace_json
 
 E_GROUND = exact_ground_energy()
 START = AnsatzParams(0.6, 0.8)
@@ -238,6 +241,46 @@ def test_trace_json_round_trips(tmp_path):
     assert spsa.points is None and spsa.records[0].points is None
     assert mgd.e_exact is None and mgd.records[0].e_exact is None
     assert mgd.points.shape == (3, 8, 2)
+
+
+# any float a trace column may hold, the non-finite ones and -0.0 included
+trace_values = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def traces(draw):
+    """An OptTrace of K = 1..5 iterations with any column values, e_exact
+    and points each None or an array, and m = 0..3 points per iteration."""
+    k, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    column = st.lists(trace_values, min_size=k, max_size=k).map(np.array)
+    points = st.lists(trace_values, min_size=2 * k * m, max_size=2 * k * m).map(
+        lambda v: np.array(v, dtype=float).reshape(k, m, 2))
+    finite = st.floats(-10.0, 10.0)
+    return OptTrace(phi=draw(column), theta=draw(column), e_raw=draw(column),
+                    e_ni=draw(column), e_exact=draw(st.none() | column),
+                    points=draw(st.none() | points),
+                    final_params=AnsatzParams(draw(finite), draw(finite)))
+
+
+ONE_STEP = dict(phi=np.array([-0.0]), theta=np.array([math.inf]), e_raw=np.array([math.nan]),
+                e_ni=np.array([-math.inf]), final_params=AnsatzParams(-0.0, 1e-300))
+
+
+@given(traces())
+@example(OptTrace(**ONE_STEP, e_exact=None, points=None))
+@example(OptTrace(**ONE_STEP, e_exact=np.array([0.1]),
+                  points=np.array([[[math.nan, -0.0], [math.inf, 2.5]]])))
+def test_trace_files_are_the_reference_serializers_bytes(trace):
+    """A trace's CSV is csv.writer's over its records, and its JSON is
+    json.dumps(payload, sort_keys=True)'s, NaN, Infinity, -0.0 and null
+    included, whether read from to_csv and to_json or written by write."""
+    assert trace.to_csv() == trace_csv(trace)
+    assert trace.to_json() == trace_json(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, json_path = Path(tmp, "t.csv"), Path(tmp, "t.json")
+        trace.write(csv_path, json_path)
+        assert csv_path.read_bytes() == trace_csv(trace).encode()
+        assert json_path.read_bytes() == trace_json(trace).encode()
 
 
 # --- surrogate fitting ---

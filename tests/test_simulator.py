@@ -14,11 +14,13 @@ from parvqe.simulator import (
     NOISELESS,
     PairNoiseSpec,
     ShotHistogram,
+    apply_terms,
     batch_distributions,
     exact_distribution,
     fidelity_to_depolarizing,
     sample_shots,
 )
+import reference
 from reference import check_density_matrix, run_circuit
 
 KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -232,3 +234,67 @@ def test_batch_kernel_rows_do_not_depend_on_their_batch(cases, picks):
     picks = [i % len(cases) for i in picks]
     other = batch_distributions(phi[picks], theta[picks], p[picks], confusion[picks])
     assert np.array_equal(other, dists[picks])
+
+
+def kernel_inputs(cases):
+    """phi, theta, p and confusion arrays of pair_cases."""
+    noises = [PairNoiseSpec(cz_fidelity=f, readout=ro, crosstalk_p=xt)
+              for _, _, f, ro, xt, _ in cases]
+    return (np.array([c[0] for c in cases]), np.array([c[1] for c in cases]),
+            np.array([noise.effective_p(c[5]) for noise, c in zip(noises, cases)]),
+            np.array([noise.confusion_map() for noise in noises]))
+
+
+@given(st.lists(pair_cases, min_size=1, max_size=6))
+@example([(math.pi / 4, math.pi / 8, 1.0, ((0.0, 0.0), (0.0, 0.0)), 0.0, False)])
+def test_split_kernel_matches_the_unsplit_closed_form(cases):
+    """The kernel's angle-free terms plus its per-call apply stay within
+    1e-15 of the closed form computed in one piece and are never negative;
+    at phi = 0, where TFLO's reference circuits run, they are it bit for
+    bit, so no reference draw moves."""
+    phi, theta, p, confusion = kernel_inputs(cases)
+    split = batch_distributions(phi, theta, p, confusion)
+    assert np.max(np.abs(split - reference.batch_distributions(phi, theta, p, confusion))) \
+        <= 1e-15
+    assert np.all(split >= 0.0)
+    zero = np.zeros_like(phi)
+    assert np.array_equal(batch_distributions(zero, theta, p, confusion),
+                          reference.batch_distributions(zero, theta, p, confusion))
+
+
+# (phi, theta) corners where the ideal distributions hold exact zeros
+KERNEL_CORNERS = {"a=1/2": (math.pi / 4, math.pi / 8), "phi=0": (0.0, 0.7),
+                  "phi=0,a=1/4": (0.0, 0.0), "generic": (1.1, -0.4)}
+ZERO_READOUT = {"both": ((0.0, 0.0), (0.0, 0.0)), "q0": ((0.0, 0.0), (0.03, 0.05)),
+                "q1-one-rate": ((0.02, 0.04), (0.0, 0.06))}
+
+
+@pytest.mark.parametrize("readout", sorted(ZERO_READOUT))
+@pytest.mark.parametrize("corner", sorted(KERNEL_CORNERS))
+def test_split_kernel_keeps_exact_zeros(corner, readout):
+    """With a perfect CZ (p = 0) and a qubit read out without error, the
+    kernel has exact zeros where the one-piece closed form has them and
+    nowhere else: numpy's binomial draws nothing at p == 0, so a residue
+    in place of a zero would move the stream. With p > 0 no entry is 0."""
+    phi, theta = KERNEL_CORNERS[corner]
+    for f in (1.0, 0.97):
+        noise = PairNoiseSpec(cz_fidelity=f, readout=ZERO_READOUT[readout])
+        args = (np.array([phi]), np.array([theta]), np.array([noise.depol_p]),
+                noise.confusion_map()[None])
+        split, whole = batch_distributions(*args), reference.batch_distributions(*args)
+        assert np.array_equal(split == 0.0, whole == 0.0)
+        assert np.all(split >= 0.0)
+        # not vacuous: with both qubits perfect the hopping setting always
+        # has zeros (at a = 1/2 the onsite one too), and at phi = 0 they
+        # survive any one perfect qubit
+        has_zeros = readout == "both" or corner.startswith("phi=0")
+        assert np.any(split == 0.0) == (f == 1.0 and has_zeros)
+
+
+def test_apply_terms_clips_a_rounding_residue_at_zero():
+    """A base and slope whose sum rounds below 0 give an exact 0, never a
+    negative probability, which numpy's multinomial would reject."""
+    base = np.ones((1, 2, 4))
+    slope = np.full((1, 2, 4), -np.nextafter(1.0, 2.0))
+    dists = apply_terms(base, slope, np.array([math.pi / 2]), np.array([0.3]))
+    assert np.all(dists[0, 1] == 0.0) and np.all(dists >= 0.0)
