@@ -11,7 +11,8 @@ Subcommands map one-to-one onto the harness experiments:
 
 `harness.COMMANDS` defines each subcommand: its handler, the settings it
 reads and its default overrides, which `harness.config_for` applies. This
-module only spells a setting as a flag (FLAGS).
+module only spells a setting as a flag (FLAGS), and `main` adds the flags
+of the named command only.
 """
 
 from __future__ import annotations
@@ -57,17 +58,23 @@ FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """One parser per subcommand, holding only the flags it reads, so an
     unread flag is an error rather than silently ignored. Unset flags are
     absent from the namespace. Abbreviations are off: shots-sweep would
-    otherwise read --shots as --shots-list."""
+    otherwise read --shots as --shots-list. Given the argv it will parse,
+    only the commands that argv names get their flags; argparse dispatches
+    to one of them, so every parse, help text and error is the same as
+    with all of them."""
+    named = COMMANDS.keys() if argv is None else COMMANDS.keys() & argv
     parser = argparse.ArgumentParser(prog="parvqe",
                                      description="parallel two-qubit VQE testbed")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help, allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
+        if name not in named:
+            continue
         for setting in ("seed", "out_dir", *command.reads):
             if setting not in FLAGS:
                 continue
@@ -86,7 +93,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)

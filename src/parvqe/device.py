@@ -28,9 +28,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
-
-import numpy as np
 
 from .simulator import PairNoiseSpec
 
@@ -198,52 +197,57 @@ def _bipartite_matching(topology: DeviceTopology, colour: dict[int, int]) -> lis
     cols = sorted(q for q, c in colour.items() if c == 1)
     row_of = {q: i for i, q in enumerate(rows)}
     col_of = {q: j for j, q in enumerate(cols)}
-    m, n = len(rows), len(cols)
-    cost = np.full((m, n + m), np.inf)
-    cost[np.arange(m), n + np.arange(m)] = 0.0
+    n = len(cols)
+    cells = [[(n + i, 0.0)] for i in range(len(rows))]
     for (a, b), f in topology.edge_map().items():
         if colour[a]:
             a, b = b, a
-        cost[row_of[a], col_of[b]] = -f
-    assigned = _min_cost_assignment(cost)
+        cells[row_of[a]].append((col_of[b], -f))
+    assigned = _min_cost_assignment(cells, n + len(rows))
     return [_norm_pair(rows[i], cols[j]) for i, j in enumerate(assigned) if j < n]
 
 
-def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
-    """Column of each row in a minimum-cost assignment of an (m, n) matrix,
-    m <= n, where np.inf marks a forbidden cell and every row has a finite
-    one. The Hungarian method in its shortest-augmenting-path form: each row
-    in turn is added by a Dijkstra search over reduced costs, keeping row
-    and column potentials; the inner loop runs over all columns at once."""
-    m, n = cost.shape
-    u = np.zeros(m)
-    v = np.zeros(n + 1)
-    owner = np.full(n + 1, -1)     # row holding each column; column n is the search root
+def _min_cost_assignment(cells: list[list[tuple[int, float]]], n: int) -> list[int]:
+    """Column of each row in a minimum-cost assignment of m rows to n >= m
+    columns, where cells[i] lists row i's allowed (column, cost) cells, at
+    least one each. The Hungarian method in its shortest-augmenting-path
+    form: each row in turn is added by a Dijkstra search over reduced costs,
+    keeping row and column potentials. The search visits allowed cells only,
+    but keeps the dense form's arithmetic and its tie rule (the lowest
+    column among equal distances), so it returns the dense form's
+    assignment, which the tests keep as their reference."""
+    m = len(cells)
+    u = [0.0] * m
+    v = [0.0] * (n + 1)
+    owner = [-1] * (n + 1)         # row holding each column; column n is the search root
     for i in range(m):
         owner[n] = i
         j0 = n
-        dist = np.full(n, np.inf)
-        via = np.full(n, n)
-        done = np.zeros(n + 1, dtype=bool)
+        done = []
+        dist = {}                  # reached columns not yet done
+        via = {}                   # every reached column; those not in dist are done
         while owner[j0] != -1:
-            done[j0] = True
+            done.append(j0)
             i0 = owner[j0]
-            reduced = cost[i0] - u[i0] - v[:n]
-            closer = ~done[:n] & (reduced < dist)
-            dist[closer] = reduced[closer]
-            via[closer] = j0
-            frontier = np.where(done[:n], np.inf, dist)
-            j0 = int(np.argmin(frontier))
-            delta = frontier[j0]
-            u[owner[done]] += delta
-            v[done] -= delta
-            dist[~done[:n]] -= delta
+            for j, c in cells[i0]:
+                reduced = c - u[i0] - v[j]
+                if (j in dist or j not in via) and reduced < dist.get(j, inf):
+                    dist[j] = reduced
+                    via[j] = j0
+            delta, j0 = min((d, j) for j, d in dist.items())
+            for k in done:
+                u[owner[k]] += delta
+                v[k] -= delta
+            del dist[j0]
+            for j in dist:
+                dist[j] -= delta
         while j0 != n:             # flip the augmenting path back to the root
             owner[j0] = owner[via[j0]]
             j0 = via[j0]
-    assigned = np.empty(m, dtype=int)
-    held = np.flatnonzero(owner[:n] >= 0)
-    assigned[owner[held]] = held
+    assigned = [0] * m
+    for j in range(n):
+        if owner[j] >= 0:
+            assigned[owner[j]] = j
     return assigned
 
 

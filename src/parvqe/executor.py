@@ -1,16 +1,17 @@
 """Batched execution of pair circuits, energy estimation and cost modelling.
 
 A run compiles its selected pairs once into a PairTable: per pair the
-depolarizing probabilities, the readout map and the estimation
-coefficients (noise-inverted when NI is on). A batch assigns ansatz
+depolarizing probabilities, the readout map, the kernel's angle-free
+terms without and with crosstalk, and the estimation coefficients
+(noise-inverted when NI is on). A batch assigns ansatz
 parameters to vertex-disjoint rows of the table and runs both
 measurement settings on every row. Every run is a list of groups of such
 batches, one group per key path (an optimizer repeat, a command's
 measurement stage), each with the one generator that key path keeps for
 its whole run. A layout of groups is checked and gathered once into a
 BatchPlan (plan_batches): its shot counts, each batch's checks, and each
-row's angle-free kernel terms (crosstalk flags applied) and estimation
-inputs. Every run_batch call on the plan then only checks its angles
+row's kernel terms (taken from the table by its crosstalk flag) and
+estimation inputs. Every run_batch call on the plan then only checks its angles
 and streams: all its batches are simulated in one vectorized pass (only
 a and sin^2 phi are computed per call), each group's histograms
 come from one multinomial draw on its generator, in batch order, and the
@@ -65,21 +66,20 @@ class Estimates(NamedTuple):
 class PairTable:
     """A selection of pairs compiled once for every batch run on it.
 
-    Row i holds pair i's depolarizing probability without (p) and with
-    (p_crosstalk) crosstalk, its (4, 4) readout map and its (2, 4)
-    estimation coefficients: per setting, inverse.T @ c with a confusion
-    matrix, the raw outcome coefficients c without. neighbours[i, j] says
-    rows i and j are joined by an edge; it is None when crosstalk_p is 0.
-    A batch runs any subset of rows, so the table itself need not be
-    vertex-disjoint.
+    Row i holds pair i's kernel_terms, from its readout map and its
+    depolarizing probability without (base[0, i], slope[0, i]) and with
+    (base[1, i], slope[1, i]) crosstalk, and its (2, 4) estimation
+    coefficients: per setting, inverse.T @ c with a confusion matrix, the
+    raw outcome coefficients c without. neighbours[i, j] says rows i and j
+    are joined by an edge; it is None when crosstalk_p is 0. A batch runs
+    any subset of rows, so the table itself need not be vertex-disjoint.
     """
 
     pairs: tuple[Pair, ...]
     qubits: np.ndarray                # (n, 2)
-    p: np.ndarray                     # (n,)
-    p_crosstalk: np.ndarray           # (n,)
     neighbours: np.ndarray | None     # (n, n) bool
-    confusion: np.ndarray             # (n, 4, 4)
+    base: np.ndarray                  # (2, n, 2, 4)
+    slope: np.ndarray                 # (2, n, 2, 4)
     coeffs: np.ndarray                # (n, 2, 4)
     raw_coeffs: np.ndarray            # (2, 4)
     offset: float                     # u/2, the constant energy term
@@ -112,13 +112,12 @@ def compile_pairs(topology: DeviceTopology, pairs, h: HubbardParams = HubbardPar
     else:
         inverse = np.array([confusions[pair].inverse for pair in pairs]).reshape(n, 4, 4)
         coeffs = np.einsum("nji,kj->nki", inverse, c)
+    p = np.array([[noise.effective_p(flag) for noise in noises] for flag in (False, True)])
+    confusion = confusion_maps(np.array([noise.readout for noise in noises]).reshape(n, 2, 2))
+    base, slope = kernel_terms(p.reshape(2 * n), np.concatenate([confusion, confusion]))
     return PairTable(
-        pairs=pairs, qubits=np.array(pairs, dtype=int).reshape(n, 2),
-        p=np.array([noise.effective_p(False) for noise in noises]),
-        p_crosstalk=np.array([noise.effective_p(True) for noise in noises]),
-        neighbours=neighbours,
-        confusion=confusion_maps(
-            np.array([noise.readout for noise in noises]).reshape(n, 2, 2)),
+        pairs=pairs, qubits=np.array(pairs, dtype=int).reshape(n, 2), neighbours=neighbours,
+        base=base.reshape(2, n, 2, 4), slope=slope.reshape(2, n, 2, 4),
         coeffs=coeffs, raw_coeffs=c, offset=h.u / 2.0, ni=confusions is not None)
 
 
@@ -163,9 +162,8 @@ class BatchPlan:
 
     rows holds the rows of every batch of every group, in order; group k
     is rows[bounds[k]:bounds[k + 1]] and draws shots[k] shots per setting.
-    base and slope are each row's kernel_terms, from its depolarizing
-    probability with its batch's crosstalk flags applied and its readout
-    map; coeffs, coeffs_sq and row_shots feed its estimate.
+    base and slope are each row's kernel_terms, taken from the table by
+    its crosstalk flag; coeffs, coeffs_sq and row_shots feed its estimate.
     """
 
     table: PairTable
@@ -217,15 +215,15 @@ def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
     keys = np.sort((batch_of[:, None] * (qubits.max() - low + 1) + qubits - low).ravel())
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("batch pairs must be vertex-disjoint")
-    p = table.p[rows]
+    flagged = 0
     if table.neighbours is not None:
-        for batch, start in zip(batches, accumulate(sizes, initial=0)):
-            flagged = table.neighbours[batch][:, batch].any(axis=1)
-            p[start:start + len(batch)][flagged] = table.p_crosstalk[batch][flagged]
+        flagged = np.concatenate([table.neighbours[batch][:, batch].any(axis=1)
+                                  for batch in batches]).astype(int)
     bounds = tuple(accumulate((sum(map(len, group)) for group in groups), initial=0))
     coeffs = table.coeffs[rows]
-    return BatchPlan(table, rows, bounds, shots, *kernel_terms(p, table.confusion[rows]),
-                     coeffs, coeffs * coeffs, np.repeat(shots, np.diff(bounds)))
+    return BatchPlan(table, rows, bounds, shots, table.base[flagged, rows],
+                     table.slope[flagged, rows], coeffs, coeffs * coeffs,
+                     np.repeat(shots, np.diff(bounds)))
 
 
 def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> np.ndarray:

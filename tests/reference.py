@@ -1,6 +1,7 @@
 """Slow reference implementations that the package's fast paths are tested
 against: a gate-by-gate density-matrix simulator and the unsplit closed
-form for the batch kernel, a one-pair energy estimator for the columnar
+form for the batch kernel, the dense Hungarian method for the sparse
+assignment behind pair matching, a one-pair energy estimator for the columnar
 one, a one-pair confusion measurement for the stacked one, a one-repeat
 surrogate fit for the batched one, cell-by-cell CSV and heatmap writers
 for the columnar ones, and json.dumps and csv.writer serializers for an
@@ -77,6 +78,44 @@ def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
     p = p[:, None, None]
     mixed = (1.0 - p) * ideal + p / 4.0
     return np.einsum("nij,nkj->nki", confusion, mixed)
+
+
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of an (m, n) matrix,
+    m <= n, where np.inf marks a forbidden cell and every row has a finite
+    one. The Hungarian method in its shortest-augmenting-path form: each row
+    in turn is added by a Dijkstra search over reduced costs, keeping row
+    and column potentials; the inner loop runs over all columns at once."""
+    m, n = cost.shape
+    u = np.zeros(m)
+    v = np.zeros(n + 1)
+    owner = np.full(n + 1, -1)     # row holding each column; column n is the search root
+    for i in range(m):
+        owner[n] = i
+        j0 = n
+        dist = np.full(n, np.inf)
+        via = np.full(n, n)
+        done = np.zeros(n + 1, dtype=bool)
+        while owner[j0] != -1:
+            done[j0] = True
+            i0 = owner[j0]
+            reduced = cost[i0] - u[i0] - v[:n]
+            closer = ~done[:n] & (reduced < dist)
+            dist[closer] = reduced[closer]
+            via[closer] = j0
+            frontier = np.where(done[:n], np.inf, dist)
+            j0 = int(np.argmin(frontier))
+            delta = frontier[j0]
+            u[owner[done]] += delta
+            v[done] -= delta
+            dist[~done[:n]] -= delta
+        while j0 != n:             # flip the augmenting path back to the root
+            owner[j0] = owner[via[j0]]
+            j0 = via[j0]
+    assigned = np.empty(m, dtype=int)
+    held = np.flatnonzero(owner[:n] >= 0)
+    assigned[owner[held]] = held
+    return assigned
 
 
 def _as_distribution(measured) -> tuple[np.ndarray, int | None]:

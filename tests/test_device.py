@@ -5,10 +5,13 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from parvqe.device import (
     CalibrationError,
     DeviceTopology,
+    _min_cost_assignment,
+    _two_colouring,
     greedy_select,
     load_calibration,
     max_weight_matching,
@@ -17,6 +20,7 @@ from parvqe.device import (
 )
 
 from conftest import write_calibration
+from reference import min_cost_assignment
 from test_golden import SMALL_CALIBRATION
 
 
@@ -193,6 +197,52 @@ def test_bipartite_matching_equals_networkx_on_calibrations(tmp_path, shipped_to
         {int(q): r for q, r in SMALL_CALIBRATION["readout"].items()}))
     for topo in (shipped_topology, small):
         assert max_weight_matching(topo).pairs == networkx_matching(topo)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Bipartite coupler graphs of one to three blocks, each of which may
+    split into more components, plus isolated qubits, with fidelities
+    either from a few repeated values (ties) or drawn freely, on shuffled
+    qubit ids."""
+    fidelity = draw(st.sampled_from([st.sampled_from([0.5, 0.8, 0.9, 1.0]),
+                                     st.floats(0.5, 1.0)]))
+    edges, size = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        na, nb = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        for a, b in itertools.product(range(size, size + na),
+                                      range(size + na, size + na + nb)):
+            if draw(st.booleans()):
+                edges.append((a, b, draw(fidelity)))
+        size += na + nb
+    size += draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(size)))
+    return DeviceTopology(
+        qubits=tuple(range(size)), readout={},
+        edges=tuple((min(ids[a], ids[b]), max(ids[a], ids[b]), f) for a, b, f in edges))
+
+
+@given(bipartite_graphs())
+def test_sparse_assignment_is_the_dense_one(topo):
+    """The assignment over each row's allowed cells is the dense Hungarian
+    method's, column for column, ties and isolated rows included, and the
+    matching is the pairs it assigns."""
+    colour = _two_colouring(topo)
+    rows = sorted(q for q, c in colour.items() if c == 0)
+    cols = sorted(q for q, c in colour.items() if c == 1)
+    m, n = len(rows), len(cols)
+    dense = np.full((m, n + m), np.inf)
+    dense[np.arange(m), n + np.arange(m)] = 0.0
+    cells = [[(n + i, 0.0)] for i in range(m)]
+    for (a, b), f in topo.edge_map().items():
+        if colour[a]:
+            a, b = b, a
+        dense[rows.index(a), cols.index(b)] = -f
+        cells[rows.index(a)].append((cols.index(b), -f))
+    want = min_cost_assignment(dense).tolist()
+    assert _min_cost_assignment(cells, n + m) == want
+    assert max_weight_matching(topo).pairs == tuple(sorted(
+        (min(rows[i], cols[j]), max(rows[i], cols[j])) for i, j in enumerate(want) if j < n))
 
 
 def test_matching_weight_dominates_greedy():

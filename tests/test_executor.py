@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from parvqe.device import DeviceTopology, noise_spec_for_pair
 from parvqe.executor import (
@@ -24,7 +24,8 @@ from parvqe.executor import (
 )
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, optimal_params
 from parvqe.mitigation import measure_confusion
-from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram, batch_distributions
+from parvqe.simulator import (NOISELESS, PairNoiseSpec, ShotHistogram, batch_distributions,
+                              kernel_terms)
 from reference import estimate_energy
 from test_golden import SMALL_CALIBRATION
 
@@ -256,14 +257,28 @@ def test_one_valued_setting_has_zero_std_err():
     assert np.all(estimate_counts(table, np.zeros(99, dtype=int), counts).std_err == 0.0)
 
 
-def chain_table(n_pairs=4, crosstalk_p=0.3):
+def chain_topology(n_pairs=4):
     """Pairs (0,1), (2,3), ... on a chain, each joined to the next, with
-    readout errors and measured confusions (NI on)."""
+    readout errors; the topology and its pairs."""
     qubits = tuple(range(2 * n_pairs))
     pairs = [(2 * i, 2 * i + 1) for i in range(n_pairs)]
     links = tuple((2 * i + 1, 2 * i + 2, 0.9) for i in range(n_pairs - 1))
-    topo = DeviceTopology(qubits=qubits, edges=tuple((*pair, 0.93) for pair in pairs) + links,
-                          readout={q: (0.01 + 0.01 * q, 0.03) for q in qubits})
+    return DeviceTopology(qubits=qubits, edges=tuple((*pair, 0.93) for pair in pairs) + links,
+                          readout={q: (0.01 + 0.01 * q, 0.03) for q in qubits}), pairs
+
+
+def chain_noise(crosstalk_p=0.3):
+    """Each chain pair's depolarizing probability without (p[0]) and with
+    (p[1]) crosstalk, and its readout map, from its own noise spec."""
+    topo, pairs = chain_topology()
+    noises = [noise_spec_for_pair(topo, pair, crosstalk_p=crosstalk_p) for pair in pairs]
+    return (np.array([[noise.effective_p(flag) for noise in noises] for flag in (False, True)]),
+            np.array([noise.confusion_map() for noise in noises]))
+
+
+def chain_table(n_pairs=4, crosstalk_p=0.3):
+    """The chain's pairs with measured confusions (NI on)."""
+    topo, pairs = chain_topology(n_pairs)
     stream = np.random.default_rng(0)
     confusions = {pair: measure_confusion(noise_spec_for_pair(topo, pair), 2000, stream)
                   for pair in pairs}
@@ -331,20 +346,40 @@ def test_plan_keeps_each_rows_kernel_terms_and_estimator_inputs(case, data):
                                max_size=len(groups)))
     table = chain_table()
     plan = plan_batches(table, groups, shots)
+    row_p, confusion = chain_noise()
     p = np.concatenate([np.where(table.neighbours[batch][:, batch].any(axis=1),
-                                 table.p_crosstalk[batch], table.p[batch])
+                                 row_p[1, batch], row_p[0, batch])
                         for group in groups for batch in map(list, group)])
     assert np.array_equal(plan.base, batch_distributions(np.zeros_like(phi), theta, p,
-                                                         table.confusion[plan.rows]))
+                                                         confusion[plan.rows]))
     assert np.array_equal(
         run_batch(plan, phi, theta, streams_of(seeds))["histograms"],
         np.concatenate([stream.multinomial(n, dists) for stream, n, dists in zip(
             streams_of(seeds), shots, np.split(batch_distributions(
-                phi, theta, p, table.confusion[plan.rows]), plan.bounds[1:-1]))]))
+                phi, theta, p, confusion[plan.rows]), plan.bounds[1:-1]))]))
     counts = batch_counts(run_batch(plan, phi, theta, streams_of(seeds)))
     for got, want in zip(plan.estimate(counts), estimate_counts(table, plan.rows, counts)):
         assert np.array_equal(got, want)
     assert not hasattr(plan, "p") and not hasattr(plan, "confusion")
+
+
+@given(group_cases(), st.sampled_from([0.0, 0.3]))
+@example(([[[0, 1, 3]], [[2], [3, 2]]], None, None, None), 0.3)
+def test_plan_gathers_kernel_terms_the_table_computed_per_row(case, crosstalk_p):
+    """The table's kernel terms, gathered by row and crosstalk flag, are
+    bit for bit kernel_terms of each plan row's own depolarizing
+    probability (with crosstalk when a neighbour shares its batch) and
+    readout map, with crosstalk on (here rows 0, 1 and the second 3 and 2
+    are flagged, the first 3 and the lone 2 are not) and off."""
+    groups = case[0]
+    plan = plan_batches(chain_table(crosstalk_p=crosstalk_p), groups, 100)
+    row_p, confusion = chain_noise(crosstalk_p)
+    flagged = np.concatenate([[crosstalk_p > 0 and any(abs(r - o) == 1 for o in batch)
+                               for r in batch] for group in groups for batch in group])
+    p = np.where(flagged, row_p[1, plan.rows], row_p[0, plan.rows])
+    assert np.array_equal(p != row_p[0, plan.rows], flagged)
+    base, slope = kernel_terms(p, confusion[plan.rows])
+    assert np.array_equal(plan.base, base) and np.array_equal(plan.slope, slope)
 
 
 @given(group_cases())

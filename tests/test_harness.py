@@ -1,7 +1,9 @@
 """Experiment-harness tests: file outputs, schemas, reproducibility, CLI."""
 
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -16,11 +18,12 @@ from hypothesis import example, given, strategies as st
 
 import parvqe
 from parvqe import harness, optimizers
-from parvqe.cli import build_parser, config_from_args, main as cli_main
+from parvqe.cli import FLAGS, build_parser, config_from_args, main as cli_main
 from parvqe.device import DeviceTopology, max_weight_matching
 from parvqe.executor import compile_pairs, load_cost_model, predict_wall_time
 from parvqe.mitigation import IllConditionedConfusion
 from parvqe.harness import (
+    CHOICES,
     COMMANDS,
     MAX_POINTS_PER_ITERATION,
     ExperimentConfig,
@@ -475,6 +478,39 @@ def test_config_for_matches_the_cli(command, tmp_path):
     given, flags = settings.get(command, ({}, []))
     assert config_for(command, seed=1, out_dir=tmp_path, **given) == config_from_args(
         parse([command, *base, *flags]))
+
+
+def parse_outcome(parser, argv):
+    """What parsing argv gives: the namespace (None on exit), stdout,
+    stderr and the exit status (None when parsing succeeds)."""
+    out, err, args, code = io.StringIO(), io.StringIO(), None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return args, out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_named_command_parser_parses_as_the_full_one(command):
+    """A parser with only the named command's flags gives the full parser's
+    namespace, output, errors and exit status on valid runs, help, flags
+    the command does not read, a missing --seed, bad values, unknown
+    commands and options before the command."""
+    reads = COMMANDS[command].reads
+    unread = "--grid" if "eta" in reads else "--eta"
+    choice = next((FLAGS[s][0] for s in reads if s in CHOICES), None)
+    run = [command, "--seed", "1", "--out", "out"]
+    cases = [run, ["--help"], [command, "--help"], [*run, unread, "2"],
+             [command, "--out", "out"], [*run, "--shots", "many"], ["bogus", *run[1:]],
+             [], ["--seed", "1", command, "--out", "out"], ["--out", *run],
+             [*run, "vqe"], ["--", *run]]
+    if choice:
+        cases.append([*run, choice, "bogus"])
+    for argv in cases:
+        assert parse_outcome(build_parser(argv), argv) == parse_outcome(build_parser(), argv)
+    assert parse_outcome(build_parser(run), run)[0].command == command
 
 
 def test_config_for_rejects_an_eta_given_to_spsa(tmp_path):

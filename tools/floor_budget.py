@@ -1,0 +1,198 @@
+"""Print each benchmark workload's in-process time next to its floor.
+
+For every benchmark workload (its argv read from benchmarks/run.py, as
+artifact_digest.py reads them), this process runs
+`parvqe.cli.main(argv --seed S --out DIR)` once to capture its draws and
+artifacts, --repeats times untouched and --repeats times with three
+layers timed, and prints one line with the median of main(argv) and:
+
+- draws: every run_batch call's per-group multinomial draws, replayed at
+  the same shots and distributions on fresh generators, the floor under
+  today's stream layout;
+- repr: repr() of each distinct float in the run's CSV and JSON
+  artifacts, the floor under today's formats;
+- the medians of three layers: the pair matching (max_weight_matching),
+  batch planning (plan_batches) and building and parsing the CLI parser.
+
+The draws and repr floors are the fastest of --repeats replays. Run from
+the repository root:
+
+    python tools/floor_budget.py [--seed 7] [--repeats 9]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import statistics
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from artifact_digest import workload_argv  # noqa: E402
+from parvqe import cli, harness, optimizers  # noqa: E402
+from parvqe.simulator import apply_terms  # noqa: E402
+
+# (module, name, layer): the module globals main(argv) calls each layer by
+LAYERS = [(harness, "max_weight_matching", "matching"),
+          (harness, "plan_batches", "plan"),
+          (optimizers, "plan_batches", "plan"),
+          (cli, "build_parser", "parser")]
+
+
+@contextlib.contextmanager
+def patched(module, name, wrapper):
+    original = getattr(module, name)
+    setattr(module, name, wrapper(original))
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
+
+
+def run_main(argv, seed: int) -> tuple[float, dict[str, str]]:
+    """Seconds of one main(argv) call and the artifacts it wrote (read
+    before its temporary directory goes)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        full = [*argv, "--seed", str(seed), "--out", tmp]
+        with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            t0 = time.perf_counter()
+            cli.main(full)
+            seconds = time.perf_counter() - t0
+        artifacts = {path.name: path.read_text() for path in Path(tmp).iterdir()
+                     if path.suffix in (".csv", ".json")}
+    return seconds, artifacts
+
+
+def artifact_floats(artifacts: dict[str, str]) -> set[float]:
+    """Every distinct float written to a CSV cell or a JSON number."""
+    found: set[float] = set()
+
+    def walk(value):
+        if isinstance(value, float):
+            found.add(value)
+        elif isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item)
+
+    for name, text in artifacts.items():
+        if name.endswith(".json"):
+            walk(json.loads(text))
+            continue
+        for row in csv.reader(io.StringIO(text)):
+            for cell in row:
+                try:
+                    int(cell)
+                except ValueError:
+                    with contextlib.suppress(ValueError):
+                        found.add(float(cell))
+    return found
+
+
+def captured_draws(argv, seed: int):
+    """(distributions, shots, bounds) of every run_batch call of one run,
+    and that run's artifacts."""
+    calls = []
+
+    def capture(run_batch):
+        def wrapper(plan, phi, theta, streams):
+            calls.append((apply_terms(plan.base, plan.slope, phi, theta), plan.shots,
+                          plan.bounds))
+            return run_batch(plan, phi, theta, streams)
+        return wrapper
+
+    with patched(optimizers, "run_batch", capture):
+        _, artifacts = run_main(argv, seed)
+    return calls, artifacts
+
+
+def replay_draws(calls) -> float:
+    streams = [np.random.default_rng(k) for k, (_, shots, _) in enumerate(calls)
+               for _ in shots]
+    t0 = time.perf_counter()
+    k = 0
+    for dists, shots, bounds in calls:
+        for n, lo, hi in zip(shots, bounds, bounds[1:]):
+            streams[k].multinomial(n, dists[lo:hi])
+            k += 1
+    return time.perf_counter() - t0
+
+
+def layer_times(argv, seed: int) -> dict[str, float]:
+    """Seconds main(argv) spends in each of LAYERS, the parser's
+    parse_args included."""
+    spent = dict.fromkeys((layer for *_, layer in LAYERS), 0.0)
+
+    def timer(layer):
+        def wrap(fn):
+            def timed(*args, **kwargs):
+                t0 = time.perf_counter()
+                result = fn(*args, **kwargs)
+                spent[layer] += time.perf_counter() - t0
+                if layer == "parser":
+                    result.parse_args = timed_parse(result.parse_args)
+                return result
+            return timed
+        return wrap
+
+    def timed_parse(parse_args):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = parse_args(*args, **kwargs)
+            spent["parser"] += time.perf_counter() - t0
+            return result
+        return timed
+
+    with contextlib.ExitStack() as stack:
+        for module, name, layer in LAYERS:
+            stack.enter_context(patched(module, name, timer(layer)))
+        run_main(argv, seed)
+    return spent
+
+
+def budget(argv, seed: int, repeats: int) -> str:
+    calls, artifacts = captured_draws(argv, seed)
+    floats = list(artifact_floats(artifacts))
+    wall = statistics.median(run_main(argv, seed)[0] for _ in range(repeats))
+    draws = min(replay_draws(calls) for _ in range(repeats))
+    reprs = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        list(map(repr, floats))
+        reprs.append(time.perf_counter() - t0)
+    layers = [layer_times(argv, seed) for _ in range(repeats)]
+    layer_text = ", ".join(f"{name} {statistics.median(t[name] for t in layers) * 1e3:.2f} ms"
+                           for name in layers[0])
+    return (f"main {wall * 1e3:.2f} ms | draws {draws * 1e3:.2f} ms "
+            f"({sum(len(shots) for _, shots, _ in calls)} groups) | repr {min(reprs) * 1e3:.2f} ms "
+            f"({len(floats)} floats) | {layer_text}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--repeats", type=int, default=9)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    for command in workload_argv():
+        print(f"{budget(command, args.seed, args.repeats)} | {' '.join(command)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
