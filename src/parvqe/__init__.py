@@ -8,48 +8,27 @@ gradient descent, and models the wall-clock speedup from parallelism.
 
 __version__ = "0.1.0"
 
-from .hubbard import (
-    AnsatzParams,
-    HubbardParams,
-    exact_energy,
-    exact_ground_energy,
-    hamiltonian,
-    ideal_state,
-    initial_state,
-)
-from .circuits import MeasurementSetting, NativeCircuit, NativeGate, build_circuit
-from .simulator import PairNoiseSpec, ShotHistogram, fidelity_to_depolarizing
-from .device import DeviceTopology, PairSelection, greedy_select, load_calibration
-from .device import max_weight_matching, noise_spec_for_pair
-from .mitigation import (ConfusionMatrix, invert_readout, measure_confusion, measure_confusions,
-                         tflo_correct)
-from .executor import (
-    BatchPlan,
-    CostModel,
-    Estimates,
-    PairTable,
-    aggregate_same_params,
-    calibrate_cost_model,
-    compile_pairs,
-    estimate_counts,
-    plan_batches,
-    predict_wall_time,
-    run_batch,
-)
-from .optimizers import MgdConfig, OptTrace, SpsaConfig, mgd_run, n_points_from_eta, spsa_run
+# public name -> its submodule, imported on first access (PEP 562), so that
+# `import parvqe.cli` loads only what the CLI runs
+_EXPORTS = {name: module for module, names in {
+    "hubbard": "AnsatzParams HubbardParams exact_energy exact_ground_energy hamiltonian "
+               "ideal_state initial_state",
+    "circuits": "MeasurementSetting NativeCircuit NativeGate build_circuit",
+    "simulator": "PairNoiseSpec ShotHistogram fidelity_to_depolarizing",
+    "device": "DeviceTopology PairSelection greedy_select load_calibration max_weight_matching "
+              "noise_spec_for_pair",
+    "mitigation": "ConfusionMatrix invert_readout measure_confusion measure_confusions "
+                  "tflo_correct",
+    "executor": "BatchPlan CostModel Estimates PairTable aggregate_same_params "
+                "calibrate_cost_model compile_pairs estimate_counts plan_batches "
+                "predict_wall_time run_batch",
+    "optimizers": "MgdConfig OptTrace SpsaConfig mgd_run n_points_from_eta spsa_run",
+}.items() for name in names.split()}
 
-__all__ = [
-    "AnsatzParams", "HubbardParams", "exact_energy", "exact_ground_energy",
-    "hamiltonian", "ideal_state", "initial_state",
-    "MeasurementSetting", "NativeCircuit", "NativeGate", "build_circuit",
-    "PairNoiseSpec", "ShotHistogram", "fidelity_to_depolarizing",
-    "DeviceTopology", "PairSelection", "greedy_select", "load_calibration",
-    "max_weight_matching", "noise_spec_for_pair",
-    "ConfusionMatrix", "invert_readout", "measure_confusion", "measure_confusions",
-    "tflo_correct",
-    "BatchPlan", "CostModel", "Estimates", "PairTable", "aggregate_same_params",
-    "calibrate_cost_model", "compile_pairs", "estimate_counts", "plan_batches",
-    "predict_wall_time", "run_batch",
-    "MgdConfig", "OptTrace", "SpsaConfig", "mgd_run", "n_points_from_eta", "spsa_run",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name]), name)

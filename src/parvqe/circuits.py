@@ -8,7 +8,7 @@ RZ(-pi + 2 phi) prepares the onsite-evolved state and RZ(pi +- 2 theta)
 realises the hopping evolution inside the measurement-basis change.
 
 Measured bits map to eigenvalues through a fixed sign map, determined
-once against the exact model and locked by regression tests:
+once against the exact model, locked by regression tests, in simulator:
 
   * onsite setting: <Z(x)Z> = ONSITE_ZZ_SIGN * <(1-2b0)(1-2b1)>
   * hopping setting: <X(x)I> = HOPPING_SIGNS[0] * <1-2b0> and
@@ -21,21 +21,13 @@ wire and the most significant bit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .hubbard import AnsatzParams
-
-# frozen bit-to-eigenvalue sign map (see module docstring)
-ONSITE_ZZ_SIGN = -1
-HOPPING_SIGNS = (1, 1)
-
-# eigenvalue tables over outcome index 2*b0 + b1
-ZZ_OUTCOMES = np.array([1.0, -1.0, -1.0, 1.0])
-Z0_OUTCOMES = np.array([1.0, 1.0, -1.0, -1.0])
-Z1_OUTCOMES = np.array([1.0, -1.0, 1.0, -1.0])
+from .records import Record
+from .simulator import HOPPING_SIGNS, ONSITE_ZZ_SIGN, Z0_OUTCOMES, Z1_OUTCOMES, ZZ_OUTCOMES
 
 _HALF_PI = math.pi / 2
 
@@ -45,8 +37,7 @@ class MeasurementSetting(Enum):
     HOPPING = "hopping"
 
 
-@dataclass(frozen=True)
-class NativeGate:
+class NativeGate(Record, frozen=True):
     kind: str                  # 'RX', 'RZ' or 'CZ'
     angle: float | None        # radians; None for CZ
     targets: tuple[int, ...]   # qubit indices in {0, 1}
@@ -73,8 +64,7 @@ class NativeGate:
             raise ValueError(f"targets must be qubits 0/1, got {self.targets}")
 
 
-@dataclass(frozen=True)
-class NativeCircuit:
+class NativeCircuit(Record, frozen=True):
     gates: tuple[NativeGate, ...]
     setting: MeasurementSetting
 

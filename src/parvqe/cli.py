@@ -18,7 +18,6 @@ of the named command only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .harness import CHOICES, COMMANDS, ExperimentConfig, InputError, config_for
@@ -50,7 +49,7 @@ FLAGS = {
     "repeats": ("--repeats", dict(type=int)),
     "optimizer": ("--optimizer", {}),
     "eta": ("--eta", dict(type=float,
-                          help="points-per-iteration metaparameter for single-pair mgd")),
+                          help="points-per-iteration metaparameter for mgd")),
     "start": ("--start", dict(type=float, nargs=2, metavar=("PHI", "THETA"))),
     "grid": ("--grid", dict(type=int, help="points per axis")),
     "shots_list": ("--shots-list", dict(type=_int_list)),
@@ -88,8 +87,8 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The config of the parsed command and flags; settings without a flag
     keep the command's defaults (harness.config_for)."""
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    return config_for(args.command, **{k: v for k, v in vars(args).items() if k in fields})
+    return config_for(args.command, **{k: v for k, v in vars(args).items()
+                                       if k in ExperimentConfig.field_names})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from math import inf
 from pathlib import Path
 
+from .records import Record
 from .simulator import PairNoiseSpec
 
 Pair = tuple[int, int]
@@ -44,8 +44,7 @@ def _norm_pair(a: int, b: int) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class DeviceTopology:
+class DeviceTopology(Record, frozen=True):
     qubits: tuple[int, ...]
     edges: tuple[tuple[int, int, float], ...]   # (a, b, fidelity) with a < b
     readout: dict[int, tuple[float, float]]
@@ -112,8 +111,7 @@ def load_calibration(path: str | Path) -> DeviceTopology:
     return topology
 
 
-@dataclass(frozen=True)
-class PairSelection:
+class PairSelection(Record, frozen=True):
     pairs: tuple[Pair, ...]
     fidelity_cap: float | None = None
 

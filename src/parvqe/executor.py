@@ -36,18 +36,18 @@ least squares.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import HOPPING_SIGNS, ONSITE_ZZ_SIGN, Z0_OUTCOMES, Z1_OUTCOMES, ZZ_OUTCOMES
 from .device import DeviceTopology, Pair, noise_spec_for_pair
 from .hubbard import AnsatzParams, HubbardParams
 from .mitigation import ConfusionMatrix
-from .simulator import (PairNoiseSpec, apply_terms, batch_distributions, confusion_maps,
+from .records import Record
+from .simulator import (HOPPING_SIGNS, ONSITE_ZZ_SIGN, Z0_OUTCOMES, Z1_OUTCOMES, ZZ_OUTCOMES,
+                        PairNoiseSpec, apply_terms, batch_distributions, confusion_maps,
                         kernel_terms)
 
 
@@ -62,8 +62,7 @@ class Estimates(NamedTuple):
     raw: np.ndarray
 
 
-@dataclass(frozen=True)
-class PairTable:
+class PairTable(Record, frozen=True):
     """A selection of pairs compiled once for every batch run on it.
 
     Row i holds pair i's kernel_terms, from its readout map and its
@@ -155,8 +154,7 @@ def _estimate(table: PairTable, coeffs: np.ndarray, coeffs_sq: np.ndarray,
 COUNTS_DTYPE = np.dtype((np.record, [("histograms", np.int64, (2, 4))]))
 
 
-@dataclass(frozen=True, eq=False)
-class BatchPlan:
+class BatchPlan(Record, frozen=True, eq=False):
     """A checked layout of groups of batches of table rows, made once by
     plan_batches and run by every run_batch call on it.
 
@@ -292,8 +290,7 @@ def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,
 
 # --- wall-clock cost model ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record, frozen=True):
     t_base: float       # seconds per batch, fixed
     beta: float         # seconds per parallel pair per batch
     tau: float          # seconds per shot per setting

@@ -13,7 +13,6 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -61,6 +60,7 @@ from .optimizers import (
     spsa_lockstep,
     spsa_parallel_evaluator,
 )
+from .records import Record, factory
 from .seeding import derive_rng, derive_seed
 from . import svgplot
 
@@ -100,18 +100,17 @@ class InputError(ValueError):
 MAX_POINTS_PER_ITERATION = 1000
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Every setting of an experiment run. Impossible values raise
     InputError, and so does an eta whose n_points_from_eta(eta) exceeds
     MAX_POINTS_PER_ITERATION (1000 points, so eta must be below 166.75):
     uncapped, an eta of 1e9 would ask mgd_lockstep for 6e9 points per
-    iteration."""
+    iteration. eta None (unset) leaves mgd its default point count."""
 
     seed: int
     out_dir: Path
-    calibration: Path = field(default_factory=default_calibration_path)
-    cost_model: Path = field(default_factory=default_cost_model_path)
+    calibration: Path = factory(default_calibration_path)
+    cost_model: Path = factory(default_cost_model_path)
     pairs: int | None = None
     select: str = "greedy"
     cap: float | None = None
@@ -122,7 +121,7 @@ class ExperimentConfig:
     mitigation: str = "ni+tflo"
     repeats: int = 1
     workers: int = 1                    # accepted for --workers; has no effect
-    eta: float = 2.0
+    eta: float | None = None
     start: tuple[float, float] = (0.6, 0.8)
     grid: int = 20
     shots_list: tuple[int, ...] = (100, 1000, 10_000)
@@ -147,9 +146,9 @@ class ExperimentConfig:
                 raise InputError(f"{name} entries must be >= 1, got {values}")
             if len(set(values)) < len(values):
                 raise InputError(f"{name} entries must be distinct, got {values}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
             raise InputError(f"eta must be positive, got {self.eta}")
-        if n_points_from_eta(self.eta) > MAX_POINTS_PER_ITERATION:
+        if self.eta is not None and n_points_from_eta(self.eta) > MAX_POINTS_PER_ITERATION:
             raise InputError(f"eta {self.eta} asks for more than {MAX_POINTS_PER_ITERATION} "
                              "surrogate points per iteration")
         if not 0.0 <= self.crosstalk_p <= 1.0:
@@ -183,8 +182,7 @@ class ExperimentConfig:
         return {k: str(v) if isinstance(v, Path) else v for k, v in values.items()}
 
 
-@dataclass
-class RunRecord:
+class RunRecord(Record):
     command: str
     config: dict
     metrics: dict
@@ -528,8 +526,9 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     table = run.pair_table(pairs, cfg.ni)
     default_iterations = 50 if cfg.optimizer == "spsa" else 40
     iterations = cfg.iterations if cfg.iterations is not None else default_iterations
-    points = (len(pairs) if cfg.optimizer == "spsa" or len(pairs) > 1
-              else n_points_from_eta(cfg.eta))
+    # mgd: n_points_from_eta(--eta) points; unset, one per pair, or 12 (eta 2) on one
+    eta = 2.0 if cfg.eta is None and len(pairs) == 1 else cfg.eta
+    points = len(pairs) if cfg.optimizer == "spsa" or eta is None else n_points_from_eta(eta)
 
     traces = _optimize(run, table, cfg.optimizer, iterations, points, cfg.shots,
                        [(rep,) for rep in range(cfg.repeats)], cfg.start)
@@ -717,8 +716,7 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
 
 # --- the command table ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Command:
+class Command(Record, frozen=True):
     """A subcommand: its handler, and the ExperimentConfig fields it reads
     besides seed and out_dir. Those fields are what its record.json lists
     and, where they have a flag, the flags the CLI accepts. `defaults` and
@@ -727,8 +725,8 @@ class Command:
     handler: Callable[[ExperimentConfig], RunRecord]
     help: str
     reads: tuple[str, ...]
-    defaults: dict = field(default_factory=dict)
-    choices: dict = field(default_factory=dict)
+    defaults: dict = factory(dict)
+    choices: dict = factory(dict)
 
 
 # what every command that runs circuits reads, and what heatmap and vqe add

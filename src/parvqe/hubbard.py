@@ -17,10 +17,11 @@ the package is checked against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .records import Record
 
 PAULI_I = np.eye(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -32,8 +33,7 @@ IX = np.kron(PAULI_I, PAULI_X)
 ZZ = np.kron(PAULI_Z, PAULI_Z)
 
 
-@dataclass(frozen=True)
-class HubbardParams:
+class HubbardParams(Record, frozen=True):
     """Model constants: tunnelling amplitude t >= 0 and Coulomb potential u >= 0.
 
     t = 0 (no hopping) is allowed as a degenerate diagnostic case.
@@ -51,8 +51,7 @@ class HubbardParams:
             raise ValueError(f"u must be nonnegative, got {self.u}")
 
 
-@dataclass(frozen=True)
-class AnsatzParams:
+class AnsatzParams(Record, frozen=True):
     """Variational angles: phi drives the onsite term, theta the hopping term."""
 
     phi: float
@@ -66,8 +65,7 @@ class AnsatzParams:
             raise ValueError("ansatz angles must be finite")
 
 
-@dataclass(frozen=True)
-class Hamiltonian2:
+class Hamiltonian2(Record, frozen=True):
     """The 4x4 Hamiltonian together with its hopping and onsite parts."""
 
     matrix: np.ndarray

@@ -17,10 +17,9 @@ which removes any parameter-independent additive energy bias exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .records import Record
 from .simulator import PairNoiseSpec, ShotHistogram, confusion_maps
 
 CONDITION_LIMIT = 100.0
@@ -49,8 +48,7 @@ def check_confusions(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.inv(matrices)
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(Record, frozen=True):
     """Column-stochastic readout confusion matrix N; N[i, j] estimates
     P(measure i | prepared j)."""
 

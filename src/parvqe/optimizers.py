@@ -48,7 +48,6 @@ after the last step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -64,6 +63,7 @@ from .executor import (
     run_batch,
 )
 from .hubbard import AnsatzParams, HubbardParams, exact_energy
+from .records import Record
 
 N_SURROGATE_FEATURES = 6    # constant, 2 linear, 3 quadratic terms in 2 dims
 # Rademacher values indexed by integers(0, 2): the same draws and stream
@@ -75,8 +75,7 @@ class UnderDeterminedFit(ValueError):
     """Too few points for the surrogate and no ridge to regularise it."""
 
 
-@dataclass(frozen=True)
-class SpsaConfig:
+class SpsaConfig(Record, frozen=True):
     iterations: int
     a: float = 0.15
     c: float = 0.2
@@ -97,8 +96,7 @@ class SpsaConfig:
         return self.a / (k + self.big_a) ** self.alpha, self.c / k ** self.gamma
 
 
-@dataclass(frozen=True)
-class MgdConfig:
+class MgdConfig(Record, frozen=True):
     iterations: int
     delta: float = 0.6
     xi: float = 0.101
@@ -143,8 +141,7 @@ class IterationRecord(NamedTuple):
     points: tuple[tuple[float, float], ...] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class OptTrace:
+class OptTrace(Record, frozen=True, eq=False):
     """One repeat's run as (K,) columns over its K iterations: the centre
     (phi, theta), the raw and noise-inverted estimates there, the exact
     energy (None without an oracle) and, for MGD, the (K, m, 2) points

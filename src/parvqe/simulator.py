@@ -18,9 +18,18 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .records import Record
+
+# frozen bit-to-eigenvalue sign map (see the circuits module docstring)
+ONSITE_ZZ_SIGN = -1
+HOPPING_SIGNS = (1, 1)
+
+# eigenvalue tables over outcome index 2*b0 + b1
+ZZ_OUTCOMES = np.array([1.0, -1.0, -1.0, 1.0])
+Z0_OUTCOMES = np.array([1.0, 1.0, -1.0, -1.0])
+Z1_OUTCOMES = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def fidelity_to_depolarizing(f: float) -> float:
@@ -31,8 +40,7 @@ def fidelity_to_depolarizing(f: float) -> float:
     return min(max(4.0 * (1.0 - f) / 3.0, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class PairNoiseSpec:
+class PairNoiseSpec(Record, frozen=True):
     """Noise parameters of one qubit pair.
 
     readout holds per-qubit (eps01, eps10) rates where eps01 = P(read 1 |
@@ -86,8 +94,7 @@ def confusion_maps(readout: np.ndarray) -> np.ndarray:
 NOISELESS = PairNoiseSpec()
 
 
-@dataclass(frozen=True)
-class ShotHistogram:
+class ShotHistogram(Record, frozen=True):
     """Counts over outcomes {00, 01, 10, 11} (index 2*b0 + b1)."""
 
     counts: tuple[int, int, int, int]

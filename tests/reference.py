@@ -4,17 +4,19 @@ form for the batch kernel, the dense Hungarian method for the sparse
 assignment behind pair matching, a one-pair energy estimator for the columnar
 one, a one-pair confusion measurement for the stacked one, a one-repeat
 surrogate fit for the batched one, cell-by-cell CSV and heatmap writers
-for the columnar ones, and json.dumps and csv.writer serializers for an
-optimizer trace's files.
+for the columnar ones, json.dumps and csv.writer serializers for an
+optimizer trace's files, and a dataclasses twin of every record class.
 """
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 
-from parvqe import svgplot
+from parvqe import circuits, device, executor, harness, hubbard, mitigation, optimizers
+from parvqe import simulator, svgplot
 from parvqe.circuits import NativeCircuit, gate_matrix
 from parvqe.executor import Estimates, setting_coefficients
 from parvqe.hubbard import HubbardParams
@@ -279,3 +281,48 @@ def heatmap_svg(grid, title, xlabel, ylabel, extent) -> str:
                         f'text-anchor="end" font-family="sans-serif" font-size="10">'
                         f'range [{svgplot._fmt(lo)}, {svgplot._fmt(hi)}]</text>')
     return canvas.render()
+
+
+# every record class with the dataclass options it was declared with, and
+# its default factories by field
+RECORD_OPTIONS = {
+    circuits.NativeGate: dict(frozen=True),
+    circuits.NativeCircuit: dict(frozen=True),
+    device.DeviceTopology: dict(frozen=True),
+    device.PairSelection: dict(frozen=True),
+    executor.PairTable: dict(frozen=True),
+    executor.BatchPlan: dict(frozen=True, eq=False),
+    executor.CostModel: dict(frozen=True),
+    harness.ExperimentConfig: dict(factories={
+        "calibration": harness.default_calibration_path,
+        "cost_model": harness.default_cost_model_path}),
+    harness.RunRecord: dict(),
+    harness.Command: dict(frozen=True, factories={"defaults": dict, "choices": dict}),
+    hubbard.HubbardParams: dict(frozen=True),
+    hubbard.AnsatzParams: dict(frozen=True),
+    hubbard.Hamiltonian2: dict(frozen=True),
+    mitigation.ConfusionMatrix: dict(frozen=True),
+    optimizers.SpsaConfig: dict(frozen=True),
+    optimizers.MgdConfig: dict(frozen=True),
+    optimizers.OptTrace: dict(frozen=True, eq=False),
+    simulator.PairNoiseSpec: dict(frozen=True),
+    simulator.ShotHistogram: dict(frozen=True),
+}
+
+
+def dataclass_twin(cls):
+    """A dataclasses.dataclass with cls's name, fields, plain defaults,
+    RECORD_OPTIONS and __post_init__ check."""
+    options = dict(RECORD_OPTIONS[cls])
+    factories = options.pop("factories", {})
+    annotations = cls.__dict__["__annotations__"]
+    namespace = {"__annotations__": dict(annotations), "__qualname__": cls.__qualname__,
+                 "__module__": cls.__module__}
+    for name in annotations:
+        if name in factories:
+            namespace[name] = dataclasses.field(default_factory=factories[name])
+        elif name in cls.__dict__:
+            namespace[name] = cls.__dict__[name]
+    if "__post_init__" in cls.__dict__:
+        namespace["__post_init__"] = cls.__dict__["__post_init__"]
+    return dataclasses.dataclass(**options)(type(cls.__name__, (), namespace))

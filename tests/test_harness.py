@@ -515,14 +515,43 @@ def test_named_command_parser_parses_as_the_full_one(command):
 
 def test_config_for_rejects_an_eta_given_to_spsa(tmp_path):
     """An eta is rejected when it is given and the optimizer is spsa, and
-    only then: the default eta of an spsa run, and any eta of an mgd run,
-    pass, so a run without --eta keeps its config."""
+    only then: the unset eta (None) of an spsa run, and any eta of an mgd
+    run, pass, so a run without --eta keeps its config."""
     with pytest.raises(InputError, match="spsa reads no eta"):
         config_for("vqe", seed=1, out_dir=tmp_path, eta=2.0)
     with pytest.raises(InputError, match="spsa reads no eta"):
         config_for("vqe", seed=1, out_dir=tmp_path, optimizer="spsa", eta=0.5)
-    assert config_for("vqe", seed=1, out_dir=tmp_path).eta == 2.0
+    assert config_for("vqe", seed=1, out_dir=tmp_path).eta is None
     assert config_for("vqe", seed=1, out_dir=tmp_path, optimizer="mgd", eta=0.5).eta == 0.5
+
+
+def test_eta_sets_mgd_points_at_any_pair_count(tmp_path):
+    # --eta is honoured on several pairs too: round(6 * eta) points per
+    # iteration, spread over the pairs; without it, one point per pair
+    base = ["vqe", "--optimizer", "mgd", "--pairs", "4", "--iterations", "2",
+            "--shots", "100", "--seed", "3"]
+    runs = {}
+    for name, extra in (("default", []), ("eta2", ["--eta", "2"]), ("eta5", ["--eta", "5"])):
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli_main([*base, *extra, "--out", str(out)]) == 0
+        record = json.loads((out / "record.json").read_text())
+        runs[name] = ((out / "trace_rep0.csv").read_bytes(),
+                      (out / "summary.csv").read_bytes(), record)
+    assert [runs[name][2]["metrics"]["points_per_iteration"] for name in runs] == [4, 12, 30]
+    assert [runs[name][2]["config"]["eta"] for name in runs] == [None, 2.0, 5.0]
+    cost = load_cost_model(harness.default_cost_model_path())
+    for name, points in (("eta2", 12), ("eta5", 30)):
+        parallel, single = harness.modeled_vqe_wall_times(cost, "mgd", 4, points, 2, 100)
+        assert runs[name][2]["metrics"]["modeled_seconds_parallel"] == parallel
+        assert runs[name][2]["metrics"]["modeled_seconds_single_pair_equivalent"] == single
+    # 12 points on 4 pairs keep the default's speedup; 30 points fill 8 batches
+    for a, b, keys in (("eta2", "eta5", ("modeled_speedup",)), ("default", "eta2", ())):
+        assert runs[a][0] != runs[b][0] and runs[a][1] != runs[b][1]
+        assert all(runs[a][2]["metrics"][key] != runs[b][2]["metrics"][key]
+                   for key in ("modeled_seconds_parallel",
+                               "modeled_seconds_single_pair_equivalent", *keys))
 
 
 def test_config_for_applies_command_defaults(tmp_path):
@@ -756,6 +785,24 @@ def test_cli_import_leaves_scipy_and_networkx_unloaded(tmp_path, make_uniform_ca
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=60)
         assert out.stdout.strip().splitlines()[-1] == "[]"
+    # nor dataclasses (record classes generate no code) nor the circuits
+    # module, which no command runs; a run imports no further parvqe module
+    loaded = "sorted(m for m in sys.modules if m == 'dataclasses' or m.startswith('parvqe'))"
+    code = f"import sys, parvqe.cli; print({loaded}); {run}print({loaded})"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    lines = out.stdout.strip().splitlines()
+    at_import, after_run = eval(lines[0]), eval(lines[-1])
+    assert "dataclasses" not in at_import and "parvqe.circuits" not in at_import
+    assert after_run == at_import
+    # the lazy package namespace still resolves every public name
+    code = ("import parvqe; names = {n: getattr(parvqe, n) for n in parvqe.__all__}; "
+            "ns = {}; exec('from parvqe import *', ns); "
+            "print(len(names) == len(set(parvqe.__all__)) == len(ns) - 1, "
+            "all(ns[n] is v for n, v in names.items()))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.split() == ["True", "True"]
 
 
 def test_vqe_and_optimizer_compare_leave_numpy_ma_unloaded(tmp_path):

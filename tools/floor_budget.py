@@ -14,10 +14,17 @@ layers timed, and prints one line with the median of main(argv) and:
 - the medians of three layers: the pair matching (max_weight_matching),
   batch planning (plan_batches) and building and parsing the CLI parser.
 
-The draws and repr floors are the fastest of --repeats replays. Run from
-the repository root:
+The draws and repr floors are the fastest of --repeats replays. Before
+the workloads, one line gives the import floor: the median spawn-to-ready
+seconds of fresh interpreters (--spawns each, interleaved) that run
+`pass`, `import numpy` and `import parvqe.cli` on a copy of src without
+bytecode, once compiling it in every process (PYTHONDONTWRITEBYTECODE=1)
+and once with it cached in a scratch PYTHONPYCACHEPREFIX. Interpreter
+start alone includes the site-packages .pth processing of the host
+environment, which lies outside the package. Run from the repository
+root:
 
-    python tools/floor_budget.py [--seed 7] [--repeats 9]
+    python tools/floor_budget.py [--seed 7] [--repeats 9] [--spawns 21]
 """
 
 from __future__ import annotations
@@ -27,7 +34,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -182,13 +192,52 @@ def budget(argv, seed: int, repeats: int) -> str:
             f"({len(floats)} floats) | {layer_text}")
 
 
+IMPORTS = {"pass": "pass", "numpy": "import numpy", "parvqe.cli": "import parvqe.cli"}
+
+
+def spawn_to_ready(statement: str, env: dict) -> float:
+    """Seconds from spawning a fresh interpreter until statement has run."""
+    code = f"{statement}; import sys, time; sys.stdout.write(repr(time.monotonic()))"
+    t0 = time.monotonic()
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return float(out.stdout) - t0
+
+
+def import_floor(spawns: int) -> str:
+    """Median spawn-to-ready of each of IMPORTS, compiling src in every
+    process and with its bytecode cached."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = shutil.copytree(ROOT / "src", Path(tmp) / "src",
+                              ignore=shutil.ignore_patterns("__pycache__"))
+        base = {key: value for key, value in os.environ.items()
+                if key not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+        base["PYTHONPATH"] = str(src)
+        modes = {"compiled": {**base, "PYTHONDONTWRITEBYTECODE": "1"},
+                 "cached": {**base, "PYTHONPYCACHEPREFIX": str(Path(tmp) / "pycache")}}
+        for statement in IMPORTS.values():    # fills the cache
+            spawn_to_ready(statement, modes["cached"])
+        times = {(mode, name): [] for mode in modes for name in IMPORTS}
+        for _ in range(spawns):
+            for mode, env in modes.items():
+                for name, statement in IMPORTS.items():
+                    times[mode, name].append(spawn_to_ready(statement, env))
+    return "import floor (spawn-to-ready medians) | " + " | ".join(
+        f"{mode}: " + ", ".join(f"{name} {statistics.median(times[mode, name]) * 1e3:.1f} ms"
+                                for name in IMPORTS) for mode in modes)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--spawns", type=int, default=21,
+                        help="fresh interpreters per import floor entry (0 skips it)")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
+    if args.repeats < 1 or args.spawns < 0:
+        parser.error("--repeats must be >= 1 and --spawns >= 0")
+    if args.spawns:
+        print(import_floor(args.spawns), flush=True)
     for command in workload_argv():
         print(f"{budget(command, args.seed, args.repeats)} | {' '.join(command)}", flush=True)
     return 0
