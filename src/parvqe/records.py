@@ -45,37 +45,22 @@ class Record:
             cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
-        names = self.field_names
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or tuple(values) != names:
-            values = self._bind(args, kwargs)
-        self.__dict__.update(values)
+        self.__dict__.update(self._bind(args, kwargs))
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
     def _bind(self, args, kwargs) -> dict:
-        """Field values, in order, for a call that skips or reorders fields:
-        Python's own argument checks and messages (self counted), then defaults."""
+        """Field values, in order: args by position, then kwargs, then defaults."""
         names, defaults = self.field_names, self._defaults
-        call = f"{type(self).__qualname__}.__init__()"
         values = dict(zip(names, args))
-        for name in kwargs:
-            if name not in names:
-                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
-            if name in values:
-                raise TypeError(f"{call} got multiple values for argument {name!r}")
-        if len(args) > len(names):
-            least = len(names) + 1 - len(defaults)
-            takes = f"from {least} to {len(names) + 1}" if defaults else len(names) + 1
-            raise TypeError(f"{call} takes {takes} positional arguments but {len(args) + 1} "
-                            "were given")
+        unknown = [name for name in kwargs if name not in names or name in values]
+        missing = [name for name in names
+                   if name not in values and name not in kwargs and name not in defaults]
+        if len(args) > len(names) or unknown or missing:
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields, got "
+                            f"{len(args)} positional; unknown or repeated: {unknown}; "
+                            f"missing: {missing}")
         values.update(kwargs)
-        missing = [repr(name) for name in names if name not in values and name not in defaults]
-        if missing:
-            listed = (" and ".join(missing) if len(missing) < 3
-                      else ", ".join(missing[:-1]) + ", and " + missing[-1])
-            raise TypeError(f"{call} missing {len(missing)} required positional "
-                            f"argument{'s' * (len(missing) > 1)}: {listed}")
         for name in names:
             if name not in values:
                 default = defaults[name]

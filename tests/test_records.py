@@ -1,8 +1,10 @@
 """Record classes against their dataclasses twins (reference.dataclass_twin):
-the same construction, argument errors, defaults, repr, equality, hashing,
-frozen assignment errors and __post_init__ checks, over drawn field values."""
+the same construction, argument error types, defaults, repr, equality,
+hashing, frozen assignment errors and __post_init__ checks, over drawn
+field values."""
 
 import dataclasses
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -63,13 +65,23 @@ def outcome(fn):
         return type(exc).__name__, str(exc), isinstance(exc, AttributeError)
 
 
+def binds(cls, args, kwargs) -> bool:
+    """Whether args and kwargs fit the signature of cls's twin (or of cls, a twin)."""
+    try:
+        inspect.signature(TWINS.get(cls, cls)).bind(*args, **kwargs)
+    except TypeError:
+        return False
+    return True
+
+
 def behaviour(cls, args, kwargs) -> list:
-    """Everything observable of cls(*args, **kwargs), as comparable values."""
+    """Everything observable of cls(*args, **kwargs), as comparable values:
+    an argument error by its type, a __post_init__ error by type and message."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         made = outcome(lambda: cls(*args, **kwargs))
         if made[0] != "ok":
-            return [made]
+            return [made if binds(cls, args, kwargs) else made[0]]
         record, again = made[1], cls(*args, **kwargs)
     names = list(cls.__dict__["__annotations__"])
     other = type("Other", (cls,), {})   # same fields and values, another class

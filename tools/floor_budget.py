@@ -16,7 +16,7 @@ layers timed, and prints one line with the median of main(argv) and:
 
 The draws and repr floors are the fastest of --repeats replays. Before
 the workloads, one line gives the import floor: the median spawn-to-ready
-seconds of fresh interpreters (--spawns each, interleaved) that run
+seconds of fresh interpreters (SPAWNS each, interleaved) that run
 `pass`, `import numpy` and `import parvqe.cli` on a copy of src without
 bytecode, once compiling it in every process (PYTHONDONTWRITEBYTECODE=1)
 and once with it cached in a scratch PYTHONPYCACHEPREFIX. Interpreter
@@ -24,7 +24,7 @@ start alone includes the site-packages .pth processing of the host
 environment, which lies outside the package. Run from the repository
 root:
 
-    python tools/floor_budget.py [--seed 7] [--repeats 9] [--spawns 21]
+    python tools/floor_budget.py [--seed 7] [--repeats 9]
 """
 
 from __future__ import annotations
@@ -193,6 +193,7 @@ def budget(argv, seed: int, repeats: int) -> str:
 
 
 IMPORTS = {"pass": "pass", "numpy": "import numpy", "parvqe.cli": "import parvqe.cli"}
+SPAWNS = 15   # fresh interpreters per import floor entry and mode
 
 
 def spawn_to_ready(statement: str, env: dict) -> float:
@@ -204,7 +205,7 @@ def spawn_to_ready(statement: str, env: dict) -> float:
     return float(out.stdout) - t0
 
 
-def import_floor(spawns: int) -> str:
+def import_floor() -> str:
     """Median spawn-to-ready of each of IMPORTS, compiling src in every
     process and with its bytecode cached."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -218,7 +219,7 @@ def import_floor(spawns: int) -> str:
         for statement in IMPORTS.values():    # fills the cache
             spawn_to_ready(statement, modes["cached"])
         times = {(mode, name): [] for mode in modes for name in IMPORTS}
-        for _ in range(spawns):
+        for _ in range(SPAWNS):
             for mode, env in modes.items():
                 for name, statement in IMPORTS.items():
                     times[mode, name].append(spawn_to_ready(statement, env))
@@ -231,13 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=9)
-    parser.add_argument("--spawns", type=int, default=21,
-                        help="fresh interpreters per import floor entry (0 skips it)")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.spawns < 0:
-        parser.error("--repeats must be >= 1 and --spawns >= 0")
-    if args.spawns:
-        print(import_floor(args.spawns), flush=True)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    print(import_floor(), flush=True)
     for command in workload_argv():
         print(f"{budget(command, args.seed, args.repeats)} | {' '.join(command)}", flush=True)
     return 0
