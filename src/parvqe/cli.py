@@ -11,16 +11,22 @@ Subcommands map one-to-one onto the harness experiments:
 
 `harness.COMMANDS` defines each subcommand: its handler, the settings it
 reads and its default overrides, which `harness.config_for` applies. This
-module only spells a setting as a flag (FLAGS), and `main` adds the flags
-of the named command only.
+module only spells a setting as a flag (FLAGS). `read_plain` reads a plain
+command line straight from that table; every other command line, help
+and every error go through the argparse parser of `build_parser`, so their
+text and exit status are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .harness import CHOICES, COMMANDS, ExperimentConfig, InputError, config_for
+
+if TYPE_CHECKING:
+    import argparse     # imported by build_parser only: a plain run never needs it
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -57,35 +63,77 @@ FLAGS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+def _command_flags(name: str) -> dict[str, tuple[str, dict]]:
+    """Flag -> (setting, argparse settings with its choices) for every flag
+    that command `name` reads, in help order."""
+    command = COMMANDS[name]
+    flags = {}
+    for setting in ("seed", "out_dir", *command.reads):
+        if setting in FLAGS:
+            flag, spec = FLAGS[setting]
+            choices = command.choices.get(setting, CHOICES.get(setting))
+            flags[flag] = (setting, {**spec, "choices": choices} if choices else spec)
+    return flags
+
+
+def build_parser() -> argparse.ArgumentParser:
     """One parser per subcommand, holding only the flags it reads, so an
     unread flag is an error rather than silently ignored. Unset flags are
     absent from the namespace. Abbreviations are off: shots-sweep would
-    otherwise read --shots as --shots-list. Given the argv it will parse,
-    only the commands that argv names get their flags; argparse dispatches
-    to one of them, so every parse, help text and error is the same as
-    with all of them."""
-    named = COMMANDS.keys() if argv is None else COMMANDS.keys() & argv
+    otherwise read --shots as --shots-list."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="parvqe",
                                      description="parallel two-qubit VQE testbed")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help, allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
-        if name not in named:
-            continue
-        for setting in ("seed", "out_dir", *command.reads):
-            if setting not in FLAGS:
-                continue
-            flag, spec = FLAGS[setting]
-            choices = command.choices.get(setting, CHOICES.get(setting))
-            p.add_argument(flag, dest=setting, **spec,
-                           **({"choices": choices} if choices else {}))
+        for flag, (setting, spec) in _command_flags(name).items():
+            p.add_argument(flag, dest=setting, **spec)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The config of the parsed command and flags; settings without a flag
+def read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser would parse from a plain command line: a
+    command, then flags it reads, each at most once, every value free of a
+    leading '-', converted by its flag's type and among its choices, and
+    every required flag given. None for any other command line."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = _command_flags(argv[0])
+    settings = {}
+    i = 1
+    while i < len(argv):
+        if argv[i] not in flags:
+            return None
+        setting, spec = flags[argv[i]]
+        n = spec.get("nargs", 1)
+        values = argv[i + 1:i + 1 + n]
+        if setting in settings or len(values) < n or any(v.startswith("-") for v in values):
+            return None
+        try:
+            values = [spec.get("type", str)(value) for value in values]
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and any(value not in spec["choices"] for value in values):
+            return None
+        settings[setting] = values if "nargs" in spec else values[0]
+        i += 1 + n
+    if any(spec.get("required") and setting not in settings
+           for setting, spec in flags.values()):
+        return None
+    return SimpleNamespace(command=argv[0], **settings)
+
+
+def parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """The command and flags of argv: read_plain's namespace, else
+    argparse's, which prints help or a usage error and exits."""
+    return read_plain(argv) or build_parser().parse_args(argv)
+
+
+def config_from_args(args: SimpleNamespace | argparse.Namespace) -> ExperimentConfig:
+    """The config of a parsed command and flags; settings without a flag
     keep the command's defaults (harness.config_for)."""
     return config_for(args.command, **{k: v for k, v in vars(args).items()
                                        if k in ExperimentConfig.field_names})
@@ -93,13 +141,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = parse(argv)
     try:
         cfg = config_from_args(args)
         record = COMMANDS[args.command].handler(cfg)
     except (InputError, FileNotFoundError) as exc:
-        parser.error(str(exc))
+        build_parser().error(str(exc))
     print(f"wrote {cfg.out_dir}/record.json ({len(record.artifacts)} artifacts)")
     return 0
 

@@ -10,9 +10,9 @@ Calibration file format (JSON):
       "readout": {"0": [eps01, eps10], ...}
     }
 
-Every endpoint of a coupler needs a readout entry; a qubit with no
-coupler may omit its own. A DeviceTopology built in code treats a missing
-entry as perfect readout, (0, 0).
+Every endpoint of a coupler needs a readout entry, with both rates in
+[0, 0.5); a qubit with no coupler may omit its own. A DeviceTopology built
+in code treats a missing entry as perfect readout, (0, 0).
 
 Pair selection is either greedy (repeatedly take the best remaining CZ
 fidelity and retire both endpoints) or an exact maximum-weight matching
@@ -65,9 +65,12 @@ class DeviceTopology(Record, frozen=True):
             seen.add(_norm_pair(a, b))
             if not (0.0 < f <= 1.0):
                 raise CalibrationError(f"edge ({a}, {b}) fidelity {f} out of (0, 1]")
-        for q in self.readout:
+        for q, rates in self.readout.items():
             if q not in qubit_set:
                 raise CalibrationError(f"readout entry for unknown qubit {q}")
+            for name, e in zip(("eps01", "eps10"), rates):
+                if not 0.0 <= e < 0.5:
+                    raise CalibrationError(f"qubit {q} {name} must be in [0, 0.5), got {e}")
         object.__setattr__(self, "_edge_map",
                            {_norm_pair(a, b): f for a, b, f in self.edges})
 
@@ -82,6 +85,12 @@ class DeviceTopology(Record, frozen=True):
             return self.edge_map()[_norm_pair(*pair)]
         except KeyError:
             raise CalibrationError(f"pair {pair} is not an edge of the topology")
+
+    def pair_readout(self, pair: Pair) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The endpoints' (eps01, eps10) readout rates in pair order. A qubit
+        missing from `readout`, which only a topology built in code can have,
+        reads out perfectly, (0, 0)."""
+        return self.readout.get(pair[0], (0.0, 0.0)), self.readout.get(pair[1], (0.0, 0.0))
 
     def pairs_are_neighbors(self, p: Pair, q: Pair) -> bool:
         """True when some endpoint of p is connected to some endpoint of q."""
@@ -270,10 +279,7 @@ def selection_weight(topology: DeviceTopology, selection: PairSelection) -> floa
 def noise_spec_for_pair(topology: DeviceTopology, pair: Pair,
                         crosstalk_p: float = 0.0) -> PairNoiseSpec:
     """Noise channel parameters for one edge: CZ fidelity plus the two
-    endpoints' readout rates (qubit order follows the pair order). A qubit
-    missing from `readout`, which only a topology built in code can have,
-    reads out perfectly."""
+    endpoints' readout rates (DeviceTopology.pair_readout)."""
     f = topology.fidelity(pair)
-    r0 = topology.readout.get(pair[0], (0.0, 0.0))
-    r1 = topology.readout.get(pair[1], (0.0, 0.0))
-    return PairNoiseSpec(cz_fidelity=f, readout=(r0, r1), crosstalk_p=crosstalk_p)
+    return PairNoiseSpec(cz_fidelity=f, readout=topology.pair_readout(pair),
+                         crosstalk_p=crosstalk_p)

@@ -30,7 +30,6 @@ from .device import (
     greedy_select,
     load_calibration,
     max_weight_matching,
-    noise_spec_for_pair,
 )
 from .executor import (
     CostModel,
@@ -142,7 +141,9 @@ class ExperimentConfig(Record):
                 raise InputError(f"{name} must be >= 1, got {value}")
         for name in ("shots_list", "pair_counts"):
             values = getattr(self, name)
-            if min(values, default=1) < 1:
+            if not values:
+                raise InputError(f"{name} must not be empty")
+            if min(values) < 1:
                 raise InputError(f"{name} entries must be >= 1, got {values}")
             if len(set(values)) < len(values):
                 raise InputError(f"{name} entries must be distinct, got {values}")
@@ -266,8 +267,7 @@ class _Run:
         cfg = self.cfg
         new = [pair for pair in pairs if pair not in self.confusions] if ni else []
         if new:
-            readouts = np.array([noise_spec_for_pair(self.topology, pair).readout
-                                 for pair in new])
+            readouts = np.array([self.topology.pair_readout(pair) for pair in new])
             self.confusions.update(zip(new, measure_confusions(
                 readouts, cfg.confusion_shots,
                 [derive_rng(cfg.seed, _NS_CONFUSION, *pair) for pair in new])))

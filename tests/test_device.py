@@ -97,6 +97,10 @@ def test_minimal_calibration(tmp_path):
     ([(0, 1, 0.9)], {5: (0.0, 0.0)}),         # unknown qubit in readout
     ([(0, 0, 0.9)], {}),                      # self loop
     ([(0, 1, 0.9)], {0: (0.0, 0.0)}),         # coupler qubit without readout
+    # readout rates out of [0, 0.5), rejected before any confusion matrix
+    # is measured from them
+    ([(0, 1, 0.9)], {0: (0.6, 0.0), 1: (0.0, 0.0)}),
+    ([(0, 1, 0.9)], {0: (0.0, 0.0), 1: (0.0, -0.1)}),
 ])
 def test_calibration_validation_errors(tmp_path, edges, readout):
     path = write_calibration(tmp_path / "bad.json", [0, 1], edges, readout)
@@ -278,3 +282,14 @@ def test_noise_spec_for_pair():
     assert noisy.readout[1] == (0.01, 0.02)
     with pytest.raises(CalibrationError):
         noise_spec_for_pair(topo, (0, 2))
+
+
+def test_pair_readout_is_the_noise_spec_readout():
+    # a qubit missing from readout (only a topology built in code) reads
+    # out perfectly, by the one rule noise_spec_for_pair shares
+    topo = DeviceTopology(qubits=(0, 1, 2), edges=((0, 1, 0.99), (1, 2, 0.9)),
+                          readout={2: (0.01, 0.02)})
+    assert topo.pair_readout((1, 2)) == ((0.0, 0.0), (0.01, 0.02))
+    assert topo.pair_readout((2, 1)) == ((0.01, 0.02), (0.0, 0.0))
+    for pair in ((0, 1), (1, 2), (2, 1)):
+        assert noise_spec_for_pair(topo, pair).readout == topo.pair_readout(pair)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import parvqe
-from parvqe import harness, optimizers
+from parvqe import cli, harness, optimizers
 from parvqe.cli import FLAGS, build_parser, config_from_args, main as cli_main
 from parvqe.device import DeviceTopology, max_weight_matching
 from parvqe.executor import compile_pairs, load_cost_model, predict_wall_time
@@ -25,6 +26,7 @@ from parvqe.mitigation import IllConditionedConfusion
 from parvqe.harness import (
     CHOICES,
     COMMANDS,
+    Command,
     MAX_POINTS_PER_ITERATION,
     ExperimentConfig,
     InputError,
@@ -492,25 +494,109 @@ def parse_outcome(parser, argv):
     return args, out.getvalue(), err.getvalue(), code
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_named_command_parser_parses_as_the_full_one(command):
-    """A parser with only the named command's flags gives the full parser's
-    namespace, output, errors and exit status on valid runs, help, flags
-    the command does not read, a missing --seed, bad values, unknown
-    commands and options before the command."""
-    reads = COMMANDS[command].reads
-    unread = "--grid" if "eta" in reads else "--eta"
-    choice = next((FLAGS[s][0] for s in reads if s in CHOICES), None)
-    run = [command, "--seed", "1", "--out", "out"]
-    cases = [run, ["--help"], [command, "--help"], [*run, unread, "2"],
-             [command, "--out", "out"], [*run, "--shots", "many"], ["bogus", *run[1:]],
-             [], ["--seed", "1", command, "--out", "out"], ["--out", *run],
-             [*run, "vqe"], ["--", *run]]
-    if choice:
-        cases.append([*run, choice, "bogus"])
-    for argv in cases:
-        assert parse_outcome(build_parser(argv), argv) == parse_outcome(build_parser(), argv)
-    assert parse_outcome(build_parser(run), run)[0].command == command
+def main_outcome(argv, plain=True):
+    """What main(argv) gives with every command's handler stubbed out:
+    stdout, stderr, the exit status and the warnings raised; plain=False
+    sends argv through argparse even when read_plain could read it."""
+    out, err, code = io.StringIO(), io.StringIO(), None
+    stub = lambda cfg: types.SimpleNamespace(artifacts=())
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        for name, command in COMMANDS.items():
+            patch.setitem(COMMANDS, name, Command(stub, command.help, command.reads,
+                                                  command.defaults, command.choices))
+        if not plain:
+            patch.setattr(cli, "read_plain", lambda argv: None)
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code, [str(w.message) for w in caught]
+
+
+def flag_values(setting):
+    """Values to give a setting's flag: valid ones for its type and
+    choices (twice, so that most draws are valid), a bad and a negative one."""
+    kind = FLAGS[setting][1].get("type")
+    valid = CHOICES.get(setting) or {int: ("1", "3", "0"), float: ("0.5", "1.5", "nan"),
+                                     None: ("out", "")}.get(kind, ("2,4", ",", "2,2"))
+    return [*valid, *valid, "bogus", "-1"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command (or none, or an unknown one), maybe after an option, then
+    (mostly) the required flags and up to four more, mostly ones the
+    command reads, each with (mostly) as many values as it takes, in any
+    order; a flag may repeat, be unread, be written --flag=value, or be -h,
+    --help or --."""
+    often = lambda common, *rare: st.sampled_from([common] * 4 * len(rare) + list(rare))
+    head = draw(often([], ["--seed", "1"], ["-h"], ["--"]))
+    command = draw(st.sampled_from([*sorted(COMMANDS), "bogus", None]))
+    reads = [s for s in COMMANDS[command].reads if s in FLAGS] if command in COMMANDS else []
+    pieces = [["--seed", "1"], ["--out", "out"]] if draw(often(True, False)) else []
+    for _ in range(draw(st.integers(0, 4))):
+        setting = draw(st.sampled_from(reads) if reads and draw(often(True, False))
+                       else st.sampled_from(sorted(FLAGS)))
+        flag = FLAGS[setting][0]
+        n = draw(often(2, 1, 3) if setting == "start" else often(1, 0, 2))
+        values = draw(st.lists(st.sampled_from(flag_values(setting)), min_size=n, max_size=n))
+        pieces.append(draw(often([flag, *values], [f"{flag}={values[0]}" if values else flag],
+                                 ["-h"], ["--help"], ["--", *values])))
+    pieces = draw(st.permutations(pieces))
+    return [*head, *([] if command is None else [command]), *(t for p in pieces for t in p)]
+
+
+def named_command_cases():
+    """Help, flags a command does not read, a missing --seed, bad, negative
+    and repeated values, values that look like options, --flag=value,
+    unknown commands, options before the command and an empty argv, for
+    every command."""
+    cases = []
+    for command in sorted(COMMANDS):
+        reads = COMMANDS[command].reads
+        unread = "--grid" if "eta" in reads else "--eta"
+        choice = next((FLAGS[s][0] for s in reads if s in CHOICES), None)
+        run = [command, "--seed", "1", "--out", "out"]
+        cases += [run, [command, "--help"], [*run, unread, "2"],
+                  [command, "--out", "out"], [*run, "--shots", "many"], ["bogus", *run[1:]],
+                  ["--seed", "1", command, "--out", "out"], ["--out", *run],
+                  [*run, "vqe"], ["--", *run], [*run, "--seed", "2"], [*run, "--seed=2"],
+                  [command, "--seed", "-1", "--out", "out"], [*run[:3], "--out", "-h"],
+                  [*run[:3], "--out", "--"], [*run[:3], "--out", "-out"]]
+        if choice:
+            cases.append([*run, choice, "bogus"])
+    cases += [["--help"], [],
+              ["vqe", "--seed", "1", "--out", "out", "--start", "0.1", "-0.2"],
+              ["vqe", "--seed", "1", "--out", "out", "--start", "0.1"],
+              ["vqe", "--seed", "1", "--out", "out", "--crosstalk", "-0.1"],
+              ["vqe", "--seed", "1", "--out", "out", "--workers", "3"],
+              ["shots-sweep", "--seed", "1", "--out", "out", "--mitigation", "tflo"],
+              ["shots-sweep", "--seed", "1", "--out", "out", "--shots-list", ","]]
+    return cases
+
+
+def with_examples(cases):
+    def decorate(test):
+        for argv in cases:
+            test = example(argv=argv)(test)
+        return test
+    return decorate
+
+
+@given(argv=command_lines())
+@with_examples(named_command_cases())
+def test_plain_reader_matches_argparse(argv):
+    """read_plain gives nothing or exactly argparse's namespace, and main
+    prints and exits as it does through argparse alone."""
+    plain = cli.read_plain(argv)
+    if plain is not None:
+        args, *output = parse_outcome(build_parser(), argv)
+        # compared by repr, so that a nan equals itself and 1 differs from 1.0
+        settings = lambda namespace: repr(sorted(vars(namespace).items()))
+        assert output == ["", "", None] and settings(plain) == settings(args)
+    assert main_outcome(argv) == main_outcome(argv, plain=False)
 
 
 def test_config_for_rejects_an_eta_given_to_spsa(tmp_path):
@@ -720,6 +806,12 @@ IMPOSSIBLE = {
     # a repeated entry would write the same artifact twice
     "repeated-shots": ("shots-sweep --shots-list 100,100", "entries must be distinct"),
     "repeated-pair-counts": ("speedup-sweep --pair-counts 2,2", "entries must be distinct"),
+    # an empty list would crash the run or write one with nothing in it
+    "empty-shots-list": ("shots-sweep --shots-list ,", "shots_list must not be empty"),
+    "empty-compare-pair-counts": ("optimizer-compare --pair-counts ,",
+                                  "pair_counts must not be empty"),
+    "empty-sweep-pair-counts": ("speedup-sweep --pair-counts ,",
+                                "pair_counts must not be empty"),
 }
 
 
@@ -803,6 +895,27 @@ def test_cli_import_leaves_scipy_and_networkx_unloaded(tmp_path, make_uniform_ca
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.split() == ["True", "True"]
+
+
+def test_plain_runs_leave_argparse_unloaded(tmp_path, monkeypatch):
+    # argparse and the gettext and locale it loads cost a fresh process
+    # about 5 ms; importing the CLI and a plain run of each benchmark
+    # workload load none of them, and --help is still argparse's
+    bench = load_benchmark_module("run")
+    report = "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    code = "import sys, parvqe.cli; " + report + "".join(
+        f"; parvqe.cli.main({[*wl.argv, '--seed', '7', '--out', str(tmp_path / name)]!r}); "
+        + report for name, wl in bench.WORKLOADS.items())
+    env = {**os.environ, "PYTHONPATH": str(Path(parvqe.__file__).resolve().parents[1]),
+           "COLUMNS": "100"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    lines = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    assert lines == ["[]"] * (1 + len(bench.WORKLOADS))
+    help_run = subprocess.run([sys.executable, "-m", "parvqe.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+    monkeypatch.setenv("COLUMNS", "100")
+    assert (help_run.returncode, help_run.stdout) == (0, build_parser().format_help())
 
 
 def test_vqe_and_optimizer_compare_leave_numpy_ma_unloaded(tmp_path):

@@ -12,14 +12,16 @@ layers timed, and prints one line with the median of main(argv) and:
 - repr: repr() of each distinct float in the run's CSV and JSON
   artifacts, the floor under today's formats;
 - the medians of three layers: the pair matching (max_weight_matching),
-  batch planning (plan_batches) and building and parsing the CLI parser.
+  batch planning (plan_batches) and the whole parse step (cli.parse).
 
 The draws and repr floors are the fastest of --repeats replays. Before
 the workloads, one line gives the import floor: the median spawn-to-ready
 seconds of fresh interpreters (SPAWNS each, interleaved) that run
 `pass`, `import numpy` and `import parvqe.cli` on a copy of src without
 bytecode, once compiling it in every process (PYTHONDONTWRITEBYTECODE=1)
-and once with it cached in a scratch PYTHONPYCACHEPREFIX. Interpreter
+and once with it cached in a scratch PYTHONPYCACHEPREFIX, and the median
+seconds of the parse step (cli.parse of the first workload's argv) in a
+fresh interpreter that has imported parvqe.cli. Interpreter
 start alone includes the site-packages .pth processing of the host
 environment, which lies outside the package. Run from the repository
 root:
@@ -57,7 +59,7 @@ from parvqe.simulator import apply_terms  # noqa: E402
 LAYERS = [(harness, "max_weight_matching", "matching"),
           (harness, "plan_batches", "plan"),
           (optimizers, "plan_batches", "plan"),
-          (cli, "build_parser", "parser")]
+          (cli, "parse", "parse")]
 
 
 @contextlib.contextmanager
@@ -143,8 +145,7 @@ def replay_draws(calls) -> float:
 
 
 def layer_times(argv, seed: int) -> dict[str, float]:
-    """Seconds main(argv) spends in each of LAYERS, the parser's
-    parse_args included."""
+    """Seconds main(argv) spends in each of LAYERS."""
     spent = dict.fromkeys((layer for *_, layer in LAYERS), 0.0)
 
     def timer(layer):
@@ -153,19 +154,9 @@ def layer_times(argv, seed: int) -> dict[str, float]:
                 t0 = time.perf_counter()
                 result = fn(*args, **kwargs)
                 spent[layer] += time.perf_counter() - t0
-                if layer == "parser":
-                    result.parse_args = timed_parse(result.parse_args)
                 return result
             return timed
         return wrap
-
-    def timed_parse(parse_args):
-        def timed(*args, **kwargs):
-            t0 = time.perf_counter()
-            result = parse_args(*args, **kwargs)
-            spent["parser"] += time.perf_counter() - t0
-            return result
-        return timed
 
     with contextlib.ExitStack() as stack:
         for module, name, layer in LAYERS:
@@ -205,9 +196,20 @@ def spawn_to_ready(statement: str, env: dict) -> float:
     return float(out.stdout) - t0
 
 
-def import_floor() -> str:
-    """Median spawn-to-ready of each of IMPORTS, compiling src in every
-    process and with its bytecode cached."""
+def fresh_parse(argv, env: dict) -> float:
+    """Seconds of cli.parse(argv) in a fresh interpreter."""
+    code = ("import sys, time, parvqe.cli; t0 = time.perf_counter(); "
+            f"parvqe.cli.parse({list(argv)!r}); "
+            "sys.stdout.write(repr(time.perf_counter() - t0))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return float(out.stdout)
+
+
+def import_floor(argv) -> str:
+    """Median spawn-to-ready of each of IMPORTS, and median seconds of the
+    parse step of argv, compiling src in every process and with its
+    bytecode cached."""
     with tempfile.TemporaryDirectory() as tmp:
         src = shutil.copytree(ROOT / "src", Path(tmp) / "src",
                               ignore=shutil.ignore_patterns("__pycache__"))
@@ -218,14 +220,16 @@ def import_floor() -> str:
                  "cached": {**base, "PYTHONPYCACHEPREFIX": str(Path(tmp) / "pycache")}}
         for statement in IMPORTS.values():    # fills the cache
             spawn_to_ready(statement, modes["cached"])
-        times = {(mode, name): [] for mode in modes for name in IMPORTS}
+        names = [*IMPORTS, "parse"]
+        times = {(mode, name): [] for mode in modes for name in names}
         for _ in range(SPAWNS):
             for mode, env in modes.items():
                 for name, statement in IMPORTS.items():
                     times[mode, name].append(spawn_to_ready(statement, env))
-    return "import floor (spawn-to-ready medians) | " + " | ".join(
-        f"{mode}: " + ", ".join(f"{name} {statistics.median(times[mode, name]) * 1e3:.1f} ms"
-                                for name in IMPORTS) for mode in modes)
+                times[mode, "parse"].append(fresh_parse(argv, env))
+    return "import floor (spawn-to-ready medians; parse: fresh cli.parse) | " + " | ".join(
+        f"{mode}: " + ", ".join(f"{name} {statistics.median(times[mode, name]) * 1e3:.2f} ms"
+                                for name in names) for mode in modes)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -235,8 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    print(import_floor(), flush=True)
-    for command in workload_argv():
+    commands = workload_argv()
+    print(import_floor([*commands[0], "--seed", str(args.seed), "--out", "out"]), flush=True)
+    for command in commands:
         print(f"{budget(command, args.seed, args.repeats)} | {' '.join(command)}", flush=True)
     return 0
 
