@@ -548,33 +548,54 @@ def command_lines(draw):
     return [*head, *([] if command is None else [command]), *(t for p in pieces for t in p)]
 
 
-def named_command_cases():
-    """Help, flags a command does not read, a missing --seed, bad, negative
-    and repeated values, values that look like options, --flag=value,
-    unknown commands, options before the command and an empty argv, for
-    every command."""
-    cases = []
-    for command in sorted(COMMANDS):
-        reads = COMMANDS[command].reads
-        unread = "--grid" if "eta" in reads else "--eta"
-        choice = next((FLAGS[s][0] for s in reads if s in CHOICES), None)
-        run = [command, "--seed", "1", "--out", "out"]
-        cases += [run, [command, "--help"], [*run, unread, "2"],
-                  [command, "--out", "out"], [*run, "--shots", "many"], ["bogus", *run[1:]],
-                  ["--seed", "1", command, "--out", "out"], ["--out", *run],
-                  [*run, "vqe"], ["--", *run], [*run, "--seed", "2"], [*run, "--seed=2"],
-                  [command, "--seed", "-1", "--out", "out"], [*run[:3], "--out", "-h"],
-                  [*run[:3], "--out", "--"], [*run[:3], "--out", "-out"]]
-        if choice:
-            cases.append([*run, choice, "bogus"])
-    cases += [["--help"], [],
-              ["vqe", "--seed", "1", "--out", "out", "--start", "0.1", "-0.2"],
-              ["vqe", "--seed", "1", "--out", "out", "--start", "0.1"],
-              ["vqe", "--seed", "1", "--out", "out", "--crosstalk", "-0.1"],
-              ["vqe", "--seed", "1", "--out", "out", "--workers", "3"],
-              ["shots-sweep", "--seed", "1", "--out", "out", "--mitigation", "tflo"],
-              ["shots-sweep", "--seed", "1", "--out", "out", "--shots-list", ","]]
+def named_command_cases(command):
+    """Help, flags the command does not read, a missing --seed, bad,
+    negative and repeated values, values that look like options,
+    --flag=value, unknown commands and options before the command."""
+    reads = COMMANDS[command].reads
+    unread = "--grid" if "eta" in reads else "--eta"
+    choice = next((FLAGS[s][0] for s in reads if s in CHOICES), None)
+    run = [command, "--seed", "1", "--out", "out"]
+    cases = [run, [command, "--help"], [*run, unread, "2"],
+             [command, "--out", "out"], [*run, "--shots", "many"], ["bogus", *run[1:]],
+             ["--seed", "1", command, "--out", "out"], ["--out", *run],
+             [*run, "vqe"], ["--", *run], [*run, "--seed", "2"], [*run, "--seed=2"],
+             [command, "--seed", "-1", "--out", "out"], [*run[:3], "--out", "-h"],
+             [*run[:3], "--out", "--"], [*run[:3], "--out", "-out"]]
+    if choice:
+        cases.append([*run, choice, "bogus"])
     return cases
+
+
+OTHER_CASES = [["--help"], [],
+               ["vqe", "--seed", "1", "--out", "out", "--start", "0.1", "-0.2"],
+               ["vqe", "--seed", "1", "--out", "out", "--start", "0.1"],
+               ["vqe", "--seed", "1", "--out", "out", "--crosstalk", "-0.1"],
+               ["vqe", "--seed", "1", "--out", "out", "--workers", "3"],
+               ["shots-sweep", "--seed", "1", "--out", "out", "--mitigation", "tflo"],
+               ["shots-sweep", "--seed", "1", "--out", "out", "--shots-list", ","]]
+
+
+def assert_plain_matches_argparse(argv):
+    """read_plain gives nothing or exactly argparse's namespace, and main
+    prints and exits as it does through argparse alone."""
+    plain = cli.read_plain(argv)
+    if plain is not None:
+        args, *output = parse_outcome(build_parser(), argv)
+        # compared by repr, so that a nan equals itself and 1 differs from 1.0
+        settings = lambda namespace: repr(sorted(vars(namespace).items()))
+        assert output == ["", "", None] and settings(plain) == settings(args)
+    assert main_outcome(argv) == main_outcome(argv, plain=False)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_named_command_parser_parses_as_the_full_one(command):
+    """The plain reader, which reads only the named command's flags, gives
+    argparse's namespace, output, errors and exit status on each of the
+    command's cases, and reads a plain run of it."""
+    for argv in named_command_cases(command):
+        assert_plain_matches_argparse(argv)
+    assert cli.read_plain([command, "--seed", "1", "--out", "out"]).command == command
 
 
 def with_examples(cases):
@@ -586,17 +607,9 @@ def with_examples(cases):
 
 
 @given(argv=command_lines())
-@with_examples(named_command_cases())
+@with_examples(OTHER_CASES)
 def test_plain_reader_matches_argparse(argv):
-    """read_plain gives nothing or exactly argparse's namespace, and main
-    prints and exits as it does through argparse alone."""
-    plain = cli.read_plain(argv)
-    if plain is not None:
-        args, *output = parse_outcome(build_parser(), argv)
-        # compared by repr, so that a nan equals itself and 1 differs from 1.0
-        settings = lambda namespace: repr(sorted(vars(namespace).items()))
-        assert output == ["", "", None] and settings(plain) == settings(args)
-    assert main_outcome(argv) == main_outcome(argv, plain=False)
+    assert_plain_matches_argparse(argv)
 
 
 def test_config_for_rejects_an_eta_given_to_spsa(tmp_path):
