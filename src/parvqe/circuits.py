@@ -80,8 +80,9 @@ class NativeCircuit(Record, frozen=True):
 # constants, each RZ angle is a function of (phi, theta), and CZ acts on
 # both qubits (qubit and angle None). Every circuit is PREFIX (state
 # preparation, onsite evolution, the single CZ and the post-CZ RX on
-# qubit 0) followed by its setting's tail. simulator.batch_distributions
-# is this template's closed form, tied to it by the density-matrix tests.
+# qubit 0) followed by its setting's tail. simulator.kernel_terms and
+# apply_terms are this template's closed form, tied to it by the
+# density-matrix tests.
 PREFIX = (
     ("RX", 0, -_HALF_PI),
     ("RX", 1, -_HALF_PI),

@@ -47,8 +47,7 @@ from .hubbard import AnsatzParams, HubbardParams
 from .mitigation import ConfusionMatrix
 from .records import Record
 from .simulator import (HOPPING_SIGNS, ONSITE_ZZ_SIGN, Z0_OUTCOMES, Z1_OUTCOMES, ZZ_OUTCOMES,
-                        PairNoiseSpec, apply_terms, batch_distributions, confusion_maps,
-                        kernel_terms)
+                        PairNoiseSpec, apply_terms, confusion_maps, kernel_terms)
 
 
 class Estimates(NamedTuple):
@@ -80,9 +79,8 @@ class PairTable(Record, frozen=True):
     base: np.ndarray                  # (2, n, 2, 4)
     slope: np.ndarray                 # (2, n, 2, 4)
     coeffs: np.ndarray                # (n, 2, 4)
-    raw_coeffs: np.ndarray            # (2, 4)
+    raw_coeffs: np.ndarray | None     # (2, 4) with NI, else None
     offset: float                     # u/2, the constant energy term
-    ni: bool
 
 
 def setting_coefficients(h: HubbardParams) -> np.ndarray:
@@ -117,35 +115,26 @@ def compile_pairs(topology: DeviceTopology, pairs, h: HubbardParams = HubbardPar
     return PairTable(
         pairs=pairs, qubits=np.array(pairs, dtype=int).reshape(n, 2), neighbours=neighbours,
         base=base.reshape(2, n, 2, 4), slope=slope.reshape(2, n, 2, 4),
-        coeffs=coeffs, raw_coeffs=c, offset=h.u / 2.0, ni=confusions is not None)
+        coeffs=coeffs, raw_coeffs=None if confusions is None else c, offset=h.u / 2.0)
 
 
-def estimate_counts(table: PairTable, rows, counts: np.ndarray) -> Estimates:
-    """Estimate the energy of every row from its (2, 4) outcome counts.
-
-    counts has shape (len(rows), 2, 4); both settings of a row sum to that
-    row's shots, which may differ from row to row. Per row, value = u/2 +
-    sum_k coeffs_k @ f_k over the frequencies f, and the variance sums
-    (coeffs_k**2 @ f_k - (coeffs_k @ f_k)**2) / shots over the settings:
-    the plug-in multinomial variance. A term within rounding of zero (at
-    most 1e-14 of coeffs_k**2 @ f_k, which is what the cancellation leaves
-    when a setting's counts all fall on outcomes of one coefficient) is 0.
-    """
-    coeffs = table.coeffs[rows]
-    return _estimate(table, coeffs, coeffs * coeffs, counts[:, 0].sum(axis=1), counts)
-
-
-def _estimate(table: PairTable, coeffs: np.ndarray, coeffs_sq: np.ndarray,
-              shots: np.ndarray, counts: np.ndarray) -> Estimates:
-    """estimate_counts on gathered coefficients, their squares and shots."""
+def _estimate(offset: float, raw_coeffs: np.ndarray | None, coeffs: np.ndarray,
+              coeffs_sq: np.ndarray, shots: np.ndarray, counts: np.ndarray) -> Estimates:
+    """Energy estimates of n rows from (n, 2, 4) outcome counts, or expected
+    counts, whose settings each sum to the row's shots. Per row, value =
+    offset + sum_k coeffs_k @ f_k over the frequencies f, and the variance
+    sums (coeffs_sq_k @ f_k - (coeffs_k @ f_k)**2) / shots over the
+    settings: the plug-in multinomial variance. A term within rounding of
+    zero (at most 1e-14 of coeffs_sq_k @ f_k, which is what the cancellation
+    leaves when a setting's counts all fall on outcomes of one coefficient)
+    is 0. raw uses raw_coeffs, or is value without them (no NI)."""
     freqs = counts / shots[:, None, None]
     mean = np.einsum("nkj,nkj->nk", coeffs, freqs)
     second = np.einsum("nkj,nkj->nk", coeffs_sq, freqs)
-    value = table.offset + mean.sum(axis=1)
+    value = offset + mean.sum(axis=1)
     var = second - mean ** 2
     std_err = np.sqrt(np.where(var > 1e-14 * second, var, 0.0).sum(axis=1) / shots)
-    raw = (table.offset + np.einsum("kj,nkj->n", table.raw_coeffs, freqs)
-           if table.ni else value)
+    raw = value if raw_coeffs is None else offset + np.einsum("kj,nkj->n", raw_coeffs, freqs)
     return Estimates(value=value, std_err=std_err, raw=raw)
 
 
@@ -175,8 +164,9 @@ class BatchPlan(Record, frozen=True, eq=False):
     row_shots: np.ndarray             # (n,)
 
     def estimate(self, counts: np.ndarray) -> Estimates:
-        """estimate_counts of the plan's rows from their (n, 2, 4) counts."""
-        return _estimate(self.table, self.coeffs, self.coeffs_sq, self.row_shots, counts)
+        """Energy estimates of the plan's rows from their (n, 2, 4) counts."""
+        return _estimate(self.table.offset, self.table.raw_coeffs, self.coeffs, self.coeffs_sq,
+                         self.row_shots, counts)
 
 
 def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
@@ -271,21 +261,18 @@ def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,
                              noise: PairNoiseSpec,
                              confusion: ConfusionMatrix | None = None,
                              crosstalk_active: bool = False) -> Estimates:
-    """Full pipeline in exact-expectation mode: the batch kernel's outcome
-    distributions for one pair, combined without sampling, as an Estimates
-    of floats (std_err = 0.0); noise-inverted with a confusion matrix, raw
-    staying uninverted."""
-    onsite, hopping = batch_distributions(
-        np.array([a.phi]), np.array([a.theta]),
-        np.array([noise.effective_p(crosstalk_active)]), noise.confusion_map()[None])[0]
-
-    def combine(c_on, c_hop):
-        return h.u / 2.0 + float(c_on @ onsite) + float(c_hop @ hopping)
-
-    coeffs = setting_coefficients(h)
-    raw = combine(*coeffs)
-    value = raw if confusion is None else combine(*(confusion.inverse.T @ c for c in coeffs))
-    return Estimates(value=value, std_err=0.0, raw=raw)
+    """Full pipeline in exact-expectation mode: the pair compiled as a
+    one-edge device, its kernel's distributions estimated as one shot's
+    expected counts, as an Estimates of floats (std_err = 0.0);
+    noise-inverted with a confusion matrix, raw staying uninverted."""
+    table = compile_pairs(DeviceTopology(qubits=(0, 1), edges=((0, 1, noise.cz_fidelity),),
+                                         readout=dict(enumerate(noise.readout))),
+                          [(0, 1)], h, confusion and {(0, 1): confusion}, noise.crosstalk_p)
+    flag = int(crosstalk_active)
+    est = _estimate(table.offset, table.raw_coeffs, table.coeffs, table.coeffs * table.coeffs,
+                    np.ones(1), apply_terms(table.base[flag], table.slope[flag],
+                                            np.array([a.phi]), np.array([a.theta])))
+    return Estimates(value=float(est.value[0]), std_err=0.0, raw=float(est.raw[0]))
 
 
 # --- wall-clock cost model ---------------------------------------------------

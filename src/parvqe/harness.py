@@ -128,6 +128,8 @@ class ExperimentConfig(Record):
     crosstalk_p: float = 0.0
 
     def __post_init__(self):
+        if self.out_dir == "":         # Path("") would be the working directory
+            raise InputError("out_dir must not be empty")
         self.out_dir = Path(self.out_dir)
         self.calibration = Path(self.calibration)
         self.cost_model = Path(self.cost_model)
@@ -152,6 +154,8 @@ class ExperimentConfig(Record):
         if self.eta is not None and n_points_from_eta(self.eta) > MAX_POINTS_PER_ITERATION:
             raise InputError(f"eta {self.eta} asks for more than {MAX_POINTS_PER_ITERATION} "
                              "surrogate points per iteration")
+        if self.cap is not None and not math.isfinite(self.cap):
+            raise InputError(f"cap must be finite, got {self.cap}")
         if not 0.0 <= self.crosstalk_p <= 1.0:
             raise InputError(f"crosstalk_p must be in [0, 1], got {self.crosstalk_p}")
         if not all(map(math.isfinite, self.start)):

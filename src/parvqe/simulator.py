@@ -7,13 +7,11 @@ independent asymmetric readout bit flips on each qubit. An optional
 crosstalk knob adds extra depolarizing probability when a neighbouring
 pair is active in the same batch.
 
-`batch_distributions` is the simulator the executor runs: the closed form
-of the gate template's outcome probabilities, a few array operations for
-every pair of a call at once. It relies on the depolarizing event
-commuting with the unitaries after it, so the outcome distribution is
-N_ro ((1-p) |U psi|^2 + p/4). The tests hold the reference it is checked
-against, a gate-by-gate walk of one compiled circuit on a 4x4 density
-matrix.
+`kernel_terms` and `apply_terms` are the simulator the executor runs: the
+closed form of the gate template's outcome probabilities, a few array
+operations for every pair of a call at once. The tests hold the reference
+it is checked against, a gate-by-gate walk of one compiled circuit on a
+4x4 density matrix.
 """
 
 from __future__ import annotations
@@ -140,7 +138,13 @@ _IDEAL = np.array([[[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]],
 
 
 def kernel_terms(p: np.ndarray, confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The angle-free (n, 2, 4) terms (base, slope) of batch_distributions."""
+    """The angle-free (n, 2, 4) terms (base, slope), in SETTINGS order, of n
+    pairs' effective depolarizing probabilities p (crosstalk included) and
+    (n, 4, 4) readout maps. The one depolarizing event after the CZ commutes
+    with the unitaries after it, so a distribution is confusion @ ((1-p)
+    ideal + p/4) = base + x * slope for x = (a - 1/4, sin^2 phi), with the
+    template's closed form ideal onsite [a, 1/2 - a, 1/2 - a, a], a = (1 +
+    sin 4theta sin 2phi) / 4, and hopping [cos^2 phi, 0, 0, sin^2 phi]."""
     p = p[:, None, None]
     return (np.einsum("nij,nkj->nki", confusion, (1.0 - p) * _IDEAL[0] + p / 4.0),
             np.einsum("nij,nkj->nki", confusion, (1.0 - p) * _IDEAL[1]))
@@ -148,27 +152,12 @@ def kernel_terms(p: np.ndarray, confusion: np.ndarray) -> tuple[np.ndarray, np.n
 
 def apply_terms(base: np.ndarray, slope: np.ndarray, phi: np.ndarray,
                 theta: np.ndarray) -> np.ndarray:
-    """batch_distributions from kernel_terms, clipped at 0 for the draws."""
+    """The (n, 2, 4) distributions base + x * slope of n pairs at angles phi
+    and theta, clipped at 0 for the draws. At phi = 0 (TFLO's references)
+    x = 0, so the short-decimal probabilities on which numpy's binomial
+    tips at the last bit are the unsplit form's."""
     x = np.empty((len(phi), 2, 1))
     x[:, 0, 0] = 0.25 * np.sin(4.0 * theta) * np.sin(2.0 * phi)
     x[:, 1, 0] = np.sin(phi) ** 2
     dists = base + x * slope
     return np.maximum(dists, 0.0, out=dists)
-
-
-def batch_distributions(phi: np.ndarray, theta: np.ndarray, p: np.ndarray,
-                        confusion: np.ndarray) -> np.ndarray:
-    """Outcome distributions of n pairs, shape (n, 2, 4), in SETTINGS order.
-
-    phi, theta and the effective depolarizing probability p (crosstalk
-    included) have shape (n,); confusion holds the (n, 4, 4) readout maps.
-    The ideal distributions are the gate template's closed form: onsite
-    [a, 1/2 - a, 1/2 - a, a] with a = (1 + sin 4theta sin 2phi) / 4, and
-    hopping [cos^2 phi, 0, 0, sin^2 phi]. Because the one depolarizing
-    event after the CZ commutes with the unitaries that follow it, each
-    distribution is confusion @ ((1-p) ideal + p/4): base + x * slope, for
-    x = (a - 1/4, sin^2 phi) and the kernel_terms a BatchPlan keeps per row.
-    At phi = 0 (TFLO's references) x = 0, so the short-decimal probabilities
-    on which numpy's binomial tips at the last bit are the unsplit form's.
-    """
-    return apply_terms(*kernel_terms(p, confusion), phi, theta)

@@ -123,56 +123,49 @@ def _limits(values, pad=0.05):
     return lo - pad * span, hi + pad * span
 
 
-def line_plot(path: str | Path, series: dict[str, tuple[list[float], list[float]]],
-              title: str, xlabel: str, ylabel: str,
-              hlines: dict[str, float] | None = None) -> None:
-    """One polyline per named series; optional labelled horizontal lines."""
+def _plot(path, series, title, xlabel, ylabel, hlines, dots: bool) -> None:
+    """line_plot's frame, or with dots scatter_plot's: a polyline or dots per
+    series, x padded by 2 or 5 %, and hlines labelled or not."""
+    hlines = hlines or {}
     xs = [x for pts in series.values() for x in pts[0]]
-    ys = [y for pts in series.values() for y in pts[1]]
-    if hlines:
-        ys = ys + list(hlines.values())
-    canvas = _Canvas(title, xlabel, ylabel, _limits(xs, 0.02), _limits(ys))
+    ys = [y for pts in series.values() for y in pts[1]] + list(hlines.values())
+    canvas = _Canvas(title, xlabel, ylabel, _limits(xs, 0.05 if dots else 0.02), _limits(ys))
     canvas.axes()
-    for i, (label, (sx, sy)) in enumerate(series.items()):
+    for i, (sx, sy) in enumerate(series.values()):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{canvas.x_px(x):.2f},{canvas.y_px(y):.2f}"
-                       for x, y in zip(sx, sy))
-        canvas.parts.append(f'<polyline points="{pts}" fill="none" '
-                            f'stroke="{color}" stroke-width="1.5"/>')
-    for label, y in (hlines or {}).items():
+        pts = [(canvas.x_px(x), canvas.y_px(y)) for x, y in zip(sx, sy)]
+        if dots:
+            canvas.parts.extend(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{color}" '
+                                f'fill-opacity="0.7"/>' for px, py in pts)
+        else:
+            line = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
+            canvas.parts.append(f'<polyline points="{line}" fill="none" stroke="{color}" '
+                                f'stroke-width="1.5"/>')
+    for label, y in hlines.items():
         py = canvas.y_px(y)
         canvas.parts.append(f'<line x1="{MARGIN_L}" y1="{py:.2f}" '
                             f'x2="{WIDTH-MARGIN_R}" y2="{py:.2f}" stroke="gray" '
                             f'stroke-dasharray="5,4"/>')
-        canvas.parts.append(f'<text x="{WIDTH-MARGIN_R-4}" y="{py-4:.2f}" '
-                            f'text-anchor="end" font-family="sans-serif" '
-                            f'font-size="10" fill="gray">{_esc(label)}</text>')
+        if not dots:
+            canvas.parts.append(f'<text x="{WIDTH-MARGIN_R-4}" y="{py-4:.2f}" '
+                                f'text-anchor="end" font-family="sans-serif" '
+                                f'font-size="10" fill="gray">{_esc(label)}</text>')
     canvas.legend(list(series))
     Path(path).write_text(canvas.render())
+
+
+def line_plot(path: str | Path, series: dict[str, tuple[list[float], list[float]]],
+              title: str, xlabel: str, ylabel: str,
+              hlines: dict[str, float] | None = None) -> None:
+    """One polyline per named series; optional labelled horizontal lines."""
+    _plot(path, series, title, xlabel, ylabel, hlines, dots=False)
 
 
 def scatter_plot(path: str | Path, series: dict[str, tuple[list[float], list[float]]],
                  title: str, xlabel: str, ylabel: str,
                  hlines: dict[str, float] | None = None) -> None:
-    xs = [x for pts in series.values() for x in pts[0]]
-    ys = [y for pts in series.values() for y in pts[1]]
-    if hlines:
-        ys = ys + list(hlines.values())
-    canvas = _Canvas(title, xlabel, ylabel, _limits(xs), _limits(ys))
-    canvas.axes()
-    for i, (label, (sx, sy)) in enumerate(series.items()):
-        color = PALETTE[i % len(PALETTE)]
-        for x, y in zip(sx, sy):
-            canvas.parts.append(f'<circle cx="{canvas.x_px(x):.2f}" '
-                                f'cy="{canvas.y_px(y):.2f}" r="2.5" fill="{color}" '
-                                f'fill-opacity="0.7"/>')
-    for label, y in (hlines or {}).items():
-        py = canvas.y_px(y)
-        canvas.parts.append(f'<line x1="{MARGIN_L}" y1="{py:.2f}" '
-                            f'x2="{WIDTH-MARGIN_R}" y2="{py:.2f}" stroke="gray" '
-                            f'stroke-dasharray="5,4"/>')
-    canvas.legend(list(series))
-    Path(path).write_text(canvas.render())
+    """One set of dots per named series; optional unlabelled horizontal lines."""
+    _plot(path, series, title, xlabel, ylabel, hlines, dots=True)
 
 
 def gradient_colors(frac: np.ndarray) -> np.ndarray:

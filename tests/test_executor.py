@@ -15,7 +15,6 @@ from parvqe.executor import (
     aggregate_same_params,
     calibrate_cost_model,
     compile_pairs,
-    estimate_counts,
     exact_expectation_energy,
     load_cost_model,
     plan_batches,
@@ -24,8 +23,7 @@ from parvqe.executor import (
 )
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, optimal_params
 from parvqe.mitigation import measure_confusion
-from parvqe.simulator import (NOISELESS, PairNoiseSpec, ShotHistogram, batch_distributions,
-                              kernel_terms)
+from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram, apply_terms, kernel_terms
 from reference import estimate_energy
 from test_golden import SMALL_CALIBRATION
 
@@ -52,10 +50,16 @@ def run_estimates(topo, assignments, shots, seed, crosstalk_p=0.0, rows=None):
     table = compile_pairs(topo, [pair for pair, _ in assignments], crosstalk_p=crosstalk_p)
     rows = np.arange(len(assignments)) if rows is None else np.asarray(rows)
     params = [assignments[r][1] for r in rows]
-    counts = run_batch(plan_batches(table, [[rows]], shots),
-                       np.array([a.phi for a in params]),
+    plan = plan_batches(table, [[rows]], shots)
+    counts = run_batch(plan, np.array([a.phi for a in params]),
                        np.array([a.theta for a in params]), [np.random.default_rng(seed)])
-    return estimate_counts(table, rows, counts["histograms"])
+    return plan.estimate(counts["histograms"])
+
+
+def row_estimates(table, rows, counts, shots):
+    """The plan estimate of rows that may repeat or differ in shots: one
+    group of one single-row batch per row, at that row's shots."""
+    return plan_batches(table, [[[row]] for row in rows], list(shots)).estimate(counts)
 
 
 # --- run_batch ---
@@ -201,6 +205,33 @@ def test_estimate_energy_with_confusion_tracks_raw():
 
 
 rates = st.floats(0.0, 0.15)
+angles = st.floats(-4.0, 4.0)
+
+
+@given(angles, angles, st.floats(0.5, 1.0, exclude_min=True),
+       st.tuples(st.tuples(rates, rates), st.tuples(rates, rates)), st.floats(0.0, 1.0),
+       st.booleans(), st.booleans(), st.none() | st.integers(1000, 10 ** 5),
+       st.integers(0, 2 ** 32))
+def test_exact_expectation_energy_estimates_the_kernel_distributions(
+        phi, theta, fidelity, readout, crosstalk_p, crosstalk_active, ni, confusion_shots,
+        seed):
+    """exact_expectation_energy runs the kernel's distributions through the
+    estimator as one shot's expected counts: its value and raw are the
+    one-pair reference estimate of those distributions within 4e-15, without
+    NI or with an exact or sampled confusion, and its std_err is exactly 0."""
+    noise = PairNoiseSpec(cz_fidelity=fidelity, readout=readout, crosstalk_p=crosstalk_p)
+    confusion = measure_confusion(noise, confusion_shots,
+                                  np.random.default_rng(seed)) if ni else None
+    onsite, hopping = apply_terms(
+        *kernel_terms(np.array([noise.effective_p(crosstalk_active)]),
+                      noise.confusion_map()[None]), np.array([phi]), np.array([theta]))[0]
+    h = HubbardParams()
+    est = exact_expectation_energy(AnsatzParams(phi, theta), h, noise, confusion,
+                                   crosstalk_active)
+    ref = estimate_energy(onsite, hopping, h, confusion)
+    assert abs(est.value - ref.value) <= 4e-15
+    assert abs(est.raw - ref.raw) <= 4e-15
+    assert est.std_err == 0.0 and type(est.value) is float and type(est.raw) is float
 
 
 @st.composite
@@ -237,7 +268,7 @@ def test_columnar_estimator_matches_estimate_energy(case):
     """Row by row, the columnar estimator equals the one-pair reference,
     also when the rows of one call carry different shot counts."""
     table, confusions, h, rows, counts, shots = case
-    est = estimate_counts(table, rows, counts)
+    est = row_estimates(table, rows, counts, shots)
     for i, row in enumerate(rows):
         onsite, hopping = (ShotHistogram(tuple(int(c) for c in counts[i, k]), shots[i])
                            for k in range(2))
@@ -254,7 +285,7 @@ def test_one_valued_setting_has_zero_std_err():
     leave as a rounding residue (up to 1.3e-9 here without the guard)."""
     table = compile_pairs(two_pair_topology(), [(0, 1)], HubbardParams(u=1.3))
     counts = np.array([[[0, a, 100 - a, 0], [100, 0, 0, 0]] for a in range(1, 100)])
-    assert np.all(estimate_counts(table, np.zeros(99, dtype=int), counts).std_err == 0.0)
+    assert np.all(row_estimates(table, [0] * 99, counts, [100] * 99).std_err == 0.0)
 
 
 def chain_topology(n_pairs=4):
@@ -340,7 +371,8 @@ def test_plan_keeps_each_rows_kernel_terms_and_estimator_inputs(case, data):
     kernel terms give the kernel's distributions of the row's readout map
     and depolarizing probability, crosstalk flagged by a neighbour in its
     own batch, bit for bit, and its estimate of counts drawn at its
-    groups' shots is estimate_counts' of the rows, bit for bit."""
+    groups' shots is that of the same rows planned one by one, bit for
+    bit."""
     groups, phi, theta, seeds = case
     shots = data.draw(st.lists(st.integers(1, 2000), min_size=len(groups),
                                max_size=len(groups)))
@@ -350,15 +382,17 @@ def test_plan_keeps_each_rows_kernel_terms_and_estimator_inputs(case, data):
     p = np.concatenate([np.where(table.neighbours[batch][:, batch].any(axis=1),
                                  row_p[1, batch], row_p[0, batch])
                         for group in groups for batch in map(list, group)])
-    assert np.array_equal(plan.base, batch_distributions(np.zeros_like(phi), theta, p,
-                                                         confusion[plan.rows]))
+    terms = kernel_terms(p, confusion[plan.rows])
+    assert np.array_equal(plan.base, apply_terms(*terms, np.zeros_like(phi), theta))
     assert np.array_equal(
         run_batch(plan, phi, theta, streams_of(seeds))["histograms"],
         np.concatenate([stream.multinomial(n, dists) for stream, n, dists in zip(
-            streams_of(seeds), shots, np.split(batch_distributions(
-                phi, theta, p, confusion[plan.rows]), plan.bounds[1:-1]))]))
+            streams_of(seeds), shots, np.split(apply_terms(*terms, phi, theta),
+                                               plan.bounds[1:-1]))]))
     counts = batch_counts(run_batch(plan, phi, theta, streams_of(seeds)))
-    for got, want in zip(plan.estimate(counts), estimate_counts(table, plan.rows, counts)):
+    alone = row_estimates(table, plan.rows, counts,
+                          np.repeat(shots, [sum(map(len, group)) for group in groups]))
+    for got, want in zip(plan.estimate(counts), alone):
         assert np.array_equal(got, want)
     assert not hasattr(plan, "p") and not hasattr(plan, "confusion")
 
@@ -623,13 +657,13 @@ def test_rejected_run_leaves_every_stream_untouched(case, data):
 @given(columnar_cases(), st.data())
 def test_estimate_rows_do_not_depend_on_their_batch(case, data):
     """Each row's estimate is bitwise the same alone or among any other rows."""
-    table, _, _, rows, counts, _ = case
-    est = estimate_counts(table, rows, counts)
+    table, _, _, rows, counts, shots = case
+    est = row_estimates(table, rows, counts, shots)
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
     for i in range(len(rows)):
-        alone = estimate_counts(table, rows[i:i + 1], counts[i:i + 1])
+        alone = row_estimates(table, rows[i:i + 1], counts[i:i + 1], shots[i:i + 1])
         assert all(a[0] == b[i] for a, b in zip(alone, est))
-    other = estimate_counts(table, rows[picks], counts[picks])
+    other = row_estimates(table, rows[picks], counts[picks], [shots[i] for i in picks])
     assert all(np.array_equal(a, b[picks]) for a, b in zip(other, est))
 
 
@@ -641,8 +675,8 @@ def test_raw_value_equals_value_without_inversion():
     bare = exact_expectation_energy(AnsatzParams(0.4, 0.6), HubbardParams(), noise)
     assert bare.raw == bare.value and bare.std_err == 0.0
     table = compile_pairs(two_pair_topology(readout=(0.02, 0.03)), [(0, 1), (2, 3)])
-    rows = estimate_counts(table, [0, 1], np.array([[(40, 30, 20, 10), (10, 20, 30, 40)],
-                                                    [(70, 10, 10, 10), (25, 25, 25, 25)]]))
+    rows = plan_batches(table, [[[0, 1]]], 100).estimate(
+        np.array([[(40, 30, 20, 10), (10, 20, 30, 40)], [(70, 10, 10, 10), (25, 25, 25, 25)]]))
     assert np.array_equal(rows.raw, rows.value)
     pooled = aggregate_same_params(rows)
     assert pooled.raw == pooled.value

@@ -427,7 +427,7 @@ def test_repeat_trace_does_not_depend_on_its_group(optimizer, points, tmp_path):
     run = _Run(ExperimentConfig(seed=13, out_dir=tmp_path / "out", calibration=cal,
                                 crosstalk_p=0.1, confusion_shots=2000))
     table = run.pair_table(run.select("matching", 0.9))
-    assert table.ni and table.neighbours.any()
+    assert table.raw_coeffs is not None and table.neighbours.any()
     keys = [(0,), (1,), (2,)]
     group = _optimize(run, table, optimizer, 3, points, 200, keys)
     assert len({trace.to_csv() for trace in group}) == 3
@@ -816,6 +816,12 @@ IMPOSSIBLE = {
     "crosstalk-above-1": ("vqe --crosstalk 1.5", "crosstalk_p must be in [0, 1]"),
     "crosstalk-negative": ("vqe --crosstalk -0.1", "crosstalk_p must be in [0, 1]"),
     "start-nan": ("vqe --start nan 0.1", "start angles must be finite"),
+    # a NaN cap selects every edge greedily and none by matching
+    "cap-nan": ("heatmap --cap nan --grid 4 --shots 100", "cap must be finite"),
+    "cap-nan-matching": ("vqe --select matching --cap nan", "cap must be finite"),
+    "cap-inf": ("shots-sweep --cap inf", "cap must be finite"),
+    # Path("") is the working directory
+    "out-empty": ("speedup-sweep --out {empty}", "out_dir must not be empty"),
     # a repeated entry would write the same artifact twice
     "repeated-shots": ("shots-sweep --shots-list 100,100", "entries must be distinct"),
     "repeated-pair-counts": ("speedup-sweep --pair-counts 2,2", "entries must be distinct"),
@@ -829,17 +835,23 @@ IMPOSSIBLE = {
 
 
 @pytest.mark.parametrize("case", sorted(IMPOSSIBLE))
-def test_cli_rejects_impossible_inputs_before_output(case, tmp_path, capsys):
+def test_cli_rejects_impossible_inputs_before_output(case, tmp_path, capsys, monkeypatch):
+    """Each case exits 2 with its message and writes nothing, neither to
+    --out (tmp_path/out unless the case gives its own) nor to the working
+    directory (tmp_path)."""
     args, message = IMPOSSIBLE[case]
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"name": "malformed", "qubits": [0, 1],
                                      "edges": [[0, 1, 1.5]], "readout": {}}))
-    argv = args.format(missing=tmp_path / "missing.json", malformed=malformed).split()
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(missing=tmp_path / "missing.json", malformed=malformed, empty="")
+            for arg in args.split()]
+    out = [] if "--out" in argv else ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
-        cli_main([*argv, "--seed", "1", "--out", str(tmp_path / "out")])
+        cli_main([*argv, "--seed", "1", *out])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["malformed.json"]
 
 
 def load_benchmark_module(name):
@@ -853,6 +865,23 @@ def load_benchmark_module(name):
     finally:
         del sys.modules[spec.name]
     return module
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+TOOL_NAMES = sorted(path.stem for path in TOOLS.glob("*.py"))
+
+
+@pytest.mark.parametrize("name", TOOL_NAMES)
+def test_tool_imports(name, monkeypatch):
+    """Every tool imports, with tools/ on sys.path and without running, so a
+    package name a tool imports cannot go without a failure here. The tools
+    are not left in sys.modules, and sys.path is restored."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    try:
+        importlib.import_module(name)
+    finally:
+        for stem in TOOL_NAMES:
+            sys.modules.pop(stem, None)
 
 
 def test_cli_parses_benchmark_workloads(tmp_path):

@@ -15,9 +15,9 @@ from parvqe.simulator import (
     PairNoiseSpec,
     ShotHistogram,
     apply_terms,
-    batch_distributions,
     exact_distribution,
     fidelity_to_depolarizing,
+    kernel_terms,
     sample_shots,
 )
 import reference
@@ -204,10 +204,10 @@ def test_batch_kernel_matches_density_matrix_reference(cases):
     form is tied to the gate template that run_circuit walks."""
     noises = [PairNoiseSpec(cz_fidelity=f, readout=ro, crosstalk_p=xt)
               for _, _, f, ro, xt, _ in cases]
-    dists = batch_distributions(
-        np.array([c[0] for c in cases]), np.array([c[1] for c in cases]),
+    dists = apply_terms(*kernel_terms(
         np.array([noise.effective_p(c[5]) for noise, c in zip(noises, cases)]),
-        np.array([noise.confusion_map() for noise in noises]))
+        np.array([noise.confusion_map() for noise in noises])),
+        np.array([c[0] for c in cases]), np.array([c[1] for c in cases]))
     assert dists.shape == (len(cases), 2, 4)
     assert np.all((dists >= 0.0) & (dists <= 1.0))
     for i, ((phi, theta, _, _, _, active), noise) in enumerate(zip(cases, noises)):
@@ -226,13 +226,13 @@ def test_batch_kernel_rows_do_not_depend_on_their_batch(cases, picks):
     phi, theta = np.array([c[0] for c in cases]), np.array([c[1] for c in cases])
     p = np.array([noise.effective_p(c[5]) for noise, c in zip(noises, cases)])
     confusion = np.array([noise.confusion_map() for noise in noises])
-    dists = batch_distributions(phi, theta, p, confusion)
+    dists = apply_terms(*kernel_terms(p, confusion), phi, theta)
     for i in range(len(cases)):
-        alone = batch_distributions(phi[i:i + 1], theta[i:i + 1], p[i:i + 1],
-                                    confusion[i:i + 1])
+        alone = apply_terms(*kernel_terms(p[i:i + 1], confusion[i:i + 1]), phi[i:i + 1],
+                            theta[i:i + 1])
         assert np.array_equal(alone[0], dists[i])
     picks = [i % len(cases) for i in picks]
-    other = batch_distributions(phi[picks], theta[picks], p[picks], confusion[picks])
+    other = apply_terms(*kernel_terms(p[picks], confusion[picks]), phi[picks], theta[picks])
     assert np.array_equal(other, dists[picks])
 
 
@@ -253,12 +253,13 @@ def test_split_kernel_matches_the_unsplit_closed_form(cases):
     at phi = 0, where TFLO's reference circuits run, they are it bit for
     bit, so no reference draw moves."""
     phi, theta, p, confusion = kernel_inputs(cases)
-    split = batch_distributions(phi, theta, p, confusion)
+    terms = kernel_terms(p, confusion)
+    split = apply_terms(*terms, phi, theta)
     assert np.max(np.abs(split - reference.batch_distributions(phi, theta, p, confusion))) \
         <= 1e-15
     assert np.all(split >= 0.0)
     zero = np.zeros_like(phi)
-    assert np.array_equal(batch_distributions(zero, theta, p, confusion),
+    assert np.array_equal(apply_terms(*terms, zero, theta),
                           reference.batch_distributions(zero, theta, p, confusion))
 
 
@@ -281,7 +282,8 @@ def test_split_kernel_keeps_exact_zeros(corner, readout):
         noise = PairNoiseSpec(cz_fidelity=f, readout=ZERO_READOUT[readout])
         args = (np.array([phi]), np.array([theta]), np.array([noise.depol_p]),
                 noise.confusion_map()[None])
-        split, whole = batch_distributions(*args), reference.batch_distributions(*args)
+        split = apply_terms(*kernel_terms(*args[2:]), *args[:2])
+        whole = reference.batch_distributions(*args)
         assert np.array_equal(split == 0.0, whole == 0.0)
         assert np.all(split >= 0.0)
         # not vacuous: with both qubits perfect the hopping setting always
