@@ -20,7 +20,7 @@ _EXPORTS = {name: module for module, names in {
     "mitigation": "ConfusionMatrix invert_readout measure_confusion measure_confusions "
                   "tflo_correct",
     "executor": "BatchPlan CostModel Estimates PairTable aggregate_same_params "
-                "calibrate_cost_model compile_pairs plan_batches predict_wall_time run_batch",
+                "compile_pairs plan_batches predict_wall_time run_batch",
     "optimizers": "MgdConfig OptTrace SpsaConfig mgd_run n_points_from_eta spsa_run",
 }.items() for name in names.split()}
 

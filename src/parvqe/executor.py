@@ -28,14 +28,15 @@ measured, as
 
 a fixed per-batch cost, a per-pair cost, a per-shot cost and a readout
 volume term: every shot returns a bitstring for each active qubit, so the
-data a batch returns grows as pairs x shots. The model is calibrated from
-observed (pairs, batches, shots, settings, seconds) tuples by nonnegative
-least squares.
+data a batch returns grows as pairs x shots. The shipped model is fitted
+to observed (pairs, batches, shots, settings, seconds) tuples by
+nonnegative least squares in tools/fit_cost_model.py.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
@@ -284,8 +285,9 @@ class CostModel(Record, frozen=True):
     kappa: float = 0.0  # seconds per parallel pair per shot per setting
 
     def __post_init__(self):
-        if min(self.t_base, self.beta, self.tau, self.kappa) < 0:
-            raise ValueError("cost model parameters must be nonnegative")
+        # NaN fails both comparisons
+        if not all(0.0 <= v < math.inf for v in (self.t_base, self.beta, self.tau, self.kappa)):
+            raise ValueError("cost model parameters must be finite and nonnegative")
 
 
 def predict_wall_time(m: CostModel, pairs: int, batches: int, shots: int,
@@ -300,50 +302,6 @@ def predict_wall_time(m: CostModel, pairs: int, batches: int, shots: int,
         raise ValueError("pairs, batches, shots and settings must all be >= 1")
     return batches * (m.t_base + m.beta * pairs
                       + settings * shots * (m.tau + m.kappa * pairs))
-
-
-class DegenerateCalibration(ValueError):
-    """Observations do not determine the cost model parameters."""
-
-
-def calibrate_cost_model(observations) -> tuple[CostModel, np.ndarray]:
-    """Fit (t_base, beta, tau, kappa) to observed timings by nonnegative
-    least squares.
-
-    observations: iterable of (pairs, batches, shots, settings, seconds).
-    The 4-column design needs full rank: the observations must span at
-    least 2 pair counts and 2 settings*shots values (with one value, beta
-    and kappa are collinear). Returns the model and the per-observation
-    residuals (predicted minus observed seconds).
-    """
-    from scipy.optimize import nnls   # deferred: scipy is slow to import
-
-    obs = list(observations)
-    if len(obs) < 4:
-        raise DegenerateCalibration("need at least 4 observations")
-    if len({p for p, *_ in obs}) < 2:
-        raise DegenerateCalibration("observations must span at least 2 pair counts")
-    if len({settings * shots for _, _, shots, settings, _ in obs}) < 2:
-        raise DegenerateCalibration(
-            "observations must span at least 2 settings*shots values; with one, "
-            "the per-pair (beta) and readout-volume (kappa) terms are collinear")
-    design = np.array([[b, b * p, b * settings * shots, b * p * settings * shots]
-                       for p, b, shots, settings, _ in obs], dtype=float)
-    target = np.array([seconds for *_, seconds in obs], dtype=float)
-    if np.linalg.matrix_rank(design) < 4:
-        raise DegenerateCalibration("design matrix is rank deficient (need rank 4)")
-    coef, _ = nnls(design, target)
-    model = CostModel(t_base=float(coef[0]), beta=float(coef[1]), tau=float(coef[2]),
-                      kappa=float(coef[3]))
-    residuals = design @ coef - target
-    return model, residuals
-
-
-def save_cost_model(m: CostModel, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"t_base": m.t_base, "beta": m.beta, "tau": m.tau, "kappa": m.kappa},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def load_cost_model(path: str | Path) -> CostModel:

@@ -1,4 +1,4 @@
-"""Experiment harness: reproducible runs emitting CSV, JSON and SVG files.
+"""Experiment harness: reproducible runs emitting CSV, SVG and .npy files.
 
 Every experiment takes an ExperimentConfig (seed mandatory), writes its
 data files into the output directory and returns a RunRecord holding the
@@ -226,21 +226,32 @@ def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
 
 class _Run:
     """What every experiment sets up first (clock, output directory, Hubbard
-    parameters and ground energy, calibration, the compiled pair tables and
-    the confusion matrices measured for them) and its
+    parameters and ground energy, cost model, calibration, the compiled
+    pair tables and the confusion matrices measured for them) and its
     write-record-then-print ending."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, cost: bool = False):
         self.cfg = cfg
         self.t_start = time.perf_counter()
         self.h = HubbardParams()
         self.e0 = exact_ground_energy(self.h)
         self.confusions: dict[Pair, ConfusionMatrix] = {}
+        # read up front when the command models times, so a bad model leaves no output
+        self.cost: CostModel | None = None
+        if cost:
+            try:
+                self.cost = load_cost_model(cfg.cost_model)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise InputError(f"cannot read cost model {cfg.cost_model}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
 
     @cached_property
     def out_dir(self) -> Path:
         # made on first use, so inputs rejected before then leave no directory
-        self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise InputError(f"out_dir {self.cfg.out_dir} is not a directory") from exc
         return self.cfg.out_dir
 
     @cached_property
@@ -448,7 +459,7 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
 def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     """Energy-landscape heatmap: exact, simulated in parallel batches, and
     the absolute error between them; plus modelled wall times."""
-    run = _Run(cfg)
+    run = _Run(cfg, cost=True)
     h = run.h
     n = cfg.grid
     axis = np.linspace(-math.pi, math.pi, n)
@@ -479,9 +490,8 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     svgplot.heatmap(run.out_dir / "heatmap_error.svg", err.reshape(n, n),
                     "absolute error", "phi", "theta", extent)
 
-    cost = load_cost_model(cfg.cost_model)
-    seconds_parallel = predict_wall_time(cost, len(pairs), len(batches), cfg.shots)
-    seconds_single = predict_wall_time(cost, 1, n * n, cfg.shots)
+    seconds_parallel = predict_wall_time(run.cost, len(pairs), len(batches), cfg.shots)
+    seconds_single = predict_wall_time(run.cost, 1, n * n, cfg.shots)
     metrics = {
         "grid": n,
         "points": n * n,
@@ -523,8 +533,10 @@ def modeled_vqe_wall_times(cost: CostModel, optimizer: str, pairs: int,
 
 
 def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
-    """Full optimisation runs, with repeats."""
-    run = _Run(cfg)
+    """Full optimisation runs, with repeats: per repeat a trace CSV, and
+    for all repeats one (repeats, iterations, points) array of every point
+    the optimizer evaluated and the estimates it read there."""
+    run = _Run(cfg, cost=True)
     h, e0 = run.h, run.e0
     pairs = run.select(cfg.select, cfg.cap)
     table = run.pair_table(pairs, cfg.ni)
@@ -541,8 +553,11 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     artifacts = []
     for rep, trace in enumerate(traces):
         trace_path = run.out_dir / f"trace_rep{rep}.csv"
-        trace.write(trace_path, run.out_dir / f"trace_rep{rep}.json")
+        trace.write(trace_path)
         artifacts.append(trace_path.name)
+    points_path = run.out_dir / "trace_points.npy"
+    np.save(points_path, np.stack([trace.points for trace in traces]))
+    artifacts.append(points_path.name)
     trace = traces[0]
     its = trace.iteration.tolist()
     svgplot.line_plot(
@@ -566,8 +581,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     artifacts.append(summary_path.name)
 
     seconds_parallel, seconds_single = modeled_vqe_wall_times(
-        load_cost_model(cfg.cost_model), cfg.optimizer, len(pairs), points, iterations,
-        cfg.shots)
+        run.cost, cfg.optimizer, len(pairs), points, iterations, cfg.shots)
     metrics = {
         "optimizer": cfg.optimizer,
         "pairs": len(pairs),
@@ -590,13 +604,13 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
 def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
     """Modelled speedup of both optimizers over cfg.pair_counts; nothing is
     simulated."""
-    run = _Run(cfg)
-    cost = load_cost_model(cfg.cost_model)
+    run = _Run(cfg, cost=True)
     counts = list(cfg.pair_counts)
     speedups = {}
     for optimizer in ("spsa", "mgd"):
         # both times scale with the iteration count, so one iteration models the ratio
-        times = [modeled_vqe_wall_times(cost, optimizer, p, p, 1, cfg.shots) for p in counts]
+        times = [modeled_vqe_wall_times(run.cost, optimizer, p, p, 1, cfg.shots)
+                 for p in counts]
         speedups[optimizer] = [single / parallel for parallel, single in times]
     path = run.out_dir / "speedup_sweep.csv"
     write_csv(path, ["p", "spsa_speedup", "mgd_speedup"], [counts, *speedups.values()])

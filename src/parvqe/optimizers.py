@@ -22,12 +22,13 @@ in one kernel call. Neither core loops over repeats within a step: each
 repeat draws all K steps' directions (SPSA) or unit offsets (MGD) from
 its own stream in one call before the first step, MGD fits every
 repeat's surrogate to both value columns (noise-inverted and raw) in one
-batched solve, and each step appends one (R,) column per trace field, so
-an OptTrace holds (K,) columns over its K iterations. `spsa_run` and
-`mgd_run` run one repeat on a batch evaluator, (m, 2) points -> one
-Estimates with (m,) fields, through one shared adapter; every evaluator
-in the package speaks that contract, in its one-repeat or its lockstep
-form.
+batched solve, and each step appends one (R,) column per trace field and
+its (R, m) points with their estimates, so an OptTrace holds (K,) columns
+over its K iterations and a (K, m) array of every point it evaluated.
+`spsa_run` and `mgd_run` run one repeat on a batch evaluator, (m, 2)
+points -> one Estimates with (m,) fields, through one shared adapter;
+every evaluator in the package speaks that contract, in its one-repeat
+or its lockstep form.
 
 Both executor-backed evaluators batch through `batch_pair_evaluator`,
 which spreads points over the table's rows; SPSA's same-parameters
@@ -138,22 +139,26 @@ class IterationRecord(NamedTuple):
     e_raw: float                 # estimate before readout inversion
     e_ni: float                  # estimate the optimizer consumed
     e_exact: float | None        # oracle diagnostic, never fed back
-    points: tuple[tuple[float, float], ...] | None = None
+    points: tuple[tuple[float, float], ...]   # the (phi, theta) evaluated
+
+
+# one evaluated point: its angles and the Estimates the optimizer read there
+POINT_DTYPE = np.dtype([(name, "<f8") for name in ("phi", "theta", "value", "raw", "std_err")])
 
 
 class OptTrace(Record, frozen=True, eq=False):
     """One repeat's run as (K,) columns over its K iterations: the centre
-    (phi, theta), the raw and noise-inverted estimates there, the exact
-    energy (None without an oracle) and, for MGD, the (K, m, 2) points
-    sampled around each centre (None for SPSA). Each value is formatted
-    once, for the CSV and the JSON alike (write)."""
+    (phi, theta), the raw and noise-inverted estimates there and the exact
+    energy (None without an oracle); and `points`, the (K, m) POINT_DTYPE
+    array of every point evaluated at each iteration with its estimates
+    (for SPSA the centre, then the plus and minus points)."""
 
     phi: np.ndarray
     theta: np.ndarray
     e_raw: np.ndarray
     e_ni: np.ndarray
     e_exact: np.ndarray | None
-    points: np.ndarray | None
+    points: np.ndarray
     final_params: AnsatzParams
 
     @property
@@ -165,48 +170,25 @@ class OptTrace(Record, frozen=True, eq=False):
         """The trace row by row, a read-only view of its columns."""
         k = len(self.phi)
         e_exact = [None] * k if self.e_exact is None else self.e_exact.tolist()
-        points = ([None] * k if self.points is None
-                  else [tuple(map(tuple, p)) for p in self.points.tolist()])
+        points = [tuple(zip(phi, theta)) for phi, theta in
+                  zip(self.points["phi"].tolist(), self.points["theta"].tolist())]
         return tuple(map(IterationRecord, self.iteration.tolist(), self.phi.tolist(),
                          self.theta.tolist(), self.e_raw.tolist(), self.e_ni.tolist(),
                          e_exact, points))
 
-    def _fields(self) -> list[list[str]]:
-        """Every column's CSV fields, from lists: np.unique gains nothing here."""
+    def to_csv(self) -> str:
+        """The trace CSV, each column formatted from a list (np.unique
+        gains nothing here)."""
         columns = [self.iteration, self.phi, self.theta, self.e_raw, self.e_ni, self.e_exact]
-        return [format_column([None] * len(self.phi) if c is None else c.tolist())
-                for c in columns]
+        fields = [format_column([None] * len(self.phi) if c is None else c.tolist())
+                  for c in columns]
+        return "".join(csv_chunks(_CSV_HEADER, fields, formatted=True))
 
-    def to_csv(self, fields: list[list[str]] | None = None) -> str:
-        return "".join(csv_chunks(_CSV_HEADER, fields or self._fields(), formatted=True))
-
-    def to_json(self, fields: list[list[str]] | None = None) -> str:
-        """json.dumps(payload, sort_keys=True) of the final parameters and
-        the records, put together from the CSV fields."""
-        iteration, phi, theta, e_raw, e_ni, e_exact = fields or self._fields()
-        k = len(phi)
-        e_exact, points = ["null"] * k if self.e_exact is None else e_exact, ["null"] * k
-        if self.points is not None:
-            xy = iter(format_column(self.points.ravel().tolist()))
-            pairs, m = list(map("[%s, %s]".__mod__, zip(xy, xy))), self.points.shape[1]
-            points = ["[" + ", ".join(pairs[i * m:i * m + m]) + "]" for i in range(k)]
-        text = '{"final_params": {"phi": %s, "theta": %s}, "records": [%s]}\n' % (
-            *format_column([self.final_params.phi, self.final_params.theta]),
-            ", ".join(map(_RECORD.__mod__, zip(e_exact, e_ni, e_raw, iteration, phi,
-                                               points, theta))))
-        # json's spelling of repr's nan, inf and -inf; no key holds "nan" or "inf"
-        return text.replace("nan", "NaN").replace("inf", "Infinity")
-
-    def write(self, csv_path: str | Path, json_path: str | Path | None = None) -> None:
-        fields = self._fields()
-        Path(csv_path).write_text(self.to_csv(fields), newline="")
-        if json_path is not None:
-            Path(json_path).write_text(self.to_json(fields))
+    def write(self, csv_path: str | Path) -> None:
+        Path(csv_path).write_text(self.to_csv(), newline="")
 
 
 _CSV_HEADER = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
-_RECORD = ('{"e_exact": %s, "e_ni": %s, "e_raw": %s, "iteration": %s, "phi": %s, '
-           '"points": %s, "theta": %s}')    # keys in sort_keys order
 
 
 # (m, 2) array of (phi, theta) points -> their m estimates
@@ -220,18 +202,21 @@ ExactCentres = Callable[[np.ndarray], Sequence[float]]
 
 def _traces(steps, final: np.ndarray, exact: ExactCentres | None) -> list[OptTrace]:
     """One trace per repeat from the steps' columns over all R repeats:
-    per step the (R, 2) centres, the (R,) e_raw and e_ni and the (R, m, 2)
-    points (None for SPSA), each stacked along a new iteration axis. The
-    exact energies (None without an oracle) come from one call of exact
-    over every repeat's (K, 2) centres."""
-    centres, e_raw, e_ni, points = (
-        None if col[0] is None else np.stack(col, axis=1) for col in zip(*steps))
+    per step the (R, 2) centres, the (R,) e_raw and e_ni, the (R, m, 2)
+    points evaluated and the Estimates read there, with (R, m) fields,
+    each stacked along a new iteration axis. The exact energies (None
+    without an oracle) come from one call of exact over every repeat's
+    (K, 2) centres."""
+    centres, e_raw, e_ni, batch, value, std_err, raw = (
+        np.stack(col, axis=1) for col in zip(*steps))
+    points = np.empty(value.shape, POINT_DTYPE)
+    points["phi"], points["theta"] = batch[..., 0], batch[..., 1]
+    points["value"], points["raw"], points["std_err"] = value, raw, std_err
     e_exact = (None if exact is None else
                np.asarray(exact(centres.reshape(-1, 2)), dtype=float).reshape(e_raw.shape))
     return [OptTrace(phi=centres[r, :, 0], theta=centres[r, :, 1], e_raw=e_raw[r],
                      e_ni=e_ni[r], e_exact=None if e_exact is None else e_exact[r],
-                     points=None if points is None else points[r],
-                     final_params=AnsatzParams(*final[r]))
+                     points=points[r], final_params=AnsatzParams(*final[r]))
             for r in range(len(final))]
 
 
@@ -263,8 +248,9 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     for k in range(1, cfg.iterations + 1):
         a_k, c_k = cfg.gains(k)
         delta = directions[:, k - 1]
-        est = evaluate(np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1))
-        steps.append((theta, est.raw[:, 0], est.value[:, 0], None))
+        batch = np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1)
+        est = evaluate(batch)
+        steps.append((theta, est.raw[:, 0], est.value[:, 0], batch, *est))
         e_diff = est.value[:, 1] - est.value[:, 2]
         grad = (e_diff / (2.0 * c_k))[:, None] * delta   # 1/delta_i == delta_i
         theta = theta - a_k * grad
@@ -354,7 +340,7 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
         ridge = np.where(noiseless, 0.0, mean_var / cfg.l ** 2)
         coeffs, raw_coeffs = _fit_surrogate(offsets, np.stack([est.value, est.raw]),
                                             weights, ridge)
-        steps.append((theta, raw_coeffs[:, 0], coeffs[:, 0], batch))
+        steps.append((theta, raw_coeffs[:, 0], coeffs[:, 0], batch, *est))
         theta = theta - gamma_k * coeffs[:, 1:3]
     return _traces(steps, theta, exact)
 

@@ -4,14 +4,13 @@ form for the batch kernel, the dense Hungarian method for the sparse
 assignment behind pair matching, a one-pair energy estimator for the columnar
 one, a one-pair confusion measurement for the stacked one, a one-repeat
 surrogate fit for the batched one, cell-by-cell CSV and heatmap writers
-for the columnar ones, json.dumps and csv.writer serializers for an
-optimizer trace's files, and a dataclasses twin of every record class.
+for the columnar ones, a csv.writer serializer for an optimizer trace's
+CSV, and a dataclasses twin of every record class.
 """
 
 import csv
 import dataclasses
 import io
-import json
 
 import numpy as np
 
@@ -235,15 +234,6 @@ TRACE_HEADER = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
 def trace_csv(trace) -> str:
     """An OptTrace's CSV, row by row from its records through csv.writer."""
     return csv_text(TRACE_HEADER, [record[:len(TRACE_HEADER)] for record in trace.records])
-
-
-def trace_json(trace) -> str:
-    """An OptTrace's JSON: its final parameters and records through
-    json.dumps, keys sorted, on one line."""
-    payload = {"final_params": {"phi": trace.final_params.phi,
-                                "theta": trace.final_params.theta},
-               "records": [record._asdict() for record in trace.records]}
-    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def gradient_color(frac: float) -> str:

@@ -1,6 +1,9 @@
 """Batch execution, energy estimation and cost-model tests."""
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +13,8 @@ from parvqe.device import DeviceTopology, noise_spec_for_pair
 from parvqe.executor import (
     COUNTS_DTYPE,
     CostModel,
-    DegenerateCalibration,
     Estimates,
     aggregate_same_params,
-    calibrate_cost_model,
     compile_pairs,
     exact_expectation_energy,
     load_cost_model,
@@ -28,6 +29,18 @@ from reference import estimate_energy
 from test_golden import SMALL_CALIBRATION
 
 E_GROUND = 1.0 - math.sqrt(5.0)
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture
+def fit_tool(monkeypatch):
+    """tools/fit_cost_model.py, which holds the cost-model fit, imported
+    with tools/ on sys.path and not left in sys.modules."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    yield importlib.import_module("fit_cost_model")
+    sys.modules.pop("fit_cost_model", None)
+
 
 REFERENCE_TIMINGS = [
     (25, 16, 10_000, 2, 220.0),
@@ -755,22 +768,22 @@ def test_predict_wall_time_monotonic():
     assert predict_wall_time(m, 5, 10, 1100) > base
 
 
-def test_calibrate_recovers_exact_model():
+def test_calibrate_recovers_exact_model(fit_tool):
     true = CostModel(t_base=0.8, beta=0.04, tau=3e-4)
     obs = [(p, b, s, 2, predict_wall_time(true, p, b, s))
            for p, b, s in [(1, 10, 500), (4, 20, 1000), (9, 5, 2000), (25, 7, 100)]]
-    fitted, residuals = calibrate_cost_model(obs)
+    fitted, residuals = fit_tool.calibrate_cost_model(obs)
     assert fitted.t_base == pytest.approx(true.t_base, abs=1e-6)
     assert fitted.beta == pytest.approx(true.beta, abs=1e-6)
     assert fitted.tau == pytest.approx(true.tau, abs=1e-9)
     assert np.max(np.abs(residuals)) < 1e-6
 
 
-def test_calibrate_recovers_exact_kappa_model():
+def test_calibrate_recovers_exact_kappa_model(fit_tool):
     true = CostModel(t_base=0.8, beta=0.04, tau=3e-4, kappa=5e-6)
     obs = [(p, b, s, 2, predict_wall_time(true, p, b, s))
            for p, b, s in [(1, 10, 500), (4, 20, 1000), (9, 5, 2000), (25, 7, 100)]]
-    fitted, residuals = calibrate_cost_model(obs)
+    fitted, residuals = fit_tool.calibrate_cost_model(obs)
     assert fitted.t_base == pytest.approx(true.t_base, abs=1e-6)
     assert fitted.beta == pytest.approx(true.beta, abs=1e-6)
     assert fitted.tau == pytest.approx(true.tau, abs=1e-9)
@@ -778,12 +791,12 @@ def test_calibrate_recovers_exact_kappa_model():
     assert np.max(np.abs(residuals)) < 1e-6
 
 
-def test_calibrate_rejects_single_shot_count():
+def test_calibrate_rejects_single_shot_count(fit_tool):
     true = CostModel(t_base=0.8, beta=0.04, tau=3e-4, kappa=5e-6)
     obs = [(p, b, 1000, 2, predict_wall_time(true, p, b, 1000))
            for p, b in [(1, 10), (4, 20), (9, 5), (25, 7)]]
-    with pytest.raises(DegenerateCalibration, match="collinear"):
-        calibrate_cost_model(obs)
+    with pytest.raises(fit_tool.DegenerateCalibration, match="collinear"):
+        fit_tool.calibrate_cost_model(obs)
 
 
 def test_load_cost_model_without_kappa(tmp_path):
@@ -795,16 +808,16 @@ def test_load_cost_model_without_kappa(tmp_path):
         16 * (0.5 + 0.05 * 25 + 2 * 10_000 * 0.0004))
 
 
-def test_calibrate_errors():
-    with pytest.raises(DegenerateCalibration):
-        calibrate_cost_model([(1, 10, 100, 2, 5.0), (1, 20, 100, 2, 9.0)])
-    with pytest.raises(DegenerateCalibration):
-        calibrate_cost_model([(2, 10, 100, 2, 5.0), (2, 20, 100, 2, 9.0),
+def test_calibrate_errors(fit_tool):
+    with pytest.raises(fit_tool.DegenerateCalibration):
+        fit_tool.calibrate_cost_model([(1, 10, 100, 2, 5.0), (1, 20, 100, 2, 9.0)])
+    with pytest.raises(fit_tool.DegenerateCalibration):
+        fit_tool.calibrate_cost_model([(2, 10, 100, 2, 5.0), (2, 20, 100, 2, 9.0),
                               (2, 30, 100, 2, 13.0)])
 
 
-def test_shipped_default_cost_model_is_the_fit_output(shipped_cost_model_path):
-    fitted, _ = calibrate_cost_model(REFERENCE_TIMINGS)
+def test_shipped_default_cost_model_is_the_fit_output(shipped_cost_model_path, fit_tool):
+    fitted, _ = fit_tool.calibrate_cost_model(REFERENCE_TIMINGS)
     shipped = load_cost_model(shipped_cost_model_path)
     assert shipped.t_base == pytest.approx(fitted.t_base, abs=1e-9)
     assert shipped.beta == pytest.approx(fitted.beta, abs=1e-9)

@@ -1,14 +1,14 @@
-"""Golden digests: every CSV, SVG and trace JSON of small fixed-seed runs
-of all experiments.
+"""Golden digests: every CSV, SVG and trace points file of small
+fixed-seed runs of all experiments.
 
 Each case runs one CLI command and compares the sha256 of every file it
 writes, record.json aside (it holds the output path), with a pinned
 digest. So a refactor of the measurement path must keep every seed path,
 batch and circuit exactly as it was, and one of the artifact writers
 every byte it writes. The digests were captured with numpy 2.4 (its
-random streams and float formatting decide the bytes). A change that
-alters output bytes on purpose updates the affected digests and says so
-in CHANGES.md.
+random streams, float formatting and .npy header decide the bytes). A
+change that alters output bytes on purpose updates the affected digests
+and says so in CHANGES.md.
 """
 
 import hashlib
@@ -165,26 +165,24 @@ GOLDEN = {
     "vqe-mgd-eta": {
         "summary.csv":
             "27fde05dad93ce252b20d055a65fb3e8b1c972e3233cbda8b72438d92a6c9c8c",
+        "trace_points.npy":
+            "96a7a1bc73c8f732182f00b15eb5b0236691f1e2cbc2f7100458ec75a8ee20aa",
         "trace_rep0.csv":
             "60c6f58e2ff566c416bb65da42000b419a9e2d95760310ab1ff6deadfb3e346c",
-        "trace_rep0.json":
-            "83c861084beb9f269325dfaae0dcfd9fcf14cab44f6064718e9eebab6cd8aec4",
         "trace_rep0.svg":
             "bf456368ae40c820e070260f6fd04b4473190b44e0274c4ad8240cd4bc50d349",
     },
     "vqe-mgd-tflo": {
         "summary.csv":
             "0ba2fa131876efe2e30ddaf39d7668d549b48fba51f957df35e758cd245a04f5",
+        "trace_points.npy":
+            "427e7ab11bfcfc26706230866855619d7d727b355b2763d817fc98f32ba8775c",
         "trace_rep0.csv":
             "1b3f97cc932e4234f43b7e009d72e0e81e42a147562165b0a70ca46603eb25ce",
-        "trace_rep0.json":
-            "f9564f38d97f7f1ef83e21b3a4d8c539fd2cf825658fe2547de52011184651d2",
         "trace_rep0.svg":
             "b6c80a5c78cb6ce87dd9abf0009b474f56c9d547b5044e8a7aad53f6db3b510e",
         "trace_rep1.csv":
             "fb56334f6aaba4a6e2be3ff99fd8c15cd104227c7a9638c5a3437f8c0dbf351c",
-        "trace_rep1.json":
-            "87f8a50a50253c04dd9bdfa97550e41dd58c1d205b3d88c818aa326e9a8e56d5",
     },
     "vqe-speedup-sweep": {
         "speedup_sweep.csv":
@@ -195,24 +193,22 @@ GOLDEN = {
     "vqe-spsa": {
         "summary.csv":
             "2031a533f4e0d2b8fc61796c3d4b3c19aca6dd172037b8ad48c7230404632138",
+        "trace_points.npy":
+            "ea6d32e2cc550b045c870b9ea1f7db823d3dae0d74f4db503b93982c653cc95a",
         "trace_rep0.csv":
             "8f061595eb7a9d6c877f55423f09ac08bd77ca6998bbce91047c2aab307d8620",
-        "trace_rep0.json":
-            "6e82415d6f2b666619b533d8dd18b88121f77b8accae0b6b68b49a9274aab211",
         "trace_rep0.svg":
             "424ed8d00ca95e68187b9ea07d8fff5445f61ed8546ed297977ed6b6061c1f39",
         "trace_rep1.csv":
             "4c3dbcb4d1fd19d16dd7ef6e2a49e4498009806d9c3b68ded5cf806e86982851",
-        "trace_rep1.json":
-            "494355a51f4b5e76796382091e3619ccac6df1b01bb0f063d7816d73095e719b",
     },
     "vqe-spsa-none": {
         "summary.csv":
             "cd449b854096b7ce2fa4bf8598f133ecfe1867de1a44f9574f18ad072258ac98",
+        "trace_points.npy":
+            "9ad93a64e752acfb2f4d66dc75cde5ffab9e926333b035abb7d35cd18be108d9",
         "trace_rep0.csv":
             "2440f2ad2b3f1b3618689a6205e63b43223584feddf825475a8de5a35ef28bb9",
-        "trace_rep0.json":
-            "fa80bc3befb8855bd9fc083fea8c93c8bea45b5ef023ad558d7d1b0c6bc4f941",
         "trace_rep0.svg":
             "91d56fc0cfab0b9b79bd29d39cd292baf8079ddcb1a6358e6caeac880d99819e",
     },
@@ -245,4 +241,6 @@ def test_csv_digests(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_svg_and_trace_json_digests(name, tmp_path):
+    # every file but the CSVs: the SVGs, and vqe's trace_points.npy, which
+    # replaced the trace JSON files this test is named after
     assert split(run_case(name, tmp_path), csv=False) == split(GOLDEN[name], csv=False)

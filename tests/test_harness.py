@@ -435,14 +435,78 @@ def test_repeat_trace_does_not_depend_on_its_group(optimizer, points, tmp_path):
     for key, trace, other in zip(keys, group, reversed_group):
         alone, = _optimize(run, table, optimizer, 3, points, 200, [key])
         assert trace.to_csv() == alone.to_csv() == other.to_csv()
-        assert trace.to_json() == alone.to_json() == other.to_json()
+        assert trace.points.tobytes() == alone.points.tobytes() == other.points.tobytes()
     shots = [200, 50, 800]
     mixed = _optimize(run, table, optimizer, 3, points, shots, keys)
     assert mixed[0].to_csv() == group[0].to_csv()
     for key, n, trace in zip(keys, shots, mixed):
         alone, = _optimize(run, table, optimizer, 3, points, n, [key])
         assert trace.to_csv() == alone.to_csv()
-        assert trace.to_json() == alone.to_json()
+        assert trace.points.tobytes() == alone.points.tobytes()
+
+
+VQE_POINTS = ["vqe", "--pairs", "3", "--iterations", "4", "--shots", "200"]
+
+
+def vqe_points(tmp_path, name, *flags):
+    """The trace points array and the trace CSVs of one small vqe run."""
+    out = tmp_path / name
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # mgd's 3 points under-determine its surrogate
+        assert cli_main([*VQE_POINTS, *flags, "--out", str(out)]) == 0
+    record = json.loads((out / "record.json").read_text())
+    assert "trace_points.npy" in record["artifacts"]
+    traces = [read_csv(out / f"trace_rep{r}.csv") for r in range(record["metrics"]["repeats"])]
+    return out / "trace_points.npy", traces
+
+
+@pytest.mark.parametrize("optimizer", ["spsa", "mgd"])
+def test_trace_points_file_is_seeded_and_per_repeat(optimizer, tmp_path):
+    """trace_points.npy is one (repeats, iterations, points) array of
+    optimizers.POINT_DTYPE; two same-seed runs write the same bytes, and
+    repeat 0 of a two-repeat run is byte for byte a one-repeat run's."""
+    flags = ["--optimizer", optimizer, "--seed", "5"]
+    two, _ = vqe_points(tmp_path, "two", *flags, "--repeats", "2")
+    again, _ = vqe_points(tmp_path, "again", *flags, "--repeats", "2")
+    one, _ = vqe_points(tmp_path, "one", *flags)
+    assert two.read_bytes() == again.read_bytes()
+    points, alone = np.load(two), np.load(one)
+    assert points.dtype == alone.dtype == optimizers.POINT_DTYPE
+    assert points.shape == (2, 4, 3) and alone.shape == (1, 4, 3)
+    assert points[:1].tobytes() == alone.tobytes()
+    assert points[1].tobytes() != alone[0].tobytes()
+
+
+def test_trace_points_hold_what_the_optimizers_consumed(tmp_path):
+    """From trace_points.npy and the trace CSVs alone: SPSA's point 0 is
+    the centre and its value and raw are e_ni and e_raw bit for bit; each
+    MGD step's surrogate, refitted to its points and estimates with the
+    weights and ridge of their std_err, gives e_ni and e_raw within 1e-12
+    (not bit for bit: point - centre may differ from the drawn offset in
+    its last bit)."""
+    path, traces = vqe_points(tmp_path, "spsa", "--optimizer", "spsa", "--seed", "3",
+                              "--repeats", "2")
+    for points, trace in zip(np.load(path), traces):
+        column = {name: np.array([float(row[name]) for row in trace]) for name in trace[0]}
+        centre = points[:, 0]
+        for field, name in (("phi", "phi"), ("theta", "theta"), ("value", "e_ni"),
+                            ("raw", "e_raw")):
+            assert np.array_equal(centre[field], column[name]), field
+    path, traces = vqe_points(tmp_path, "mgd", "--optimizer", "mgd", "--seed", "3",
+                              "--repeats", "2", "--eta", "1.5")
+    l_scale = optimizers.MgdConfig(iterations=1).l
+    for points, trace in zip(np.load(path), traces):
+        column = {name: np.array([float(row[name]) for row in trace]) for name in trace[0]}
+        offsets = np.stack([points["phi"] - column["phi"][:, None],
+                            points["theta"] - column["theta"][:, None]], axis=-1)
+        variances = points["std_err"] ** 2
+        assert np.all(variances > 0)
+        mean_var = variances.mean(axis=1)
+        coeffs = optimizers._fit_surrogate(
+            offsets, np.stack([points["value"], points["raw"]]),
+            1.0 / np.maximum(variances, 1e-12 * mean_var[:, None]), mean_var / l_scale ** 2)
+        assert np.abs(coeffs[0, :, 0] - column["e_ni"]).max() < 1e-12
+        assert np.abs(coeffs[1, :, 0] - column["e_raw"]).max() < 1e-12
 
 
 def test_cli_end_to_end(tmp_path):
@@ -803,6 +867,14 @@ IMPOSSIBLE = {
                         "selection produced no pairs"),
     "calibration": ("vqe --calibration {missing}", "not found"),
     "cost-model": ("heatmap --cost-model {missing}", "not found"),
+    # read before any output, not after the CSVs and SVGs are written
+    "malformed-cost-model": ("heatmap --cost-model {malformed} --grid 4 --shots 100",
+                             "cannot read cost model"),
+    "malformed-cost-model-vqe": ("vqe --cost-model {malformed} --iterations 1",
+                                 "cannot read cost model"),
+    "out-file": ("heatmap --grid 4 --shots 100 --out {malformed}", "is not a directory"),
+    "out-under-file": ("heatmap --grid 4 --shots 100 --out {malformed}/sub",
+                       "is not a directory"),
     "malformed-calibration": ("vqe --calibration {malformed}", "fidelity 1.5 out of"),
     "heatmap-pairs": ("heatmap --pairs 40", "selection yields 33 pairs, requested 40"),
     "shots-sweep-pairs": ("shots-sweep --pairs 40", "selection yields 26 pairs, requested 40"),

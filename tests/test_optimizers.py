@@ -1,6 +1,5 @@
 """Optimizer tests: gain schedules, convergence, surrogate fitting, evaluators."""
 
-import json
 import math
 import tempfile
 import warnings
@@ -29,6 +28,7 @@ from parvqe.hubbard import (
 from parvqe.mitigation import measure_confusion
 from parvqe.optimizers import (
     IterationRecord,
+    POINT_DTYPE,
     MgdConfig,
     OptTrace,
     SpsaConfig,
@@ -41,10 +41,11 @@ from parvqe.optimizers import (
     oracle_batch_evaluator,
     oracle_evaluator,
     spsa_parallel_evaluator,
+    spsa_lockstep,
     spsa_run,
     _fit_surrogate,
 )
-from reference import fit_surrogate, trace_csv, trace_json
+from reference import fit_surrogate, trace_csv
 
 E_GROUND = exact_ground_energy()
 START = AnsatzParams(0.6, 0.8)
@@ -204,62 +205,95 @@ def test_mgd_offsets_are_the_uniform_draws():
                 delta_k = cfg.gains(k + 1)[0]
                 centre = np.array([trace.phi[k], trace.theta[k]])
                 expected = centre + reference.uniform(-delta_k, delta_k, size=(m, 2))
-                assert np.array_equal(trace.points[k], expected)
+                got = np.stack([trace.points["phi"][k], trace.points["theta"][k]], axis=-1)
+                assert np.array_equal(got, expected)
             assert stream.bit_generator.state == reference.bit_generator.state
 
 
-def test_trace_json_round_trips(tmp_path):
-    """A trace's JSON, one line from the C encoder, loads back to its
-    final parameters and records, and its records and CSV are its columns
-    read row by row: SPSA with exact energies, MGD with the sampled
-    points."""
+def test_trace_records_and_csv_are_its_columns(tmp_path):
+    """A trace's records and CSV are its columns read row by row, the
+    records' points the (phi, theta) of its points array: SPSA with exact
+    energies and its three points per iteration, MGD with its sampled
+    points and no exact energies."""
     spsa = spsa_run(SpsaConfig(iterations=4), oracle_evaluator(), START,
                     np.random.default_rng(1), exact_fn=EXACT)
     mgd = mgd_run(MgdConfig(iterations=3), oracle_batch_evaluator(), START, 8,
                   np.random.default_rng(2))
     for name, trace in (("spsa", spsa), ("mgd", mgd)):
-        text = trace.to_json()
-        assert text.count("\n") == 1 and text.endswith("\n")
-        payload = json.loads(text)
-        assert payload["final_params"] == {"phi": trace.final_params.phi,
-                                           "theta": trace.final_params.theta}
-        records = [IterationRecord(**{**r, "points": None if r["points"] is None
-                                      else tuple(map(tuple, r["points"]))})
-                   for r in payload["records"]]
-        assert tuple(records) == trace.records
         for field in IterationRecord._fields:
             column = getattr(trace, field)
-            want = [None] * len(trace.phi) if column is None else column.tolist()
-            if field == "points" and column is not None:
-                want = [tuple(map(tuple, p)) for p in want]
+            if field == "points":
+                want = [tuple(zip(p["phi"].tolist(), p["theta"].tolist())) for p in column]
+            else:
+                want = [None] * len(trace.phi) if column is None else column.tolist()
             assert [getattr(r, field) for r in trace.records] == want, field
         path = tmp_path / f"{name}.csv"
         write_csv(path, ["iteration", "phi", "theta", "e_raw", "e_ni", "e_exact"],
                   [trace.iteration, trace.phi, trace.theta, trace.e_raw, trace.e_ni,
                    [None] * len(trace.phi) if trace.e_exact is None else trace.e_exact])
         assert trace.to_csv() == path.read_text()
-    assert spsa.points is None and spsa.records[0].points is None
+    assert spsa.points.dtype == mgd.points.dtype == POINT_DTYPE
+    assert spsa.points.shape == (4, 3) and mgd.points.shape == (3, 8)
     assert mgd.e_exact is None and mgd.records[0].e_exact is None
-    assert mgd.points.shape == (3, 8, 2)
+
+
+def test_trace_points_hold_the_estimates_each_core_consumed():
+    """Every evaluated point's value, raw and std_err are the Estimates the
+    evaluator returned for it, in the order it was asked; SPSA's point 0
+    is the centre, and its value and raw are the trace's e_ni and e_raw."""
+    asked = []
+
+    def evaluate(batch):
+        asked.append(batch.copy())
+        value = closed_form_energy(batch[..., 0], batch[..., 1])
+        return Estimates(value=value + 0.01, std_err=np.full(value.shape, 0.02), raw=value)
+
+    runs = {"spsa": lambda streams: spsa_lockstep(SpsaConfig(iterations=3), evaluate,
+                                                  [START] * 2, streams),
+            "mgd": lambda streams: mgd_lockstep(MgdConfig(iterations=3), evaluate,
+                                                [START] * 2, 7, streams)}
+    for name, run in runs.items():
+        asked.clear()
+        traces = run([np.random.default_rng(s) for s in (4, 5)])
+        batches = np.stack(asked, axis=1)
+        for r, trace in enumerate(traces):
+            points = trace.points
+            assert points.shape == batches.shape[1:3]
+            assert np.array_equal(np.stack([points["phi"], points["theta"]], axis=-1),
+                                  batches[r])
+            assert np.array_equal(points["raw"],
+                                  closed_form_energy(points["phi"], points["theta"]))
+            assert np.array_equal(points["value"], points["raw"] + 0.01)
+            assert np.all(points["std_err"] == 0.02)
+            if name == "spsa":
+                centre = points[:, 0]
+                assert np.array_equal(centre["phi"], trace.phi)
+                assert np.array_equal(centre["theta"], trace.theta)
+                assert np.array_equal(centre["value"], trace.e_ni)
+                assert np.array_equal(centre["raw"], trace.e_raw)
 
 
 # any float a trace column may hold, the non-finite ones and -0.0 included
 trace_values = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
 
 
+def point_array(values, k, m):
+    """A (k, m) POINT_DTYPE array of 5 * k * m floats, field by field."""
+    return np.array(values, dtype=float).reshape(k, m, 5).view(POINT_DTYPE)[..., 0]
+
+
 @st.composite
 def traces(draw):
-    """An OptTrace of K = 1..5 iterations with any column values, e_exact
-    and points each None or an array, and m = 0..3 points per iteration."""
+    """An OptTrace of K = 1..5 iterations with any column and point
+    values, e_exact None or an array, and m = 0..3 points per iteration."""
     k, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
     column = st.lists(trace_values, min_size=k, max_size=k).map(np.array)
-    points = st.lists(trace_values, min_size=2 * k * m, max_size=2 * k * m).map(
-        lambda v: np.array(v, dtype=float).reshape(k, m, 2))
+    points = st.lists(trace_values, min_size=5 * k * m, max_size=5 * k * m).map(
+        lambda v: point_array(v, k, m))
     finite = st.floats(-10.0, 10.0)
     return OptTrace(phi=draw(column), theta=draw(column), e_raw=draw(column),
                     e_ni=draw(column), e_exact=draw(st.none() | column),
-                    points=draw(st.none() | points),
-                    final_params=AnsatzParams(draw(finite), draw(finite)))
+                    points=draw(points), final_params=AnsatzParams(draw(finite), draw(finite)))
 
 
 ONE_STEP = dict(phi=np.array([-0.0]), theta=np.array([math.inf]), e_raw=np.array([math.nan]),
@@ -267,20 +301,17 @@ ONE_STEP = dict(phi=np.array([-0.0]), theta=np.array([math.inf]), e_raw=np.array
 
 
 @given(traces())
-@example(OptTrace(**ONE_STEP, e_exact=None, points=None))
+@example(OptTrace(**ONE_STEP, e_exact=None, points=point_array([], 1, 0)))
 @example(OptTrace(**ONE_STEP, e_exact=np.array([0.1]),
-                  points=np.array([[[math.nan, -0.0], [math.inf, 2.5]]])))
+                  points=point_array([math.nan, -0.0, math.inf, 2.5, 0.0], 1, 1)))
 def test_trace_files_are_the_reference_serializers_bytes(trace):
-    """A trace's CSV is csv.writer's over its records, and its JSON is
-    json.dumps(payload, sort_keys=True)'s, NaN, Infinity, -0.0 and null
-    included, whether read from to_csv and to_json or written by write."""
+    """A trace's CSV is csv.writer's over its records, NaN, inf, -0.0 and
+    empty cells included, whether read from to_csv or written by write."""
     assert trace.to_csv() == trace_csv(trace)
-    assert trace.to_json() == trace_json(trace)
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path, json_path = Path(tmp, "t.csv"), Path(tmp, "t.json")
-        trace.write(csv_path, json_path)
+        csv_path = Path(tmp, "t.csv")
+        trace.write(csv_path)
         assert csv_path.read_bytes() == trace_csv(trace).encode()
-        assert json_path.read_bytes() == trace_json(trace).encode()
 
 
 # --- surrogate fitting ---

@@ -17,14 +17,16 @@ per pair per batch at 10,000 shots, the optimizer pair about 0.049 s at
 1,000 shots.
 
 Run from the repository root:  python tools/fit_cost_model.py
+(it needs scipy). The tests import calibrate_cost_model from here.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import nnls
 
-from parvqe.executor import calibrate_cost_model, save_cost_model
+from parvqe.executor import CostModel
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "parvqe" / "data" / "default_cost_model.json"
 
@@ -34,6 +36,48 @@ OBSERVATIONS = [
     (1, 150, 1000, 2, 245.0),
     (25, 150, 1000, 2, 420.0),
 ]
+
+
+class DegenerateCalibration(ValueError):
+    """Observations do not determine the cost model parameters."""
+
+
+def calibrate_cost_model(observations) -> tuple[CostModel, np.ndarray]:
+    """Fit (t_base, beta, tau, kappa) to observed timings by nonnegative
+    least squares.
+
+    observations: iterable of (pairs, batches, shots, settings, seconds).
+    The 4-column design needs full rank: the observations must span at
+    least 2 pair counts and 2 settings*shots values (with one value, beta
+    and kappa are collinear). Returns the model and the per-observation
+    residuals (predicted minus observed seconds).
+    """
+    obs = list(observations)
+    if len(obs) < 4:
+        raise DegenerateCalibration("need at least 4 observations")
+    if len({p for p, *_ in obs}) < 2:
+        raise DegenerateCalibration("observations must span at least 2 pair counts")
+    if len({settings * shots for _, _, shots, settings, _ in obs}) < 2:
+        raise DegenerateCalibration(
+            "observations must span at least 2 settings*shots values; with one, "
+            "the per-pair (beta) and readout-volume (kappa) terms are collinear")
+    design = np.array([[b, b * p, b * settings * shots, b * p * settings * shots]
+                       for p, b, shots, settings, _ in obs], dtype=float)
+    target = np.array([seconds for *_, seconds in obs], dtype=float)
+    if np.linalg.matrix_rank(design) < 4:
+        raise DegenerateCalibration("design matrix is rank deficient (need rank 4)")
+    coef, _ = nnls(design, target)
+    model = CostModel(t_base=float(coef[0]), beta=float(coef[1]), tau=float(coef[2]),
+                      kappa=float(coef[3]))
+    residuals = design @ coef - target
+    return model, residuals
+
+
+def save_cost_model(m: CostModel, path: str | Path) -> None:
+    with open(path, "w") as fh:
+        json.dump({"t_base": m.t_base, "beta": m.beta, "tau": m.tau, "kappa": m.kappa},
+                  fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def affine_fit(observations):

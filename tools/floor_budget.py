@@ -3,7 +3,7 @@
 For every benchmark workload (its argv read from benchmarks/run.py, as
 artifact_digest.py reads them), this process runs
 `parvqe.cli.main(argv --seed S --out DIR)` once to capture its draws and
-artifacts, --repeats times untouched and --repeats times with three
+artifacts, --repeats times untouched and --repeats times with four
 layers timed, and prints one line with the median of main(argv) and:
 
 - draws: every run_batch call's per-group multinomial draws, replayed at
@@ -11,8 +11,10 @@ layers timed, and prints one line with the median of main(argv) and:
   today's stream layout;
 - repr: repr() of each distinct float in the run's CSV and JSON
   artifacts, the floor under today's formats;
-- the medians of three layers: the pair matching (max_weight_matching),
-  batch planning (plan_batches) and the whole parse step (cli.parse).
+- the medians of four layers: the pair matching (max_weight_matching),
+  batch planning (plan_batches), the whole parse step (cli.parse) and the
+  artifact writes (harness.write_csv, OptTrace.write and np.save; the
+  SVG plots are not in it).
 
 The draws and repr floors are the fastest of --repeats replays. Before
 the workloads, one line gives the import floor: the median spawn-to-ready
@@ -55,11 +57,14 @@ from artifact_digest import workload_argv  # noqa: E402
 from parvqe import cli, harness, optimizers  # noqa: E402
 from parvqe.simulator import apply_terms  # noqa: E402
 
-# (module, name, layer): the module globals main(argv) calls each layer by
+# (module or class, name, layer): the bindings main(argv) calls each layer by
 LAYERS = [(harness, "max_weight_matching", "matching"),
           (harness, "plan_batches", "plan"),
           (optimizers, "plan_batches", "plan"),
-          (cli, "parse", "parse")]
+          (cli, "parse", "parse"),
+          (harness, "write_csv", "write"),
+          (optimizers.OptTrace, "write", "write"),
+          (np, "save", "write")]
 
 
 @contextlib.contextmanager
