@@ -23,8 +23,9 @@ repeat draws all K steps' directions (SPSA) or unit offsets (MGD) from
 its own stream in one call before the first step, MGD fits every
 repeat's surrogate to both value columns (noise-inverted and raw) in one
 batched solve, and each step appends one (R,) column per trace field and
-its (R, m) points with their estimates, so an OptTrace holds (K,) columns
-over its K iterations and a (K, m) array of every point it evaluated.
+fills its (R, m) slice of one (R, K, m) array of the points evaluated and
+their estimates, so an OptTrace holds (K,) columns over its K iterations
+and a (K, m) array of every point it evaluated.
 `spsa_run` and `mgd_run` run one repeat on a batch evaluator, (m, 2)
 points -> one Estimates with (m,) fields, through one shared adapter;
 every evaluator in the package speaks that contract, in its one-repeat
@@ -200,18 +201,21 @@ LockstepEvaluator = Callable[[np.ndarray], Estimates]
 ExactCentres = Callable[[np.ndarray], Sequence[float]]
 
 
-def _traces(steps, final: np.ndarray, exact: ExactCentres | None) -> list[OptTrace]:
-    """One trace per repeat from the steps' columns over all R repeats:
-    per step the (R, 2) centres, the (R,) e_raw and e_ni, the (R, m, 2)
-    points evaluated and the Estimates read there, with (R, m) fields,
-    each stacked along a new iteration axis. The exact energies (None
-    without an oracle) come from one call of exact over every repeat's
-    (K, 2) centres."""
-    centres, e_raw, e_ni, batch, value, std_err, raw = (
-        np.stack(col, axis=1) for col in zip(*steps))
-    points = np.empty(value.shape, POINT_DTYPE)
+def _record(points: np.ndarray, batch: np.ndarray, est: Estimates) -> None:
+    """Fill one step's (R, m) slice of the points array from the (R, m, 2)
+    points evaluated and the Estimates read there."""
     points["phi"], points["theta"] = batch[..., 0], batch[..., 1]
-    points["value"], points["raw"], points["std_err"] = value, raw, std_err
+    points["value"], points["std_err"], points["raw"] = est
+
+
+def _traces(steps, points: np.ndarray, final: np.ndarray,
+            exact: ExactCentres | None) -> list[OptTrace]:
+    """One trace per repeat from the steps' columns over all R repeats:
+    per step the (R, 2) centres and the (R,) e_raw and e_ni, each stacked
+    along a new iteration axis, and the (R, K, m) points array. The exact
+    energies (None without an oracle) come from one call of exact over
+    every repeat's (K, 2) centres."""
+    centres, e_raw, e_ni = (np.stack(col, axis=1) for col in zip(*steps))
     e_exact = (None if exact is None else
                np.asarray(exact(centres.reshape(-1, 2)), dtype=float).reshape(e_raw.shape))
     return [OptTrace(phi=centres[r, :, 0], theta=centres[r, :, 1], e_raw=e_raw[r],
@@ -244,17 +248,18 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     directions = _SIGNS[np.array([stream.integers(0, 2, size=(cfg.iterations, 2))
                                   for stream in streams], dtype=int)
                         .reshape(len(theta), cfg.iterations, 2)]
-    steps = []
+    steps, points = [], np.empty((len(theta), cfg.iterations, 3), POINT_DTYPE)
     for k in range(1, cfg.iterations + 1):
         a_k, c_k = cfg.gains(k)
         delta = directions[:, k - 1]
         batch = np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1)
         est = evaluate(batch)
-        steps.append((theta, est.raw[:, 0], est.value[:, 0], batch, *est))
+        _record(points[:, k - 1], batch, est)
+        steps.append((theta, est.raw[:, 0], est.value[:, 0]))
         e_diff = est.value[:, 1] - est.value[:, 2]
         grad = (e_diff / (2.0 * c_k))[:, None] * delta   # 1/delta_i == delta_i
         theta = theta - a_k * grad
-    return _traces(steps, theta, exact)
+    return _traces(steps, points, theta, exact)
 
 
 def _one_repeat(evaluator: BatchEvaluator) -> LockstepEvaluator:
@@ -325,7 +330,7 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
     theta = np.array([[s.phi, s.theta] for s in starts], dtype=float)
     unit = np.array([stream.random((cfg.iterations, points, 2)) for stream in streams]
                     ).reshape(len(theta), cfg.iterations, points, 2)
-    steps = []
+    steps, points = [], np.empty(unit.shape[:3], POINT_DTYPE)
     for k in range(1, cfg.iterations + 1):
         delta_k, gamma_k = cfg.gains(k)
         # uniform(low, high) is low + (high - low) * random()
@@ -340,9 +345,10 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
         ridge = np.where(noiseless, 0.0, mean_var / cfg.l ** 2)
         coeffs, raw_coeffs = _fit_surrogate(offsets, np.stack([est.value, est.raw]),
                                             weights, ridge)
-        steps.append((theta, raw_coeffs[:, 0], coeffs[:, 0], batch, *est))
+        _record(points[:, k - 1], batch, est)
+        steps.append((theta, raw_coeffs[:, 0], coeffs[:, 0]))
         theta = theta - gamma_k * coeffs[:, 1:3]
-    return _traces(steps, theta, exact)
+    return _traces(steps, points, theta, exact)
 
 
 def mgd_run(cfg: MgdConfig, evaluator: BatchEvaluator, start: AnsatzParams,

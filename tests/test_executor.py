@@ -758,6 +758,10 @@ def test_predict_wall_time_example_with_kappa():
             ) == pytest.approx(16 * 0.54 * 24)
     with pytest.raises(ValueError):
         CostModel(t_base=10.0, beta=0.5, tau=1e-4, kappa=-1e-6)
+    # a NaN or infinite parameter would model NaN or infinite times
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CostModel(t_base=bad, beta=0.5, tau=1e-4)
 
 
 def test_predict_wall_time_monotonic():
