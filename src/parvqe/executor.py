@@ -1,25 +1,16 @@
 """Batched execution of pair circuits, energy estimation and cost modelling.
 
-A run compiles its selected pairs once into a PairTable: per pair the
-depolarizing probabilities, the readout map, the kernel's angle-free
-terms without and with crosstalk, and the estimation coefficients
-(noise-inverted when NI is on). A batch assigns ansatz
-parameters to vertex-disjoint rows of the table and runs both
+A run compiles its selected pairs once into a PairTable. A batch assigns
+ansatz parameters to vertex-disjoint rows of the table and runs both
 measurement settings on every row. Every run is a list of groups of such
 batches, one group per key path (an optimizer repeat, a command's
 measurement stage), each with the one generator that key path keeps for
-its whole run. A layout of groups is checked and gathered once into a
-BatchPlan (plan_batches): its shot counts, each batch's checks, and each
-row's kernel terms (taken from the table by its crosstalk flag) and
-estimation inputs. Every run_batch call on the plan then only checks its angles
-and streams: all its batches are simulated in one vectorized pass (only
-a and sin^2 phi are computed per call), each group's histograms
-come from one multinomial draw on its generator, in batch order, and the
-plan estimates energies as arrays, so execution is deterministic and
-holds no per-pair objects: a call's counts come back as one array of
-records over its rows, a view of the count array. Each batch keeps its
-own checks and crosstalk flags, so a key path's counts depend only on
-its own batches, in order, never on the groups beside it.
+its whole run. plan_batches checks and gathers a layout of groups once
+into a BatchPlan, and every run_batch call on it simulates all its
+batches in one vectorized pass, holding no per-pair objects, and draws
+each group's histograms in one multinomial draw on its generator, in
+batch order. Each batch keeps its own crosstalk flags, so a key path's
+counts depend only on its own batches, never on the groups beside it.
 
 Wall-clock time of a batched run on a remote device is modelled, not
 measured, as
@@ -187,14 +178,11 @@ def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
         raise ValueError(f"{len(groups)} groups but {len(shots)} shot counts")
     if min(shots) < 1:
         raise ValueError("shots must be >= 1")
-    groups = [[np.asarray(batch, dtype=int) for batch in group] for group in groups]
-    for group in groups:
-        if not group:
-            raise ValueError("each group needs at least one batch")
-        for batch in group:
-            if batch.ndim != 1 or len(batch) == 0:
-                raise ValueError("each batch needs a non-empty array of rows")
-    batches = [batch for group in groups for batch in group]
+    if any(len(group) == 0 for group in groups):
+        raise ValueError("each group needs at least one batch")
+    batches = [np.asarray(batch, dtype=int) for group in groups for batch in group]
+    if any(batch.ndim != 1 or len(batch) == 0 for batch in batches):
+        raise ValueError("each batch needs a non-empty array of rows")
     rows = np.concatenate(batches)
     sizes = [len(batch) for batch in batches]
     # one sort of the (batch index, qubit) keys finds a qubit used twice in a batch
@@ -256,6 +244,16 @@ def aggregate_same_params(est: Estimates) -> Estimates:
     return Estimates(value=est.value.mean(axis=-1),
                      std_err=np.sqrt(np.sum(est.std_err ** 2, axis=-1)) / n,
                      raw=est.raw.mean(axis=-1))
+
+
+def width_runs(widths: list[int]) -> list[tuple[int, int, int]]:
+    """(w, lo, hi) per run of consecutive equal widths w, in order, where
+    entry r of a layout holds widths[r] rows and the run's entries hold
+    rows lo:hi (m*lo:m*hi when each holds m batches of them). Pooling a run
+    as one (entries, m, w) block keeps mean's summation order."""
+    ends = list(accumulate(widths, initial=0))
+    firsts = [r for r, w in enumerate(widths) if r == 0 or w != widths[r - 1]]
+    return [(widths[a], ends[a], ends[b]) for a, b in zip(firsts, firsts[1:] + [len(widths)])]
 
 
 def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,

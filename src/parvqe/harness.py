@@ -38,6 +38,7 @@ from .executor import (
     load_cost_model,
     plan_batches,
     predict_wall_time,
+    width_runs,
 )
 from .hubbard import (
     AnsatzParams,
@@ -47,7 +48,7 @@ from .hubbard import (
     exact_ground_energy,
     optimal_params,
 )
-from .mitigation import ConfusionMatrix, measure_confusions, tflo_correct
+from .mitigation import measure_confusions, tflo_correct
 from .optimizers import (
     MgdConfig,
     OptTrace,
@@ -226,16 +227,14 @@ def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
 
 class _Run:
     """What every experiment sets up first (clock, output directory, Hubbard
-    parameters and ground energy, cost model, calibration, the compiled
-    pair tables and the confusion matrices measured for them) and its
-    write-record-then-print ending."""
+    parameters and ground energy, cost model, calibration and its one
+    compiled pair table) and its write-record-then-print ending."""
 
     def __init__(self, cfg: ExperimentConfig, cost: bool = False):
         self.cfg = cfg
         self.t_start = time.perf_counter()
         self.h = HubbardParams()
         self.e0 = exact_ground_energy(self.h)
-        self.confusions: dict[Pair, ConfusionMatrix] = {}
         # read up front when the command models times, so a bad model leaves no output
         self.cost: CostModel | None = None
         if cost:
@@ -275,19 +274,17 @@ class _Run:
 
     def pair_table(self, pairs, ni: bool = True) -> PairTable:
         """The pairs compiled for every later batch on them; with ni, their
-        estimates are noise-inverted by each pair's confusion matrix,
-        measured on the pair's own stream the first time a table of the run
-        holds it: a table's new pairs are measured as one stack, and a
-        rejected stack adds none of them."""
+        estimates are noise-inverted by each pair's confusion matrix. The
+        matrices are measured as one stack, each pair on its own stream, so
+        a pair's matrix does not depend on the other pairs of the table."""
         cfg = self.cfg
-        new = [pair for pair in pairs if pair not in self.confusions] if ni else []
-        if new:
-            readouts = np.array([self.topology.pair_readout(pair) for pair in new])
-            self.confusions.update(zip(new, measure_confusions(
+        confusions = None
+        if ni:
+            readouts = np.array([self.topology.pair_readout(pair) for pair in pairs])
+            confusions = dict(zip(pairs, measure_confusions(
                 readouts, cfg.confusion_shots,
-                [derive_rng(cfg.seed, _NS_CONFUSION, *pair) for pair in new])))
-        return compile_pairs(self.topology, pairs, self.h, self.confusions if ni else None,
-                             cfg.crosstalk_p)
+                [derive_rng(cfg.seed, _NS_CONFUSION, *pair) for pair in pairs])))
+        return compile_pairs(self.topology, pairs, self.h, confusions, cfg.crosstalk_p)
 
     def finish(self, command: str, metrics: dict, artifacts: list[str],
                summary: str) -> RunRecord:
@@ -323,26 +320,29 @@ def _measure(run: _Run, table: PairTable, groups, phi, theta, key_paths,
 
 
 def _final_points(run: _Run, table: PairTable, finals: list[AnsatzParams],
-                  keys) -> dict[str, np.ndarray]:
-    """Mitigation levels of each final params measured on every row of the
-    table, with its phi=0 reference, pooled over the rows: one
+                  keys, widths: list[int]) -> dict[str, np.ndarray]:
+    """Mitigation levels of each final params measured on the table's first
+    widths[i] rows, with its phi=0 reference, pooled over those rows: one
     (len(finals),) column per level. All finals share one _measure call,
     and finals[i] draws from its own stream, keyed by keys[i]."""
-    n = len(table.pairs)
-    levels = _measure(run, table, [[np.arange(n)]] * len(finals),
-                      np.repeat([f.phi for f in finals], n),
-                      np.repeat([f.theta for f in finals], n),
+    levels = _measure(run, table, [[np.arange(w)] for w in widths],
+                      np.repeat([f.phi for f in finals], widths),
+                      np.repeat([f.theta for f in finals], widths),
                       [(_NS_FINAL, key) for key in keys], tflo=True)
-    return {level: v.reshape(len(finals), n).mean(axis=1) for level, v in levels.items()}
+    return {level: np.concatenate([v[lo:hi].reshape(-1, w).mean(axis=1)
+                                   for w, lo, hi in width_runs(widths)])
+            for level, v in levels.items()}
 
 
 def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
               key_paths, start=ExperimentConfig.start) -> list[OptTrace]:
     """SPSA or surrogate-descent runs from `start` (only vqe sets it), one
     per key path, in lockstep on the evaluator that matches the optimizer's
-    parallelism, at `shots` shots each (or shots[i] for key path i). Each
-    run's evaluator seed and optimizer stream derive from its own key path,
-    so its trace does not depend on the runs beside it."""
+    parallelism, at `shots` shots each (or shots[i] for key path i). MGD
+    spreads `points` points per iteration over the table's rows; SPSA pools
+    each point over the table's first `points` rows (or points[i] for key
+    path i). Each run's evaluator seed and optimizer stream derive from its
+    own key path, so its trace does not depend on the runs beside it."""
     cfg, h = run.cfg, run.h
     eval_seeds = [derive_seed(cfg.seed, _NS_EVAL, *keys) for keys in key_paths]
     streams = [derive_rng(cfg.seed, _NS_OPT, *keys) for keys in key_paths]
@@ -350,7 +350,7 @@ def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
     exact = lambda centres: closed_form_energy(centres[:, 0], centres[:, 1], h)
     if optimizer == "spsa":
         return spsa_lockstep(SpsaConfig(iterations=iterations),
-                             spsa_parallel_evaluator(table, shots, eval_seeds), starts,
+                             spsa_parallel_evaluator(table, shots, eval_seeds, points), starts,
                              streams, exact)
     return mgd_lockstep(MgdConfig(iterations=iterations),
                         batch_pair_evaluator(table, shots, eval_seeds), starts, points,
@@ -522,14 +522,9 @@ def modeled_vqe_wall_times(cost: CostModel, optimizer: str, pairs: int,
     iteration: ceil(points/pairs) batches in parallel, `points` sequential
     batches on a single pair.
     """
-    if optimizer == "spsa":
-        batches = 3 * iterations
-        return (predict_wall_time(cost, pairs, batches, shots),
-                predict_wall_time(cost, 1, batches, shots))
-    batches_parallel = iterations * math.ceil(points / pairs)
-    batches_single = iterations * points
-    return (predict_wall_time(cost, pairs, batches_parallel, shots),
-            predict_wall_time(cost, 1, batches_single, shots))
+    parallel, single = (3, 3) if optimizer == "spsa" else (math.ceil(points / pairs), points)
+    return (predict_wall_time(cost, pairs, iterations * parallel, shots),
+            predict_wall_time(cost, 1, iterations * single, shots))
 
 
 def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
@@ -549,14 +544,15 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     traces = _optimize(run, table, cfg.optimizer, iterations, points, cfg.shots,
                        [(rep,) for rep in range(cfg.repeats)], cfg.start)
     final_params = [trace.final_params for trace in traces]
-    finals = _final_points(run, table, final_params, range(cfg.repeats))
+    finals = _final_points(run, table, final_params, range(cfg.repeats),
+                           [len(pairs)] * cfg.repeats)
     artifacts = []
     for rep, trace in enumerate(traces):
         trace_path = run.out_dir / f"trace_rep{rep}.csv"
         trace.write(trace_path)
         artifacts.append(trace_path.name)
     points_path = run.out_dir / "trace_points.npy"
-    np.save(points_path, np.stack([trace.points for trace in traces]))
+    np.save(points_path, traces[0].points.base)     # every repeat's points, uncopied
     artifacts.append(points_path.name)
     trace = traces[0]
     its = trace.iteration.tolist()
@@ -682,7 +678,9 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
 
 def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     """Final accuracy of both optimizers across pair counts (medians over
-    repeats of the fully corrected final energy)."""
+    repeats of the fully corrected final energy), all on one table of the
+    largest count's greedy pairs: greedy order is a prefix order, so a
+    count of p runs on the table's first p rows."""
     run = _Run(cfg)
     plans = {"spsa": {"iterations": 20, "repeats": 4},
              "mgd": {"iterations": 10, "repeats": 5}}
@@ -691,30 +689,37 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     if max(cfg.pair_counts) > len(greedy):
         raise InputError(f"pair count {max(cfg.pair_counts)} exceeds the {len(greedy)} "
                          "pairs greedy selection provides")
+    table = run.pair_table(greedy[:max(cfg.pair_counts)])
 
-    runs, summary = [], []   # per (optimizer, p): its compare_runs.csv columns, summary row
-    for p_count in cfg.pair_counts:
-        pairs = greedy[:p_count]
-        table = run.pair_table(pairs)
-        for index, (name, plan) in enumerate(plans.items()):
-            repeats = range(plan["repeats"])
-            traces = _optimize(run, table, name, plan["iterations"], len(pairs), cfg.shots,
-                               [(p_count, rep, index) for rep in repeats])
-            finals = [trace.final_params for trace in traces]
-            tflo_ni = _final_points(run, table, finals,
-                                    [1000 * p_count + 10 * rep + index
-                                     for rep in repeats])["tflo_ni"]
-            errs = np.abs(tflo_ni - run.e0)
-            runs.append(([name] * len(finals), [p_count] * len(finals), repeats,
-                         [f.phi for f in finals], [f.theta for f in finals],
-                         tflo_ni.tolist(), errs.tolist()))
-            summary.append((name, p_count, _median(errs), float(errs.min()),
-                            float(errs.max())))
+    # the key paths (p, rep, index) of each (p, optimizer), in output order
+    keys = {(p, name): [(p, rep, index) for rep in range(plan["repeats"])]
+            for p in cfg.pair_counts for index, (name, plan) in enumerate(plans.items())}
+    # every spsa run in one lockstep call, each pooling over its first p
+    # rows; mgd spreads p points per iteration, so one call per count
+    spsa = [key for p in cfg.pair_counts for key in keys[p, "spsa"]]
+    traces = dict(zip(spsa, _optimize(run, table, "spsa", plans["spsa"]["iterations"],
+                                      [p for p, _, _ in spsa], cfg.shots, spsa)))
+    for p in cfg.pair_counts:
+        traces.update(zip(keys[p, "mgd"], _optimize(run, table, "mgd",
+                                                    plans["mgd"]["iterations"], p,
+                                                    cfg.shots, keys[p, "mgd"])))
+    ordered = [key for group in keys.values() for key in group]
+    finals = [traces[key].final_params for key in ordered]
+    tflo_ni = _final_points(run, table, finals,
+                            [1000 * p + 10 * rep + index for p, rep, index in ordered],
+                            [p for p, _, _ in ordered])["tflo_ni"]
+    errs = np.abs(tflo_ni - run.e0)
+    ends = np.cumsum([len(group) for group in keys.values()])
+    summary = [(name, p, _median(e), float(e.min()), float(e.max()))
+               for (p, name), e in zip(keys, np.split(errs, ends[:-1]))]
 
     runs_path = run.out_dir / "compare_runs.csv"
     write_csv(runs_path, ["optimizer", "p", "repeat", "final_phi", "final_theta",
                           "final_tflo_ni", "final_abs_err"],
-              [[v for block in column for v in block] for column in zip(*runs)])
+              [[name for (_, name), group in keys.items() for _ in group],
+               [p for p, _, _ in ordered], [rep for _, rep, _ in ordered],
+               [f.phi for f in finals], [f.theta for f in finals],
+               tflo_ni.tolist(), errs.tolist()])
     # the summary is built a row per (optimizer, p); write_csv takes its columns
     summary_path = run.out_dir / "compare_summary.csv"
     write_csv(summary_path, ["optimizer", "p", "median_abs_err",

@@ -15,36 +15,24 @@ Two optimizers are provided, each matched to a form of parallelism:
   ridge prior scale set by the config's `l`.
 
 Each optimizer has one lockstep core (`spsa_lockstep`, `mgd_lockstep`)
-that advances R independent repeats together: every step asks the
-evaluator once for the (R, m) points of all repeats and reads back one
-Estimates with (R, m) fields, so the executor-backed evaluators run them
-in one kernel call. Neither core loops over repeats within a step: each
-repeat draws all K steps' directions (SPSA) or unit offsets (MGD) from
-its own stream in one call before the first step, MGD fits every
-repeat's surrogate to both value columns (noise-inverted and raw) in one
-batched solve, and each step appends one (R,) column per trace field and
-fills its (R, m) slice of one (R, K, m) array of the points evaluated and
-their estimates, so an OptTrace holds (K,) columns over its K iterations
-and a (K, m) array of every point it evaluated.
-`spsa_run` and `mgd_run` run one repeat on a batch evaluator, (m, 2)
-points -> one Estimates with (m,) fields, through one shared adapter;
-every evaluator in the package speaks that contract, in its one-repeat
-or its lockstep form.
+that advances R independent repeats together, with no loop over repeats
+within a step: every step asks the evaluator once for the (R, m) points
+of all repeats and reads back one Estimates with (R, m) fields, so the
+executor-backed evaluators run them in one kernel call. `spsa_run` and
+`mgd_run` run one repeat on a batch evaluator, (m, 2) points -> one
+Estimates with (m,) fields; every evaluator in the package speaks that
+contract, in its one-repeat or its lockstep form.
 
-Both executor-backed evaluators batch through `batch_pair_evaluator`,
-which spreads points over the table's rows; SPSA's same-parameters
-evaluator is its pooled view over points repeated once per row. The
-evaluator plans its batch layout (`plan_batches`) on its first call, so
-every later step only simulates, draws and estimates in one `run_batch`
-call.
-Optimizer randomness comes only from the injected streams, one per
-repeat, and each evaluator keeps one shot stream and one shot count per
-repeat for its whole run, from which every call draws that repeat's
-batches in order; so a repeat's trace does not depend on R or on the
-repeats beside it, nor on their shot counts.
-Exact-energy diagnostics recorded in the trace never feed back into the
-updates: they are computed once per run, over every repeat's centres,
-after the last step.
+`batch_pair_evaluator` spreads each repeat's points over the table's
+rows; `spsa_parallel_evaluator` runs each point of repeat r on the
+table's first widths[r] rows and pools them, so runs of several pair
+counts share one table and one lockstep call. Each plans its layout on
+its first call. Optimizer randomness comes only from the injected
+streams, one per repeat, and each evaluator draws a repeat's batches
+from that repeat's own generator, at its own shot count, so a repeat's
+trace does not depend on R or on the repeats beside it. Exact-energy
+diagnostics recorded in the trace never feed back into the updates:
+they are computed once per run, after the last step.
 """
 
 from __future__ import annotations
@@ -63,6 +51,7 @@ from .executor import (
     aggregate_same_params,
     plan_batches,
     run_batch,
+    width_runs,
 )
 from .hubbard import AnsatzParams, HubbardParams, exact_energy
 from .records import Record
@@ -152,7 +141,8 @@ class OptTrace(Record, frozen=True, eq=False):
     (phi, theta), the raw and noise-inverted estimates there and the exact
     energy (None without an oracle); and `points`, the (K, m) POINT_DTYPE
     array of every point evaluated at each iteration with its estimates
-    (for SPSA the centre, then the plus and minus points)."""
+    (for SPSA the centre, then the plus and minus points), a view of the
+    (R, K, m) array its lockstep core filled for all repeats (its base)."""
 
     phi: np.ndarray
     theta: np.ndarray
@@ -264,10 +254,7 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
 
 def _one_repeat(evaluator: BatchEvaluator) -> LockstepEvaluator:
     """A batch evaluator as the lockstep evaluator of one repeat."""
-    def evaluate(points: np.ndarray) -> Estimates:
-        return Estimates(*(a[None] for a in evaluator(points[0])))
-
-    return evaluate
+    return lambda points: Estimates(*(a[None] for a in evaluator(points[0])))
 
 
 def spsa_run(cfg: SpsaConfig, evaluator: BatchEvaluator, start: AnsatzParams,
@@ -402,26 +389,36 @@ def batch_pair_evaluator(table: PairTable, shots,
     return evaluate
 
 
-def spsa_parallel_evaluator(table: PairTable, shots,
-                            seeds: Sequence[int]) -> LockstepEvaluator:
+def spsa_parallel_evaluator(table: PairTable, shots, seeds: Sequence[int],
+                            widths=None) -> LockstepEvaluator:
     """Same-parameters parallelism for R repeats with evaluator seeds
-    seeds[r], at shots[r] shots each (one int for all): the pooled view of
-    batch_pair_evaluator. Each point is repeated once per table row, so its
-    copies fill exactly one batch of every row at that point's angles,
-    drawn from its repeat's generator as batch_pair_evaluator draws it,
-    and that batch's row estimates are pooled (their mean, with errors in
-    quadrature). A one-row table has nothing to pool: its evaluator is
-    batch_pair_evaluator itself, whose value and raw are bit for bit the
-    pooled ones and whose std_err is the row's own."""
-    spread = batch_pair_evaluator(table, shots, seeds)
+    seeds[r], at shots[r] shots each (one int for all): each point of
+    repeat r is one batch on the table's first widths[r] rows (one int for
+    all; every row by default), drawn from default_rng(seeds[r]) as
+    batch_pair_evaluator draws, and its row estimates are pooled (their
+    mean, errors in quadrature). A one-row table has nothing to pool: its
+    evaluator is batch_pair_evaluator itself, whose value and raw are bit
+    for bit the pooled ones and whose std_err is the row's own."""
     n = len(table.pairs)
+    widths = np.broadcast_to(n if widths is None else widths, len(seeds)).tolist()
+    if not all(1 <= w <= n for w in widths):
+        raise ValueError(f"row widths must lie in [1, {n}], got {widths}")
     if n == 1:
-        return spread
+        return batch_pair_evaluator(table, shots, seeds)
+    streams = [np.random.default_rng(seed) for seed in seeds]
+    runs = width_runs(widths)
+    plans: dict[int, BatchPlan] = {}
 
     def evaluate(points: np.ndarray) -> Estimates:
-        repeats, m = points.shape[:2]
-        est = spread(np.repeat(points, n, axis=1))
-        return aggregate_same_params(Estimates(*(a.reshape(repeats, m, n) for a in est)))
+        m = points.shape[1]
+        plan = plans.get(m)
+        if plan is None:
+            plan = plans[m] = plan_batches(table, [[np.arange(w)] * m for w in widths], shots)
+        flat = np.repeat(points.reshape(-1, 2), np.repeat(widths, m), axis=0)
+        est = measure_batch(plan, flat[:, 0], flat[:, 1], streams)
+        pooled = [aggregate_same_params(Estimates(*(a[m * lo:m * hi].reshape(-1, m, w)
+                                                    for a in est))) for w, lo, hi in runs]
+        return Estimates(*map(np.concatenate, zip(*pooled)))
 
     return evaluate
 

@@ -61,6 +61,9 @@ CASES = {
                          "--mitigation", "none", "--cap", "0.9", "--small"],
     "optimizer-compare": ["optimizer-compare", "--seed", "6", "--shots", "100",
                           "--pair-counts", "2,3"],
+    # one shared table: a count of one row, counts of 9 and 25 rows, crosstalk
+    "optimizer-compare-prefix": ["optimizer-compare", "--seed", "3", "--shots", "200",
+                                 "--pair-counts", "25,1,9", "--crosstalk", "0.05"],
 }
 
 GOLDEN = {
@@ -143,6 +146,14 @@ GOLDEN = {
             "a94bfde62a503c51ac8d3d5dfebe2ab31441079b52fd918ecd47b843fec78b95",
         "compare_summary.svg":
             "ca4d99d911d87b12b3e415bc5a461b8f41144456e10716670613545392f30acc",
+    },
+    "optimizer-compare-prefix": {
+        "compare_runs.csv":
+            "a4544e831882c76890a7df2176805654569b270a37802481ca50db6997199b5b",
+        "compare_summary.csv":
+            "905689ce0653d32e26a4433c9310c942fe11a12279f429e033a578d355574052",
+        "compare_summary.svg":
+            "f1eb9322b51bc883d4ebeee538723d23d5ddfa7dc941490d6739869caf120662",
     },
     "shots-sweep": {
         "shots_summary.csv":

@@ -267,48 +267,52 @@ def count_calls(monkeypatch, module, name, calls, weight=lambda *args: 1):
 
 def test_readme_scale_runs_measure_once(tmp_path, monkeypatch):
     # shots-sweep runs its 3 shot counts as lockstep repeats of one
-    # optimizer run, one run_batch call per iteration for all of them, and
-    # optimizer-compare measures each of the 25 greedy pairs' confusion
-    # once, however many of its pair counts hold the pair; confusions are
+    # optimizer run, one run_batch call per iteration for all of them.
+    # optimizer-compare compiles one table for its largest count and
+    # measures each of its 25 pairs' confusion once; all 24 spsa runs
+    # share one lockstep call (20 run_batch calls), mgd runs once per count
+    # (6 calls of 10) and every final point shares one _final_points call
+    # (2 run_batch calls: the points and their references). Confusions are
     # counted as the matrices measured, one per readout handed to
     # measure_confusions
     calls = []
-    for module, name in ((optimizers, "run_batch"), (harness, "_optimize")):
+    for module, name in ((optimizers, "run_batch"), (harness, "_optimize"),
+                         (harness, "_final_points"), (harness, "compile_pairs")):
         count_calls(monkeypatch, module, name, calls)
     count_calls(monkeypatch, harness, "measure_confusions", calls,
                 weight=lambda readouts, *args: len(readouts))
+    expected = {"shots-sweep": {"run_batch": 50, "measure_confusions": 26, "_optimize": 1,
+                                "compile_pairs": 1},
+                "optimizer-compare": {"run_batch": 82, "measure_confusions": 25,
+                                      "_optimize": 7, "_final_points": 1,
+                                      "compile_pairs": 1}}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for command in ("shots-sweep", "optimizer-compare"):
+        for command, counts in expected.items():
             calls.clear()
             assert cli_main([command, "--seed", "7", "--out", str(tmp_path / command)]) == 0
-            counts = {name: calls.count(name) for name in set(calls)}
-            if command == "shots-sweep":
-                assert counts == {"run_batch": 50, "measure_confusions": 26, "_optimize": 1}
-            else:
-                assert counts["measure_confusions"] == 25
+            assert {name: calls.count(name) for name in set(calls)} == counts, command
 
 
-def test_rejected_confusion_stack_leaves_run_confusions_unchanged(tmp_path):
-    """A table whose new pairs hold one ill-conditioned confusion measures
-    none of them: the run keeps the confusions it had, and a later table
-    measures each good pair as it would have alone."""
+def test_ill_conditioned_confusion_raises_before_output_and_matrices_are_per_pair(tmp_path):
+    """A table holding one ill-conditioned confusion raises
+    IllConditionedConfusion before the run writes anything, and a pair's
+    noise inversion does not depend on the other pairs of its table: its
+    row is bit for bit the row of a table of the pair alone."""
     readout = {q: (0.02, 0.03) for q in range(4)} | {4: (0.47, 0.47), 5: (0.47, 0.47)}
     cal = write_calibration(tmp_path / "cal.json", range(6),
                             [(0, 1, 0.95), (2, 3, 0.95), (4, 5, 0.95)], readout)
     cfg = ExperimentConfig(seed=5, out_dir=tmp_path / "out", calibration=cal,
-                           confusion_shots=2000)
-    run = _Run(cfg)
-    run.pair_table([(0, 1)])
-    before = dict(run.confusions)
+                           confusion_shots=2000, pairs=3)
     with pytest.raises(IllConditionedConfusion):
-        run.pair_table([(0, 1), (2, 3), (4, 5)])
-    assert run.confusions.keys() == before.keys()
-    assert all(run.confusions[pair] is before[pair] for pair in before)
-    run.pair_table([(2, 3)])
-    alone = _Run(cfg)
-    alone.pair_table([(2, 3)])
-    assert np.array_equal(run.confusions[2, 3].matrix, alone.confusions[2, 3].matrix)
+        cmd_vqe(cfg)
+    assert not cfg.out_dir.exists()
+    run = _Run(cfg)
+    assert not hasattr(run, "confusions")
+    both = run.pair_table([(0, 1), (2, 3)])
+    for row, pair in enumerate(both.pairs):
+        alone = run.pair_table([pair])
+        assert np.array_equal(both.coeffs[row], alone.coeffs[0])
 
 
 def test_matching_selection_keeps_best_pairs_above_cap(shipped_topology):

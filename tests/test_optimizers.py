@@ -559,6 +559,60 @@ def test_one_row_spsa_evaluator_skips_pooling_bitwise(repeats, m, seed, ni):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+# ten pairs on a chain, each joined to the next by a coupler, so crosstalk
+# flags rows; widths of 8 or more rows take mean's blocked summation
+CHAIN = DeviceTopology(
+    qubits=tuple(range(20)),
+    edges=tuple((2 * i, 2 * i + 1, 0.9 + 0.008 * i) for i in range(10))
+    + tuple((2 * i + 1, 2 * i + 2, 0.8) for i in range(9)),
+    readout={q: (0.01 + 0.002 * q, 0.03 - 0.001 * q) for q in range(20)})
+CHAIN_PAIRS = [(2 * i, 2 * i + 1) for i in range(10)]
+
+
+@given(st.lists(st.integers(1, 10), min_size=1, max_size=4), st.integers(1, 3),
+       st.integers(0, 2 ** 32), st.booleans(), st.sampled_from([0.0, 0.05]))
+@example([9, 9, 1, 10], 3, 7, True, 0.05)
+def test_width_aware_spsa_evaluator_equals_one_repeat_on_the_prefix(widths, m, seed, ni,
+                                                                  crosstalk):
+    """Repeat r of an evaluator with row widths w_r gives, bit for bit in
+    value, raw and std_err, what a one-repeat evaluator on a table of the
+    first w_r pairs alone gives with the same seed and shots, over
+    successive calls; and both are aggregate_same_params over that table's
+    spread estimates of each point repeated once per row."""
+    h = HubbardParams()
+    confusions = ({pair: measure_confusion(noise_spec_for_pair(CHAIN, pair), 2000,
+                                           np.random.default_rng(seed + i))
+                   for i, pair in enumerate(CHAIN_PAIRS)} if ni else None)
+    seeds = [seed + 100 * r for r in range(len(widths))]
+    shots = [100 + 50 * r for r in range(len(widths))]
+    table = compile_pairs(CHAIN, CHAIN_PAIRS, h, confusions, crosstalk)
+    evaluate = spsa_parallel_evaluator(table, shots, seeds, widths)
+    prefixes = [compile_pairs(CHAIN, CHAIN_PAIRS[:w], h, confusions, crosstalk)
+                for w in widths]
+    alone = [spsa_parallel_evaluator(prefix, n, [s])
+             for prefix, n, s in zip(prefixes, shots, seeds)]
+    spread = [batch_pair_evaluator(prefix, n, [s])
+              for prefix, n, s in zip(prefixes, shots, seeds)]
+    rng = np.random.default_rng(seed)
+    for _ in range(2):       # each repeat's stream carries over between calls
+        points = rng.uniform(-1, 1, size=(len(widths), m, 2))
+        got = evaluate(points)
+        for r, w in enumerate(widths):
+            one = alone[r](points[r:r + 1])
+            rows = spread[r](np.repeat(points[r:r + 1], w, axis=1))
+            pooled = aggregate_same_params(Estimates(*(a.reshape(1, m, w) for a in rows)))
+            for a, b, c in zip(got, one, pooled):
+                assert a.shape == (len(widths), m) and b.shape == c.shape == (1, m)
+                assert a[r].tobytes() == b[0].tobytes() == c[0].tobytes()
+
+
+def test_spsa_evaluator_rejects_widths_outside_the_table():
+    table = compile_pairs(CHAIN, CHAIN_PAIRS[:3])
+    for widths in ([0], [4], [1, 4]):
+        with pytest.raises(ValueError, match="row widths"):
+            spsa_parallel_evaluator(table, 100, [1] * len(widths), widths)
+
+
 def test_std_err_matches_spread_of_successive_estimates():
     """One repeat's pooled estimates at a fixed point over successive calls
     scatter around the exact expectation as their standard errors say, and

@@ -1,11 +1,13 @@
 """Print one sha256 per command over every artifact it writes.
 
 The commands are the benchmark workloads' argv (read from
-benchmarks/run.py) and the paper-scale `vqe --repeats 100` runs with SPSA
-and with MGD on the 33 greedy pairs. Each runs once, as a fresh
-`python -m parvqe.cli` process, into a temporary directory; its digest
-covers every file there except record.json (which holds the output path),
-as the sha256 of each name, a NUL byte and the file's bytes, in name order.
+benchmarks/run.py), the README-scale `benchmark-pairs`, `shots-sweep` and
+`optimizer-compare` at their defaults, and the paper-scale
+`vqe --repeats 100` runs with SPSA and with MGD on the 33 greedy pairs.
+Each runs once, as a fresh `python -m parvqe.cli` process, into a
+temporary directory; its digest covers every file there except
+record.json (which holds the output path), as the sha256 of each name, a
+NUL byte and the file's bytes, in name order.
 Two checkouts that print the same lines wrote the same bytes.
 
 Run from the repository root:
@@ -28,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+README_SCALE = [("benchmark-pairs",), ("shots-sweep",), ("optimizer-compare",)]
 PAPER_SCALE = [("vqe", "--optimizer", "spsa", "--repeats", "100"),
                ("vqe", "--optimizer", "mgd", "--repeats", "100")]
 
@@ -63,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     args = parser.parse_args(argv)
-    for command in [*workload_argv(), *PAPER_SCALE]:
+    for command in [*workload_argv(), *README_SCALE, *PAPER_SCALE]:
         print(run(command, args.seed, args.src.resolve()), " ".join(command))
     return 0
 
