@@ -24,6 +24,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .harness import CHOICES, COMMANDS, ExperimentConfig, InputError, config_for
+from .mitigation import IllConditionedConfusion
 
 if TYPE_CHECKING:
     import argparse     # imported by build_parser only: a plain run never needs it
@@ -145,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         record = COMMANDS[args.command].handler(cfg)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, IllConditionedConfusion, FileNotFoundError) as exc:
         build_parser().error(str(exc))
     print(f"wrote {cfg.out_dir}/record.json ({len(record.artifacts)} artifacts)")
     return 0

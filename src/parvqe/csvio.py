@@ -36,20 +36,17 @@ def format_column(column) -> list[str]:
             for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
 
 
-def csv_chunks(header: Sequence[str], columns: Sequence,
-               formatted: bool = False) -> Iterator[str]:
+def csv_chunks(header: Sequence[str], columns: Sequence) -> Iterator[str]:
     """The CSV text of header and equal-length columns (arrays or lists):
     the header line, then CHUNK_LINES rows at a time, each chunk formatted
-    from its slice of the columns, unless they are already formatted. No
-    columns, or unequal lengths, raise ValueError."""
+    from its slice of the columns. No columns, or unequal lengths, raise ValueError."""
     if len(columns) == 0:
         raise ValueError("a CSV table needs at least one column")
     # csv.writer quotes a line's only field when it is empty
     join = ",".join if len(columns) > 1 else lambda row: row[0] or '""'
     yield join([_quote(name) for name, _ in zip(header, columns, strict=True)]) + "\n"
-    fields = (lambda column: column) if formatted else format_column
     for lo in range(0, max(map(len, columns)), CHUNK_LINES):
-        rows = zip(*(fields(column[lo:lo + CHUNK_LINES]) for column in columns), strict=True)
+        rows = zip(*(format_column(c[lo:lo + CHUNK_LINES]) for c in columns), strict=True)
         yield "".join([join(row) + "\n" for row in rows])
 
 

@@ -34,12 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import DeviceTopology, Pair, noise_spec_for_pair
+from .device import DeviceTopology, Pair
 from .hubbard import AnsatzParams, HubbardParams
-from .mitigation import ConfusionMatrix
+from .mitigation import ConfusionMatrix, check_confusions
 from .records import Record
 from .simulator import (HOPPING_SIGNS, ONSITE_ZZ_SIGN, Z0_OUTCOMES, Z1_OUTCOMES, ZZ_OUTCOMES,
-                        PairNoiseSpec, apply_terms, confusion_maps, kernel_terms)
+                        PairNoiseSpec, apply_terms, confusion_maps, fidelity_to_depolarizing,
+                        kernel_terms)
 
 
 class Estimates(NamedTuple):
@@ -59,8 +60,9 @@ class PairTable(Record, frozen=True):
     Row i holds pair i's kernel_terms, from its readout map and its
     depolarizing probability without (base[0, i], slope[0, i]) and with
     (base[1, i], slope[1, i]) crosstalk, and its (2, 4) estimation
-    coefficients: per setting, inverse.T @ c with a confusion matrix, the
-    raw outcome coefficients c without. neighbours[i, j] says rows i and j
+    coefficients: per setting, inverse.T @ c with matrix i of the confusion
+    stack compile_pairs was given, the raw outcome coefficients c without
+    one; no field holds an object per pair. neighbours[i, j] says rows i and j
     are joined by an edge; it is None when crosstalk_p is 0. A batch runs
     any subset of rows, so the table itself need not be vertex-disjoint.
     """
@@ -83,13 +85,17 @@ def setting_coefficients(h: HubbardParams) -> np.ndarray:
 
 
 def compile_pairs(topology: DeviceTopology, pairs, h: HubbardParams = HubbardParams(),
-                  confusions: dict[Pair, ConfusionMatrix] | None = None,
+                  confusions: np.ndarray | None = None,
                   crosstalk_p: float = 0.0) -> PairTable:
-    """Compile pairs (each an edge of the topology) into a PairTable; with
-    confusions, estimates of its rows are noise-inverted."""
+    """Compile pairs (each an edge of the topology) into a PairTable. With
+    confusions, the (n, 4, 4) stack of the pairs' confusion matrices in pair
+    order, its rows are noise-inverted: the stack is checked and inverted
+    here (check_confusions, which raises IllConditionedConfusion). A
+    crosstalk_p outside [0, 1] is a ValueError."""
+    if not 0.0 <= crosstalk_p <= 1.0:   # NaN fails too
+        raise ValueError(f"crosstalk_p must be in [0, 1], got {crosstalk_p}")
     pairs = tuple(pairs)
     n = len(pairs)
-    noises = [noise_spec_for_pair(topology, pair, crosstalk_p=crosstalk_p) for pair in pairs]
     neighbours = None
     if crosstalk_p > 0.0:
         neighbours = np.array([[i != j and topology.pairs_are_neighbors(a, b)
@@ -99,11 +105,12 @@ def compile_pairs(topology: DeviceTopology, pairs, h: HubbardParams = HubbardPar
     if confusions is None:
         coeffs = np.broadcast_to(c, (n, 2, 4))
     else:
-        inverse = np.array([confusions[pair].inverse for pair in pairs]).reshape(n, 4, 4)
-        coeffs = np.einsum("nji,kj->nki", inverse, c)
-    p = np.array([[noise.effective_p(flag) for noise in noises] for flag in (False, True)])
-    confusion = confusion_maps(np.array([noise.readout for noise in noises]).reshape(n, 2, 2))
-    base, slope = kernel_terms(p.reshape(2 * n), np.concatenate([confusion, confusion]))
+        coeffs = np.einsum("nji,kj->nki", check_confusions(confusions).reshape(n, 4, 4), c)
+    p = fidelity_to_depolarizing([topology.fidelity(pair) for pair in pairs])
+    confusion = confusion_maps(np.array([topology.pair_readout(pair) for pair in pairs],
+                                        dtype=float).reshape(n, 2, 2))
+    base, slope = kernel_terms(np.concatenate([p, np.minimum(p + crosstalk_p, 1.0)]),
+                               np.concatenate([confusion, confusion]))
     return PairTable(
         pairs=pairs, qubits=np.array(pairs, dtype=int).reshape(n, 2), neighbours=neighbours,
         base=base.reshape(2, n, 2, 4), slope=slope.reshape(2, n, 2, 4),
@@ -266,7 +273,8 @@ def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,
     noise-inverted with a confusion matrix, raw staying uninverted."""
     table = compile_pairs(DeviceTopology(qubits=(0, 1), edges=((0, 1, noise.cz_fidelity),),
                                          readout=dict(enumerate(noise.readout))),
-                          [(0, 1)], h, confusion and {(0, 1): confusion}, noise.crosstalk_p)
+                          [(0, 1)], h, None if confusion is None else confusion.matrix[None],
+                          noise.crosstalk_p)
     flag = int(crosstalk_active)
     est = _estimate(table.offset, table.raw_coeffs, table.coeffs, table.coeffs * table.coeffs,
                     np.ones(1), apply_terms(table.base[flag], table.slope[flag],

@@ -281,9 +281,9 @@ class _Run:
         confusions = None
         if ni:
             readouts = np.array([self.topology.pair_readout(pair) for pair in pairs])
-            confusions = dict(zip(pairs, measure_confusions(
+            confusions = measure_confusions(
                 readouts, cfg.confusion_shots,
-                [derive_rng(cfg.seed, _NS_CONFUSION, *pair) for pair in pairs])))
+                [derive_rng(cfg.seed, _NS_CONFUSION, *pair) for pair in pairs])
         return compile_pairs(self.topology, pairs, self.h, confusions, cfg.crosstalk_p)
 
     def finish(self, command: str, metrics: dict, artifacts: list[str],
@@ -466,12 +466,13 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     # the grid in row-major (phi, theta) order
     phi, theta = np.repeat(axis, n), np.tile(axis, n)
     pairs = run.select(cfg.select, cfg.cap, default=25)
+    # compiled first: a rejected confusion stack raises before any output
+    table = run.pair_table(pairs, cfg.ni)
 
     exact = closed_form_energy(phi, theta, h)
     exact_path = run.out_dir / "heatmap_exact.csv"
     write_csv(exact_path, ["phi", "theta", "e_exact"], [phi, theta, exact])
 
-    table = run.pair_table(pairs, cfg.ni)
     # the grid in batches of len(pairs) points, all measured in one call
     batches = [np.arange(min(len(pairs), n * n - lo)) for lo in range(0, n * n, len(pairs))]
     levels = _measure(run, table, [batches], phi, theta, [()], cfg.tflo)

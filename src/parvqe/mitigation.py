@@ -60,54 +60,42 @@ class ConfusionMatrix(Record, frozen=True):
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_inverse", check_confusions(m[None])[0])
 
-    @classmethod
-    def _checked(cls, matrix: np.ndarray, inverse: np.ndarray,
-                 shots_used: int | None) -> ConfusionMatrix:
-        """One matrix of a stack that check_confusions passed, with its inverse."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "shots_used", shots_used)
-        object.__setattr__(self, "_inverse", inverse)
-        return self
-
     @property
     def inverse(self) -> np.ndarray:
         return self._inverse
 
 
-def measure_confusions(readouts: np.ndarray, shots: int | None,
-                       streams) -> list[ConfusionMatrix]:
-    """Estimate the confusion matrices of n pairs by basis-state preparation.
+def measure_confusions(readouts: np.ndarray, shots: int | None, streams) -> np.ndarray:
+    """Estimate the confusion matrices of n pairs by basis-state preparation,
+    as one (n, 4, 4) stack in pair order.
 
     readouts has shape (n, 2, 2): per pair, per qubit, (eps01, eps10).
     State preparation is treated as ideal, so column j of pair i's matrix
     is a multinomial sample of its readout map applied to basis state j,
     drawn on streams[i] in column order. With shots=None the exact maps are
-    returned (no sampling; streams unused). The stack is checked and
-    inverted at once; a rejected stack returns nothing.
+    returned (no sampling; streams unused). The stack is not checked here:
+    compile_pairs checks and inverts it (check_confusions).
     """
     exact = confusion_maps(readouts)
     if shots is None:
-        matrices = exact
-    else:
-        if shots < 1:
-            raise ValueError("shots must be >= 1 per basis state")
-        if len(streams) != len(exact) or any(stream is None for stream in streams):
-            raise ValueError("a random stream per pair is required when sampling")
-        # one draw per pair: row j of m.T is the readout map of basis state j
-        draws = [stream.multinomial(shots, m.T).T for stream, m in zip(streams, exact)]
-        matrices = np.array(draws).reshape(exact.shape) / shots
-    inverses = check_confusions(matrices)
-    return [ConfusionMatrix._checked(m, inv, shots) for m, inv in zip(matrices, inverses)]
+        return exact
+    if shots < 1:
+        raise ValueError("shots must be >= 1 per basis state")
+    if len(streams) != len(exact) or any(stream is None for stream in streams):
+        raise ValueError("a random stream per pair is required when sampling")
+    # one draw per pair: row j of m.T is the readout map of basis state j
+    draws = [stream.multinomial(shots, m.T).T for stream, m in zip(streams, exact)]
+    return np.array(draws).reshape(exact.shape) / shots
 
 
 def measure_confusion(noise: PairNoiseSpec, shots: int | None = 10_000,
                       stream: np.random.Generator | None = None) -> ConfusionMatrix:
     """Estimate the confusion matrix of one pair (measure_confusions for
-    the pair alone): column j is a multinomial sample of the readout map
-    applied to basis state j, or with shots=None the exact map (no
-    sampling; stream unused)."""
-    return measure_confusions(np.array([noise.readout]), shots, [stream])[0]
+    the pair alone), checked and inverted: column j is a multinomial sample
+    of the readout map applied to basis state j, or with shots=None the
+    exact map (no sampling; stream unused)."""
+    return ConfusionMatrix(measure_confusions(np.array([noise.readout]), shots, [stream])[0],
+                           shots)
 
 
 def invert_readout(measured: ShotHistogram | np.ndarray,

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import csv_chunks, format_column
+from .csvio import csv_chunks
 from .executor import (
     BatchPlan,
     Estimates,
@@ -168,12 +168,11 @@ class OptTrace(Record, frozen=True, eq=False):
                          e_exact, points))
 
     def to_csv(self) -> str:
-        """The trace CSV, each column formatted from a list (np.unique
-        gains nothing here)."""
+        """The trace CSV, each column handed to csv_chunks as a list
+        (np.unique gains nothing here)."""
         columns = [self.iteration, self.phi, self.theta, self.e_raw, self.e_ni, self.e_exact]
-        fields = [format_column([None] * len(self.phi) if c is None else c.tolist())
-                  for c in columns]
-        return "".join(csv_chunks(_CSV_HEADER, fields, formatted=True))
+        return "".join(csv_chunks(_CSV_HEADER, [[None] * len(self.phi) if c is None
+                                                else c.tolist() for c in columns]))
 
     def write(self, csv_path: str | Path) -> None:
         Path(csv_path).write_text(self.to_csv(), newline="")

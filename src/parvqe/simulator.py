@@ -30,12 +30,13 @@ Z0_OUTCOMES = np.array([1.0, 1.0, -1.0, -1.0])
 Z1_OUTCOMES = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def fidelity_to_depolarizing(f: float) -> float:
-    """Depolarizing probability p with average gate fidelity f for the
-    two-qubit channel rho -> (1-p) rho + p I/4; p = 4(1-f)/3, clamped to [0,1]."""
-    if not (0.0 < f <= 1.0):
+def fidelity_to_depolarizing(f: float | np.ndarray) -> np.ndarray:
+    """Depolarizing probabilities p (an array) with average gate fidelities f
+    for the two-qubit channel rho -> (1-p) rho + p I/4; p = 4(1-f)/3, clamped to [0,1]."""
+    f = np.asarray(f, dtype=float)
+    if not np.all((f > 0.0) & (f <= 1.0)):
         raise ValueError(f"fidelity must be in (0, 1], got {f}")
-    return min(max(4.0 * (1.0 - f) / 3.0, 0.0), 1.0)
+    return np.clip(4.0 * (1.0 - f) / 3.0, 0.0, 1.0)
 
 
 class PairNoiseSpec(Record, frozen=True):
@@ -61,7 +62,7 @@ class PairNoiseSpec(Record, frozen=True):
 
     @property
     def depol_p(self) -> float:
-        return fidelity_to_depolarizing(self.cz_fidelity)
+        return float(fidelity_to_depolarizing(self.cz_fidelity))
 
     def effective_p(self, crosstalk_active: bool = False) -> float:
         """Depolarizing probability of the CZ, plus crosstalk_p (capped at

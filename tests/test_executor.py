@@ -21,9 +21,10 @@ from parvqe.executor import (
     plan_batches,
     predict_wall_time,
     run_batch,
+    setting_coefficients,
 )
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, optimal_params
-from parvqe.mitigation import measure_confusion
+from parvqe.mitigation import measure_confusion, measure_confusions
 from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram, apply_terms, kernel_terms
 from reference import estimate_energy
 from test_golden import SMALL_CALIBRATION
@@ -264,16 +265,16 @@ def columnar_cases(draw):
     if draw(st.booleans()):
         confusion_shots = draw(st.none() | st.integers(1000, 10 ** 5))
         stream = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
-        confusions = {pair: measure_confusion(noise_spec_for_pair(topo, pair),
-                                              confusion_shots, stream)
-                      for pair in pairs}
+        confusions = [measure_confusion(noise_spec_for_pair(topo, pair), confusion_shots, stream)
+                      for pair in pairs]
     rows = np.array(draw(st.permutations(range(n))))
     one = st.integers(1, 10 ** 5)
     shots = draw(one.map(lambda s: [s] * n) | st.lists(one, min_size=n, max_size=n))
     cuts = lambda s: st.lists(st.integers(0, s), min_size=3, max_size=3)
     counts = np.array([[np.diff([0, *sorted(draw(cuts(s))), s]) for _ in range(2)]
                        for s in shots])
-    return compile_pairs(topo, pairs, h, confusions), confusions, h, rows, counts, shots
+    stack = None if confusions is None else np.array([c.matrix for c in confusions])
+    return compile_pairs(topo, pairs, h, stack), confusions, h, rows, counts, shots
 
 
 @given(columnar_cases())
@@ -286,10 +287,89 @@ def test_columnar_estimator_matches_estimate_energy(case):
         onsite, hopping = (ShotHistogram(tuple(int(c) for c in counts[i, k]), shots[i])
                            for k in range(2))
         ref = estimate_energy(onsite, hopping, h,
-                              None if confusions is None else confusions[table.pairs[row]])
+                              None if confusions is None else confusions[row])
         assert abs(est.value[i] - ref.value) <= 1e-12
         assert abs(est.std_err[i] - ref.std_err) <= 1e-12
         assert abs(est.raw[i] - ref.raw) <= 1e-12
+
+
+# fidelity 1 (p = 0), at or below 0.25 (p clamped to 1) and in between
+FIDELITIES = st.sampled_from([1.0, 0.25, 0.2, 0.5]) | st.floats(0.01, 1.0)
+
+
+def compile_case(fidelities, readout, crosstalk_p, ni, flips=None, seeds=None,
+                 h=HubbardParams()):
+    """A chain of qubits whose couplers have the given fidelities, every
+    coupler one pair (endpoints swapped where flips says so), with its
+    readout rates, Hubbard constants, crosstalk, NI mode (None, "exact" or
+    "sampled") and one confusion seed per pair."""
+    n = len(fidelities)
+    topo = DeviceTopology(qubits=tuple(range(n + 1)),
+                          edges=tuple((q, q + 1, f) for q, f in enumerate(fidelities)),
+                          readout=dict(enumerate(readout)))
+    pairs = [(q + 1, q) if flip else (q, q + 1)
+             for q, flip in enumerate(flips or [False] * n)]
+    return topo, pairs, h, crosstalk_p, ni, seeds or list(range(n))
+
+
+@st.composite
+def compile_cases(draw):
+    """A random chain of 1-5 couplers, each a pair (so pairs may share a
+    qubit), in any order and orientation, with random readout rates,
+    Hubbard constants, crosstalk that may push p above 1, NI off, exact or
+    sampled and one confusion seed per pair."""
+    n = draw(st.integers(1, 5))
+    topo, pairs, *rest = compile_case(
+        draw(st.lists(FIDELITIES, min_size=n, max_size=n)),
+        [(draw(rates), draw(rates)) for _ in range(n + 1)],
+        draw(st.sampled_from([0.0, 0.9, 1.0]) | st.floats(0.0, 1.0)),
+        draw(st.sampled_from([None, "exact", "sampled"])),
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, 2 ** 32), min_size=n, max_size=n)),
+        HubbardParams(t=draw(st.floats(0.0, 3.0)), u=draw(st.floats(0.0, 3.0))))
+    return topo, draw(st.permutations(pairs)), *rest
+
+
+@given(compile_cases())
+@example(compile_case([1.0, 1.0], [(0.0, 0.0)] * 3, 0.0, None))
+@example(compile_case([0.25, 0.2, 0.1], [(0.1, 0.02)] * 4, 0.3, "exact", [True, False, True]))
+@example(compile_case([0.5, 0.3], [(0.05, 0.1), (0.0, 0.15), (0.12, 0.0)], 0.6, "sampled"))
+@example(compile_case([1.0, 0.9], [(0.05, 0.1)] * 3, 1.0, "sampled", [False, True]))
+def test_compiled_rows_equal_each_pairs_noise_spec(case):
+    """Every row's base, slope (without and with crosstalk) and coeffs are,
+    bit for bit, the kernel_terms and inverted coefficients built from the
+    pair's own noise spec (effective_p and confusion_map) and its own
+    confusion matrix: none, exact, or sampled on the pair's stream."""
+    topo, pairs, h, crosstalk_p, ni, seeds = case
+    shots = None if ni == "exact" else 2000
+    confusions = None if ni is None else measure_confusions(
+        np.array([topo.pair_readout(pair) for pair in pairs]), shots,
+        [np.random.default_rng(seed) for seed in seeds])
+    table = compile_pairs(topo, pairs, h, confusions, crosstalk_p)
+    c = setting_coefficients(h)
+    for row, (pair, seed) in enumerate(zip(pairs, seeds)):
+        noise = noise_spec_for_pair(topo, pair, crosstalk_p)
+        for flag in (False, True):
+            base, slope = kernel_terms(np.array([noise.effective_p(flag)]),
+                                       noise.confusion_map()[None])
+            assert np.array_equal(table.base[int(flag), row], base[0])
+            assert np.array_equal(table.slope[int(flag), row], slope[0])
+        coeffs = c
+        if ni is not None:
+            inverse = measure_confusion(noise, shots, np.random.default_rng(seed)).inverse
+            coeffs = np.einsum("ji,kj->ki", inverse, c)
+        assert np.array_equal(table.coeffs[row], coeffs)
+
+
+@pytest.mark.parametrize("crosstalk_p", [-0.1, 1.5, math.nan])
+def test_compile_pairs_rejects_crosstalk_outside_the_unit_interval(crosstalk_p):
+    with pytest.raises(ValueError, match="crosstalk_p must be in"):
+        compile_pairs(two_pair_topology(), [(0, 1)], crosstalk_p=crosstalk_p)
+
+
+def test_compile_pairs_needs_one_confusion_matrix_per_pair():
+    with pytest.raises(ValueError, match="cannot reshape"):
+        compile_pairs(two_pair_topology(), [(0, 1), (2, 3)], confusions=np.eye(4)[None])
 
 
 def test_one_valued_setting_has_zero_std_err():
@@ -324,8 +404,8 @@ def chain_table(n_pairs=4, crosstalk_p=0.3):
     """The chain's pairs with measured confusions (NI on)."""
     topo, pairs = chain_topology(n_pairs)
     stream = np.random.default_rng(0)
-    confusions = {pair: measure_confusion(noise_spec_for_pair(topo, pair), 2000, stream)
-                  for pair in pairs}
+    confusions = np.array([measure_confusion(noise_spec_for_pair(topo, pair), 2000, stream).matrix
+                           for pair in pairs])
     return compile_pairs(topo, pairs, confusions=confusions, crosstalk_p=crosstalk_p)
 
 

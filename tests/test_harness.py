@@ -907,6 +907,11 @@ IMPOSSIBLE = {
                                   "pair_counts must not be empty"),
     "empty-sweep-pair-counts": ("speedup-sweep --pair-counts ,",
                                 "pair_counts must not be empty"),
+    # valid readout rates whose confusion matrix is too ill-conditioned to
+    # invert: heatmap compiles its table before it writes its exact CSV
+    "ill-conditioned-heatmap": ("heatmap --calibration {ill} --grid 4 --shots 100",
+                                "condition number"),
+    "ill-conditioned-vqe": ("vqe --calibration {ill} --iterations 1", "condition number"),
 }
 
 
@@ -919,15 +924,18 @@ def test_cli_rejects_impossible_inputs_before_output(case, tmp_path, capsys, mon
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"name": "malformed", "qubits": [0, 1],
                                      "edges": [[0, 1, 1.5]], "readout": {}}))
+    ill = write_calibration(tmp_path / "ill.json", range(4), [(0, 1, 0.95), (2, 3, 0.95)],
+                            {0: (0.02, 0.03), 1: (0.02, 0.03), 2: (0.47, 0.47), 3: (0.47, 0.47)})
     monkeypatch.chdir(tmp_path)
-    argv = [arg.format(missing=tmp_path / "missing.json", malformed=malformed, empty="")
+    argv = [arg.format(missing=tmp_path / "missing.json", malformed=malformed, ill=ill,
+                       empty="")
             for arg in args.split()]
     out = [] if "--out" in argv else ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
         cli_main([*argv, "--seed", "1", *out])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
-    assert [path.name for path in tmp_path.iterdir()] == ["malformed.json"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ill.json", "malformed.json"]
 
 
 def load_benchmark_module(name):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
+from parvqe.device import DeviceTopology
+from parvqe.executor import compile_pairs
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy
 from parvqe.mitigation import (
     ConfusionMatrix,
@@ -155,9 +157,10 @@ def result_or_error(measure):
 @given(confusion_cases())
 def test_measure_confusions_match_one_pair_at_a_time(case):
     """The stacked measurement, and measure_confusion on each pair, give
-    every pair the matrix, inverse and stream state of the reference that
-    draws one column at a time and checks one matrix; when a pair's matrix
-    fails its checks, both raise that pair's error type."""
+    every pair the matrix and stream state of the reference that draws one
+    column at a time and checks one matrix, and the stack's inverses are the
+    reference's; when a pair's matrix fails its checks, measure_confusion
+    and compile_pairs on the stack both raise that pair's error type."""
     readouts, shots, seeds = case
     expected, errors = [], set()
     for readout, seed in zip(readouts, seeds):
@@ -165,25 +168,33 @@ def test_measure_confusions_match_one_pair_at_a_time(case):
         ref_stream, own_stream = np.random.default_rng(seed), np.random.default_rng(seed)
         ref = result_or_error(lambda: reference.measure_confusion(noise, shots, ref_stream))
         own = result_or_error(lambda: measure_confusion(noise, shots, own_stream))
+        next_draw = ref_stream.random()
         if isinstance(ref, type):
             assert own is ref
             errors.add(ref)
+            expected.append((None, None, next_draw))
             continue
-        next_draw = ref_stream.random()
         assert np.array_equal(own.matrix, ref[0]) and np.array_equal(own.inverse, ref[1])
         assert own.shots_used == shots and own_stream.random() == next_draw
         expected.append((*ref, next_draw))
     streams = [np.random.default_rng(seed) for seed in seeds]
-    stacked = result_or_error(lambda: measure_confusions(readouts, shots, streams))
-    if errors:
-        assert stacked in errors
-        return
-    assert len(stacked) == len(readouts)
-    for confusion, stream, (matrix, inverse, next_draw) in zip(stacked, streams, expected):
-        assert np.array_equal(confusion.matrix, matrix)
-        assert np.array_equal(confusion.inverse, inverse)
-        assert confusion.shots_used == shots
+    stacked = measure_confusions(readouts, shots, streams)
+    assert stacked.shape == (len(readouts), 4, 4)
+    for matrix, stream, (ref_matrix, _, next_draw) in zip(stacked, streams, expected):
+        assert ref_matrix is None or np.array_equal(matrix, ref_matrix)
         assert stream.random() == next_draw
+    n = len(readouts)
+    topo = DeviceTopology(qubits=tuple(range(2 * n)),
+                          edges=tuple((2 * i, 2 * i + 1, 1.0) for i in range(n)),
+                          readout=dict(enumerate(map(tuple, readouts.reshape(2 * n, 2)))))
+    table = result_or_error(lambda: compile_pairs(topo, [(2 * i, 2 * i + 1) for i in range(n)],
+                                                  confusions=stacked))
+    if errors:
+        assert table in errors
+        return
+    assert not isinstance(table, type)
+    for inverse, (_, ref_inverse, _) in zip(check_confusions(stacked), expected):
+        assert np.array_equal(inverse, ref_inverse)
 
 
 GOOD = PairNoiseSpec(readout=((0.02, 0.05), (0.04, 0.01))).confusion_map()

@@ -513,9 +513,9 @@ def test_spsa_evaluator_is_pooled_spread_evaluator():
                                  (1, 2, 0.9), (3, 4, 0.9)),
                           readout={q: (0.01 + 0.01 * q, 0.03) for q in range(6)})
     pairs = [(0, 1), (2, 3), (4, 5)]
-    confusions = {pair: measure_confusion(noise_spec_for_pair(topo, pair), 2000,
-                                          np.random.default_rng(i))
-                  for i, pair in enumerate(pairs)}
+    confusions = np.array([measure_confusion(noise_spec_for_pair(topo, pair), 2000,
+                                             np.random.default_rng(i)).matrix
+                           for i, pair in enumerate(pairs)])
     table = compile_pairs(topo, pairs, HubbardParams(), confusions, crosstalk_p=0.05)
     seeds = [21, 4]
     spsa = spsa_parallel_evaluator(table, 300, seeds)
@@ -543,8 +543,8 @@ def test_one_row_spsa_evaluator_skips_pooling_bitwise(repeats, m, seed, ni):
     """On a one-row table the SPSA evaluator returns the spread estimates
     unpooled: value and raw have the bits of the pooled path."""
     topo = uniform_topology(1, fidelity=0.93, readout=(0.02, 0.04))
-    confusions = ({(0, 1): measure_confusion(noise_spec_for_pair(topo, (0, 1)), 2000,
-                                             np.random.default_rng(seed))} if ni else None)
+    confusions = (measure_confusion(noise_spec_for_pair(topo, (0, 1)), 2000,
+                                    np.random.default_rng(seed)).matrix[None] if ni else None)
     table = compile_pairs(topo, [(0, 1)], HubbardParams(), confusions)
     seeds = [seed + r for r in range(repeats)]
     spsa = spsa_parallel_evaluator(table, 200, seeds)
@@ -580,14 +580,15 @@ def test_width_aware_spsa_evaluator_equals_one_repeat_on_the_prefix(widths, m, s
     successive calls; and both are aggregate_same_params over that table's
     spread estimates of each point repeated once per row."""
     h = HubbardParams()
-    confusions = ({pair: measure_confusion(noise_spec_for_pair(CHAIN, pair), 2000,
-                                           np.random.default_rng(seed + i))
-                   for i, pair in enumerate(CHAIN_PAIRS)} if ni else None)
+    confusions = (np.array([measure_confusion(noise_spec_for_pair(CHAIN, pair), 2000,
+                                              np.random.default_rng(seed + i)).matrix
+                            for i, pair in enumerate(CHAIN_PAIRS)]) if ni else None)
     seeds = [seed + 100 * r for r in range(len(widths))]
     shots = [100 + 50 * r for r in range(len(widths))]
     table = compile_pairs(CHAIN, CHAIN_PAIRS, h, confusions, crosstalk)
     evaluate = spsa_parallel_evaluator(table, shots, seeds, widths)
-    prefixes = [compile_pairs(CHAIN, CHAIN_PAIRS[:w], h, confusions, crosstalk)
+    prefixes = [compile_pairs(CHAIN, CHAIN_PAIRS[:w], h,
+                              None if confusions is None else confusions[:w], crosstalk)
                 for w in widths]
     alone = [spsa_parallel_evaluator(prefix, n, [s])
              for prefix, n, s in zip(prefixes, shots, seeds)]
