@@ -31,7 +31,11 @@ if TYPE_CHECKING:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    """Comma-separated ints. A value of empty entries only (",") is () for
+    the config's "must not be empty" check; any other empty entry is a
+    ValueError, which argparse reports as a usage error."""
+    tokens = text.split(",")
+    return tuple(map(int, tokens)) if any(tokens) else ()
 
 
 # ExperimentConfig field -> its flag and argparse settings (no defaults);

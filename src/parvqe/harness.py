@@ -370,13 +370,17 @@ def _median(values: np.ndarray) -> float:
 
 # --- benchmark-pairs ----------------------------------------------------------
 
-def rank_correlation(x, y) -> float:
+def rank_correlation(x, y) -> float | None:
     """Spearman's rho: the Pearson correlation of the ranks, where tied
-    values share the mean of the ranks they span."""
+    values share the mean of the ranks they span. None (JSON null) when
+    either input is constant, one value included, since rho is undefined."""
     def ranks(values):
         _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
         return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    return float(np.corrcoef(ranks(x), ranks(y))[0, 1])
+    rx, ry = ranks(x), ranks(y)
+    if np.all(rx == rx[:1]) or np.all(ry == ry[:1]):
+        return None
+    return float(np.corrcoef(rx, ry)[0, 1])
 
 
 def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:

@@ -12,16 +12,15 @@ Two optimizers are provided, each matched to a form of parallelism:
   surrogate by ridge-regularised weighted least squares and descends
   along the surrogate's linear coefficients. The surrogate is refitted
   from scratch each iteration (no carryover of earlier points), with the
-  ridge prior scale set by the config's `l`.
+  ridge prior scale MGD_L.
 
+Both follow fixed gain schedules, set by the module constants below.
 Each optimizer has one lockstep core (`spsa_lockstep`, `mgd_lockstep`)
 that advances R independent repeats together, with no loop over repeats
-within a step: every step asks the evaluator once for the (R, m) points
-of all repeats and reads back one Estimates with (R, m) fields, so the
-executor-backed evaluators run them in one kernel call. `spsa_run` and
-`mgd_run` run one repeat on a batch evaluator, (m, 2) points -> one
-Estimates with (m,) fields; every evaluator in the package speaks that
-contract, in its one-repeat or its lockstep form.
+within a step. Every evaluator speaks one contract: (R, m, 2) points, m
+for each of R repeats -> one Estimates with (R, m) fields, so the
+executor-backed evaluators run a step in one kernel call. `spsa_run` and
+`mgd_run` hand their evaluator to the core with R = 1.
 
 `batch_pair_evaluator` spreads each repeat's points over the table's
 rows; `spsa_parallel_evaluator` runs each point of repeat r on the
@@ -66,49 +65,36 @@ class UnderDeterminedFit(ValueError):
     """Too few points for the surrogate and no ridge to regularise it."""
 
 
+# gain schedules: step sizes decay as 1/(k + A)^ALPHA, probe sizes as
+# 1/k^GAMMA (Spall 1992), shared by SPSA and MGD
+ALPHA, GAMMA, BIG_A = 0.602, 0.101, 1.0
+SPSA_A, SPSA_C = 0.15, 0.2            # SPSA step and perturbation scales
+MGD_DELTA, MGD_STEP = 0.6, 0.6        # MGD trust-box half-width and step scales
+MGD_L = 0.2                           # MGD ridge prior scale
+
+
 class SpsaConfig(Record, frozen=True):
     iterations: int
-    a: float = 0.15
-    c: float = 0.2
-    alpha: float = 0.602
-    gamma: float = 0.101
-    big_a: float = 1.0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if min(self.a, self.c, self.alpha, self.gamma) <= 0:
-            raise ValueError("gain parameters must be positive")
-        if self.alpha <= self.gamma:
-            raise ValueError("alpha must exceed gamma")
 
     def gains(self, k: int) -> tuple[float, float]:
         """(a_k, c_k) for 1-based iteration k."""
-        return self.a / (k + self.big_a) ** self.alpha, self.c / k ** self.gamma
+        return SPSA_A / (k + BIG_A) ** ALPHA, SPSA_C / k ** GAMMA
 
 
 class MgdConfig(Record, frozen=True):
     iterations: int
-    delta: float = 0.6
-    xi: float = 0.101
-    l: float = 0.2
-    gamma: float = 0.6
-    alpha: float = 0.602
-    big_a: float = 1.0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if not (0 < self.xi < self.alpha):
-            raise ValueError("xi must satisfy 0 < xi < alpha")
-        if self.gamma <= 0 or self.l <= 0:
-            raise ValueError("gamma and l must be positive")
 
     def gains(self, k: int) -> tuple[float, float]:
         """(delta_k, gamma_k) for 1-based iteration k."""
-        return self.delta / k ** self.xi, self.gamma / (k + self.big_a) ** self.alpha
+        return MGD_DELTA / k ** GAMMA, MGD_STEP / (k + BIG_A) ** ALPHA
 
 
 def n_points_from_eta(eta: float) -> int:
@@ -128,8 +114,7 @@ class IterationRecord(NamedTuple):
     theta: float
     e_raw: float                 # estimate before readout inversion
     e_ni: float                  # estimate the optimizer consumed
-    e_exact: float | None        # oracle diagnostic, never fed back
-    points: tuple[tuple[float, float], ...]   # the (phi, theta) evaluated
+    e_exact: float               # oracle diagnostic, never fed back
 
 
 # one evaluated point: its angles and the Estimates the optimizer read there
@@ -139,16 +124,16 @@ POINT_DTYPE = np.dtype([(name, "<f8") for name in ("phi", "theta", "value", "raw
 class OptTrace(Record, frozen=True, eq=False):
     """One repeat's run as (K,) columns over its K iterations: the centre
     (phi, theta), the raw and noise-inverted estimates there and the exact
-    energy (None without an oracle); and `points`, the (K, m) POINT_DTYPE
-    array of every point evaluated at each iteration with its estimates
-    (for SPSA the centre, then the plus and minus points), a view of the
-    (R, K, m) array its lockstep core filled for all repeats (its base)."""
+    energy; and `points`, the (K, m) POINT_DTYPE array of every point
+    evaluated at each iteration with its estimates (for SPSA the centre,
+    then the plus and minus points), a view of the (R, K, m) array its
+    lockstep core filled for all repeats (its base)."""
 
     phi: np.ndarray
     theta: np.ndarray
     e_raw: np.ndarray
     e_ni: np.ndarray
-    e_exact: np.ndarray | None
+    e_exact: np.ndarray
     points: np.ndarray
     final_params: AnsatzParams
 
@@ -159,20 +144,15 @@ class OptTrace(Record, frozen=True, eq=False):
     @property
     def records(self) -> tuple[IterationRecord, ...]:
         """The trace row by row, a read-only view of its columns."""
-        k = len(self.phi)
-        e_exact = [None] * k if self.e_exact is None else self.e_exact.tolist()
-        points = [tuple(zip(phi, theta)) for phi, theta in
-                  zip(self.points["phi"].tolist(), self.points["theta"].tolist())]
         return tuple(map(IterationRecord, self.iteration.tolist(), self.phi.tolist(),
                          self.theta.tolist(), self.e_raw.tolist(), self.e_ni.tolist(),
-                         e_exact, points))
+                         self.e_exact.tolist()))
 
     def to_csv(self) -> str:
         """The trace CSV, each column handed to csv_chunks as a list
         (np.unique gains nothing here)."""
         columns = [self.iteration, self.phi, self.theta, self.e_raw, self.e_ni, self.e_exact]
-        return "".join(csv_chunks(_CSV_HEADER, [[None] * len(self.phi) if c is None
-                                                else c.tolist() for c in columns]))
+        return "".join(csv_chunks(_CSV_HEADER, [c.tolist() for c in columns]))
 
     def write(self, csv_path: str | Path) -> None:
         Path(csv_path).write_text(self.to_csv(), newline="")
@@ -181,8 +161,6 @@ class OptTrace(Record, frozen=True, eq=False):
 _CSV_HEADER = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
 
 
-# (m, 2) array of (phi, theta) points -> their m estimates
-BatchEvaluator = Callable[[np.ndarray], Estimates]
 ExactFn = Callable[[AnsatzParams], float]
 # (R, m, 2) array, m points for each of R repeats -> Estimates with (R, m) fields
 LockstepEvaluator = Callable[[np.ndarray], Estimates]
@@ -198,31 +176,28 @@ def _record(points: np.ndarray, batch: np.ndarray, est: Estimates) -> None:
 
 
 def _traces(steps, points: np.ndarray, final: np.ndarray,
-            exact: ExactCentres | None) -> list[OptTrace]:
+            exact: ExactCentres) -> list[OptTrace]:
     """One trace per repeat from the steps' columns over all R repeats:
     per step the (R, 2) centres and the (R,) e_raw and e_ni, each stacked
     along a new iteration axis, and the (R, K, m) points array. The exact
-    energies (None without an oracle) come from one call of exact over
-    every repeat's (K, 2) centres."""
+    energies come from one call of exact over every repeat's (K, 2)
+    centres."""
     centres, e_raw, e_ni = (np.stack(col, axis=1) for col in zip(*steps))
-    e_exact = (None if exact is None else
-               np.asarray(exact(centres.reshape(-1, 2)), dtype=float).reshape(e_raw.shape))
+    e_exact = np.asarray(exact(centres.reshape(-1, 2)), dtype=float).reshape(e_raw.shape)
     return [OptTrace(phi=centres[r, :, 0], theta=centres[r, :, 1], e_raw=e_raw[r],
-                     e_ni=e_ni[r], e_exact=None if e_exact is None else e_exact[r],
-                     points=points[r], final_params=AnsatzParams(*final[r]))
+                     e_ni=e_ni[r], e_exact=e_exact[r], points=points[r],
+                     final_params=AnsatzParams(*final[r]))
             for r in range(len(final))]
 
 
-def _exact_of(exact_fn: ExactFn | None) -> ExactCentres | None:
+def _exact_of(exact_fn: ExactFn) -> ExactCentres:
     """The one-centre oracle as an oracle over an array of centres."""
-    if exact_fn is None:
-        return None
     return lambda centres: [exact_fn(AnsatzParams(*c)) for c in centres.tolist()]
 
 
 def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
                   streams: Sequence[np.random.Generator],
-                  exact: ExactCentres | None = None) -> list[OptTrace]:
+                  exact: ExactCentres) -> list[OptTrace]:
     """One-stage SPSA on R independent repeats in lockstep, one trace each.
 
     Repeat r starts at starts[r] and draws its K Rademacher directions from
@@ -251,19 +226,13 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     return _traces(steps, points, theta, exact)
 
 
-def _one_repeat(evaluator: BatchEvaluator) -> LockstepEvaluator:
-    """A batch evaluator as the lockstep evaluator of one repeat."""
-    return lambda points: Estimates(*(a[None] for a in evaluator(points[0])))
-
-
-def spsa_run(cfg: SpsaConfig, evaluator: BatchEvaluator, start: AnsatzParams,
-             stream: np.random.Generator, exact_fn: ExactFn | None = None) -> OptTrace:
-    """One-stage SPSA on one repeat (spsa_lockstep with R = 1). Each
-    iteration evaluates its three points in one call of evaluator, in
-    order: the centre, recorded in the trace, then the two perturbed
-    points for the gradient."""
-    return spsa_lockstep(cfg, _one_repeat(evaluator), [start], [stream],
-                         _exact_of(exact_fn))[0]
+def spsa_run(cfg: SpsaConfig, evaluator: LockstepEvaluator, start: AnsatzParams,
+             stream: np.random.Generator, exact_fn: ExactFn) -> OptTrace:
+    """One-stage SPSA on one repeat: spsa_lockstep with R = 1, so each
+    iteration asks evaluator for (1, 3, 2) points, in order the centre,
+    recorded in the trace, then the two perturbed points for the
+    gradient."""
+    return spsa_lockstep(cfg, evaluator, [start], [stream], _exact_of(exact_fn))[0]
 
 
 def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
@@ -293,7 +262,7 @@ def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
 
 def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: int,
                  streams: Sequence[np.random.Generator],
-                 exact: ExactCentres | None = None) -> list[OptTrace]:
+                 exact: ExactCentres) -> list[OptTrace]:
     """Batch-parallel surrogate gradient descent on R independent repeats
     in lockstep, one trace each.
 
@@ -305,7 +274,7 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
     of one uniform draw per step. Every repeat's quadratic surrogate is
     fitted to its value and raw estimates in one batched solve, with
     observation weights 1/std_err^2 and ridge strength (mean observation
-    variance)/l^2 (unit weights and no ridge for a noiseless repeat), and
+    variance)/MGD_L^2 (unit weights and no ridge for a noiseless repeat), and
     each repeat steps along its fitted linear coefficients.
     """
     if points < 1:
@@ -328,7 +297,7 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
         noiseless = mean_var == 0.0
         weights = 1.0 / np.where(noiseless[:, None], 1.0,
                                  np.maximum(variances, 1e-12 * mean_var[:, None]))
-        ridge = np.where(noiseless, 0.0, mean_var / cfg.l ** 2)
+        ridge = np.where(noiseless, 0.0, mean_var / MGD_L ** 2)
         coeffs, raw_coeffs = _fit_surrogate(offsets, np.stack([est.value, est.raw]),
                                             weights, ridge)
         _record(points[:, k - 1], batch, est)
@@ -337,14 +306,12 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
     return _traces(steps, points, theta, exact)
 
 
-def mgd_run(cfg: MgdConfig, evaluator: BatchEvaluator, start: AnsatzParams,
-            points: int, stream: np.random.Generator,
-            exact_fn: ExactFn | None = None) -> OptTrace:
-    """Batch-parallel surrogate gradient descent on one repeat
-    (mgd_lockstep with R = 1): each iteration evaluates its `points`
-    points in one call of evaluator."""
-    return mgd_lockstep(cfg, _one_repeat(evaluator), [start], points, [stream],
-                        _exact_of(exact_fn))[0]
+def mgd_run(cfg: MgdConfig, evaluator: LockstepEvaluator, start: AnsatzParams,
+            points: int, stream: np.random.Generator, exact_fn: ExactFn) -> OptTrace:
+    """Batch-parallel surrogate gradient descent on one repeat:
+    mgd_lockstep with R = 1, so each iteration asks evaluator for
+    (1, points, 2) points."""
+    return mgd_lockstep(cfg, evaluator, [start], points, [stream], _exact_of(exact_fn))[0]
 
 
 # --- executor-backed evaluators ----------------------------------------------
@@ -422,12 +389,14 @@ def spsa_parallel_evaluator(table: PairTable, shots, seeds: Sequence[int],
     return evaluate
 
 
-def oracle_evaluator(h: HubbardParams = HubbardParams()) -> BatchEvaluator:
-    """Noiseless batch evaluator backed by the exact model (std_err = 0)."""
+def oracle_evaluator(h: HubbardParams = HubbardParams()) -> LockstepEvaluator:
+    """Noiseless evaluator backed by the exact model (std_err = 0), for
+    points of any leading shape: (..., 2) -> Estimates with (...) fields."""
 
     def evaluate(points: np.ndarray) -> Estimates:
-        value = np.array([exact_energy(AnsatzParams(*p), h) for p in points.tolist()])
-        return Estimates(value=value, std_err=np.zeros(len(value)), raw=value)
+        value = np.array([exact_energy(AnsatzParams(*p), h)
+                          for p in points.reshape(-1, 2).tolist()]).reshape(points.shape[:-1])
+        return Estimates(value=value, std_err=np.zeros(value.shape), raw=value)
 
     return evaluate
 

@@ -233,7 +233,7 @@ TRACE_HEADER = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
 
 def trace_csv(trace) -> str:
     """An OptTrace's CSV, row by row from its records through csv.writer."""
-    return csv_text(TRACE_HEADER, [record[:len(TRACE_HEADER)] for record in trace.records])
+    return csv_text(TRACE_HEADER, trace.records)
 
 
 def gradient_color(frac: float) -> str:

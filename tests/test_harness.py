@@ -498,7 +498,7 @@ def test_trace_points_hold_what_the_optimizers_consumed(tmp_path):
             assert np.array_equal(centre[field], column[name]), field
     path, traces = vqe_points(tmp_path, "mgd", "--optimizer", "mgd", "--seed", "3",
                               "--repeats", "2", "--eta", "1.5")
-    l_scale = optimizers.MgdConfig(iterations=1).l
+    l_scale = optimizers.MGD_L
     for points, trace in zip(np.load(path), traces):
         column = {name: np.array([float(row[name]) for row in trace]) for name in trace[0]}
         offsets = np.stack([points["phi"] - column["phi"][:, None],
@@ -837,6 +837,34 @@ def test_rank_correlation_matches_spearman_with_ties():
         y = np.round(rng.normal(size=n), 1)
         y[rng.integers(n)] = y[0]            # at least one tie in y too
         assert rank_correlation(x, y) == pytest.approx(spearmanr(x, y)[0], abs=1e-12)
+    # a constant input has no rank order: None, where Pearson's formula
+    # would give NaN with a divide warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in (([1, 2, 3], [4.0, 4.0, 4.0]), ([2, 2], [1.0, 3.0]), ([1], [0.5]),
+                     ([7, 7, 7], [0.1, 0.1, 0.1])):
+            assert rank_correlation(x, y) is None
+            assert rank_correlation(y, x) is None
+
+
+def test_benchmark_pairs_record_is_strict_json_with_one_greedy_pair(tmp_path):
+    """On a 3-qubit chain greedy selection takes one pair, so the sweep has
+    one p and no rank correlation: record.json holds null (not NaN) and the
+    run emits no RuntimeWarning."""
+    chain = write_calibration(tmp_path / "chain.json", range(3),
+                              [(0, 1, 0.95), (1, 2, 0.9)], {q: (0.02, 0.03) for q in range(3)})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["benchmark-pairs", "--calibration", str(chain), "--shots", "200",
+                         "--seed", "1", "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"record.json holds {constant}")
+
+    record = json.loads((out / "record.json").read_text(), parse_constant=refuse)
+    assert record["metrics"]["greedy_pairs"] == 1
+    assert record["metrics"]["spearman_mean_abs_err_raw_vs_p"] is None
 
 
 # the values that tie, change sign, overflow or poison a median
@@ -907,6 +935,12 @@ IMPOSSIBLE = {
                                   "pair_counts must not be empty"),
     "empty-sweep-pair-counts": ("speedup-sweep --pair-counts ,",
                                 "pair_counts must not be empty"),
+    # an empty entry among others is a typo, not a shorter list
+    "empty-shots-entry": ("shots-sweep --shots-list 100,,1000", "invalid _int_list value"),
+    "empty-compare-pair-counts-entry": ("optimizer-compare --pair-counts 2,",
+                                        "invalid _int_list value"),
+    "empty-sweep-pair-counts-entry": ("speedup-sweep --pair-counts 2,",
+                                      "invalid _int_list value"),
     # valid readout rates whose confusion matrix is too ill-conditioned to
     # invert: heatmap compiles its table before it writes its exact CSV
     "ill-conditioned-heatmap": ("heatmap --calibration {ill} --grid 4 --shots 100",

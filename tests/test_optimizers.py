@@ -26,6 +26,7 @@ from parvqe.hubbard import (
     exact_ground_energy,
 )
 from parvqe.mitigation import measure_confusion
+from parvqe import optimizers
 from parvqe.optimizers import (
     IterationRecord,
     POINT_DTYPE,
@@ -50,6 +51,9 @@ from reference import fit_surrogate, trace_csv
 E_GROUND = exact_ground_energy()
 START = AnsatzParams(0.6, 0.8)
 EXACT = lambda p: exact_energy(p)
+CONSTANT = lambda p: 0.0                 # an oracle that says nothing of p
+# the exact energies of an (N, 2) array of centres, the lockstep cores' oracle
+EXACT_CENTRES = lambda centres: closed_form_energy(centres[:, 0], centres[:, 1])
 
 
 def uniform_topology(n_pairs, fidelity=1.0, readout=(0.0, 0.0)):
@@ -92,14 +96,20 @@ def test_gain_sequences_strictly_decreasing():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SpsaConfig(iterations=0)
-    with pytest.raises(ValueError):
-        SpsaConfig(iterations=5, alpha=0.1, gamma=0.2)
-    with pytest.raises(ValueError):
-        MgdConfig(iterations=5, xi=0.7)   # xi must stay below alpha
-    with pytest.raises(ValueError):
-        MgdConfig(iterations=5, delta=0.0)
+    """A config holds only its iteration count, which must be positive;
+    the gains are module constants, not fields."""
+    for config in (SpsaConfig, MgdConfig):
+        assert config.field_names == ("iterations",)
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                config(iterations=bad)
+    with pytest.raises(TypeError):
+        SpsaConfig(iterations=5, alpha=0.1)
+    with pytest.raises(TypeError):
+        MgdConfig(iterations=5, l=0.3)
+    assert (optimizers.ALPHA, optimizers.GAMMA, optimizers.BIG_A) == (0.602, 0.101, 1.0)
+    assert (optimizers.SPSA_A, optimizers.SPSA_C) == (0.15, 0.2)
+    assert (optimizers.MGD_DELTA, optimizers.MGD_STEP, optimizers.MGD_L) == (0.6, 0.6, 0.2)
 
 
 def test_n_points_from_eta():
@@ -127,11 +137,12 @@ def test_spsa_noiseless_convergence():
 
 def test_spsa_constant_evaluator_never_moves():
     def const(points):
-        return Estimates(value=np.full(len(points), 3.0), std_err=np.zeros(len(points)),
-                         raw=np.full(len(points), 3.0))
+        shape = points.shape[:-1]
+        return Estimates(value=np.full(shape, 3.0), std_err=np.zeros(shape),
+                         raw=np.full(shape, 3.0))
 
     trace = spsa_run(SpsaConfig(iterations=20), const, START,
-                     np.random.default_rng(0))
+                     np.random.default_rng(0), EXACT)
     assert trace.final_params == START
     assert all(r.phi == START.phi and r.theta == START.theta for r in trace.records)
 
@@ -144,9 +155,9 @@ def test_spsa_invariant_under_constant_shift():
         return evaluate
 
     t1 = spsa_run(SpsaConfig(iterations=30), shifted(0.0), START,
-                  np.random.default_rng(12))
+                  np.random.default_rng(12), EXACT)
     t2 = spsa_run(SpsaConfig(iterations=30), shifted(5.0), START,
-                  np.random.default_rng(12))
+                  np.random.default_rng(12), EXACT)
     # exact cancellation up to floating-point rounding of the shift
     for r1, r2 in zip(t1.records, t2.records):
         assert r1.phi == pytest.approx(r2.phi, abs=1e-9)
@@ -155,12 +166,15 @@ def test_spsa_invariant_under_constant_shift():
 
 
 def test_spsa_trace_diagnostics_do_not_affect_updates():
+    """Two different oracles give different e_exact columns and the same
+    run: the oracle's values are never fed back."""
     t1 = spsa_run(SpsaConfig(iterations=25), oracle_evaluator(), START,
                   np.random.default_rng(3), exact_fn=EXACT)
     t2 = spsa_run(SpsaConfig(iterations=25), oracle_evaluator(), START,
-                  np.random.default_rng(3), exact_fn=None)
+                  np.random.default_rng(3), exact_fn=CONSTANT)
     assert t1.final_params == t2.final_params
-    assert all(r2.e_exact is None for r2 in t2.records)
+    assert t1.points.tobytes() == t2.points.tobytes()
+    assert np.all(t2.e_exact == 0.0) and not np.any(t1.e_exact == 0.0)
     assert len(t1.records) == 25
 
 
@@ -172,12 +186,12 @@ def test_spsa_directions_are_the_choice_draws():
         points = []
 
         def record(batch):
-            assert batch.shape == (3, 2)    # one call per iteration
-            points.extend(batch.tolist())
+            assert batch.shape == (1, 3, 2)    # one call per iteration
+            points.extend(batch[0].tolist())
             return oracle_evaluator()(batch)
 
         stream, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        spsa_run(cfg, record, START, stream)
+        spsa_run(cfg, record, START, stream, CONSTANT)
         centres, plus = np.array(points[0::3]), np.array(points[1::3])
         expected = [reference.choice([-1.0, 1.0], size=2) for _ in range(cfg.iterations)]
         assert np.array_equal(np.sign(plus - centres), expected)
@@ -198,7 +212,7 @@ def test_mgd_offsets_are_the_uniform_draws():
     for seed in range(300):
         seeds = [seed, seed + 1000]
         streams = [np.random.default_rng(s) for s in seeds]
-        traces = mgd_lockstep(cfg, evaluate, [START] * 2, m, streams)
+        traces = mgd_lockstep(cfg, evaluate, [START] * 2, m, streams, EXACT_CENTRES)
         for trace, stream, s in zip(traces, streams, seeds):
             reference = np.random.default_rng(s)
             for k in range(cfg.iterations):
@@ -211,30 +225,26 @@ def test_mgd_offsets_are_the_uniform_draws():
 
 
 def test_trace_records_and_csv_are_its_columns(tmp_path):
-    """A trace's records and CSV are its columns read row by row, the
-    records' points the (phi, theta) of its points array: SPSA with exact
-    energies and its three points per iteration, MGD with its sampled
-    points and no exact energies."""
+    """A trace's records and CSV are its columns read row by row: SPSA with
+    its three points per iteration, MGD with its sampled points, each with
+    its oracle's exact energies."""
     spsa = spsa_run(SpsaConfig(iterations=4), oracle_evaluator(), START,
                     np.random.default_rng(1), exact_fn=EXACT)
     mgd = mgd_run(MgdConfig(iterations=3), oracle_batch_evaluator(), START, 8,
-                  np.random.default_rng(2))
+                  np.random.default_rng(2), exact_fn=CONSTANT)
+    assert len(IterationRecord._fields) == 6
     for name, trace in (("spsa", spsa), ("mgd", mgd)):
         for field in IterationRecord._fields:
-            column = getattr(trace, field)
-            if field == "points":
-                want = [tuple(zip(p["phi"].tolist(), p["theta"].tolist())) for p in column]
-            else:
-                want = [None] * len(trace.phi) if column is None else column.tolist()
+            want = getattr(trace, field).tolist()
             assert [getattr(r, field) for r in trace.records] == want, field
         path = tmp_path / f"{name}.csv"
         write_csv(path, ["iteration", "phi", "theta", "e_raw", "e_ni", "e_exact"],
                   [trace.iteration, trace.phi, trace.theta, trace.e_raw, trace.e_ni,
-                   [None] * len(trace.phi) if trace.e_exact is None else trace.e_exact])
+                   trace.e_exact])
         assert trace.to_csv() == path.read_text()
     assert spsa.points.dtype == mgd.points.dtype == POINT_DTYPE
     assert spsa.points.shape == (4, 3) and mgd.points.shape == (3, 8)
-    assert mgd.e_exact is None and mgd.records[0].e_exact is None
+    assert mgd.records[0].e_exact == 0.0
 
 
 def test_trace_points_hold_the_estimates_each_core_consumed():
@@ -250,9 +260,9 @@ def test_trace_points_hold_the_estimates_each_core_consumed():
         return Estimates(value=value + 0.01, std_err=np.full(value.shape, 0.02), raw=value)
 
     runs = {"spsa": lambda streams: spsa_lockstep(SpsaConfig(iterations=3), evaluate,
-                                                  [START] * 2, streams),
+                                                  [START] * 2, streams, EXACT_CENTRES),
             "mgd": lambda streams: mgd_lockstep(MgdConfig(iterations=3), evaluate,
-                                                [START] * 2, 7, streams)}
+                                                [START] * 2, 7, streams, EXACT_CENTRES)}
     for run in runs.values():
         asked.clear()
         traces = run([np.random.default_rng(s) for s in (4, 5)])
@@ -280,14 +290,14 @@ def point_array(values, k, m):
 @st.composite
 def traces(draw):
     """An OptTrace of K = 1..5 iterations with any column and point
-    values, e_exact None or an array, and m = 0..3 points per iteration."""
+    values, and m = 0..3 points per iteration."""
     k, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
     column = st.lists(trace_values, min_size=k, max_size=k).map(np.array)
     points = st.lists(trace_values, min_size=5 * k * m, max_size=5 * k * m).map(
         lambda v: point_array(v, k, m))
     finite = st.floats(-10.0, 10.0)
     return OptTrace(phi=draw(column), theta=draw(column), e_raw=draw(column),
-                    e_ni=draw(column), e_exact=draw(st.none() | column),
+                    e_ni=draw(column), e_exact=draw(column),
                     points=draw(points), final_params=AnsatzParams(draw(finite), draw(finite)))
 
 
@@ -296,12 +306,12 @@ ONE_STEP = dict(phi=np.array([-0.0]), theta=np.array([math.inf]), e_raw=np.array
 
 
 @given(traces())
-@example(OptTrace(**ONE_STEP, e_exact=None, points=point_array([], 1, 0)))
+@example(OptTrace(**ONE_STEP, e_exact=np.array([-0.0]), points=point_array([], 1, 0)))
 @example(OptTrace(**ONE_STEP, e_exact=np.array([0.1]),
                   points=point_array([math.nan, -0.0, math.inf, 2.5, 0.0], 1, 1)))
 def test_trace_files_are_the_reference_serializers_bytes(trace):
-    """A trace's CSV is csv.writer's over its records, NaN, inf, -0.0 and
-    empty cells included, whether read from to_csv or written by write."""
+    """A trace's CSV is csv.writer's over its records, NaN, inf and -0.0
+    included, whether read from to_csv or written by write."""
     assert trace.to_csv() == trace_csv(trace)
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp, "t.csv")
@@ -423,16 +433,15 @@ def test_mgd_noiseless_reaches_ground():
 
 def test_mgd_records_sampled_points():
     trace = mgd_run(MgdConfig(iterations=3), oracle_batch_evaluator(), START, 8,
-                    np.random.default_rng(2))
-    for r in trace.records:
-        assert len(r.points) == 8
+                    np.random.default_rng(2), EXACT)
+    assert trace.points.shape == (3, 8)
 
 
 def test_mgd_under_determined_noiseless_aborts():
     with pytest.warns(UserWarning):
         with pytest.raises(UnderDeterminedFit):
             mgd_run(MgdConfig(iterations=2), oracle_batch_evaluator(), START, 5,
-                    np.random.default_rng(0))
+                    np.random.default_rng(0), EXACT)
 
 
 def test_mgd_noiseless_weights_divide_by_nothing():
@@ -446,11 +455,34 @@ def test_mgd_noiseless_weights_divide_by_nothing():
 
 
 def test_mgd_trace_diagnostics_do_not_affect_updates():
+    """Two different oracles give different e_exact columns and the same
+    run: the oracle's values are never fed back."""
     t1 = mgd_run(MgdConfig(iterations=10), oracle_batch_evaluator(), START, 9,
                  np.random.default_rng(6), exact_fn=EXACT)
     t2 = mgd_run(MgdConfig(iterations=10), oracle_batch_evaluator(), START, 9,
-                 np.random.default_rng(6), exact_fn=None)
+                 np.random.default_rng(6), exact_fn=CONSTANT)
     assert t1.final_params == t2.final_params
+    assert t1.points.tobytes() == t2.points.tobytes()
+    assert np.all(t2.e_exact == 0.0) and not np.any(t1.e_exact == 0.0)
+
+
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 2 ** 32))
+def test_oracle_evaluator_takes_points_of_any_leading_shape(repeats, m, seed):
+    """The oracle gives bit-identical estimates for the same points as
+    (m, 2), (1, m, 2) and (R, m, 2) arrays, each field in the points'
+    leading shape, with zero std_err."""
+    points = np.random.default_rng(seed).uniform(-2, 2, size=(repeats, m, 2))
+    evaluate = oracle_evaluator()
+    whole = evaluate(points)
+    for a in whole:
+        assert a.shape == (repeats, m)
+    assert np.all(whole.std_err == 0.0) and whole.raw.tobytes() == whole.value.tobytes()
+    for r in range(repeats):
+        flat, one = evaluate(points[r]), evaluate(points[r:r + 1])
+        for a, b, c in zip(whole, flat, one):
+            assert b.shape == (m,) and c.shape == (1, m)
+            assert a[r].tobytes() == b.tobytes() == c[0].tobytes()
+    assert oracle_batch_evaluator is oracle_evaluator
 
 
 # --- executor-backed evaluators ---
@@ -656,6 +688,6 @@ def test_mgd_with_noisy_evaluator_and_few_points_warns_but_runs():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trace, = mgd_lockstep(MgdConfig(iterations=3), ev, [START], 4,
-                              [np.random.default_rng(4)])
+                              [np.random.default_rng(4)], EXACT_CENTRES)
     assert any("under-determine" in str(w.message) for w in caught)
     assert len(trace.records) == 3
