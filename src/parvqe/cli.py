@@ -30,10 +30,11 @@ if TYPE_CHECKING:
     import argparse     # imported by build_parser only: a plain run never needs it
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def int_list(text: str) -> tuple[int, ...]:
     """Comma-separated ints. A value of empty entries only (",") is () for
     the config's "must not be empty" check; any other empty entry is a
-    ValueError, which argparse reports as a usage error."""
+    ValueError, which argparse reports as a usage error under this
+    function's name ("invalid int_list value")."""
     tokens = text.split(",")
     return tuple(map(int, tokens)) if any(tokens) else ()
 
@@ -63,8 +64,8 @@ FLAGS = {
                           help="points-per-iteration metaparameter for mgd")),
     "start": ("--start", dict(type=float, nargs=2, metavar=("PHI", "THETA"))),
     "grid": ("--grid", dict(type=int, help="points per axis")),
-    "shots_list": ("--shots-list", dict(type=_int_list)),
-    "pair_counts": ("--pair-counts", dict(type=_int_list)),
+    "shots_list": ("--shots-list", dict(type=int_list)),
+    "pair_counts": ("--pair-counts", dict(type=int_list)),
 }
 
 

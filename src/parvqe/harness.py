@@ -1,10 +1,11 @@
 """Experiment harness: reproducible runs emitting CSV, SVG and .npy files.
 
-Every experiment takes an ExperimentConfig (seed mandatory), writes its
-data files into the output directory and returns a RunRecord holding the
-settings it reads (COMMANDS), derived metrics and artifact list. Identical
-configurations produce byte-identical data files; wall-clock cost is
-modelled (never measured) so records stay reproducible.
+Every experiment takes an ExperimentConfig (seed mandatory), computes
+its files and metrics, and hands them to `_Run.finish`, the one writing
+stage, so a run that fails leaves no output. finish returns a RunRecord
+holding the settings it reads (COMMANDS), metrics and artifact list.
+Identical configurations produce byte-identical data files; wall-clock
+cost is modelled (never measured) so records stay reproducible.
 """
 
 from __future__ import annotations
@@ -226,9 +227,9 @@ def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
 
 
 class _Run:
-    """What every experiment sets up first (clock, output directory, Hubbard
-    parameters and ground energy, cost model, calibration and its one
-    compiled pair table) and its write-record-then-print ending."""
+    """What every experiment sets up first (clock, Hubbard parameters and
+    ground energy, cost model, calibration and its one compiled pair table)
+    and its ending, which writes every file and the record."""
 
     def __init__(self, cfg: ExperimentConfig, cost: bool = False):
         self.cfg = cfg
@@ -243,15 +244,6 @@ class _Run:
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise InputError(f"cannot read cost model {cfg.cost_model}: "
                                  f"{type(exc).__name__}: {exc}") from exc
-
-    @cached_property
-    def out_dir(self) -> Path:
-        # made on first use, so inputs rejected before then leave no directory
-        try:
-            self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
-            raise InputError(f"out_dir {self.cfg.out_dir} is not a directory") from exc
-        return self.cfg.out_dir
 
     @cached_property
     def topology(self) -> DeviceTopology:
@@ -286,11 +278,28 @@ class _Run:
                 [derive_rng(cfg.seed, _NS_CONFUSION, *pair) for pair in pairs])
         return compile_pairs(self.topology, pairs, self.h, confusions, cfg.crosstalk_p)
 
-    def finish(self, command: str, metrics: dict, artifacts: list[str],
-               summary: str) -> RunRecord:
+    def finish(self, command: str, files: dict, metrics: dict, summary: str) -> RunRecord:
+        """Make the output directory and write `files` in order, each name
+        mapped to a CSV's (header, columns), an .npy array or an SVG's
+        (svgplot function name, *args after the path); then record.json,
+        whose artifacts are every name but the SVGs'. Print the summary."""
+        out_dir = self.cfg.out_dir
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise InputError(f"out_dir {out_dir} is not a directory") from exc
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                write_csv(out_dir / name, *content)
+            elif name.endswith(".npy"):
+                np.save(out_dir / name, content)
+            else:
+                plot, *args = content
+                getattr(svgplot, plot)(out_dir / name, *args)
         record = RunRecord(command=command, config=self.cfg.snapshot(COMMANDS[command].reads),
-                           metrics=metrics, artifacts=artifacts)
-        record.write(self.out_dir / "record.json")
+                           metrics=metrics,
+                           artifacts=[name for name in files if not name.endswith(".svg")])
+        record.write(out_dir / "record.json")
         print(f"{summary}; sim time {time.perf_counter() - self.t_start:.1f}s")
         return record
 
@@ -399,15 +408,6 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     indiv = _measure(run, table, [[[idx] for idx in range(n)]], np.full(n, opt.phi),
                      np.full(n, opt.theta), [(0,)], tflo=True)
     fidelity = [topology.fidelity(pair) for pair in all_pairs]
-    indiv_path = run.out_dir / "individual_pairs.csv"
-    write_csv(indiv_path, ["pair_a", "pair_b", "fidelity",
-                           "e_raw", "e_ni", "e_tflo", "e_tflo_ni"],
-              [*np.array(all_pairs).T, fidelity, *(indiv[m] for m in MITIGATION_LEVELS)])
-    svgplot.scatter_plot(
-        run.out_dir / "individual_pairs.svg",
-        {level: (fidelity, indiv[level].tolist()) for level in MITIGATION_LEVELS},
-        "energy vs CZ fidelity (individual pairs)", "CZ fidelity", "energy",
-        hlines={"exact ground": e0})
 
     # (b) greedy-parallel sweep: the first p greedy pairs for every p
     selection = greedy_select(topology)
@@ -421,26 +421,31 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
                 for m in MITIGATION_LEVELS}
     pooled_err = {m: [abs(float(np.mean(v)) - e0) for v in per_p[m]]
                   for m in MITIGATION_LEVELS}
-    sweep_path = run.out_dir / "parallel_sweep.csv"
-    write_csv(sweep_path,
-              ["p"] + [f"mean_abs_err_{m}" for m in MITIGATION_LEVELS]
-              + [f"pooled_abs_err_{m}" for m in MITIGATION_LEVELS],
-              [sizes, *mean_err.values(), *pooled_err.values()])
-    svgplot.line_plot(
-        run.out_dir / "parallel_sweep.svg",
-        {level: (sizes, mean_err[level]) for level in MITIGATION_LEVELS},
-        "mean |error| vs pairs in parallel", "pairs in parallel", "mean |error|")
 
-    # pair i of the greedy order is active from p = i + 1 on
-    matrix_path = run.out_dir / "pair_by_p_matrix.csv"
-    write_csv(matrix_path,
-              ["pair_a", "pair_b", "fidelity", "individual_err"]
-              + [f"err_p{p}" for p in sizes],
-              [*np.array(selection.pairs).T, [fidelity[row] for row in greedy_rows],
-               indiv["tflo"][greedy_rows] - e0,
-               *((tflo - e0).tolist() + [None] * (len(sizes) - p)
-                 for p, tflo in zip(sizes, per_p["tflo"]))])
-
+    files = {
+        "individual_pairs.csv": (
+            ["pair_a", "pair_b", "fidelity", "e_raw", "e_ni", "e_tflo", "e_tflo_ni"],
+            [*np.array(all_pairs).T, fidelity, *(indiv[m] for m in MITIGATION_LEVELS)]),
+        "individual_pairs.svg": (
+            "scatter_plot",
+            {level: (fidelity, indiv[level].tolist()) for level in MITIGATION_LEVELS},
+            "energy vs CZ fidelity (individual pairs)", "CZ fidelity", "energy",
+            {"exact ground": e0}),
+        "parallel_sweep.csv": (
+            ["p"] + [f"mean_abs_err_{m}" for m in MITIGATION_LEVELS]
+            + [f"pooled_abs_err_{m}" for m in MITIGATION_LEVELS],
+            [sizes, *mean_err.values(), *pooled_err.values()]),
+        "parallel_sweep.svg": (
+            "line_plot", {level: (sizes, mean_err[level]) for level in MITIGATION_LEVELS},
+            "mean |error| vs pairs in parallel", "pairs in parallel", "mean |error|"),
+        # pair i of the greedy order is active from p = i + 1 on
+        "pair_by_p_matrix.csv": (
+            ["pair_a", "pair_b", "fidelity", "individual_err"] + [f"err_p{p}" for p in sizes],
+            [*np.array(selection.pairs).T, [fidelity[row] for row in greedy_rows],
+             indiv["tflo"][greedy_rows] - e0,
+             *((tflo - e0).tolist() + [None] * (len(sizes) - p)
+               for p, tflo in zip(sizes, per_p["tflo"]))]),
+    }
     rho = rank_correlation(sizes, mean_err["raw"])
     frac_below = float(np.mean(np.less(mean_err["tflo"], mean_err["raw"])))
     metrics = {
@@ -452,8 +457,7 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
         "spearman_mean_abs_err_raw_vs_p": rho,
         "fraction_p_tflo_below_raw": frac_below,
     }
-    return run.finish("benchmark-pairs", metrics,
-                      [p.name for p in (indiv_path, sweep_path, matrix_path)],
+    return run.finish("benchmark-pairs", files, metrics,
                       f"benchmark-pairs: {len(all_pairs)} pairs individually, "
                       f"sweep to p={len(selection.pairs)}")
 
@@ -470,30 +474,25 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     # the grid in row-major (phi, theta) order
     phi, theta = np.repeat(axis, n), np.tile(axis, n)
     pairs = run.select(cfg.select, cfg.cap, default=25)
-    # compiled first: a rejected confusion stack raises before any output
     table = run.pair_table(pairs, cfg.ni)
-
     exact = closed_form_energy(phi, theta, h)
-    exact_path = run.out_dir / "heatmap_exact.csv"
-    write_csv(exact_path, ["phi", "theta", "e_exact"], [phi, theta, exact])
 
     # the grid in batches of len(pairs) points, all measured in one call
     batches = [np.arange(min(len(pairs), n * n - lo)) for lo in range(0, n * n, len(pairs))]
     levels = _measure(run, table, [batches], phi, theta, [()], cfg.tflo)
     value = levels[cfg.level]
     err = np.abs(value - exact)
-    sim_path = run.out_dir / "heatmap_simulated.csv"
-    write_csv(sim_path, ["phi", "theta", "pair_a", "pair_b",
-                         "e_estimate", "e_corrected", "abs_err"],
-              [phi, theta, *table.qubits[np.concatenate(batches)].T, levels["ni"], value, err])
-
     extent = (-math.pi, math.pi, -math.pi, math.pi)
-    svgplot.heatmap(run.out_dir / "heatmap_exact.svg", exact.reshape(n, n),
-                    "exact energy landscape", "phi", "theta", extent)
-    svgplot.heatmap(run.out_dir / "heatmap_simulated.svg", value.reshape(n, n),
-                    "simulated energy landscape", "phi", "theta", extent)
-    svgplot.heatmap(run.out_dir / "heatmap_error.svg", err.reshape(n, n),
-                    "absolute error", "phi", "theta", extent)
+    files = {
+        "heatmap_exact.csv": (["phi", "theta", "e_exact"], [phi, theta, exact]),
+        "heatmap_simulated.csv": (
+            ["phi", "theta", "pair_a", "pair_b", "e_estimate", "e_corrected", "abs_err"],
+            [phi, theta, *table.qubits[np.concatenate(batches)].T, levels["ni"], value, err]),
+        **{f"heatmap_{name}.svg": ("heatmap", grid.reshape(n, n), title, "phi", "theta", extent)
+           for name, grid, title in (("exact", exact, "exact energy landscape"),
+                                     ("simulated", value, "simulated energy landscape"),
+                                     ("error", err, "absolute error"))},
+    }
 
     seconds_parallel = predict_wall_time(run.cost, len(pairs), len(batches), cfg.shots)
     seconds_single = predict_wall_time(run.cost, 1, n * n, cfg.shots)
@@ -509,7 +508,7 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
         "mean_abs_err": float(err.mean()),
         "exact_ground_energy": run.e0,
     }
-    return run.finish("heatmap", metrics, [exact_path.name, sim_path.name],
+    return run.finish("heatmap", files, metrics,
                       f"heatmap: {n * n} points on {len(pairs)} pairs in "
                       f"{len(batches)} batches, modeled speedup "
                       f"{metrics['modeled_speedup']:.1f}x")
@@ -551,35 +550,28 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     final_params = [trace.final_params for trace in traces]
     finals = _final_points(run, table, final_params, range(cfg.repeats),
                            [len(pairs)] * cfg.repeats)
-    artifacts = []
-    for rep, trace in enumerate(traces):
-        trace_path = run.out_dir / f"trace_rep{rep}.csv"
-        trace.write(trace_path)
-        artifacts.append(trace_path.name)
-    points_path = run.out_dir / "trace_points.npy"
-    np.save(points_path, traces[0].points.base)     # every repeat's points, uncopied
-    artifacts.append(points_path.name)
     trace = traces[0]
     its = trace.iteration.tolist()
-    svgplot.line_plot(
-        run.out_dir / "trace_rep0.svg",
-        {"estimate": (its, trace.e_ni.tolist()), "raw": (its, trace.e_raw.tolist()),
-         "exact at params": (its, trace.e_exact.tolist())},
-        f"{cfg.optimizer} on {len(pairs)} pair(s)", "iteration", "energy",
-        hlines={"exact ground": e0})
-
     abs_err = np.abs(finals[cfg.level] - e0)
-    summary_path = run.out_dir / "summary.csv"
-    # lists, as in OptTrace: distinct values gain nothing from csvio's np.unique path
-    write_csv(summary_path,
-              ["repeat", "final_phi", "final_theta", "final_raw", "final_ni",
-               "final_tflo", "final_tflo_ni", "final_corrected",
-               "final_abs_err", "exact_err_at_final"],
-              [list(range(cfg.repeats)), [f.phi for f in final_params],
-               [f.theta for f in final_params],
-               *(finals[m].tolist() for m in (*MITIGATION_LEVELS, cfg.level)),
-               abs_err.tolist(), [exact_energy(f, h) - e0 for f in final_params]])
-    artifacts.append(summary_path.name)
+    files = {
+        **{f"trace_rep{rep}.csv": t.table for rep, t in enumerate(traces)},
+        "trace_points.npy": trace.points.base,      # every repeat's points, uncopied
+        "trace_rep0.svg": (
+            "line_plot",
+            {"estimate": (its, trace.e_ni.tolist()), "raw": (its, trace.e_raw.tolist()),
+             "exact at params": (its, trace.e_exact.tolist())},
+            f"{cfg.optimizer} on {len(pairs)} pair(s)", "iteration", "energy",
+            {"exact ground": e0}),
+        # lists, as in OptTrace.table: distinct values gain nothing from csvio's np.unique path
+        "summary.csv": (
+            ["repeat", "final_phi", "final_theta", "final_raw", "final_ni",
+             "final_tflo", "final_tflo_ni", "final_corrected",
+             "final_abs_err", "exact_err_at_final"],
+            [list(range(cfg.repeats)), [f.phi for f in final_params],
+             [f.theta for f in final_params],
+             *(finals[m].tolist() for m in (*MITIGATION_LEVELS, cfg.level)),
+             abs_err.tolist(), [exact_energy(f, h) - e0 for f in final_params]]),
+    }
 
     seconds_parallel, seconds_single = modeled_vqe_wall_times(
         run.cost, cfg.optimizer, len(pairs), points, iterations, cfg.shots)
@@ -597,7 +589,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
         "modeled_speedup": seconds_single / seconds_parallel,
         "exact_ground_energy": e0,
     }
-    return run.finish("vqe", metrics, artifacts,
+    return run.finish("vqe", files, metrics,
                       f"vqe[{cfg.optimizer}]: {cfg.repeats} repeat(s) on {len(pairs)} "
                       f"pair(s), median |err| {metrics['median_final_abs_err']:.4f}")
 
@@ -613,15 +605,15 @@ def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
         times = [modeled_vqe_wall_times(run.cost, optimizer, p, p, 1, cfg.shots)
                  for p in counts]
         speedups[optimizer] = [single / parallel for parallel, single in times]
-    path = run.out_dir / "speedup_sweep.csv"
-    write_csv(path, ["p", "spsa_speedup", "mgd_speedup"], [counts, *speedups.values()])
-    svgplot.line_plot(run.out_dir / "speedup_sweep.svg",
-                      {name: (counts, values) for name, values in speedups.items()},
-                      "modelled speedup vs pairs", "pairs in parallel", "speedup")
+    files = {"speedup_sweep.csv": (["p", "spsa_speedup", "mgd_speedup"],
+                                   [counts, *speedups.values()]),
+             "speedup_sweep.svg": ("line_plot",
+                                   {name: (counts, values) for name, values in speedups.items()},
+                                   "modelled speedup vs pairs", "pairs in parallel", "speedup")}
     metrics = {"pair_counts": counts,
                "spsa_speedups": speedups["spsa"],
                "mgd_speedups": speedups["mgd"]}
-    return run.finish("speedup-sweep", metrics, [path.name],
+    return run.finish("speedup-sweep", files, metrics,
                       f"speedup-sweep: {len(counts)} pair counts modelled")
 
 
@@ -645,25 +637,21 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     traces = dict(zip(cfg.shots_list, _optimize(
         run, table, "spsa", iterations, len(pairs), cfg.shots_list,
         [(si,) for si in range(len(cfg.shots_list))])))
-    artifacts = []
-    for shots, trace in traces.items():
-        trace_path = run.out_dir / f"trace_shots{shots}.csv"
-        trace.write(trace_path)
-        artifacts.append(trace_path.name)
     final_params = [trace.final_params for trace in traces.values()]
     final_err = {shots: exact_energy(f, h) - e0 for shots, f in zip(traces, final_params)}
-    summary_path = run.out_dir / "shots_summary.csv"
-    write_csv(summary_path, ["shots", "final_phi", "final_theta",
-                             "final_exact_err", "best_exact_err"],
-              [list(traces), [f.phi for f in final_params], [f.theta for f in final_params],
-               list(final_err.values()),
-               [min((trace.e_exact - e0).tolist()) for trace in traces.values()]])
-    artifacts.append(summary_path.name)
-    series = {f"{shots} shots": (trace.iteration.tolist(), trace.e_exact.tolist())
-              for shots, trace in traces.items()}
-    svgplot.line_plot(run.out_dir / "shots_sweep.svg", series,
-                      f"SPSA on {len(pairs)} pairs: exact energy at iterates",
-                      "iteration", "exact energy", hlines={"exact ground": e0})
+    files = {
+        **{f"trace_shots{shots}.csv": t.table for shots, t in traces.items()},
+        "shots_summary.csv": (
+            ["shots", "final_phi", "final_theta", "final_exact_err", "best_exact_err"],
+            [list(traces), [f.phi for f in final_params], [f.theta for f in final_params],
+             list(final_err.values()),
+             [min((trace.e_exact - e0).tolist()) for trace in traces.values()]]),
+        "shots_sweep.svg": (
+            "line_plot", {f"{shots} shots": (trace.iteration.tolist(), trace.e_exact.tolist())
+                          for shots, trace in traces.items()},
+            f"SPSA on {len(pairs)} pairs: exact energy at iterates",
+            "iteration", "exact energy", {"exact ground": e0}),
+    }
 
     metrics = {
         "pairs": len(pairs),
@@ -674,7 +662,7 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     if 1000 in final_err and 10_000 in final_err:
         metrics["err_gap_1k_vs_10k"] = abs(final_err[1000] - final_err[10_000])
         metrics["matches_within_0.05"] = metrics["err_gap_1k_vs_10k"] < 0.05
-    return run.finish("shots-sweep", metrics, artifacts,
+    return run.finish("shots-sweep", files, metrics,
                       f"shots-sweep: {len(cfg.shots_list)} shot counts on "
                       f"{len(pairs)} pairs")
 
@@ -718,27 +706,28 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     summary = [(name, p, _median(e), float(e.min()), float(e.max()))
                for (p, name), e in zip(keys, np.split(errs, ends[:-1]))]
 
-    runs_path = run.out_dir / "compare_runs.csv"
-    write_csv(runs_path, ["optimizer", "p", "repeat", "final_phi", "final_theta",
-                          "final_tflo_ni", "final_abs_err"],
-              [[name for (_, name), group in keys.items() for _ in group],
-               [p for p, _, _ in ordered], [rep for _, rep, _ in ordered],
-               [f.phi for f in finals], [f.theta for f in finals],
-               tflo_ni.tolist(), errs.tolist()])
-    # the summary is built a row per (optimizer, p); write_csv takes its columns
-    summary_path = run.out_dir / "compare_summary.csv"
-    write_csv(summary_path, ["optimizer", "p", "median_abs_err",
-                             "min_abs_err", "max_abs_err"], list(zip(*summary)))
-    svgplot.line_plot(
-        run.out_dir / "compare_summary.svg",
-        {name: ([r[1] for r in summary if r[0] == name],
-                [r[2] for r in summary if r[0] == name]) for name in plans},
-        "median final |error| vs pairs", "pairs in parallel", "median |error|")
+    files = {
+        "compare_runs.csv": (
+            ["optimizer", "p", "repeat", "final_phi", "final_theta",
+             "final_tflo_ni", "final_abs_err"],
+            [[name for (_, name), group in keys.items() for _ in group],
+             [p for p, _, _ in ordered], [rep for _, rep, _ in ordered],
+             [f.phi for f in finals], [f.theta for f in finals],
+             tflo_ni.tolist(), errs.tolist()]),
+        # the summary is built a row per (optimizer, p); a CSV takes its columns
+        "compare_summary.csv": (
+            ["optimizer", "p", "median_abs_err", "min_abs_err", "max_abs_err"],
+            list(zip(*summary))),
+        "compare_summary.svg": (
+            "line_plot", {name: ([r[1] for r in summary if r[0] == name],
+                                 [r[2] for r in summary if r[0] == name]) for name in plans},
+            "median final |error| vs pairs", "pairs in parallel", "median |error|"),
+    }
 
     metrics = {"pair_counts": list(cfg.pair_counts),
                "summary": {f"{name}_p{p}": med
                            for name, p, med, _, _ in summary}}
-    return run.finish("optimizer-compare", metrics, [runs_path.name, summary_path.name],
+    return run.finish("optimizer-compare", files, metrics,
                       f"optimizer-compare: p in {list(cfg.pair_counts)}")
 
 

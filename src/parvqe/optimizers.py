@@ -37,12 +37,10 @@ they are computed once per run, after the last step.
 from __future__ import annotations
 
 import warnings
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import csv_chunks
 from .executor import (
     BatchPlan,
     Estimates,
@@ -148,17 +146,12 @@ class OptTrace(Record, frozen=True, eq=False):
                          self.theta.tolist(), self.e_raw.tolist(), self.e_ni.tolist(),
                          self.e_exact.tolist()))
 
-    def to_csv(self) -> str:
-        """The trace CSV, each column handed to csv_chunks as a list
-        (np.unique gains nothing here)."""
+    @property
+    def table(self) -> tuple[tuple[str, ...], list[list]]:
+        """The trace CSV's header and columns, each column a list (csvio's
+        np.unique path gains nothing here)."""
         columns = [self.iteration, self.phi, self.theta, self.e_raw, self.e_ni, self.e_exact]
-        return "".join(csv_chunks(_CSV_HEADER, [c.tolist() for c in columns]))
-
-    def write(self, csv_path: str | Path) -> None:
-        Path(csv_path).write_text(self.to_csv(), newline="")
-
-
-_CSV_HEADER = ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact")
+        return IterationRecord._fields, [c.tolist() for c in columns]
 
 
 ExactFn = Callable[[AnsatzParams], float]

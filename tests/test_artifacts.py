@@ -3,6 +3,7 @@ CSV text from csv.writer and repr, heatmap SVGs from gradient_color."""
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,8 @@ def test_one_columnar_csv_writer():
 
 
 def test_every_harness_csv_is_written_from_columns(tmp_path, monkeypatch):
+    """Each run's write_csv calls write exactly the CSVs its record.json
+    lists, in its order, each from a header and equal-length columns."""
     calls = []
 
     def spy(path, header, columns):
@@ -171,13 +174,38 @@ def test_every_harness_csv_is_written_from_columns(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "write_csv", spy)
     for case in ("benchmark-pairs", "heatmap-ni", "vqe-spsa", "vqe-speedup-sweep",
                  "shots-sweep", "optimizer-compare"):
+        calls.clear()
         (tmp_path / case).mkdir()
         run_case(case, tmp_path / case)
-    source = ast.parse(inspect.getsource(harness))
-    sites = [n for n in ast.walk(source) if isinstance(n, ast.Call)
-             and getattr(n.func, "id", None) == "write_csv"]
-    assert len(calls) == len(sites) == 10
-    for path, header, lengths in calls:
-        lines = path.read_text().count("\n")
-        assert len(lengths) == len(header) and set(lengths) == {lines - 1}, path.name
+        out = tmp_path / case / "out"
+        artifacts = json.loads((out / "record.json").read_text())["artifacts"]
+        assert [path for path, _, _ in calls] == [out / name for name in artifacts
+                                                  if name.endswith(".csv")], case
+        for path, header, lengths in calls:
+            lines = path.read_text().count("\n")
+            assert len(lengths) == len(header) and set(lengths) == {lines - 1}, path.name
 
+
+def _writes(node) -> list:
+    """The nodes under node that write a file: write_csv, svgplot, np.save,
+    open and any .write, .mkdir, .write_text or .write_bytes call."""
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Name) and n.id in ("write_csv", "svgplot", "open")
+            or isinstance(n, ast.Attribute) and (
+                n.attr in ("write", "mkdir", "write_text", "write_bytes")
+                or n.attr == "save" and getattr(n.value, "id", None) == "np")]
+
+
+def test_only_finish_writes_in_the_harness():
+    """Every file write in harness lies in _Run.finish (record.json's in
+    RunRecord.write), so no command writes before its inputs are all
+    checked; finish writes the CSVs, .npy arrays and SVG plots."""
+    source = ast.parse(inspect.getsource(harness))
+    methods = {f"{cls.name}.{fn.name}": fn for cls in source.body
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef)}
+    allowed = {id(n) for name in ("_Run.finish", "RunRecord.write")
+               for n in _writes(methods[name])}
+    assert [ast.unparse(n) for n in _writes(source) if id(n) not in allowed] == []
+    in_finish = {ast.unparse(n) for n in _writes(methods["_Run.finish"])}
+    assert {"write_csv", "np.save", "svgplot"} <= in_finish

@@ -20,6 +20,7 @@ from hypothesis import example, given, strategies as st
 import parvqe
 from parvqe import cli, harness, optimizers
 from parvqe.cli import FLAGS, build_parser, config_from_args, main as cli_main
+from parvqe.csvio import csv_chunks
 from parvqe.device import DeviceTopology, max_weight_matching
 from parvqe.executor import compile_pairs, load_cost_model, predict_wall_time
 from parvqe.mitigation import IllConditionedConfusion
@@ -420,6 +421,11 @@ CHAIN_CALIBRATION = {
 }
 
 
+def trace_text(trace) -> str:
+    """The bytes of a trace's CSV file."""
+    return "".join(csv_chunks(*trace.table))
+
+
 @pytest.mark.parametrize("optimizer, points", [("spsa", 4), ("mgd", 7)])
 def test_repeat_trace_does_not_depend_on_its_group(optimizer, points, tmp_path):
     """A repeat run in lockstep with others writes the same trace bytes as
@@ -434,18 +440,18 @@ def test_repeat_trace_does_not_depend_on_its_group(optimizer, points, tmp_path):
     assert table.raw_coeffs is not None and table.neighbours.any()
     keys = [(0,), (1,), (2,)]
     group = _optimize(run, table, optimizer, 3, points, 200, keys)
-    assert len({trace.to_csv() for trace in group}) == 3
+    assert len({trace_text(trace) for trace in group}) == 3
     reversed_group = _optimize(run, table, optimizer, 3, points, 200, keys[::-1])[::-1]
     for key, trace, other in zip(keys, group, reversed_group):
         alone, = _optimize(run, table, optimizer, 3, points, 200, [key])
-        assert trace.to_csv() == alone.to_csv() == other.to_csv()
+        assert trace_text(trace) == trace_text(alone) == trace_text(other)
         assert trace.points.tobytes() == alone.points.tobytes() == other.points.tobytes()
     shots = [200, 50, 800]
     mixed = _optimize(run, table, optimizer, 3, points, shots, keys)
-    assert mixed[0].to_csv() == group[0].to_csv()
+    assert trace_text(mixed[0]) == trace_text(group[0])
     for key, n, trace in zip(keys, shots, mixed):
         alone, = _optimize(run, table, optimizer, 3, points, n, [key])
-        assert trace.to_csv() == alone.to_csv()
+        assert trace_text(trace) == trace_text(alone)
         assert trace.points.tobytes() == alone.points.tobytes()
 
 
@@ -936,11 +942,11 @@ IMPOSSIBLE = {
     "empty-sweep-pair-counts": ("speedup-sweep --pair-counts ,",
                                 "pair_counts must not be empty"),
     # an empty entry among others is a typo, not a shorter list
-    "empty-shots-entry": ("shots-sweep --shots-list 100,,1000", "invalid _int_list value"),
+    "empty-shots-entry": ("shots-sweep --shots-list 100,,1000", "invalid int_list value"),
     "empty-compare-pair-counts-entry": ("optimizer-compare --pair-counts 2,",
-                                        "invalid _int_list value"),
+                                        "invalid int_list value"),
     "empty-sweep-pair-counts-entry": ("speedup-sweep --pair-counts 2,",
-                                      "invalid _int_list value"),
+                                      "invalid int_list value"),
     # valid readout rates whose confusion matrix is too ill-conditioned to
     # invert: heatmap compiles its table before it writes its exact CSV
     "ill-conditioned-heatmap": ("heatmap --calibration {ill} --grid 4 --shots 100",
@@ -970,6 +976,31 @@ def test_cli_rejects_impossible_inputs_before_output(case, tmp_path, capsys, mon
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["ill.json", "malformed.json"]
+
+
+@pytest.mark.parametrize("command, fails_on, settings", [
+    ("heatmap", 1, dict(grid=4, pairs=3, shots=100)),
+    ("benchmark-pairs", 2, dict(shots=100)),
+], ids=["heatmap", "benchmark-pairs"])
+def test_a_run_that_dies_midway_leaves_no_output(command, fails_on, settings, tmp_path,
+                                                  monkeypatch):
+    """A run that raises in its fails_on-th measurement, after heatmap's
+    exact grid and benchmark-pairs' individual pairs are known, leaves no
+    output directory: every file is written at the end of the run."""
+    measure, calls = harness._measure, []
+
+    def dies(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fails_on:
+            raise RuntimeError("measurement failed")
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_measure", dies)
+    out = tmp_path / "out"
+    cfg = config_for(command, seed=2, out_dir=out, **settings)
+    with pytest.raises(RuntimeError, match="measurement failed"):
+        COMMANDS[command].handler(cfg)
+    assert len(calls) == fails_on and not out.exists()
 
 
 def load_benchmark_module(name):

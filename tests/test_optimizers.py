@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from parvqe.csvio import write_csv
+from parvqe.csvio import csv_chunks, write_csv
 from parvqe.device import DeviceTopology, noise_spec_for_pair
 from parvqe.executor import (
     Estimates,
@@ -241,7 +241,7 @@ def test_trace_records_and_csv_are_its_columns(tmp_path):
         write_csv(path, ["iteration", "phi", "theta", "e_raw", "e_ni", "e_exact"],
                   [trace.iteration, trace.phi, trace.theta, trace.e_raw, trace.e_ni,
                    trace.e_exact])
-        assert trace.to_csv() == path.read_text()
+        assert "".join(csv_chunks(*trace.table)) == path.read_text()
     assert spsa.points.dtype == mgd.points.dtype == POINT_DTYPE
     assert spsa.points.shape == (4, 3) and mgd.points.shape == (3, 8)
     assert mgd.records[0].e_exact == 0.0
@@ -311,11 +311,12 @@ ONE_STEP = dict(phi=np.array([-0.0]), theta=np.array([math.inf]), e_raw=np.array
                   points=point_array([math.nan, -0.0, math.inf, 2.5, 0.0], 1, 1)))
 def test_trace_files_are_the_reference_serializers_bytes(trace):
     """A trace's CSV is csv.writer's over its records, NaN, inf and -0.0
-    included, whether read from to_csv or written by write."""
-    assert trace.to_csv() == trace_csv(trace)
+    included, whether formatted from its table or written from it by
+    write_csv."""
+    assert "".join(csv_chunks(*trace.table)) == trace_csv(trace)
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp, "t.csv")
-        trace.write(csv_path)
+        write_csv(csv_path, *trace.table)
         assert csv_path.read_bytes() == trace_csv(trace).encode()
 
 

@@ -13,8 +13,8 @@ layers timed, and prints one line with the median of main(argv) and:
   artifacts, the floor under today's formats;
 - the medians of four layers: the pair matching (max_weight_matching),
   batch planning (plan_batches), the whole parse step (cli.parse) and the
-  artifact writes (harness.write_csv, OptTrace.write and np.save; the
-  SVG plots are not in it).
+  artifact writes (harness.write_csv, optimizer traces included, and
+  np.save; the SVG plots are not in it).
 
 The draws and repr floors are the fastest of --repeats replays. Before
 the workloads, one line gives the import floor: the median spawn-to-ready
@@ -57,13 +57,12 @@ from artifact_digest import workload_argv  # noqa: E402
 from parvqe import cli, harness, optimizers  # noqa: E402
 from parvqe.simulator import apply_terms  # noqa: E402
 
-# (module or class, name, layer): the bindings main(argv) calls each layer by
+# (module, name, layer): the bindings main(argv) calls each layer by
 LAYERS = [(harness, "max_weight_matching", "matching"),
           (harness, "plan_batches", "plan"),
           (optimizers, "plan_batches", "plan"),
           (cli, "parse", "parse"),
           (harness, "write_csv", "write"),
-          (optimizers.OptTrace, "write", "write"),
           (np, "save", "write")]
 
 
