@@ -1,11 +1,12 @@
-"""Experiment harness: reproducible runs emitting CSV, SVG and .npy files.
+"""Experiment harness: reproducible runs emitting CSV and .npy files.
 
 Every experiment takes an ExperimentConfig (seed mandatory), computes
 its files and metrics, and hands them to `_Run.finish`, the one writing
 stage, so a run that fails leaves no output. finish returns a RunRecord
 holding the settings it reads (COMMANDS), metrics and artifact list.
 Identical configurations produce byte-identical data files; wall-clock
-cost is modelled (never measured) so records stay reproducible.
+cost is modelled (never measured) so records stay reproducible. The
+commands draw no plots: tools/plot.py renders them from a run's files.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .optimizers import (
 )
 from .records import Record, factory
 from .seeding import derive_rng, derive_seed
-from . import svgplot
 
 SCHEMA_VERSION = 1
 
@@ -280,25 +280,21 @@ class _Run:
 
     def finish(self, command: str, files: dict, metrics: dict, summary: str) -> RunRecord:
         """Make the output directory and write `files` in order, each name
-        mapped to a CSV's (header, columns), an .npy array or an SVG's
-        (svgplot function name, *args after the path); then record.json,
-        whose artifacts are every name but the SVGs'. Print the summary."""
+        mapped to an .npy array, a CSV's (header, columns), or an OptTrace,
+        whose CSV table is built only as it is written; then record.json,
+        whose artifacts are those names. Print the summary."""
         out_dir = self.cfg.out_dir
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:
             raise InputError(f"out_dir {out_dir} is not a directory") from exc
         for name, content in files.items():
-            if name.endswith(".csv"):
-                write_csv(out_dir / name, *content)
-            elif name.endswith(".npy"):
+            if name.endswith(".npy"):
                 np.save(out_dir / name, content)
             else:
-                plot, *args = content
-                getattr(svgplot, plot)(out_dir / name, *args)
+                write_csv(out_dir / name, *getattr(content, "table", content))
         record = RunRecord(command=command, config=self.cfg.snapshot(COMMANDS[command].reads),
-                           metrics=metrics,
-                           artifacts=[name for name in files if not name.endswith(".svg")])
+                           metrics=metrics, artifacts=list(files))
         record.write(out_dir / "record.json")
         print(f"{summary}; sim time {time.perf_counter() - self.t_start:.1f}s")
         return record
@@ -426,18 +422,10 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
         "individual_pairs.csv": (
             ["pair_a", "pair_b", "fidelity", "e_raw", "e_ni", "e_tflo", "e_tflo_ni"],
             [*np.array(all_pairs).T, fidelity, *(indiv[m] for m in MITIGATION_LEVELS)]),
-        "individual_pairs.svg": (
-            "scatter_plot",
-            {level: (fidelity, indiv[level].tolist()) for level in MITIGATION_LEVELS},
-            "energy vs CZ fidelity (individual pairs)", "CZ fidelity", "energy",
-            {"exact ground": e0}),
         "parallel_sweep.csv": (
             ["p"] + [f"mean_abs_err_{m}" for m in MITIGATION_LEVELS]
             + [f"pooled_abs_err_{m}" for m in MITIGATION_LEVELS],
             [sizes, *mean_err.values(), *pooled_err.values()]),
-        "parallel_sweep.svg": (
-            "line_plot", {level: (sizes, mean_err[level]) for level in MITIGATION_LEVELS},
-            "mean |error| vs pairs in parallel", "pairs in parallel", "mean |error|"),
         # pair i of the greedy order is active from p = i + 1 on
         "pair_by_p_matrix.csv": (
             ["pair_a", "pair_b", "fidelity", "individual_err"] + [f"err_p{p}" for p in sizes],
@@ -482,16 +470,11 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     levels = _measure(run, table, [batches], phi, theta, [()], cfg.tflo)
     value = levels[cfg.level]
     err = np.abs(value - exact)
-    extent = (-math.pi, math.pi, -math.pi, math.pi)
     files = {
         "heatmap_exact.csv": (["phi", "theta", "e_exact"], [phi, theta, exact]),
         "heatmap_simulated.csv": (
             ["phi", "theta", "pair_a", "pair_b", "e_estimate", "e_corrected", "abs_err"],
             [phi, theta, *table.qubits[np.concatenate(batches)].T, levels["ni"], value, err]),
-        **{f"heatmap_{name}.svg": ("heatmap", grid.reshape(n, n), title, "phi", "theta", extent)
-           for name, grid, title in (("exact", exact, "exact energy landscape"),
-                                     ("simulated", value, "simulated energy landscape"),
-                                     ("error", err, "absolute error"))},
     }
 
     seconds_parallel = predict_wall_time(run.cost, len(pairs), len(batches), cfg.shots)
@@ -550,18 +533,10 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     final_params = [trace.final_params for trace in traces]
     finals = _final_points(run, table, final_params, range(cfg.repeats),
                            [len(pairs)] * cfg.repeats)
-    trace = traces[0]
-    its = trace.iteration.tolist()
     abs_err = np.abs(finals[cfg.level] - e0)
     files = {
-        **{f"trace_rep{rep}.csv": t.table for rep, t in enumerate(traces)},
-        "trace_points.npy": trace.points.base,      # every repeat's points, uncopied
-        "trace_rep0.svg": (
-            "line_plot",
-            {"estimate": (its, trace.e_ni.tolist()), "raw": (its, trace.e_raw.tolist()),
-             "exact at params": (its, trace.e_exact.tolist())},
-            f"{cfg.optimizer} on {len(pairs)} pair(s)", "iteration", "energy",
-            {"exact ground": e0}),
+        **{f"trace_rep{rep}.csv": t for rep, t in enumerate(traces)},
+        "trace_points.npy": traces[0].points.base,      # every repeat's points, uncopied
         # lists, as in OptTrace.table: distinct values gain nothing from csvio's np.unique path
         "summary.csv": (
             ["repeat", "final_phi", "final_theta", "final_raw", "final_ni",
@@ -606,10 +581,7 @@ def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
                  for p in counts]
         speedups[optimizer] = [single / parallel for parallel, single in times]
     files = {"speedup_sweep.csv": (["p", "spsa_speedup", "mgd_speedup"],
-                                   [counts, *speedups.values()]),
-             "speedup_sweep.svg": ("line_plot",
-                                   {name: (counts, values) for name, values in speedups.items()},
-                                   "modelled speedup vs pairs", "pairs in parallel", "speedup")}
+                                   [counts, *speedups.values()])}
     metrics = {"pair_counts": counts,
                "spsa_speedups": speedups["spsa"],
                "mgd_speedups": speedups["mgd"]}
@@ -640,17 +612,12 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     final_params = [trace.final_params for trace in traces.values()]
     final_err = {shots: exact_energy(f, h) - e0 for shots, f in zip(traces, final_params)}
     files = {
-        **{f"trace_shots{shots}.csv": t.table for shots, t in traces.items()},
+        **{f"trace_shots{shots}.csv": t for shots, t in traces.items()},
         "shots_summary.csv": (
             ["shots", "final_phi", "final_theta", "final_exact_err", "best_exact_err"],
             [list(traces), [f.phi for f in final_params], [f.theta for f in final_params],
              list(final_err.values()),
              [min((trace.e_exact - e0).tolist()) for trace in traces.values()]]),
-        "shots_sweep.svg": (
-            "line_plot", {f"{shots} shots": (trace.iteration.tolist(), trace.e_exact.tolist())
-                          for shots, trace in traces.items()},
-            f"SPSA on {len(pairs)} pairs: exact energy at iterates",
-            "iteration", "exact energy", {"exact ground": e0}),
     }
 
     metrics = {
@@ -718,10 +685,6 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
         "compare_summary.csv": (
             ["optimizer", "p", "median_abs_err", "min_abs_err", "max_abs_err"],
             list(zip(*summary))),
-        "compare_summary.svg": (
-            "line_plot", {name: ([r[1] for r in summary if r[0] == name],
-                                 [r[2] for r in summary if r[0] == name]) for name in plans},
-            "median final |error| vs pairs", "pairs in parallel", "median |error|"),
     }
 
     metrics = {"pair_counts": list(cfg.pair_counts),

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -14,6 +17,19 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 from parvqe.device import load_calibration
 from parvqe.harness import default_calibration_path, default_cost_model_path
+
+
+def load_tool(name):
+    """tools/<name>.py as a module, without running its main; it is not left
+    in sys.modules."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tool_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ form for the batch kernel, the dense Hungarian method for the sparse
 assignment behind pair matching, a one-pair energy estimator for the columnar
 one, a one-pair confusion measurement for the stacked one, a one-repeat
 surrogate fit for the batched one, cell-by-cell CSV and heatmap writers
-for the columnar ones, a csv.writer serializer for an optimizer trace's
-CSV, and a dataclasses twin of every record class.
+for the columnar ones (the heatmap's is in tools/plot.py, loaded here as
+`plot`), a csv.writer serializer for an optimizer trace's CSV, and a
+dataclasses twin of every record class.
 """
 
 import csv
@@ -14,8 +15,9 @@ import io
 
 import numpy as np
 
+from conftest import load_tool
 from parvqe import circuits, device, executor, harness, hubbard, mitigation, optimizers
-from parvqe import simulator, svgplot
+from parvqe import simulator
 from parvqe.circuits import NativeCircuit, gate_matrix
 from parvqe.executor import Estimates, setting_coefficients
 from parvqe.hubbard import HubbardParams
@@ -26,6 +28,8 @@ from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = -1e-10
+
+plot = load_tool("plot")
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
@@ -238,7 +242,7 @@ def trace_csv(trace) -> str:
 
 def gradient_color(frac: float) -> str:
     """Interpolated colour from the fixed 8-stop gradient, frac in [0, 1]."""
-    stops = svgplot._GRADIENT
+    stops = plot._GRADIENT
     frac = min(max(frac, 0.0), 1.0)
     pos = frac * (len(stops) - 1)
     i = min(int(pos), len(stops) - 2)
@@ -249,27 +253,27 @@ def gradient_color(frac: float) -> str:
 
 def heatmap_svg(grid, title, xlabel, ylabel, extent) -> str:
     """The heatmap SVG of a nested list grid[i][j], one cell at a time."""
-    W, H = svgplot.WIDTH, svgplot.HEIGHT
+    W, H = plot.WIDTH, plot.HEIGHT
     nx, ny = len(grid), len(grid[0])
     flat = [v for row in grid for v in row]
     lo, hi = min(flat), max(flat)
     span = (hi - lo) or 1.0
-    canvas = svgplot._Canvas(title, xlabel, ylabel, (extent[0], extent[1]),
-                             (extent[2], extent[3]))
-    cell_w = (W - svgplot.MARGIN_L - svgplot.MARGIN_R) / nx
-    cell_h = (H - svgplot.MARGIN_T - svgplot.MARGIN_B) / ny
+    canvas = plot._Canvas(title, xlabel, ylabel, (extent[0], extent[1]),
+                          (extent[2], extent[3]))
+    cell_w = (W - plot.MARGIN_L - plot.MARGIN_R) / nx
+    cell_h = (H - plot.MARGIN_T - plot.MARGIN_B) / ny
     for i in range(nx):
         for j in range(ny):
             color = gradient_color((grid[i][j] - lo) / span)
-            x = svgplot.MARGIN_L + i * cell_w
-            y = H - svgplot.MARGIN_B - (j + 1) * cell_h
+            x = plot.MARGIN_L + i * cell_w
+            y = H - plot.MARGIN_B - (j + 1) * cell_h
             canvas.parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" '
                                 f'width="{cell_w+0.5:.2f}" height="{cell_h+0.5:.2f}" '
                                 f'fill="{color}"/>')
     canvas.axes()
-    canvas.parts.append(f'<text x="{W-svgplot.MARGIN_R}" y="{svgplot.MARGIN_T-6}" '
+    canvas.parts.append(f'<text x="{W-plot.MARGIN_R}" y="{plot.MARGIN_T-6}" '
                         f'text-anchor="end" font-family="sans-serif" font-size="10">'
-                        f'range [{svgplot._fmt(lo)}, {svgplot._fmt(hi)}]</text>')
+                        f'range [{plot._fmt(lo)}, {plot._fmt(hi)}]</text>')
     return canvas.render()
 
 

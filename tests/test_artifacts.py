@@ -1,19 +1,24 @@
 """The columnar artifact writers against their cell-by-cell references:
-CSV text from csv.writer and repr, heatmap SVGs from gradient_color."""
+CSV text from csv.writer and repr, and tools/plot.py's heatmap SVGs from
+gradient_color; the plot tool's refusals; and the one writing stage."""
 
 import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import parvqe
-from parvqe import csvio, harness, svgplot
+from parvqe import csvio, harness
 from parvqe.csvio import csv_chunks, write_csv
-from reference import csv_text, gradient_color, heatmap_svg
+from parvqe.cli import main as cli_main
+from reference import csv_text, gradient_color, heatmap_svg, plot
 from test_golden import run_case
 
 SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
@@ -86,7 +91,7 @@ def test_a_lone_empty_field_is_quoted():
 def _half_fractions() -> list[float]:
     """Fractions at which one channel of the gradient lands exactly on a
     half, so that rounding decides between two colours."""
-    stops, out = svgplot._GRADIENT, []
+    stops, out = plot._GRADIENT, []
     for i in range(len(stops) - 1):
         for a, b in zip(stops[i], stops[i + 1]):
             for k in range(min(a, b), max(a, b)):
@@ -104,9 +109,9 @@ def test_gradient_colors_match_the_reference():
     fracs = np.array([k / 7 for k in range(8)] + halves
                      + [-0.5, -1e-300, -0.0, 1.0 + 1e-15, 1.5, 1e300, -np.inf, np.inf])
     fracs = np.concatenate([fracs, np.nextafter(fracs, -np.inf), np.nextafter(fracs, np.inf)])
-    assert svgplot.gradient_colors(fracs).tolist() == [gradient_color(f) for f in fracs]
+    assert plot.gradient_colors(fracs).tolist() == [gradient_color(f) for f in fracs]
     grid = np.array([[0.0, 1.0], [2.0, 3.0]])
-    assert svgplot.gradient_colors(grid / 3).shape == (2, 2)
+    assert plot.gradient_colors(grid / 3).shape == (2, 2)
 
 
 @st.composite
@@ -121,29 +126,74 @@ def grids(draw):
                                   min_size=nx, max_size=nx)))
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=60)
+@settings(max_examples=60)
 @given(grid=grids())
-def test_heatmap_matches_the_cell_by_cell_reference(grid, tmp_path):
+def test_heatmap_matches_the_cell_by_cell_reference(grid):
     args = ("title", "x", "y", (-3.0, 3.0, -1.0, 2.0))
-    path = tmp_path / "h.svg"
     try:
         want = heatmap_svg(grid.tolist(), *args)
     except ValueError:
         with pytest.raises(ValueError):
-            svgplot.heatmap(path, grid, *args)
+            plot.heatmap(grid, *args)
         return
-    svgplot.heatmap(path, grid, *args)
-    assert path.read_text() == want
+    assert plot.heatmap(grid, *args) == want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_heatmap_rejects_a_non_finite_cell(bad, tmp_path):
+def test_heatmap_rejects_a_non_finite_cell(bad):
     grid = np.arange(6.0).reshape(2, 3)
     grid[1, 2] = bad
     with pytest.raises(ValueError):
         heatmap_svg(grid.tolist(), "t", "x", "y", (0, 1, 0, 1))
     with pytest.raises(ValueError):
-        svgplot.heatmap(tmp_path / "h.svg", grid, "t", "x", "y", (0, 1, 0, 1))
+        plot.heatmap(grid, "t", "x", "y", (0, 1, 0, 1))
+
+
+# --- the plot tool's refusals ---------------------------------------------------
+
+def _refused(run_dir, capsys, message: str) -> None:
+    """tools/plot.py exits 2 on run_dir with message on stderr, and leaves
+    the directory as it was."""
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert plot.main([str(run_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_plot_refuses_a_directory_without_a_record(tmp_path, capsys):
+    (tmp_path / "heatmap_exact.csv").write_text("phi,theta,e_exact\n0.0,0.0,1.0\n")
+    _refused(tmp_path, capsys, "record.json")
+    # and as a script, by its exit status
+    env = {**os.environ, "PYTHONPATH": str(Path(parvqe.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, str(Path(plot.__file__)), str(tmp_path / "none")],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2 and "record.json" in run.stderr
+
+
+def test_plot_refuses_an_unknown_command(tmp_path, capsys):
+    (tmp_path / "record.json").write_text(json.dumps({"command": "bogus", "metrics": {}}))
+    _refused(tmp_path, capsys, "unknown command 'bogus'")
+
+
+def test_plot_refuses_a_run_with_a_missing_table(tmp_path, capsys):
+    # heatmap_exact.svg could be drawn, but no plot is written before all are
+    out = tmp_path / "out"
+    assert cli_main(["heatmap", "--seed", "4", "--grid", "3", "--pairs", "3", "--shots", "50",
+                     "--out", str(out)]) == 0
+    (out / "heatmap_simulated.csv").unlink()
+    _refused(out, capsys, "heatmap_simulated.csv")
+
+
+def test_the_package_draws_no_plots():
+    """No module of the package imports a plot module or names an .svg
+    file: tools/plot.py draws every plot."""
+    for module in Path(parvqe.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert not any("plot" in name for name in names), module.name
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert ".svg" not in node.value, module.name
 
 
 # --- one writer -----------------------------------------------------------------
@@ -187,10 +237,10 @@ def test_every_harness_csv_is_written_from_columns(tmp_path, monkeypatch):
 
 
 def _writes(node) -> list:
-    """The nodes under node that write a file: write_csv, svgplot, np.save,
-    open and any .write, .mkdir, .write_text or .write_bytes call."""
+    """The nodes under node that write a file: write_csv, np.save, open and
+    any .write, .mkdir, .write_text or .write_bytes call."""
     return [n for n in ast.walk(node)
-            if isinstance(n, ast.Name) and n.id in ("write_csv", "svgplot", "open")
+            if isinstance(n, ast.Name) and n.id in ("write_csv", "open")
             or isinstance(n, ast.Attribute) and (
                 n.attr in ("write", "mkdir", "write_text", "write_bytes")
                 or n.attr == "save" and getattr(n.value, "id", None) == "np")]
@@ -199,7 +249,7 @@ def _writes(node) -> list:
 def test_only_finish_writes_in_the_harness():
     """Every file write in harness lies in _Run.finish (record.json's in
     RunRecord.write), so no command writes before its inputs are all
-    checked; finish writes the CSVs, .npy arrays and SVG plots."""
+    checked; finish writes the CSVs and .npy arrays."""
     source = ast.parse(inspect.getsource(harness))
     methods = {f"{cls.name}.{fn.name}": fn for cls in source.body
                if isinstance(cls, ast.ClassDef) for fn in cls.body
@@ -208,4 +258,4 @@ def test_only_finish_writes_in_the_harness():
                for n in _writes(methods[name])}
     assert [ast.unparse(n) for n in _writes(source) if id(n) not in allowed] == []
     in_finish = {ast.unparse(n) for n in _writes(methods["_Run.finish"])}
-    assert {"write_csv", "np.save", "svgplot"} <= in_finish
+    assert {"write_csv", "np.save"} <= in_finish

@@ -1,11 +1,12 @@
 """Golden digests: every CSV, SVG and trace points file of small
 fixed-seed runs of all experiments.
 
-Each case runs one CLI command and compares the sha256 of every file it
-writes, record.json aside (it holds the output path), with a pinned
-digest. So a refactor of the measurement path must keep every seed path,
-batch and circuit exactly as it was, and one of the artifact writers
-every byte it writes. The digests were captured with numpy 2.4 (its
+Each case runs one CLI command, which writes no SVG, then tools/plot.py
+on its output directory, which renders the SVGs from the run's tables,
+and compares the sha256 of every file there, record.json aside (it holds
+the output path), with a pinned digest. So a refactor of the measurement
+path must keep every seed path, batch and circuit exactly as it was, and
+one of the artifact writers or of the plot tool every byte it writes. The digests were captured with numpy 2.4 (its
 random streams, float formatting and .npy header decide the bytes). A
 change that alters output bytes on purpose updates the affected digests
 and says so in CHANGES.md.
@@ -17,6 +18,7 @@ import json
 import pytest
 
 from parvqe.cli import main as cli_main
+from reference import plot
 
 # 8 qubits on a ring with one chord: greedy and matching selections differ,
 # selected pairs can be neighbours (crosstalk) and readout errors vary
@@ -227,8 +229,9 @@ GOLDEN = {
 
 
 def run_case(name, tmp_path):
-    """Run one case; "--small" stands for the 8-qubit ring calibration.
-    Returns {file name: sha256 hex digest} of every file but record.json."""
+    """Run one case, then plot its output; "--small" stands for the 8-qubit
+    ring calibration. Returns {file name: sha256 hex digest} of every file
+    but record.json."""
     argv = list(CASES[name])
     if "--small" in argv:
         cal = tmp_path / "ring8.json"
@@ -236,6 +239,8 @@ def run_case(name, tmp_path):
         argv[argv.index("--small"):argv.index("--small") + 1] = ["--calibration", str(cal)]
     out = tmp_path / "out"
     assert cli_main(argv + ["--out", str(out)]) == 0
+    assert not list(out.glob("*.svg"))      # the command alone draws no plot
+    assert plot.main([str(out)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir()) if p.name != "record.json"}
 

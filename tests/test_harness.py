@@ -46,6 +46,7 @@ from parvqe.harness import (
 )
 from parvqe import __version__
 from conftest import write_calibration
+from reference import plot
 
 
 def read_csv(path):
@@ -118,6 +119,7 @@ def test_benchmark_outputs(tmp_path):
     payload = json.loads((tmp_path / "bench" / "record.json").read_text())
     assert payload["code_version"] == __version__
     assert payload["config"]["seed"] == 5
+    assert plot.main([str(tmp_path / "bench")]) == 0
     assert (tmp_path / "bench" / "individual_pairs.svg").exists()
 
 
@@ -132,6 +134,7 @@ def test_heatmap_batch_count_and_exact_panel(tmp_path):
     assert record.metrics["modeled_speedup"] == pytest.approx(want, rel=1e-12)
     exact_rows = read_csv(tmp_path / "heat" / "heatmap_exact.csv")
     assert len(exact_rows) == 400
+    assert plot.main([str(tmp_path / "heat")]) == 0
     for name in ("heatmap_exact.svg", "heatmap_simulated.svg", "heatmap_error.svg"):
         assert (tmp_path / "heat" / name).exists()
 
@@ -1054,13 +1057,14 @@ def test_readme_usage_lines_parse():
 
 def test_cli_import_leaves_scipy_and_networkx_unloaded(tmp_path, make_uniform_calibration):
     # importing the CLI, a whole benchmark-pairs run, and a matching heatmap
-    # on the shipped (bipartite) calibration load neither
+    # on the shipped (bipartite) calibration load neither, nor any plot module
     cal = make_uniform_calibration(4, fidelity=0.95, readout=(0.02, 0.03))
     run = (f"parvqe.cli.main(['benchmark-pairs', '--seed', '3', '--shots', '100', "
            f"'--calibration', {str(cal)!r}, '--out', {str(tmp_path / 'out')!r}]); ")
     matching = ("parvqe.cli.main(['heatmap', '--select', 'matching', '--grid', '2', "
                 f"'--shots', '10', '--seed', '3', '--out', {str(tmp_path / 'hm')!r}]); ")
-    report = "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))"
+    report = ("print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'} "
+              "| {m for m in sys.modules if 'plot' in m}))")
     env = {**os.environ, "PYTHONPATH": str(Path(parvqe.__file__).resolve().parents[1])}
     for code in ("import sys, parvqe.cli; " + report,
                  "import sys, parvqe.cli; " + run + report,

@@ -1,13 +1,14 @@
-"""Print one sha256 per command over every artifact it writes.
+"""Print one sha256 per command over every artifact of its run and its plots.
 
 The commands are the benchmark workloads' argv (read from
 benchmarks/run.py), the README-scale `benchmark-pairs`, `shots-sweep` and
 `optimizer-compare` at their defaults, and the paper-scale
 `vqe --repeats 100` runs with SPSA and with MGD on the 33 greedy pairs.
 Each runs once, as a fresh `python -m parvqe.cli` process, into a
-temporary directory; its digest covers every file there except
-record.json (which holds the output path), as the sha256 of each name, a
-NUL byte and the file's bytes, in name order.
+temporary directory, and then `tools/plot.py` renders its SVGs there;
+its digest covers every file there except record.json (which holds the
+output path), as the sha256 of each name, a NUL byte and the file's
+bytes, in name order.
 Two checkouts that print the same lines wrote the same bytes.
 
 Run from the repository root:
@@ -15,7 +16,9 @@ Run from the repository root:
     python tools/artifact_digest.py [--seed 7] [--src path/to/src]
 
 --src picks the package sources to run (default: this checkout's src), so
-the same script digests another checkout's outputs.
+the same script digests another checkout's outputs. The plots are always
+rendered by this checkout's tools/plot.py (on a checkout whose commands
+still draw their own SVGs, it rewrites them from the run's tables).
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ def run(argv, seed: int, src: Path) -> str:
         subprocess.run([sys.executable, "-W", "ignore", "-m", "parvqe.cli", *argv,
                         "--seed", str(seed), "--out", str(out)],
                        env=env, check=True, stdout=subprocess.DEVNULL)
+        subprocess.run([sys.executable, str(ROOT / "tools" / "plot.py"), str(out)],
+                       env=env, check=True)
         return digest(out)
 
 

@@ -14,7 +14,10 @@ layers timed, and prints one line with the median of main(argv) and:
 - the medians of four layers: the pair matching (max_weight_matching),
   batch planning (plan_batches), the whole parse step (cli.parse) and the
   artifact writes (harness.write_csv, optimizer traces included, and
-  np.save; the SVG plots are not in it).
+  np.save);
+- plot: the median seconds tools/plot.py takes to render and write the
+  run's SVGs from its tables, time a user who wants the plots pays
+  outside main.
 
 The draws and repr floors are the fastest of --repeats replays. Before
 the workloads, one line gives the import floor: the median spawn-to-ready
@@ -53,6 +56,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+import plot  # noqa: E402
 from artifact_digest import workload_argv  # noqa: E402
 from parvqe import cli, harness, optimizers  # noqa: E402
 from parvqe.simulator import apply_terms  # noqa: E402
@@ -89,6 +93,20 @@ def run_main(argv, seed: int) -> tuple[float, dict[str, str]]:
         artifacts = {path.name: path.read_text() for path in Path(tmp).iterdir()
                      if path.suffix in (".csv", ".json")}
     return seconds, artifacts
+
+
+def plot_times(argv, seed: int, repeats: int) -> list[float]:
+    """Seconds of plot.main on one run's output directory, repeats times."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cli.main([*argv, "--seed", str(seed), "--out", tmp])
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            plot.main([tmp])
+            times.append(time.perf_counter() - t0)
+    return times
 
 
 def artifact_floats(artifacts: dict[str, str]) -> set[float]:
@@ -182,9 +200,10 @@ def budget(argv, seed: int, repeats: int) -> str:
     layers = [layer_times(argv, seed) for _ in range(repeats)]
     layer_text = ", ".join(f"{name} {statistics.median(t[name] for t in layers) * 1e3:.2f} ms"
                            for name in layers[0])
+    plotting = statistics.median(plot_times(argv, seed, repeats))
     return (f"main {wall * 1e3:.2f} ms | draws {draws * 1e3:.2f} ms "
             f"({sum(len(shots) for _, shots, _ in calls)} groups) | repr {min(reprs) * 1e3:.2f} ms "
-            f"({len(floats)} floats) | {layer_text}")
+            f"({len(floats)} floats) | {layer_text} | plot {plotting * 1e3:.2f} ms")
 
 
 IMPORTS = {"pass": "pass", "numpy": "import numpy", "parvqe.cli": "import parvqe.cli"}

@@ -1,16 +1,32 @@
-"""Tiny deterministic SVG plot writer.
+"""Render the SVG plots of one parvqe run from its CSV tables.
 
-Plots are conveniences for eyeballing experiment output; the CSV files
-are the normative artifacts. Output is plain SVG with no timestamps or
-generated ids, so files are byte-identical across runs.
+    python tools/plot.py RUN_DIR
+
+RUN_DIR is the output directory of one parvqe command. The tool reads its
+record.json (the command and the metrics the titles quote) and the CSVs
+that command wrote, and writes into RUN_DIR the SVGs of that command's
+entry in PLOTS. Every plot is rendered before the first file is written:
+a run directory without record.json, an unknown command or a missing or
+unreadable CSV exits with status 2 and writes nothing.
+
+The plots are conveniences for eyeballing a run; the CSVs are the
+normative output. Each SVG is plain text with no timestamps or generated
+ids, and the CSVs hold every float as its repr, so the same tables give
+the same SVG bytes every time.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
+import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
+
+from parvqe.hubbard import exact_ground_energy
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 48
@@ -123,9 +139,11 @@ def _limits(values, pad=0.05):
     return lo - pad * span, hi + pad * span
 
 
-def _plot(path, series, title, xlabel, ylabel, hlines, dots: bool) -> None:
-    """line_plot's frame, or with dots scatter_plot's: a polyline or dots per
-    series, x padded by 2 or 5 %, and hlines labelled or not."""
+def xy_plot(series: dict[str, tuple[list[float], list[float]]], title: str, xlabel: str,
+            ylabel: str, hlines: dict[str, float] | None = None, dots: bool = False) -> str:
+    """One polyline per named series, x padded by 2 %, with labelled
+    horizontal lines; or with dots, one set of dots per series, x padded
+    by 5 %, and the horizontal lines unlabelled."""
     hlines = hlines or {}
     xs = [x for pts in series.values() for x in pts[0]]
     ys = [y for pts in series.values() for y in pts[1]] + list(hlines.values())
@@ -151,21 +169,7 @@ def _plot(path, series, title, xlabel, ylabel, hlines, dots: bool) -> None:
                                 f'text-anchor="end" font-family="sans-serif" '
                                 f'font-size="10" fill="gray">{_esc(label)}</text>')
     canvas.legend(list(series))
-    Path(path).write_text(canvas.render())
-
-
-def line_plot(path: str | Path, series: dict[str, tuple[list[float], list[float]]],
-              title: str, xlabel: str, ylabel: str,
-              hlines: dict[str, float] | None = None) -> None:
-    """One polyline per named series; optional labelled horizontal lines."""
-    _plot(path, series, title, xlabel, ylabel, hlines, dots=False)
-
-
-def scatter_plot(path: str | Path, series: dict[str, tuple[list[float], list[float]]],
-                 title: str, xlabel: str, ylabel: str,
-                 hlines: dict[str, float] | None = None) -> None:
-    """One set of dots per named series; optional unlabelled horizontal lines."""
-    _plot(path, series, title, xlabel, ylabel, hlines, dots=True)
+    return canvas.render()
 
 
 def gradient_colors(frac: np.ndarray) -> np.ndarray:
@@ -183,11 +187,11 @@ def gradient_colors(frac: np.ndarray) -> np.ndarray:
     return text[inverse.ravel()].reshape(packed.shape)
 
 
-def heatmap(path: str | Path, grid, title: str, xlabel: str, ylabel: str,
-            extent: tuple[float, float, float, float]) -> None:
+def heatmap(grid, title: str, xlabel: str, ylabel: str,
+            extent: tuple[float, float, float, float]) -> str:
     """Colour-mapped cells of the 2-D array grid; grid[i, j] is the cell at
-    the i-th x and the j-th y. The cells go to the file a column at a
-    time. A NaN cell, or an infinite one, is a ValueError."""
+    the i-th x and the j-th y. A NaN cell, or an infinite one, is a
+    ValueError."""
     grid = np.asarray(grid, dtype=float)
     nx, ny = grid.shape
     flat = grid.ravel()
@@ -203,14 +207,136 @@ def heatmap(path: str | Path, grid, title: str, xlabel: str, ylabel: str,
     cell_h = (HEIGHT - MARGIN_T - MARGIN_B) / ny
     size = f'width="{cell_w+0.5:.2f}" height="{cell_h+0.5:.2f}" fill="'
     ys = [f'" y="{HEIGHT - MARGIN_B - (j + 1) * cell_h:.2f}" {size}' for j in range(ny)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(canvas.parts))
-        for i in range(nx):
-            x = f'\n<rect x="{MARGIN_L + i * cell_w:.2f}'
-            fh.write("".join(f'{x}{y}{colour}"/>' for y, colour in zip(ys, colours[i])))
-        canvas.parts = []       # the head is out; the axes go over the cells
-        canvas.axes()
-        canvas.parts.append(f'<text x="{WIDTH-MARGIN_R}" y="{MARGIN_T-6}" text-anchor="end" '
-                            f'font-family="sans-serif" font-size="10">'
-                            f'range [{_fmt(lo)}, {_fmt(hi)}]</text>')
-        fh.write("\n" + canvas.render())
+    xs = [f'\n<rect x="{MARGIN_L + i * cell_w:.2f}' for i in range(nx)]
+    head = "\n".join(canvas.parts)
+    cells = "".join(f'{x}{y}{colour}"/>' for x, column in zip(xs, colours)
+                    for y, colour in zip(ys, column))
+    canvas.parts = []       # the head is done; the axes go over the cells
+    canvas.axes()
+    canvas.parts.append(f'<text x="{WIDTH-MARGIN_R}" y="{MARGIN_T-6}" text-anchor="end" '
+                        f'font-family="sans-serif" font-size="10">'
+                        f'range [{_fmt(lo)}, {_fmt(hi)}]</text>')
+    return head + cells + "\n" + canvas.render()
+
+
+# --- one spec per command: its run's tables -> {SVG name: SVG text} ---------------
+
+LEVELS = ("raw", "ni", "tflo", "tflo_ni")
+
+
+def _benchmark_pairs(record, table):
+    indiv, sweep = table("individual_pairs.csv"), table("parallel_sweep.csv")
+    return {
+        "individual_pairs.svg": xy_plot(
+            {m: (indiv["fidelity"], indiv[f"e_{m}"]) for m in LEVELS},
+            "energy vs CZ fidelity (individual pairs)", "CZ fidelity", "energy",
+            {"exact ground": record["metrics"]["exact_ground_energy"]}, dots=True),
+        "parallel_sweep.svg": xy_plot(
+            {m: (sweep["p"], sweep[f"mean_abs_err_{m}"]) for m in LEVELS},
+            "mean |error| vs pairs in parallel", "pairs in parallel", "mean |error|"),
+    }
+
+
+def _heatmap(record, table):
+    n = record["metrics"]["grid"]
+    exact, simulated = table("heatmap_exact.csv"), table("heatmap_simulated.csv")
+    panels = (("exact", exact["e_exact"], "exact energy landscape"),
+              ("simulated", simulated["e_corrected"], "simulated energy landscape"),
+              ("error", simulated["abs_err"], "absolute error"))
+    return {f"heatmap_{name}.svg": heatmap(np.reshape(values, (n, n)), title, "phi", "theta",
+                                           (-math.pi, math.pi, -math.pi, math.pi))
+            for name, values, title in panels}
+
+
+def _vqe(record, table):
+    trace, metrics = table("trace_rep0.csv"), record["metrics"]
+    its = trace["iteration"]
+    return {"trace_rep0.svg": xy_plot(
+        {"estimate": (its, trace["e_ni"]), "raw": (its, trace["e_raw"]),
+         "exact at params": (its, trace["e_exact"])},
+        f"{metrics['optimizer']} on {metrics['pairs']} pair(s)", "iteration", "energy",
+        {"exact ground": metrics["exact_ground_energy"]})}
+
+
+def _speedup_sweep(record, table):
+    sweep = table("speedup_sweep.csv")
+    return {"speedup_sweep.svg": xy_plot(
+        {name: (sweep["p"], sweep[f"{name}_speedup"]) for name in ("spsa", "mgd")},
+        "modelled speedup vs pairs", "pairs in parallel", "speedup")}
+
+
+def _shots_sweep(record, table):
+    # the ground energy is not in shots-sweep's record: it comes from the oracle
+    traces = {shots: table(f"trace_shots{shots}.csv")
+              for shots in record["config"]["shots_list"]}
+    return {"shots_sweep.svg": xy_plot(
+        {f"{shots} shots": (t["iteration"], t["e_exact"]) for shots, t in traces.items()},
+        f"SPSA on {record['metrics']['pairs']} pairs: exact energy at iterates",
+        "iteration", "exact energy", {"exact ground": exact_ground_energy()})}
+
+
+def _optimizer_compare(record, table):
+    summary = table("compare_summary.csv")
+    rows = list(zip(summary["optimizer"], summary["p"], summary["median_abs_err"]))
+    return {"compare_summary.svg": xy_plot(
+        {name: ([p for o, p, _ in rows if o == name], [e for o, _, e in rows if o == name])
+         for name in ("spsa", "mgd")},
+        "median final |error| vs pairs", "pairs in parallel", "median |error|")}
+
+
+PLOTS = {"benchmark-pairs": _benchmark_pairs, "heatmap": _heatmap, "vqe": _vqe,
+         "speedup-sweep": _speedup_sweep, "shots-sweep": _shots_sweep,
+         "optimizer-compare": _optimizer_compare}
+
+
+class PlotError(Exception):
+    """A run directory the tool cannot plot."""
+
+
+class _Table(dict):
+    """A CSV's text columns by header name. Indexing one parses it, as
+    floats or else as names, so the columns no plot reads stay text."""
+
+    def __getitem__(self, name: str) -> list:
+        texts = dict.__getitem__(self, name)
+        try:
+            return list(map(float, texts))
+        except ValueError:
+            return list(texts)
+
+
+def read_table(path: Path) -> _Table:
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return _Table(zip(header, zip(*rows)))
+
+
+def render(run_dir: Path) -> dict[str, str]:
+    """{SVG name: SVG text} of every plot of the run in run_dir."""
+    try:
+        record = json.loads((run_dir / "record.json").read_text())
+        spec = PLOTS.get(record["command"])
+        if spec is None:
+            raise PlotError(f"unknown command {record['command']!r} in "
+                            f"{run_dir / 'record.json'}")
+        return spec(record, lambda name: read_table(run_dir / name))
+    except (OSError, ValueError, LookupError, csv.Error) as exc:
+        raise PlotError(f"cannot plot {run_dir}: {type(exc).__name__}: {exc}") from exc
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("run_dir", type=Path, help="the output directory of one parvqe run")
+    run_dir = parser.parse_args(argv).run_dir
+    try:
+        plots = render(run_dir)
+    except PlotError as exc:
+        print(f"plot.py: {exc}", file=sys.stderr)
+        return 2
+    for name, text in plots.items():
+        (run_dir / name).write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
