@@ -346,19 +346,20 @@ def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
     parallelism, at `shots` shots each (or shots[i] for key path i). MGD
     spreads `points` points per iteration over the table's rows; SPSA pools
     each point over the table's first `points` rows (or points[i] for key
-    path i). Each run's evaluator seed and optimizer stream derive from its
+    path i). Each run's evaluator and optimizer streams derive from its
     own key path, so its trace does not depend on the runs beside it."""
     cfg, h = run.cfg, run.h
-    eval_seeds = [derive_seed(cfg.seed, _NS_EVAL, *keys) for keys in key_paths]
+    eval_streams = [np.random.default_rng(derive_seed(cfg.seed, _NS_EVAL, *keys))
+                    for keys in key_paths]
     streams = [derive_rng(cfg.seed, _NS_OPT, *keys) for keys in key_paths]
     starts = [AnsatzParams(*start)] * len(key_paths)
     exact = lambda centres: closed_form_energy(centres[:, 0], centres[:, 1], h)
     if optimizer == "spsa":
         return spsa_lockstep(SpsaConfig(iterations=iterations),
-                             spsa_parallel_evaluator(table, shots, eval_seeds, points), starts,
+                             spsa_parallel_evaluator(table, shots, eval_streams, points), starts,
                              streams, exact)
     return mgd_lockstep(MgdConfig(iterations=iterations),
-                        batch_pair_evaluator(table, shots, eval_seeds), starts, points,
+                        batch_pair_evaluator(table, shots, eval_streams), starts, points,
                         streams, exact)
 
 

@@ -319,20 +319,19 @@ def measure_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray,
 
 
 def batch_pair_evaluator(table: PairTable, shots,
-                         seeds: Sequence[int]) -> LockstepEvaluator:
-    """Different-parameters parallelism for R repeats with evaluator seeds
-    seeds[r], at shots[r] shots each (one int for all): each repeat's m
+                         streams: Sequence[np.random.Generator]) -> LockstepEvaluator:
+    """Different-parameters parallelism for R repeats, repeat r drawing
+    from streams[r] at shots[r] shots (one int for all): each repeat's m
     points are spread over the table's rows, ceil(m/len(rows)) batches per
     repeat and call, and the estimates come back with shape (R, m). All
     batches of a call share one kernel pass, and the layout of (R, m)
     points is planned on its first call and reused by every later one.
-    Repeat r keeps one generator, default_rng(seeds[r]), for every call,
-    and each call draws its batches from it in order, so its counts do not
-    depend on the repeats beside it."""
+    Repeat r keeps its generator for every call, and each call draws its
+    batches from it in order, so its counts do not depend on the repeats
+    beside it."""
     if not table.pairs:
         raise ValueError("need at least one pair")
     n = len(table.pairs)
-    streams = [np.random.default_rng(seed) for seed in seeds]
     plans: dict[tuple[int, int], BatchPlan] = {}
 
     def evaluate(points: np.ndarray) -> Estimates:
@@ -348,23 +347,22 @@ def batch_pair_evaluator(table: PairTable, shots,
     return evaluate
 
 
-def spsa_parallel_evaluator(table: PairTable, shots, seeds: Sequence[int],
+def spsa_parallel_evaluator(table: PairTable, shots, streams: Sequence[np.random.Generator],
                             widths=None) -> LockstepEvaluator:
-    """Same-parameters parallelism for R repeats with evaluator seeds
-    seeds[r], at shots[r] shots each (one int for all): each point of
-    repeat r is one batch on the table's first widths[r] rows (one int for
-    all; every row by default), drawn from default_rng(seeds[r]) as
-    batch_pair_evaluator draws, and its row estimates are pooled (their
-    mean, errors in quadrature). A one-row table has nothing to pool: its
-    evaluator is batch_pair_evaluator itself, whose value and raw are bit
-    for bit the pooled ones and whose std_err is the row's own."""
+    """Same-parameters parallelism for R repeats, repeat r drawing from
+    streams[r] at shots[r] shots (one int for all): each point of repeat r
+    is one batch on the table's first widths[r] rows (one int for all;
+    every row by default), drawn as batch_pair_evaluator draws, and its
+    row estimates are pooled (their mean, errors in quadrature). A one-row
+    table has nothing to pool: its evaluator is batch_pair_evaluator
+    itself, whose value and raw are bit for bit the pooled ones and whose
+    std_err is the row's own."""
     n = len(table.pairs)
-    widths = np.broadcast_to(n if widths is None else widths, len(seeds)).tolist()
+    widths = np.broadcast_to(n if widths is None else widths, len(streams)).tolist()
     if not all(1 <= w <= n for w in widths):
         raise ValueError(f"row widths must lie in [1, {n}], got {widths}")
     if n == 1:
-        return batch_pair_evaluator(table, shots, seeds)
-    streams = [np.random.default_rng(seed) for seed in seeds]
+        return batch_pair_evaluator(table, shots, streams)
     runs = width_runs(widths)
     plans: dict[int, BatchPlan] = {}
 

@@ -500,9 +500,10 @@ def test_spsa_parallel_evaluator_pools_std_err():
     a = AnsatzParams(0.4, 0.3)
     topo1 = uniform_topology(1)
     topo25 = uniform_topology(25)
-    ev1 = spsa_parallel_evaluator(compile_pairs(topo1, [(0, 1)], h), 1000, seeds=[5])
+    ev1 = spsa_parallel_evaluator(compile_pairs(topo1, [(0, 1)], h), 1000,
+                                  [np.random.default_rng(5)])
     ev25 = spsa_parallel_evaluator(compile_pairs(topo25, [e[:2] for e in topo25.edges], h),
-                                   1000, seeds=[5])
+                                   1000, [np.random.default_rng(5)])
     e1, e25 = evaluate_one(ev1, a), evaluate_one(ev25, a)
     assert e25.std_err == pytest.approx(e1.std_err / 5.0, rel=0.25)
 
@@ -513,7 +514,8 @@ def test_parallel_evaluator_determinism():
     h = HubbardParams()
     vals = []
     for _ in range(2):
-        ev = spsa_parallel_evaluator(compile_pairs(topo, pairs, h), 500, seeds=[11])
+        ev = spsa_parallel_evaluator(compile_pairs(topo, pairs, h), 500,
+                                     [np.random.default_rng(11)])
         vals.append([evaluate_one(ev, AnsatzParams(0.1, 0.2)).value,
                      evaluate_one(ev, AnsatzParams(0.1, 0.2)).value])
     assert vals[0] == vals[1]
@@ -532,9 +534,10 @@ def test_pooled_estimate_tracks_mixture_of_fidelities():
         edges=((0, 1, 0.99), (2, 3, 0.99), (4, 5, 0.85), (6, 7, 0.85)),
         readout={q: (0.0, 0.0) for q in qubits})
     ev_good = spsa_parallel_evaluator(compile_pairs(good, [(0, 1), (2, 3)], h), 20_000,
-                                      seeds=[2])
+                                      [np.random.default_rng(2)])
     ev_mixed = spsa_parallel_evaluator(
-        compile_pairs(mixed, [(0, 1), (2, 3), (4, 5), (6, 7)], h), 20_000, seeds=[2])
+        compile_pairs(mixed, [(0, 1), (2, 3), (4, 5), (6, 7)], h), 20_000,
+        [np.random.default_rng(2)])
     # adding worse pairs drags the pooled estimate upward
     assert evaluate_one(ev_mixed, a).value > evaluate_one(ev_good, a).value + 0.05
 
@@ -551,11 +554,13 @@ def test_spsa_evaluator_is_pooled_spread_evaluator():
                            for i, pair in enumerate(pairs)])
     table = compile_pairs(topo, pairs, HubbardParams(), confusions, crosstalk_p=0.05)
     seeds = [21, 4]
-    spsa = spsa_parallel_evaluator(table, 300, seeds)
-    spread = batch_pair_evaluator(table, 300, seeds)
+    streams_of = lambda: [np.random.default_rng(seed) for seed in seeds]
+    # each evaluator gets its own generators: shared ones would interleave draws
+    spsa = spsa_parallel_evaluator(table, 300, streams_of())
+    spread = batch_pair_evaluator(table, 300, streams_of())
     rng = np.random.default_rng(0)
-    # repeat r keeps one generator, default_rng(seeds[r]), across calls
-    streams = [np.random.default_rng(seed) for seed in seeds]
+    # repeat r keeps one generator, seeded with seeds[r], across calls
+    streams = streams_of()
     for m in (3, 2):      # two successive calls: each repeat's stream carries over
         points = rng.uniform(-1, 1, size=(2, m, 2))
         got = spsa(points)
@@ -579,9 +584,9 @@ def test_one_row_spsa_evaluator_skips_pooling_bitwise(repeats, m, seed, ni):
     confusions = (measure_confusion(noise_spec_for_pair(topo, (0, 1)), 2000,
                                     np.random.default_rng(seed)).matrix[None] if ni else None)
     table = compile_pairs(topo, [(0, 1)], HubbardParams(), confusions)
-    seeds = [seed + r for r in range(repeats)]
-    spsa = spsa_parallel_evaluator(table, 200, seeds)
-    spread = batch_pair_evaluator(table, 200, seeds)
+    streams_of = lambda: [np.random.default_rng(seed + r) for r in range(repeats)]
+    spsa = spsa_parallel_evaluator(table, 200, streams_of())
+    spread = batch_pair_evaluator(table, 200, streams_of())
     rng = np.random.default_rng(seed)
     for _ in range(2):
         points = rng.uniform(-1, 1, size=(repeats, m, 2))
@@ -619,13 +624,14 @@ def test_width_aware_spsa_evaluator_equals_one_repeat_on_the_prefix(widths, m, s
     seeds = [seed + 100 * r for r in range(len(widths))]
     shots = [100 + 50 * r for r in range(len(widths))]
     table = compile_pairs(CHAIN, CHAIN_PAIRS, h, confusions, crosstalk)
-    evaluate = spsa_parallel_evaluator(table, shots, seeds, widths)
+    evaluate = spsa_parallel_evaluator(table, shots, [np.random.default_rng(s) for s in seeds],
+                                       widths)
     prefixes = [compile_pairs(CHAIN, CHAIN_PAIRS[:w], h,
                               None if confusions is None else confusions[:w], crosstalk)
                 for w in widths]
-    alone = [spsa_parallel_evaluator(prefix, n, [s])
+    alone = [spsa_parallel_evaluator(prefix, n, [np.random.default_rng(s)])
              for prefix, n, s in zip(prefixes, shots, seeds)]
-    spread = [batch_pair_evaluator(prefix, n, [s])
+    spread = [batch_pair_evaluator(prefix, n, [np.random.default_rng(s)])
               for prefix, n, s in zip(prefixes, shots, seeds)]
     rng = np.random.default_rng(seed)
     for _ in range(2):       # each repeat's stream carries over between calls
@@ -644,7 +650,8 @@ def test_spsa_evaluator_rejects_widths_outside_the_table():
     table = compile_pairs(CHAIN, CHAIN_PAIRS[:3])
     for widths in ([0], [4], [1, 4]):
         with pytest.raises(ValueError, match="row widths"):
-            spsa_parallel_evaluator(table, 100, [1] * len(widths), widths)
+            spsa_parallel_evaluator(table, 100, [np.random.default_rng(1) for _ in widths],
+                                    widths)
 
 
 def test_std_err_matches_spread_of_successive_estimates():
@@ -657,7 +664,8 @@ def test_std_err_matches_spread_of_successive_estimates():
                           edges=((0, 1, 0.95), (2, 3, 0.92), (4, 5, 0.97)),
                           readout={q: (0.01 + 0.01 * q, 0.03) for q in range(6)})
     pairs = [(0, 1), (2, 3), (4, 5)]
-    evaluate = spsa_parallel_evaluator(compile_pairs(topo, pairs, h), 1000, seeds=[17])
+    evaluate = spsa_parallel_evaluator(compile_pairs(topo, pairs, h), 1000,
+                                       [np.random.default_rng(17)])
     expected = np.mean([exact_expectation_energy(a, h, noise_spec_for_pair(topo, pair)).value
                         for pair in pairs])
     point = np.array([[[a.phi, a.theta]]])
@@ -671,7 +679,7 @@ def test_batch_pair_evaluator_round_robin():
     topo = uniform_topology(3)
     pairs = [e[:2] for e in topo.edges]
     h = HubbardParams()
-    ev = batch_pair_evaluator(compile_pairs(topo, pairs, h), 50_000, seeds=[1])
+    ev = batch_pair_evaluator(compile_pairs(topo, pairs, h), 50_000, [np.random.default_rng(1)])
     points = np.array([(0.0, t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)])
     est = ev(points[None])
     assert est.value.shape == (1, 5)
@@ -685,7 +693,7 @@ def test_batch_pair_evaluator_round_robin():
 def test_mgd_with_noisy_evaluator_and_few_points_warns_but_runs():
     topo = uniform_topology(4, fidelity=0.97, readout=(0.01, 0.01))
     pairs = [e[:2] for e in topo.edges]
-    ev = batch_pair_evaluator(compile_pairs(topo, pairs), 400, seeds=[9])
+    ev = batch_pair_evaluator(compile_pairs(topo, pairs), 400, [np.random.default_rng(9)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trace, = mgd_lockstep(MgdConfig(iterations=3), ev, [START], 4,
