@@ -63,7 +63,7 @@ from .optimizers import (
     spsa_parallel_evaluator,
 )
 from .records import Record, factory
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng
 
 SCHEMA_VERSION = 1
 
@@ -349,8 +349,7 @@ def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
     path i). Each run's evaluator and optimizer streams derive from its
     own key path, so its trace does not depend on the runs beside it."""
     cfg, h = run.cfg, run.h
-    eval_streams = [np.random.default_rng(derive_seed(cfg.seed, _NS_EVAL, *keys))
-                    for keys in key_paths]
+    eval_streams = [derive_rng(cfg.seed, _NS_EVAL, *keys) for keys in key_paths]
     streams = [derive_rng(cfg.seed, _NS_OPT, *keys) for keys in key_paths]
     starts = [AnsatzParams(*start)] * len(key_paths)
     exact = lambda centres: closed_form_energy(centres[:, 0], centres[:, 1], h)

@@ -26,10 +26,11 @@ executor-backed evaluators run a step in one kernel call. `spsa_run` and
 rows; `spsa_parallel_evaluator` runs each point of repeat r on the
 table's first widths[r] rows and pools them, so runs of several pair
 counts share one table and one lockstep call. Each plans its layout on
-its first call. Optimizer randomness comes only from the injected
-streams, one per repeat, and each evaluator draws a repeat's batches
-from that repeat's own generator, at its own shot count, so a repeat's
-trace does not depend on R or on the repeats beside it. Exact-energy
+its first call. Optimizer randomness comes only from injected streams:
+the cores and the executor-backed evaluators each take one generator per
+repeat and build none of their own. An evaluator draws a repeat's
+batches from that repeat's own generator, at its own shot count, so a
+repeat's trace does not depend on R or on the repeats beside it. Exact-energy
 diagnostics recorded in the trace never feed back into the updates:
 they are computed once per run, after the last step.
 """

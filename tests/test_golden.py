@@ -143,59 +143,59 @@ GOLDEN = {
     },
     "optimizer-compare": {
         "compare_runs.csv":
-            "8ccb7b001e50773796acd98e17680c65c7c9b76208f17ff9120e617da03c35a0",
+            "1b4512e800e6580cf49c4303e9f895562a14be0028536315ab2437d2abccf28e",
         "compare_summary.csv":
-            "a94bfde62a503c51ac8d3d5dfebe2ab31441079b52fd918ecd47b843fec78b95",
+            "246171a8e512c375f6b405914b67941f6a1044d07137e6d92d1f69c13dac90c9",
         "compare_summary.svg":
-            "ca4d99d911d87b12b3e415bc5a461b8f41144456e10716670613545392f30acc",
+            "cba5b9711b07ac8f0429f3eef22ab5fd30763ac01637760d5123a13b2af060c0",
     },
     "optimizer-compare-prefix": {
         "compare_runs.csv":
-            "a4544e831882c76890a7df2176805654569b270a37802481ca50db6997199b5b",
+            "f9b5bbbf42cb1d7b09188d81eeeae14cbd3464353fc14265665865cd67984588",
         "compare_summary.csv":
-            "905689ce0653d32e26a4433c9310c942fe11a12279f429e033a578d355574052",
+            "7ee42b36d4a49d3d384de7a1b0abf19fcf5bcf898fabe458fea5c8a9df72b7cf",
         "compare_summary.svg":
-            "f1eb9322b51bc883d4ebeee538723d23d5ddfa7dc941490d6739869caf120662",
+            "b84045c5eb99f24817f52d9266aaaa0aa0e790bdd00b7fbe5023e2216e0d3b40",
     },
     "shots-sweep": {
         "shots_summary.csv":
-            "50836443dc39c2a1c569567304721e7000d9e73c16772229d1dce081deb4f739",
+            "81aadfadb34d2009d07b844fd4ded2d470a203713935f4f55bb519bc5e8f4e87",
         "shots_sweep.svg":
-            "f5ca6121f38f3ff69ef386ccb2b7603b4cdc7f69d11f7b988960c856767d0142",
+            "936d7712b7fab9641ad34144f20fdf970675f33f9c36300306b5679d4da3f939",
         "trace_shots200.csv":
-            "366ad0e30c2e0784cae358dcdc8f780e07084c297d6e97cba7c3afe7daffe609",
+            "77c594c05b9b2d91bb5491829ef92b66df53e8c5e6728c5c912d16c79a587375",
         "trace_shots50.csv":
-            "64abb5b595d229d1838d8cb09807a75fa2311ad0dcbf504738f80e6a34b4eba3",
+            "ddff8bcd9161882185dac7782ad2d1a861f9769707aef13b0d68b3c42ea4b7f0",
     },
     "shots-sweep-none": {
         "shots_summary.csv":
-            "748951e4524ea3bd5b7c469e5d71cd109463bced5a8d0542e0914c682a962b81",
+            "a5fb92ce7a829346b35bc122948727b12c7cd9a17fe4b788723d628dfb3d2cea",
         "shots_sweep.svg":
-            "3a19b91edfe0bf2af53629bbbcfae4d67c1f796320c794b29a84f9148c2480fa",
+            "ab71fe6c0251f3179902ebaeef98018b29a8432cf1edf9630f267b321da9d09d",
         "trace_shots100.csv":
-            "81926f13f0ea51ad547e9b7a47cdb0ae8e9e11de6608981f7c663a6e234b0c25",
+            "233f2b169462f90140d185e393b7cd1ad8ab85f8d30a4347ff328e7deef06fdc",
     },
     "vqe-mgd-eta": {
         "summary.csv":
-            "27fde05dad93ce252b20d055a65fb3e8b1c972e3233cbda8b72438d92a6c9c8c",
+            "a5af754556410ca4f0a30493503f8efb9a0ac9ca06d4ce43e23a521f83073072",
         "trace_points.npy":
-            "96a7a1bc73c8f732182f00b15eb5b0236691f1e2cbc2f7100458ec75a8ee20aa",
+            "444335f0597c54f04fc19dee74b3213165a6841fb59057c360d3cd2860eece33",
         "trace_rep0.csv":
-            "60c6f58e2ff566c416bb65da42000b419a9e2d95760310ab1ff6deadfb3e346c",
+            "4b5cbfb567fb9f91ff5848a10886fa4dd4afe765c1eedd856af3ebca997a016e",
         "trace_rep0.svg":
-            "bf456368ae40c820e070260f6fd04b4473190b44e0274c4ad8240cd4bc50d349",
+            "9db87ce905f3716c4a8bd4e869e0cf9e8094d5864ae658358bced6af241863ee",
     },
     "vqe-mgd-tflo": {
         "summary.csv":
-            "0ba2fa131876efe2e30ddaf39d7668d549b48fba51f957df35e758cd245a04f5",
+            "17025b916d91bb831708f3b6a1b0b459a54de9f22012e1c95995bafcc8bafe2c",
         "trace_points.npy":
-            "427e7ab11bfcfc26706230866855619d7d727b355b2763d817fc98f32ba8775c",
+            "01705c1c4dd29da69d1ff0b5d517669d1a6a19954e92614748df1527c9ac7893",
         "trace_rep0.csv":
-            "1b3f97cc932e4234f43b7e009d72e0e81e42a147562165b0a70ca46603eb25ce",
+            "48ccbba31477992a7f934fa5d7424022553f2a7a2a847be00e3fd789d7f905a9",
         "trace_rep0.svg":
-            "b6c80a5c78cb6ce87dd9abf0009b474f56c9d547b5044e8a7aad53f6db3b510e",
+            "561eb5c5f6c167a3dcab07ac3178d33a38c17da84f1e7efdca2082987014cecc",
         "trace_rep1.csv":
-            "fb56334f6aaba4a6e2be3ff99fd8c15cd104227c7a9638c5a3437f8c0dbf351c",
+            "ef250ab8e0b4245496b58f5ae9dbdbfde81f1b10a995197c07ea662d41130fac",
     },
     "vqe-speedup-sweep": {
         "speedup_sweep.csv":
@@ -205,25 +205,25 @@ GOLDEN = {
     },
     "vqe-spsa": {
         "summary.csv":
-            "2031a533f4e0d2b8fc61796c3d4b3c19aca6dd172037b8ad48c7230404632138",
+            "2a40edab921fac5d94e55e62027b473d255a3735df753b033caa778e155593e1",
         "trace_points.npy":
-            "ea6d32e2cc550b045c870b9ea1f7db823d3dae0d74f4db503b93982c653cc95a",
+            "d41cfeae56c7e3afd2da6f2827b1c588727b28eaf832d6ee2aae728e31b476fe",
         "trace_rep0.csv":
-            "8f061595eb7a9d6c877f55423f09ac08bd77ca6998bbce91047c2aab307d8620",
+            "5ab7fc14a2957e7bb7d62594c6cf426c0a101dc79e664ba2d5c920389fd15409",
         "trace_rep0.svg":
-            "424ed8d00ca95e68187b9ea07d8fff5445f61ed8546ed297977ed6b6061c1f39",
+            "bc549e9318d6a569c4b958a9d640301e8e9cb464723b18ca50cf264b29215aae",
         "trace_rep1.csv":
-            "4c3dbcb4d1fd19d16dd7ef6e2a49e4498009806d9c3b68ded5cf806e86982851",
+            "137ef1481eda4aa5e2c2336deb6d71089e1df09498047158db4845f2c2a11d77",
     },
     "vqe-spsa-none": {
         "summary.csv":
-            "cd449b854096b7ce2fa4bf8598f133ecfe1867de1a44f9574f18ad072258ac98",
+            "0777d30eb98507f690900fb4dd597f03c2dc280dffb9c292f23cbfa74cc6c5e2",
         "trace_points.npy":
-            "9ad93a64e752acfb2f4d66dc75cde5ffab9e926333b035abb7d35cd18be108d9",
+            "3fbd333a1e3775df558570b3bb7e26f7937d9dbf121406e76c720c1b08c8033e",
         "trace_rep0.csv":
-            "2440f2ad2b3f1b3618689a6205e63b43223584feddf825475a8de5a35ef28bb9",
+            "b46659ef6652d960dfa02138bce4356b87c30bc2d699bfe99fa99b6f319bf30f",
         "trace_rep0.svg":
-            "91d56fc0cfab0b9b79bd29d39cd292baf8079ddcb1a6358e6caeac880d99819e",
+            "0dc901e9a10dc0236158001608c8de35198e9a83adb78ad65510b688d541c85f",
     },
 }
 

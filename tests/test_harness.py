@@ -1,5 +1,6 @@
 """Experiment-harness tests: file outputs, schemas, reproducibility, CLI."""
 
+import ast
 import contextlib
 import csv
 import importlib.util
@@ -222,14 +223,10 @@ def test_under_determined_mgd_run_warns_once(tmp_path):
 
 
 def test_seeding_calls_do_not_grow_with_iterations(tmp_path, monkeypatch):
-    # every key path derives its streams once; no batch derives a seed
+    # every key path derives its streams once; no batch derives a stream
     calls = []
-    for module in (harness, optimizers):
-        for name in ("derive_seed", "derive_rng"):
-            if hasattr(module, name):
-                original = getattr(module, name)
-                monkeypatch.setattr(module, name,
-                                    lambda *keys, fn=original: calls.append(keys) or fn(*keys))
+    monkeypatch.setattr(harness, "derive_rng",
+                        lambda *keys, fn=harness.derive_rng: calls.append(keys) or fn(*keys))
     counts = []
     for iterations in (2, 20):
         calls.clear()
@@ -238,6 +235,28 @@ def test_seeding_calls_do_not_grow_with_iterations(tmp_path, monkeypatch):
                          "--out", str(tmp_path / str(iterations))]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _generator_builders(node, scope):
+    """(scope, name) of every use of default_rng or SeedSequence under an
+    AST node, scope naming its enclosing module, class and function defs."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        name = getattr(child, "attr", None) or getattr(child, "id", None) \
+            or getattr(child, "name", None)
+        if name in ("default_rng", "SeedSequence"):
+            yield inner, name
+        yield from _generator_builders(child, inner)
+
+
+def test_only_derive_rng_builds_a_generator():
+    """Within the package, default_rng and SeedSequence appear only in
+    seeding.derive_rng: every stream is derive_rng of its key path."""
+    found = [use for module in sorted(Path(parvqe.__file__).parent.glob("*.py"))
+             for use in _generator_builders(ast.parse(module.read_text()), module.stem)]
+    assert found == [("seeding.derive_rng", "default_rng")]
 
 
 def test_planning_calls_do_not_grow_with_iterations(tmp_path, monkeypatch):
