@@ -15,8 +15,7 @@ _EXPORTS = {name: module for module, names in {
                "ideal_state initial_state",
     "circuits": "MeasurementSetting NativeCircuit NativeGate build_circuit",
     "simulator": "PairNoiseSpec ShotHistogram fidelity_to_depolarizing",
-    "device": "DeviceTopology PairSelection greedy_select load_calibration max_weight_matching "
-              "noise_spec_for_pair",
+    "device": "DeviceTopology PairSelection greedy_select load_calibration max_weight_matching",
     "mitigation": "ConfusionMatrix invert_readout measure_confusion measure_confusions "
                   "tflo_correct",
     "executor": "BatchPlan CostModel Estimates PairTable aggregate_same_params "

@@ -31,7 +31,6 @@ from math import inf
 from pathlib import Path
 
 from .records import Record
-from .simulator import PairNoiseSpec
 
 Pair = tuple[int, int]
 
@@ -122,7 +121,6 @@ def load_calibration(path: str | Path) -> DeviceTopology:
 
 class PairSelection(Record, frozen=True):
     pairs: tuple[Pair, ...]
-    fidelity_cap: float | None = None
 
     def __post_init__(self):
         used = [q for p in self.pairs for q in p]
@@ -150,7 +148,7 @@ def greedy_select(topology: DeviceTopology, max_pairs: int | None = None,
             continue
         chosen.append((a, b))
         used.update((a, b))
-    return PairSelection(pairs=tuple(chosen), fidelity_cap=fidelity_cap)
+    return PairSelection(pairs=tuple(chosen))
 
 
 def max_weight_matching(topology: DeviceTopology) -> PairSelection:
@@ -275,11 +273,3 @@ def _blossom_matching(topology: DeviceTopology) -> list[Pair]:
 def selection_weight(topology: DeviceTopology, selection: PairSelection) -> float:
     return sum(topology.fidelity(p) for p in selection.pairs)
 
-
-def noise_spec_for_pair(topology: DeviceTopology, pair: Pair,
-                        crosstalk_p: float = 0.0) -> PairNoiseSpec:
-    """Noise channel parameters for one edge: CZ fidelity plus the two
-    endpoints' readout rates (DeviceTopology.pair_readout)."""
-    f = topology.fidelity(pair)
-    return PairNoiseSpec(cz_fidelity=f, readout=topology.pair_readout(pair),
-                         crosstalk_p=crosstalk_p)

@@ -218,7 +218,7 @@ def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
             raise InputError(str(exc)) from exc
         ranked = sorted((p for p in matched if cap is None or topology.fidelity(p) >= cap),
                         key=lambda p: (-topology.fidelity(p), p))
-        selection = PairSelection(pairs=tuple(ranked[:pairs]), fidelity_cap=cap)
+        selection = PairSelection(pairs=tuple(ranked[:pairs]))
     else:
         selection = greedy_select(topology, max_pairs=pairs, fidelity_cap=cap)
     if not selection.pairs:

@@ -53,7 +53,6 @@ class ConfusionMatrix(Record, frozen=True):
     P(measure i | prepared j)."""
 
     matrix: np.ndarray
-    shots_used: int | None = None   # None when built from exact rates
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -94,8 +93,7 @@ def measure_confusion(noise: PairNoiseSpec, shots: int | None = 10_000,
     the pair alone), checked and inverted: column j is a multinomial sample
     of the readout map applied to basis state j, or with shots=None the
     exact map (no sampling; stream unused)."""
-    return ConfusionMatrix(measure_confusions(np.array([noise.readout]), shots, [stream])[0],
-                           shots)
+    return ConfusionMatrix(measure_confusions(np.array([noise.readout]), shots, [stream])[0])
 
 
 def invert_readout(measured: ShotHistogram | np.ndarray,

@@ -60,17 +60,6 @@ class PairNoiseSpec(Record, frozen=True):
                 if not (0.0 <= e < 0.5):
                     raise ValueError(f"qubit {q} {name} must be in [0, 0.5), got {e}")
 
-    @property
-    def depol_p(self) -> float:
-        return float(fidelity_to_depolarizing(self.cz_fidelity))
-
-    def effective_p(self, crosstalk_active: bool = False) -> float:
-        """Depolarizing probability of the CZ, plus crosstalk_p (capped at
-        1) when a neighbouring pair is active in the same batch."""
-        if crosstalk_active:
-            return min(self.depol_p + self.crosstalk_p, 1.0)
-        return self.depol_p
-
     def confusion_map(self) -> np.ndarray:
         """Exact 4x4 readout confusion matrix (column-stochastic, q0 (x) q1)."""
         return confusion_maps(np.array([self.readout]))[0]

@@ -6,7 +6,9 @@ one, a one-pair confusion measurement for the stacked one, a one-repeat
 surrogate fit for the batched one, cell-by-cell CSV and heatmap writers
 for the columnar ones (the heatmap's is in tools/plot.py, loaded here as
 `plot`), a csv.writer serializer for an optimizer trace's CSV, and a
-dataclasses twin of every record class.
+dataclasses twin of every record class. It also holds the per-pair noise
+helpers that only tests call: a topology edge's PairNoiseSpec and its
+CZ's depolarizing probability, with and without crosstalk.
 """
 
 import csv
@@ -23,7 +25,7 @@ from parvqe.executor import Estimates, setting_coefficients
 from parvqe.hubbard import HubbardParams
 from parvqe.mitigation import CONDITION_LIMIT, ConfusionMatrix, IllConditionedConfusion
 from parvqe.optimizers import N_SURROGATE_FEATURES, UnderDeterminedFit
-from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram
+from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram, fidelity_to_depolarizing
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -49,6 +51,27 @@ def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * rho + p * np.eye(4) / 4.0
 
 
+def depol_p(noise: PairNoiseSpec) -> float:
+    """Depolarizing probability of the pair's CZ."""
+    return float(fidelity_to_depolarizing(noise.cz_fidelity))
+
+
+def effective_p(noise: PairNoiseSpec, crosstalk_active: bool = False) -> float:
+    """Depolarizing probability of the CZ, plus crosstalk_p (capped at
+    1) when a neighbouring pair is active in the same batch."""
+    if crosstalk_active:
+        return min(depol_p(noise) + noise.crosstalk_p, 1.0)
+    return depol_p(noise)
+
+
+def noise_spec_for_pair(topology: device.DeviceTopology, pair: device.Pair,
+                        crosstalk_p: float = 0.0) -> PairNoiseSpec:
+    """Noise channel parameters for one edge: CZ fidelity plus the two
+    endpoints' readout rates (DeviceTopology.pair_readout)."""
+    return PairNoiseSpec(cz_fidelity=topology.fidelity(pair),
+                         readout=topology.pair_readout(pair), crosstalk_p=crosstalk_p)
+
+
 def run_circuit(circuit: NativeCircuit, noise: PairNoiseSpec = NOISELESS,
                 crosstalk_active: bool = False) -> np.ndarray:
     """Simulate the circuit on |00><00| and return the final density matrix.
@@ -60,7 +83,7 @@ def run_circuit(circuit: NativeCircuit, noise: PairNoiseSpec = NOISELESS,
     """
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    p_eff = noise.effective_p(crosstalk_active)
+    p_eff = effective_p(noise, crosstalk_active)
     for gate in circuit.gates:
         u = gate_matrix(gate)
         rho = u @ rho @ u.conj().T

@@ -15,12 +15,11 @@ from parvqe.device import (
     greedy_select,
     load_calibration,
     max_weight_matching,
-    noise_spec_for_pair,
     selection_weight,
 )
 
 from conftest import write_calibration
-from reference import min_cost_assignment
+from reference import depol_p, min_cost_assignment, noise_spec_for_pair
 from test_golden import SMALL_CALIBRATION
 
 
@@ -275,10 +274,10 @@ def test_noise_spec_for_pair():
     topo = DeviceTopology(qubits=(0, 1, 2), edges=((0, 1, 1.0), (1, 2, 0.9)),
                           readout={0: (0.0, 0.0), 1: (0.0, 0.0), 2: (0.01, 0.02)})
     clean = noise_spec_for_pair(topo, (0, 1))
-    assert clean.depol_p == 0.0
+    assert depol_p(clean) == 0.0
     assert clean.readout == ((0.0, 0.0), (0.0, 0.0))
     noisy = noise_spec_for_pair(topo, (1, 2))
-    assert noisy.depol_p == pytest.approx(0.4 / 3.0, abs=1e-15)
+    assert depol_p(noisy) == pytest.approx(0.4 / 3.0, abs=1e-15)
     assert noisy.readout[1] == (0.01, 0.02)
     with pytest.raises(CalibrationError):
         noise_spec_for_pair(topo, (0, 2))

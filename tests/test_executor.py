@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from parvqe.device import DeviceTopology, noise_spec_for_pair
+from parvqe.device import DeviceTopology
 from parvqe.executor import (
     COUNTS_DTYPE,
     CostModel,
@@ -26,7 +26,7 @@ from parvqe.executor import (
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, optimal_params
 from parvqe.mitigation import measure_confusion, measure_confusions
 from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram, apply_terms, kernel_terms
-from reference import estimate_energy
+from reference import effective_p, estimate_energy, noise_spec_for_pair
 from test_golden import SMALL_CALIBRATION
 
 E_GROUND = 1.0 - math.sqrt(5.0)
@@ -237,7 +237,7 @@ def test_exact_expectation_energy_estimates_the_kernel_distributions(
     confusion = measure_confusion(noise, confusion_shots,
                                   np.random.default_rng(seed)) if ni else None
     onsite, hopping = apply_terms(
-        *kernel_terms(np.array([noise.effective_p(crosstalk_active)]),
+        *kernel_terms(np.array([effective_p(noise, crosstalk_active)]),
                       noise.confusion_map()[None]), np.array([phi]), np.array([theta]))[0]
     h = HubbardParams()
     est = exact_expectation_energy(AnsatzParams(phi, theta), h, noise, confusion,
@@ -350,7 +350,7 @@ def test_compiled_rows_equal_each_pairs_noise_spec(case):
     for row, (pair, seed) in enumerate(zip(pairs, seeds)):
         noise = noise_spec_for_pair(topo, pair, crosstalk_p)
         for flag in (False, True):
-            base, slope = kernel_terms(np.array([noise.effective_p(flag)]),
+            base, slope = kernel_terms(np.array([effective_p(noise, flag)]),
                                        noise.confusion_map()[None])
             assert np.array_equal(table.base[int(flag), row], base[0])
             assert np.array_equal(table.slope[int(flag), row], slope[0])
@@ -396,7 +396,7 @@ def chain_noise(crosstalk_p=0.3):
     (p[1]) crosstalk, and its readout map, from its own noise spec."""
     topo, pairs = chain_topology()
     noises = [noise_spec_for_pair(topo, pair, crosstalk_p=crosstalk_p) for pair in pairs]
-    return (np.array([[noise.effective_p(flag) for noise in noises] for flag in (False, True)]),
+    return (np.array([[effective_p(noise, flag) for noise in noises] for flag in (False, True)]),
             np.array([noise.confusion_map() for noise in noises]))
 
 

@@ -25,7 +25,6 @@ def test_measure_confusion_no_readout_error_is_identity():
     assert np.array_equal(exact.matrix, np.eye(4))
     sampled = measure_confusion(NOISELESS, shots=100, stream=np.random.default_rng(1))
     assert np.array_equal(sampled.matrix, np.eye(4))
-    assert sampled.shots_used == 100
 
 
 def test_measure_confusion_tensor_structure():
@@ -175,7 +174,7 @@ def test_measure_confusions_match_one_pair_at_a_time(case):
             expected.append((None, None, next_draw))
             continue
         assert np.array_equal(own.matrix, ref[0]) and np.array_equal(own.inverse, ref[1])
-        assert own.shots_used == shots and own_stream.random() == next_draw
+        assert own_stream.random() == next_draw
         expected.append((*ref, next_draw))
     streams = [np.random.default_rng(seed) for seed in seeds]
     stacked = measure_confusions(readouts, shots, streams)

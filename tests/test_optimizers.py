@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from parvqe.csvio import csv_chunks, write_csv
-from parvqe.device import DeviceTopology, noise_spec_for_pair
+from parvqe.device import DeviceTopology
 from parvqe.executor import (
     Estimates,
     aggregate_same_params,
@@ -46,7 +46,7 @@ from parvqe.optimizers import (
     spsa_run,
     _fit_surrogate,
 )
-from reference import fit_surrogate, trace_csv
+from reference import fit_surrogate, noise_spec_for_pair, trace_csv
 
 E_GROUND = exact_ground_energy()
 START = AnsatzParams(0.6, 0.8)

@@ -35,13 +35,13 @@ def _specimens() -> dict:
     records = [
         build_circuit(AnsatzParams(0.3, 0.4), MeasurementSetting.ONSITE).gates[0],
         build_circuit(AnsatzParams(0.3, 0.4), MeasurementSetting.HOPPING),
-        topology, PairSelection(((0, 1),), 0.9), table,
+        topology, PairSelection(((0, 1),)), table,
         plan_batches(table, [[np.arange(1)]], 100), CostModel(0.01, 0.001, 1e-6, 1e-7),
         ExperimentConfig(seed=1, out_dir=Path("out")),
         RunRecord("vqe", {"seed": 1}, {"pairs": 1}, ["summary.csv"]),
         Command(harness.cmd_vqe, "full runs", ("shots",), {"shots": 10}),
         HubbardParams(1.0, 2.0), AnsatzParams(0.3, 0.4), h,
-        ConfusionMatrix(np.eye(4), 100), SpsaConfig(5), MgdConfig(5),
+        ConfusionMatrix(np.eye(4)), SpsaConfig(5), MgdConfig(5),
         OptTrace(np.zeros(2), np.ones(2), np.zeros(2), np.zeros(2), None, None,
                  AnsatzParams(0.1, 0.2)),
         PairNoiseSpec(0.99, ((0.01, 0.02), (0.03, 0.01)), 0.01),

@@ -21,7 +21,7 @@ from parvqe.simulator import (
     sample_shots,
 )
 import reference
-from reference import check_density_matrix, run_circuit
+from reference import check_density_matrix, depol_p, effective_p, run_circuit
 
 KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
@@ -168,7 +168,7 @@ def test_energy_error_monotone_in_depolarizing_strength():
     errors = []
     for p in (0.0, 0.05, 0.1, 0.2):
         noise = PairNoiseSpec(cz_fidelity=depol_to_fidelity(p))
-        assert noise.depol_p == pytest.approx(p, abs=1e-12)
+        assert depol_p(noise) == pytest.approx(p, abs=1e-12)
         errors.append(abs(exact_expectation_energy(opt, h, noise).value - e0))
     assert all(b >= a - 1e-12 for a, b in zip(errors, errors[1:]))
 
@@ -176,7 +176,7 @@ def test_energy_error_monotone_in_depolarizing_strength():
 def test_crosstalk_adds_depolarizing_probability():
     a = AnsatzParams(0.3, 0.4)
     lo = PairNoiseSpec(cz_fidelity=0.95, crosstalk_p=0.1)
-    hi = PairNoiseSpec(cz_fidelity=depol_to_fidelity(lo.depol_p + 0.1))
+    hi = PairNoiseSpec(cz_fidelity=depol_to_fidelity(depol_p(lo) + 0.1))
     rho_flagged = run_circuit(build_circuit(a, MeasurementSetting.ONSITE), lo,
                               crosstalk_active=True)
     rho_equiv = run_circuit(build_circuit(a, MeasurementSetting.ONSITE), hi)
@@ -205,7 +205,7 @@ def test_batch_kernel_matches_density_matrix_reference(cases):
     noises = [PairNoiseSpec(cz_fidelity=f, readout=ro, crosstalk_p=xt)
               for _, _, f, ro, xt, _ in cases]
     dists = apply_terms(*kernel_terms(
-        np.array([noise.effective_p(c[5]) for noise, c in zip(noises, cases)]),
+        np.array([effective_p(noise, c[5]) for noise, c in zip(noises, cases)]),
         np.array([noise.confusion_map() for noise in noises])),
         np.array([c[0] for c in cases]), np.array([c[1] for c in cases]))
     assert dists.shape == (len(cases), 2, 4)
@@ -224,7 +224,7 @@ def test_batch_kernel_rows_do_not_depend_on_their_batch(cases, picks):
     noises = [PairNoiseSpec(cz_fidelity=f, readout=ro, crosstalk_p=xt)
               for _, _, f, ro, xt, _ in cases]
     phi, theta = np.array([c[0] for c in cases]), np.array([c[1] for c in cases])
-    p = np.array([noise.effective_p(c[5]) for noise, c in zip(noises, cases)])
+    p = np.array([effective_p(noise, c[5]) for noise, c in zip(noises, cases)])
     confusion = np.array([noise.confusion_map() for noise in noises])
     dists = apply_terms(*kernel_terms(p, confusion), phi, theta)
     for i in range(len(cases)):
@@ -241,7 +241,7 @@ def kernel_inputs(cases):
     noises = [PairNoiseSpec(cz_fidelity=f, readout=ro, crosstalk_p=xt)
               for _, _, f, ro, xt, _ in cases]
     return (np.array([c[0] for c in cases]), np.array([c[1] for c in cases]),
-            np.array([noise.effective_p(c[5]) for noise, c in zip(noises, cases)]),
+            np.array([effective_p(noise, c[5]) for noise, c in zip(noises, cases)]),
             np.array([noise.confusion_map() for noise in noises]))
 
 
@@ -280,7 +280,7 @@ def test_split_kernel_keeps_exact_zeros(corner, readout):
     phi, theta = KERNEL_CORNERS[corner]
     for f in (1.0, 0.97):
         noise = PairNoiseSpec(cz_fidelity=f, readout=ZERO_READOUT[readout])
-        args = (np.array([phi]), np.array([theta]), np.array([noise.depol_p]),
+        args = (np.array([phi]), np.array([theta]), np.array([depol_p(noise)]),
                 noise.confusion_map()[None])
         split = apply_terms(*kernel_terms(*args[2:]), *args[:2])
         whole = reference.batch_distributions(*args)
