@@ -30,9 +30,9 @@ its first call. Optimizer randomness comes only from injected streams:
 the cores and the executor-backed evaluators each take one generator per
 repeat and build none of their own. An evaluator draws a repeat's
 batches from that repeat's own generator, at its own shot count, so a
-repeat's trace does not depend on R or on the repeats beside it. Exact-energy
-diagnostics recorded in the trace never feed back into the updates:
-they are computed once per run, after the last step.
+repeat's trace does not depend on R or on the repeats beside it.
+Exact-energy diagnostics recorded in the trace never feed back into the
+updates: they are computed once per run, after the last step.
 """
 
 from __future__ import annotations

@@ -244,9 +244,8 @@ def _generator_builders(node, scope):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        name = getattr(child, "attr", None) or getattr(child, "id", None) \
-            or getattr(child, "name", None)
-        if name in ("default_rng", "SeedSequence"):
+        names = {getattr(child, field, None) for field in ("attr", "id", "name")}
+        for name in sorted(names & {"default_rng", "SeedSequence"}):
             yield inner, name
         yield from _generator_builders(child, inner)
 
