@@ -3,10 +3,12 @@ fixed-seed runs of all experiments.
 
 Each case runs one CLI command, which writes no SVG, then tools/plot.py
 on its output directory, which renders the SVGs from the run's tables,
-and compares the sha256 of every file there, record.json aside (it holds
-the output path), with a pinned digest. So a refactor of the measurement
-path must keep every seed path, batch and circuit exactly as it was, and
-one of the artifact writers or of the plot tool every byte it writes. The digests were captured with numpy 2.4 (its
+and compares the sha256 of every file there, record.json aside, with a
+pinned digest. record.json is pinned on its own (RECORDS), each path in
+its config replaced by the file name, since it holds the output path. So
+a refactor of the measurement path must keep every seed path, batch and
+circuit exactly as it was, and one of the artifact writers or of the
+plot tool every byte it writes. The digests were captured with numpy 2.4 (its
 random streams, float formatting and .npy header decide the bytes). A
 change that alters output bytes on purpose updates the affected digests
 and says so in CHANGES.md.
@@ -14,6 +16,7 @@ and says so in CHANGES.md.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +231,41 @@ GOLDEN = {
 }
 
 
+# record.json of each case, its config paths replaced by their file names
+RECORDS = {
+    "benchmark-pairs":
+        "240cc72727b2d1066060d2666e21f628c439b10fbc723a3e832e23fc98a38df2",
+    "benchmark-pairs-ring":
+        "7b9550252726ab4539efb9caff129e37947751caddf416dcc8bd4ec5ffea0caf",
+    "heatmap-matching":
+        "71d922d9e61dbe9f884c4a3b5d29b574c98dac0c5948946280898512236d0f16",
+    "heatmap-ni":
+        "5d9cba3deb3fbad70975aff3676d69bffff2ea70efc390af8f0cf0e0b05ce5d7",
+    "heatmap-none":
+        "36ede6d0d223161dd165ed47c96c03a952804a3732146041d5fe8ab61356206e",
+    "heatmap-tflo":
+        "fbcae122e5637ab63e57cd319f85662f0e66ab0259f88250e82ce13780428ae0",
+    "optimizer-compare":
+        "20e27cdbe6155d2f53faaf81235dd3ad1d8e0103e71354a08e32ac9d77e55f25",
+    "optimizer-compare-prefix":
+        "762d24a5c88a805c87d2a2a3d371f29dfecce3dc0cb47af3f4a969ba76c6f064",
+    "shots-sweep":
+        "5f698009d4a6f0a8c4b0ce8e664e7d252ef96300651357bf4a6b4679ac3b9c2c",
+    "shots-sweep-none":
+        "e47de667fdf95ff82464af673b0b71cacafa82a96ff69d7537a508d969f24db5",
+    "vqe-mgd-eta":
+        "c3868cf23ad2f540568989d9e932215dc8fb61b13166b4a26fba46565e396aac",
+    "vqe-mgd-tflo":
+        "f3ff3c67330d4dffaebd7ca01e4f05cf3ef96be887ed3d6ead973e7afae35bde",
+    "vqe-speedup-sweep":
+        "d4554d759fc172f17a5a29dac7042d0d94d09fccfca83ffd753ae69b0c13fcb3",
+    "vqe-spsa":
+        "8aa8c5589b319a02b51ded2406237d2bb9eef7f9d0b0874b3698b0aaf58b037e",
+    "vqe-spsa-none":
+        "b91d5210df46a0c926bccdd1ea0384e1cc1fdf476482d0a348721fc8c8f8e0b1",
+}
+
+
 def run_case(name, tmp_path):
     """Run one case, then plot its output; "--small" stands for the 8-qubit
     ring calibration. Returns {file name: sha256 hex digest} of every file
@@ -260,3 +298,21 @@ def test_svg_and_trace_json_digests(name, tmp_path):
     # every file but the CSVs: the SVGs, and vqe's trace_points.npy, which
     # replaced the trace JSON files this test is named after
     assert split(run_case(name, tmp_path), csv=False) == split(GOLDEN[name], csv=False)
+
+
+def record_digest(out: Path) -> str:
+    """The sha256 of out/record.json with each path-valued config entry
+    replaced by its file name, so that it does not depend on where the run
+    read and wrote its files."""
+    payload = json.loads((out / "record.json").read_text())
+    config = payload["config"]
+    for key in ("out_dir", "calibration", "cost_model"):
+        if key in config:
+            config[key] = Path(config[key]).name
+    return hashlib.sha256(json.dumps(payload, indent=1, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_record_digests(name, tmp_path):
+    run_case(name, tmp_path)
+    assert record_digest(tmp_path / "out") == RECORDS[name]
