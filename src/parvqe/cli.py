@@ -10,11 +10,11 @@ Subcommands map one-to-one onto the harness experiments:
     parvqe optimizer-compare --seed 7 --out results/compare
 
 `harness.COMMANDS` defines each subcommand: its handler, the settings it
-reads and its default overrides, which `harness.config_for` applies. This
-module only spells a setting as a flag (FLAGS). `read_plain` reads a plain
-command line straight from that table; every other command line, help
-and every error go through the argparse parser of `build_parser`, so their
-text and exit status are argparse's own.
+reads, its defaults (`harness.config_for`) and its choices (enforced by
+the handler). This module spells a setting as a flag (FLAGS). `read_plain`
+reads a plain command line straight from that table; every other one,
+help and every error go through argparse (`build_parser`), so their text
+and exit status are argparse's own.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from .harness import CHOICES, COMMANDS, ExperimentConfig, InputError, config_for
 from .mitigation import IllConditionedConfusion
+from .optimizers import UnderDeterminedFit
 
 if TYPE_CHECKING:
     import argparse     # imported by build_parser only: a plain run never needs it
@@ -151,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         record = COMMANDS[args.command].handler(cfg)
-    except (InputError, IllConditionedConfusion, FileNotFoundError) as exc:
+    except (InputError, IllConditionedConfusion, UnderDeterminedFit, FileNotFoundError) as exc:
         build_parser().error(str(exc))
     print(f"wrote {cfg.out_dir}/record.json ({len(record.artifacts)} artifacts)")
     return 0

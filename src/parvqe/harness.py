@@ -1,9 +1,9 @@
 """Experiment harness: reproducible runs emitting CSV and .npy files.
 
-Every experiment takes an ExperimentConfig (seed mandatory), computes
-its files and metrics, and hands them to `_Run.finish`, the one writing
-stage, so a run that fails leaves no output. finish returns a RunRecord
-holding the settings it reads (COMMANDS), metrics and artifact list.
+Every experiment takes an ExperimentConfig (seed mandatory), opens a
+`_Run`, which applies its COMMANDS entry, and hands its files and metrics
+to `_Run.finish`, the one writing stage, so a run that fails leaves no
+output. finish returns a RunRecord: settings read, metrics and artifacts.
 Identical configurations produce byte-identical data files; wall-clock
 cost is modelled (never measured) so records stay reproducible. The
 commands draw no plots: tools/plot.py renders them from a run's files.
@@ -44,7 +44,6 @@ from .executor import (
 )
 from .hubbard import (
     AnsatzParams,
-    HubbardParams,
     closed_form_energy,
     exact_energy,
     exact_ground_energy,
@@ -103,10 +102,11 @@ MAX_POINTS_PER_ITERATION = 1000
 
 class ExperimentConfig(Record):
     """Every setting of an experiment run. Impossible values raise
-    InputError, and so does an eta whose n_points_from_eta(eta) exceeds
-    MAX_POINTS_PER_ITERATION (1000 points, so eta must be below 166.75):
-    uncapped, an eta of 1e9 would ask mgd_lockstep for 6e9 points per
-    iteration. eta None (unset) leaves mgd its default point count."""
+    InputError, and so does an eta whose n_points_from_eta(eta) is 0 or
+    exceeds MAX_POINTS_PER_ITERATION (1000 points), so eta must be at
+    least 1/12 and below 166.75: uncapped, an eta of 1e9 would ask
+    mgd_lockstep for 6e9 points per iteration. eta None (unset) leaves mgd
+    its default point count."""
 
     seed: int
     out_dir: Path
@@ -156,6 +156,9 @@ class ExperimentConfig(Record):
         if self.eta is not None and n_points_from_eta(self.eta) > MAX_POINTS_PER_ITERATION:
             raise InputError(f"eta {self.eta} asks for more than {MAX_POINTS_PER_ITERATION} "
                              "surrogate points per iteration")
+        if self.eta is not None and n_points_from_eta(self.eta) < 1:
+            raise InputError(f"eta {self.eta} asks for no surrogate points per iteration; "
+                             "it must be at least 1/12")
         if self.cap is not None and not math.isfinite(self.cap):
             raise InputError(f"cap must be finite, got {self.cap}")
         if not 0.0 <= self.crosstalk_p <= 1.0:
@@ -194,13 +197,9 @@ class RunRecord(Record):
     config: dict
     metrics: dict
     artifacts: list[str]
-    code_version: str = __version__
-    schema_version: int = SCHEMA_VERSION
 
     def write(self, path: Path) -> None:
-        payload = {"schema_version": self.schema_version, "command": self.command,
-                   "code_version": self.code_version, "config": self.config,
-                   "metrics": self.metrics, "artifacts": self.artifacts}
+        payload = {"schema_version": SCHEMA_VERSION, "code_version": __version__, **vars(self)}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -227,18 +226,26 @@ def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,
 
 
 class _Run:
-    """What every experiment sets up first (clock, Hubbard parameters and
-    ground energy, cost model, calibration and its one compiled pair table)
-    and its ending, which writes every file and the record."""
+    """What every experiment sets up first (clock, ground energy, cost
+    model, calibration and its one compiled pair table) and its ending,
+    which writes every file and the record. It applies `command`'s COMMANDS
+    entry before any output: a value outside its choices, or an eta given
+    to spsa, is an InputError, as on the command line; the cost model is
+    loaded exactly when the command reads it."""
 
-    def __init__(self, cfg: ExperimentConfig, cost: bool = False):
-        self.cfg = cfg
+    def __init__(self, cfg: ExperimentConfig, command: str):
+        entry = COMMANDS[command]
+        for name, allowed in entry.choices.items():
+            if getattr(cfg, name) not in allowed:
+                raise InputError(f"{command} {name} must be one of {allowed}, "
+                                 f"got {getattr(cfg, name)!r}")
+        if "eta" in entry.reads and cfg.eta is not None and cfg.optimizer == "spsa":
+            raise InputError("eta sets mgd's points per iteration; spsa reads no eta")
+        self.cfg, self.command, self.reads = cfg, command, entry.reads
         self.t_start = time.perf_counter()
-        self.h = HubbardParams()
-        self.e0 = exact_ground_energy(self.h)
-        # read up front when the command models times, so a bad model leaves no output
-        self.cost: CostModel | None = None
-        if cost:
+        self.e0 = exact_ground_energy()
+        self.cost: CostModel | None = None      # read up front: a bad model writes nothing
+        if "cost_model" in entry.reads:
             try:
                 self.cost = load_cost_model(cfg.cost_model)
             except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -276,13 +283,14 @@ class _Run:
             confusions = measure_confusions(
                 readouts, cfg.confusion_shots,
                 [derive_rng(cfg.seed, _NS_CONFUSION, *pair) for pair in pairs])
-        return compile_pairs(self.topology, pairs, self.h, confusions, cfg.crosstalk_p)
+        return compile_pairs(self.topology, pairs, confusions=confusions,
+                             crosstalk_p=cfg.crosstalk_p)
 
-    def finish(self, command: str, files: dict, metrics: dict, summary: str) -> RunRecord:
+    def finish(self, files: dict, metrics: dict, summary: str) -> RunRecord:
         """Make the output directory and write `files` in order, each name
         mapped to an .npy array, a CSV's (header, columns), or an OptTrace,
-        whose CSV table is built only as it is written; then record.json,
-        whose artifacts are those names. Print the summary."""
+        whose CSV table is built only as it is written; then record.json of
+        the command, the settings it reads and those names. Print the summary."""
         out_dir = self.cfg.out_dir
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -293,7 +301,7 @@ class _Run:
                 np.save(out_dir / name, content)
             else:
                 write_csv(out_dir / name, *getattr(content, "table", content))
-        record = RunRecord(command=command, config=self.cfg.snapshot(COMMANDS[command].reads),
+        record = RunRecord(command=self.command, config=self.cfg.snapshot(self.reads),
                            metrics=metrics, artifacts=list(files))
         record.write(out_dir / "record.json")
         print(f"{summary}; sim time {time.perf_counter() - self.t_start:.1f}s")
@@ -318,7 +326,7 @@ def _measure(run: _Run, table: PairTable, groups, phi, theta, key_paths,
         zeros = np.zeros_like(theta)
         ref = measure_batch(plan, zeros, theta,
                             [derive_rng(seed, _NS_REF, *path) for path in key_paths])
-        ref_exact = closed_form_energy(zeros, theta, run.h)
+        ref_exact = closed_form_energy(zeros, theta)
         levels["tflo"] = tflo_correct(est.raw, ref_exact, ref.raw)
         levels["tflo_ni"] = tflo_correct(est.value, ref_exact, ref.value)
     return levels
@@ -348,11 +356,11 @@ def _optimize(run: _Run, table: PairTable, optimizer, iterations, points, shots,
     each point over the table's first `points` rows (or points[i] for key
     path i). Each run's evaluator and optimizer streams derive from its
     own key path, so its trace does not depend on the runs beside it."""
-    cfg, h = run.cfg, run.h
+    cfg = run.cfg
     eval_streams = [derive_rng(cfg.seed, _NS_EVAL, *keys) for keys in key_paths]
     streams = [derive_rng(cfg.seed, _NS_OPT, *keys) for keys in key_paths]
     starts = [AnsatzParams(*start)] * len(key_paths)
-    exact = lambda centres: closed_form_energy(centres[:, 0], centres[:, 1], h)
+    exact = lambda centres: closed_form_energy(centres[:, 0], centres[:, 1])
     if optimizer == "spsa":
         return spsa_lockstep(SpsaConfig(iterations=iterations),
                              spsa_parallel_evaluator(table, shots, eval_streams, points), starts,
@@ -391,9 +399,9 @@ def rank_correlation(x, y) -> float | None:
 def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
     """Per-pair benchmark at the optimal parameters, individually and in
     increasingly parallel greedy batches, at all mitigation levels."""
-    run = _Run(cfg)
+    run = _Run(cfg, "benchmark-pairs")
     topology, e0 = run.topology, run.e0
-    opt = optimal_params(run.h)
+    opt = optimal_params()
     all_pairs = sorted(topology.edge_map())
     # every edge, so the rows overlap: each batch picks disjoint ones
     table = run.pair_table(all_pairs)
@@ -445,7 +453,7 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
         "spearman_mean_abs_err_raw_vs_p": rho,
         "fraction_p_tflo_below_raw": frac_below,
     }
-    return run.finish("benchmark-pairs", files, metrics,
+    return run.finish(files, metrics,
                       f"benchmark-pairs: {len(all_pairs)} pairs individually, "
                       f"sweep to p={len(selection.pairs)}")
 
@@ -455,15 +463,14 @@ def cmd_benchmark_pairs(cfg: ExperimentConfig) -> RunRecord:
 def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
     """Energy-landscape heatmap: exact, simulated in parallel batches, and
     the absolute error between them; plus modelled wall times."""
-    run = _Run(cfg, cost=True)
-    h = run.h
+    run = _Run(cfg, "heatmap")
     n = cfg.grid
     axis = np.linspace(-math.pi, math.pi, n)
     # the grid in row-major (phi, theta) order
     phi, theta = np.repeat(axis, n), np.tile(axis, n)
     pairs = run.select(cfg.select, cfg.cap, default=25)
     table = run.pair_table(pairs, cfg.ni)
-    exact = closed_form_energy(phi, theta, h)
+    exact = closed_form_energy(phi, theta)
 
     # the grid in batches of len(pairs) points, all measured in one call
     batches = [np.arange(min(len(pairs), n * n - lo)) for lo in range(0, n * n, len(pairs))]
@@ -491,7 +498,7 @@ def cmd_heatmap(cfg: ExperimentConfig) -> RunRecord:
         "mean_abs_err": float(err.mean()),
         "exact_ground_energy": run.e0,
     }
-    return run.finish("heatmap", files, metrics,
+    return run.finish(files, metrics,
                       f"heatmap: {n * n} points on {len(pairs)} pairs in "
                       f"{len(batches)} batches, modeled speedup "
                       f"{metrics['modeled_speedup']:.1f}x")
@@ -518,12 +525,11 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     """Full optimisation runs, with repeats: per repeat a trace CSV, and
     for all repeats one (repeats, iterations, points) array of every point
     the optimizer evaluated and the estimates it read there."""
-    run = _Run(cfg, cost=True)
-    h, e0 = run.h, run.e0
+    run = _Run(cfg, "vqe")
+    e0 = run.e0
     pairs = run.select(cfg.select, cfg.cap)
     table = run.pair_table(pairs, cfg.ni)
-    default_iterations = 50 if cfg.optimizer == "spsa" else 40
-    iterations = cfg.iterations if cfg.iterations is not None else default_iterations
+    iterations = cfg.iterations or (50 if cfg.optimizer == "spsa" else 40)
     # mgd: n_points_from_eta(--eta) points; unset, one per pair, or 12 (eta 2) on one
     eta = 2.0 if cfg.eta is None and len(pairs) == 1 else cfg.eta
     points = len(pairs) if cfg.optimizer == "spsa" or eta is None else n_points_from_eta(eta)
@@ -545,7 +551,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
             [list(range(cfg.repeats)), [f.phi for f in final_params],
              [f.theta for f in final_params],
              *(finals[m].tolist() for m in (*MITIGATION_LEVELS, cfg.level)),
-             abs_err.tolist(), [exact_energy(f, h) - e0 for f in final_params]]),
+             abs_err.tolist(), [exact_energy(f) - e0 for f in final_params]]),
     }
 
     seconds_parallel, seconds_single = modeled_vqe_wall_times(
@@ -564,7 +570,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
         "modeled_speedup": seconds_single / seconds_parallel,
         "exact_ground_energy": e0,
     }
-    return run.finish("vqe", files, metrics,
+    return run.finish(files, metrics,
                       f"vqe[{cfg.optimizer}]: {cfg.repeats} repeat(s) on {len(pairs)} "
                       f"pair(s), median |err| {metrics['median_final_abs_err']:.4f}")
 
@@ -572,7 +578,7 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
 def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
     """Modelled speedup of both optimizers over cfg.pair_counts; nothing is
     simulated."""
-    run = _Run(cfg, cost=True)
+    run = _Run(cfg, "speedup-sweep")
     counts = list(cfg.pair_counts)
     speedups = {}
     for optimizer in ("spsa", "mgd"):
@@ -585,21 +591,16 @@ def cmd_speedup_sweep(cfg: ExperimentConfig) -> RunRecord:
     metrics = {"pair_counts": counts,
                "spsa_speedups": speedups["spsa"],
                "mgd_speedups": speedups["mgd"]}
-    return run.finish("speedup-sweep", files, metrics,
-                      f"speedup-sweep: {len(counts)} pair counts modelled")
+    return run.finish(files, metrics, f"speedup-sweep: {len(counts)} pair counts modelled")
 
 
 # --- shots-sweep ----------------------------------------------------------------
 
 def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     """SPSA at several shot counts on the capped greedy selection. It runs
-    no reference point, so a mitigation with tflo is an InputError."""
-    allowed = COMMANDS["shots-sweep"].choices["mitigation"]
-    if cfg.mitigation not in allowed:
-        raise InputError(f"shots-sweep mitigation must be one of {allowed}, "
-                         f"got {cfg.mitigation!r}")
-    run = _Run(cfg)
-    h, e0 = run.h, run.e0
+    no reference point, so its choices (COMMANDS) leave out tflo."""
+    run = _Run(cfg, "shots-sweep")
+    e0 = run.e0
     cap = cfg.cap if cfg.cap is not None else 0.90
     pairs = run.select("greedy", cap)
     table = run.pair_table(pairs, cfg.ni)
@@ -610,7 +611,7 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
         run, table, "spsa", iterations, len(pairs), cfg.shots_list,
         [(si,) for si in range(len(cfg.shots_list))])))
     final_params = [trace.final_params for trace in traces.values()]
-    final_err = {shots: exact_energy(f, h) - e0 for shots, f in zip(traces, final_params)}
+    final_err = {shots: exact_energy(f) - e0 for shots, f in zip(traces, final_params)}
     files = {
         **{f"trace_shots{shots}.csv": t for shots, t in traces.items()},
         "shots_summary.csv": (
@@ -629,7 +630,7 @@ def cmd_shots_sweep(cfg: ExperimentConfig) -> RunRecord:
     if 1000 in final_err and 10_000 in final_err:
         metrics["err_gap_1k_vs_10k"] = abs(final_err[1000] - final_err[10_000])
         metrics["matches_within_0.05"] = metrics["err_gap_1k_vs_10k"] < 0.05
-    return run.finish("shots-sweep", files, metrics,
+    return run.finish(files, metrics,
                       f"shots-sweep: {len(cfg.shots_list)} shot counts on "
                       f"{len(pairs)} pairs")
 
@@ -641,7 +642,7 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     repeats of the fully corrected final energy), all on one table of the
     largest count's greedy pairs: greedy order is a prefix order, so a
     count of p runs on the table's first p rows."""
-    run = _Run(cfg)
+    run = _Run(cfg, "optimizer-compare")
     plans = {"spsa": {"iterations": 20, "repeats": 4},
              "mgd": {"iterations": 10, "repeats": 5}}
 
@@ -690,8 +691,7 @@ def cmd_optimizer_compare(cfg: ExperimentConfig) -> RunRecord:
     metrics = {"pair_counts": list(cfg.pair_counts),
                "summary": {f"{name}_p{p}": med
                            for name, p, med, _, _ in summary}}
-    return run.finish("optimizer-compare", files, metrics,
-                      f"optimizer-compare: p in {list(cfg.pair_counts)}")
+    return run.finish(files, metrics, f"optimizer-compare: p in {list(cfg.pair_counts)}")
 
 
 # --- the command table ----------------------------------------------------------
@@ -737,8 +737,6 @@ COMMANDS = {
 def config_for(command: str, **settings) -> ExperimentConfig:
     """The config `command` runs with: ExperimentConfig's defaults, then the
     command's default overrides, then settings. The CLI builds its config
-    here too, so a direct call and the same flags run alike."""
-    cfg = ExperimentConfig(**{**COMMANDS[command].defaults, **settings})
-    if "eta" in settings and "eta" in COMMANDS[command].reads and cfg.optimizer == "spsa":
-        raise InputError("eta sets mgd's points per iteration; spsa reads no eta")
-    return cfg
+    here too, so a direct call and the same flags run alike (and the
+    handler's _Run refuses alike what the command does not accept)."""
+    return ExperimentConfig(**{**COMMANDS[command].defaults, **settings})

@@ -90,6 +90,9 @@ def test_eta_is_bounded(tmp_path):
     with pytest.raises(InputError):
         ExperimentConfig(seed=1, out_dir=out, eta=167.0)       # 1002 points
     assert ExperimentConfig(seed=1, out_dir=out, eta=166.0).eta == 166.0   # 996 points
+    with pytest.raises(InputError, match="no surrogate points"):
+        ExperimentConfig(seed=1, out_dir=out, eta=0.08)        # 0 points
+    assert ExperimentConfig(seed=1, out_dir=out, eta=1 / 12).eta == 1 / 12   # 1 point
     assert not out.exists()
 
 
@@ -329,7 +332,7 @@ def test_ill_conditioned_confusion_raises_before_output_and_matrices_are_per_pai
     with pytest.raises(IllConditionedConfusion):
         cmd_vqe(cfg)
     assert not cfg.out_dir.exists()
-    run = _Run(cfg)
+    run = _Run(cfg, "vqe")
     assert not hasattr(run, "confusions")
     both = run.pair_table([(0, 1), (2, 3)])
     for row, pair in enumerate(both.pairs):
@@ -455,7 +458,7 @@ def test_repeat_trace_does_not_depend_on_its_group(optimizer, points, tmp_path):
     cal = tmp_path / "chain8.json"
     cal.write_text(json.dumps(CHAIN_CALIBRATION))
     run = _Run(ExperimentConfig(seed=13, out_dir=tmp_path / "out", calibration=cal,
-                                crosstalk_p=0.1, confusion_shots=2000))
+                                crosstalk_p=0.1, confusion_shots=2000), "vqe")
     table = run.pair_table(run.select("matching", 0.9))
     assert table.raw_coeffs is not None and table.neighbours.any()
     keys = [(0,), (1,), (2,)]
@@ -706,16 +709,24 @@ def test_plain_reader_matches_argparse(argv):
     assert_plain_matches_argparse(argv)
 
 
-def test_config_for_rejects_an_eta_given_to_spsa(tmp_path):
-    """An eta is rejected when it is given and the optimizer is spsa, and
-    only then: the unset eta (None) of an spsa run, and any eta of an mgd
-    run, pass, so a run without --eta keeps its config."""
-    with pytest.raises(InputError, match="spsa reads no eta"):
-        config_for("vqe", seed=1, out_dir=tmp_path, eta=2.0)
-    with pytest.raises(InputError, match="spsa reads no eta"):
-        config_for("vqe", seed=1, out_dir=tmp_path, optimizer="spsa", eta=0.5)
-    assert config_for("vqe", seed=1, out_dir=tmp_path).eta is None
-    assert config_for("vqe", seed=1, out_dir=tmp_path, optimizer="mgd", eta=0.5).eta == 0.5
+def test_vqe_rejects_an_eta_given_to_spsa(tmp_path):
+    """vqe refuses an eta when it is given and the optimizer is spsa, and
+    only then, before any output: the unset eta (None) of an spsa run, and
+    any eta of an mgd run, pass the check. A config built directly, not
+    through config_for, is refused alike."""
+    out = tmp_path / "out"
+    for cfg in (config_for("vqe", seed=1, out_dir=out, eta=2.0),
+                config_for("vqe", seed=1, out_dir=out, optimizer="spsa", eta=0.5),
+                ExperimentConfig(seed=1, out_dir=out, eta=2.0, pairs=2, iterations=2)):
+        with pytest.raises(InputError, match="spsa reads no eta"):
+            cmd_vqe(cfg)
+        assert not out.exists()
+    assert config_for("vqe", seed=1, out_dir=out).eta is None
+    assert config_for("vqe", seed=1, out_dir=out, optimizer="mgd", eta=0.5).eta == 0.5
+    for cfg in (config_for("vqe", seed=1, out_dir=out, pairs=2),
+                config_for("vqe", seed=1, out_dir=out, optimizer="mgd", eta=0.5)):
+        assert _Run(cfg, "vqe").cfg is cfg
+    assert not out.exists()
 
 
 def test_eta_sets_mgd_points_at_any_pair_count(tmp_path):
@@ -943,6 +954,15 @@ IMPOSSIBLE = {
     # spsa evaluates one point per pair, so an eta would be silently ignored
     "eta-spsa": ("vqe --optimizer spsa --pairs 1 --eta 3", "spsa reads no eta"),
     "eta-default-optimizer": ("vqe --eta 2.0", "spsa reads no eta"),
+    # round(6 * eta) is 0 below eta = 1/12: mgd would be asked for no points
+    "eta-below-twelfth": ("vqe --optimizer mgd --pairs 2 --eta 0.05 --iterations 2",
+                          "asks for no surrogate points"),
+    # a one-shot estimate has a plug-in std_err of 0, so mgd fits its 2
+    # points as noiseless, with no ridge
+    "mgd-one-shot": ("vqe --optimizer mgd --pairs 2 --shots 1 --iterations 3",
+                     "cannot determine 6 surrogate coefficients"),
+    "compare-one-shot": ("optimizer-compare --shots 1 --pair-counts 2",
+                         "cannot determine 6 surrogate coefficients"),
     "crosstalk-above-1": ("vqe --crosstalk 1.5", "crosstalk_p must be in [0, 1]"),
     "crosstalk-negative": ("vqe --crosstalk -0.1", "crosstalk_p must be in [0, 1]"),
     "start-nan": ("vqe --start nan 0.1", "start angles must be finite"),
