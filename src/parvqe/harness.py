@@ -186,11 +186,6 @@ class ExperimentConfig(Record):
     def tflo(self) -> bool:
         return "tflo" in self.mitigation.split("+")
 
-    def snapshot(self, fields) -> dict:
-        """seed, out_dir and the named fields, paths as strings."""
-        values = {name: getattr(self, name) for name in ("seed", "out_dir", *fields)}
-        return {k: str(v) if isinstance(v, Path) else v for k, v in values.items()}
-
 
 class RunRecord(Record):
     command: str
@@ -244,7 +239,8 @@ class _Run:
         self.cfg, self.command, self.reads = cfg, command, entry.reads
         self.t_start = time.perf_counter()
         self.e0 = exact_ground_energy()
-        self.cost: CostModel | None = None      # read up front: a bad model writes nothing
+        # read up front, so a bad model leaves no output
+        self.cost: CostModel | None = None
         if "cost_model" in entry.reads:
             try:
                 self.cost = load_cost_model(cfg.cost_model)
@@ -289,8 +285,8 @@ class _Run:
     def finish(self, files: dict, metrics: dict, summary: str) -> RunRecord:
         """Make the output directory and write `files` in order, each name
         mapped to an .npy array, a CSV's (header, columns), or an OptTrace,
-        whose CSV table is built only as it is written; then record.json of
-        the command, the settings it reads and those names. Print the summary."""
+        whose CSV table is built only as it is written; then the command's
+        record.json, whose artifacts are those names. Print the summary."""
         out_dir = self.cfg.out_dir
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,8 +297,10 @@ class _Run:
                 np.save(out_dir / name, content)
             else:
                 write_csv(out_dir / name, *getattr(content, "table", content))
-        record = RunRecord(command=self.command, config=self.cfg.snapshot(self.reads),
-                           metrics=metrics, artifacts=list(files))
+        config = {name: getattr(self.cfg, name) for name in ("seed", "out_dir", *self.reads)}
+        record = RunRecord(command=self.command, metrics=metrics, artifacts=list(files),
+                           config={k: str(v) if isinstance(v, Path) else v
+                                   for k, v in config.items()})
         record.write(out_dir / "record.json")
         print(f"{summary}; sim time {time.perf_counter() - self.t_start:.1f}s")
         return record
@@ -529,7 +527,8 @@ def cmd_vqe(cfg: ExperimentConfig) -> RunRecord:
     e0 = run.e0
     pairs = run.select(cfg.select, cfg.cap)
     table = run.pair_table(pairs, cfg.ni)
-    iterations = cfg.iterations or (50 if cfg.optimizer == "spsa" else 40)
+    default_iterations = 50 if cfg.optimizer == "spsa" else 40
+    iterations = cfg.iterations if cfg.iterations is not None else default_iterations
     # mgd: n_points_from_eta(--eta) points; unset, one per pair, or 12 (eta 2) on one
     eta = 2.0 if cfg.eta is None and len(pairs) == 1 else cfg.eta
     points = len(pairs) if cfg.optimizer == "spsa" or eta is None else n_points_from_eta(eta)
