@@ -120,19 +120,20 @@ def compile_pairs(topology: DeviceTopology, pairs, h: HubbardParams = HubbardPar
 def _estimate(offset: float, raw_coeffs: np.ndarray | None, coeffs: np.ndarray,
               coeffs_sq: np.ndarray, shots: np.ndarray, counts: np.ndarray) -> Estimates:
     """Energy estimates of n rows from (n, 2, 4) outcome counts, or expected
-    counts, whose settings each sum to the row's shots. Per row, value =
-    offset + sum_k coeffs_k @ f_k over the frequencies f, and the variance
-    sums (coeffs_sq_k @ f_k - (coeffs_k @ f_k)**2) / shots over the
-    settings: the plug-in multinomial variance. A term within rounding of
-    zero (at most 1e-14 of coeffs_sq_k @ f_k, which is what the cancellation
-    leaves when a setting's counts all fall on outcomes of one coefficient)
-    is 0. raw uses raw_coeffs, or is value without them (no NI)."""
-    freqs = counts / shots[:, None, None]
+    counts, whose settings each sum to the row's shots, given as an (n, 1,
+    1) broadcast. Per row, value = offset + sum_k coeffs_k @ f_k over the
+    frequencies f, and the variance sums (coeffs_sq_k @ f_k - (coeffs_k @
+    f_k)**2) / shots over the settings: the plug-in multinomial variance. A
+    term within rounding of zero (at most 1e-14 of coeffs_sq_k @ f_k, which
+    is what the cancellation leaves when a setting's counts all fall on
+    outcomes of one coefficient) is 0. raw uses raw_coeffs, or is value
+    without them (no NI)."""
+    freqs = counts / shots
     mean = np.einsum("nkj,nkj->nk", coeffs, freqs)
     second = np.einsum("nkj,nkj->nk", coeffs_sq, freqs)
     value = offset + mean.sum(axis=1)
     var = second - mean ** 2
-    std_err = np.sqrt(np.where(var > 1e-14 * second, var, 0.0).sum(axis=1) / shots)
+    std_err = np.sqrt(np.where(var > 1e-14 * second, var, 0.0).sum(axis=1) / shots[:, 0, 0])
     raw = value if raw_coeffs is None else offset + np.einsum("kj,nkj->n", raw_coeffs, freqs)
     return Estimates(value=value, std_err=std_err, raw=raw)
 
@@ -147,20 +148,23 @@ class BatchPlan(Record, frozen=True, eq=False):
     plan_batches and run by every run_batch call on it.
 
     rows holds the rows of every batch of every group, in order; group k
-    is rows[bounds[k]:bounds[k + 1]] and draws shots[k] shots per setting.
-    base and slope are each row's kernel_terms, taken from the table by
-    its crosstalk flag; coeffs, coeffs_sq and row_shots feed its estimate.
+    is rows[bounds[k]:bounds[k + 1]] and draws shots[k] shots per setting,
+    as run_batch reads from groups[k] = (shots[k], bounds[k], bounds[k + 1]).
+    base and slope are each row's kernel_terms, taken from the table by its
+    crosstalk flag; coeffs, coeffs_sq and row_shots (an (n, 1, 1) broadcast)
+    feed its estimate.
     """
 
     table: PairTable
     rows: np.ndarray                  # (n,)
     bounds: tuple[int, ...]           # (K + 1,)
     shots: tuple[int, ...]            # (K,)
+    groups: tuple[tuple[int, int, int], ...]   # (K,) of (shots, lo, hi)
     base: np.ndarray                  # (n, 2, 4)
     slope: np.ndarray                 # (n, 2, 4)
     coeffs: np.ndarray                # (n, 2, 4)
     coeffs_sq: np.ndarray             # (n, 2, 4)
-    row_shots: np.ndarray             # (n,)
+    row_shots: np.ndarray             # (n, 1, 1)
 
     def estimate(self, counts: np.ndarray) -> Estimates:
         """Energy estimates of the plan's rows from their (n, 2, 4) counts."""
@@ -205,9 +209,9 @@ def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
                                   for batch in batches]).astype(int)
     bounds = tuple(accumulate((sum(map(len, group)) for group in groups), initial=0))
     coeffs = table.coeffs[rows]
-    return BatchPlan(table, rows, bounds, shots, table.base[flagged, rows],
-                     table.slope[flagged, rows], coeffs, coeffs * coeffs,
-                     np.repeat(shots, np.diff(bounds)))
+    return BatchPlan(table, rows, bounds, shots, tuple(zip(shots, bounds, bounds[1:])),
+                     table.base[flagged, rows], table.slope[flagged, rows], coeffs,
+                     coeffs * coeffs, np.repeat(shots, np.diff(bounds))[:, None, None])
 
 
 def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> np.ndarray:
@@ -235,9 +239,8 @@ def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> n
     if len(phi) != n or len(theta) != n:
         raise ValueError(f"{n} rows but {len(phi)} phi and {len(theta)} theta")
     dists = apply_terms(plan.base, plan.slope, phi, theta)
-    bounds = plan.bounds
-    counts = np.concatenate([stream.multinomial(shots, dists[lo:hi]) for stream, shots, lo, hi
-                             in zip(streams, plan.shots, bounds, bounds[1:])])
+    counts = np.concatenate([stream.multinomial(shots, dists[lo:hi])
+                             for stream, (shots, lo, hi) in zip(streams, plan.groups)])
     return counts.reshape(n, 8).view(COUNTS_DTYPE)[:, 0]
 
 
@@ -277,8 +280,8 @@ def exact_expectation_energy(a: AnsatzParams, h: HubbardParams,
                           noise.crosstalk_p)
     flag = int(crosstalk_active)
     est = _estimate(table.offset, table.raw_coeffs, table.coeffs, table.coeffs * table.coeffs,
-                    np.ones(1), apply_terms(table.base[flag], table.slope[flag],
-                                            np.array([a.phi]), np.array([a.theta])))
+                    np.ones((1, 1, 1)), apply_terms(table.base[flag], table.slope[flag],
+                                                    np.array([a.phi]), np.array([a.theta])))
     return Estimates(value=float(est.value[0]), std_err=0.0, raw=float(est.raw[0]))
 
 

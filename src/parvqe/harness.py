@@ -224,9 +224,10 @@ class _Run:
     """What every experiment sets up first (clock, ground energy, cost
     model, calibration and its one compiled pair table) and its ending,
     which writes every file and the record. It applies `command`'s COMMANDS
-    entry before any output: a value outside its choices, or an eta given
-    to spsa, is an InputError, as on the command line; the cost model is
-    loaded exactly when the command reads it."""
+    entry before any output: a value outside its choices, an eta given to
+    spsa, or a setting off its default that the command does not read is an
+    InputError, as on the command line; the cost model is loaded exactly
+    when the command reads it."""
 
     def __init__(self, cfg: ExperimentConfig, command: str):
         entry = COMMANDS[command]
@@ -236,6 +237,12 @@ class _Run:
                                  f"got {getattr(cfg, name)!r}")
         if "eta" in entry.reads and cfg.eta is not None and cfg.optimizer == "spsa":
             raise InputError("eta sets mgd's points per iteration; spsa reads no eta")
+        # every field but seed and out_dir has a default; a factory's is a fresh call
+        unread = [name for name, default in ExperimentConfig._defaults.items()
+                  if name not in entry.reads and getattr(cfg, name)
+                  != (default.fn() if isinstance(default, factory) else default)]
+        if unread:
+            raise InputError(f"{command} reads no {', '.join(unread)}; leave them unset")
         self.cfg, self.command, self.reads = cfg, command, entry.reads
         self.t_start = time.perf_counter()
         self.e0 = exact_ground_energy()

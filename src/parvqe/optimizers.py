@@ -17,7 +17,9 @@ Two optimizers are provided, each matched to a form of parallelism:
 Both follow fixed gain schedules, set by the module constants below.
 Each optimizer has one lockstep core (`spsa_lockstep`, `mgd_lockstep`)
 that advances R independent repeats together, with no loop over repeats
-within a step. Every evaluator speaks one contract: (R, m, 2) points, m
+within a step: each step writes its slice of (K, R, ...) arrays allocated
+before the first, and the traces are built from them after the last.
+Every evaluator speaks one contract: (R, m, 2) points, m
 for each of R repeats -> one Estimates with (R, m) fields, so the
 executor-backed evaluators run a step in one kernel call. `spsa_run` and
 `mgd_run` hand their evaluator to the core with R = 1.
@@ -58,6 +60,7 @@ N_SURROGATE_FEATURES = 6    # constant, 2 linear, 3 quadratic terms in 2 dims
 # Rademacher values indexed by integers(0, 2): the same draws and stream
 # state as stream.choice([-1.0, 1.0]), at half the cost
 _SIGNS = np.array([-1.0, 1.0])
+_EYE = np.eye(N_SURROGATE_FEATURES)
 
 
 class UnderDeterminedFit(ValueError):
@@ -125,8 +128,9 @@ class OptTrace(Record, frozen=True, eq=False):
     (phi, theta), the raw and noise-inverted estimates there and the exact
     energy; and `points`, the (K, m) POINT_DTYPE array of every point
     evaluated at each iteration with its estimates (for SPSA the centre,
-    then the plus and minus points), a view of the (R, K, m) array its
-    lockstep core filled for all repeats (its base)."""
+    then the plus and minus points), a view of one (R, K, m) array (its
+    base) that its lockstep core builds for all repeats after the last
+    step."""
 
     phi: np.ndarray
     theta: np.ndarray
@@ -162,26 +166,26 @@ LockstepEvaluator = Callable[[np.ndarray], Estimates]
 ExactCentres = Callable[[np.ndarray], Sequence[float]]
 
 
-def _record(points: np.ndarray, batch: np.ndarray, est: Estimates) -> None:
-    """Fill one step's (R, m) slice of the points array from the (R, m, 2)
-    points evaluated and the Estimates read there."""
-    points["phi"], points["theta"] = batch[..., 0], batch[..., 1]
-    points["value"], points["std_err"], points["raw"] = est
-
-
-def _traces(steps, points: np.ndarray, final: np.ndarray,
-            exact: ExactCentres) -> list[OptTrace]:
-    """One trace per repeat from the steps' columns over all R repeats:
-    per step the (R, 2) centres and the (R,) e_raw and e_ni, each stacked
-    along a new iteration axis, and the (R, K, m) points array. The exact
-    energies come from one call of exact over every repeat's (K, 2)
-    centres."""
-    centres, e_raw, e_ni = (np.stack(col, axis=1) for col in zip(*steps))
-    e_exact = np.asarray(exact(centres.reshape(-1, 2)), dtype=float).reshape(e_raw.shape)
-    return [OptTrace(phi=centres[r, :, 0], theta=centres[r, :, 1], e_raw=e_raw[r],
+def _traces(batch: np.ndarray, values: np.ndarray, std_err: np.ndarray,
+            centres: np.ndarray, fitted: np.ndarray, exact: ExactCentres) -> list[OptTrace]:
+    """One trace per repeat from the step arrays its lockstep core filled
+    (K steps, R repeats): the (K, R, m, 2) points, their (K, 2, R, m) value
+    and raw and (K, R, m) std_err, the (K + 1, R, 2) centres (the last one
+    final) and the (K, 2, R) value and raw at each centre. The (R, K, m)
+    POINT_DTYPE array is built here, once, and the exact energies come from
+    one call of exact over every repeat's (K, 2) centres."""
+    steps, repeats, m = std_err.shape
+    points = np.empty((repeats, steps, m), POINT_DTYPE)
+    for name, column in zip(POINT_DTYPE.names, (batch[..., 0], batch[..., 1], values[:, 0],
+                                                values[:, 1], std_err)):
+        points[name] = column.swapaxes(0, 1)
+    tracks = centres[:steps].swapaxes(0, 1)
+    e_exact = np.asarray(exact(tracks.reshape(-1, 2)), dtype=float).reshape(repeats, steps)
+    e_ni, e_raw = fitted.transpose(1, 2, 0)
+    return [OptTrace(phi=tracks[r, :, 0], theta=tracks[r, :, 1], e_raw=e_raw[r],
                      e_ni=e_ni[r], e_exact=e_exact[r], points=points[r],
-                     final_params=AnsatzParams(*final[r]))
-            for r in range(len(final))]
+                     final_params=AnsatzParams(*centres[steps, r]))
+            for r in range(repeats)]
 
 
 def _exact_of(exact_fn: ExactFn) -> ExactCentres:
@@ -202,22 +206,26 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     only on the centre. A repeat's trace therefore does not depend on R as
     long as the evaluator's does not.
     """
-    theta = np.array([[s.phi, s.theta] for s in starts], dtype=float)
-    directions = _SIGNS[np.array([stream.integers(0, 2, size=(cfg.iterations, 2))
-                                  for stream in streams], dtype=int)
-                        .reshape(len(theta), cfg.iterations, 2)]
-    steps, points = [], np.empty((len(theta), cfg.iterations, 3), POINT_DTYPE)
-    for k in range(1, cfg.iterations + 1):
-        a_k, c_k = cfg.gains(k)
-        delta = directions[:, k - 1]
-        batch = np.stack([theta, theta + c_k * delta, theta - c_k * delta], axis=1)
-        est = evaluate(batch)
-        _record(points[:, k - 1], batch, est)
-        steps.append((theta, est.raw[:, 0], est.value[:, 0]))
+    repeats, steps = len(starts), cfg.iterations
+    directions = _SIGNS[np.array([stream.integers(0, 2, size=(steps, 2)) for stream in streams],
+                                 dtype=int).reshape(repeats, steps, 2)]
+    batch = np.empty((steps, repeats, 3, 2))
+    values, std_err = np.empty((steps, 2, repeats, 3)), np.empty((steps, repeats, 3))
+    centres = np.empty((steps + 1, repeats, 2))
+    centres[0] = [[s.phi, s.theta] for s in starts]
+    gains = [cfg.gains(k) for k in range(1, steps + 1)]
+    shifts = np.array([c_k for _, c_k in gains])[:, None] * directions
+    for k, (a_k, c_k) in enumerate(gains):
+        delta, theta, points = directions[:, k], centres[k], batch[k]
+        points[:, 0] = theta
+        np.add(theta, shifts[:, k], out=points[:, 1])
+        np.subtract(theta, shifts[:, k], out=points[:, 2])
+        est = evaluate(points)
+        values[k, 0], std_err[k], values[k, 1] = est
         e_diff = est.value[:, 1] - est.value[:, 2]
         grad = (e_diff / (2.0 * c_k))[:, None] * delta   # 1/delta_i == delta_i
-        theta = theta - a_k * grad
-    return _traces(steps, points, theta, exact)
+        np.subtract(theta, a_k * grad, out=centres[k + 1])
+    return _traces(batch, values, std_err, centres, values[..., 0], exact)
 
 
 def spsa_run(cfg: SpsaConfig, evaluator: LockstepEvaluator, start: AnsatzParams,
@@ -235,22 +243,29 @@ def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
     (offset, value) points by weighted least squares with its own ridge:
     offsets (R, m, 2), values and weights (R, m), ridge (R,). Values of
     shape (C, R, m) fit C value columns on the same points and weights in
-    one solve, giving (C, R, 6). A zero-ridge repeat whose normal matrix
-    is singular raises UnderDeterminedFit."""
+    one solve, giving (C, R, 6). The (R, m, 6) design is written in place:
+    its constant column, the offsets and the three quadratic terms. A
+    zero-ridge repeat whose normal matrix is singular raises
+    UnderDeterminedFit."""
     x, y = offsets[..., 0], offsets[..., 1]
-    design = np.stack([np.ones_like(x), x, y, x ** 2, x * y, y ** 2], axis=-1)
+    design = np.empty((*x.shape, N_SURROGATE_FEATURES))
+    design[..., 0] = 1.0
+    design[..., 1:3] = offsets
+    np.multiply(x, x, out=design[..., 3])
+    np.multiply(x, y, out=design[..., 4])
+    np.multiply(y, y, out=design[..., 5])
     wx_t = (design * weights[..., None]).transpose(0, 2, 1)
-    normal = wx_t @ design + ridge[:, None, None] * np.eye(N_SURROGATE_FEATURES)
+    normal = wx_t @ design + ridge[:, None, None] * _EYE
     unregularised = ridge == 0.0
     if unregularised.any() and np.any(
             np.linalg.matrix_rank(normal[unregularised]) < N_SURROGATE_FEATURES):
         raise UnderDeterminedFit(
             f"{offsets.shape[1]} points cannot determine {N_SURROGATE_FEATURES} "
             "surrogate coefficients without regularisation")
-    # one contiguous (R, m, 1) right-hand side per value column (not one
-    # (R, m, C) stack) keeps each repeat's matrix-vector product and solve
-    # bit-identical to a one-repeat fit; the columns broadcast over the
-    # same normal matrices, so one solve fits them all
+    # values[..., None] gives each value column one contiguous (R, m, 1)
+    # right-hand side (mgd_lockstep passes a (2, R, m) slice, not an (R, m,
+    # C) stack), keeping each repeat's product and solve bit-identical to a
+    # one-repeat fit; the columns share the normal matrices and one solve
     return np.linalg.solve(normal, wx_t @ values[..., None])[..., 0]
 
 
@@ -263,8 +278,8 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
     Each iteration, repeat r samples `points` offsets uniformly from the
     trust box [-delta_k, delta_k]^2 with streams[r], and `evaluate` runs
     every repeat's points at once. Each repeat draws all its K iterations'
-    unit offsets in one call before the first step and scales them per
-    step as numpy's uniform does, so its values and stream state are those
+    unit offsets in one call before the first step and scales each step's
+    as numpy's uniform does, so its values and stream state are those
     of one uniform draw per step. Every repeat's quadratic surrogate is
     fitted to its value and raw estimates in one batched solve, with
     observation weights 1/std_err^2 and ridge strength (mean observation
@@ -276,28 +291,32 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
     if points < N_SURROGATE_FEATURES:
         warnings.warn(f"{points} points under-determine the quadratic surrogate",
                       stacklevel=3)
-    theta = np.array([[s.phi, s.theta] for s in starts], dtype=float)
-    unit = np.array([stream.random((cfg.iterations, points, 2)) for stream in streams]
-                    ).reshape(len(theta), cfg.iterations, points, 2)
-    steps, points = [], np.empty(unit.shape[:3], POINT_DTYPE)
-    for k in range(1, cfg.iterations + 1):
-        delta_k, gamma_k = cfg.gains(k)
-        # uniform(low, high) is low + (high - low) * random()
-        offsets = -delta_k + (delta_k - (-delta_k)) * unit[:, k - 1]
-        batch = theta[:, None, :] + offsets
-        est = evaluate(batch)
+    repeats, steps = len(starts), cfg.iterations
+    unit = np.array([stream.random((steps, points, 2)) for stream in streams]
+                    ).reshape(repeats, steps, points, 2)
+    batch = np.empty((steps, repeats, points, 2))
+    values, std_err = np.empty((steps, 2, repeats, points)), np.empty((steps, repeats, points))
+    centres, fitted = np.empty((steps + 1, repeats, 2)), np.empty((steps, 2, repeats))
+    centres[0] = [[s.phi, s.theta] for s in starts]
+    gains = [cfg.gains(k) for k in range(1, steps + 1)]
+    delta = np.array([delta_k for delta_k, _ in gains])[:, None, None]
+    # every step's uniform(low, high) at once: low + (high - low) * random()
+    every_offset = -delta + (delta - (-delta)) * unit
+    for k, (_, gamma_k) in enumerate(gains):
+        offsets = every_offset[:, k]
+        np.add(centres[k][:, None, :], offsets, out=batch[k])
+        est = evaluate(batch[k])
+        values[k, 0], std_err[k], values[k, 1] = est
         variances = est.std_err ** 2
-        mean_var = variances.mean(axis=1)
+        mean_var = variances.sum(axis=1) / points    # numpy's mean, bit for bit
         noiseless = mean_var == 0.0
         weights = 1.0 / np.where(noiseless[:, None], 1.0,
                                  np.maximum(variances, 1e-12 * mean_var[:, None]))
         ridge = np.where(noiseless, 0.0, mean_var / MGD_L ** 2)
-        coeffs, raw_coeffs = _fit_surrogate(offsets, np.stack([est.value, est.raw]),
-                                            weights, ridge)
-        _record(points[:, k - 1], batch, est)
-        steps.append((theta, raw_coeffs[:, 0], coeffs[:, 0]))
-        theta = theta - gamma_k * coeffs[:, 1:3]
-    return _traces(steps, points, theta, exact)
+        coeffs = _fit_surrogate(offsets, values[k], weights, ridge)
+        fitted[k] = coeffs[..., 0]
+        np.subtract(centres[k], gamma_k * coeffs[0, :, 1:3], out=centres[k + 1])
+    return _traces(batch, values, std_err, centres, fitted, exact)
 
 
 def mgd_run(cfg: MgdConfig, evaluator: LockstepEvaluator, start: AnsatzParams,

@@ -3,7 +3,9 @@ against: a gate-by-gate density-matrix simulator and the unsplit closed
 form for the batch kernel, the dense Hungarian method for the sparse
 assignment behind pair matching, a one-pair energy estimator for the columnar
 one, a one-pair confusion measurement for the stacked one, a one-repeat
-surrogate fit for the batched one, cell-by-cell CSV and heatmap writers
+surrogate fit for the batched one, the stacked-design surrogate fit and
+the per-call shot broadcast estimate for the in-place fit and the
+plan-broadcast estimate, cell-by-cell CSV and heatmap writers
 for the columnar ones (the heatmap's is in tools/plot.py, loaded here as
 `plot`), a csv.writer serializer for an optimizer trace's CSV, and a
 dataclasses twin of every record class. It also holds the per-pair noise
@@ -241,6 +243,40 @@ def fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
             f"{len(offsets)} points cannot determine {N_SURROGATE_FEATURES} "
             "surrogate coefficients without regularisation")
     return np.linalg.solve(normal, wx.T @ values)
+
+
+def stacked_fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
+                          ridge: np.ndarray) -> np.ndarray:
+    """The batched surrogate fit with its (R, m, 6) design stacked from six
+    column arrays and a fresh identity for the ridge; optimizers'
+    _fit_surrogate, which writes its design in place, takes the same
+    arguments and must return the same bits."""
+    x, y = offsets[..., 0], offsets[..., 1]
+    design = np.stack([np.ones_like(x), x, y, x ** 2, x * y, y ** 2], axis=-1)
+    wx_t = (design * weights[..., None]).transpose(0, 2, 1)
+    normal = wx_t @ design + ridge[:, None, None] * np.eye(N_SURROGATE_FEATURES)
+    unregularised = ridge == 0.0
+    if unregularised.any() and np.any(
+            np.linalg.matrix_rank(normal[unregularised]) < N_SURROGATE_FEATURES):
+        raise UnderDeterminedFit(
+            f"{offsets.shape[1]} points cannot determine {N_SURROGATE_FEATURES} "
+            "surrogate coefficients without regularisation")
+    return np.linalg.solve(normal, wx_t @ values[..., None])[..., 0]
+
+
+def estimate_rows(offset: float, raw_coeffs: np.ndarray | None, coeffs: np.ndarray,
+                  coeffs_sq: np.ndarray, shots: np.ndarray, counts: np.ndarray) -> Estimates:
+    """The columnar estimate of n rows with their shots as an (n,) array,
+    broadcast over the counts on each call; executor's _estimate, which
+    reads a plan's (n, 1, 1) broadcast, must return the same bits."""
+    freqs = counts / shots[:, None, None]
+    mean = np.einsum("nkj,nkj->nk", coeffs, freqs)
+    second = np.einsum("nkj,nkj->nk", coeffs_sq, freqs)
+    value = offset + mean.sum(axis=1)
+    var = second - mean ** 2
+    std_err = np.sqrt(np.where(var > 1e-14 * second, var, 0.0).sum(axis=1) / shots)
+    raw = value if raw_coeffs is None else offset + np.einsum("kj,nkj->n", raw_coeffs, freqs)
+    return Estimates(value=value, std_err=std_err, raw=raw)
 
 
 def csv_text(header, rows) -> str:

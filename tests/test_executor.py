@@ -26,7 +26,7 @@ from parvqe.executor import (
 from parvqe.hubbard import AnsatzParams, HubbardParams, exact_energy, optimal_params
 from parvqe.mitigation import measure_confusion, measure_confusions
 from parvqe.simulator import NOISELESS, PairNoiseSpec, ShotHistogram, apply_terms, kernel_terms
-from reference import effective_p, estimate_energy, noise_spec_for_pair
+from reference import effective_p, estimate_energy, estimate_rows, noise_spec_for_pair
 from test_golden import SMALL_CALIBRATION
 
 E_GROUND = 1.0 - math.sqrt(5.0)
@@ -291,6 +291,19 @@ def test_columnar_estimator_matches_estimate_energy(case):
         assert abs(est.value[i] - ref.value) <= 1e-12
         assert abs(est.std_err[i] - ref.std_err) <= 1e-12
         assert abs(est.raw[i] - ref.raw) <= 1e-12
+
+
+@given(columnar_cases())
+def test_plan_estimate_is_bitwise_the_per_call_shot_broadcast(case):
+    """A plan's estimate, which reads its rows' shots as a planned (n, 1, 1)
+    broadcast, equals the estimate that broadcasts (n,) shots on each call,
+    bit for bit, with NI on and off."""
+    table, _, _, rows, counts, shots = case
+    plan = plan_batches(table, [[[row]] for row in rows], list(shots))
+    est = plan.estimate(counts)
+    ref = estimate_rows(table.offset, table.raw_coeffs, table.coeffs[rows],
+                        table.coeffs[rows] ** 2, np.array(shots), counts)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(est, ref))
 
 
 # fidelity 1 (p = 0), at or below 0.25 (p clamped to 1) and in between

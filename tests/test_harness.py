@@ -729,6 +729,23 @@ def test_vqe_rejects_an_eta_given_to_spsa(tmp_path):
     assert not out.exists()
 
 
+def test_direct_call_rejects_settings_its_command_does_not_read(tmp_path):
+    """A handler called directly refuses, before any output, every setting
+    outside seed, out_dir and its command's reads that differs from
+    ExperimentConfig's default; a setting equal to its default (a factory
+    default compared with a fresh call) passes."""
+    out = tmp_path / "out"
+    with pytest.raises(InputError, match="speedup-sweep reads no optimizer, grid"):
+        cmd_speedup_sweep(ExperimentConfig(seed=1, out_dir=out, grid=5, optimizer="mgd"))
+    with pytest.raises(InputError, match="shots-sweep reads no shots;"):
+        cmd_shots_sweep(config_for("shots-sweep", seed=1, out_dir=out, shots=10))
+    assert not out.exists()
+    for command in COMMANDS:
+        _Run(config_for(command, seed=1, out_dir=out, grid=20, optimizer="spsa",
+                        calibration=harness.default_calibration_path()), command)
+    assert not out.exists()
+
+
 def test_eta_sets_mgd_points_at_any_pair_count(tmp_path):
     # --eta is honoured on several pairs too: round(6 * eta) points per
     # iteration, spread over the pairs; without it, one point per pair

@@ -46,7 +46,7 @@ from parvqe.optimizers import (
     spsa_run,
     _fit_surrogate,
 )
-from reference import fit_surrogate, noise_spec_for_pair, trace_csv
+from reference import fit_surrogate, noise_spec_for_pair, stacked_fit_surrogate, trace_csv
 
 E_GROUND = exact_ground_energy()
 START = AnsatzParams(0.6, 0.8)
@@ -405,6 +405,17 @@ def test_stacked_fit_is_bitwise_one_fit_per_column(case, seed):
     assert coeffs.shape == (2, len(ridge), 6)
     assert np.array_equal(coeffs[0], _fit_surrogate(offsets, values, weights, ridge))
     assert np.array_equal(coeffs[1], _fit_surrogate(offsets, second, weights, ridge))
+
+
+@given(fit_cases(), st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_in_place_fit_is_bitwise_the_stacked_design_fit(case, columns, seed):
+    """The fit that writes its design in place equals the stacked-design
+    reference bit for bit, on (R, m) values and on (C, R, m) columns."""
+    offsets, values, weights, ridge = case
+    if columns:
+        values = np.random.default_rng(seed).normal(size=(columns, *values.shape))
+    coeffs = _fit_surrogate(offsets, values, weights, ridge)
+    assert coeffs.tobytes() == stacked_fit_surrogate(offsets, values, weights, ridge).tobytes()
 
 
 def test_stacked_fit_raises_on_a_singular_zero_ridge_repeat():

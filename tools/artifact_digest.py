@@ -38,12 +38,12 @@ PAPER_SCALE = [("vqe", "--optimizer", "spsa", "--repeats", "100"),
                ("vqe", "--optimizer", "mgd", "--repeats", "100")]
 
 
-def workload_argv() -> list[tuple[str, ...]]:
-    """The argv of every benchmark workload, in name order."""
+def workload_argv() -> dict[str, tuple[str, ...]]:
+    """The argv of every benchmark workload by name, in name order."""
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "benchmarks" / "run.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [module.WORKLOADS[name].argv for name in sorted(module.WORKLOADS)]
+    return {name: module.WORKLOADS[name].argv for name in sorted(module.WORKLOADS)}
 
 
 def digest(out: Path) -> str:
@@ -71,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     args = parser.parse_args(argv)
-    for command in [*workload_argv(), *README_SCALE, *PAPER_SCALE]:
+    for command in [*workload_argv().values(), *README_SCALE, *PAPER_SCALE]:
         print(run(command, args.seed, args.src.resolve()), " ".join(command))
     return 0
 

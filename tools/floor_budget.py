@@ -3,7 +3,7 @@
 For every benchmark workload (its argv read from benchmarks/run.py, as
 artifact_digest.py reads them), this process runs
 `parvqe.cli.main(argv --seed S --out DIR)` once to capture its draws and
-artifacts, --repeats times untouched and --repeats times with four
+artifacts, --repeats times untouched and --repeats times with five
 layers timed, and prints one line with the median of main(argv) and:
 
 - draws: every run_batch call's per-group multinomial draws, replayed at
@@ -11,10 +11,15 @@ layers timed, and prints one line with the median of main(argv) and:
   today's stream layout;
 - repr: repr() of each distinct float in the run's CSV and JSON
   artifacts, the floor under today's formats;
-- the medians of four layers: the pair matching (max_weight_matching),
-  batch planning (plan_batches), the whole parse step (cli.parse) and the
+- the medians of five layers: the pair matching (max_weight_matching),
+  batch planning (plan_batches), the whole parse step (cli.parse), the
   artifact writes (harness.write_csv, optimizer traces included, and
-  np.save);
+  np.save) and the optimizer steps (the lockstep cores spsa_lockstep and
+  mgd_lockstep, their evaluators' batches included);
+- step - draws: the step layer less the draws floor, what the optimizer
+  loop costs beyond its multinomial draws (a lower bound, since the floor
+  also holds the draws of the run's batches outside the loop); shown when
+  the run has optimizer steps;
 - plot: the median seconds tools/plot.py takes to render and write the
   run's SVGs from its tables, time a user who wants the plots pays
   outside main.
@@ -67,7 +72,9 @@ LAYERS = [(harness, "max_weight_matching", "matching"),
           (optimizers, "plan_batches", "plan"),
           (cli, "parse", "parse"),
           (harness, "write_csv", "write"),
-          (np, "save", "write")]
+          (np, "save", "write"),
+          (harness, "spsa_lockstep", "step"),
+          (harness, "mgd_lockstep", "step")]
 
 
 @contextlib.contextmanager
@@ -198,8 +205,10 @@ def budget(argv, seed: int, repeats: int) -> str:
         list(map(repr, floats))
         reprs.append(time.perf_counter() - t0)
     layers = [layer_times(argv, seed) for _ in range(repeats)]
-    layer_text = ", ".join(f"{name} {statistics.median(t[name] for t in layers) * 1e3:.2f} ms"
-                           for name in layers[0])
+    medians = {name: statistics.median(t[name] for t in layers) for name in layers[0]}
+    layer_text = ", ".join(f"{name} {seconds * 1e3:.2f} ms" for name, seconds in medians.items())
+    if medians["step"] > 0.0:
+        layer_text += f" (step - draws {(medians['step'] - draws) * 1e3:.2f} ms)"
     plotting = statistics.median(plot_times(argv, seed, repeats))
     return (f"main {wall * 1e3:.2f} ms | draws {draws * 1e3:.2f} ms "
             f"({sum(len(shots) for _, shots, _ in calls)} groups) | repr {min(reprs) * 1e3:.2f} ms "
@@ -262,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    commands = workload_argv()
+    commands = list(workload_argv().values())
     print(import_floor([*commands[0], "--seed", str(args.seed), "--out", "out"]), flush=True)
     for command in commands:
         print(f"{budget(command, args.seed, args.repeats)} | {' '.join(command)}", flush=True)
