@@ -152,7 +152,7 @@ class BatchPlan(Record, frozen=True, eq=False):
     as run_batch reads from groups[k] = (shots[k], bounds[k], bounds[k + 1]).
     base and slope are each row's kernel_terms, taken from the table by its
     crosstalk flag; coeffs, coeffs_sq and row_shots (an (n, 1, 1) broadcast)
-    feed its estimate.
+    feed its estimate and value.
     """
 
     table: PairTable
@@ -167,9 +167,17 @@ class BatchPlan(Record, frozen=True, eq=False):
     row_shots: np.ndarray             # (n, 1, 1)
 
     def estimate(self, counts: np.ndarray) -> Estimates:
-        """Energy estimates of the plan's rows from their (n, 2, 4) counts."""
-        return _estimate(self.table.offset, self.table.raw_coeffs, self.coeffs, self.coeffs_sq,
-                         self.row_shots, counts)
+        """Energy estimates of the plan's rows from their (n, 2, 4) counts,
+        or of k runs of them from (k n, 2, 4) counts, row by row."""
+        planned, k = (self.coeffs, self.coeffs_sq, self.row_shots), len(counts) // len(self.rows)
+        if k > 1:
+            planned = [np.concatenate([a] * k) for a in planned]
+        return _estimate(self.table.offset, self.table.raw_coeffs, *planned, counts)
+
+    def value(self, counts: np.ndarray) -> np.ndarray:
+        """estimate(counts).value alone, bit for bit."""
+        mean = np.einsum("nkj,nkj->nk", self.coeffs, counts / self.row_shots)
+        return self.table.offset + mean.sum(axis=1)
 
 
 def plan_batches(table: PairTable, groups, shots) -> BatchPlan:

@@ -19,16 +19,16 @@ Each optimizer has one lockstep core (`spsa_lockstep`, `mgd_lockstep`)
 that advances R independent repeats together, with no loop over repeats
 within a step: each step writes its slice of (K, R, ...) arrays allocated
 before the first, and the traces are built from them after the last.
-Every evaluator speaks one contract: (R, m, 2) points, m
-for each of R repeats -> one Estimates with (R, m) fields, so the
-executor-backed evaluators run a step in one kernel call. `spsa_run` and
-`mgd_run` hand their evaluator to the core with R = 1.
+Every `Evaluator` runs (R, m, 2) points, m for each of R repeats, in one
+kernel call. Called, it returns one Estimates with (R, m) fields, which
+MGD's fit reads every step; `step` returns only the values SPSA's update
+reads, and `estimates` the recorded steps' Estimates once, after the last
+step. `spsa_run` and `mgd_run` hand their evaluator to the core with R = 1.
 
 `batch_pair_evaluator` spreads each repeat's points over the table's
 rows; `spsa_parallel_evaluator` runs each point of repeat r on the
 table's first widths[r] rows and pools them, so runs of several pair
-counts share one table and one lockstep call. Each plans its layout on
-its first call. Optimizer randomness comes only from injected streams:
+counts share one table and one lockstep call. Optimizer randomness comes only from injected streams:
 the cores and the executor-backed evaluators each take one generator per
 repeat and build none of their own. An evaluator draws a repeat's
 batches from that repeat's own generator, at its own shot count, so a
@@ -160,30 +160,27 @@ class OptTrace(Record, frozen=True, eq=False):
 
 
 ExactFn = Callable[[AnsatzParams], float]
-# (R, m, 2) array, m points for each of R repeats -> Estimates with (R, m) fields
-LockstepEvaluator = Callable[[np.ndarray], Estimates]
 # (N, 2) array of centres -> their N exact energies
 ExactCentres = Callable[[np.ndarray], Sequence[float]]
 
 
-def _traces(batch: np.ndarray, values: np.ndarray, std_err: np.ndarray,
-            centres: np.ndarray, fitted: np.ndarray, exact: ExactCentres) -> list[OptTrace]:
+def _traces(batch: np.ndarray, est: Estimates, centres: np.ndarray, e_ni: np.ndarray,
+            e_raw: np.ndarray, exact: ExactCentres) -> list[OptTrace]:
     """One trace per repeat from the step arrays its lockstep core filled
-    (K steps, R repeats): the (K, R, m, 2) points, their (K, 2, R, m) value
-    and raw and (K, R, m) std_err, the (K + 1, R, 2) centres (the last one
-    final) and the (K, 2, R) value and raw at each centre. The (R, K, m)
-    POINT_DTYPE array is built here, once, and the exact energies come from
-    one call of exact over every repeat's (K, 2) centres."""
-    steps, repeats, m = std_err.shape
+    (K steps, R repeats): the (K, R, m, 2) points and the (K, R, m)
+    Estimates read there, the (K + 1, R, 2) centres (the last one final)
+    and the (K, R) value and raw at each centre. The (R, K, m) POINT_DTYPE
+    array is built here, once, and the exact energies come from one call
+    of exact over every repeat's (K, 2) centres."""
+    steps, repeats, m = est.value.shape
     points = np.empty((repeats, steps, m), POINT_DTYPE)
-    for name, column in zip(POINT_DTYPE.names, (batch[..., 0], batch[..., 1], values[:, 0],
-                                                values[:, 1], std_err)):
+    for name, column in zip(POINT_DTYPE.names, (batch[..., 0], batch[..., 1], est.value,
+                                                est.raw, est.std_err)):
         points[name] = column.swapaxes(0, 1)
     tracks = centres[:steps].swapaxes(0, 1)
     e_exact = np.asarray(exact(tracks.reshape(-1, 2)), dtype=float).reshape(repeats, steps)
-    e_ni, e_raw = fitted.transpose(1, 2, 0)
-    return [OptTrace(phi=tracks[r, :, 0], theta=tracks[r, :, 1], e_raw=e_raw[r],
-                     e_ni=e_ni[r], e_exact=e_exact[r], points=points[r],
+    return [OptTrace(phi=tracks[r, :, 0], theta=tracks[r, :, 1], e_raw=e_raw[:, r],
+                     e_ni=e_ni[:, r], e_exact=e_exact[r], points=points[r],
                      final_params=AnsatzParams(*centres[steps, r]))
             for r in range(repeats)]
 
@@ -193,7 +190,7 @@ def _exact_of(exact_fn: ExactFn) -> ExactCentres:
     return lambda centres: [exact_fn(AnsatzParams(*c)) for c in centres.tolist()]
 
 
-def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
+def spsa_lockstep(cfg: SpsaConfig, evaluate: Evaluator, starts,
                   streams: Sequence[np.random.Generator],
                   exact: ExactCentres) -> list[OptTrace]:
     """One-stage SPSA on R independent repeats in lockstep, one trace each.
@@ -201,16 +198,17 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
     Repeat r starts at starts[r] and draws its K Rademacher directions from
     streams[r] only, in one call before the first step (the same values
     and stream state as one size-2 draw per step). Each iteration asks
-    `evaluate` once for all repeats' three points: the centre (recorded in
-    the trace) and the two perturbed points for the gradient, which depend
-    only on the centre. A repeat's trace therefore does not depend on R as
-    long as the evaluator's does not.
+    `evaluate.step` once for all repeats' three points: the centre
+    (recorded in the trace) and the two perturbed points for the gradient,
+    which depend only on the centre. The update reads only their values;
+    the trace's errors and raw estimates come from one
+    `evaluate.estimates()` call after the last step. A repeat's trace
+    therefore does not depend on R as long as the evaluator's does not.
     """
     repeats, steps = len(starts), cfg.iterations
     directions = _SIGNS[np.array([stream.integers(0, 2, size=(steps, 2)) for stream in streams],
                                  dtype=int).reshape(repeats, steps, 2)]
     batch = np.empty((steps, repeats, 3, 2))
-    values, std_err = np.empty((steps, 2, repeats, 3)), np.empty((steps, repeats, 3))
     centres = np.empty((steps + 1, repeats, 2))
     centres[0] = [[s.phi, s.theta] for s in starts]
     gains = [cfg.gains(k) for k in range(1, steps + 1)]
@@ -220,18 +218,18 @@ def spsa_lockstep(cfg: SpsaConfig, evaluate: LockstepEvaluator, starts,
         points[:, 0] = theta
         np.add(theta, shifts[:, k], out=points[:, 1])
         np.subtract(theta, shifts[:, k], out=points[:, 2])
-        est = evaluate(points)
-        values[k, 0], std_err[k], values[k, 1] = est
-        e_diff = est.value[:, 1] - est.value[:, 2]
+        value = evaluate.step(points)
+        e_diff = value[:, 1] - value[:, 2]
         grad = (e_diff / (2.0 * c_k))[:, None] * delta   # 1/delta_i == delta_i
         np.subtract(theta, a_k * grad, out=centres[k + 1])
-    return _traces(batch, values, std_err, centres, values[..., 0], exact)
+    est = evaluate.estimates()
+    return _traces(batch, est, centres, est.value[..., 0], est.raw[..., 0], exact)
 
 
-def spsa_run(cfg: SpsaConfig, evaluator: LockstepEvaluator, start: AnsatzParams,
+def spsa_run(cfg: SpsaConfig, evaluator: Evaluator, start: AnsatzParams,
              stream: np.random.Generator, exact_fn: ExactFn) -> OptTrace:
     """One-stage SPSA on one repeat: spsa_lockstep with R = 1, so each
-    iteration asks evaluator for (1, 3, 2) points, in order the centre,
+    iteration steps evaluator on (1, 3, 2) points, in order the centre,
     recorded in the trace, then the two perturbed points for the
     gradient."""
     return spsa_lockstep(cfg, evaluator, [start], [stream], _exact_of(exact_fn))[0]
@@ -269,7 +267,7 @@ def _fit_surrogate(offsets: np.ndarray, values: np.ndarray, weights: np.ndarray,
     return np.linalg.solve(normal, wx_t @ values[..., None])[..., 0]
 
 
-def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: int,
+def mgd_lockstep(cfg: MgdConfig, evaluate: Evaluator, starts, points: int,
                  streams: Sequence[np.random.Generator],
                  exact: ExactCentres) -> list[OptTrace]:
     """Batch-parallel surrogate gradient descent on R independent repeats
@@ -316,10 +314,11 @@ def mgd_lockstep(cfg: MgdConfig, evaluate: LockstepEvaluator, starts, points: in
         coeffs = _fit_surrogate(offsets, values[k], weights, ridge)
         fitted[k] = coeffs[..., 0]
         np.subtract(centres[k], gamma_k * coeffs[0, :, 1:3], out=centres[k + 1])
-    return _traces(batch, values, std_err, centres, fitted, exact)
+    return _traces(batch, Estimates(values[:, 0], std_err, values[:, 1]), centres,
+                   fitted[:, 0], fitted[:, 1], exact)
 
 
-def mgd_run(cfg: MgdConfig, evaluator: LockstepEvaluator, start: AnsatzParams,
+def mgd_run(cfg: MgdConfig, evaluator: Evaluator, start: AnsatzParams,
             points: int, stream: np.random.Generator, exact_fn: ExactFn) -> OptTrace:
     """Batch-parallel surrogate gradient descent on one repeat:
     mgd_lockstep with R = 1, so each iteration asks evaluator for
@@ -327,7 +326,35 @@ def mgd_run(cfg: MgdConfig, evaluator: LockstepEvaluator, start: AnsatzParams,
     return mgd_lockstep(cfg, evaluator, [start], points, [stream], _exact_of(exact_fn))[0]
 
 
-# --- executor-backed evaluators ----------------------------------------------
+# --- evaluators ---------------------------------------------------------------
+
+# rows of recorded counts an evaluator estimates in one call: a one-pair SPSA
+# step (15 rows) waits for 34 more, a paper-scale one (9,900) is estimated
+# as it runs; the counts held and a call's temporaries stay small
+BLOCK_ROWS = 512
+
+
+class Evaluator:
+    """A lockstep evaluator of (R, m, 2) points: called, evaluate(points),
+    an Estimates with (R, m) fields; step(points) runs the same, records it
+    and returns its (R, m) values; estimates() returns the (K, R, m)
+    Estimates of the K steps (of one m) recorded since its last call."""
+
+    def __init__(self, evaluate=None):
+        self.evaluate, self._done = evaluate, []     # recorded steps, (k, R, m) blocks
+
+    def __call__(self, points: np.ndarray) -> Estimates:
+        return self.evaluate(points)
+
+    def step(self, points: np.ndarray) -> np.ndarray:
+        est = self(points)
+        self._done.append(Estimates(*(a[None] for a in est)))
+        return est.value
+
+    def estimates(self) -> Estimates:
+        done, self._done = self._done, []
+        return Estimates(*map(np.concatenate, zip(*done)))
+
 
 def measure_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray,
                   streams) -> Estimates:
@@ -338,37 +365,92 @@ def measure_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray,
     return plan.estimate(run_batch(plan, phi, theta, streams)["histograms"])
 
 
+class _TableEvaluator(Evaluator):
+    """batch_pair_evaluator (widths None) and spsa_parallel_evaluator: a
+    step records its counts and computes only its values, and the counts
+    are estimated in one call per BLOCK_ROWS rows."""
+
+    def __init__(self, table: PairTable, shots, streams, widths=None):
+        super().__init__()
+        self.table, self.shots, self.streams, self.widths = table, shots, streams, widths
+        self.runs = width_runs(widths) if widths else None
+        self.plans, self._pending, self._m = {}, [], 0   # plans by m; counts of steps of _m
+
+    def _run(self, points: np.ndarray) -> tuple[BatchPlan, np.ndarray]:
+        repeats, m = points.shape[:2]
+        if repeats != len(self.streams):
+            raise ValueError(f"points for {repeats} repeats but {len(self.streams)} streams")
+        flat, n = points.reshape(-1, 2), len(self.table.pairs)
+        if m not in self.plans:
+            spread = [np.arange(lo, min(lo + n, m)) - lo for lo in range(0, m, n)]
+            self.plans[m] = plan_batches(self.table, [[np.arange(w)] * m for w in self.widths]
+                                         if self.widths else [spread] * repeats, self.shots)
+        if self.widths:
+            flat = np.repeat(flat, np.repeat(self.widths, m), axis=0)
+        return self.plans[m], run_batch(self.plans[m], flat[:, 0], flat[:, 1],
+                                        self.streams)["histograms"]
+
+    def _per_point(self, est: Estimates, shape: tuple[int, ...]) -> Estimates:
+        """Estimates of shape (R, m), or (k, R, m), from the row estimates of
+        one step, or of k steps, of m points each."""
+        if not self.runs:
+            return Estimates(*(a.reshape(shape) for a in est))
+        m = shape[-1]
+        k = len(est.value) // (m * self.runs[-1][2])     # the rows of one step: m * sum(widths)
+        pooled = [aggregate_same_params(Estimates(*(a.reshape(k, -1)[:, m * lo:m * hi]
+                                                    .reshape(-1, m, w) for a in est)))
+                  for w, lo, hi in self.runs]
+        return Estimates(*(np.concatenate([a.reshape(k, -1, m) for a in field], axis=1)
+                           .reshape(shape) for field in zip(*pooled)))
+
+    def __call__(self, points: np.ndarray) -> Estimates:
+        plan, counts = self._run(points)
+        return self._per_point(plan.estimate(counts), points.shape[:2])
+
+    def step(self, points: np.ndarray) -> np.ndarray:
+        m = points.shape[1]
+        if (self._done or self._pending) and m != self._m:
+            raise ValueError(f"a step of {m} points after steps of {self._m}")
+        plan, counts = self._run(points)
+        self._pending.append(counts)
+        self._m = m
+        if len(self._pending) * len(counts) >= BLOCK_ROWS:
+            self._flush()
+            return self._done[-1].value[-1]
+        value = plan.value(counts)
+        if not self.runs:
+            return value.reshape(-1, m)
+        # pooled as aggregate_same_params pools a value, bit for bit
+        return np.concatenate([value[m * lo:m * hi].reshape(-1, m, w).mean(axis=-1)
+                               for w, lo, hi in self.runs])
+
+    def _flush(self) -> None:
+        if self._pending:
+            counts = self._pending[0] if len(self._pending) == 1 else np.concatenate(self._pending)
+            self._done.append(self._per_point(self.plans[self._m].estimate(counts),
+                                              (len(self._pending), len(self.streams), self._m)))
+            self._pending = []
+
+    def estimates(self) -> Estimates:
+        self._flush()
+        return super().estimates()
+
+
 def batch_pair_evaluator(table: PairTable, shots,
-                         streams: Sequence[np.random.Generator]) -> LockstepEvaluator:
+                         streams: Sequence[np.random.Generator]) -> Evaluator:
     """Different-parameters parallelism for R repeats, repeat r drawing
     from streams[r] at shots[r] shots (one int for all): each repeat's m
     points are spread over the table's rows, ceil(m/len(rows)) batches per
-    repeat and call, and the estimates come back with shape (R, m). All
-    batches of a call share one kernel pass, and the layout of (R, m)
-    points is planned on its first call and reused by every later one.
-    Repeat r keeps its generator for every call, and each call draws its
-    batches from it in order, so its counts do not depend on the repeats
-    beside it."""
+    repeat, all in one kernel pass on the layout planned on the first call
+    with m points. Repeat r draws its batches from its own generator, in
+    order, so its counts do not depend on the repeats beside it."""
     if not table.pairs:
         raise ValueError("need at least one pair")
-    n = len(table.pairs)
-    plans: dict[tuple[int, int], BatchPlan] = {}
-
-    def evaluate(points: np.ndarray) -> Estimates:
-        repeats, m = points.shape[:2]
-        plan = plans.get((repeats, m))
-        if plan is None:
-            chunks = [np.arange(lo, min(lo + n, m)) - lo for lo in range(0, m, n)]
-            plan = plans[repeats, m] = plan_batches(table, [chunks] * repeats, shots)
-        flat = points.reshape(-1, 2)
-        est = measure_batch(plan, flat[:, 0], flat[:, 1], streams)
-        return Estimates(*(a.reshape(repeats, m) for a in est))
-
-    return evaluate
+    return _TableEvaluator(table, shots, streams)
 
 
 def spsa_parallel_evaluator(table: PairTable, shots, streams: Sequence[np.random.Generator],
-                            widths=None) -> LockstepEvaluator:
+                            widths=None) -> Evaluator:
     """Same-parameters parallelism for R repeats, repeat r drawing from
     streams[r] at shots[r] shots (one int for all): each point of repeat r
     is one batch on the table's first widths[r] rows (one int for all;
@@ -383,24 +465,10 @@ def spsa_parallel_evaluator(table: PairTable, shots, streams: Sequence[np.random
         raise ValueError(f"row widths must lie in [1, {n}], got {widths}")
     if n == 1:
         return batch_pair_evaluator(table, shots, streams)
-    runs = width_runs(widths)
-    plans: dict[int, BatchPlan] = {}
-
-    def evaluate(points: np.ndarray) -> Estimates:
-        m = points.shape[1]
-        plan = plans.get(m)
-        if plan is None:
-            plan = plans[m] = plan_batches(table, [[np.arange(w)] * m for w in widths], shots)
-        flat = np.repeat(points.reshape(-1, 2), np.repeat(widths, m), axis=0)
-        est = measure_batch(plan, flat[:, 0], flat[:, 1], streams)
-        pooled = [aggregate_same_params(Estimates(*(a[m * lo:m * hi].reshape(-1, m, w)
-                                                    for a in est))) for w, lo, hi in runs]
-        return Estimates(*map(np.concatenate, zip(*pooled)))
-
-    return evaluate
+    return _TableEvaluator(table, shots, streams, widths)
 
 
-def oracle_evaluator(h: HubbardParams = HubbardParams()) -> LockstepEvaluator:
+def oracle_evaluator(h: HubbardParams = HubbardParams()) -> Evaluator:
     """Noiseless evaluator backed by the exact model (std_err = 0), for
     points of any leading shape: (..., 2) -> Estimates with (...) fields."""
 
@@ -409,7 +477,7 @@ def oracle_evaluator(h: HubbardParams = HubbardParams()) -> LockstepEvaluator:
                           for p in points.reshape(-1, 2).tolist()]).reshape(points.shape[:-1])
         return Estimates(value=value, std_err=np.zeros(value.shape), raw=value)
 
-    return evaluate
+    return Evaluator(evaluate)
 
 
 oracle_batch_evaluator = oracle_evaluator   # the same oracle, under its earlier name

@@ -5,7 +5,8 @@ assignment behind pair matching, a one-pair energy estimator for the columnar
 one, a one-pair confusion measurement for the stacked one, a one-repeat
 surrogate fit for the batched one, the stacked-design surrogate fit and
 the per-call shot broadcast estimate for the in-place fit and the
-plan-broadcast estimate, cell-by-cell CSV and heatmap writers
+plan-broadcast estimate, the per-step SPSA loop that reads full Estimates
+every step for the lockstep core that reads only values, cell-by-cell CSV and heatmap writers
 for the columnar ones (the heatmap's is in tools/plot.py, loaded here as
 `plot`), a csv.writer serializer for an optimizer trace's CSV, and a
 dataclasses twin of every record class. It also holds the per-pair noise
@@ -277,6 +278,34 @@ def estimate_rows(offset: float, raw_coeffs: np.ndarray | None, coeffs: np.ndarr
     std_err = np.sqrt(np.where(var > 1e-14 * second, var, 0.0).sum(axis=1) / shots)
     raw = value if raw_coeffs is None else offset + np.einsum("kj,nkj->n", raw_coeffs, freqs)
     return Estimates(value=value, std_err=std_err, raw=raw)
+
+
+def spsa_lockstep(cfg, evaluate, starts, streams, exact):
+    """One-stage SPSA on R repeats in lockstep, each step reading the full
+    Estimates of evaluate(points) into per-step arrays: the core's loop
+    before its steps read only values."""
+    repeats, steps = len(starts), cfg.iterations
+    directions = optimizers._SIGNS[np.array([stream.integers(0, 2, size=(steps, 2))
+                                             for stream in streams],
+                                            dtype=int).reshape(repeats, steps, 2)]
+    batch = np.empty((steps, repeats, 3, 2))
+    values, std_err = np.empty((steps, 2, repeats, 3)), np.empty((steps, repeats, 3))
+    centres = np.empty((steps + 1, repeats, 2))
+    centres[0] = [[s.phi, s.theta] for s in starts]
+    gains = [cfg.gains(k) for k in range(1, steps + 1)]
+    shifts = np.array([c_k for _, c_k in gains])[:, None] * directions
+    for k, (a_k, c_k) in enumerate(gains):
+        delta, theta, points = directions[:, k], centres[k], batch[k]
+        points[:, 0] = theta
+        np.add(theta, shifts[:, k], out=points[:, 1])
+        np.subtract(theta, shifts[:, k], out=points[:, 2])
+        est = evaluate(points)
+        values[k, 0], std_err[k], values[k, 1] = est
+        e_diff = est.value[:, 1] - est.value[:, 2]
+        grad = (e_diff / (2.0 * c_k))[:, None] * delta   # 1/delta_i == delta_i
+        np.subtract(theta, a_k * grad, out=centres[k + 1])
+    return optimizers._traces(batch, Estimates(values[:, 0], std_err, values[:, 1]), centres,
+                              values[:, 0, :, 0], values[:, 1, :, 0], exact)
 
 
 def csv_text(header, rows) -> str:

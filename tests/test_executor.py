@@ -306,6 +306,24 @@ def test_plan_estimate_is_bitwise_the_per_call_shot_broadcast(case):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(est, ref))
 
 
+@given(columnar_cases(), st.integers(1, 4), st.integers(0, 2 ** 32))
+def test_plan_value_and_stacked_runs_are_bitwise_the_plan_estimate(case, runs, seed):
+    """A plan's value-only path gives its estimate's value bit for bit, and
+    its estimate of k runs' stacked (k n, 2, 4) counts gives each run's own
+    estimate bit for bit, with NI on and off."""
+    table, _, _, rows, counts, shots = case
+    plan = plan_batches(table, [[[row]] for row in rows], list(shots))
+    rng = np.random.default_rng(seed)
+    stack = [counts, *(np.array([rng.multinomial(s, np.full(4, 0.25), size=2) for s in shots])
+                       for _ in range(runs - 1))]
+    block = plan.estimate(np.concatenate(stack))
+    n = len(rows)
+    for k, run in enumerate(stack):
+        alone = plan.estimate(run)
+        assert plan.value(run).tobytes() == alone.value.tobytes()
+        assert all(a[k * n:(k + 1) * n].tobytes() == b.tobytes() for a, b in zip(block, alone))
+
+
 # fidelity 1 (p = 0), at or below 0.25 (p clamped to 1) and in between
 FIDELITIES = st.sampled_from([1.0, 0.25, 0.2, 0.5]) | st.floats(0.01, 1.0)
 

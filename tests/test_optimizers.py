@@ -4,6 +4,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from parvqe.hubbard import (
 from parvqe.mitigation import measure_confusion
 from parvqe import optimizers
 from parvqe.optimizers import (
+    Evaluator,
     IterationRecord,
     POINT_DTYPE,
     MgdConfig,
@@ -46,6 +48,7 @@ from parvqe.optimizers import (
     spsa_run,
     _fit_surrogate,
 )
+import reference
 from reference import fit_surrogate, noise_spec_for_pair, stacked_fit_surrogate, trace_csv
 
 E_GROUND = exact_ground_energy()
@@ -141,7 +144,7 @@ def test_spsa_constant_evaluator_never_moves():
         return Estimates(value=np.full(shape, 3.0), std_err=np.zeros(shape),
                          raw=np.full(shape, 3.0))
 
-    trace = spsa_run(SpsaConfig(iterations=20), const, START,
+    trace = spsa_run(SpsaConfig(iterations=20), Evaluator(const), START,
                      np.random.default_rng(0), EXACT)
     assert trace.final_params == START
     assert all(r.phi == START.phi and r.theta == START.theta for r in trace.records)
@@ -152,7 +155,7 @@ def test_spsa_invariant_under_constant_shift():
         def evaluate(points):
             est = oracle_evaluator()(points)
             return Estimates(est.value + offset, est.std_err, est.raw + offset)
-        return evaluate
+        return Evaluator(evaluate)
 
     t1 = spsa_run(SpsaConfig(iterations=30), shifted(0.0), START,
                   np.random.default_rng(12), EXACT)
@@ -191,7 +194,7 @@ def test_spsa_directions_are_the_choice_draws():
             return oracle_evaluator()(batch)
 
         stream, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        spsa_run(cfg, record, START, stream, CONSTANT)
+        spsa_run(cfg, Evaluator(record), START, stream, CONSTANT)
         centres, plus = np.array(points[0::3]), np.array(points[1::3])
         expected = [reference.choice([-1.0, 1.0], size=2) for _ in range(cfg.iterations)]
         assert np.array_equal(np.sign(plus - centres), expected)
@@ -259,7 +262,7 @@ def test_trace_points_hold_the_estimates_each_core_consumed():
         value = closed_form_energy(batch[..., 0], batch[..., 1])
         return Estimates(value=value + 0.01, std_err=np.full(value.shape, 0.02), raw=value)
 
-    runs = {"spsa": lambda streams: spsa_lockstep(SpsaConfig(iterations=3), evaluate,
+    runs = {"spsa": lambda streams: spsa_lockstep(SpsaConfig(iterations=3), Evaluator(evaluate),
                                                   [START] * 2, streams, EXACT_CENTRES),
             "mgd": lambda streams: mgd_lockstep(MgdConfig(iterations=3), evaluate,
                                                 [START] * 2, 7, streams, EXACT_CENTRES)}
@@ -663,6 +666,111 @@ def test_spsa_evaluator_rejects_widths_outside_the_table():
         with pytest.raises(ValueError, match="row widths"):
             spsa_parallel_evaluator(table, 100, [np.random.default_rng(1) for _ in widths],
                                     widths)
+
+
+def test_executor_evaluators_refuse_points_for_other_repeat_counts():
+    """Points whose repeat axis differs from the evaluator's streams, called
+    or stepped, on either executor-backed evaluator, are a ValueError
+    naming both counts, raised before any stream is drawn from."""
+    table = compile_pairs(CHAIN, CHAIN_PAIRS[:3])
+    for make in (batch_pair_evaluator, spsa_parallel_evaluator):
+        streams = [np.random.default_rng(s) for s in (1, 2)]
+        before = [stream.bit_generator.state for stream in streams]
+        evaluate = make(table, 100, streams)
+        for entry in (evaluate, evaluate.step):
+            for repeats in (3, 1):
+                with pytest.raises(ValueError, match=f"for {repeats} repeats but 2 streams"):
+                    entry(np.zeros((repeats, 3, 2)))
+        assert [stream.bit_generator.state for stream in streams] == before
+        assert evaluate(np.zeros((2, 3, 2))).value.shape == (2, 3)
+
+
+def test_executor_evaluators_refuse_a_step_of_another_point_count():
+    """The steps recorded between two estimates() calls share one point
+    count: a step of another is refused before any stream is drawn from,
+    and after estimates() any count may follow."""
+    table = compile_pairs(CHAIN, CHAIN_PAIRS[:3])
+    for make in (batch_pair_evaluator, spsa_parallel_evaluator):
+        streams = [np.random.default_rng(s) for s in (1, 2)]
+        evaluate = make(table, 100, streams)
+        evaluate.step(np.zeros((2, 3, 2)))
+        before = [stream.bit_generator.state for stream in streams]
+        with pytest.raises(ValueError, match="a step of 2 points after steps of 3"):
+            evaluate.step(np.zeros((2, 2, 2)))
+        assert [stream.bit_generator.state for stream in streams] == before
+        assert evaluate.estimates().value.shape == (1, 2, 3)
+        assert evaluate.step(np.zeros((2, 2, 2))).shape == (2, 2)
+
+
+def test_evaluators_hold_less_than_one_block_of_unestimated_counts(monkeypatch):
+    """After every step an executor-backed evaluator holds fewer than
+    BLOCK_ROWS rows of counts it has not estimated: a step that fills the
+    block is estimated with the steps before it, one of BLOCK_ROWS rows or
+    more at once, and estimates() leaves none."""
+    monkeypatch.setattr(optimizers, "BLOCK_ROWS", 10)
+    table = compile_pairs(CHAIN, CHAIN_PAIRS[:4])
+    rng = np.random.default_rng(3)
+    for make in (batch_pair_evaluator, spsa_parallel_evaluator):
+        evaluate = make(table, 50, [np.random.default_rng(s) for s in (1, 2)])
+        for m, steps in ((1, 9), (3, 5)):    # 2 or 8 rows a step, then 6 or 24
+            for _ in range(steps):
+                evaluate.step(rng.uniform(-1, 1, size=(2, m, 2)))
+                assert sum(map(len, evaluate._pending)) < optimizers.BLOCK_ROWS
+            assert evaluate.estimates().value.shape == (steps, 2, m)
+            assert not evaluate._pending
+
+
+@st.composite
+def spsa_cases(draw):
+    """An SPSA run for the cross-check: an evaluator kind and its table, NI
+    on or off, per-repeat shots and widths (mixed widths for the pooled
+    kind), starts, iterations and a block of 1-40 rows, so that the
+    recorded counts are estimated mid-run and on uneven step boundaries."""
+    kind = draw(st.sampled_from(["pooled", "one-row", "spread", "oracle"]))
+    repeats = draw(st.integers(1, 4))
+    n = {"pooled": 10, "one-row": 1, "spread": draw(st.integers(1, 4)), "oracle": 1}[kind]
+    widths = draw(st.lists(st.integers(1, n), min_size=repeats, max_size=repeats))
+    seed = draw(st.integers(0, 2 ** 32))
+    confusions = (np.array([measure_confusion(noise_spec_for_pair(CHAIN, pair), 2000,
+                                              np.random.default_rng(seed + i)).matrix
+                            for i, pair in enumerate(CHAIN_PAIRS[:n])])
+                  if draw(st.booleans()) else None)
+    table = compile_pairs(CHAIN, CHAIN_PAIRS[:n], HubbardParams(), confusions,
+                          draw(st.sampled_from([0.0, 0.05])))
+    shots = draw(st.lists(st.integers(20, 500), min_size=repeats, max_size=repeats))
+    starts = [AnsatzParams(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+              for _ in range(repeats)]
+    return (kind, table, shots, widths, seed, starts, draw(st.integers(1, 12)),
+            draw(st.integers(1, 40)))
+
+
+@given(spsa_cases())
+@example(("pooled", compile_pairs(CHAIN, CHAIN_PAIRS), [100, 200, 50], [9, 1, 10], 5,
+          [START] * 3, 7, 25))
+def test_spsa_core_is_bitwise_the_per_step_reference(case):
+    """The core that reads only values each step and every Estimates once
+    at the end gives, column for column and point for point, the bytes of
+    the reference loop that reads full Estimates every step, on every
+    evaluator, whatever the block of rows its counts are estimated in."""
+    kind, table, shots, widths, seed, starts, iterations, block = case
+
+    def evaluator():
+        streams = [np.random.default_rng(seed + r) for r in range(len(starts))]
+        if kind == "oracle":
+            return oracle_evaluator()
+        if kind == "spread":
+            return batch_pair_evaluator(table, shots, streams)
+        return spsa_parallel_evaluator(table, shots, streams, widths)
+
+    cfg = SpsaConfig(iterations=iterations)
+    optimizer_streams = lambda: [np.random.default_rng(seed + 100 + r) for r in range(len(starts))]
+    with mock.patch.object(optimizers, "BLOCK_ROWS", block):
+        got = spsa_lockstep(cfg, evaluator(), starts, optimizer_streams(), EXACT_CENTRES)
+    want = reference.spsa_lockstep(cfg, evaluator(), starts, optimizer_streams(), EXACT_CENTRES)
+    for a, b in zip(got, want):
+        for name in ("iteration", "phi", "theta", "e_raw", "e_ni", "e_exact", "points"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.final_params == b.final_params
 
 
 def test_std_err_matches_spread_of_successive_estimates():

@@ -3,7 +3,7 @@
 For every benchmark workload (its argv read from benchmarks/run.py, as
 artifact_digest.py reads them), this process runs
 `parvqe.cli.main(argv --seed S --out DIR)` once to capture its draws and
-artifacts, --repeats times untouched and --repeats times with five
+artifacts, --repeats times untouched and --repeats times with six
 layers timed, and prints one line with the median of main(argv) and:
 
 - draws: every run_batch call's per-group multinomial draws, replayed at
@@ -11,11 +11,13 @@ layers timed, and prints one line with the median of main(argv) and:
   today's stream layout;
 - repr: repr() of each distinct float in the run's CSV and JSON
   artifacts, the floor under today's formats;
-- the medians of five layers: the pair matching (max_weight_matching),
+- the medians of six layers: the pair matching (max_weight_matching),
   batch planning (plan_batches), the whole parse step (cli.parse), the
   artifact writes (harness.write_csv, optimizer traces included, and
-  np.save) and the optimizer steps (the lockstep cores spsa_lockstep and
-  mgd_lockstep, their evaluators' batches included);
+  np.save), the optimizer steps (the lockstep cores spsa_lockstep and
+  mgd_lockstep, their evaluators' batches included) and energy
+  estimation (every call that turns counts into energies: executor's
+  _estimate and the value-only BatchPlan.value that SPSA's steps read);
 - step - draws: the step layer less the draws floor, what the optimizer
   loop costs beyond its multinomial draws (a lower bound, since the floor
   also holds the draws of the run's batches outside the loop); shown when
@@ -63,10 +65,10 @@ import numpy as np  # noqa: E402
 
 import plot  # noqa: E402
 from artifact_digest import workload_argv  # noqa: E402
-from parvqe import cli, harness, optimizers  # noqa: E402
+from parvqe import cli, executor, harness, optimizers  # noqa: E402
 from parvqe.simulator import apply_terms  # noqa: E402
 
-# (module, name, layer): the bindings main(argv) calls each layer by
+# (module or class, name, layer): the bindings main(argv) calls each layer by
 LAYERS = [(harness, "max_weight_matching", "matching"),
           (harness, "plan_batches", "plan"),
           (optimizers, "plan_batches", "plan"),
@@ -74,7 +76,9 @@ LAYERS = [(harness, "max_weight_matching", "matching"),
           (harness, "write_csv", "write"),
           (np, "save", "write"),
           (harness, "spsa_lockstep", "step"),
-          (harness, "mgd_lockstep", "step")]
+          (harness, "mgd_lockstep", "step"),
+          (executor, "_estimate", "estimate"),
+          (executor.BatchPlan, "value", "estimate")]
 
 
 @contextlib.contextmanager
