@@ -234,12 +234,13 @@ def _min_cost_assignment(cells: list[list[tuple[int, float]]], n: int) -> list[i
         while owner[j0] != -1:
             done.append(j0)
             i0 = owner[j0]
+            ui = u[i0]
             for j, c in cells[i0]:
-                reduced = c - u[i0] - v[j]
+                reduced = c - ui - v[j]
                 if (j in dist or j not in via) and reduced < dist.get(j, inf):
                     dist[j] = reduced
                     via[j] = j0
-            delta, j0 = min((d, j) for j, d in dist.items())
+            delta, j0 = min(zip(dist.values(), dist.keys()))
             for k in done:
                 u[owner[k]] += delta
                 v[k] -= delta

@@ -200,25 +200,28 @@ def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
     if any(len(group) == 0 for group in groups):
         raise ValueError("each group needs at least one batch")
     batches = [np.asarray(batch, dtype=int) for group in groups for batch in group]
-    if any(batch.ndim != 1 or len(batch) == 0 for batch in batches):
+    sizes = [batch.size if batch.ndim == 1 else 0 for batch in batches]
+    if 0 in sizes:
         raise ValueError("each batch needs a non-empty array of rows")
     rows = np.concatenate(batches)
-    sizes = [len(batch) for batch in batches]
     # one sort of the (batch index, qubit) keys finds a qubit used twice in a batch
-    qubits = table.qubits[rows]
+    qubits = table.qubits.take(rows, axis=0)
     low = qubits.min()
     batch_of = np.repeat(np.arange(len(batches)), sizes)
     keys = np.sort((batch_of[:, None] * (qubits.max() - low + 1) + qubits - low).ravel())
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("batch pairs must be vertex-disjoint")
-    flagged = 0
-    if table.neighbours is not None:
-        flagged = np.concatenate([table.neighbours[batch][:, batch].any(axis=1)
-                                  for batch in batches]).astype(int)
+    terms = rows        # each row's place among the table's (2 n, 2, 4) kernel terms
+    if table.neighbours is not None:    # flagged: a table row of its batch is its neighbour
+        member = np.zeros((len(batches), len(table.neighbours)), dtype=bool)
+        member[batch_of, rows] = True
+        flagged = (table.neighbours[rows] & member[batch_of]).any(axis=1)
+        terms = rows + len(table.neighbours) * flagged
     bounds = tuple(accumulate((sum(map(len, group)) for group in groups), initial=0))
-    coeffs = table.coeffs[rows]
+    coeffs = table.coeffs.take(rows, axis=0)
     return BatchPlan(table, rows, bounds, shots, tuple(zip(shots, bounds, bounds[1:])),
-                     table.base[flagged, rows], table.slope[flagged, rows], coeffs,
+                     table.base.reshape(-1, 2, 4).take(terms, axis=0),
+                     table.slope.reshape(-1, 2, 4).take(terms, axis=0), coeffs,
                      coeffs * coeffs, np.repeat(shots, np.diff(bounds))[:, None, None])
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import time
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -83,10 +83,13 @@ CHOICES = {"select": ("greedy", "matching"), "optimizer": ("spsa", "mgd"),
            "mitigation": tuple(_LEVEL_OF_MITIGATION)}
 
 
+# resolved once per process: a run reads each as a default and in _Run's check
+@cache
 def default_calibration_path() -> Path:
     return Path(resources.files("parvqe").joinpath("data/aspen_m1_like.json"))
 
 
+@cache
 def default_cost_model_path() -> Path:
     return Path(resources.files("parvqe").joinpath("data/default_cost_model.json"))
 
@@ -195,9 +198,8 @@ class RunRecord(Record):
 
     def write(self, path: Path) -> None:
         payload = {"schema_version": SCHEMA_VERSION, "code_version": __version__, **vars(self)}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        with open(path, "w") as fh:     # one write: json.dump writes token by token
+            fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def select_pairs(topology: DeviceTopology, select: str, pairs: int | None,

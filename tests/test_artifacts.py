@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,14 +47,18 @@ def _column(draw, rows):
 def tables(draw):
     rows = draw(st.integers(0, 12))
     columns = [_column(draw, rows) for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):    # one object as two columns
+        columns.append(columns[draw(st.integers(0, len(columns) - 1))])
     header = draw(st.lists(TEXTS, min_size=len(columns), max_size=len(columns)))
     return header, [c for c, _ in columns], [cells for _, cells in columns]
 
 
-@given(tables())
-def test_columnar_csv_matches_csv_writer(table):
+@given(tables(), st.integers(1, 4))
+def test_columnar_csv_matches_csv_writer(table, chunk_lines):
+    """With chunks of 1-4 lines, most drawn tables span several chunks."""
     header, columns, cells = table
-    assert "".join(csv_chunks(header, columns)) == csv_text(header, zip(*cells))
+    with mock.patch.object(csvio, "CHUNK_LINES", chunk_lines):
+        assert "".join(csv_chunks(header, columns)) == csv_text(header, zip(*cells))
 
 
 def test_float_bit_patterns_stay_apart(tmp_path):

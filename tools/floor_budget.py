@@ -3,21 +3,25 @@
 For every benchmark workload (its argv read from benchmarks/run.py, as
 artifact_digest.py reads them), this process runs
 `parvqe.cli.main(argv --seed S --out DIR)` once to capture its draws and
-artifacts, --repeats times untouched and --repeats times with six
+artifacts, --repeats times untouched and --repeats times with eight
 layers timed, and prints one line with the median of main(argv) and:
 
 - draws: every run_batch call's per-group multinomial draws, replayed at
   the same shots and distributions on fresh generators, the floor under
   today's stream layout;
-- repr: repr() of each distinct float in the run's CSV and JSON
-  artifacts, the floor under today's formats;
-- the medians of six layers: the pair matching (max_weight_matching),
-  batch planning (plan_batches), the whole parse step (cli.parse), the
-  artifact writes (harness.write_csv, optimizer traces included, and
-  np.save), the optimizer steps (the lockstep cores spsa_lockstep and
-  mgd_lockstep, their evaluators' batches included) and energy
-  estimation (every call that turns counts into energies: executor's
-  _estimate and the value-only BatchPlan.value that SPSA's steps read);
+- repr: repr() of one float per distinct bit pattern in the run's CSV
+  and JSON artifacts (csvio, too, formats by bit pattern), the floor
+  under today's formats;
+- the medians of eight layers: the pair matching (max_weight_matching),
+  batch planning (plan_batches), the pair selection (_Run.select, the
+  calibration load and the matching included), the pair table
+  (_Run.pair_table: the confusion draws and compile_pairs), the whole
+  parse step (cli.parse), the artifact writes (harness.write_csv,
+  optimizer traces included, and np.save), the optimizer steps (the
+  lockstep cores spsa_lockstep and mgd_lockstep, their evaluators'
+  batches included) and energy estimation (every call that turns counts
+  into energies: executor's _estimate and the value-only BatchPlan.value
+  that SPSA's steps read);
 - step - draws: the step layer less the draws floor, what the optimizer
   loop costs beyond its multinomial draws (a lower bound, since the floor
   also holds the draws of the run's batches outside the loop); shown when
@@ -51,6 +55,7 @@ import json
 import os
 import shutil
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -72,6 +77,8 @@ from parvqe.simulator import apply_terms  # noqa: E402
 LAYERS = [(harness, "max_weight_matching", "matching"),
           (harness, "plan_batches", "plan"),
           (optimizers, "plan_batches", "plan"),
+          (harness._Run, "select", "select"),
+          (harness._Run, "pair_table", "table"),
           (cli, "parse", "parse"),
           (harness, "write_csv", "write"),
           (np, "save", "write"),
@@ -120,13 +127,17 @@ def plot_times(argv, seed: int, repeats: int) -> list[float]:
     return times
 
 
-def artifact_floats(artifacts: dict[str, str]) -> set[float]:
-    """Every distinct float written to a CSV cell or a JSON number."""
-    found: set[float] = set()
+def artifact_floats(artifacts: dict[str, str]) -> list[float]:
+    """One float per distinct bit pattern written to a CSV cell or a JSON
+    number: 0.0 and -0.0 stay apart, and NaNs of one pattern count once."""
+    found: dict[bytes, float] = {}
+
+    def add(value: float):
+        found[struct.pack("<d", value)] = value
 
     def walk(value):
         if isinstance(value, float):
-            found.add(value)
+            add(value)
         elif isinstance(value, dict):
             for item in value.values():
                 walk(item)
@@ -144,8 +155,8 @@ def artifact_floats(artifacts: dict[str, str]) -> set[float]:
                     int(cell)
                 except ValueError:
                     with contextlib.suppress(ValueError):
-                        found.add(float(cell))
-    return found
+                        add(float(cell))
+    return list(found.values())
 
 
 def captured_draws(argv, seed: int):
@@ -200,7 +211,7 @@ def layer_times(argv, seed: int) -> dict[str, float]:
 
 def budget(argv, seed: int, repeats: int) -> str:
     calls, artifacts = captured_draws(argv, seed)
-    floats = list(artifact_floats(artifacts))
+    floats = artifact_floats(artifacts)
     wall = statistics.median(run_main(argv, seed)[0] for _ in range(repeats))
     draws = min(replay_draws(calls) for _ in range(repeats))
     reprs = []
