@@ -100,8 +100,6 @@ TAILS = {
     ),
     MeasurementSetting.HOPPING: (("RX", 1, math.pi),),
 }
-# order of the settings in every per-pair array of distributions or histograms
-SETTINGS = (MeasurementSetting.ONSITE, MeasurementSetting.HOPPING)
 
 
 def build_circuit(a: AnsatzParams, setting: MeasurementSetting) -> NativeCircuit:

@@ -78,8 +78,8 @@ class PairTable(Record, frozen=True):
 
 
 def setting_coefficients(h: HubbardParams) -> np.ndarray:
-    """Outcome coefficients c of the two settings, shape (2, 4) in SETTINGS
-    order: E = u/2 + c[0] @ p_onsite + c[1] @ p_hopping."""
+    """Outcome coefficients c of the two settings, shape (2, 4), onsite
+    then hopping: E = u/2 + c[0] @ p_onsite + c[1] @ p_hopping."""
     return np.array([(h.u / 2.0) * ONSITE_ZZ_SIGN * ZZ_OUTCOMES,
                      -h.t * (HOPPING_SIGNS[0] * Z0_OUTCOMES + HOPPING_SIGNS[1] * Z1_OUTCOMES)])
 
@@ -138,8 +138,8 @@ def _estimate(offset: float, raw_coeffs: np.ndarray | None, coeffs: np.ndarray,
     return Estimates(value=value, std_err=std_err, raw=raw)
 
 
-# a run_batch row: its (2, 4) outcome counts, one histogram per setting in
-# SETTINGS order
+# a run_batch row: its (2, 4) outcome counts, one histogram per setting,
+# onsite then hopping
 COUNTS_DTYPE = np.dtype((np.record, [("histograms", np.int64, (2, 4))]))
 
 
@@ -148,17 +148,14 @@ class BatchPlan(Record, frozen=True, eq=False):
     plan_batches and run by every run_batch call on it.
 
     rows holds the rows of every batch of every group, in order; group k
-    is rows[bounds[k]:bounds[k + 1]] and draws shots[k] shots per setting,
-    as run_batch reads from groups[k] = (shots[k], bounds[k], bounds[k + 1]).
-    base and slope are each row's kernel_terms, taken from the table by its
-    crosstalk flag; coeffs, coeffs_sq and row_shots (an (n, 1, 1) broadcast)
-    feed its estimate and value.
+    is rows[lo:hi] and draws shots shots per setting, for groups[k] =
+    (shots, lo, hi). base and slope are each row's kernel_terms, taken
+    from the table by its crosstalk flag; coeffs, coeffs_sq and row_shots
+    (an (n, 1, 1) broadcast) feed its estimate and value.
     """
 
     table: PairTable
     rows: np.ndarray                  # (n,)
-    bounds: tuple[int, ...]           # (K + 1,)
-    shots: tuple[int, ...]            # (K,)
     groups: tuple[tuple[int, int, int], ...]   # (K,) of (shots, lo, hi)
     base: np.ndarray                  # (n, 2, 4)
     slope: np.ndarray                 # (n, 2, 4)
@@ -219,7 +216,7 @@ def plan_batches(table: PairTable, groups, shots) -> BatchPlan:
         terms = rows + len(table.neighbours) * flagged
     bounds = tuple(accumulate((sum(map(len, group)) for group in groups), initial=0))
     coeffs = table.coeffs.take(rows, axis=0)
-    return BatchPlan(table, rows, bounds, shots, tuple(zip(shots, bounds, bounds[1:])),
+    return BatchPlan(table, rows, tuple(zip(shots, bounds, bounds[1:])),
                      table.base.reshape(-1, 2, 4).take(terms, axis=0),
                      table.slope.reshape(-1, 2, 4).take(terms, axis=0), coeffs,
                      coeffs * coeffs, np.repeat(shots, np.diff(bounds))[:, None, None])
@@ -230,8 +227,8 @@ def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> n
 
     streams holds the plan's K generators, one per group; phi and theta
     hold the angles of every row of the plan, in order. Group k's
-    histograms come from one multinomial draw of shots[k] shots per setting
-    on streams[k] over its rows in batch order, which continues that
+    histograms come from one multinomial draw of its shots per setting on
+    streams[k] over its rows in batch order, which continues that
     generator's stream: a group's counts depend only on its own batches,
     in order, its shot count and its generator's state, never on the other
     groups of the call. Returns the counts as a plain array of COUNTS_DTYPE
@@ -242,8 +239,8 @@ def run_batch(plan: BatchPlan, phi: np.ndarray, theta: np.ndarray, streams) -> n
     The angles and streams are checked before any generator is drawn from,
     so a rejected call leaves every stream untouched.
     """
-    if len(streams) != len(plan.shots):
-        raise ValueError(f"{len(plan.shots)} groups but {len(streams)} streams")
+    if len(streams) != len(plan.groups):
+        raise ValueError(f"{len(plan.groups)} groups but {len(streams)} streams")
     if not all(isinstance(stream, np.random.Generator) for stream in streams):
         raise TypeError("each group needs a numpy Generator as its stream")
     n = len(plan.rows)

@@ -133,11 +133,16 @@ class ExperimentConfig(Record):
     crosstalk_p: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.out_dir == "":         # Path("") would be the working directory
             raise InputError("out_dir must not be empty")
         self.out_dir = Path(self.out_dir)
         self.calibration = Path(self.calibration)
         self.cost_model = Path(self.cost_model)
+        # tuples, as the defaults are, so _Run's unread check compares like with like
+        self.start, self.shots_list, self.pair_counts = map(
+            tuple, (self.start, self.shots_list, self.pair_counts))
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise InputError(f"unknown {name} {getattr(self, name)!r}")

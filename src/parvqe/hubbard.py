@@ -74,18 +74,15 @@ class Hamiltonian2(Record, frozen=True):
 
 
 @lru_cache(maxsize=32)
-def _hamiltonian_cached(t: float, u: float) -> Hamiltonian2:
-    hop = -t * (XI + IX)
-    os = (u / 2.0) * (np.eye(4) + ZZ)
+def hamiltonian(params: HubbardParams = HubbardParams()) -> Hamiltonian2:
+    """H = H_hop + H_os for the given model constants, built once per
+    constants and read-only."""
+    hop = -params.t * (XI + IX)
+    os = (params.u / 2.0) * (np.eye(4) + ZZ)
     h = Hamiltonian2(matrix=hop + os, hop_part=hop, os_part=os)
     for m in (h.matrix, h.hop_part, h.os_part):
         m.setflags(write=False)
     return h
-
-
-def hamiltonian(params: HubbardParams = HubbardParams()) -> Hamiltonian2:
-    """Build H = H_hop + H_os for the given model constants."""
-    return _hamiltonian_cached(params.t, params.u)
 
 
 def initial_state() -> np.ndarray:
@@ -94,8 +91,8 @@ def initial_state() -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _eig_cached(t: float, u: float):
-    h = _hamiltonian_cached(t, u)
+def _eig_cached(params: HubbardParams):
+    h = hamiltonian(params)
     w_hop, v_hop = np.linalg.eigh(h.hop_part)
     w_os, v_os = np.linalg.eigh(h.os_part)
     return (w_hop, v_hop), (w_os, v_os)
@@ -108,7 +105,7 @@ def _expi(w: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
 
 def ideal_state(a: AnsatzParams, h: HubbardParams = HubbardParams()) -> np.ndarray:
     """Apply exp(i theta H_hop) exp(i phi H_os) to |psi0> (onsite first)."""
-    (w_hop, v_hop), (w_os, v_os) = _eig_cached(h.t, h.u)
+    (w_hop, v_hop), (w_os, v_os) = _eig_cached(h)
     state = _expi(w_os, v_os, a.phi) @ initial_state()
     state = _expi(w_hop, v_hop, a.theta) @ state
     return state

@@ -50,18 +50,15 @@ def check_confusions(matrices: np.ndarray) -> np.ndarray:
 
 class ConfusionMatrix(Record, frozen=True):
     """Column-stochastic readout confusion matrix N; N[i, j] estimates
-    P(measure i | prepared j)."""
+    P(measure i | prepared j). inverse, N^-1, is computed once, as the
+    matrix is checked."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_inverse", check_confusions(m[None])[0])
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self._inverse
+        object.__setattr__(self, "inverse", check_confusions(m[None])[0])
 
 
 def measure_confusions(readouts: np.ndarray, shots: int | None, streams) -> np.ndarray:

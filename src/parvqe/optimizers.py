@@ -373,7 +373,8 @@ class _TableEvaluator(Evaluator):
     def __init__(self, table: PairTable, shots, streams, widths=None):
         super().__init__()
         self.table, self.shots, self.streams, self.widths = table, shots, streams, widths
-        self.runs = width_runs(widths) if widths else None
+        # widths all 1 pool nothing: one row's mean and sqrt(s * s) are its own bits
+        self.runs = width_runs(widths) if widths and max(widths) > 1 else None
         self.plans, self._pending, self._m = {}, [], 0   # plans by m; counts of steps of _m
 
     def _run(self, points: np.ndarray) -> tuple[BatchPlan, np.ndarray]:
@@ -385,7 +386,7 @@ class _TableEvaluator(Evaluator):
             spread = [np.arange(lo, min(lo + n, m)) - lo for lo in range(0, m, n)]
             self.plans[m] = plan_batches(self.table, [[np.arange(w)] * m for w in self.widths]
                                          if self.widths else [spread] * repeats, self.shots)
-        if self.widths:
+        if self.runs:
             flat = np.repeat(flat, np.repeat(self.widths, m), axis=0)
         return self.plans[m], run_batch(self.plans[m], flat[:, 0], flat[:, 1],
                                         self.streams)["histograms"]
@@ -455,16 +456,11 @@ def spsa_parallel_evaluator(table: PairTable, shots, streams: Sequence[np.random
     streams[r] at shots[r] shots (one int for all): each point of repeat r
     is one batch on the table's first widths[r] rows (one int for all;
     every row by default), drawn as batch_pair_evaluator draws, and its
-    row estimates are pooled (their mean, errors in quadrature). A one-row
-    table has nothing to pool: its evaluator is batch_pair_evaluator
-    itself, whose value and raw are bit for bit the pooled ones and whose
-    std_err is the row's own."""
+    row estimates are pooled (their mean, errors in quadrature)."""
     n = len(table.pairs)
     widths = np.broadcast_to(n if widths is None else widths, len(streams)).tolist()
     if not all(1 <= w <= n for w in widths):
         raise ValueError(f"row widths must lie in [1, {n}], got {widths}")
-    if n == 1:
-        return batch_pair_evaluator(table, shots, streams)
     return _TableEvaluator(table, shots, streams, widths)
 
 

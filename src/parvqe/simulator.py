@@ -128,8 +128,8 @@ _IDEAL = np.array([[[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]],
 
 
 def kernel_terms(p: np.ndarray, confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The angle-free (n, 2, 4) terms (base, slope), in SETTINGS order, of n
-    pairs' effective depolarizing probabilities p (crosstalk included) and
+    """The angle-free (n, 2, 4) terms (base, slope), onsite then hopping, of
+    n pairs' effective depolarizing probabilities p (crosstalk included) and
     (n, 4, 4) readout maps. The one depolarizing event after the CZ commutes
     with the unitaries after it, so a distribution is confusion @ ((1-p)
     ideal + p/4) = base + x * slope for x = (a - 1/4, sin^2 phi), with the

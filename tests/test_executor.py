@@ -508,11 +508,11 @@ def test_plan_keeps_each_rows_kernel_terms_and_estimator_inputs(case, data):
                         for group in groups for batch in map(list, group)])
     terms = kernel_terms(p, confusion[plan.rows])
     assert np.array_equal(plan.base, apply_terms(*terms, np.zeros_like(phi), theta))
+    dists = apply_terms(*terms, phi, theta)
     assert np.array_equal(
         run_batch(plan, phi, theta, streams_of(seeds))["histograms"],
-        np.concatenate([stream.multinomial(n, dists) for stream, n, dists in zip(
-            streams_of(seeds), shots, np.split(apply_terms(*terms, phi, theta),
-                                               plan.bounds[1:-1]))]))
+        np.concatenate([stream.multinomial(n, dists[lo:hi]) for stream, n, (_, lo, hi) in zip(
+            streams_of(seeds), shots, plan.groups)]))
     counts = batch_counts(run_batch(plan, phi, theta, streams_of(seeds)))
     alone = row_estimates(table, plan.rows, counts,
                           np.repeat(shots, [sum(map(len, group)) for group in groups]))

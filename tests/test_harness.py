@@ -261,6 +261,48 @@ def test_only_derive_rng_builds_a_generator():
     assert found == [("seeding.derive_rng", "default_rng")]
 
 
+def _module_names(tree):
+    """The names a module's top level defines: its functions, its classes
+    and every name it assigns."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _uses(tree):
+    """Every name a tree reads: a loaded name, an attribute, an import, and
+    each word of a string of only names (as "a b.c" or "a")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words = node.value.replace(".", " ").split()
+            if all(word.isidentifier() for word in words):
+                yield from words
+
+
+def test_every_module_level_name_is_used():
+    """Every function, class and assigned name at the top level of a
+    package module (dunders apart) is read somewhere in src, tests or
+    tools besides its own definition."""
+    root = Path(__file__).parents[1]
+    used = {name for folder in ("src", "tests", "tools")
+            for path in sorted((root / folder).rglob("*.py"))
+            for name in _uses(ast.parse(path.read_text()))}
+    defined = [(module.stem, name) for module in sorted(Path(parvqe.__file__).parent.glob("*.py"))
+               for name in _module_names(ast.parse(module.read_text()))
+               if not (name.startswith("__") and name.endswith("__"))]
+    assert [f"{module}.{name}" for module, name in defined if name not in used] == []
+
+
 def test_planning_calls_do_not_grow_with_iterations(tmp_path, monkeypatch):
     # the evaluator plans its (repeats, 3) layout on its first step and
     # reuses it, and the final points plan once for their main and
@@ -744,6 +786,38 @@ def test_direct_call_rejects_settings_its_command_does_not_read(tmp_path):
         _Run(config_for(command, seed=1, out_dir=out, grid=20, optimizer="spsa",
                         calibration=harness.default_calibration_path()), command)
     assert not out.exists()
+
+
+def test_list_valued_settings_equal_their_tuple_defaults(tmp_path):
+    """start, shots_list and pair_counts given as lists are stored as
+    tuples, so a list equal to a default passes the unread check of a
+    command that does not read it."""
+    out = tmp_path / "out"
+    lists = dict(start=[0.6, 0.8], shots_list=[100, 1000, 10_000],
+                 pair_counts=[2, 4, 6, 9, 12, 25])
+    cfg = ExperimentConfig(seed=1, out_dir=out, **lists)
+    assert {name: getattr(cfg, name) for name in lists} == {
+        name: ExperimentConfig._defaults[name] for name in lists}
+    for command in ("heatmap", "benchmark-pairs"):
+        _Run(cfg, command)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", ["heatmap --seed -1 --grid 4", "vqe --seed -3",
+                                  "speedup-sweep --seed -1"])
+def test_a_negative_seed_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    """A seed below 0 exits 2 with nothing written, rather than dying in
+    numpy's seeding or being recorded; a seed that is not an integer is
+    refused alike by a direct config."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv.split(), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    for seed in (-1, 1.5, "7", None):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            ExperimentConfig(seed=seed, out_dir=tmp_path / "out")
 
 
 def test_eta_sets_mgd_points_at_any_pair_count(tmp_path):

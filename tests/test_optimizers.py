@@ -624,6 +624,7 @@ CHAIN_PAIRS = [(2 * i, 2 * i + 1) for i in range(10)]
 @given(st.lists(st.integers(1, 10), min_size=1, max_size=4), st.integers(1, 3),
        st.integers(0, 2 ** 32), st.booleans(), st.sampled_from([0.0, 0.05]))
 @example([9, 9, 1, 10], 3, 7, True, 0.05)
+@example([1, 1], 3, 11, True, 0.05)     # nothing to pool: rows are the points
 def test_width_aware_spsa_evaluator_equals_one_repeat_on_the_prefix(widths, m, seed, ni,
                                                                   crosstalk):
     """Repeat r of an evaluator with row widths w_r gives, bit for bit in

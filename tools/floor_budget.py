@@ -160,14 +160,13 @@ def artifact_floats(artifacts: dict[str, str]) -> list[float]:
 
 
 def captured_draws(argv, seed: int):
-    """(distributions, shots, bounds) of every run_batch call of one run,
-    and that run's artifacts."""
+    """(distributions, groups) of every run_batch call of one run, and that
+    run's artifacts."""
     calls = []
 
     def capture(run_batch):
         def wrapper(plan, phi, theta, streams):
-            calls.append((apply_terms(plan.base, plan.slope, phi, theta), plan.shots,
-                          plan.bounds))
+            calls.append((apply_terms(plan.base, plan.slope, phi, theta), plan.groups))
             return run_batch(plan, phi, theta, streams)
         return wrapper
 
@@ -177,12 +176,12 @@ def captured_draws(argv, seed: int):
 
 
 def replay_draws(calls) -> float:
-    streams = [np.random.default_rng(k) for k, (_, shots, _) in enumerate(calls)
-               for _ in shots]
+    streams = [np.random.default_rng(k) for k, (_, groups) in enumerate(calls)
+               for _ in groups]
     t0 = time.perf_counter()
     k = 0
-    for dists, shots, bounds in calls:
-        for n, lo, hi in zip(shots, bounds, bounds[1:]):
+    for dists, groups in calls:
+        for n, lo, hi in groups:
             streams[k].multinomial(n, dists[lo:hi])
             k += 1
     return time.perf_counter() - t0
